@@ -13,7 +13,8 @@ import (
 	"rlnc/internal/mc"
 )
 
-// Ablation benchmarks: quantify the design choices DESIGN.md commits to.
+// Ablation benchmarks: quantify the design choices docs/ARCHITECTURE.md
+// describes.
 
 // --- Engine parallelism ----------------------------------------------------
 // The round engine runs nodes on a GOMAXPROCS worker pool; the ablation

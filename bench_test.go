@@ -19,7 +19,8 @@ import (
 )
 
 // One benchmark per experiment: the harness that regenerates every table
-// of EXPERIMENTS.md (quick mode; run `rlnc run all` for the full tables).
+// of the suite README.md indexes (quick mode; run `rlnc run all` for the
+// full tables).
 func benchExperiment(b *testing.B, id string) {
 	e, ok := report.ByID(id)
 	if !ok {

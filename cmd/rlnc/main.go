@@ -1,6 +1,6 @@
 // Command rlnc drives the Randomized Local Network Computing
 // reproduction: it lists and runs the experiment suite E1–E17 (one per
-// quantitative statement of the paper, see DESIGN.md §5, plus the E17
+// quantitative statement of the paper, see README.md, plus the E17
 // fault-injection study), inspects graph families, runs individual
 // construction algorithms, and hosts shard workers for multi-process
 // sharded execution.

@@ -282,8 +282,8 @@ func LubyMISAlgorithm() Algorithm {
 // unselected -> 1. The result is a weak 2-coloring on graphs with minimum
 // degree >= 1: members have only non-members around them (independence),
 // and every non-member has a member neighbor (maximality). This replaces
-// the Naor–Stockmeyer constant-time odd-degree construction; see the
-// substitution table in DESIGN.md.
+// the Naor–Stockmeyer constant-time odd-degree construction; E8's table
+// notes the substitution (internal/exp/e08_zoo.go).
 func WeakColoringViaMIS() Algorithm {
 	return Pipeline{
 		PipeName: "weak-2-coloring(mis)",

@@ -1,8 +1,9 @@
 // Package exp implements the experiment suite E1–E17: one experiment per
-// quantitative statement of the paper, as indexed in DESIGN.md §5, plus
+// quantitative statement of the paper, as indexed in README.md, plus
 // the E17 fault-injection degradation study. Each experiment emits the
 // paper-shaped table plus programmatic checks that the measured shape
-// matches the claim; EXPERIMENTS.md records the outcomes.
+// matches the claim; each experiment's own file documents its claim and
+// the notes its table records.
 package exp
 
 import (

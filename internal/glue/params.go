@@ -109,10 +109,10 @@ func NuPrimeSearch(r, p, beta float64, mu int) (int, error) {
 // NuPrimePaper evaluates the closed form as printed in the paper,
 // ν′ = 1 + ⌈ln(rp)/ln((1/p)(1−β(1−p)/µ))⌉.
 //
-// Reproduction finding (recorded in EXPERIMENTS.md, E15): the printed
-// base (1/p)(1−β(1−p)/µ) is ≥ 1 for ALL admissible parameters — it is
-// below 1 iff β(1−p)/µ > 1−p, i.e. iff β > µ, which never holds since
-// β ≤ 1 ≤ µ. The printed formula is therefore degenerate everywhere (a
+// Reproduction finding (reported by E15, internal/exp/e15_params.go):
+// the printed base (1/p)(1−β(1−p)/µ) is ≥ 1 for ALL admissible
+// parameters — it is below 1 iff β(1−p)/µ > 1−p, i.e. iff β > µ, which
+// never holds since β ≤ 1 ≤ µ. The printed formula is therefore degenerate everywhere (a
 // typo: the 1/p factor belongs outside the logarithm's argument, matching
 // the displayed inequality Pr ≤ (1/p)(1−β(1−p)/µ)^{ν′} < r). A degenerate
 // evaluation returns ok = false; NuPrimeCorrected gives the intended

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"sync"
 
 	"rlnc/internal/graph"
 )
@@ -46,11 +47,15 @@ type LCL struct {
 	// neighbor scan order (the direct-neighbor order of a radius-1 ball
 	// is the graph's port order). Only radius-1 languages whose predicate
 	// reads the outputs of the center and its direct neighbors can define
-	// it; deterministic deciders dispatch to it on the hot trial path
-	// (decide.Exec.Verdicts). len(bad) is the node count; scratch is
-	// caller-provided per-node scratch of the same length, typically a
-	// decode-once column so each output is validated once instead of
-	// once per adjacent center.
+	// it. CountBadBalls, BadNodes and Contains evaluate it on every
+	// configuration whose X and Y cover exactly the graph's nodes, and
+	// deterministic deciders dispatch to it on the hot trial path
+	// (decide.Exec.Verdicts); per-ball evaluation of Bad is the fallback
+	// for languages without a row form and for shape-mismatched
+	// configurations. BadRow never reads identities. len(bad) is the node
+	// count; scratch is caller-provided per-node scratch of the same
+	// length, typically a decode-once column so each output is validated
+	// once instead of once per adjacent center.
 	BadRow func(di *DecisionInstance, bad []bool, scratch []int32)
 }
 
@@ -69,6 +74,15 @@ func (l *LCL) Contains(c *Config) (bool, error) {
 // the number of nodes v with B_G(v,t) ∈ Bad(L).
 func (l *LCL) CountBadBalls(c *Config) int {
 	count := 0
+	if l.evalRow(c, func(bad []bool) {
+		for _, b := range bad {
+			if b {
+				count++
+			}
+		}
+	}) {
+		return count
+	}
 	for v := 0; v < c.G.N(); v++ {
 		if l.Bad(LabeledBallAround(c, v, l.Radius)) {
 			count++
@@ -80,12 +94,54 @@ func (l *LCL) CountBadBalls(c *Config) int {
 // BadNodes returns the centers of all bad balls.
 func (l *LCL) BadNodes(c *Config) []int {
 	var out []int
+	if l.evalRow(c, func(bad []bool) {
+		for v, b := range bad {
+			if b {
+				out = append(out, v)
+			}
+		}
+	}) {
+		return out
+	}
 	for v := 0; v < c.G.N(); v++ {
 		if l.Bad(LabeledBallAround(c, v, l.Radius)) {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// rowScratch is the per-call working set of the row path. One *LCL is
+// shared by every Monte-Carlo worker, so the scratch lives in a package
+// pool rather than on the language.
+type rowScratch struct {
+	di  DecisionInstance
+	bad []bool
+	col []int32
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// evalRow runs BadRow over c and hands f the per-node bad row, which f
+// must not retain. It reports false, without calling f, when the
+// language has no row form or c's X and Y do not cover exactly the
+// graph's nodes; the caller then evaluates Bad ball by ball.
+func (l *LCL) evalRow(c *Config, f func(bad []bool)) bool {
+	n := c.G.N()
+	if l.BadRow == nil || len(c.X) != n || len(c.Y) != n {
+		return false
+	}
+	s := rowPool.Get().(*rowScratch)
+	if cap(s.bad) < n {
+		s.bad = make([]bool, n)
+		s.col = make([]int32, n)
+	}
+	s.di = DecisionInstance{G: c.G, X: c.X, Y: c.Y}
+	l.BadRow(&s.di, s.bad[:n], s.col[:n])
+	f(s.bad[:n])
+	s.di = DecisionInstance{} // drop the caller's graph and columns
+	rowPool.Put(s)
+	return true
 }
 
 // centerColor decodes the center's color; ok is false when the output is

@@ -42,8 +42,10 @@ type Executor[S any] struct {
 	// fault model without threading RunOptions through every call site.
 	// States without SetFault ignore it.
 	Fault *local.FaultPlan
-	// NewState is called once per worker; its value is passed to every
-	// trial body that worker executes. The intended state is reusable
+	// NewState is called once per worker, when the worker claims its
+	// first trial chunk (and again after a failed chunk discards the
+	// state); its value is passed to every trial body that worker
+	// executes, so every built state runs at least one chunk. The intended state is reusable
 	// execution scratch (*local.Engine, *local.Batch, *local.Sharded).
 	// nil yields the zero S. States implementing io.Closer are closed
 	// when their worker retires.

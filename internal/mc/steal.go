@@ -26,10 +26,10 @@ import (
 //   - A failing chunk is requeued, not fatal. A body that cannot
 //     complete its chunk signals with Fail (or any panic): the worker
 //     discards its state — a sharded executor whose worker process died,
-//     a poisoned transport — closes it, builds a fresh one, and the
-//     chunk goes back on the queue for another attempt. Only a chunk
-//     that keeps failing (maxChunkAttempts fresh states) aborts the
-//     sweep, re-raising the original panic.
+//     a poisoned transport — closes it, builds a fresh one on its next
+//     claim, and the chunk goes back on the queue for another attempt.
+//     Only a chunk that keeps failing (maxChunkAttempts fresh states)
+//     aborts the sweep, re-raising the original panic.
 
 // Fail aborts the current trial chunk with err: the scheduler closes the
 // worker's state, requeues the chunk, and retries it on a freshly built
@@ -77,10 +77,14 @@ func runChunk(body func()) (failure *chunkFailure) {
 // the static split's order, which keeps one-worker runs (GOMAXPROCS=1
 // goldens) byte-identical to it even for order-sensitive accumulation.
 //
+// States are built lazily: a worker calls newState when it claims its
+// first chunk, so every built state runs at least one chunk attempt and
+// a worker that finds the sweep already drained builds none.
+//
 // A body panic fails the attempt: the state is closed, a fresh one is
-// built, and the chunk is requeued until maxChunkAttempts is exhausted,
-// at which point the sweep drains and the original panic value is
-// re-raised.
+// built on the worker's next claim, and the chunk is requeued until
+// maxChunkAttempts is exhausted, at which point the sweep drains and the
+// original panic value is re-raised.
 //
 // progress, when non-nil, observes the schedule: (0, nchunks) once
 // before the first chunk is handed out, then the cumulative completed
@@ -129,8 +133,15 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := newState()
-			defer func() { closeState(s) }()
+			// Built on claim: a worker whose peers drain the queue first
+			// never builds a batch or dials a fleet just to close it.
+			var s S
+			built := false
+			defer func() {
+				if built {
+					closeState(s)
+				}
+			}()
 			for {
 				var c stealChunk
 				select {
@@ -138,14 +149,18 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 				case <-done:
 					return
 				}
+				if !built {
+					s, built = newState(), true
+				}
 				if failure := runChunk(func() { body(w, s, c.lo, c.hi) }); failure != nil {
 					// The attempt died with its state: discard the state and
-					// retry the chunk on a fresh one. The fresh build re-runs
-					// the state constructor, which is where degraded modes
-					// live (a sharded provider excluding dead workers, or
-					// falling back to a local batch).
+					// retry the chunk on a fresh one, built by whichever
+					// worker claims it next. The fresh build re-runs the
+					// state constructor, which is where degraded modes live
+					// (a sharded provider excluding dead workers, or falling
+					// back to a local batch).
 					closeState(s)
-					s = newState()
+					built = false
 					if c.attempt+1 >= maxChunkAttempts {
 						fatalMu.Lock()
 						if fatal == nil {

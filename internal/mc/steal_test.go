@@ -161,8 +161,59 @@ func TestStealRequeuesFailedChunk(t *testing.T) {
 	if closed.Load() < 2 {
 		t.Fatalf("%d states closed, want >= 2 (one per failed attempt)", closed.Load())
 	}
-	if built.Load() != 3+2 {
-		t.Fatalf("%d states built, want 5 (3 workers + a replacement per failed attempt)", built.Load())
+	// States are built on claim: at least the first state plus one
+	// replacement per failed attempt, at most one per worker plus those
+	// replacements — and every built state is closed exactly once.
+	if b := built.Load(); b < 1+2 || b > 3+2 {
+		t.Fatalf("%d states built, want 3..5 (first claim + a replacement per failed attempt, ≤ one per worker)", b)
+	}
+	if closed.Load() != built.Load() {
+		t.Fatalf("%d states closed, %d built: want every built state closed once", closed.Load(), built.Load())
+	}
+}
+
+// TestStealBuildsStateOnClaim pins lazy state construction. A chunk
+// that fails permanently on one worker builds exactly one state per
+// attempt — the fatal attempt does not build a replacement it would
+// only close — and every built state is closed. Across a contended
+// sweep, no built state goes unused.
+func TestStealBuildsStateOnClaim(t *testing.T) {
+	var built, closed atomic.Int32
+	newState := func() flakyState {
+		built.Add(1)
+		return flakyState{closed: &closed}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("permanently failing chunk did not panic")
+			}
+		}()
+		runSteal(4, 4, 1, newState, nil, func(flakyState, int, int, []bool) {
+			Fail(errors.New("permanently broken"))
+		})
+	}()
+	if built.Load() != maxChunkAttempts || closed.Load() != maxChunkAttempts {
+		t.Fatalf("built %d, closed %d states; want %d each (one per attempt)",
+			built.Load(), closed.Load(), maxChunkAttempts)
+	}
+
+	type counted struct{ chunks *atomic.Int32 }
+	var mu sync.Mutex
+	var states []counted
+	runSteal(400, 1, 4, func() counted {
+		s := counted{chunks: new(atomic.Int32)}
+		mu.Lock()
+		states = append(states, s)
+		mu.Unlock()
+		return s
+	}, nil, func(s counted, lo, hi int, out []bool) {
+		s.chunks.Add(1)
+	})
+	for i, s := range states {
+		if s.chunks.Load() == 0 {
+			t.Fatalf("state %d of %d was built but ran no chunk", i, len(states))
+		}
 	}
 }
 

@@ -5,12 +5,13 @@
 // proof of Claim 1 (Appendix A) that converts an arbitrary constant-time
 // algorithm into an order-invariant one.
 //
-// Substitution note (see DESIGN.md): the paper's Appendix A uses the
-// infinite Ramsey theorem over a countably infinite identity universe. The
-// proof only ever consumes finitely many elements of the extracted set U
-// (nodes relabel their balls with the smallest values of U), so a finite
-// pool {1..M} with a greedy consistency-checked extraction certifies the
-// same property on every instance whose identities come from U.
+// Substitution note (E13's table records it, internal/exp/e13_ramsey.go):
+// the paper's Appendix A uses the infinite Ramsey theorem over a
+// countably infinite identity universe. The proof only ever consumes
+// finitely many elements of the extracted set U (nodes relabel their
+// balls with the smallest values of U), so a finite pool {1..M} with a
+// greedy consistency-checked extraction certifies the same property on
+// every instance whose identities come from U.
 package orderinv
 
 import (

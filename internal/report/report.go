@@ -209,7 +209,8 @@ type Config struct {
 	Progress func(done, total int)
 }
 
-// Experiment is one entry of the per-experiment index in DESIGN.md.
+// Experiment is one entry of the experiment registry (indexed in
+// README.md).
 type Experiment interface {
 	// ID is the index key, e.g. "E1".
 	ID() string

@@ -35,8 +35,9 @@
 //   - unified executors: mc.Executor (trial loops), decide.Exec
 //     (decision verbs), and construct.Exec (construction runs) each give
 //     one options-struct entry point per verb over the engine shapes;
-//   - the experiment suite E1–E17 (see DESIGN.md §5 and EXPERIMENTS.md;
-//     E17 is the fault-injection degradation study);
+//   - the experiment suite E1–E17 (see the experiment table in
+//     README.md and one file per experiment in internal/exp; E17 is the
+//     fault-injection degradation study);
 //   - the serve control plane: a Server is a long-lived HTTP daemon
 //     (job intake, validation against the experiment/algorithm/family
 //     registries, one-at-a-time execution, SSE progress) over a
