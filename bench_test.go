@@ -743,6 +743,22 @@ func BenchmarkColorability(b *testing.B) {
 	}
 }
 
+// BenchmarkColorableB8 measures E7b's longest solve: refuting
+// 3-colorability of Linial's neighborhood graph B(8,1) under the quick
+// budget.
+func BenchmarkColorableB8(b *testing.B) {
+	g, err := linial.NeighborhoodGraph(8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		ok, _, err := linial.Colorable(g, 3, 5_000_000)
+		if err != nil || ok {
+			b.Fatalf("B(8,1) should be refuted, got %v, %v", ok, err)
+		}
+	}
+}
+
 // BenchmarkCanonicalKey measures exact ball canonicalization.
 func BenchmarkCanonicalKey(b *testing.B) {
 	ball := graph.Cycle(16).BallAround(0, 3)

@@ -2,6 +2,9 @@ package linial
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rlnc/internal/graph"
@@ -55,43 +58,96 @@ func validateColoring(t *testing.T, g *graph.Graph, colors []int, k int) {
 }
 
 func TestColorableBudget(t *testing.T) {
-	// A tiny budget must abort, not lie.
-	g := graph.Petersen()
-	_, _, err := Colorable(g, 3, 2)
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("want ErrBudget, got %v", err)
-	}
-}
-
-func TestChromaticNumber(t *testing.T) {
-	cases := []struct {
+	// A tiny budget must abort, not lie: on a colorable graph and on a
+	// refutation alike.
+	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-		want int
 	}{
-		{"C5", graph.Cycle(5), 3},
-		{"C6", graph.Cycle(6), 2},
-		{"K5", graph.Complete(5), 5},
-		{"Petersen", graph.Petersen(), 3},
-		{"star", graph.Star(6), 2},
-	}
-	for _, tc := range cases {
-		got, err := ChromaticNumber(tc.g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Errorf("%s: χ = %d, want %d", tc.name, got, tc.want)
+		{"Petersen", graph.Petersen()},
+		{"B(8,1)", mustNG(t, 8, 1)},
+	} {
+		ok, coloring, err := Colorable(tc.g, 3, 2)
+		if !errors.Is(err, ErrBudget) || ok || coloring != nil {
+			t.Errorf("%s: want ErrBudget alone, got %v, %v, %v", tc.name, ok, coloring, err)
 		}
 	}
 }
 
-func TestGreedyUpperBound(t *testing.T) {
-	if ub := GreedyChromaticUpperBound(graph.Complete(5)); ub != 5 {
-		t.Errorf("K5 greedy = %d, want 5", ub)
+// colorableByEnumeration is the reference: a plain backtracking
+// enumeration in vertex order, with no ordering heuristic and no symmetry
+// breaking. It tries every color at every vertex, pruning only
+// assignments that already clash.
+func colorableByEnumeration(g *graph.Graph, k int) bool {
+	colors := make([]int, g.N())
+	var rec func(v int) bool
+	rec = func(v int) bool {
+		if v == g.N() {
+			return true
+		}
+	next:
+		for c := 0; c < k; c++ {
+			for _, w := range g.Neighbors(v) {
+				if int(w) < v && colors[w] == c {
+					continue next
+				}
+			}
+			colors[v] = c
+			if rec(v + 1) {
+				return true
+			}
+		}
+		return false
 	}
-	if ub := GreedyChromaticUpperBound(graph.Cycle(6)); ub < 2 || ub > 3 {
-		t.Errorf("C6 greedy = %d", ub)
+	return rec(0)
+}
+
+func TestColorableMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(10)
+		k := 2 + rng.Intn(3)
+		p := 0.15 + 0.7*rng.Float64()
+		b := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		g := b.MustBuild()
+		want := colorableByEnumeration(g, k)
+		verdicts[want]++
+		ok, coloring, err := Colorable(g, k, 0)
+		if err != nil {
+			t.Fatalf("trial %d (n=%d, k=%d): %v", trial, n, k, err)
+		}
+		if ok != want {
+			t.Fatalf("trial %d (n=%d, k=%d, edges %v): Colorable = %v, enumeration says %v",
+				trial, n, k, g.Edges(), ok, want)
+		}
+		if ok {
+			validateColoring(t, g, coloring, k)
+		} else if coloring != nil {
+			t.Fatalf("trial %d: refutation returned a coloring %v", trial, coloring)
+		}
+	}
+	if verdicts[true] < 100 || verdicts[false] < 100 {
+		t.Fatalf("random graphs too one-sided to compare: %v", verdicts)
+	}
+}
+
+// TestColorableRefutesNeighborhoodGraphs pins that E7b's two
+// refutations finish inside its quick budget: B(7,1) is not
+// 3-colorable, and neither is B(8,1), which contains it.
+func TestColorableRefutesNeighborhoodGraphs(t *testing.T) {
+	for _, n := range []int{7, 8} {
+		ok, coloring, err := Colorable(mustNG(t, n, 1), 3, 5_000_000)
+		if err != nil || ok || coloring != nil {
+			t.Errorf("B(%d,1): want a refutation, got %v, %v, %v", n, ok, coloring, err)
+		}
 	}
 }
 
@@ -177,4 +233,72 @@ func mustNG(t *testing.T, n, radius int) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// neighborhoodGraphByKeys is the reference construction of B(n, t):
+// tuples keyed by their printed form in a map, and a set of the edges
+// already added.
+func neighborhoodGraphByKeys(n, t int) *graph.Graph {
+	w := 2*t + 1
+	var tuples [][]int
+	tuple := make([]int, w)
+	used := make([]bool, n+1)
+	var rec func(k int)
+	rec = func(k int) {
+		if k == w {
+			tuples = append(tuples, slices.Clone(tuple))
+			return
+		}
+		for id := 1; id <= n; id++ {
+			if !used[id] {
+				used[id] = true
+				tuple[k] = id
+				rec(k + 1)
+				used[id] = false
+			}
+		}
+	}
+	rec(0)
+	index := make(map[string]int, len(tuples))
+	for i, tp := range tuples {
+		index[fmt.Sprint(tp)] = i
+	}
+	b := graph.NewBuilder(len(tuples))
+	seen := make(map[[2]int]bool)
+	for i, tp := range tuples {
+		for id := 1; id <= n; id++ {
+			if slices.Contains(tp, id) {
+				continue
+			}
+			j := index[fmt.Sprint(append(slices.Clone(tp[1:]), id))]
+			e := [2]int{min(i, j), max(i, j)}
+			if !seen[e] {
+				seen[e] = true
+				b.AddEdge(i, j)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestNeighborhoodGraphMatchesReference checks the integer-coded
+// construction against the map-keyed one. It compares the neighbor
+// lists in order, not just the edge sets, since the solver's search
+// order follows the vertex numbering and the adjacency order.
+func TestNeighborhoodGraphMatchesReference(t *testing.T) {
+	cases := [][2]int{{4, 1}, {5, 1}, {6, 1}, {7, 1}, {8, 1}, {9, 1}, {6, 2}, {7, 2}}
+	for _, c := range cases {
+		n, radius := c[0], c[1]
+		got, want := mustNG(t, n, radius), neighborhoodGraphByKeys(n, radius)
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("B(%d,%d): %d vertices, %d edges; reference %d, %d",
+				n, radius, got.N(), got.M(), want.N(), want.M())
+		}
+		for v := 0; v < got.N(); v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("B(%d,%d): vertex %d neighbors %v, reference %v",
+					n, radius, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+	}
 }

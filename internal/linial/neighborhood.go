@@ -2,6 +2,7 @@ package linial
 
 import (
 	"fmt"
+	"slices"
 
 	"rlnc/internal/graph"
 )
@@ -142,21 +143,33 @@ func (pg *PatternGraph) SelfLoopCount() int {
 // induces a proper 3-coloring of B(n, t), so non-3-colorability of
 // B(n, t) is a lower bound certificate ([25]).
 //
-// The construction materializes n·(n-1)·...·(n-2t) vertices; it is meant
-// for t = 1 and small n.
+// The construction materializes n·(n-1)·...·(n-2t) vertices and an
+// index of (n+1)^(2t+1) entries; it is meant for t = 1 and small n.
 func NeighborhoodGraph(n, t int) (*graph.Graph, error) {
 	w := 2*t + 1
 	if n < w+1 {
 		return nil, fmt.Errorf("linial: need n >= %d for radius %d", w+1, t)
 	}
-	// Enumerate all ordered w-tuples of distinct ids from 1..n.
-	var tuples [][]int
+	// Enumerate all ordered w-tuples of distinct ids from 1..n, flat, in
+	// lexicographic order. A tuple's code reads it as a base-(n+1)
+	// number; index maps codes to vertices.
+	base := n + 1
+	lead := 1 // place value of a tuple's first id
+	for i := 1; i < w; i++ {
+		lead *= base
+	}
+	index := make([]int32, lead*base)
+	size := NeighborhoodGraphSize(n, t)
+	tuples := make([]int, 0, size*w)
+	codes := make([]int, 0, size)
 	tuple := make([]int, w)
 	used := make([]bool, n+1)
-	var rec func(k int)
-	rec = func(k int) {
+	var rec func(k, code int)
+	rec = func(k, code int) {
 		if k == w {
-			tuples = append(tuples, append([]int(nil), tuple...))
+			index[code] = int32(len(codes))
+			codes = append(codes, code)
+			tuples = append(tuples, tuple...)
 			return
 		}
 		for id := 1; id <= n; id++ {
@@ -165,46 +178,23 @@ func NeighborhoodGraph(n, t int) (*graph.Graph, error) {
 			}
 			used[id] = true
 			tuple[k] = id
-			rec(k + 1)
+			rec(k+1, code*base+id)
 			used[id] = false
 		}
 	}
-	rec(0)
+	rec(0, 0)
 
-	index := make(map[string]int, len(tuples))
-	keyOf := func(tp []int) string {
-		return fmt.Sprint(tp)
-	}
-	for i, tp := range tuples {
-		index[keyOf(tp)] = i
-	}
-	b := graph.NewBuilder(len(tuples))
-	seen := make(map[[2]int]bool)
-	for i, tp := range tuples {
-		// Successor views: shift left by one, append a fresh id.
+	// Each tuple gains an edge to every successor view: shift left by
+	// one, append a fresh id. A successor is never also a predecessor
+	// (that would repeat an id), so each edge is added once; the builder
+	// rejects a repeat.
+	b := graph.NewBuilder(size)
+	for i, code := range codes {
+		tp := tuples[i*w : (i+1)*w]
+		shifted := (code - tp[0]*lead) * base
 		for id := 1; id <= n; id++ {
-			fresh := true
-			for _, x := range tp {
-				if x == id {
-					fresh = false
-					break
-				}
-			}
-			if !fresh {
-				continue
-			}
-			next := append(append([]int(nil), tp[1:]...), id)
-			j := index[keyOf(next)]
-			if i == j {
-				continue // cannot happen with distinct ids, kept defensive
-			}
-			a, bb := i, j
-			if a > bb {
-				a, bb = bb, a
-			}
-			if !seen[[2]int{a, bb}] {
-				seen[[2]int{a, bb}] = true
-				b.AddEdge(a, bb)
+			if !slices.Contains(tp, id) {
+				b.AddEdge(i, int(index[shifted+id]))
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 // Package linial makes the ring-coloring lower bounds discussed in §1.3
 // and §4 of the paper computational:
 //
-//   - an exact k-colorability solver (DSATUR-ordered backtracking with a
-//     search budget);
+//   - an exact k-colorability solver (DSATUR-ordered backtracking with
+//     color-symmetry breaking and a search budget), fast enough to refute
+//     3-colorability of B(8, 1) outright;
 //   - the order-pattern adjacency graph of t-round order-invariant
 //     algorithms on the ring, whose self-loop at the monotone pattern
 //     proves that no order-invariant algorithm properly colors all rings
@@ -24,10 +25,24 @@ import (
 // proved colorable nor uncolorable.
 var ErrBudget = errors.New("linial: search budget exhausted")
 
-// Colorable decides exact k-colorability by backtracking with DSATUR-style
-// most-saturated-first variable ordering. budget caps the number of
-// backtracking nodes (0 selects a large default); exceeding it returns
-// ErrBudget rather than a wrong answer.
+// Colorable decides exact k-colorability by DSATUR-ordered backtracking:
+// each search state colors the uncolored vertex with the most distinct
+// neighbor colors, breaking ties on the most uncolored neighbors (kept
+// incrementally, so the order adapts on regular graphs such as B(n, 1)),
+// then on the lowest index.
+//
+// Color symmetry is broken: with colors 0..maxUsed in use, the chosen
+// vertex tries only colors up to maxUsed+1. This loses no coloring, since
+// the unused colors are interchangeable: permuting them maps any coloring
+// that extends the current state onto one that gives the chosen vertex
+// color maxUsed+1, and permuting colors changes no saturation, so the
+// search below is the same up to that renaming. A refutation therefore
+// explores each partial coloring once instead of once per permutation of
+// the palette.
+//
+// budget caps the number of search states entered, one node each (0
+// selects a large default); exceeding it returns ErrBudget rather than a
+// wrong answer.
 func Colorable(g *graph.Graph, k int, budget int64) (bool, []int, error) {
 	n := g.N()
 	if k < 0 {
@@ -43,15 +58,19 @@ func Colorable(g *graph.Graph, k int, budget int64) (bool, []int, error) {
 	for i := range colors {
 		colors[i] = -1
 	}
-	// neighborColors[v] tracks how many neighbors of v use each color.
+	// neighborColors[v] tracks how many neighbors of v use each color;
+	// satDegree[v] counts the distinct ones, and uncolored[v] the
+	// neighbors of v not yet picked.
 	neighborColors := make([][]int32, n)
 	satDegree := make([]int, n)
+	uncolored := make([]int, n)
 	for v := 0; v < n; v++ {
 		neighborColors[v] = make([]int32, k)
+		uncolored[v] = g.Degree(v)
 	}
 	var nodes int64
-	var solve func(assigned int) (bool, error)
-	solve = func(assigned int) (bool, error) {
+	var solve func(assigned, maxUsed int) (bool, error)
+	solve = func(assigned, maxUsed int) (bool, error) {
 		if assigned == n {
 			return true, nil
 		}
@@ -59,34 +78,36 @@ func Colorable(g *graph.Graph, k int, budget int64) (bool, []int, error) {
 		if nodes > budget {
 			return false, ErrBudget
 		}
-		// Pick the uncolored vertex with maximum saturation, tie-break on
-		// degree.
 		best := -1
 		for v := 0; v < n; v++ {
 			if colors[v] != -1 {
 				continue
 			}
 			if best == -1 || satDegree[v] > satDegree[best] ||
-				(satDegree[v] == satDegree[best] && g.Degree(v) > g.Degree(best)) {
+				(satDegree[v] == satDegree[best] && uncolored[v] > uncolored[best]) {
 				best = v
 			}
 		}
-		for c := 0; c < k; c++ {
+		nbrs := g.Neighbors(best)
+		for _, w := range nbrs {
+			uncolored[w]--
+		}
+		for c := 0; c < k && c <= maxUsed+1; c++ {
 			if neighborColors[best][c] > 0 {
 				continue
 			}
 			colors[best] = c
-			for _, w := range g.Neighbors(best) {
+			for _, w := range nbrs {
 				if neighborColors[w][c] == 0 {
 					satDegree[w]++
 				}
 				neighborColors[w][c]++
 			}
-			ok, err := solve(assigned + 1)
+			ok, err := solve(assigned+1, max(maxUsed, c))
 			if ok || err != nil {
 				return ok, err
 			}
-			for _, w := range g.Neighbors(best) {
+			for _, w := range nbrs {
 				neighborColors[w][c]--
 				if neighborColors[w][c] == 0 {
 					satDegree[w]--
@@ -94,9 +115,12 @@ func Colorable(g *graph.Graph, k int, budget int64) (bool, []int, error) {
 			}
 			colors[best] = -1
 		}
+		for _, w := range nbrs {
+			uncolored[w]++
+		}
 		return false, nil
 	}
-	ok, err := solve(0)
+	ok, err := solve(0, -1)
 	if err != nil {
 		return false, nil, err
 	}
@@ -104,64 +128,4 @@ func Colorable(g *graph.Graph, k int, budget int64) (bool, []int, error) {
 		return false, nil, nil
 	}
 	return true, colors, nil
-}
-
-// GreedyChromaticUpperBound colors greedily in degree order, returning the
-// number of colors used — a cheap upper bound on the chromatic number.
-func GreedyChromaticUpperBound(g *graph.Graph) int {
-	n := g.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Sort by decreasing degree (simple selection to stay allocation-lean).
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if g.Degree(order[j]) > g.Degree(order[i]) {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	colors := make([]int, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	max := 0
-	for _, v := range order {
-		used := make(map[int]bool)
-		for _, w := range g.Neighbors(v) {
-			if colors[w] >= 0 {
-				used[colors[w]] = true
-			}
-		}
-		c := 0
-		for used[c] {
-			c++
-		}
-		colors[v] = c
-		if c+1 > max {
-			max = c + 1
-		}
-	}
-	return max
-}
-
-// ChromaticNumber computes the exact chromatic number by binary-searching
-// Colorable between clique-ish lower and greedy upper bounds. Intended
-// for the small neighborhood graphs of this package.
-func ChromaticNumber(g *graph.Graph, budget int64) (int, error) {
-	if g.N() == 0 {
-		return 0, nil
-	}
-	upper := GreedyChromaticUpperBound(g)
-	for k := 1; k <= upper; k++ {
-		ok, _, err := Colorable(g, k, budget)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return k, nil
-		}
-	}
-	return upper, nil
 }

@@ -499,10 +499,11 @@ func (s *Server) execute(rn *run) {
 		runner = s.runJob
 	}
 	table, checksPass, err := runner(spec, progress)
+	finished := s.opts.now().UTC()
 
 	rn.mu.Lock()
-	rn.meta.FinishedAt = s.opts.now().UTC()
 	if err != nil {
+		rn.meta.FinishedAt = finished
 		rn.meta.Status = statusError
 		rn.meta.Error = err.Error()
 		meta := rn.meta
@@ -512,18 +513,24 @@ func (s *Server) execute(rn *run) {
 		rn.log.close()
 		return
 	}
-	rn.meta.Status = statusDone
-	rn.meta.ChecksPass = checksPass
-	rn.meta.TableBytes = len(table)
-	rn.table = table
 	meta := rn.meta
 	rn.mu.Unlock()
+	meta.FinishedAt = finished
+	meta.Status = statusDone
+	meta.ChecksPass = checksPass
+	meta.TableBytes = len(table)
 
+	// Persist before publishing done: a client that sees done may at once
+	// ask another daemon on the same store for the run.
 	if err := s.store.Put(meta, []byte(spec.canon().Encode()), table); err != nil {
 		// The run still completed; the archive just missed it. Serve from
 		// memory and say so rather than failing a finished run.
 		s.opts.Logf("run %s finished but could not be stored: %v", meta.ID, err)
 	}
+	rn.mu.Lock()
+	rn.meta = meta
+	rn.table = table
+	rn.mu.Unlock()
 	s.opts.Logf("run %s done: %s (%d table bytes, checks pass: %v)",
 		meta.ID, spec.Describe(), len(table), checksPass)
 	rn.log.emit("done", doneEvent(meta))
