@@ -46,9 +46,9 @@ func benchMCWithProcs(b *testing.B, procs int) {
 	defer runtime.GOMAXPROCS(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mc.Run(20000, func(trial int) bool {
+		mc.Executor[struct{}]{Trials: 20000}.Run(mc.Scalar(func(_ struct{}, trial int) bool {
 			return localrand.NewSource(uint64(trial)).Float64() < 0.5
-		})
+		}))
 	}
 }
 
@@ -57,8 +57,8 @@ func BenchmarkAblationMCParallel(b *testing.B) { benchMCWithProcs(b, runtime.Num
 
 // --- Per-worker engines in the Monte-Carlo harness ---------------------------
 // The Plan/Engine design choice: each trial-pool worker holds one
-// reusable engine (mc.RunWith) vs rebuilding execution state every trial
-// (mc.Run), on the kind of construction trial every experiment runs.
+// reusable engine (mc.Executor.NewState) vs rebuilding execution state
+// every trial, on the kind of construction trial every experiment runs.
 
 func benchMCTrialLoop(b *testing.B, pooled bool) {
 	n := 256
@@ -75,15 +75,16 @@ func benchMCTrialLoop(b *testing.B, pooled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pooled {
-			mc.RunWith(500, plan.NewEngine, func(eng *local.Engine, trial int) bool {
-				draw := space.Draw(uint64(trial))
-				return eng.RunView(in, algo, &draw)[0][0] == 0
-			})
+			mc.Executor[*local.Engine]{Trials: 500, NewState: plan.NewEngine}.
+				Run(mc.Scalar(func(eng *local.Engine, trial int) bool {
+					draw := space.Draw(uint64(trial))
+					return eng.RunView(in, algo, &draw)[0][0] == 0
+				}))
 		} else {
-			mc.Run(500, func(trial int) bool {
+			mc.Executor[struct{}]{Trials: 500}.Run(mc.Scalar(func(_ struct{}, trial int) bool {
 				draw := space.Draw(uint64(trial))
 				return local.RunView(in, algo, &draw)[0][0] == 0
-			})
+			}))
 		}
 	}
 }

@@ -106,11 +106,8 @@ func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecide
 	} else {
 		y = local.RunView(in, algo, &draw)
 	}
-	di := &lang.DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}
-	if eng != nil {
-		return y, decide.AcceptsWith(eng, di, d, nil)
-	}
-	return y, decide.Accepts(di, d, nil)
+	dis := []*lang.DecisionInstance{{G: in.G, X: in.X, Y: y, ID: in.ID}}
+	return y, decide.Exec{Eng: eng}.Accepts(dis, d, nil)[0]
 }
 
 // BenchmarkTrialSingleShot measures the per-trial cost of the
@@ -243,7 +240,7 @@ func BenchmarkTrialBatchedMessage(b *testing.B) {
 	for j := 0; j < width; j++ {
 		draws[j] = space.Draw(uint64(j))
 	}
-	if _, err := construct.RunBatch(algo, bt, in, draws); err != nil {
+	if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -256,7 +253,7 @@ func BenchmarkTrialBatchedMessage(b *testing.B) {
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if _, err := construct.RunBatch(algo, bt, in, draws[:k]); err != nil {
+		if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws[:k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +276,7 @@ func BenchmarkTrialBatchedMessageScalar(b *testing.B) {
 	for j := 0; j < width; j++ {
 		draws[j] = space.Draw(uint64(j))
 	}
-	if _, err := construct.RunBatch(algo, bt, in, draws); err != nil {
+	if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -292,7 +289,7 @@ func BenchmarkTrialBatchedMessageScalar(b *testing.B) {
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if _, err := construct.RunBatch(algo, bt, in, draws[:k]); err != nil {
+		if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws[:k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,7 +300,9 @@ func BenchmarkTrialBatchedMessageScalar(b *testing.B) {
 // Each Benchmark{Step*}{Scalar,Vec} pair isolates one migrated
 // algorithm's kernel, so a regression in a single StepVec shows up in
 // its own pair instead of being averaged into the trial benchmarks.
-// Both sides are asserted byte-identical before timing.
+// BenchmarkStepLubyScalar has no Vec twin: Luby's MIS steps only through
+// its scalar WireProcess. Both sides are asserted byte-identical before
+// timing.
 func benchStepPath(b *testing.B, wa local.MessageAlgorithm, in *lang.Instance, random, scalar bool) {
 	const width = 32
 	algo := wa
@@ -389,9 +388,6 @@ func stepRingIn(b *testing.B) *lang.Instance {
 func BenchmarkStepLubyScalar(b *testing.B) {
 	benchStepPath(b, construct.LubyMIS{}, stepLubyIn(b), true, true)
 }
-func BenchmarkStepLubyVec(b *testing.B) {
-	benchStepPath(b, construct.LubyMIS{}, stepLubyIn(b), true, false)
-}
 func BenchmarkStepRetryScalar(b *testing.B) {
 	benchStepPath(b, construct.RetryMessage(3, 2), stepRingIn(b), true, true)
 }
@@ -430,7 +426,7 @@ func benchTrialFaulty(b *testing.B, fp *local.FaultPlan) {
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if _, err := construct.RunBatch(algo, bt, in, draws[:k]); err != nil {
+		if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws[:k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,11 +463,11 @@ func benchTrialSharded(b *testing.B, shards int) {
 	for i := range draws {
 		draws[i] = space.Draw(uint64(i))
 	}
-	want, err := construct.RunBatch(algo, bt, in, draws)
+	want, err := construct.Exec{Bt: bt}.Run(algo, in, draws)
 	if err != nil {
 		b.Fatal(err)
 	}
-	got, err := construct.RunSharded(algo, sh, in, draws)
+	got, err := construct.Exec{Sh: sh}.Run(algo, in, draws)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +488,7 @@ func benchTrialSharded(b *testing.B, shards int) {
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if _, err := construct.RunSharded(algo, sh, in, draws[:k]); err != nil {
+		if _, err := (construct.Exec{Sh: sh}).Run(algo, in, draws[:k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -505,7 +501,7 @@ func BenchmarkTrialSharded4(b *testing.B) { benchTrialSharded(b, 4) }
 // BenchmarkTrialBatchedMessage.
 func BenchmarkTrialPooledMessage(b *testing.B) {
 	in, _, _ := benchTrialFixture(b)
-	algo := construct.RetryColoring{Q: 3, T: 2}
+	algo := construct.RetryMessage(3, 2)
 	space := localrand.NewTapeSpace(19)
 	plan := local.MustPlan(in.G)
 	eng := plan.NewEngine()
@@ -513,7 +509,7 @@ func BenchmarkTrialPooledMessage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		draw := space.Draw(uint64(i))
-		if _, err := construct.RunOn(algo, eng, in, &draw); err != nil {
+		if _, err := eng.Run(in, algo, &draw, local.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -675,11 +671,11 @@ func BenchmarkLCLDecide(b *testing.B) {
 	for v := 0; v < n; v++ {
 		y[v] = lang.EncodeColor(v % 2)
 	}
-	di := &lang.DecisionInstance{G: graph.Cycle(n), X: lang.EmptyInputs(n), Y: y, ID: ids.Consecutive(n)}
+	dis := []*lang.DecisionInstance{{G: graph.Cycle(n), X: lang.EmptyInputs(n), Y: y, ID: ids.Consecutive(n)}}
 	d := &decide.LCLDecider{L: l}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !decide.Accepts(di, d, nil) {
+		if !(decide.Exec{}).Accepts(dis, d, nil)[0] {
 			b.Fatal("proper coloring rejected")
 		}
 	}
@@ -712,9 +708,9 @@ func BenchmarkGluing(b *testing.B) {
 // BenchmarkMonteCarlo measures the trial harness itself.
 func BenchmarkMonteCarlo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		est := mc.Run(10000, func(trial int) bool {
+		est := mc.Executor[struct{}]{Trials: 10000}.Run(mc.Scalar(func(_ struct{}, trial int) bool {
 			return localrand.NewSource(uint64(trial)).Float64() < 0.618
-		})
+		}))
 		if est.Trials != 10000 {
 			b.Fatal("trial miscount")
 		}

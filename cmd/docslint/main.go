@@ -1,6 +1,6 @@
 // Command docslint is a dependency-free markdown link checker for the
-// repository's documentation set. For every file named on the command
-// line it verifies that
+// repository's documentation set. For every markdown file named on the
+// command line it verifies that
 //
 //   - relative link targets ([text](path) and [text](path#anchor))
 //     exist on disk, resolved against the linking file's directory, and
@@ -8,18 +8,26 @@
 //     using GitHub's anchor slug convention (lowercase, spaces to
 //     dashes, punctuation dropped).
 //
+// For every Go file (.go) named on the command line it verifies that
+// each markdown path named in a comment (docs/OPERATIONS.md, README.md)
+// exists, resolved against the file's directory or any ancestor up to
+// the module root — Go comments name documents by repository path.
+// String literals are not checked: table notes are experiment output.
+//
 // http(s) and mailto links are skipped — CI must not depend on the
 // network — and fenced code blocks are ignored so example snippets
 // containing bracket syntax cannot produce false positives. Exit status
 // 1 reports one or more broken links, with file:line positions.
 //
-// CI runs it over README.md and docs/ on every pull request:
+// CI runs it over README.md, docs/ and the Go tree on every pull request:
 //
-//	go run ./cmd/docslint README.md docs/*.md
+//	go run ./cmd/docslint README.md docs/*.md $(git ls-files '*.go')
 package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -142,14 +150,79 @@ func checkFile(path string) ([]string, error) {
 	return problems, nil
 }
 
+// mdPathRe matches a markdown file path named in prose.
+var mdPathRe = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// urlRe matches the web links blanked out of comments before mdPathRe
+// runs.
+var urlRe = regexp.MustCompile(`(?:https?|mailto):\S+`)
+
+// checkGoFile lints the markdown paths named in one Go file's comments
+// and returns the missing ones as "file:line: message" strings.
+func checkGoFile(path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dir, err := filepath.Abs(filepath.Dir(path))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var s scanner.Scanner
+	s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var problems []string
+	for {
+		pos, tok, lit := s.Scan()
+		if tok == token.EOF {
+			break
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		text := urlRe.ReplaceAllStringFunc(lit, func(u string) string { return strings.Repeat(" ", len(u)) })
+		for _, loc := range mdPathRe.FindAllStringIndex(text, -1) {
+			ref := text[loc[0]:loc[1]]
+			if !existsUpward(dir, ref) {
+				line := fset.Position(pos).Line + strings.Count(text[:loc[0]], "\n")
+				problems = append(problems, fmt.Sprintf("%s:%d: comment names missing document %s", path, line, ref))
+			}
+		}
+	}
+	return problems, nil
+}
+
+// existsUpward reports whether ref exists relative to dir or one of its
+// ancestors, stopping at the module root (the first directory holding
+// go.mod).
+func existsUpward(dir, ref string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, ref)); err == nil {
+			return true
+		}
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return false
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return false
+		}
+		dir = parent
+	}
+}
+
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: docslint FILE.md ...")
+		fmt.Fprintln(os.Stderr, "usage: docslint FILE.md|FILE.go ...")
 		os.Exit(2)
 	}
 	broken := 0
 	for _, path := range os.Args[1:] {
-		problems, err := checkFile(path)
+		check := checkFile
+		if strings.HasSuffix(path, ".go") {
+			check = checkGoFile
+		}
+		problems, err := check(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
 			os.Exit(2)

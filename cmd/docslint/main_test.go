@@ -59,3 +59,45 @@ func TestCheckFile(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckGoFile pins the Go-comment pass: markdown paths named in
+// comments resolve upward to the module root, while string literals and
+// web links are not checked.
+func TestCheckGoFile(t *testing.T) {
+	root := t.TempDir()
+	writeDoc(t, root, "go.mod", "module fixture\n")
+	if err := os.MkdirAll(filepath.Join(root, "docs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeDoc(t, root, "docs/GUIDE.md", "# Guide\n")
+	pkg := filepath.Join(root, "internal", "pkg")
+	if err := os.MkdirAll(pkg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeDoc(t, pkg, "NOTES.md", "# Notes\n")
+	src := writeDoc(t, pkg, "pkg.go", strings.Join([]string{
+		"// Package pkg is described in docs/GUIDE.md and NOTES.md,",
+		"// online at https://example.com/docs/REMOTE.md.",
+		"package pkg",
+		"",
+		"/* See docs/GONE.md",
+		"   and MISSING.md. */",
+		"var note = \"table bytes may cite DESIGN.md\" // but not LOST.md",
+		"",
+	}, "\n"))
+	problems, err := checkGoFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"pkg.go:5: comment names missing document docs/GONE.md",
+		"pkg.go:6: comment names missing document MISSING.md",
+		"pkg.go:7: comment names missing document LOST.md"}
+	if len(problems) != len(want) {
+		t.Fatalf("found %d problems, want %d:\n%s", len(problems), len(want), strings.Join(problems, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasSuffix(problems[i], w) {
+			t.Errorf("problem %d = %q, want suffix %q", i, problems[i], w)
+		}
+	}
+}

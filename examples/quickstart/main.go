@@ -53,7 +53,8 @@ func main() {
 		log.Fatal(err)
 	}
 	decider := &decide.LCLDecider{L: language}
-	fmt.Printf("local decider accepts: %v\n", decide.Accepts(di, decider, nil))
+	accepts := decide.Exec{}.Accepts([]*lang.DecisionInstance{di}, decider, nil)[0]
+	fmt.Printf("local decider accepts: %v\n", accepts)
 
 	// Show a few node outputs.
 	fmt.Print("first colors: ")

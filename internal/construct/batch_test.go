@@ -11,8 +11,8 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// plainAlgorithm hides an algorithm's pooled and batched paths, forcing
-// RunBatchInstances through the single-shot fallback.
+// plainAlgorithm hides an algorithm's engine fast path, forcing every
+// Exec shape through the single-shot fallback.
 type plainAlgorithm struct{ a Algorithm }
 
 func (p plainAlgorithm) Name() string { return p.a.Name() }
@@ -21,10 +21,12 @@ func (p plainAlgorithm) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, 
 }
 
 // TestRunBatchMatchesRunOn pins the construction-side equivalence
-// contract: every lane of RunBatch matches RunOn (pooled) and Run
-// (single-shot) at the same draw, for the ball-view, message-passing,
-// retry, and pipeline paths, plus the single-shot fallback — including
-// ragged lane counts and back-to-back batch reuse.
+// contract: for every catalogue constructor — ball-view, message-passing,
+// retry, and pipeline paths, the mixed message-then-view pipeline of
+// WeakColoringViaMIS, plus the single-shot fallback — every lane of
+// Exec{Bt} (width 5) and Exec{Sh} (2 shards) is byte-identical to Exec{}
+// and to Algorithm.Run at the same draw, including ragged lane counts
+// and back-to-back reuse of one batch and one sharded executor.
 func TestRunBatchMatchesRunOn(t *testing.T) {
 	in := instanceOn(t, graph.Cycle(24), ids.Consecutive(24))
 	plan := local.MustPlan(in.G)
@@ -36,10 +38,26 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 		MessageConstruction{Algo: retryAlgo{q: 3, t: 1}},
 		Pipeline{Stages: []Algorithm{RandomColoring(3), RetryColoring{Q: 3, T: 1}}},
 		plainAlgorithm{a: RandomColoring(3)},
+		ColeVishkinColoring(8),
+		LinialColoring(2, 8),
+		LinialColoringFor(in),
+		LubyMISAlgorithm(),
+		MaximalMatchingAlgorithm(),
+		MoserTardosAlgorithm(3),
+		WeakColoringViaMIS(),
+		DeterministicRingMIS(8),
+		DeterministicRingWeakColoring(8),
 	}
-	const width = 4
+	for _, oi := range OrderInvariantCorpus(3, 1) {
+		algos = append(algos, ViewConstruction{Algo: oi})
+	}
+	const width = 5
 	bt := plan.NewBatch(width)
-	eng := plan.NewEngine()
+	sh, err := plan.NewSharded(width, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
 	for _, a := range algos {
 		t.Run(a.Name(), func(t *testing.T) {
 			lo := 0
@@ -48,28 +66,37 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 				for b := range draws {
 					draws[b] = space.Draw(uint64(lo + b))
 				}
-				ys, err := RunBatch(a, bt, in, draws)
+				want, err := Exec{}.Run(a, in, draws)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(ys) != k {
-					t.Fatalf("rep %d: %d lanes, want %d", rep, len(ys), k)
-				}
-				for b := 0; b < k; b++ {
-					pooled, err := RunOn(a, eng, in, &draws[b])
+				for _, shape := range []struct {
+					name string
+					x    Exec
+				}{{"batched", Exec{Bt: bt}}, {"sharded", Exec{Sh: sh}}} {
+					ys, err := shape.x.Run(a, in, draws)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", shape.name, err)
 					}
+					if len(ys) != k {
+						t.Fatalf("%s rep %d: %d lanes, want %d", shape.name, rep, len(ys), k)
+					}
+					for b := range ys {
+						for v := range want[b] {
+							if !bytes.Equal(want[b][v], ys[b][v]) {
+								t.Fatalf("%s rep %d lane %d node %d: %x, Exec{} %x", shape.name, rep, b, v, ys[b][v], want[b][v])
+							}
+						}
+					}
+				}
+				for b := range draws {
 					single, err := a.Run(in, &draws[b])
 					if err != nil {
 						t.Fatal(err)
 					}
-					for v := range pooled {
-						if !bytes.Equal(pooled[v], ys[b][v]) {
-							t.Fatalf("rep %d lane %d node %d: batched %x, pooled %x", rep, b, v, ys[b][v], pooled[v])
-						}
-						if !bytes.Equal(single[v], ys[b][v]) {
-							t.Fatalf("rep %d lane %d node %d: batched %x, single-shot %x", rep, b, v, ys[b][v], single[v])
+					for v := range single {
+						if !bytes.Equal(single[v], want[b][v]) {
+							t.Fatalf("rep %d lane %d node %d: Exec{} %x, single-shot %x", rep, b, v, want[b][v], single[v])
 						}
 					}
 				}

@@ -40,26 +40,17 @@ func (r RetryColoring) Name() string { return fmt.Sprintf("retry-%d-coloring(T=%
 
 // Run implements Algorithm.
 func (r RetryColoring) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	mc := MessageConstruction{Algo: retryAlgo{q: r.Q, t: r.T}}
-	return mc.Run(in, draw)
+	return r.message().Run(in, draw)
 }
 
-// RunOn implements EngineRunner.
-func (r RetryColoring) RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	mc := MessageConstruction{Algo: retryAlgo{q: r.Q, t: r.T}}
-	return mc.RunOn(eng, in, draw)
+// runInstances implements laneRunner.
+func (r RetryColoring) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+	return r.message().runInstances(x, ins, draws)
 }
 
-// RunBatch implements BatchRunner.
-func (r RetryColoring) RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	mc := MessageConstruction{Algo: retryAlgo{q: r.Q, t: r.T}}
-	return mc.RunBatch(bt, ins, draws)
-}
-
-// RunShardedInstances implements ShardRunner.
-func (r RetryColoring) RunShardedInstances(sh *local.Sharded, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	mc := MessageConstruction{Algo: retryAlgo{q: r.Q, t: r.T}}
-	return mc.RunShardedInstances(sh, ins, draws)
+// message is the retry coloring as a message-passing construction.
+func (r RetryColoring) message() MessageConstruction {
+	return MessageConstruction{Algo: retryAlgo{q: r.Q, t: r.T}}
 }
 
 // RetryMessage exposes the retry coloring's message-passing core as a

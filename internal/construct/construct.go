@@ -28,21 +28,17 @@ type Algorithm interface {
 
 // Exec is the package's one execution handle: the Run verb dispatches a
 // construction algorithm to whichever execution shape the handle holds.
-// Set Sh for sharded execution, Bt for a vectorized batch, Eng for
-// pooled per-trial runs; the zero Exec runs single-shot. Precedence is
-// Sh > Bt > Eng, and each shape falls back gracefully for algorithms
-// that do not implement its fast path (see RunOn, RunBatchInstances,
-// RunShardedInstances — now thin deprecated wrappers over this handle).
-// Outputs are byte-identical across shapes at equal draws.
+// Set Sh for sharded execution, Bt for a vectorized batch; the zero Exec
+// runs every lane single-shot through Algorithm.Run. Sh takes precedence
+// over Bt. Algorithms without an engine fast path for a shape run their
+// lanes single-shot, and view-only algorithms run a sharded handle on
+// the Sharded's companion batch. Outputs are byte-identical across
+// shapes at equal draws.
 type Exec struct {
-	// Eng, when set, runs lanes one at a time on the reusable engine.
-	Eng *local.Engine
-	// Bt, when set, runs the whole lane vector through the batch; it
-	// takes precedence over Eng.
+	// Bt, when set, runs the whole lane vector through the batch.
 	Bt *local.Batch
-	// Sh, when set, runs the lane vector across the shards (falling back
-	// to the Sharded's companion batch for view-only algorithms); it
-	// takes precedence over Bt and Eng.
+	// Sh, when set, runs the lane vector across the shards; it takes
+	// precedence over Bt.
 	Sh *local.Sharded
 }
 
@@ -61,121 +57,35 @@ func (x Exec) Run(a Algorithm, in *lang.Instance, draws []localrand.Draw) ([][][
 // plan graph); pipelines use it to thread lane-varying inputs between
 // stages. nil draws run every lane deterministically.
 func (x Exec) RunInstances(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	switch {
-	case x.Sh != nil:
-		if r, ok := a.(ShardRunner); ok {
-			return r.RunShardedInstances(x.Sh, ins, draws)
-		}
-		return Exec{Bt: x.Sh.Unsharded()}.RunInstances(a, ins, draws)
-	case x.Bt != nil:
-		if r, ok := a.(BatchRunner); ok {
-			return r.RunBatch(x.Bt, ins, draws)
-		}
+	if r, ok := a.(laneRunner); ok {
+		return r.runInstances(x, ins, draws)
 	}
-	// Scalar shapes (and batch-less algorithms): one lane at a time,
-	// pooled when the handle carries an engine.
+	return runLanes(a, ins, draws)
+}
+
+// laneRunner is the engine fast path of a construction algorithm:
+// runInstances runs lane b on ins[b] under draws[b] in the shape x
+// holds, with every lane's output byte-identical to a single-shot Run
+// of the same (instance, draw).
+type laneRunner interface {
+	runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error)
+}
+
+// runLanes runs the lanes one at a time through the single-shot Run.
+func runLanes(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
 	ys := make([][][]byte, len(ins))
 	for b, in := range ins {
 		var sub *localrand.Draw
 		if draws != nil {
 			sub = &draws[b]
 		}
-		var y [][]byte
-		var err error
-		if x.Eng != nil {
-			y, err = runOn(a, x.Eng, in, sub)
-		} else {
-			y, err = a.Run(in, sub)
-		}
+		y, err := a.Run(in, sub)
 		if err != nil {
 			return nil, err
 		}
 		ys[b] = y
 	}
 	return ys, nil
-}
-
-// EngineRunner is the pooled execution path of a construction algorithm:
-// RunOn behaves exactly like Run but executes on the caller's reusable
-// engine, so trial loops amortize execution scratch across trials. The
-// engine's plan must be built for in.G.
-type EngineRunner interface {
-	RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error)
-}
-
-// RunOn executes a on the pooled engine when it supports pooling and
-// falls back to the single-shot Run otherwise; outputs are identical
-// either way.
-//
-// Deprecated: use Exec{Eng: eng}.Run with a one-lane draw vector.
-func RunOn(a Algorithm, eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return runOn(a, eng, in, draw)
-}
-
-// runOn is the scalar dispatch core shared by the Exec handle and the
-// deprecated RunOn wrapper.
-func runOn(a Algorithm, eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	if r, ok := a.(EngineRunner); ok {
-		return r.RunOn(eng, in, draw)
-	}
-	return a.Run(in, draw)
-}
-
-// BatchRunner is the vectorized execution path of a construction
-// algorithm: RunBatch runs one independent trial per lane — lane b
-// executes ins[b] under draws[b] (nil draws = all lanes deterministic) —
-// through the caller's reusable batch, and returns the per-lane global
-// outputs. Lane b's output is byte-identical to RunOn with the same
-// (instance, draw); the batch's plan must be built for the lanes' shared
-// graph.
-type BatchRunner interface {
-	RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error)
-}
-
-// RunBatch executes len(draws) independent trials of a on one shared
-// instance through the batch — the standard Monte-Carlo chunk shape —
-// falling back to single-shot runs for algorithms without a batched
-// path. Outputs are identical either way.
-//
-// Deprecated: use Exec{Bt: bt}.Run.
-func RunBatch(a Algorithm, bt *local.Batch, in *lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	return Exec{Bt: bt}.Run(a, in, draws)
-}
-
-// RunBatchInstances is RunBatch with per-lane instances (all over the
-// batch's plan graph); pipelines use it to thread lane-varying inputs
-// between stages.
-//
-// Deprecated: use Exec{Bt: bt}.RunInstances.
-func RunBatchInstances(a Algorithm, bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	return Exec{Bt: bt}.RunInstances(a, ins, draws)
-}
-
-// ShardRunner is the sharded execution path of a construction
-// algorithm: RunShardedInstances behaves exactly like RunBatch's
-// instance form but executes the lane vector across the Sharded's
-// shards, with byte-identical outputs.
-type ShardRunner interface {
-	RunShardedInstances(sh *local.Sharded, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error)
-}
-
-// RunSharded executes len(draws) independent trials of a on one shared
-// instance across the shards. Algorithms without a sharded path — pure
-// ball-view constructions, whose work is embarrassingly node-local and
-// gains nothing from a cut exchange — fall back to the Sharded's
-// companion unsharded batch; outputs are identical either way.
-//
-// Deprecated: use Exec{Sh: sh}.Run.
-func RunSharded(a Algorithm, sh *local.Sharded, in *lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	return Exec{Sh: sh}.Run(a, in, draws)
-}
-
-// RunShardedInstances is RunSharded with per-lane instances (all over
-// the sharded executor's plan graph).
-//
-// Deprecated: use Exec{Sh: sh}.RunInstances.
-func RunShardedInstances(a Algorithm, sh *local.Sharded, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	return Exec{Sh: sh}.RunInstances(a, ins, draws)
 }
 
 // ViewConstruction adapts a ball-view algorithm.
@@ -191,13 +101,17 @@ func (a ViewConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte
 	return local.RunView(in, a.Algo, draw), nil
 }
 
-// RunOn implements EngineRunner.
-func (a ViewConstruction) RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return eng.RunView(in, a.Algo, draw), nil
-}
-
-// RunBatch implements BatchRunner.
-func (a ViewConstruction) RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+// runInstances implements laneRunner. Ball-view work is node-local and
+// gains nothing from a cut exchange, so a sharded handle runs on the
+// Sharded's companion unsharded batch.
+func (a ViewConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+	bt := x.Bt
+	if x.Sh != nil {
+		bt = x.Sh.Unsharded()
+	}
+	if bt == nil {
+		return runLanes(a, ins, draws)
+	}
 	return bt.RunViewInstances(ins, a.Algo, draws)
 }
 
@@ -219,32 +133,19 @@ func (a MessageConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]b
 	return res.Y, nil
 }
 
-// RunOn implements EngineRunner.
-func (a MessageConstruction) RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	res, err := eng.Run(in, a.Algo, draw, a.Opts)
-	if err != nil {
-		return nil, err
+// runInstances implements laneRunner: the lane vector runs through the
+// batch, or across the shards with per-round cut exchange.
+func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+	var rs []*local.Result
+	var err error
+	switch {
+	case x.Sh != nil:
+		rs, err = x.Sh.RunInstances(ins, a.Algo, draws, a.Opts)
+	case x.Bt != nil:
+		rs, err = x.Bt.RunInstances(ins, a.Algo, draws, a.Opts)
+	default:
+		return runLanes(a, ins, draws)
 	}
-	return res.Y, nil
-}
-
-// RunBatch implements BatchRunner.
-func (a MessageConstruction) RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	rs, err := bt.RunInstances(ins, a.Algo, draws, a.Opts)
-	if err != nil {
-		return nil, err
-	}
-	ys := make([][][]byte, len(rs))
-	for b, r := range rs {
-		ys[b] = r.Y
-	}
-	return ys, nil
-}
-
-// RunShardedInstances implements ShardRunner: the lane vector runs
-// across the Sharded's shards with per-round cut exchange.
-func (a MessageConstruction) RunShardedInstances(sh *local.Sharded, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	rs, err := sh.RunInstances(ins, a.Algo, draws, a.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -287,38 +188,37 @@ func (p Pipeline) Name() string {
 
 // Run implements Algorithm.
 func (p Pipeline) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return p.run(nil, in, draw)
+	var draws []localrand.Draw
+	if draw != nil {
+		draws = []localrand.Draw{*draw}
+	}
+	ys, err := p.runInstances(Exec{}, []*lang.Instance{in}, draws)
+	if err != nil {
+		return nil, err
+	}
+	return ys[0], nil
 }
 
-// RunOn implements EngineRunner. Every stage runs on the same graph, so
-// one engine serves the whole pipeline.
-func (p Pipeline) RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return p.run(eng, in, draw)
-}
-
-// RunBatch implements BatchRunner: every stage runs its whole lane
-// vector through the batch, with stage i's lane outputs becoming stage
-// i+1's lane inputs and each lane deriving the same per-stage sub-draws
-// as the scalar path.
-func (p Pipeline) RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+// runInstances implements laneRunner: every stage runs its whole lane
+// vector in the shape x holds, stage i's lane outputs become stage i+1's
+// lane inputs, and lane b's stage i runs under the sub-draw
+// draws[b].Derive(i).
+func (p Pipeline) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
 	if len(p.Stages) == 0 {
 		return nil, fmt.Errorf("construct: empty pipeline")
 	}
-	k := len(ins)
-	cur := make([]*lang.Instance, k)
+	cur := make([]*lang.Instance, len(ins))
 	copy(cur, ins)
 	var subs []localrand.Draw
 	if draws != nil {
-		subs = make([]localrand.Draw, k)
+		subs = make([]localrand.Draw, len(draws))
 	}
 	var ys [][][]byte
 	for i, stage := range p.Stages {
-		if draws != nil {
-			for b := range subs {
-				subs[b] = draws[b].Derive(uint64(i))
-			}
+		for b := range subs {
+			subs[b] = draws[b].Derive(uint64(i))
 		}
-		y, err := Exec{Bt: bt}.RunInstances(stage, cur, subs)
+		y, err := x.RunInstances(stage, cur, subs)
 		if err != nil {
 			return nil, fmt.Errorf("construct: stage %d (%s): %w", i, stage.Name(), err)
 		}
@@ -328,65 +228,4 @@ func (p Pipeline) RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localr
 		}
 	}
 	return ys, nil
-}
-
-// RunShardedInstances implements ShardRunner: every stage runs its lane
-// vector across the shards (message stages sharded, view stages on the
-// companion batch), with stage outputs threading into the next stage's
-// inputs exactly as RunBatch does.
-func (p Pipeline) RunShardedInstances(sh *local.Sharded, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	if len(p.Stages) == 0 {
-		return nil, fmt.Errorf("construct: empty pipeline")
-	}
-	k := len(ins)
-	cur := make([]*lang.Instance, k)
-	copy(cur, ins)
-	var subs []localrand.Draw
-	if draws != nil {
-		subs = make([]localrand.Draw, k)
-	}
-	var ys [][][]byte
-	for i, stage := range p.Stages {
-		if draws != nil {
-			for b := range subs {
-				subs[b] = draws[b].Derive(uint64(i))
-			}
-		}
-		y, err := Exec{Sh: sh}.RunInstances(stage, cur, subs)
-		if err != nil {
-			return nil, fmt.Errorf("construct: stage %d (%s): %w", i, stage.Name(), err)
-		}
-		ys = y
-		for b := range cur {
-			cur[b] = &lang.Instance{G: cur[b].G, X: y[b], ID: cur[b].ID}
-		}
-	}
-	return ys, nil
-}
-
-// run executes the stages, on the pooled engine when one is given.
-func (p Pipeline) run(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	if len(p.Stages) == 0 {
-		return nil, fmt.Errorf("construct: empty pipeline")
-	}
-	cur := in
-	var y [][]byte
-	for i, stage := range p.Stages {
-		var sub *localrand.Draw
-		if draw != nil {
-			d := draw.Derive(uint64(i))
-			sub = &d
-		}
-		var err error
-		if eng != nil {
-			y, err = runOn(stage, eng, cur, sub)
-		} else {
-			y, err = stage.Run(cur, sub)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("construct: stage %d (%s): %w", i, stage.Name(), err)
-		}
-		cur = &lang.Instance{G: cur.G, X: y, ID: cur.ID}
-	}
-	return y, nil
 }

@@ -136,143 +136,6 @@ func (p *lubyProc) Output() []byte {
 	return lang.EncodeSelected(p.status == lubyIn)
 }
 
-// NewVecProcess implements local.VecAlgorithm: one SoA process per node
-// steps every lane of a batch in a single call per round.
-func (LubyMIS) NewVecProcess() local.VecProcess { return &lubyVec{} }
-
-// lubyVec is lubyProc across all lanes as struct-of-arrays: lane b's
-// scalar process state lives at index b of each row. The per-port decode
-// (lens check, word block base) hoists out of the lane loop, and the
-// inner loops walk the slab's contiguous per-slot lane ranges.
-type lubyVec struct {
-	tapes  []*localrand.Tape
-	id     []int64
-	status []uint8 // lubyStatus values
-	valR   []uint64
-	valID  []int64
-	idW    []uint64 // valID as wire words, set once at StartVec
-	act    []bool   // scratch: lanes this call acts for
-	flag   []bool   // scratch: per-lane early-exit flag of the port scan
-}
-
-// ResetVec implements local.ResetVecProcess. Tape pointers alias the
-// engine's per-run tape slab and must not outlive the run.
-func (p *lubyVec) ResetVec() { clear(p.tapes) }
-
-func (p *lubyVec) ensure(k int) {
-	p.tapes = vecRow(p.tapes, k)
-	p.id = vecRow(p.id, k)
-	p.status = vecRow(p.status, k)
-	p.valR = vecRow(p.valR, k)
-	p.valID = vecRow(p.valID, k)
-	p.idW = vecRow(p.idW, k)
-	p.act = vecRow(p.act, k)
-	p.flag = vecRow(p.flag, k)
-}
-
-func (p *lubyVec) StartVec(info *local.VecNodeInfo, out *local.OutboxVec) {
-	k := info.Lanes()
-	p.ensure(k)
-	for b := 0; b < k; b++ {
-		t := info.Tape(b)
-		id := info.ID(b)
-		p.tapes[b] = t
-		p.id[b] = id
-		p.status[b] = uint8(lubyUndecided)
-		p.valR[b] = t.Uint64()
-		p.valID[b] = id
-		p.idW[b] = uint64(id)
-		p.act[b] = true
-	}
-	out.BroadcastRow2(p.valR, p.idW, p.act)
-}
-
-func (p *lubyVec) StepVec(round int, in *local.InboxVec, out *local.OutboxVec, done []bool) {
-	k, mask := in.Lanes(), in.Mask()
-	act := p.act[:k]
-	for b := 0; b < k; b++ {
-		act[b] = !done[b] && (mask == nil || !mask[b])
-	}
-	deg := in.Degree()
-	if round%2 == 1 {
-		// Value round just completed: join if strictly smaller than every
-		// undecided neighbor (decided neighbors are silent). isMin starts
-		// true per running lane and clears on the first smaller neighbor,
-		// after which the lane skips the rest of the scan — the same ports
-		// the scalar process's break never validated.
-		isMin := p.flag[:k]
-		copy(isMin, act)
-		for port := 0; port < deg; port++ {
-			lens := in.LensRow(port)
-			words, stride := in.WordBlock(port)
-			for b := 0; b < k; b++ {
-				if !isMin[b] {
-					continue
-				}
-				l := lens[b]
-				if l == 0 {
-					continue
-				}
-				if l != 3 {
-					panic("construct: Luby MIS received a malformed value message")
-				}
-				r := words[b*stride]
-				if r < p.valR[b] || (r == p.valR[b] && int64(words[b*stride+1]) < p.valID[b]) {
-					isMin[b] = false
-				}
-			}
-		}
-		for b := 0; b < k; b++ {
-			if isMin[b] {
-				p.status[b] = uint8(lubyIn)
-				done[b] = true
-			}
-		}
-		// Final act of the joiners: announce membership, then stop.
-		out.SignalRow(isMin)
-		return
-	}
-	// Announce round just completed: drop out next to a member. A lane
-	// stops scanning at its first join signal, exactly like the scalar
-	// early return.
-	drop := p.flag[:k]
-	clear(drop)
-	for port := 0; port < deg; port++ {
-		lens := in.LensRow(port)
-		for b := 0; b < k; b++ {
-			if !act[b] || drop[b] {
-				continue
-			}
-			l := lens[b]
-			if l == 0 {
-				continue
-			}
-			if l != 1 {
-				panic("construct: Luby MIS received a malformed join announcement")
-			}
-			drop[b] = true
-		}
-	}
-	for b := 0; b < k; b++ {
-		if !act[b] {
-			continue
-		}
-		if drop[b] {
-			p.status[b] = uint8(lubyOut)
-			done[b] = true
-			act[b] = false
-			continue
-		}
-		// Still undecided: draw a fresh value for the next phase.
-		p.valR[b] = p.tapes[b].Uint64()
-	}
-	out.BroadcastRow2(p.valR, p.idW, act)
-}
-
-func (p *lubyVec) OutputVec(b int) []byte {
-	return lang.EncodeSelected(p.status[b] == uint8(lubyIn))
-}
-
 // LubyMISAlgorithm packages Luby's MIS as a construction algorithm.
 func LubyMISAlgorithm() Algorithm {
 	return MessageConstruction{Algo: LubyMIS{}}

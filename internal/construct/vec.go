@@ -11,7 +11,6 @@ import "rlnc/internal/local"
 // width-1 (Engine) path and the local.ScalarOnly reference the
 // differential suite pins byte-identical outputs against.
 var (
-	_ local.VecAlgorithm = LubyMIS{}
 	_ local.VecAlgorithm = retryAlgo{}
 	_ local.VecAlgorithm = ColeVishkin{}
 )

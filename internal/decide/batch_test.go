@@ -10,8 +10,8 @@ import (
 )
 
 // TestBatchVerdictsMatchPooledAndSingleShot pins the decision-side
-// equivalence contract: every lane of VerdictsBatch / AcceptsBatch /
-// AcceptsFarFromBatch — full batches, ragged tails, back-to-back reuse of
+// equivalence contract: every lane of Exec{Bt}'s Verdicts / Accepts /
+// AcceptsFarFrom — full batches, ragged tails, back-to-back reuse of
 // one Batch — matches the pooled engine path and the one-shot path at the
 // same (instance, draw), for deterministic and randomized deciders.
 func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
@@ -43,11 +43,11 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 				dis[b] = coloringInstance(t, g, colors...)
 				draws[b] = space.Draw(uint64(lo + b))
 			}
-			got := VerdictsBatch(bt, dis, d, draws)
-			accs := AcceptsBatch(bt, dis, d, draws)
+			got := Exec{Bt: bt}.Verdicts(dis, d, draws)
+			accs := Exec{Bt: bt}.Accepts(dis, d, draws)
 			for b := 0; b < k; b++ {
-				want := Verdicts(dis[b], d, &draws[b])
-				pooled := VerdictsWith(eng, dis[b], d, &draws[b])
+				want := verdicts(Exec{}, dis[b], d, &draws[b])
+				pooled := verdicts(Exec{Eng: eng}, dis[b], d, &draws[b])
 				for v := range want {
 					if want[v] != got[b][v] {
 						t.Fatalf("%s rep %d lane %d node %d: batched %v, single-shot %v", d.Name(), rep, b, v, got[b][v], want[v])
@@ -56,17 +56,17 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 						t.Fatalf("%s rep %d lane %d node %d: batched %v, pooled %v", d.Name(), rep, b, v, got[b][v], pooled[v])
 					}
 				}
-				if accs[b] != Accepts(dis[b], d, &draws[b]) {
-					t.Fatalf("%s rep %d lane %d: AcceptsBatch disagrees", d.Name(), rep, b)
+				if accs[b] != accepts(Exec{}, dis[b], d, &draws[b]) {
+					t.Fatalf("%s rep %d lane %d: batched Accepts disagrees", d.Name(), rep, b)
 				}
 				for _, u := range []int{0, 4, 9} {
 					for _, far := range []int{1, 3} {
-						farBatch := AcceptsFarFromBatch(bt, dis, d, draws, u, far)
-						if farBatch[b] != AcceptsFarFrom(dis[b], d, &draws[b], u, far) {
-							t.Fatalf("%s rep %d lane %d: AcceptsFarFromBatch(u=%d, far=%d) disagrees with one-shot", d.Name(), rep, b, u, far)
+						farBatch := Exec{Bt: bt}.AcceptsFarFrom(dis, d, draws, u, far)
+						if farBatch[b] != acceptsFarFrom(Exec{}, dis[b], d, &draws[b], u, far) {
+							t.Fatalf("%s rep %d lane %d: batched AcceptsFarFrom(u=%d, far=%d) disagrees with one-shot", d.Name(), rep, b, u, far)
 						}
-						if farBatch[b] != AcceptsFarFromWith(eng, dis[b], d, &draws[b], u, far) {
-							t.Fatalf("%s rep %d lane %d: AcceptsFarFromBatch(u=%d, far=%d) disagrees with pooled", d.Name(), rep, b, u, far)
+						if farBatch[b] != acceptsFarFrom(Exec{Eng: eng}, dis[b], d, &draws[b], u, far) {
+							t.Fatalf("%s rep %d lane %d: batched AcceptsFarFrom(u=%d, far=%d) disagrees with pooled", d.Name(), rep, b, u, far)
 						}
 					}
 				}
@@ -78,8 +78,8 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 	// Deterministic deciders accept nil draws (the benchmark trial shape).
 	dis := []*lang.DecisionInstance{coloringInstance(t, g, colors...), coloringInstance(t, g, colors...)}
 	det := &LCLDecider{L: l}
-	got := VerdictsBatch(bt, dis, det, nil)
-	want := Verdicts(dis[0], det, nil)
+	got := Exec{Bt: bt}.Verdicts(dis, det, nil)
+	want := verdicts(Exec{}, dis[0], det, nil)
 	for b := range dis {
 		for v := range want {
 			if want[v] != got[b][v] {
@@ -105,7 +105,7 @@ func TestBatchedGuaranteeEstimatorsMatchScalar(t *testing.T) {
 	wantSucc := 0
 	for trial := 0; trial < trials; trial++ {
 		draw := space.Draw(uint64(trial))
-		if Accepts(di, d, &draw) {
+		if accepts(Exec{}, di, d, &draw) {
 			wantSucc++
 		}
 	}
@@ -117,7 +117,7 @@ func TestBatchedGuaranteeEstimatorsMatchScalar(t *testing.T) {
 	wantSucc = 0
 	for trial := 0; trial < trials; trial++ {
 		draw := space.Draw(uint64(trial))
-		if AcceptsFarFrom(di, d, &draw, 0, 2) {
+		if acceptsFarFrom(Exec{}, di, d, &draw, 0, 2) {
 			wantSucc++
 		}
 	}
@@ -133,7 +133,7 @@ func TestBatchedGuaranteeEstimatorsMatchScalar(t *testing.T) {
 	wantSucc = 0
 	for trial := 0; trial < trials; trial++ {
 		draw := space.Draw(uint64(trial))
-		if Accepts(di, d, &draw) == li.InL {
+		if accepts(Exec{}, di, d, &draw) == li.InL {
 			wantSucc++
 		}
 	}

@@ -29,119 +29,21 @@ type Decider interface {
 	Verdict(v *local.View) bool
 }
 
-// oneDraw lifts an optional scalar draw into the vector shape the Exec
-// verbs take.
-func oneDraw(draw *localrand.Draw) []localrand.Draw {
-	if draw == nil {
-		return nil
-	}
-	return []localrand.Draw{*draw}
-}
-
-// Verdicts runs the decider at every node; draw carries the decider's
-// randomness (nil for deterministic deciders).
-//
-// Deprecated: use Exec.Verdicts — the zero Exec is this computation.
-func Verdicts(di *lang.DecisionInstance, d Decider, draw *localrand.Draw) []bool {
-	return Exec{}.Verdicts([]*lang.DecisionInstance{di}, d, oneDraw(draw))[0]
-}
-
-// Accepts reports whether every node outputs true — the acceptance rule of
-// §2.2.1.
-//
-// Deprecated: use Exec.Accepts.
-func Accepts(di *lang.DecisionInstance, d Decider, draw *localrand.Draw) bool {
-	return Exec{}.Accepts([]*lang.DecisionInstance{di}, d, oneDraw(draw))[0]
-}
-
 // RejectSet returns the nodes voting false: the set Reject(u, σ′) of the
-// proof of Claim 4.
+// proof of Claim 4. draw carries the decider's randomness (nil for
+// deterministic deciders).
 func RejectSet(di *lang.DecisionInstance, d Decider, draw *localrand.Draw) []int {
+	var draws []localrand.Draw
+	if draw != nil {
+		draws = []localrand.Draw{*draw}
+	}
 	var out []int
-	for v, ok := range Verdicts(di, d, draw) {
+	for v, ok := range (Exec{}).Verdicts([]*lang.DecisionInstance{di}, d, draws)[0] {
 		if !ok {
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-// AcceptsFarFrom reports whether the decider outputs true at every node at
-// distance greater than far from u — "D accepts (G,(x,y)) far from u" in
-// §3. Nodes within distance far of u are ignored.
-//
-// Deprecated: use Exec.AcceptsFarFrom; callers evaluating many trials
-// against one source should hold an Exec with an engine or batch so the
-// plan's distance column and ball cache survive across trials.
-func AcceptsFarFrom(di *lang.DecisionInstance, d Decider, draw *localrand.Draw, u, far int) bool {
-	return Exec{}.AcceptsFarFrom([]*lang.DecisionInstance{di}, d, oneDraw(draw), u, far)[0]
-}
-
-// VerdictsWith is Verdicts on a pooled engine: decision views are
-// assembled on the engine's cached balls instead of being extracted per
-// node per call. The verdicts are identical to Verdicts'.
-//
-// Deprecated: use Exec{Eng: eng}.Verdicts.
-func VerdictsWith(eng *local.Engine, di *lang.DecisionInstance, d Decider, draw *localrand.Draw) []bool {
-	return verdictsPooled(eng, di, d, draw)
-}
-
-// verdictsPooled is the pooled-engine core of the Verdicts verb.
-func verdictsPooled(eng *local.Engine, di *lang.DecisionInstance, d Decider, draw *localrand.Draw) []bool {
-	out := make([]bool, di.G.N())
-	eng.ForEachDecisionView(di, d.Radius(), draw, func(v int, view *local.View) {
-		out[v] = d.Verdict(view)
-	})
-	return out
-}
-
-// AcceptsWith is Accepts on a pooled engine; see VerdictsWith.
-//
-// Deprecated: use Exec{Eng: eng}.Accepts.
-func AcceptsWith(eng *local.Engine, di *lang.DecisionInstance, d Decider, draw *localrand.Draw) bool {
-	return Exec{Eng: eng}.Accepts([]*lang.DecisionInstance{di}, d, oneDraw(draw))[0]
-}
-
-// AcceptsFarFromWith is AcceptsFarFrom on a pooled engine; see
-// VerdictsWith.
-//
-// Deprecated: use Exec{Eng: eng}.AcceptsFarFrom.
-func AcceptsFarFromWith(eng *local.Engine, di *lang.DecisionInstance, d Decider, draw *localrand.Draw, u, far int) bool {
-	return Exec{Eng: eng}.AcceptsFarFrom([]*lang.DecisionInstance{di}, d, oneDraw(draw), u, far)[0]
-}
-
-// VerdictsBatch is VerdictsWith over a vector of trials: lane b holds the
-// verdicts of dis[b] under draws[b] (nil draws for deterministic
-// deciders).
-//
-// Deprecated: use Exec{Bt: bt}.Verdicts.
-func VerdictsBatch(bt *local.Batch, dis []*lang.DecisionInstance, d Decider, draws []localrand.Draw) [][]bool {
-	return verdictsBatch(bt, dis, d, draws)
-}
-
-// verdictsBatch is the batched core of the Verdicts verb: decision views
-// are assembled once per batch on the batch's cached balls — lanes that
-// share identity and input columns with their predecessor pay only the
-// candidate-output column and the tape binding — and every lane's
-// verdicts are identical to the pooled core's for the same (instance,
-// draw).
-func verdictsBatch(bt *local.Batch, dis []*lang.DecisionInstance, d Decider, draws []localrand.Draw) [][]bool {
-	return Exec{Bt: bt}.Verdicts(dis, d, draws)
-}
-
-// AcceptsBatch is Accepts over a vector of trials; see VerdictsBatch.
-//
-// Deprecated: use Exec{Bt: bt}.Accepts.
-func AcceptsBatch(bt *local.Batch, dis []*lang.DecisionInstance, d Decider, draws []localrand.Draw) []bool {
-	return Exec{Bt: bt}.Accepts(dis, d, draws)
-}
-
-// AcceptsFarFromBatch is AcceptsFarFrom over a vector of trials; see
-// VerdictsBatch.
-//
-// Deprecated: use Exec{Bt: bt}.AcceptsFarFrom.
-func AcceptsFarFromBatch(bt *local.Batch, dis []*lang.DecisionInstance, d Decider, draws []localrand.Draw, u, far int) []bool {
-	return Exec{Bt: bt}.AcceptsFarFrom(dis, d, draws, u, far)
 }
 
 // LCLDecider is the canonical deterministic decider for an LCL language:

@@ -12,6 +12,28 @@ import (
 	"rlnc/internal/localrand"
 )
 
+// verdicts, accepts and acceptsFarFrom evaluate one (instance, draw)
+// pair on the handle x: the one-lane form of the Exec verbs (a nil draw
+// for deterministic deciders).
+func verdicts(x Exec, di *lang.DecisionInstance, d Decider, draw *localrand.Draw) []bool {
+	return x.Verdicts([]*lang.DecisionInstance{di}, d, oneLane(draw))[0]
+}
+
+func accepts(x Exec, di *lang.DecisionInstance, d Decider, draw *localrand.Draw) bool {
+	return x.Accepts([]*lang.DecisionInstance{di}, d, oneLane(draw))[0]
+}
+
+func acceptsFarFrom(x Exec, di *lang.DecisionInstance, d Decider, draw *localrand.Draw, u, far int) bool {
+	return x.AcceptsFarFrom([]*lang.DecisionInstance{di}, d, oneLane(draw), u, far)[0]
+}
+
+func oneLane(draw *localrand.Draw) []localrand.Draw {
+	if draw == nil {
+		return nil
+	}
+	return []localrand.Draw{*draw}
+}
+
 // selInstance builds a decision instance with the given selected set.
 func selInstance(t testing.TB, g *graph.Graph, selected ...int) *lang.DecisionInstance {
 	t.Helper()
@@ -55,7 +77,7 @@ func TestLCLDeciderMatchesLanguage(t *testing.T) {
 		if inLang != tc.want {
 			t.Fatalf("case %d: fixture mislabeled", i)
 		}
-		if got := Accepts(tc.di, d, nil); got != tc.want {
+		if got := accepts(Exec{}, tc.di, d, nil); got != tc.want {
 			t.Errorf("case %d: Accepts = %v, want %v", i, got, tc.want)
 		}
 	}
@@ -225,7 +247,7 @@ func TestSlackNodeAwareDecider(t *testing.T) {
 	// Deterministic on violation-free instances.
 	di := plantBadBalls(t, 60, 0)
 	draw := localrand.NewTapeSpace(3).Draw(0)
-	if !Accepts(di, d, &draw) {
+	if !accepts(Exec{}, di, d, &draw) {
 		t.Error("slack decider rejected a perfect coloring")
 	}
 }
@@ -235,15 +257,15 @@ func TestAcceptsFarFrom(t *testing.T) {
 	d := rejectAtMinID{}
 	g := graph.Path(9)
 	di := selInstance(t, g) // ids 1..9 along the path
-	if Accepts(di, d, nil) {
+	if accepts(Exec{}, di, d, nil) {
 		t.Fatal("fixture decider should reject somewhere")
 	}
 	// Node 0 carries id 1 and is the only rejector; far from node 0 at
 	// distance >= 1 everything accepts.
-	if !AcceptsFarFrom(di, d, nil, 0, 0) {
+	if !acceptsFarFrom(Exec{}, di, d, nil, 0, 0) {
 		t.Error("far-from-0 should exclude only node 0")
 	}
-	if AcceptsFarFrom(di, d, nil, 8, 2) {
+	if acceptsFarFrom(Exec{}, di, d, nil, 8, 2) {
 		t.Error("far from node 8 must still see the rejection at node 0")
 	}
 }
@@ -328,8 +350,8 @@ func TestVerdictsParallelDeterminism(t *testing.T) {
 	d := NewResilientDecider(l, 2)
 	di := plantBadBalls(t, 36, 2)
 	draw := localrand.NewTapeSpace(11).Draw(3)
-	v1 := Verdicts(di, d, &draw)
-	v2 := Verdicts(di, d, &draw)
+	v1 := verdicts(Exec{}, di, d, &draw)
+	v2 := verdicts(Exec{}, di, d, &draw)
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatalf("same draw, different verdicts at node %d", i)

@@ -11,9 +11,7 @@ import (
 // decides how the decision views are assembled. Set Bt for vectorized
 // trials on a reusable batch, Eng for pooled per-trial execution on a
 // reusable engine; the zero Exec builds a transient engine per call (the
-// single-shot convenience). The legacy free functions — the
-// {Verdicts,Accepts,AcceptsFarFrom}{,With,Batch} enumeration — are thin
-// deprecated wrappers over this handle, with identical verdicts.
+// single-shot convenience).
 //
 // All verbs take trial vectors: lane b evaluates dis[b] under draws[b]
 // (nil draws for deterministic deciders). Single-trial callers pass
@@ -31,8 +29,8 @@ type Exec struct {
 	// a trial loop that holds one Mem evaluates allocation-free in steady
 	// state. Returned slices then follow the arena retention contract —
 	// valid while the next evaluation on this Mem runs, overwritten by
-	// the one after. Callers needing longer retention leave Mem nil (the
-	// legacy behavior: every call allocates caller-owned slices).
+	// the one after. Callers needing longer retention leave Mem nil, and
+	// every call then allocates caller-owned slices.
 	Mem *Mem
 }
 

@@ -61,9 +61,8 @@ func AMOSFooling(d Decider, pathLen int) (*FoolingReport, error) {
 	right := mk(pathLen - 1)
 	both := mk(0, pathLen-1)
 
-	vLeft := Verdicts(left, d, nil)
-	vRight := Verdicts(right, d, nil)
-	vBoth := Verdicts(both, d, nil)
+	vs := Exec{}.Verdicts([]*lang.DecisionInstance{left, right, both}, d, nil)
+	vLeft, vRight, vBoth := vs[0], vs[1], vs[2]
 
 	rep := &FoolingReport{
 		Radius:             t,

@@ -70,7 +70,11 @@ func newGuaranteeScratch(di *lang.DecisionInstance) func() *guaranteeScratch {
 // is want(accept). Per-trial draws are addressed by drawAt, so estimates
 // match the scalar loops these estimators replaced at equal seeds.
 func estimate(di *lang.DecisionInstance, trials int, drawAt func(trial int) localrand.Draw, accept func(s *guaranteeScratch, k int) []bool, want func(accept bool) bool) mc.Estimate {
-	return mc.RunBatched(trials, estimatorBatch, newGuaranteeScratch(di), func(s *guaranteeScratch, lo, hi int, out []bool) {
+	return mc.Executor[*guaranteeScratch]{
+		Trials:   trials,
+		Batch:    estimatorBatch,
+		NewState: newGuaranteeScratch(di),
+	}.Run(func(s *guaranteeScratch, lo, hi int, out []bool) {
 		k := hi - lo
 		for b := 0; b < k; b++ {
 			s.draws[b] = drawAt(lo + b)
@@ -82,8 +86,8 @@ func estimate(di *lang.DecisionInstance, trials int, drawAt func(trial int) loca
 }
 
 // acceptEstimate measures Pr[want(D accepts di)] over trials draws
-// addressed by drawAt; the per-trial acceptance is identical to
-// Accepts(di, d, drawAt(trial)).
+// addressed by drawAt; the per-trial acceptance is identical to a
+// one-lane Exec{}.Accepts of di under drawAt(trial).
 func acceptEstimate(di *lang.DecisionInstance, d Decider, trials int, drawAt func(trial int) localrand.Draw, want func(accept bool) bool) mc.Estimate {
 	return estimate(di, trials, drawAt, func(s *guaranteeScratch, k int) []bool {
 		return Exec{Bt: s.bt}.Accepts(s.dis[:k], d, s.draws[:k])

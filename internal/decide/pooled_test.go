@@ -10,7 +10,7 @@ import (
 )
 
 // TestPooledVerdictsMatchSingleShot pins that the engine-pooled decision
-// path (VerdictsWith / AcceptsWith / AcceptsFarFromWith) produces
+// path (Exec{Eng}'s Verdicts / Accepts / AcceptsFarFrom) produces
 // identical verdicts to the one-shot path for randomized and
 // deterministic deciders, across back-to-back reuse with fresh
 // DecisionInstances per trial — the exact shape of the experiment loops.
@@ -35,19 +35,19 @@ func TestPooledVerdictsMatchSingleShot(t *testing.T) {
 		di := coloringInstance(t, g, colors...)
 		draw := space.Draw(uint64(trial))
 
-		want := Verdicts(di, det, &draw)
-		got := VerdictsWith(eng, di, det, &draw)
+		want := verdicts(Exec{}, di, det, &draw)
+		got := verdicts(Exec{Eng: eng}, di, det, &draw)
 		for v := range want {
 			if want[v] != got[v] {
 				t.Fatalf("trial %d node %d: pooled verdict %v, single-shot %v", trial, v, got[v], want[v])
 			}
 		}
-		if Accepts(di, det, &draw) != AcceptsWith(eng, di, det, &draw) {
+		if accepts(Exec{}, di, det, &draw) != accepts(Exec{Eng: eng}, di, det, &draw) {
 			t.Fatalf("trial %d: Accepts disagrees", trial)
 		}
 		for _, u := range []int{0, 4, 9} {
 			for _, far := range []int{1, 3} {
-				if AcceptsFarFrom(di, det, &draw, u, far) != AcceptsFarFromWith(eng, di, det, &draw, u, far) {
+				if acceptsFarFrom(Exec{}, di, det, &draw, u, far) != acceptsFarFrom(Exec{Eng: eng}, di, det, &draw, u, far) {
 					t.Fatalf("trial %d: AcceptsFarFrom(u=%d, far=%d) disagrees", trial, u, far)
 				}
 			}
@@ -60,8 +60,8 @@ func TestPooledVerdictsMatchSingleShot(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		di := coloringInstance(t, g, colors...)
 		draw := space.Draw(uint64(100 + trial))
-		want := Verdicts(di, rnd, &draw)
-		got := VerdictsWith(eng, di, rnd, &draw)
+		want := verdicts(Exec{}, di, rnd, &draw)
+		got := verdicts(Exec{Eng: eng}, di, rnd, &draw)
 		for v := range want {
 			if want[v] != got[v] {
 				t.Fatalf("randomized trial %d node %d: pooled %v, single-shot %v", trial, v, got[v], want[v])

@@ -19,8 +19,8 @@ const trialBatchWidth = 32
 // itself plus reusable lane slices for draws (two independent sets, for
 // experiments that condition a decider's randomness on a construction
 // draw) and per-lane decision instances. It is the per-worker state of
-// mc.RunBatched/MeanBatched, playing the role a bare *local.Engine plays
-// for mc.RunWith. When the run is sharded (Config.Shards > 1), sh is the
+// a batched mc.Executor, playing the role a bare *local.Engine plays for
+// a scalar one. When the run is sharded (Config.Shards > 1), sh is the
 // worker group's sharded executor and message-algorithm constructions
 // route through it — byte-identical outputs, exercised across the cut.
 type trialBatch struct {
@@ -149,14 +149,14 @@ func executor(trials int, plan *local.Plan, cfg report.Config) mc.Executor[*tria
 	return x
 }
 
-// runBatched is the batched analogue of mc.RunWith over one plan.
+// runBatched runs a Bernoulli sweep over one plan on batched workers.
 func runBatched(trials int, plan *local.Plan, f func(s *trialBatch, lo, hi int, out []bool)) mc.Estimate {
 	return mc.Executor[*trialBatch]{
 		Trials: trials, Batch: trialBatchWidth, NewState: newTrialBatch(plan, 1, nil),
 	}.Run(f)
 }
 
-// meanBatched is the batched analogue of mc.MeanWith over one plan.
+// meanBatched runs a real-valued sweep over one plan on batched workers.
 func meanBatched(trials int, plan *local.Plan, f func(s *trialBatch, lo, hi int, out []float64)) (mean, stderr float64) {
 	return mc.Executor[*trialBatch]{
 		Trials: trials, Batch: trialBatchWidth, NewState: newTrialBatch(plan, 1, nil),

@@ -84,7 +84,7 @@ func (e e8) Run(cfg report.Config) (*report.Result, error) {
 					valid++
 				}
 				di := &lang.DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}
-				if decide.Accepts(di, dec, nil) == ok {
+				if (decide.Exec{}).Accepts([]*lang.DecisionInstance{di}, dec, nil)[0] == ok {
 					agree++
 				}
 			}

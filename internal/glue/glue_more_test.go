@@ -5,11 +5,12 @@ import (
 	"math"
 	"testing"
 
+	"rlnc/internal/construct"
 	"rlnc/internal/graph"
 	"rlnc/internal/ids"
 	"rlnc/internal/lang"
-	"rlnc/internal/local"
 	"rlnc/internal/localrand"
+	"rlnc/internal/mc"
 )
 
 // coinRunner fails (monochromatic output) with probability 1/2 per run,
@@ -122,31 +123,11 @@ func (errorRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error
 	return nil, errors.New("boom")
 }
 
-// pooledCoinRunner augments coinRunner with pooled and batched execution
-// paths whose per-trial outputs equal the single-shot ones, so the
-// failure estimate must be identical no matter which path the search
-// detects and takes.
-type pooledCoinRunner struct{ coinRunner }
-
-func (r pooledCoinRunner) RunOn(_ *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return r.Run(in, draw)
-}
-
-func (r pooledCoinRunner) RunBatch(_ *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	ys := make([][][]byte, len(ins))
-	for b, in := range ins {
-		y, err := r.Run(in, &draws[b])
-		if err != nil {
-			return nil, err
-		}
-		ys[b] = y
-	}
-	return ys, nil
-}
-
-// TestEstimateFailurePathsAgree pins that the batched and pooled failure
-// estimates replay exactly the single-shot per-trial draws: same trial
-// indexing, same estimate, not merely the same limit.
+// TestEstimateFailurePathsAgree pins that the failure estimate replays
+// exactly the single-shot per-trial draws — same trial indexing, same
+// estimate, not merely the same limit — both for a runner with only Run
+// (lanes fall back to single-shot runs) and for a construction algorithm
+// with an engine fast path.
 func TestEstimateFailurePathsAgree(t *testing.T) {
 	l := lang.ProperColoring(3)
 	space := localrand.NewTapeSpace(5)
@@ -155,18 +136,20 @@ func TestEstimateFailurePathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const trials = 200
-	want := estimateFailure(coinRunner{}, l, in, space, trials)
-	gotBatched := estimateFailure(pooledCoinRunner{}, l, in, space, trials)
-	if want != gotBatched {
-		t.Errorf("batched estimate %v, single-shot %v", gotBatched, want)
-	}
-	// engineRunner-only path: embedding the interface promotes RunOn but
-	// not RunBatch, so the search must take the pooled branch.
-	gotPooled := estimateFailure(struct {
-		coinRunner
-		engineRunner
-	}{coinRunner{}, pooledCoinRunner{}}, l, in, space, trials)
-	if want != gotPooled {
-		t.Errorf("pooled estimate %v, single-shot %v", gotPooled, want)
+	for _, r := range []Runner{coinRunner{}, construct.RetryColoring{Q: 3, T: 1}} {
+		want := mc.Estimate{Trials: trials}
+		for trial := 0; trial < trials; trial++ {
+			draw := space.Draw(uint64(trial))
+			y, err := r.Run(in, &draw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := l.Contains(&lang.Config{G: in.G, X: in.X, Y: y}); err != nil || !ok {
+				want.Successes++
+			}
+		}
+		if got := estimateFailure(r, l, in, space, trials); got != want {
+			t.Errorf("%s: estimate %v, single-shot %v", r.Name(), got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package glue
 import (
 	"fmt"
 
+	"rlnc/internal/construct"
 	"rlnc/internal/graph"
 	"rlnc/internal/ids"
 	"rlnc/internal/lang"
@@ -28,25 +29,8 @@ type HardInstance struct {
 	N int
 }
 
-// Runner abstracts construction algorithms for the search (matches
-// construct.Algorithm without importing it, keeping glue independent of
-// the algorithm catalogue).
-type Runner interface {
-	Name() string
-	Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error)
-}
-
-// batchRunner and engineRunner mirror construct's BatchRunner and
-// EngineRunner without the import: runners that support vectorized or
-// pooled execution are detected structurally, and the failure search
-// uses the fastest path available.
-type batchRunner interface {
-	RunBatch(bt *local.Batch, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error)
-}
-
-type engineRunner interface {
-	RunOn(eng *local.Engine, in *lang.Instance, draw *localrand.Draw) ([][]byte, error)
-}
+// Runner is the construction algorithm under search.
+type Runner = construct.Algorithm
 
 // hardSearchBatch is the lane count of the batched failure estimate.
 const hardSearchBatch = 32
@@ -78,10 +62,11 @@ func FindHardCycle(runner Runner, language lang.Language, dmin int, imin int64,
 }
 
 // estimateFailure measures Pr[runner's output falls outside the language]
-// on one instance. Randomized runners execute on the fastest path they
-// support — a batched engine (one trial vector per worker chunk), a
-// pooled engine, or single-shot runs — with identical per-trial outputs
-// on every path, so the estimate does not depend on the path taken.
+// on one instance. Randomized runners execute trial vectors of
+// hardSearchBatch lanes through construct.Exec on a per-worker batch;
+// every lane's output equals a single-shot run at the same draw, so the
+// estimate does not depend on whether the runner has an engine fast
+// path. A runner error fails every trial of its vector.
 func estimateFailure(runner Runner, language lang.Language, in *lang.Instance,
 	space *localrand.TapeSpace, trials int) mc.Estimate {
 	outside := func(y [][]byte, err error) bool {
@@ -98,51 +83,26 @@ func estimateFailure(runner Runner, language lang.Language, in *lang.Instance,
 		}
 		return e
 	}
-	if br, ok := runner.(batchRunner); ok {
-		plan := local.MustPlan(in.G)
-		type scratch struct {
-			bt    *local.Batch
-			ins   []*lang.Instance
-			draws []localrand.Draw
-		}
-		newState := func() *scratch {
-			s := &scratch{
-				bt:    plan.NewBatch(hardSearchBatch),
-				ins:   make([]*lang.Instance, hardSearchBatch),
-				draws: make([]localrand.Draw, hardSearchBatch),
-			}
-			for b := range s.ins {
-				s.ins[b] = in
-			}
-			return s
-		}
-		return mc.RunBatched(trials, hardSearchBatch, newState, func(s *scratch, lo, hi int, out []bool) {
-			k := hi - lo
-			for b := 0; b < k; b++ {
-				s.draws[b] = space.Draw(uint64(lo + b))
-			}
-			ys, err := br.RunBatch(s.bt, s.ins[:k], s.draws[:k])
-			if err != nil {
-				for b := range out {
-					out[b] = true
-				}
-				return
-			}
-			for b, y := range ys {
-				out[b] = outside(y, nil)
-			}
-		})
+	plan := local.MustPlan(in.G)
+	type scratch struct {
+		bt    *local.Batch
+		draws []localrand.Draw
 	}
-	if er, ok := runner.(engineRunner); ok {
-		plan := local.MustPlan(in.G)
-		return mc.RunWith(trials, plan.NewEngine, func(eng *local.Engine, trial int) bool {
-			draw := space.Draw(uint64(trial))
-			return outside(er.RunOn(eng, in, &draw))
-		})
-	}
-	return mc.Run(trials, func(trial int) bool {
-		draw := space.Draw(uint64(trial))
-		return outside(runner.Run(in, &draw))
+	return mc.Executor[*scratch]{
+		Trials: trials,
+		Batch:  hardSearchBatch,
+		NewState: func() *scratch {
+			return &scratch{bt: plan.NewBatch(hardSearchBatch), draws: make([]localrand.Draw, hardSearchBatch)}
+		},
+	}.Run(func(s *scratch, lo, hi int, out []bool) {
+		draws := s.draws[:hi-lo]
+		for b := range draws {
+			draws[b] = space.Draw(uint64(lo + b))
+		}
+		ys, err := construct.Exec{Bt: s.bt}.Run(runner, in, draws)
+		for b := range out {
+			out[b] = err != nil || outside(ys[b], nil)
+		}
 	})
 }
 

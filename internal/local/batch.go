@@ -24,7 +24,7 @@ import (
 // Engine run of the same (instance, draw) pair — outputs, Stats, and error
 // behavior included. That equivalence is the contract Monte-Carlo
 // harnesses rely on when they hand each worker a contiguous trial chunk
-// (mc.RunBatched) instead of one index at a time.
+// (mc.Executor with Batch set) instead of one index at a time.
 //
 // A Batch, like an Engine, is one worker's private scratch: it is NOT safe
 // for concurrent use. Concurrency comes from one Batch per worker on a

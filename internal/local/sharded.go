@@ -149,8 +149,8 @@ func (l *chanLink) Recv(round int) (CutBlock, error) {
 //
 // Like a Batch, a Sharded is one caller's private scratch: it is NOT
 // safe for concurrent use. Concurrency across trials comes from one
-// Sharded per worker group (mc.RunSharded); concurrency within a trial
-// comes from the per-shard goroutines themselves.
+// Sharded per worker group (mc.Executor with Shards set); concurrency
+// within a trial comes from the per-shard goroutines themselves.
 type Sharded struct {
 	plan   *Plan
 	width  int

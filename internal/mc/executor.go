@@ -7,12 +7,9 @@ import (
 )
 
 // Executor is the package's one Monte-Carlo execution surface: every
-// knob that used to pick a different entry point — per-worker state,
-// trial vectorization, shard-group pool sizing, and now fault injection —
-// is a field, and the verbs are methods: Run estimates a Bernoulli
-// probability, Mean a real-valued observable. The legacy free functions
-// (Run/RunWith/RunBatched/RunSharded and the Mean quartet) are thin
-// deprecated wrappers over this struct and remain bit-identical to it.
+// knob — per-worker state, trial vectorization, shard-group pool sizing,
+// fault injection — is a field, and the verbs are methods: Run estimates
+// a Bernoulli probability, Mean a real-valued observable.
 //
 // The zero value runs scalar trials with no state on a GOMAXPROCS pool:
 //
@@ -112,7 +109,8 @@ func (e Executor[S]) stateFn() func() S {
 // pull chunks off a shared dequeue, so a slow worker just processes
 // fewer of them, and a chunk whose body fails (Fail, or any panic) is
 // retried on a freshly built state before the failure is considered
-// permanent. Estimates stay bit-identical to the legacy static split.
+// permanent. Estimates are independent of the schedule: they equal a
+// sequential loop over the trials in index order.
 func (e Executor[S]) Run(f func(s S, lo, hi int, out []bool)) Estimate {
 	return runSteal(e.Trials, e.batch(), e.pool(), e.stateFn(), e.Progress, f)
 }

@@ -15,16 +15,16 @@ func trialPredicate(trial int) bool {
 	return x&1 == 0
 }
 
-// TestExecutorMatchesLegacy pins the unification: the Executor verbs and
-// every deprecated wrapper compute bit-identical estimates for the same
-// per-trial bodies, across scalar, batched, and sharded configurations.
+// TestExecutorMatchesLegacy pins the unification: every Executor
+// configuration — scalar, batched, and sharded — computes the sequential
+// trial loop's estimate bit for bit for the same per-trial bodies.
 func TestExecutorMatchesLegacy(t *testing.T) {
 	const trials = 1000
-	want := Run(trials, trialPredicate)
+	want := sequentialEstimate(trials, trialPredicate)
 	got := Executor[struct{}]{Trials: trials}.
 		Run(Scalar(func(_ struct{}, trial int) bool { return trialPredicate(trial) }))
 	if want != got {
-		t.Errorf("scalar: executor %+v, legacy %+v", got, want)
+		t.Errorf("scalar: executor %+v, sequential %+v", got, want)
 	}
 
 	batched := Executor[struct{}]{Trials: trials, Batch: 7}.
@@ -34,7 +34,7 @@ func TestExecutorMatchesLegacy(t *testing.T) {
 			}
 		})
 	if want != batched {
-		t.Errorf("batched: executor %+v, legacy %+v", batched, want)
+		t.Errorf("batched: executor %+v, sequential %+v", batched, want)
 	}
 
 	sharded := Executor[struct{}]{Trials: trials, Batch: 7, Shards: 2}.
@@ -44,15 +44,15 @@ func TestExecutorMatchesLegacy(t *testing.T) {
 			}
 		})
 	if want != sharded {
-		t.Errorf("sharded pool: executor %+v, legacy %+v", sharded, want)
+		t.Errorf("sharded pool: executor %+v, sequential %+v", sharded, want)
 	}
 
 	obs := func(trial int) float64 { return float64(trial%17) / 17 }
-	wm, ws := Mean(trials, obs)
+	wm, ws := sequentialMean(trials, obs)
 	gm, gs := Executor[struct{}]{Trials: trials}.
 		Mean(ScalarMean(func(_ struct{}, trial int) float64 { return obs(trial) }))
 	if wm != gm || ws != gs {
-		t.Errorf("mean: executor (%v, %v), legacy (%v, %v)", gm, gs, wm, ws)
+		t.Errorf("mean: executor (%v, %v), sequential (%v, %v)", gm, gs, wm, ws)
 	}
 	if math.IsNaN(gm) {
 		t.Error("mean is NaN")

@@ -10,10 +10,22 @@ import (
 	"rlnc/internal/localrand"
 )
 
+// runTrials and meanTrials run a per-trial body through the zero-option
+// Executor: scalar chunks, no state, a GOMAXPROCS pool.
+func runTrials(trials int, f func(trial int) bool) Estimate {
+	return Executor[struct{}]{Trials: trials}.
+		Run(Scalar(func(_ struct{}, trial int) bool { return f(trial) }))
+}
+
+func meanTrials(trials int, f func(trial int) float64) (mean, stderr float64) {
+	return Executor[struct{}]{Trials: trials}.
+		Mean(ScalarMean(func(_ struct{}, trial int) float64 { return f(trial) }))
+}
+
 func TestRunCountsDeterministically(t *testing.T) {
 	// f depends only on the trial index, so the estimate is exact and
 	// independent of scheduling.
-	est := Run(1000, func(trial int) bool { return trial%4 == 0 })
+	est := runTrials(1000, func(trial int) bool { return trial%4 == 0 })
 	if est.Successes != 250 || est.Trials != 1000 {
 		t.Errorf("est = %+v, want 250/1000", est)
 	}
@@ -26,7 +38,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	f := func(trial int) bool {
 		return localrand.NewSource(uint64(trial)).Float64() < 0.37
 	}
-	par := Run(5000, f)
+	par := runTrials(5000, f)
 	seq := 0
 	for i := 0; i < 5000; i++ {
 		if f(i) {
@@ -39,7 +51,7 @@ func TestRunMatchesSequential(t *testing.T) {
 }
 
 func TestWilsonCoversTruth(t *testing.T) {
-	est := Run(20000, func(trial int) bool {
+	est := runTrials(20000, func(trial int) bool {
 		return localrand.NewSource(uint64(trial)).Float64() < 0.618
 	})
 	lo, hi := est.Wilson(3.3)
@@ -83,7 +95,7 @@ func TestEstimateString(t *testing.T) {
 }
 
 func TestMean(t *testing.T) {
-	mean, stderr := Mean(4000, func(trial int) float64 {
+	mean, stderr := meanTrials(4000, func(trial int) float64 {
 		return localrand.NewSource(uint64(trial)).Float64()
 	})
 	if math.Abs(mean-0.5) > 0.02 {
@@ -96,14 +108,14 @@ func TestMean(t *testing.T) {
 }
 
 func TestMeanConstant(t *testing.T) {
-	mean, stderr := Mean(100, func(int) float64 { return 7 })
+	mean, stderr := meanTrials(100, func(int) float64 { return 7 })
 	if mean != 7 || stderr != 0 {
 		t.Errorf("mean=%v stderr=%v, want 7, 0", mean, stderr)
 	}
 }
 
 func TestMeanSingleTrial(t *testing.T) {
-	mean, stderr := Mean(1, func(int) float64 { return 3 })
+	mean, stderr := meanTrials(1, func(int) float64 { return 3 })
 	if mean != 3 || stderr != 0 {
 		t.Errorf("mean=%v stderr=%v", mean, stderr)
 	}
@@ -117,13 +129,14 @@ func TestRunWithMatchesRun(t *testing.T) {
 	f := func(trial int) bool {
 		return localrand.NewSource(uint64(trial)).Float64() < 0.37
 	}
-	want := Run(5000, f)
+	want := runTrials(5000, f)
 	var created atomic.Int64
-	got := RunWith(5000,
-		func() *scratch { created.Add(1); return &scratch{} },
-		func(s *scratch, trial int) bool { s.uses++; return f(trial) })
+	got := Executor[*scratch]{
+		Trials:   5000,
+		NewState: func() *scratch { created.Add(1); return &scratch{} },
+	}.Run(Scalar(func(s *scratch, trial int) bool { s.uses++; return f(trial) }))
 	if got != want {
-		t.Errorf("RunWith = %+v, want %+v", got, want)
+		t.Errorf("stateful run = %+v, want %+v", got, want)
 	}
 	if c := created.Load(); c < 1 || c > int64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("newState called %d times; want once per worker", c)
@@ -134,18 +147,20 @@ func TestMeanWithMatchesMean(t *testing.T) {
 	f := func(trial int) float64 {
 		return localrand.NewSource(uint64(trial)).Float64()
 	}
-	wantMean, wantSE := Mean(4000, f)
-	gotMean, gotSE := MeanWith(4000,
-		func() *scratch { return &scratch{} },
-		func(s *scratch, trial int) float64 { return f(trial) })
+	wantMean, wantSE := meanTrials(4000, f)
+	gotMean, gotSE := Executor[*scratch]{
+		Trials:   4000,
+		NewState: func() *scratch { return &scratch{} },
+	}.Mean(ScalarMean(func(s *scratch, trial int) float64 { return f(trial) }))
 	if gotMean != wantMean || gotSE != wantSE {
-		t.Errorf("MeanWith = (%v, %v), want (%v, %v)", gotMean, gotSE, wantMean, wantSE)
+		t.Errorf("stateful mean = (%v, %v), want (%v, %v)", gotMean, gotSE, wantMean, wantSE)
 	}
 }
 
 func TestRunWithZeroTrials(t *testing.T) {
-	est := RunWith(0, func() *scratch { t.Error("state created for zero trials"); return nil },
-		func(*scratch, int) bool { t.Error("trial executed"); return false })
+	est := Executor[*scratch]{
+		NewState: func() *scratch { t.Error("state created for zero trials"); return nil },
+	}.Run(Scalar(func(*scratch, int) bool { t.Error("trial executed"); return false }))
 	if est.Trials != 0 || est.Successes != 0 {
 		t.Errorf("est = %+v", est)
 	}
@@ -158,18 +173,19 @@ func TestRunWithStateIsPerWorker(t *testing.T) {
 	// sum to the trial count, and -race would flag the writes.
 	var mu sync.Mutex
 	var states []*scratch
-	est := RunWith(2000,
-		func() *scratch {
+	est := Executor[*scratch]{
+		Trials: 2000,
+		NewState: func() *scratch {
 			s := &scratch{}
 			mu.Lock()
 			states = append(states, s)
 			mu.Unlock()
 			return s
 		},
-		func(s *scratch, trial int) bool {
-			s.uses++
-			return true
-		})
+	}.Run(Scalar(func(s *scratch, trial int) bool {
+		s.uses++
+		return true
+	}))
 	if est.Successes != 2000 {
 		t.Errorf("successes = %d, want 2000", est.Successes)
 	}
@@ -185,16 +201,16 @@ func TestRunWithStateIsPerWorker(t *testing.T) {
 	}
 }
 
-// TestRunBatchedMatchesRun pins that the batched harness visits exactly
-// the same trial indices with the same per-trial outcomes as Run, across
+// TestRunBatchedMatchesRun pins that batched execution visits exactly
+// the same trial indices with the same per-trial outcomes as scalar, across
 // chunk shapes that do and do not divide the trial count.
 func TestRunBatchedMatchesRun(t *testing.T) {
 	pred := func(trial int) bool { return trial%3 == 0 || trial%7 == 2 }
 	for _, trials := range []int{1, 31, 96, 1000} {
 		for _, batch := range []int{1, 4, 32} {
-			want := Run(trials, pred)
-			got := RunBatched(trials, batch, func() struct{} { return struct{}{} },
-				func(_ struct{}, lo, hi int, out []bool) {
+			want := runTrials(trials, pred)
+			got := Executor[struct{}]{Trials: trials, Batch: batch}.
+				Run(func(_ struct{}, lo, hi int, out []bool) {
 					if hi-lo > batch {
 						t.Fatalf("chunk [%d,%d) exceeds batch %d", lo, hi, batch)
 					}
@@ -217,9 +233,9 @@ func TestRunShardedMatchesRun(t *testing.T) {
 	pred := func(trial int) bool { return trial%5 == 0 || trial%11 == 3 }
 	for _, trials := range []int{1, 47, 500} {
 		for _, shards := range []int{1, 2, 4, 64} {
-			want := Run(trials, pred)
-			got := RunSharded(trials, 8, shards, func() struct{} { return struct{}{} },
-				func(_ struct{}, lo, hi int, out []bool) {
+			want := runTrials(trials, pred)
+			got := Executor[struct{}]{Trials: trials, Batch: 8, Shards: shards}.
+				Run(func(_ struct{}, lo, hi int, out []bool) {
 					for i := lo; i < hi; i++ {
 						out[i-lo] = pred(i)
 					}
@@ -243,19 +259,22 @@ func TestRunShardedPoolSize(t *testing.T) {
 			wantMax = 1
 		}
 		var states atomic.Int64
-		RunSharded(1000, 8, shards, func() struct{} {
-			states.Add(1)
-			return struct{}{}
-		}, func(_ struct{}, lo, hi int, out []bool) {})
+		Executor[struct{}]{
+			Trials: 1000, Batch: 8, Shards: shards,
+			NewState: func() struct{} {
+				states.Add(1)
+				return struct{}{}
+			},
+		}.Run(func(_ struct{}, lo, hi int, out []bool) {})
 		if got := states.Load(); got > int64(wantMax) {
 			t.Errorf("shards=%d: %d worker states, want <= %d", shards, got, wantMax)
 		}
 	}
 }
 
-// TestMeanShardedMatchesMean pins the sharded mean harness against the
-// scalar one at one worker group (shards >= GOMAXPROCS forces a single
-// group, whose chunk accumulation order equals sequential trial order).
+// TestMeanShardedMatchesMean pins the sharded-pool mean against a
+// sequential sum at one worker group (shards >= GOMAXPROCS forces a
+// single group).
 func TestMeanShardedMatchesMean(t *testing.T) {
 	obs := func(trial int) float64 { return float64(trial%13) * 0.29 }
 	trials := 300
@@ -264,8 +283,8 @@ func TestMeanShardedMatchesMean(t *testing.T) {
 		wantMean += obs(i)
 	}
 	wantMean /= float64(trials)
-	gotMean, gotSE := MeanSharded(trials, 8, 4*runtime.GOMAXPROCS(0), func() struct{} { return struct{}{} },
-		func(_ struct{}, lo, hi int, out []float64) {
+	gotMean, gotSE := Executor[struct{}]{Trials: trials, Batch: 8, Shards: 4 * runtime.GOMAXPROCS(0)}.
+		Mean(func(_ struct{}, lo, hi int, out []float64) {
 			for i := lo; i < hi; i++ {
 				out[i-lo] = obs(i)
 			}
@@ -278,16 +297,16 @@ func TestMeanShardedMatchesMean(t *testing.T) {
 	}
 }
 
-// TestMeanBatchedMatchesMean pins bit-identical mean and stderr: the
-// batched harness accumulates per-worker sums in the same trial order as
-// MeanWith, so floating-point results agree exactly.
+// TestMeanBatchedMatchesMean pins bit-identical mean and stderr: values
+// accumulate in trial order whatever the batch width, so floating-point
+// results agree exactly with scalar execution.
 func TestMeanBatchedMatchesMean(t *testing.T) {
 	obs := func(trial int) float64 { return float64(trial%17) * 0.37 }
 	for _, trials := range []int{1, 31, 1000} {
 		for _, batch := range []int{1, 5, 32} {
-			wantMean, wantSE := Mean(trials, obs)
-			gotMean, gotSE := MeanBatched(trials, batch, func() struct{} { return struct{}{} },
-				func(_ struct{}, lo, hi int, out []float64) {
+			wantMean, wantSE := meanTrials(trials, obs)
+			gotMean, gotSE := Executor[struct{}]{Trials: trials, Batch: batch}.
+				Mean(func(_ struct{}, lo, hi int, out []float64) {
 					for i := lo; i < hi; i++ {
 						out[i-lo] = obs(i)
 					}

@@ -1,27 +1,26 @@
 package mc
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is the work-stealing trial scheduler: the execution core of
-// Executor.Run and Executor.Mean. The static split (forEachWorker,
-// runBatchedWorkers, meanBatchedWorkers) hands every worker one
-// contiguous range up front, so a slow or dead worker gates — or aborts
-// — the whole sweep. Here the trial range is cut into [lo, hi) chunks of
-// one batch each on a shared queue; workers dequeue, execute, and come
-// back for more, so a straggling host simply ends up with fewer chunks.
+// Executor.Run and Executor.Mean. The trial range is cut into [lo, hi)
+// chunks of one batch each on a shared queue; workers dequeue, execute,
+// and come back for more, so a slow or straggling worker simply ends up
+// with fewer chunks instead of gating the sweep.
 //
 // Two properties make stealing safe for a measurement harness:
 //
-//   - Estimates are bit-identical to the static split. Trial bodies
+//   - Estimates are a function of the trial bodies alone. Trial bodies
 //     derive all randomness from the trial index, so a trial's outcome
 //     does not depend on which worker ran it; Run sums integers
 //     (order-free), and Mean writes every trial's value into a shared
 //     per-trial slice and accumulates it in trial order after the last
 //     chunk — one fixed summation order regardless of pool size or
-//     scheduling (the static split only had that at one worker).
+//     scheduling, the order of a sequential trial loop.
 //
 //   - A failing chunk is requeued, not fatal. A body that cannot
 //     complete its chunk signals with Fail (or any panic): the worker
@@ -73,9 +72,7 @@ func runChunk(body func()) (failure *chunkFailure) {
 // batch on up to `workers` goroutines fed from a shared chunk queue.
 // w < workers indexes the goroutine (bodies may keep worker-indexed
 // accumulators); s is the goroutine's current state. The queue is FIFO,
-// so a single worker processes chunks in ascending trial order — exactly
-// the static split's order, which keeps one-worker runs (GOMAXPROCS=1
-// goldens) byte-identical to it even for order-sensitive accumulation.
+// so a single worker processes chunks in ascending trial order.
 //
 // States are built lazily: a worker calls newState when it claims its
 // first chunk, so every built state runs at least one chunk attempt and
@@ -191,8 +188,8 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 }
 
 // runSteal is Run's core: per-worker success counters (integer sums are
-// order-free, so the estimate is bit-identical to the static split's)
-// over the stealing scheduler. A chunk's successes are counted only
+// order-free, so the estimate does not depend on the schedule) over the
+// stealing scheduler. A chunk's successes are counted only
 // after its body returns clean — a failed attempt contributes nothing,
 // and its requeued rerun recounts from a zeroed row.
 func runSteal[S any](trials, batch, workers int, newState func() S, progress func(done, total int), f func(s S, lo, hi int, out []bool)) Estimate {
@@ -226,8 +223,7 @@ func runSteal[S any](trials, batch, workers int, newState func() S, progress fun
 // never race), and the mean and standard error accumulate in trial order
 // once the sweep completes. The summation order is therefore a fixed
 // function of the trial count — independent of pool size, scheduling,
-// and stealing — and identical to the static split's single-worker
-// order, which is what the committed GOMAXPROCS=1 goldens pin.
+// and stealing — and equal to a sequential trial loop's.
 func meanSteal[S any](trials, batch, workers int, newState func() S, progress func(done, total int), f func(s S, lo, hi int, out []float64)) (mean, stderr float64) {
 	if batch < 1 {
 		batch = 1
@@ -242,12 +238,21 @@ func meanSteal[S any](trials, batch, workers int, newState func() S, progress fu
 }
 
 // meanOf folds per-trial values in index order into the sample mean and
-// standard error, exactly as meanBatchedWorkers folds per-worker sums.
+// standard error.
 func meanOf(trials int, vals []float64) (mean, stderr float64) {
 	var sum, sq float64
 	for _, v := range vals {
 		sum += v
 		sq += v * v
 	}
-	return meanStats(trials, sum, sq)
+	n := float64(trials)
+	mean = sum / n
+	variance := sq/n - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	if trials > 1 {
+		stderr = math.Sqrt(variance / (n - 1))
+	}
+	return mean, stderr
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +25,35 @@ func trialValue(trial int) float64 {
 	return float64(x%1000) / 997.0
 }
 
+// sequentialEstimate and sequentialMean are the scheduler tests' oracle:
+// one loop over the trials in index order, with no pool, no chunking and
+// no stealing. Every schedule must reproduce them bit for bit — the
+// mean included, because values fold in trial order.
+func sequentialEstimate(trials int, outcome func(trial int) bool) Estimate {
+	e := Estimate{Trials: trials}
+	for i := 0; i < trials; i++ {
+		if outcome(i) {
+			e.Successes++
+		}
+	}
+	return e
+}
+
+func sequentialMean(trials int, value func(trial int) float64) (mean, stderr float64) {
+	var sum, sq float64
+	for i := 0; i < trials; i++ {
+		v := value(i)
+		sum += v
+		sq += v * v
+	}
+	n := float64(trials)
+	mean = sum / n
+	if variance := sq/n - mean*mean; trials > 1 && variance > 0 {
+		stderr = math.Sqrt(variance / (n - 1))
+	}
+	return mean, stderr
+}
+
 // schedulerShapes is the trials/batch/workers sweep of the differential
 // tests: zero trials, trials < workers, trials < batch, ragged tails,
 // single-chunk, and bulk shapes.
@@ -44,9 +72,8 @@ var schedulerShapes = []struct{ trials, batch, workers int }{
 
 // TestStealEstimateMatchesStaticSplit is the work-stealing scheduler's
 // acceptance gate: for every pool shape — trials below the worker count
-// and the zero-trial edge of forEachWorker included — the stolen
-// Estimate is bit-identical to the legacy static split's, and every
-// trial executes exactly once.
+// and zero trials included — the stolen Estimate equals the sequential
+// trial loop's, and every trial executes exactly once.
 func TestStealEstimateMatchesStaticSplit(t *testing.T) {
 	for _, shape := range schedulerShapes {
 		shape := shape
@@ -57,7 +84,7 @@ func TestStealEstimateMatchesStaticSplit(t *testing.T) {
 				}
 			}
 			newState := func() struct{} { return struct{}{} }
-			want := runBatchedWorkers(shape.trials, shape.batch, shape.workers, newState, body)
+			want := sequentialEstimate(shape.trials, trialOutcome)
 
 			ran := make([]atomic.Int32, shape.trials)
 			got := runSteal(shape.trials, shape.batch, shape.workers, newState, nil,
@@ -68,7 +95,7 @@ func TestStealEstimateMatchesStaticSplit(t *testing.T) {
 					body(s, lo, hi, out)
 				})
 			if got != want {
-				t.Fatalf("steal %+v != static %+v", got, want)
+				t.Fatalf("steal %+v != sequential %+v", got, want)
 			}
 			for i := range ran {
 				if n := ran[i].Load(); n != 1 {
@@ -80,10 +107,9 @@ func TestStealEstimateMatchesStaticSplit(t *testing.T) {
 }
 
 // TestStealMeanTrialOrderDeterminism pins the Mean merge contract: the
-// stolen mean and standard error are bitwise identical to the static
-// split at one worker (the committed-golden configuration) for every
-// pool shape — i.e. the float accumulation order is the fixed trial
-// order no matter how many workers steal.
+// stolen mean and standard error are bitwise identical to the sequential
+// trial loop for every pool shape — i.e. the float accumulation order is
+// the fixed trial order no matter how many workers steal.
 func TestStealMeanTrialOrderDeterminism(t *testing.T) {
 	body := func(_ struct{}, lo, hi int, out []float64) {
 		for i := lo; i < hi; i++ {
@@ -95,15 +121,15 @@ func TestStealMeanTrialOrderDeterminism(t *testing.T) {
 		if shape.trials == 0 {
 			continue // NaN/NaN on both sides; compared below
 		}
-		wantMean, wantErr := meanBatchedWorkers(shape.trials, shape.batch, 1, newState, body)
+		wantMean, wantErr := sequentialMean(shape.trials, trialValue)
 		gotMean, gotErr := meanSteal(shape.trials, shape.batch, shape.workers, newState, nil, body)
 		if math.Float64bits(gotMean) != math.Float64bits(wantMean) ||
 			math.Float64bits(gotErr) != math.Float64bits(wantErr) {
-			t.Fatalf("shape %+v: steal mean (%v, %v) != one-worker static (%v, %v)",
+			t.Fatalf("shape %+v: steal mean (%v, %v) != sequential (%v, %v)",
 				shape, gotMean, gotErr, wantMean, wantErr)
 		}
 	}
-	// Zero trials: NaN mean, zero stderr, no body calls — same as static.
+	// Zero trials: NaN mean, zero stderr, no body calls.
 	mean, stderr := meanSteal(0, 4, 3, newState, nil, body)
 	if !math.IsNaN(mean) || stderr != 0 {
 		t.Fatalf("zero-trial mean = (%v, %v), want (NaN, 0)", mean, stderr)
@@ -134,12 +160,7 @@ func TestStealRequeuesFailedChunk(t *testing.T) {
 		return flakyState{failures: &failures, closed: &closed}
 	}
 	trials, batch, workers := 40, 4, 3
-	want := runBatchedWorkers(trials, batch, workers, func() struct{} { return struct{}{} },
-		func(_ struct{}, lo, hi int, out []bool) {
-			for i := lo; i < hi; i++ {
-				out[i-lo] = trialOutcome(i)
-			}
-		})
+	want := sequentialEstimate(trials, trialOutcome)
 	ran := make([]atomic.Int32, trials)
 	got := runSteal(trials, batch, workers, newState, nil, func(s flakyState, lo, hi int, out []bool) {
 		if s.failures.Add(-1) >= 0 {
@@ -151,7 +172,7 @@ func TestStealRequeuesFailedChunk(t *testing.T) {
 		}
 	})
 	if got != want {
-		t.Fatalf("estimate after requeue %+v != static %+v", got, want)
+		t.Fatalf("estimate after requeue %+v != sequential %+v", got, want)
 	}
 	for i := range ran {
 		if n := ran[i].Load(); n != 1 {
@@ -263,7 +284,7 @@ func TestStealProgressReports(t *testing.T) {
 	total := -1
 	var failures atomic.Int32
 	failures.Store(2)
-	trials, batch, workers := 40, 4, 3
+	trials, batch := 40, 4
 	est := Executor[struct{}]{
 		Trials: trials, Batch: batch,
 		Progress: func(done, n int) {
@@ -280,14 +301,9 @@ func TestStealProgressReports(t *testing.T) {
 			out[i-lo] = trialOutcome(i)
 		}
 	})
-	want := runBatchedWorkers(trials, batch, workers, func() struct{} { return struct{}{} },
-		func(_ struct{}, lo, hi int, out []bool) {
-			for i := lo; i < hi; i++ {
-				out[i-lo] = trialOutcome(i)
-			}
-		})
+	want := sequentialEstimate(trials, trialOutcome)
 	if est != want {
-		t.Fatalf("observed estimate %+v != static %+v", est, want)
+		t.Fatalf("observed estimate %+v != sequential %+v", est, want)
 	}
 	nchunks := (trials + batch - 1) / batch
 	if total != nchunks {
@@ -313,16 +329,13 @@ func TestStealProgressReports(t *testing.T) {
 // wiring from Executor.Run/Mean down to the stealing cores is covered,
 // not just the cores themselves.
 func TestExecutorStealMatrix(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
 	for _, trials := range []int{0, 1, 5, 97} {
 		for _, batch := range []int{0, 1, 8} {
 			est := Executor[struct{}]{Trials: trials, Batch: batch}.
 				Run(Scalar(func(_ struct{}, trial int) bool { return trialOutcome(trial) }))
-			want := runBatchedWorkers(trials, batch, procs,
-				func() struct{} { return struct{}{} },
-				Scalar(func(_ struct{}, trial int) bool { return trialOutcome(trial) }))
+			want := sequentialEstimate(trials, trialOutcome)
 			if est != want {
-				t.Fatalf("trials=%d batch=%d: executor %+v != static %+v", trials, batch, est, want)
+				t.Fatalf("trials=%d batch=%d: executor %+v != sequential %+v", trials, batch, est, want)
 			}
 			// Shard-group pool sizing must not change the estimate either.
 			est2 := Executor[struct{}]{Trials: trials, Batch: batch, Shards: 2}.

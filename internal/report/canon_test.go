@@ -97,7 +97,7 @@ func nan() float64 {
 }
 
 // TestCanonEncodeShape pins the literal wire shape: versioned header,
-// sorted keys, one pair per line — the format OPERATIONS.md documents
+// sorted keys, one pair per line — the format docs/OPERATIONS.md documents
 // and operators may diff by hand in the store's canon.txt files.
 func TestCanonEncodeShape(t *testing.T) {
 	var c Canon

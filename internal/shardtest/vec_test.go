@@ -13,12 +13,14 @@ import (
 
 // This file is the vec-vs-scalar differential matrix of the
 // lane-vectorized stepping seam on the real construction algorithms:
-// every migrated VecAlgorithm (Luby MIS, retry coloring, Cole–Vishkin)
-// run through its SoA vector path must reproduce the ScalarOnly
-// reference — the same algorithm stripped of the vector extension —
-// byte for byte, outputs and Stats, across the six graph families,
-// batch widths from one ragged lane to the full vector, the channel and
-// loopback-TCP sharded transports, and zero and lossy fault plans.
+// every migrated VecAlgorithm (retry coloring, Cole–Vishkin) run
+// through its SoA vector path must reproduce the ScalarOnly reference —
+// the same algorithm stripped of the vector extension — byte for byte,
+// outputs and Stats, across the six graph families, batch widths from
+// one ragged lane to the full vector, the channel and loopback-TCP
+// sharded transports, and zero and lossy fault plans. Luby's MIS has no
+// vector path; its rows are the control: a wire algorithm without the
+// extension must run identically whether or not ScalarOnly wraps it.
 
 // vecCase is one (algorithm, plans) row of the matrix. CV is determin-
 // istic (nil draws) and protocol-synchronous, so it runs only on the

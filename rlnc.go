@@ -11,8 +11,8 @@
 //     (double-buffered message slabs, tape slab, assembled views).
 //     RunView/RunMessage are single-shot wrappers over this layer;
 //     Monte-Carlo trial loops build one Plan per instance and hand each
-//     trial-pool worker its own Engine (mc.RunWith), which eliminates
-//     steady-state allocations from the trial loop. A Batch is the
+//     trial-pool worker its own Engine (mc.Executor.NewState), which
+//     eliminates steady-state allocations from the trial loop. A Batch is the
 //     vectorized worker scratch, and a Sharded runs the message path
 //     across a contiguous partition of the plan's CSR layout with
 //     per-round cut-block exchange — the multi-machine execution shape,
@@ -159,7 +159,7 @@ type (
 	// (structure-of-arrays message slabs, batch-refilled view skeletons),
 	// so per-round scheduling and view assembly amortize across the
 	// vector; an Engine is the width-1 case. Not safe for concurrent use —
-	// trial pools hold one Batch per worker (see mc.RunBatched).
+	// trial pools hold one Batch per worker (see mc.Executor.Batch).
 	Batch = local.Batch
 	// Sharded runs the message path across a contiguous node partition
 	// of the plan's CSR layout: one compacted-window Batch per shard
@@ -269,8 +269,6 @@ type (
 )
 
 var (
-	Accepts             = decide.Accepts
-	AcceptsFarFrom      = decide.AcceptsFarFrom
 	NewAMOSDecider      = decide.NewAMOSDecider
 	NewResilientDecider = decide.NewResilientDecider
 	GoldenP             = decide.GoldenP
@@ -323,7 +321,7 @@ type (
 	// over trial vectors on an engine, a batch, or transiently.
 	DecideExec = decide.Exec
 	// ConstructExec runs construction algorithms: Run and RunInstances
-	// over an engine, a batch, or a sharded executor.
+	// single-shot, over a batch, or over a sharded executor.
 	ConstructExec = construct.Exec
 )
 
