@@ -295,6 +295,81 @@ func BenchmarkTrialBatchedMessageScalar(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialColdE2Cell is one cold Monte-Carlo cell of E2c (§1.1,
+// rounds-to-ε on C_4800): each iteration builds a fresh plan and a
+// width-32 batch, as an E2 worker does per cell, and runs
+// RetryColoring{Q: 3, T: 5} once over 32 draws. At n = 4800 the slab
+// budget splits the vector into multi-lane blocks, so the time per
+// iteration tracks how those blocks are stepped.
+func BenchmarkTrialColdE2Cell(b *testing.B) {
+	const n, width = 4800, 32
+	in := &lang.Instance{G: graph.Cycle(n), X: lang.EmptyInputs(n), ID: ids.ConsecutiveFrom(n, 1)}
+	algo := construct.RetryColoring{Q: 3, T: 5}
+	space := localrand.NewTapeSpace(0xE2C)
+	draws := make([]localrand.Draw, width)
+	for j := range draws {
+		draws[j] = space.Draw(uint64(j))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := local.NewPlan(in.G)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := (construct.Exec{Bt: plan.NewBatch(width)}).Run(algo, in, draws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLaneStep measures the warm per-(node, lane, round) cost of
+// retry coloring (T = 5) on C_n through a width-k batch, on the vector
+// path and on ScalarOnly, reported as ns/lane-step: elapsed time over
+// the lanes' summed n × Stats.Rounds. Passes hold at most the slab
+// budget's block of lanes, so a cell whose k exceeds the block runs
+// successive blocks, and a one-lane block steps the scalar path on both
+// sides.
+func BenchmarkLaneStep(b *testing.B) {
+	for _, n := range []int{600, 4800, 38400} {
+		in := &lang.Instance{G: graph.Cycle(n), X: lang.EmptyInputs(n), ID: ids.ConsecutiveFrom(n, 1)}
+		plan := local.MustPlan(in.G)
+		for _, k := range []int{1, 2, 4, 8, 32} {
+			for _, path := range []string{"vec", "scalar"} {
+				algo := construct.RetryMessage(3, 5)
+				if path == "scalar" {
+					algo = local.ScalarOnly(algo)
+				}
+				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, path), func(b *testing.B) {
+					bt := plan.NewBatch(k)
+					space := localrand.NewTapeSpace(0xE2C)
+					draws := make([]localrand.Draw, k)
+					steps := 0
+					run := func(i int) {
+						for j := range draws {
+							draws[j] = space.Draw(uint64(i*k + j))
+						}
+						rs, err := bt.Run(in, algo, draws, local.RunOptions{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, r := range rs {
+							steps += n * r.Stats.Rounds
+						}
+					}
+					run(0) // size the slabs and the process tables
+					steps = 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run(i + 1)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/lane-step")
+				})
+			}
+		}
+	}
+}
+
 // benchStepPath measures one algorithm's per-trial stepping cost at
 // width 32, vectorized (the SoA StepVec path) or scalar (ScalarOnly).
 // Each Benchmark{Step*}{Scalar,Vec} pair isolates one migrated

@@ -156,12 +156,6 @@ func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []
 	return ys, nil
 }
 
-// RunStats runs the algorithm and also reports engine statistics; it
-// errors for pure view algorithms, which have no message rounds.
-func (a MessageConstruction) RunStats(in *lang.Instance, draw *localrand.Draw) (*local.Result, error) {
-	return local.RunMessage(in, a.Algo, draw, a.Opts)
-}
-
 // Pipeline chains algorithms: the output of stage i becomes the input x
 // of stage i+1 (the original input is visible only to stage 1). Each
 // stage receives an independent sub-draw so stages do not share

@@ -4,12 +4,12 @@ import "rlnc/internal/local"
 
 // The wire algorithms below also implement the engine's lane-vectorized
 // stepping seam (local.VecAlgorithm): one SoA process per node owns
-// every lane's state and steps them in a single call per round. Batched
-// executions wider than one lane pick the vector path up automatically —
+// every lane's state and steps them in a single call per round. Every
+// pass of two or more lanes picks the vector path up automatically —
 // through the remote registry too, which reconstructs these same struct
 // values on shard workers — and the scalar WireProcess remains the
-// width-1 (Engine) path and the local.ScalarOnly reference the
-// differential suite pins byte-identical outputs against.
+// one-lane path (Engines, one-lane slab blocks) and the local.ScalarOnly
+// reference the differential suite pins byte-identical outputs against.
 var (
 	_ local.VecAlgorithm = retryAlgo{}
 	_ local.VecAlgorithm = ColeVishkin{}

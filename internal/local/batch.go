@@ -129,14 +129,15 @@ type Batch struct {
 	procAlgo WireAlgorithm
 	rpool    bool
 
-	// Lane-vectorized stepping state (vec.go): vecAlgo is armed by
-	// layoutWire when the run's algorithm implements VecAlgorithm and the
-	// batch is wider than one lane — the passes then dispatch to their
-	// vec twins, which drive ONE SoA process per node (vprocs, pooled via
-	// vresets/vprocAlgo under the same rules as the scalar table) through
-	// per-worker InboxVec/OutboxVec scratch. wkPrev holds the pre-step
-	// done row a pass diffs new finishes out of; wkMask the per-node lane
-	// mask the fault pass hands crashed lanes to StepVec with.
+	// Lane-vectorized stepping state (vec.go): vecAlgo is armed once per
+	// pass by armVec, when the run's algorithm implements VecAlgorithm
+	// and the pass has two or more lanes — the passes then dispatch to
+	// their vec twins, which drive ONE SoA process per node (vprocs,
+	// pooled via vresets/vprocAlgo under the same rules as the scalar
+	// table) through per-worker InboxVec/OutboxVec scratch. wkPrev holds
+	// the pre-step done row a pass diffs new finishes out of; wkMask the
+	// per-node lane mask the fault pass hands crashed lanes to StepVec
+	// with.
 	vecAlgo   VecAlgorithm
 	vprocs    []VecProcess // [v] — one per node, all lanes
 	vresets   []ResetVecProcess
@@ -356,12 +357,27 @@ func (bt *Batch) RunInstances(ins []*lang.Instance, algo MessageAlgorithm, draws
 // streams both slabs every round, so the slabs must stay cache-resident
 // for the batch to win; lane vectors wider than the budget's block run in
 // successive full passes (lanes are independent, so the results are
-// identical either way). With fixed-width message words a slot-lane costs
-// 2×(8·words + 4) bytes instead of the 2×16-byte interface headers the
-// boxed slabs paid (plus their out-of-slab payloads), so the budget was
-// doubled when the wire core landed: far more lanes fit a block, and the
-// blocks they fit in are genuinely the bytes the round loop streams.
-const msgSlabBudget = 256 << 10
+// identical either way). A slot-lane costs 2×(8·words + 4) bytes — 24
+// bytes for the one-word retry coloring of E2, so a ring C_n fits
+// 2^20 / (48n) lanes per pass: 32 (the whole vector) at n = 600, 9 at
+// 2400, 4 at 4800, 2 at 9600, and 1 from n ≈ 11k up.
+//
+// The budget was measured end to end on the mc-slack-sweep benchmark
+// (full-size E2, batch width 32, per-pass vec dispatch) on a shared
+// 2-core Xeon. Five interleaved rounds of 15 s runs at seed 3:
+//
+//	budget      wall_s median (range)   peak_rss_mb median
+//	256 KB      1.90 (1.67–2.10) s      124 MB
+//	1 MB        1.71 (1.33–2.20) s      121 MB
+//	4 MB        1.43 (1.26–2.13) s      136 MB
+//	unbounded   1.60 (1.56–1.67) s      359 MB
+//
+// Six alternating 30 s pairs at seed 5 then put 1 MB and 4 MB level on
+// time (medians 1.31 and 1.34 s) with 4 MB about 10 MB heavier
+// (119–124 against 131–136 MB). 1 MB is the smallest budget that
+// reaches the larger budgets' speed; the unbounded block pays for a
+// 38400-node ring's 32 lanes of slab at once.
+const msgSlabBudget = 1 << 20
 
 // layoutWire computes the wire slab layout of one algorithm over the
 // plan's topology: per-slot word capacities (MsgWords of the sender's
@@ -427,12 +443,21 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 		block = bt.width
 	}
 	bt.block = block
-	// Arm the lane-vectorized path when the algorithm steps SoA lanes
-	// itself: worth it only with lanes to share the hoisted work across
-	// (a width-1 batch — every Engine — stays scalar), and only for
-	// slab-word payloads (ref-carried messages have no lane-major form).
+}
+
+// armVec chooses the stepping path of one pass of k lanes of wa, once
+// the pass's block is fixed: the vector path when wa steps SoA lanes
+// itself and the pass has lanes to share the hoisted per-node work
+// across, the scalar WireProcess path otherwise — every Engine, every
+// one-lane block, and a ragged one-lane tail. A one-lane VecProcess pays
+// the SoA overhead with nothing to amortize it (about 94 against 68 ns
+// per lane-step for retry coloring on C_4800, BenchmarkLaneStep at
+// -cpu 1). Ref-carried payloads (useRefs, from the current layout) have
+// no lane-major form and always step scalar. Both paths are
+// byte-identical, so the choice is invisible in outputs and Stats.
+func (bt *Batch) armVec(wa WireAlgorithm, k int) {
 	bt.vecAlgo = nil
-	if va, ok := wa.(VecAlgorithm); ok && bt.width > 1 && !bt.useRefs {
+	if va, ok := wa.(VecAlgorithm); ok && k >= 2 && !bt.useRefs {
 		bt.vecAlgo = va
 	}
 }
@@ -516,9 +541,9 @@ func (bt *Batch) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
 		return
 	}
 	n := bt.plan.g.N()
-	if bt.tapes == nil {
-		bt.tapes = make([]localrand.Tape, bt.width*n)
-	}
+	// Sized by the pass, not the batch width: a pass holds at most one
+	// block of lanes, and the first pass of a vector is its widest.
+	bt.tapes = sliceFor(bt.tapes, k*n)
 	for b := 0; b < k; b++ {
 		draws[b].TapeVecInto(bt.tapes[b*n:(b+1)*n], src.instance(b).ID)
 	}
@@ -552,6 +577,7 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 	if k > bt.block {
 		return fmt.Errorf("local: %d lanes exceed the %d-lane slab block", k, bt.block)
 	}
+	bt.armVec(wa, k)
 	n := bt.plan.g.N()
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
@@ -938,11 +964,15 @@ func (bt *Batch) ensureWireState() {
 		// later shim run re-allocates them.
 		bt.curRefs, bt.nextRefs = nil, nil
 	}
-	bt.procs = sliceFor(bt.procs, n*B)
-	bt.resets = sliceFor(bt.resets, n*B)
+	// Only the pass's own process table is sized: a vector pass never
+	// touches the n×B scalar table, a scalar pass never the per-node
+	// vector one.
 	if bt.vecAlgo != nil {
 		bt.vprocs = sliceFor(bt.vprocs, n)
 		bt.vresets = sliceFor(bt.vresets, n)
+	} else {
+		bt.procs = sliceFor(bt.procs, n*B)
+		bt.resets = sliceFor(bt.resets, n*B)
 	}
 	bt.done = sliceFor(bt.done, n*B)
 	if bt.alive == nil {

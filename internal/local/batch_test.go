@@ -349,7 +349,7 @@ func TestPlanDistFromCached(t *testing.T) {
 // results must still be per-lane identical to pooled runs (the blocks are
 // stitched in lane order).
 func TestBatchMessageBlocking(t *testing.T) {
-	g := graph.Cycle(1200) // 2400 slots: a 4-lane vector needs 2+ passes
+	g := graph.Cycle(4800) // 9600 slots: a 4-lane vector needs 2+ passes
 	in := mustInstance(t, g)
 	plan, err := NewPlan(g)
 	if err != nil {

@@ -476,15 +476,14 @@ func (s *Sharded) buildLinks() {
 // seedTapes reseeds the first k rows of the shared tape slab — row b
 // holds lane b's per-node tapes under draws[b] — and points src at it;
 // every shard reads the shared slab (a node's tapes are touched only
-// by its owning shard, so the slab needs no further coordination).
+// by its owning shard, so the slab needs no further coordination). Like
+// the batch's, the slab holds one pass, not the whole lane vector.
 func (s *Sharded) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
 	if draws == nil {
 		return
 	}
 	n := s.plan.g.N()
-	if s.tapes == nil {
-		s.tapes = make([]localrand.Tape, s.width*n)
-	}
+	s.tapes = sliceFor(s.tapes, k*n)
 	for b := 0; b < k; b++ {
 		draws[b].TapeVecInto(s.tapes[b*n:(b+1)*n], src.instance(b).ID)
 	}
@@ -618,6 +617,10 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 		}
 	} else {
 		for _, sh := range s.shards {
+			// Arm the stepping path only now that the common block is
+			// imposed and the pass's lane count known: every shard
+			// steps the same path.
+			sh.bt.armVec(wa, k)
 			sh.bt.installFault(eff, chunk, k)
 			sh.ctrl = make(chan shardCmd, 1)
 			go sh.run(s, src, k, wa, ys)

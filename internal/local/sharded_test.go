@@ -210,7 +210,9 @@ func TestShardedValidation(t *testing.T) {
 // through a sharded executor and pins per-lane equivalence — the blocks
 // must stitch in lane order exactly like the unsharded batch's.
 func TestShardedBlockSplitting(t *testing.T) {
-	g := graph.Cycle(4000) // 8000 slots: 2-word wire messages split 8 lanes
+	// 24000 slots: 2-word wire messages split 8 lanes even in each
+	// shard's third of the slabs.
+	g := graph.Cycle(12000)
 	in := mustInstance(t, g)
 	plan := MustPlan(g)
 	bt := plan.NewBatch(8)
@@ -221,6 +223,9 @@ func TestShardedBlockSplitting(t *testing.T) {
 	sh, err := plan.NewSharded(8, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lanes := sh.layoutShards(algo); lanes >= 8 {
+		t.Fatalf("fixture too small: shard block %d does not split 8 lanes", lanes)
 	}
 	space := localrand.NewTapeSpace(97)
 	draws := drawRange(space, 0, 8)

@@ -18,22 +18,25 @@ import "rlnc/internal/localrand"
 // The layering mirrors the wire core exactly:
 //
 //	VecProcess    — SoA per-node state, one Step call across lanes
-//	WireProcess   — the scalar fallback (and the width-1 Engine case)
+//	WireProcess   — the scalar fallback (and every one-lane pass)
 //
 // An algorithm opts in by implementing VecAlgorithm next to its
-// WireAlgorithm; layoutWire arms the vector path when the batch is wider
-// than one lane and the algorithm's payloads are slab words (ref-carried
-// payloads stay scalar). Everything underneath — process-table pooling,
-// the fault pass, sharded windows, sender-side message accounting — is
-// unchanged: the vec passes fill the same lens/word slabs and the same
-// per-worker counter rows the scalar passes do, and the contract is
-// byte-identical outputs and Stats at equal seeds on both paths.
+// WireAlgorithm; armVec arms the vector path per pass, when the pass has
+// two or more lanes and the algorithm's payloads are slab words
+// (ref-carried payloads stay scalar) — a one-lane pass (every Engine, a
+// one-lane slab block, a ragged one-lane tail) steps the scalar
+// WireProcess. Everything underneath —
+// process-table pooling, the fault pass, sharded windows, sender-side
+// message accounting — is unchanged: the vec passes fill the same
+// lens/word slabs and the same per-worker counter rows the scalar passes
+// do, and the contract is byte-identical outputs and Stats at equal
+// seeds on both paths.
 
 // VecAlgorithm is the lane-vectorized extension of a WireAlgorithm: an
 // algorithm that can also step one node's whole lane vector through a
-// single SoA process. Engines use the vector path automatically when the
-// batch has more than one lane; the WireAlgorithm methods remain the
-// scalar fallback (and the width-1 Engine path), and both paths must
+// single SoA process. Executors use the vector path automatically for
+// every pass of two or more lanes; the WireAlgorithm methods step every
+// one-lane pass (the width-1 Engine path included), and both paths must
 // produce byte-identical outputs and Stats at equal seeds.
 type VecAlgorithm interface {
 	WireAlgorithm
@@ -292,7 +295,7 @@ func ScalarOnly(algo MessageAlgorithm) MessageAlgorithm {
 }
 
 // scalarOnly forwards the WireAlgorithm surface and deliberately does
-// not implement VecAlgorithm, so layoutWire never arms the vector path.
+// not implement VecAlgorithm, so no pass ever arms the vector path.
 type scalarOnly struct{ wa WireAlgorithm }
 
 func (a scalarOnly) Name() string                { return a.wa.Name() }

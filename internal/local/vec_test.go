@@ -2,8 +2,10 @@ package local
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"rlnc/internal/graph"
 	"rlnc/internal/localrand"
 )
 
@@ -241,5 +243,160 @@ func TestVecSharded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stepProbe counts which stepping path the passes of a run took: Step
+// calls on scalar WireProcesses, StepVec calls on VecProcesses, and the
+// StepVec calls that stepped fewer than two lanes.
+type stepProbe struct {
+	scalar, vec, vecOneLane atomic.Int64
+}
+
+// probeMix is vecMix with its steps counted into a stepProbe; both
+// paths step exactly as vecMix does.
+type probeMix struct {
+	vecMix
+	p *stepProbe
+}
+
+func (a probeMix) NewProcess() Process { return NewLegacyProcess(a) }
+func (a probeMix) NewWireProcess() WireProcess {
+	return &probeProc{vecMixProc: vecMixProc{rounds: a.rounds}, p: a.p}
+}
+func (a probeMix) NewVecProcess() VecProcess {
+	return &probeVec{vecMixVec: vecMixVec{rounds: a.rounds}, p: a.p}
+}
+
+type probeProc struct {
+	vecMixProc
+	p *stepProbe
+}
+
+func (q *probeProc) Step(round int, in *Inbox, out *Outbox) bool {
+	q.p.scalar.Add(1)
+	return q.vecMixProc.Step(round, in, out)
+}
+
+type probeVec struct {
+	vecMixVec
+	p *stepProbe
+}
+
+func (q *probeVec) StepVec(round int, in *InboxVec, out *OutboxVec, done []bool) {
+	q.p.vec.Add(1)
+	if in.Lanes() < 2 {
+		q.p.vecOneLane.Add(1)
+	}
+	q.vecMixVec.StepVec(round, in, out, done)
+}
+
+// TestVecDispatchPerPass pins the stepping-path choice: it is made per
+// pass by the pass's lane count, not per executor by its width. A
+// one-lane pass — an Engine, a one-lane run on a wide batch, the ragged
+// one-lane tail of a lane vector the slab budget splits — steps the
+// scalar WireProcess; a pass of two or more lanes steps the VecProcess.
+// The sharded case uses an uneven partition whose shards' own slab
+// budgets disagree, so the common block is the smaller shard's, and the
+// tail's scalar steps must match a lone Engine run of the tail lane.
+func TestVecDispatchPerPass(t *testing.T) {
+	space := localrand.NewTapeSpace(71)
+	type want struct{ scalar, vec bool }
+	check := func(t *testing.T, label string, p *stepProbe, w want) {
+		t.Helper()
+		if got := p.scalar.Load() > 0; got != w.scalar {
+			t.Errorf("%s: scalar steps %d, want scalar path %v", label, p.scalar.Load(), w.scalar)
+		}
+		if got := p.vec.Load() > 0; got != w.vec {
+			t.Errorf("%s: vec steps %d, want vec path %v", label, p.vec.Load(), w.vec)
+		}
+		if n := p.vecOneLane.Load(); n != 0 {
+			t.Errorf("%s: %d StepVec calls on a one-lane pass", label, n)
+		}
+	}
+
+	small := mustInstance(t, graph.Cycle(64))
+	plan := MustPlan(small.G)
+	draws := drawRange(space, 0, 5)
+	var p stepProbe
+	if _, err := plan.NewEngine().Run(small, probeMix{vecMix{rounds: 4}, &p}, &draws[0], RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check(t, "engine", &p, want{scalar: true})
+	for _, c := range []struct {
+		k int
+		w want
+	}{{1, want{scalar: true}}, {2, want{vec: true}}, {5, want{vec: true}}} {
+		var p stepProbe
+		if _, err := plan.NewBatch(5).Run(small, probeMix{vecMix{rounds: 4}, &p}, draws[:c.k], RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, fmt.Sprintf("width 5 k %d", c.k), &p, c.w)
+	}
+
+	// C_6000 under 2-word messages: the 1 MB budget fits 2 lanes per
+	// pass, so 5 lanes run as 2 + 2 + 1.
+	big := mustInstance(t, graph.Cycle(6000))
+	plan = MustPlan(big.G)
+	algo := vecMix{rounds: 4}
+	if lanes := plan.NewBatch(5).msgLanesFor(algo); lanes != 2 {
+		t.Fatalf("fixture: block %d, want 2", lanes)
+	}
+	var tail stepProbe
+	if _, err := plan.NewEngine().Run(big, probeMix{algo, &tail}, &draws[4], RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]*Result, 5)
+	for b := range ref {
+		r, err := plan.NewEngine().Run(big, algo, &draws[b], RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[b] = r
+	}
+	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 5000, 6000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]int, len(sh.shards))
+	for i, s := range sh.shards {
+		blocks[i] = s.bt.msgLanesFor(algo)
+	}
+	if blocks[0] != 2 || blocks[1] <= 2 {
+		t.Fatalf("fixture: shard blocks %v, want the big shard at 2 and the small one above", blocks)
+	}
+	runs := []struct {
+		name string
+		run  func(MessageAlgorithm, []localrand.Draw) ([]*Result, error)
+	}{
+		{"batch", func(a MessageAlgorithm, d []localrand.Draw) ([]*Result, error) {
+			return plan.NewBatch(5).Run(big, a, d, RunOptions{})
+		}},
+		{"sharded", func(a MessageAlgorithm, d []localrand.Draw) ([]*Result, error) {
+			return sh.Run(big, a, d, RunOptions{})
+		}},
+	}
+	for _, r := range runs {
+		for _, c := range []struct {
+			k int
+			w want
+		}{{5, want{scalar: true, vec: true}}, {4, want{vec: true}}} {
+			var p stepProbe
+			got, err := r.run(probeMix{algo, &p}, draws[:c.k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s C_6000 k %d", r.name, c.k)
+			check(t, label, &p, c.w)
+			if c.w.scalar && p.scalar.Load() != tail.scalar.Load() {
+				t.Errorf("%s: %d scalar steps, want the tail lane's %d", label, p.scalar.Load(), tail.scalar.Load())
+			}
+			for b := range got {
+				expectSameResult(t, fmt.Sprintf("%s lane %d", label, b), ref[b], got[b])
+			}
+		}
+	}
+	if sh.block != 2 {
+		t.Errorf("sharded block %d, want the big shard's 2", sh.block)
 	}
 }

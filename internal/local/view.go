@@ -114,11 +114,12 @@
 // BroadcastRow, BroadcastRow2) — so the port→slot lookup, base-offset
 // arithmetic, and decode validation hoist out of the per-lane loop and
 // the inner loop walks the adjacent memory the slot-major layout
-// already provides. A Batch dispatches to the vector path when the
-// algorithm implements VecAlgorithm and the width exceeds one on the
-// wire (non-boxed) path; the scalar per-lane path remains the fallback
-// and the width-1 Engine case, and ScalarOnly wraps an algorithm to
-// force it — the differential suites pin both paths byte-identical.
+// already provides. A pass dispatches to the vector path when the
+// algorithm implements VecAlgorithm on the wire (non-boxed) path and the
+// pass has two or more lanes; the scalar per-lane path steps every
+// one-lane pass (the Engine case included), and ScalarOnly wraps an
+// algorithm to force it — the differential suites pin both paths
+// byte-identical.
 //
 // The VecProcess contract mirrors the scalar one per lane, with three
 // SoA-specific rules. State rule: all per-lane state lives in slices

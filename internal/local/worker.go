@@ -510,6 +510,7 @@ func (w *shardWorker) beginRun(rs *runSpec) {
 		return
 	}
 	bt.block = int(rs.Block)
+	bt.armVec(j.wa, k)
 	run.k = k
 	if len(rs.Lane) != k {
 		run.errText = fmt.Sprintf("local: %d lane indices for %d lanes", len(rs.Lane), k)

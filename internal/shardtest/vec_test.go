@@ -200,3 +200,88 @@ func TestVecMatchesScalarSharded(t *testing.T) {
 		}
 	}
 }
+
+// laneBlock derives the lane block of one message pass from the
+// exported slab accounting: a pass of width w streams perLane·block
+// bytes, and a width-1 executor's block is 1.
+func laneBlock(width1, widthK int) int { return widthK / width1 }
+
+// TestVecBlockSplitting pins the per-pass stepping choice on the real
+// vector algorithms: on C_4800 the 1 MB slab budget splits a 13-lane
+// vector of one-word messages into blocks of 4 + 4 + 4 + 1, so the full
+// blocks step the vector path and the one-lane tail the scalar one.
+// Every lane — outputs and Stats — must match a per-lane Engine run and
+// the ScalarOnly batch. The sharded half cuts the ring unevenly, so the
+// shards' own budgets disagree and the orchestrator imposes the big
+// shard's smaller block (6 + 6 + 1) on both.
+func TestVecBlockSplitting(t *testing.T) {
+	const K = 13
+	in := Instance(t, graph.Cycle(4800))
+	plan := local.MustPlan(in.G)
+	part := graph.Partition{Bounds: []int32{0, 3600, 4800}}
+	sh, err := plan.NewShardedPartition(K, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh1, err := plan.NewShardedPartition(1, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := localrand.NewTapeSpace(9001)
+	draws := make([]localrand.Draw, K)
+	for i := range draws {
+		draws[i] = space.Draw(uint64(i))
+	}
+	ins := make([]*lang.Instance, K)
+	for i := range ins {
+		ins[i] = in
+	}
+	for _, c := range []vecCase{
+		{construct.RetryMessage(3, 5), true, nil},
+		{construct.ColeVishkin{MaxIDBits: 13}, false, nil},
+	} {
+		t.Run(c.algo.Name(), func(t *testing.T) {
+			vecBt, sclBt := plan.NewBatch(K), plan.NewBatch(K)
+			if b := laneBlock(plan.NewBatch(1).SlabBytesFor(c.algo), vecBt.SlabBytesFor(c.algo)); b != 4 {
+				t.Fatalf("fixture: batch block %d, want 4", b)
+			}
+			one, all := sh1.ShardSlabBytes(c.algo), sh.ShardSlabBytes(c.algo)
+			if b0, b1 := laneBlock(one[0], all[0]), laneBlock(one[1], all[1]); b0 != 6 || b1 <= b0 {
+				t.Fatalf("fixture: shard blocks %d and %d, want 6 and more", b0, b1)
+			}
+			run := func(x interface {
+				Run(*lang.Instance, local.MessageAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+				RunInstances([]*lang.Instance, local.MessageAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+			}, algo local.MessageAlgorithm) []*local.Result {
+				var rs []*local.Result
+				var err error
+				if c.random {
+					rs, err = x.Run(in, algo, draws, local.RunOptions{})
+				} else {
+					rs, err = x.RunInstances(ins, algo, nil, local.RunOptions{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rs
+			}
+			scalar := run(sclBt, local.ScalarOnly(c.algo))
+			vec := run(vecBt, c.algo)
+			sharded := run(sh, c.algo)
+			eng := plan.NewEngine()
+			for b := 0; b < K; b++ {
+				var draw *localrand.Draw
+				if c.random {
+					draw = &draws[b]
+				}
+				want, err := eng.Run(in, c.algo, draw, local.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				expectSame(t, fmt.Sprintf("scalar lane %d", b), want, scalar[b])
+				expectSame(t, fmt.Sprintf("batch lane %d", b), want, vec[b])
+				expectSame(t, fmt.Sprintf("sharded lane %d", b), want, sharded[b])
+			}
+		})
+	}
+}
