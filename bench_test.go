@@ -378,7 +378,7 @@ func BenchmarkLaneStep(b *testing.B) {
 // BenchmarkStepLubyScalar has no Vec twin: Luby's MIS steps only through
 // its scalar WireProcess. Both sides are asserted byte-identical before
 // timing.
-func benchStepPath(b *testing.B, wa local.MessageAlgorithm, in *lang.Instance, random, scalar bool) {
+func benchStepPath(b *testing.B, wa local.WireAlgorithm, in *lang.Instance, random, scalar bool) {
 	const width = 32
 	algo := wa
 	if scalar {
@@ -392,7 +392,7 @@ func benchStepPath(b *testing.B, wa local.MessageAlgorithm, in *lang.Instance, r
 	for i := range ins {
 		ins[i] = in
 	}
-	run := func(bt *local.Batch, a local.MessageAlgorithm, draws []localrand.Draw) []*local.Result {
+	run := func(bt *local.Batch, a local.WireAlgorithm, draws []localrand.Draw) []*local.Result {
 		var res []*local.Result
 		var err error
 		if random {
@@ -607,44 +607,11 @@ func benchMessageFixture(b *testing.B) (*lang.Instance, construct.LubyMIS, *loca
 
 // benchMessagePath measures one trial of a message algorithm per draw,
 // run `width` lanes at a time through a Batch (width 1 = pooled Engine
-// shape). Reported time/op is per trial. The boxed variant runs the very
-// same algorithm through local.Boxed — the legacy []Message transport —
-// after asserting byte-identical outputs and Stats at equal seeds, so
-// the wire/boxed ratio is the speedup of the wire message core alone.
-func benchMessagePath(b *testing.B, width int, boxed bool) {
-	in, wa, space := benchMessageFixture(b)
-	plan := local.MustPlan(in.G)
-	bt := plan.NewBatch(width)
-	var algo local.MessageAlgorithm = wa
-	if boxed {
-		algo = local.Boxed(wa)
-	}
-
-	// Equivalence gate: every lane of the boxed and wire paths must agree
-	// byte for byte, Stats included, before either is timed.
+// shape). Reported time/op is per trial.
+func benchMessagePath(b *testing.B, width int) {
+	in, algo, space := benchMessageFixture(b)
+	bt := local.MustPlan(in.G).NewBatch(width)
 	draws := make([]localrand.Draw, width)
-	for i := range draws {
-		draws[i] = space.Draw(uint64(i))
-	}
-	wireRes, err := bt.Run(in, wa, draws, local.RunOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	boxedRes, err := bt.Run(in, local.Boxed(wa), draws, local.RunOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range draws {
-		if wireRes[i].Stats != boxedRes[i].Stats {
-			b.Fatalf("lane %d: wire Stats %+v != boxed Stats %+v", i, wireRes[i].Stats, boxedRes[i].Stats)
-		}
-		for v := range wireRes[i].Y {
-			if string(wireRes[i].Y[v]) != string(boxedRes[i].Y[v]) {
-				b.Fatalf("lane %d node %d: wire output differs from boxed", i, v)
-			}
-		}
-	}
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += width {
@@ -661,14 +628,10 @@ func benchMessagePath(b *testing.B, width int, boxed bool) {
 	}
 }
 
-// BenchmarkMessageWire{1,32} vs BenchmarkMessageBoxed{1,32}: the
-// acceptance pair of the wire-format PR — at width 32 the wire path must
-// show ≥ 1.5× trials/sec over the boxed path on the same graph at
-// byte-identical outputs and Stats (asserted above before timing).
-func BenchmarkMessageWire1(b *testing.B)   { benchMessagePath(b, 1, false) }
-func BenchmarkMessageWire32(b *testing.B)  { benchMessagePath(b, 32, false) }
-func BenchmarkMessageBoxed1(b *testing.B)  { benchMessagePath(b, 1, true) }
-func BenchmarkMessageBoxed32(b *testing.B) { benchMessagePath(b, 32, true) }
+// BenchmarkMessageWire{1,32}: Luby's MIS trials through the wire message
+// core at the Engine shape (width 1) and a full lane vector (width 32).
+func BenchmarkMessageWire1(b *testing.B)  { benchMessagePath(b, 1) }
+func BenchmarkMessageWire32(b *testing.B) { benchMessagePath(b, 32) }
 
 // BenchmarkMessageEngineReuse measures the message-passing engine with
 // slab reuse (compare BenchmarkRoundEngine, which is single-shot).

@@ -90,9 +90,6 @@ func (cv ColeVishkin) NewWireProcess() local.WireProcess {
 	return &cvProc{reductions: ReductionRounds(cv.MaxIDBits)}
 }
 
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (cv ColeVishkin) NewProcess() local.Process { return local.NewLegacyProcess(cv) }
-
 type cvProc struct {
 	reductions int
 	color      uint64

@@ -54,9 +54,9 @@ func (r RetryColoring) message() MessageConstruction {
 }
 
 // RetryMessage exposes the retry coloring's message-passing core as a
-// local.MessageAlgorithm (it is also a WireAlgorithm), for harnesses
-// that drive engines directly — the shard-equivalence suite above all.
-func RetryMessage(q, t int) local.MessageAlgorithm { return retryAlgo{q: q, t: t} }
+// local.WireAlgorithm, for harnesses that drive engines directly — the
+// shard-equivalence suite above all.
+func RetryMessage(q, t int) local.WireAlgorithm { return retryAlgo{q: q, t: t} }
 
 type retryAlgo struct{ q, t int }
 
@@ -69,9 +69,6 @@ func (a retryAlgo) MsgWords(int) int { return 1 }
 func (a retryAlgo) NewWireProcess() local.WireProcess {
 	return &retryProc{q: a.q, t: a.t}
 }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (a retryAlgo) NewProcess() local.Process { return local.NewLegacyProcess(a) }
 
 type retryProc struct {
 	q, t  int

@@ -117,7 +117,7 @@ func (a ViewConstruction) runInstances(x Exec, ins []*lang.Instance, draws []loc
 
 // MessageConstruction adapts a message-passing algorithm.
 type MessageConstruction struct {
-	Algo local.MessageAlgorithm
+	Algo local.WireAlgorithm
 	Opts local.RunOptions
 }
 

@@ -18,7 +18,7 @@ type GreedyMISFromColoring struct {
 	Q int
 }
 
-// Name implements local.MessageAlgorithm.
+// Name implements local.WireAlgorithm.
 func (g GreedyMISFromColoring) Name() string { return fmt.Sprintf("greedy-mis-from-%d-coloring", g.Q) }
 
 // MsgWords implements local.WireAlgorithm: the only message is the
@@ -27,9 +27,6 @@ func (g GreedyMISFromColoring) MsgWords(int) int { return 0 }
 
 // NewWireProcess implements local.WireAlgorithm.
 func (g GreedyMISFromColoring) NewWireProcess() local.WireProcess { return &greedyMISProc{q: g.Q} }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (g GreedyMISFromColoring) NewProcess() local.Process { return local.NewLegacyProcess(g) }
 
 type greedyMISProc struct {
 	q       int

@@ -106,7 +106,7 @@ type LinialReduction struct {
 	TargetColors int
 }
 
-// Name implements local.MessageAlgorithm.
+// Name implements local.WireAlgorithm.
 func (l LinialReduction) Name() string {
 	return fmt.Sprintf("linial-reduction(Δ=%d, target=%d)", l.MaxDegree, l.TargetColors)
 }
@@ -163,9 +163,6 @@ func (l LinialReduction) MsgWords(int) int { return 1 }
 func (l LinialReduction) NewWireProcess() local.WireProcess {
 	return &linialProc{cfg: l, steps: l.schedule()}
 }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (l LinialReduction) NewProcess() local.Process { return local.NewLegacyProcess(l) }
 
 type linialProc struct {
 	cfg   LinialReduction

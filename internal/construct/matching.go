@@ -20,7 +20,7 @@ import (
 // the matched edge, or the unmatched sentinel.
 type EdgeLubyMatching struct{}
 
-// Name implements local.MessageAlgorithm.
+// Name implements local.WireAlgorithm.
 func (EdgeLubyMatching) Name() string { return "edge-luby-matching" }
 
 // MsgWords implements local.WireAlgorithm: the widest message is a share
@@ -30,9 +30,6 @@ func (EdgeLubyMatching) MsgWords(degree int) int { return 3 * degree }
 
 // NewWireProcess implements local.WireAlgorithm.
 func (EdgeLubyMatching) NewWireProcess() local.WireProcess { return &matchProc{} }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (EdgeLubyMatching) NewProcess() local.Process { return local.NewLegacyProcess(EdgeLubyMatching{}) }
 
 // matchVal totally orders edges: random word, then the drawing endpoint's
 // identity and port for tie-breaking.

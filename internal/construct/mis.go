@@ -14,7 +14,7 @@ import (
 // who drop out. The output marks members with the selection byte.
 type LubyMIS struct{}
 
-// Name implements local.MessageAlgorithm.
+// Name implements local.WireAlgorithm.
 func (LubyMIS) Name() string { return "luby-mis" }
 
 // MsgWords implements local.WireAlgorithm: a value message is two words
@@ -23,9 +23,6 @@ func (LubyMIS) MsgWords(int) int { return 2 }
 
 // NewWireProcess implements local.WireAlgorithm.
 func (LubyMIS) NewWireProcess() local.WireProcess { return &lubyProc{} }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (LubyMIS) NewProcess() local.Process { return local.NewLegacyProcess(LubyMIS{}) }
 
 type lubyStatus int
 

@@ -30,7 +30,7 @@ type MoserTardosLLL struct {
 	Phases int
 }
 
-// Name implements local.MessageAlgorithm.
+// Name implements local.WireAlgorithm.
 func (m MoserTardosLLL) Name() string { return fmt.Sprintf("moser-tardos-lll(phases=%d)", m.Phases) }
 
 // MsgWords implements local.WireAlgorithm: the widest message is the
@@ -41,9 +41,6 @@ func (m MoserTardosLLL) MsgWords(degree int) int { return degree + 1 }
 
 // NewWireProcess implements local.WireAlgorithm.
 func (m MoserTardosLLL) NewWireProcess() local.WireProcess { return &mtProc{phases: m.Phases} }
-
-// NewProcess implements the legacy local.MessageAlgorithm interface.
-func (m MoserTardosLLL) NewProcess() local.Process { return local.NewLegacyProcess(m) }
 
 // Wire codec. The four-round phase schedule determines the message kind:
 // bit broadcasts (one word, 0 or 1) arrive in phase round 1, violated

@@ -14,25 +14,25 @@ import (
 // the same binary, so the mapping cannot skew.
 
 func init() {
-	local.RegisterRemoteAlgorithm("retry-coloring", func(p []int64) (local.MessageAlgorithm, error) {
+	local.RegisterRemoteAlgorithm("retry-coloring", func(p []int64) (local.WireAlgorithm, error) {
 		if len(p) != 2 {
 			return nil, fmt.Errorf("construct: retry-coloring wants (q, t), got %d params", len(p))
 		}
 		return retryAlgo{q: int(p[0]), t: int(p[1])}, nil
 	})
-	local.RegisterRemoteAlgorithm("luby-mis", func(p []int64) (local.MessageAlgorithm, error) {
+	local.RegisterRemoteAlgorithm("luby-mis", func(p []int64) (local.WireAlgorithm, error) {
 		return LubyMIS{}, nil
 	})
-	local.RegisterRemoteAlgorithm("edge-luby-matching", func(p []int64) (local.MessageAlgorithm, error) {
+	local.RegisterRemoteAlgorithm("edge-luby-matching", func(p []int64) (local.WireAlgorithm, error) {
 		return EdgeLubyMatching{}, nil
 	})
-	local.RegisterRemoteAlgorithm("cole-vishkin", func(p []int64) (local.MessageAlgorithm, error) {
+	local.RegisterRemoteAlgorithm("cole-vishkin", func(p []int64) (local.WireAlgorithm, error) {
 		if len(p) != 1 {
 			return nil, fmt.Errorf("construct: cole-vishkin wants (maxIDBits), got %d params", len(p))
 		}
 		return ColeVishkin{MaxIDBits: int(p[0])}, nil
 	})
-	local.RegisterRemoteAlgorithm("greedy-mis-from-coloring", func(p []int64) (local.MessageAlgorithm, error) {
+	local.RegisterRemoteAlgorithm("greedy-mis-from-coloring", func(p []int64) (local.WireAlgorithm, error) {
 		if len(p) != 1 {
 			return nil, fmt.Errorf("construct: greedy-mis wants (q), got %d params", len(p))
 		}

@@ -48,7 +48,7 @@ func TestResetProcessReuseByteIdentical(t *testing.T) {
 	}
 
 	cases := []struct {
-		algo   local.MessageAlgorithm
+		algo   local.WireAlgorithm
 		in     *lang.Instance
 		random bool
 	}{

@@ -13,9 +13,7 @@ import (
 // This file pins the wire codecs of the migrated message algorithms:
 // decode(encode(msg)) == msg through the exact Outbox/Inbox machinery
 // the engine uses (local.NewLoopback), malformed payload rejection, and
-// transport equivalence — every algorithm must produce byte-identical
-// outputs and Stats natively (words in the slabs) and through
-// local.Boxed (the legacy boxed transport).
+// the MsgWords bounds. End-to-end outputs are pinned by digest_test.go.
 
 // FuzzLubyValCodec: two-word value messages round-trip; any other
 // payload length is rejected.
@@ -212,126 +210,6 @@ func TestGreedyJoinCodec(t *testing.T) {
 	}
 }
 
-// TestConstructWireMatchesBoxed pins transport equivalence for every
-// migrated algorithm: native wire execution and the boxed legacy
-// transport must produce byte-identical outputs and identical Stats at
-// equal seeds.
-func TestConstructWireMatchesBoxed(t *testing.T) {
-	ring := func(t *testing.T, n int) *lang.Instance {
-		t.Helper()
-		in, err := lang.NewInstance(graph.Cycle(n), lang.EmptyInputs(n), ids.RandomPerm(n, 13))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	regular := func(t *testing.T, n, d int) *lang.Instance {
-		t.Helper()
-		g, err := graph.RandomRegular(n, d, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := lang.NewInstance(g, lang.EmptyInputs(n), ids.RandomPerm(n, 13))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	// Greedy MIS needs a proper coloring as input: color cycle nodes by
-	// index mod 3 (proper on C_9 because 9 % 3 == 0).
-	colored := func(t *testing.T, n, q int) *lang.Instance {
-		t.Helper()
-		x := make([][]byte, n)
-		for v := range x {
-			x[v] = lang.EncodeColor(v % q)
-		}
-		in, err := lang.NewInstance(graph.Cycle(n), x, ids.RandomPerm(n, 13))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-
-	type wireMsgAlgo interface {
-		local.MessageAlgorithm
-		local.WireAlgorithm
-	}
-	cases := []struct {
-		algo   wireMsgAlgo
-		in     *lang.Instance
-		random bool
-	}{
-		{retryAlgo{q: 3, t: 4}, ring(t, 30), true},
-		{ColeVishkin{MaxIDBits: 8}, ring(t, 30), false},
-		{LinialReduction{MaxDegree: 2, MaxIDBits: 8, TargetColors: 3}, ring(t, 30), false},
-		{GreedyMISFromColoring{Q: 3}, colored(t, 9, 3), false},
-		{LubyMIS{}, regular(t, 32, 4), true},
-		{EdgeLubyMatching{}, regular(t, 32, 4), true},
-		{MoserTardosLLL{Phases: 3}, regular(t, 32, 4), true},
-	}
-	space := localrand.NewTapeSpace(31)
-	for _, tc := range cases {
-		t.Run(tc.algo.Name(), func(t *testing.T) {
-			for trial := 0; trial < 3; trial++ {
-				var draw *localrand.Draw
-				if tc.random {
-					d := space.Draw(uint64(trial))
-					draw = &d
-				}
-				wire, err := local.RunMessage(tc.in, tc.algo, draw, local.RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				boxed, err := local.RunMessage(tc.in, local.Boxed(tc.algo), draw, local.RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wire.Stats != boxed.Stats {
-					t.Fatalf("trial %d: wire Stats %+v != boxed Stats %+v", trial, wire.Stats, boxed.Stats)
-				}
-				for v := range wire.Y {
-					if string(wire.Y[v]) != string(boxed.Y[v]) {
-						t.Fatalf("trial %d node %d: wire %v vs boxed %v", trial, v, wire.Y[v], boxed.Y[v])
-					}
-				}
-				if !tc.random {
-					break
-				}
-			}
-		})
-	}
-
-	// Batched lanes of a randomized wire algorithm against the boxed
-	// transport, covering the [slot][lane] word layout at width > 1.
-	in := regular(t, 32, 4)
-	plan := local.MustPlan(in.G)
-	bt := plan.NewBatch(4)
-	draws := make([]localrand.Draw, 4)
-	for i := range draws {
-		draws[i] = space.Draw(uint64(100 + i))
-	}
-	for _, algo := range []wireMsgAlgo{LubyMIS{}, EdgeLubyMatching{}, MoserTardosLLL{Phases: 2}} {
-		wireLanes, err := bt.Run(in, algo, draws, local.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		boxedLanes, err := bt.Run(in, local.Boxed(algo), draws, local.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b := range draws {
-			if wireLanes[b].Stats != boxedLanes[b].Stats {
-				t.Fatalf("%s lane %d: wire Stats %+v != boxed Stats %+v", algo.Name(), b, wireLanes[b].Stats, boxedLanes[b].Stats)
-			}
-			for v := range wireLanes[b].Y {
-				if string(wireLanes[b].Y[v]) != string(boxedLanes[b].Y[v]) {
-					t.Fatalf("%s lane %d node %d: outputs differ", algo.Name(), b, v)
-				}
-			}
-		}
-	}
-}
-
 // TestMsgWordsBounds pins that every migrated algorithm's MsgWords is a
 // true upper bound on an adversarially busy fixture: runs panic inside
 // the engine if a message overflows its slot, so completing cleanly is
@@ -345,7 +223,7 @@ func TestMsgWordsBounds(t *testing.T) {
 	space := localrand.NewTapeSpace(41)
 	for trial := 0; trial < 5; trial++ {
 		draw := space.Draw(uint64(trial))
-		for _, algo := range []local.MessageAlgorithm{LubyMIS{}, EdgeLubyMatching{}, MoserTardosLLL{Phases: 4}} {
+		for _, algo := range []local.WireAlgorithm{LubyMIS{}, EdgeLubyMatching{}, MoserTardosLLL{Phases: 4}} {
 			if _, err := local.RunMessage(in, algo, &draw, local.RunOptions{}); err != nil {
 				t.Fatalf("%s: %v", algo.Name(), err)
 			}

@@ -13,7 +13,7 @@ import (
 // viewed as an algorithm in which every node outputs after having
 // inspected its t-neighborhood"):
 //
-//   - FullInfo turns a radius-t ViewAlgorithm into a MessageAlgorithm that
+//   - FullInfo turns a radius-t ViewAlgorithm into a WireAlgorithm that
 //     runs in exactly t communication rounds by gossiping node records.
 //     The reconstruction recovers B_G(v,t) exactly — the frontier-edge
 //     exclusion in the ball definition is precisely the information that
@@ -23,7 +23,7 @@ import (
 //     so reconstructed frontier ports are marked unknown (-1). Algorithms
 //     that need frontier port order need radius t+1.
 //
-//   - MessageAsView turns a t-round MessageAlgorithm into a ViewAlgorithm
+//   - MessageAsView turns a t-round WireAlgorithm into a ViewAlgorithm
 //     of radius t+1 by simulating the execution inside the ball: all nodes
 //     at distance <= t have their exact host degree and port order inside
 //     B(v,t+1), and information from beyond distance t+1 cannot reach the
@@ -67,10 +67,11 @@ type gossip struct {
 // reference through the engine's ref slab rather than as slab words: the
 // gossip records of a full-information protocol are unbounded (whole
 // neighborhoods, inputs, tapes), so a fixed-width encoding would have to
-// reserve worst-case ball-sized capacity on every directed slot. The ref
-// lane keeps the old sharing behavior — one gossip record fanned out to
-// every port is a single boxed value — at the old allocation profile.
-func FullInfo(algo ViewAlgorithm) MessageAlgorithm {
+// reserve worst-case ball-sized capacity on every directed slot. One
+// gossip record fanned out to every port is a single shared value. It is
+// the only algorithm on the ref lane, and the lane is in-process only:
+// over a byte-stream shard link its runs fail with ErrRefsNotPortable.
+func FullInfo(algo ViewAlgorithm) WireAlgorithm {
 	return &fullInfoAlgo{inner: algo}
 }
 
@@ -88,9 +89,6 @@ func (a *fullInfoAlgo) wireRefs() {}
 func (a *fullInfoAlgo) NewWireProcess() WireProcess {
 	return &fullInfoProc{algo: a.inner, t: a.inner.Radius()}
 }
-
-// NewProcess implements the legacy MessageAlgorithm interface.
-func (a *fullInfoAlgo) NewProcess() Process { return NewLegacyProcess(a) }
 
 type fullInfoProc struct {
 	algo ViewAlgorithm
@@ -117,7 +115,7 @@ func (p *fullInfoProc) Start(info NodeInfo, out *Outbox) {
 	if p.t == 0 {
 		return
 	}
-	// Round 1: announce self to all ports (one boxed record, shared).
+	// Round 1: announce self to all ports (one record, shared).
 	self := Message(p.basics[info.ID])
 	for port := 0; port < info.Degree; port++ {
 		out.sendRef(port, self)
@@ -180,7 +178,7 @@ func (p *fullInfoProc) Step(round int, in *Inbox, out *Outbox) bool {
 		p.output = p.algo.Output(p.reconstruct())
 		return true
 	}
-	// Flood the newly learned records (one boxed gossip value, shared).
+	// Flood the newly learned records (one gossip value, shared).
 	if len(p.pendRecs) > 0 || len(p.pendBasics) > 0 {
 		g := Message(gossip{recs: p.pendRecs, basics: p.pendBasics})
 		for port := 0; port < p.info.Degree; port++ {
@@ -299,12 +297,12 @@ func (p *fullInfoProc) reconstruct() *View {
 
 // MessageAsView adapts a fixed-round message-passing algorithm to the
 // ball-view interface with radius rounds+1.
-func MessageAsView(algo MessageAlgorithm, rounds int) ViewAlgorithm {
+func MessageAsView(algo WireAlgorithm, rounds int) ViewAlgorithm {
 	return &msgViewAlgo{inner: algo, rounds: rounds}
 }
 
 type msgViewAlgo struct {
-	inner  MessageAlgorithm
+	inner  WireAlgorithm
 	rounds int
 }
 
@@ -314,13 +312,15 @@ func (a *msgViewAlgo) Radius() int { return a.rounds + 1 }
 
 func (a *msgViewAlgo) Output(v *View) []byte {
 	if a.rounds == 0 {
-		// Zero-round algorithms fix their output in Start.
-		proc := a.inner.NewProcess()
+		// Zero-round algorithms fix their output in Start; whatever they
+		// stage for round 1 is never delivered.
+		proc := a.inner.NewWireProcess()
 		info := NodeInfo{ID: v.IDs[0], Degree: v.Degree(), Input: v.X[0]}
 		if v.TapeFor != nil {
 			info.Tape = v.TapeFor(0)
 		}
-		proc.Start(info)
+		out, _ := NewLoopback(info.Degree, a.inner.MsgWords(info.Degree))
+		proc.Start(info, out)
 		return proc.Output()
 	}
 	// Run the message algorithm on the ball as a standalone network for

@@ -124,9 +124,8 @@ func TestEngineReuseCutsAllocs(t *testing.T) {
 // floors below measure the round kernel, not the fixture's encoder.
 type staticOutMix struct{ rounds int }
 
-func (a staticOutMix) Name() string        { return fmt.Sprintf("static-out-mix(%d)", a.rounds) }
-func (a staticOutMix) MsgWords(d int) int  { return wireMix{}.MsgWords(d) }
-func (a staticOutMix) NewProcess() Process { return NewLegacyProcess(a) }
+func (a staticOutMix) Name() string       { return fmt.Sprintf("static-out-mix(%d)", a.rounds) }
+func (a staticOutMix) MsgWords(d int) int { return wireMix{}.MsgWords(d) }
 func (a staticOutMix) NewWireProcess() WireProcess {
 	return &staticOutProc{wireMixProc{rounds: a.rounds}}
 }
@@ -203,8 +202,7 @@ func TestSteadyStateAllocFloors(t *testing.T) {
 // the vec round kernel rather than the fixture's encoder.
 type staticVecMix struct{ vecMix }
 
-func (a staticVecMix) Name() string        { return fmt.Sprintf("static-vec-mix(%d)", a.rounds) }
-func (a staticVecMix) NewProcess() Process { return NewLegacyProcess(a) }
+func (a staticVecMix) Name() string { return fmt.Sprintf("static-vec-mix(%d)", a.rounds) }
 func (a staticVecMix) NewWireProcess() WireProcess {
 	return &staticVecMixProc{vecMixProc{rounds: a.rounds}}
 }
@@ -274,9 +272,8 @@ func TestVecAllocFloors(t *testing.T) {
 // ResetProcess extension: the pooling gate's control group.
 type stripReset struct{ inner WireAlgorithm }
 
-func (a stripReset) Name() string        { return a.inner.Name() }
-func (a stripReset) MsgWords(d int) int  { return a.inner.MsgWords(d) }
-func (a stripReset) NewProcess() Process { return NewLegacyProcess(a) }
+func (a stripReset) Name() string       { return a.inner.Name() }
+func (a stripReset) MsgWords(d int) int { return a.inner.MsgWords(d) }
 func (a stripReset) NewWireProcess() WireProcess {
 	return plainProc{a.inner.NewWireProcess()}
 }
@@ -320,7 +317,7 @@ func TestProcessPoolingCutsAllocs(t *testing.T) {
 	}
 
 	trial := 0
-	measure := func(bt *Batch, a MessageAlgorithm) float64 {
+	measure := func(bt *Batch, a WireAlgorithm) float64 {
 		draws := make([]localrand.Draw, width)
 		run := func() {
 			for i := range draws {

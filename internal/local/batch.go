@@ -323,7 +323,7 @@ func (bt *Batch) checkInstance(in *lang.Instance) error {
 // len(draws) may be any 1..Width(). Results live in the batch's
 // double-buffered output arena: they stay valid while the next run on
 // this batch executes and are overwritten by the run after that.
-func (bt *Batch) Run(in *lang.Instance, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	if err := bt.lanes(len(draws)); err != nil {
 		return nil, err
 	}
@@ -337,7 +337,7 @@ func (bt *Batch) Run(in *lang.Instance, algo MessageAlgorithm, draws []localrand
 // lane b executes ins[b] under draws[b]. A nil draws runs every lane
 // deterministically; otherwise len(draws) must equal len(ins). Pipelines
 // use this form — after the first stage, each lane carries its own inputs.
-func (bt *Batch) RunInstances(ins []*lang.Instance, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+func (bt *Batch) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	if err := bt.lanes(len(ins)); err != nil {
 		return nil, err
 	}
@@ -468,8 +468,8 @@ func (bt *Batch) armVec(wa WireAlgorithm, k int) {
 // slot space. It computes the algorithm's layout as a side effect, like
 // a run would. The sharded compaction gate compares per-shard windows
 // against the full batch through it.
-func (bt *Batch) SlabBytesFor(algo MessageAlgorithm) int {
-	bt.layoutWire(wireOf(algo))
+func (bt *Batch) SlabBytesFor(algo WireAlgorithm) int {
+	bt.layoutWire(algo)
 	return bt.slabBytes()
 }
 
@@ -486,8 +486,8 @@ func (bt *Batch) slabBytes() int {
 // msgLanesFor returns the lane count of one message pass of algo — how
 // many lanes of a wide vector share one round loop before the slab
 // budget forces a new pass.
-func (bt *Batch) msgLanesFor(algo MessageAlgorithm) int {
-	bt.layoutWire(wireOf(algo))
+func (bt *Batch) msgLanesFor(algo WireAlgorithm) int {
+	bt.layoutWire(algo)
 	return bt.block
 }
 
@@ -507,8 +507,8 @@ func sliceFor[T any](s []T, n int) []T {
 // outputs land in one arena buffer, so the arena alternates per
 // top-level run, not per block — a multi-block run never clobbers its
 // own earlier blocks.
-func (bt *Batch) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	wa := bt.prepareWire(algo)
+func (bt *Batch) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	bt.layoutWire(wa)
 	n := bt.plan.g.N()
 	ar := bt.outs.next(k, n)
 	for lo := 0; lo < k; lo += bt.block {
@@ -550,29 +550,17 @@ func (bt *Batch) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
 	src.tapes, src.tlo, src.tn = bt.tapes, 0, n
 }
 
-// prepareWire resolves an algorithm onto the wire core (wireOf) and
-// computes its slab layout; callers hand the returned algorithm to
-// runVec, which assumes the layout is current — runBlocks prepares once
-// and reuses the layout across every block of a wide lane vector.
-func (bt *Batch) prepareWire(algo MessageAlgorithm) WireAlgorithm {
-	wa := wireOf(algo)
-	bt.layoutWire(wa)
-	return wa
-}
-
 // runVec is the batched round-loop core shared by every execution path:
 // Engine.Run and the single-shot wrappers are the k = 1 case. src
 // supplies lane instances and tapes (the caller has validated all lanes
 // against the plan), draws carries the lanes' draw identities (read
-// only by the fault seam; nil for deterministic lanes), and wa comes
-// from prepareWire on this batch (the slab layout must be current).
-// ys/res/out are the run's arena destinations — k*n output cells, k
-// Result values, k result pointers — typically one block's slices of a
-// runBlocks-level arena buffer. The loop runs on the wire core: native
-// WireAlgorithms stage fixed-width words straight into the send slabs
-// and the steady-state round costs zero allocations; legacy algorithms
-// run through the boxing shim on the identical loop with their payloads
-// carried by the ref slabs.
+// only by the fault seam; nil for deterministic lanes), and wa's slab
+// layout must be current on this batch (layoutWire). ys/res/out are the
+// run's arena destinations — k*n output cells, k Result values, k result
+// pointers — typically one block's slices of a runBlocks-level arena
+// buffer. Algorithms stage fixed-width words straight into the send
+// slabs and the steady-state round costs zero allocations; FullInfo's
+// gossip rides the ref slabs of the identical loop.
 func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, ys [][]byte, res []Result, out []*Result) error {
 	if k > bt.block {
 		return fmt.Errorf("local: %d lanes exceed the %d-lane slab block", k, bt.block)
@@ -926,7 +914,6 @@ func (bt *Batch) bindInbox(in *Inbox, lens []int32, words []uint64, refs []Messa
 	in.offW = bt.offW
 	in.capW = bt.capW
 	in.refs = refs
-	in.box = nil
 }
 
 // bindOutbox points a worker's Outbox at the staging slabs.
@@ -961,7 +948,7 @@ func (bt *Batch) ensureWireState() {
 		bt.nextRefs = sliceFor(bt.nextRefs, slots*B)
 	} else {
 		// Hand the run nil refs so the hot loop skips ref clearing; a
-		// later shim run re-allocates them.
+		// later ref-lane run re-allocates them.
 		bt.curRefs, bt.nextRefs = nil, nil
 	}
 	// Only the pass's own process table is sized: a vector pass never

@@ -86,9 +86,9 @@ func TestBatchMatchesPooledMessage(t *testing.T) {
 
 // TestBatchPartialWidthMatrix sweeps the slot-major kernel's ragged
 // widths: k ∈ {1, 3, B-1, B} lanes on a width-B batch, across every
-// graph family and both transports (legacy boxed tapeXOR, wire-native
-// wireMix), every lane byte-identical to a pooled Engine run at the
-// same draw. Partial widths are where a slot-major kernel can first go
+// graph family and two message shapes (one-word tapeXOR, mixed
+// two-word/signal wireMix), every lane byte-identical to a pooled Engine
+// run at the same draw. Partial widths are where a slot-major kernel can first go
 // wrong — the contiguous lens clears and dense cut copies span all B
 // lanes of a slot while only k are live — so the matrix pins that dead
 // lanes neither leak into live ones nor shift their bytes.
@@ -105,7 +105,7 @@ func TestBatchPartialWidthMatrix(t *testing.T) {
 			bt := plan.NewBatch(width)
 			eng := plan.NewEngine()
 			lo := 0
-			for _, algo := range []MessageAlgorithm{tapeXOR{rounds: 3}, wireMix{rounds: 4}} {
+			for _, algo := range []WireAlgorithm{tapeXOR{rounds: 3}, wireMix{rounds: 4}} {
 				for _, k := range []int{1, 3, width - 1, width} {
 					draws := drawRange(space, lo, k)
 					lo += k
@@ -349,7 +349,7 @@ func TestPlanDistFromCached(t *testing.T) {
 // results must still be per-lane identical to pooled runs (the blocks are
 // stitched in lane order).
 func TestBatchMessageBlocking(t *testing.T) {
-	g := graph.Cycle(4800) // 9600 slots: a 4-lane vector needs 2+ passes
+	g := graph.Cycle(8000) // 16000 one-word slots: a 4-lane vector needs 2 passes
 	in := mustInstance(t, g)
 	plan, err := NewPlan(g)
 	if err != nil {

@@ -1,12 +1,11 @@
 package local
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file is the CutBlock wire codec: the framed, versioned byte
@@ -17,28 +16,25 @@ import (
 //	offset  size  field
 //	0       4     magic "rlCB"
 //	4       1     version (currently 1)
-//	5       1     flags (bit 0: a refs section follows the words)
+//	5       1     flags (reserved, must be zero)
 //	6       2     reserved, must be zero
 //	8       4     round (uint32) — the round the sender packed
 //	12      4     lens count (uint32)
 //	16      4     words count (uint32)
-//	20      4     refs section byte length (uint32)
+//	20      4     refs length (reserved, must be zero)
 //	24      ...   lens   (int32 little-endian each)
 //	...     ...   words  (uint64 little-endian each)
-//	...     ...   refs   (gob, see below)
 //
 // Lens and words are the exact slab ranges packCut flattens — fixed
 // width, so encoding is a bounds-checked copy in each direction and the
 // decoded block installs with no further translation.
 //
-// Refs are the by-reference payloads of the boxing shim and the
-// full-information adapter. They have no fixed-width encoding, so the
-// codec ships them via gob as (index, value) pairs of the non-nil
-// entries; only payload types that gob can encode — registered, with
-// exported fields — survive the trip. Everything else gets the explicit
-// in-process-only error: such algorithms must run over in-process links
-// (or migrate to wire words). Wire-native algorithms leave Refs empty
-// and never touch gob.
+// Refs — the by-reference payloads of the full-information adapter's
+// ref lane — have no byte encoding at all: a block that carries them
+// fails to encode with ErrRefsNotPortable, and such runs must use
+// in-process links. The flags byte and the refs length stay in the
+// header, fixed at zero, so the layout and version are unchanged; a
+// frame that sets either is malformed.
 
 // ErrFrame reports a malformed cut-block frame: bad magic, an
 // unsupported version, a declared section exceeding the frame bounds, a
@@ -48,73 +44,45 @@ import (
 var ErrFrame = errors.New("local: malformed cut-block frame")
 
 // ErrRefsNotPortable reports a cut block whose by-reference payloads
-// cannot cross a byte stream: the boxed/ref transport is in-process-only
-// unless every payload type is gob-encodable (registered, exported
-// fields).
-var ErrRefsNotPortable = errors.New("local: cut block ref payloads are in-process only (not gob-encodable)")
+// cannot cross a byte stream: the ref lane (FullInfo) is in-process
+// only.
+var ErrRefsNotPortable = errors.New("local: cut block ref payloads are in-process only")
 
 const (
 	frameMagic   = "rlCB"
 	frameVersion = 1
 	frameHdrLen  = 24
-	flagRefs     = 1
 
 	// maxFrameSection bounds each declared section, making a corrupt or
 	// hostile length field an error instead of an allocation bomb: 1<<26
 	// words is a 512 MiB slab range, far beyond any real layout.
 	maxFrameSection = 1 << 26
+
+	// frameReadChunk is the first read step of a payload larger than the
+	// reusable buffer; later steps double with the bytes received.
+	frameReadChunk = 1 << 16
 )
 
-// refSection is the gob shape of a block's non-nil refs: sparse
-// (index, value) pairs, because gob cannot encode nil interface values
-// inside a slice.
-type refSection struct {
-	N    int32 // total ref slots (nil entries included)
-	Idx  []int32
-	Vals []Message
-}
-
-func init() {
-	// The boxed form of a wire message is the one ref payload the engine
-	// itself produces; registering it here lets wire-native algorithms
-	// driven through the legacy API cross a byte stream too.
-	gob.Register(wireMsg{})
-}
-
 // appendFrame encodes one cut block as a frame appended to dst and
-// returns the extended buffer (callers reuse it across rounds).
+// returns the extended buffer (callers reuse it across rounds). A block
+// that carries refs is refused with ErrRefsNotPortable.
 func appendFrame(dst []byte, round int, blk CutBlock) ([]byte, error) {
-	flags := byte(0)
-	var refs []byte
 	if len(blk.Refs) > 0 {
-		sec := refSection{N: int32(len(blk.Refs))}
-		for i, m := range blk.Refs {
-			if m == nil {
-				continue
-			}
-			sec.Idx = append(sec.Idx, int32(i))
-			sec.Vals = append(sec.Vals, m)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&sec); err != nil {
-			return dst, fmt.Errorf("%w: %v", ErrRefsNotPortable, err)
-		}
-		refs = buf.Bytes()
-		flags |= flagRefs
+		return dst, ErrRefsNotPortable
 	}
 	dst = append(dst, frameMagic...)
-	dst = append(dst, frameVersion, flags, 0, 0)
+	dst = append(dst, frameVersion, 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.Lens)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.Words)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(refs)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	for _, l := range blk.Lens {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
 	}
 	for _, w := range blk.Words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return append(dst, refs...), nil
+	return dst, nil
 }
 
 // readFrame reads and decodes one frame from r into blk, reusing its
@@ -135,26 +103,26 @@ func readFrame(r io.Reader, round int, blk *CutBlock, scratch []byte) ([]byte, e
 	if hdr[4] != frameVersion {
 		return scratch, fmt.Errorf("%w: version %d, this build speaks %d", ErrFrame, hdr[4], frameVersion)
 	}
-	flags := hdr[5]
 	if hdr[6] != 0 || hdr[7] != 0 {
 		return scratch, fmt.Errorf("%w: nonzero reserved bytes", ErrFrame)
+	}
+	if hdr[5] != 0 {
+		return scratch, fmt.Errorf("%w: flags %#x set (refs do not cross byte streams)", ErrFrame, hdr[5])
+	}
+	if nRefs := binary.LittleEndian.Uint32(hdr[20:24]); nRefs != 0 {
+		return scratch, fmt.Errorf("%w: %d ref bytes declared (refs do not cross byte streams)", ErrFrame, nRefs)
 	}
 	gotRound := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	nLens := int(binary.LittleEndian.Uint32(hdr[12:16]))
 	nWords := int(binary.LittleEndian.Uint32(hdr[16:20]))
-	nRefs := int(binary.LittleEndian.Uint32(hdr[20:24]))
-	if nLens > maxFrameSection || nWords > maxFrameSection || nRefs > maxFrameSection {
-		return scratch, fmt.Errorf("%w: oversized frame (%d lens, %d words, %d ref bytes)", ErrFrame, nLens, nWords, nRefs)
+	if nLens > maxFrameSection || nWords > maxFrameSection {
+		return scratch, fmt.Errorf("%w: oversized frame (%d lens, %d words)", ErrFrame, nLens, nWords)
 	}
 	if gotRound != round {
 		return scratch, fmt.Errorf("%w: frame for round %d arrived in round %d", ErrFrame, gotRound, round)
 	}
-	need := 4*nLens + 8*nWords + nRefs
-	if cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	payload := scratch[:need]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	scratch, err := readPayload(r, scratch, 4*nLens+8*nWords)
+	if err != nil {
 		if err == io.ErrUnexpectedEOF || err == io.EOF {
 			return scratch, fmt.Errorf("%w: truncated payload (%v)", ErrFrame, err)
 		}
@@ -162,30 +130,38 @@ func readFrame(r io.Reader, round int, blk *CutBlock, scratch []byte) ([]byte, e
 	}
 	blk.Lens = sliceFor(blk.Lens, nLens)[:0]
 	for i := 0; i < nLens; i++ {
-		blk.Lens = append(blk.Lens, int32(binary.LittleEndian.Uint32(payload[4*i:])))
+		blk.Lens = append(blk.Lens, int32(binary.LittleEndian.Uint32(scratch[4*i:])))
 	}
-	words := payload[4*nLens:]
+	words := scratch[4*nLens:]
 	blk.Words = sliceFor(blk.Words, nWords)[:0]
 	for i := 0; i < nWords; i++ {
 		blk.Words = append(blk.Words, binary.LittleEndian.Uint64(words[8*i:]))
 	}
 	blk.Refs = blk.Refs[:0]
-	if flags&flagRefs != 0 {
-		var sec refSection
-		if err := gob.NewDecoder(bytes.NewReader(words[8*nWords:])).Decode(&sec); err != nil {
-			return scratch, fmt.Errorf("%w: refs section: %v", ErrFrame, err)
-		}
-		if int(sec.N) > maxFrameSection || len(sec.Idx) != len(sec.Vals) {
-			return scratch, fmt.Errorf("%w: refs section shape", ErrFrame)
-		}
-		blk.Refs = sliceFor(blk.Refs, int(sec.N))
-		clear(blk.Refs)
-		for i, idx := range sec.Idx {
-			if idx < 0 || int(idx) >= int(sec.N) {
-				return scratch, fmt.Errorf("%w: ref index %d out of %d slots", ErrFrame, idx, sec.N)
-			}
-			blk.Refs[idx] = sec.Vals[i]
+	return scratch, nil
+}
+
+// readPayload reads need bytes from r into buf's backing array and
+// returns the filled buffer. A buffer already large enough takes one
+// read — the steady state, since links reuse one buffer across rounds.
+// Otherwise the buffer grows at most geometrically with the bytes that
+// actually arrive, so a header that declares a huge payload and then
+// stops costs what the peer sent, not what it claimed.
+func readPayload(r io.Reader, buf []byte, need int) ([]byte, error) {
+	if cap(buf) >= need {
+		buf = buf[:need]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < need {
+		step := min(need-len(buf), max(len(buf), frameReadChunk))
+		buf = slices.Grow(buf, step)
+		n, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return buf, err
 		}
 	}
-	return scratch, nil
+	return buf, nil
 }

@@ -16,19 +16,15 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// TestFrameRoundTrip pins the codec: lens, words, and gob-portable refs
-// survive encode → decode byte for byte, including empty sections and
-// reused decode buffers.
+// TestFrameRoundTrip pins the codec: lens and words survive encode →
+// decode byte for byte, including empty sections and reused decode
+// buffers.
 func TestFrameRoundTrip(t *testing.T) {
 	blocks := []CutBlock{
 		{},
 		{Lens: []int32{0, 2, 1}, Words: []uint64{7, ^uint64(0)}},
 		{Lens: []int32{1}, Words: nil},
-		{
-			Lens:  []int32{2, 0},
-			Words: []uint64{42},
-			Refs:  []Message{wireMsg{Words: []uint64{1, 2, 3}}, nil},
-		},
+		{Lens: []int32{2, 0}, Words: []uint64{42}},
 	}
 	var blk CutBlock
 	var scratch []byte
@@ -54,34 +50,20 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("round %d: words[%d] = %d, want %d", round, i, blk.Words[i], want.Words[i])
 			}
 		}
-		if len(want.Refs) > 0 {
-			if len(blk.Refs) != len(want.Refs) {
-				t.Fatalf("round %d: %d refs, want %d", round, len(blk.Refs), len(want.Refs))
-			}
-			wm := blk.Refs[0].(wireMsg)
-			if len(wm.Words) != 3 || wm.Words[2] != 3 {
-				t.Fatalf("round %d: ref payload %#v", round, blk.Refs[0])
-			}
-			if blk.Refs[1] != nil {
-				t.Fatalf("round %d: nil ref decoded as %#v", round, blk.Refs[1])
-			}
+		if len(blk.Refs) != 0 {
+			t.Fatalf("round %d: decoded %d refs from a byte stream", round, len(blk.Refs))
 		}
 	}
 }
 
-// unregisteredPayload is a ref payload gob cannot encode (never
-// registered), driving the in-process-only error path.
-type unregisteredPayload struct{ V int }
-
-// TestFrameRefsInProcessOnly pins the explicit error for boxed payloads
-// that cannot cross a byte stream.
+// TestFrameRefsInProcessOnly pins the explicit error for ref payloads:
+// no block that carries refs encodes, whatever the payload type.
 func TestFrameRefsInProcessOnly(t *testing.T) {
-	_, err := appendFrame(nil, 1, CutBlock{
-		Lens: []int32{1},
-		Refs: []Message{unregisteredPayload{V: 7}},
-	})
-	if !errors.Is(err, ErrRefsNotPortable) {
-		t.Fatalf("unregistered ref payload encoded: err = %v", err)
+	for _, refs := range [][]Message{{int64(7)}, {nil, struct{ V int }{7}}} {
+		_, err := appendFrame(nil, 1, CutBlock{Lens: []int32{1}, Refs: refs})
+		if !errors.Is(err, ErrRefsNotPortable) {
+			t.Fatalf("refs %v encoded: err = %v", refs, err)
+		}
 	}
 }
 
@@ -96,8 +78,10 @@ func corruptFrame(t *testing.T, fn func(f []byte) []byte) []byte {
 }
 
 // TestFrameMalformed pins every malformed-frame class to a descriptive
-// ErrFrame: truncated header, bad magic, wrong version byte, oversized
-// declared sections, truncated payload, and a round mismatch.
+// ErrFrame: truncated header, bad magic, wrong version byte, nonzero
+// reserved bytes, a refs flag or refs length (refs never cross a byte
+// stream), oversized declared sections, truncated payload, and a round
+// mismatch.
 func TestFrameMalformed(t *testing.T) {
 	cases := map[string]struct {
 		frame []byte
@@ -119,6 +103,17 @@ func TestFrameMalformed(t *testing.T) {
 		"reserved-bytes": {
 			frame: corruptFrame(t, func(f []byte) []byte { f[6] = 1; return f }),
 			round: 3, want: "reserved",
+		},
+		"refs-flag": {
+			frame: corruptFrame(t, func(f []byte) []byte { f[5] = 1; return f }),
+			round: 3, want: "flags 0x1",
+		},
+		"refs-length": {
+			frame: corruptFrame(t, func(f []byte) []byte {
+				binary.LittleEndian.PutUint32(f[20:24], 8)
+				return f
+			}),
+			round: 3, want: "8 ref bytes",
 		},
 		"oversized": {
 			frame: corruptFrame(t, func(f []byte) []byte {
@@ -147,6 +142,25 @@ func TestFrameMalformed(t *testing.T) {
 				t.Fatalf("err %q does not describe %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFrameHugeDeclaredPayload pins that a header's declared length is
+// not trusted up front: a frame claiming the largest legal word section
+// but carrying 100 bytes fails as truncated after buffering only what
+// arrived.
+func TestFrameHugeDeclaredPayload(t *testing.T) {
+	frame := corruptFrame(t, func(f []byte) []byte {
+		binary.LittleEndian.PutUint32(f[16:20], maxFrameSection)
+		return append(f, make([]byte, 100)...)
+	})
+	var blk CutBlock
+	scratch, err := readFrame(bytes.NewReader(frame), 3, &blk, nil)
+	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "truncated payload") {
+		t.Fatalf("err = %v, want a truncated-payload ErrFrame", err)
+	}
+	if cap(scratch) > 2*frameReadChunk {
+		t.Fatalf("buffered %d bytes for a %d-byte payload", cap(scratch), len(frame)-frameHdrLen)
 	}
 }
 
@@ -216,96 +230,58 @@ func TestShardedTCPLoopback(t *testing.T) {
 	}
 }
 
-// TestShardedTCPRefsPayloads pins the gob ref path over a byte stream:
-// a legacy boxed algorithm whose payloads are engine wireMsg values
-// crosses the TCP cut byte-identically, while an algorithm with
-// unregistered payload types aborts with the in-process-only error.
+// TestShardedTCPRefsPayloads pins that the ref lane stays in process:
+// the full-information adapter over loopback TCP aborts with
+// ErrRefsNotPortable instead of shipping its gossip, the same run over
+// in-process links matches the unsharded batch, and the TCP executor
+// still runs a word algorithm afterwards.
 func TestShardedTCPRefsPayloads(t *testing.T) {
 	g := graph.Cycle(10)
 	in := mustInstance(t, g)
 	plan := MustPlan(g)
-	space := localrand.NewTapeSpace(43)
+	algo := FullInfo(minIDView{t: 2})
+	ins := []*lang.Instance{in, in}
 
-	// Boxed wire algorithm: payloads box as gob-registered wireMsg.
-	sh, err := plan.NewSharded(2, 2)
+	tcp, err := plan.NewSharded(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.UseTCPLoopback()
-	defer sh.Close()
-	boxed := Boxed(wireMix{rounds: 3})
-	draws := drawRange(space, 0, 2)
-	want, err := plan.NewBatch(2).Run(in, boxed, draws, RunOptions{})
+	tcp.UseTCPLoopback()
+	defer tcp.Close()
+	if _, err := tcp.RunInstances(ins, algo, nil, RunOptions{}); !errors.Is(err, ErrRefsNotPortable) {
+		t.Fatalf("ref payloads over TCP: err = %v, want ErrRefsNotPortable", err)
+	}
+
+	want, err := plan.NewBatch(2).RunInstances(ins, algo, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Run(in, boxed, draws, RunOptions{})
+	inproc, err := plan.NewSharded(2, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer inproc.Close()
+	got, err := inproc.RunInstances(ins, algo, nil, RunOptions{})
+	if err != nil {
+		t.Fatalf("in-process run of ref payloads: %v", err)
+	}
+	for b := range ins {
+		expectSameResult(t, fmt.Sprintf("in-process lane %d", b), want[b], got[b])
+	}
+
+	draws := drawRange(localrand.NewTapeSpace(43), 0, 2)
+	want, err = plan.NewBatch(2).Run(in, wireMix{rounds: 3}, draws, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = tcp.Run(in, wireMix{rounds: 3}, draws, RunOptions{})
+	if err != nil {
+		t.Fatalf("word run after the refused ref run: %v", err)
 	}
 	for b := range draws {
-		expectSameResult(t, fmt.Sprintf("boxed tcp lane %d", b), want[b], got[b])
-	}
-
-	// tapeXOR's payloads are plain uint64s boxed through the shim — a
-	// gob builtin, so they cross the byte stream byte-identically.
-	xdraws := drawRange(space, 4, 2)
-	want, err = plan.NewBatch(2).Run(in, tapeXOR{rounds: 2}, xdraws, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = sh.Run(in, tapeXOR{rounds: 2}, xdraws, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range xdraws {
-		expectSameResult(t, fmt.Sprintf("legacy tcp lane %d", b), want[b], got[b])
-	}
-
-	// A payload type gob has never seen must be refused with the explicit
-	// in-process-only error, and the run must abort cleanly.
-	if _, err := sh.Run(in, structPayloadAlgo{}, drawRange(space, 8, 2), RunOptions{}); err == nil ||
-		!errors.Is(err, ErrRefsNotPortable) {
-		t.Fatalf("unregistered ref payloads crossed TCP: err = %v", err)
-	}
-	// The same algorithm over in-process links runs fine: the refs path
-	// is in-process-only, not broken.
-	sh2, err := plan.NewSharded(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh2.Run(in, structPayloadAlgo{}, drawRange(space, 8, 2), RunOptions{}); err != nil {
-		t.Fatalf("in-process run of struct payloads: %v", err)
+		expectSameResult(t, fmt.Sprintf("tcp lane %d", b), want[b], got[b])
 	}
 }
-
-// structPayloadAlgo is a legacy algorithm whose payloads are an
-// unregistered struct type: portable nowhere but in process.
-type structPayloadAlgo struct{}
-
-func (structPayloadAlgo) Name() string        { return "struct-payload" }
-func (structPayloadAlgo) NewProcess() Process { return &structPayloadProc{} }
-
-type structPayloadProc struct{ sum int }
-
-func (p *structPayloadProc) Start(info NodeInfo) []Message {
-	out := make([]Message, info.Degree)
-	for i := range out {
-		out[i] = unregisteredPayload{V: int(info.ID)}
-	}
-	return out
-}
-
-func (p *structPayloadProc) Step(round int, received []Message) ([]Message, bool) {
-	for _, m := range received {
-		if m != nil {
-			p.sum += m.(unregisteredPayload).V
-		}
-	}
-	return nil, true
-}
-
-func (p *structPayloadProc) Output() []byte { return encode64(int64(p.sum)) }
 
 // TestShardedTCPRecoversAfterAbort pins the pooled-connection hygiene of
 // the loopback transport: a run that dies mid-round (one shard panics,
@@ -400,4 +376,40 @@ func TestShardedGarbageStream(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("garbage stream: err = %v, want a frame error", err)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder, expecting
+// the round the header names. The decoder must never panic, and every
+// frame it accepts must re-encode to exactly the bytes it consumed. The
+// seeds are two valid frames plus the committed corpus in
+// testdata/fuzz/FuzzReadFrame: one frame of each malformed class, a
+// header declaring a 512 MiB payload that never arrives, and a valid
+// frame followed by trailing bytes.
+func FuzzReadFrame(f *testing.F) {
+	for round, blk := range []CutBlock{{}, {Lens: []int32{2, 0, 1}, Words: []uint64{7, ^uint64(0)}}} {
+		frame, err := appendFrame(nil, round, blk)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		round := 0
+		if len(data) >= 12 {
+			round = int(binary.LittleEndian.Uint32(data[8:12]))
+		}
+		r := bytes.NewReader(data)
+		var blk CutBlock
+		if _, err := readFrame(r, round, &blk, nil); err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		again, err := appendFrame(nil, round, blk)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, consumed) {
+			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", again, consumed)
+		}
+	})
 }

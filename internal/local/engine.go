@@ -9,19 +9,13 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// Message is an arbitrary payload exchanged in one round on the legacy
-// boxed transport. The LOCAL model places no bound on message size
-// (§2.1.1), so payloads are free-form; algorithms define their own
-// message types.
-//
-// Message and Process are the compatibility surface of the message
-// engine, not its core: every execution runs on the wire-format round
-// loop (WireProcess, wire.go), which reads and writes messages as
-// fixed-width 64-bit words placed directly in the engine's send slabs.
-// A legacy Process runs through a boxing shim that carries its payloads
-// by reference over that same loop — semantics and Stats are identical,
-// but each boxed payload costs an allocation the wire path does not pay.
-// Algorithms on hot Monte-Carlo paths should implement WireAlgorithm.
+// Message is a by-reference payload on the engine's ref lane. The LOCAL
+// model places no bound on message size (§2.1.1), and the
+// full-information adapter (FullInfo) uses that freedom: its gossip
+// records are whole neighborhoods, carried as Message values through an
+// in-process ref slab beside the word slabs. Every other algorithm
+// speaks the fixed-width word contract of WireAlgorithm (wire.go) and
+// never produces a Message.
 type Message any
 
 // NodeInfo is the static information a node holds when an execution
@@ -33,49 +27,6 @@ type NodeInfo struct {
 	Input  []byte
 	// Tape is nil in deterministic executions.
 	Tape *localrand.Tape
-}
-
-// Process is the legacy per-node state machine of a message-passing
-// algorithm: messages are staged as []Message slices of interface-boxed
-// payloads. The engine creates one Process per node; a Process must not
-// share mutable state with other Processes (they run concurrently).
-//
-// Implementations of Process execute through the boxing shim over the
-// wire core (see wire.go): correct, byte-identical to the old boxed
-// engine, but paying one allocation per boxed payload per round. New
-// algorithms — and any algorithm inside a trial loop — should implement
-// WireProcess/WireAlgorithm instead and encode their messages as
-// fixed-width words; a WireAlgorithm still satisfies this interface via
-// NewLegacyProcess for callers that need the boxed form.
-type Process interface {
-	// Start receives the node's static information and returns the
-	// messages to send in round 1, indexed by port (nil entries send
-	// nothing; a nil or short slice is padded).
-	Start(info NodeInfo) []Message
-	// Step receives the messages that arrived in round r (indexed by the
-	// receiving node's ports, nil = no message) and returns the messages
-	// for round r+1. Returning done = true fixes the node's output; the
-	// node sends nothing afterwards but neighbors may keep running.
-	//
-	// The received slice is engine-owned scratch, valid only for the
-	// duration of the call: implementations must copy any values they
-	// want to keep (message payloads themselves are never reused).
-	// Likewise the returned slice is copied by the engine before the next
-	// round, so implementations may reuse their own send buffer.
-	Step(round int, received []Message) (send []Message, done bool)
-	// Output returns the node's final output string. It is called once
-	// the execution finishes and must be valid as soon as done was
-	// returned (or when the engine's round budget is exhausted for
-	// fixed-round algorithms).
-	Output() []byte
-}
-
-// MessageAlgorithm creates the per-node processes of a distributed
-// algorithm in which "all nodes perform the same instructions" (§2.1.1):
-// one factory, one Process per node.
-type MessageAlgorithm interface {
-	Name() string
-	NewProcess() Process
 }
 
 // Stats records the observable cost of an execution.
@@ -124,7 +75,7 @@ type RunOptions struct {
 // and a transient Engine. Callers measuring many executions on one graph
 // — Monte-Carlo trial loops above all — should hold a Plan and give each
 // worker its own Engine; see Plan and Engine in plan.go.
-func RunMessage(in *lang.Instance, algo MessageAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
+func RunMessage(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
 	plan, err := NewPlan(in.G)
 	if err != nil {
 		return nil, err
@@ -135,7 +86,7 @@ func RunMessage(in *lang.Instance, algo MessageAlgorithm, draw *localrand.Draw, 
 // runCore runs a message algorithm with an explicit per-node tape source
 // on a transient engine; the ball-simulation adapter uses it to thread
 // view tapes through.
-func runCore(in *lang.Instance, algo MessageAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
+func runCore(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
 	plan, err := NewPlan(in.G)
 	if err != nil {
 		return nil, err

@@ -11,18 +11,15 @@ import (
 // panicker violates its contract in Start.
 type panicker struct{}
 
-func (panicker) Name() string { return "panicker" }
-func (panicker) NewProcess() Process {
-	return &panickerProc{}
-}
+func (panicker) Name() string                { return "panicker" }
+func (panicker) MsgWords(int) int            { return 0 }
+func (panicker) NewWireProcess() WireProcess { return panickerProc{} }
 
 type panickerProc struct{}
 
-func (p *panickerProc) Start(info NodeInfo) []Message {
-	panic("algorithm contract violated")
-}
-func (p *panickerProc) Step(round int, received []Message) ([]Message, bool) { return nil, true }
-func (p *panickerProc) Output() []byte                                       { return nil }
+func (panickerProc) Start(NodeInfo, *Outbox)        { panic("algorithm contract violated") }
+func (panickerProc) Step(int, *Inbox, *Outbox) bool { return true }
+func (panickerProc) Output() []byte                 { return nil }
 
 // TestEnginePanicsAreRecoverable pins the worker-pool contract: a panic
 // inside a process surfaces on the caller's goroutine where tests (and

@@ -93,45 +93,33 @@ func (s tapeSumView) Output(v *View) []byte {
 // the radius-t ball.
 type floodMin struct{ t int }
 
-func (f floodMin) Name() string { return fmt.Sprintf("flood-min(%d)", f.t) }
-func (f floodMin) NewProcess() Process {
-	return &floodMinProc{t: f.t}
-}
+func (f floodMin) Name() string                { return fmt.Sprintf("flood-min(%d)", f.t) }
+func (f floodMin) MsgWords(int) int            { return 1 }
+func (f floodMin) NewWireProcess() WireProcess { return &floodMinProc{t: f.t} }
 
 type floodMinProc struct {
 	t   int
 	min int64
 }
 
-func (p *floodMinProc) Start(info NodeInfo) []Message {
+func (p *floodMinProc) Start(info NodeInfo, out *Outbox) {
 	p.min = info.ID
-	if p.t == 0 {
-		return nil
+	if p.t > 0 {
+		out.Broadcast(uint64(p.min))
 	}
-	out := make([]Message, info.Degree)
-	for i := range out {
-		out[i] = p.min
-	}
-	return out
 }
 
-func (p *floodMinProc) Step(round int, received []Message) ([]Message, bool) {
-	for _, m := range received {
-		if m == nil {
-			continue
-		}
-		if id := m.(int64); id < p.min {
-			p.min = id
+func (p *floodMinProc) Step(round int, in *Inbox, out *Outbox) bool {
+	for port := 0; port < in.Degree(); port++ {
+		if w, ok := in.Word(port); ok && int64(w) < p.min {
+			p.min = int64(w)
 		}
 	}
 	if round >= p.t {
-		return nil, true
+		return true
 	}
-	out := make([]Message, len(received))
-	for i := range out {
-		out[i] = p.min
-	}
-	return out, false
+	out.Broadcast(uint64(p.min))
+	return false
 }
 
 func (p *floodMinProc) Output() []byte { return encode64(p.min) }
@@ -193,23 +181,18 @@ func TestRunMessageDeterministic(t *testing.T) {
 	}
 }
 
-// neverHalt keeps sending forever.
+// neverHalt never halts and never sends.
 type neverHalt struct{}
 
-func (neverHalt) Name() string { return "never-halt" }
-func (neverHalt) NewProcess() Process {
-	return &neverHaltProc{}
-}
+func (neverHalt) Name() string                { return "never-halt" }
+func (neverHalt) MsgWords(int) int            { return 0 }
+func (neverHalt) NewWireProcess() WireProcess { return neverHaltProc{} }
 
 type neverHaltProc struct{}
 
-func (p *neverHaltProc) Start(info NodeInfo) []Message {
-	return make([]Message, info.Degree)
-}
-func (p *neverHaltProc) Step(round int, received []Message) ([]Message, bool) {
-	return make([]Message, len(received)), false
-}
-func (p *neverHaltProc) Output() []byte { return nil }
+func (neverHaltProc) Start(NodeInfo, *Outbox)        {}
+func (neverHaltProc) Step(int, *Inbox, *Outbox) bool { return false }
+func (neverHaltProc) Output() []byte                 { return nil }
 
 func TestRunMessageNoHalt(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(5))

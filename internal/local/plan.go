@@ -60,7 +60,7 @@ func (p *Plan) Graph() *graph.Graph { return p.g }
 // Run executes a message-passing algorithm with a transient engine; it is
 // what the package-level RunMessage delegates to. Callers running many
 // executions on the same graph should hold an Engine instead.
-func (p *Plan) Run(in *lang.Instance, algo MessageAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
+func (p *Plan) Run(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
 	return p.NewEngine().Run(in, algo, draw, opts)
 }
 
@@ -152,7 +152,7 @@ func (e *Engine) drawsOf(draw *localrand.Draw) []localrand.Draw {
 // are freshly allocated (the trial loop's only two steady-state
 // allocations) and stay valid forever, so harnesses may hold results
 // across arbitrarily many runs.
-func (e *Engine) Run(in *lang.Instance, algo MessageAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
+func (e *Engine) Run(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
 	if err := e.bt.checkInstance(in); err != nil {
 		return nil, err
 	}
@@ -162,7 +162,8 @@ func (e *Engine) Run(in *lang.Instance, algo MessageAlgorithm, draw *localrand.D
 		e.bt.seedTapes(1, draws, &src)
 	}
 	res := make([]Result, 1)
-	if err := e.bt.runVec(src, 1, e.bt.prepareWire(algo), draws, opts, make([][]byte, e.bt.plan.g.N()), res, e.ptrBuf[:]); err != nil {
+	e.bt.layoutWire(algo)
+	if err := e.bt.runVec(src, 1, algo, draws, opts, make([][]byte, e.bt.plan.g.N()), res, e.ptrBuf[:]); err != nil {
 		return nil, err
 	}
 	return &res[0], nil
@@ -172,7 +173,7 @@ func (e *Engine) Run(in *lang.Instance, algo MessageAlgorithm, draw *localrand.D
 // deterministic executions) addressed by node index; the ball-simulation
 // adapter uses it to thread view tapes through. Same caller-owned
 // result contract as Run.
-func (e *Engine) runWithTapes(in *lang.Instance, algo MessageAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
+func (e *Engine) runWithTapes(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
 	if err := e.bt.checkInstance(in); err != nil {
 		return nil, err
 	}
@@ -181,7 +182,8 @@ func (e *Engine) runWithTapes(in *lang.Instance, algo MessageAlgorithm, tapeOf f
 		src.tapeFn = func(_, v int) *localrand.Tape { return tapeOf(v) }
 	}
 	res := make([]Result, 1)
-	if err := e.bt.runVec(src, 1, e.bt.prepareWire(algo), nil, opts, make([][]byte, e.bt.plan.g.N()), res, e.ptrBuf[:]); err != nil {
+	e.bt.layoutWire(algo)
+	if err := e.bt.runVec(src, 1, algo, nil, opts, make([][]byte, e.bt.plan.g.N()), res, e.ptrBuf[:]); err != nil {
 		return nil, err
 	}
 	return &res[0], nil

@@ -16,42 +16,33 @@ import (
 // single-shot runs.
 type tapeXOR struct{ rounds int }
 
-func (a tapeXOR) Name() string { return fmt.Sprintf("tape-xor(%d)", a.rounds) }
-func (a tapeXOR) NewProcess() Process {
-	return &tapeXORProc{rounds: a.rounds}
-}
+func (a tapeXOR) Name() string                { return fmt.Sprintf("tape-xor(%d)", a.rounds) }
+func (a tapeXOR) MsgWords(int) int            { return 1 }
+func (a tapeXOR) NewWireProcess() WireProcess { return &tapeXORProc{rounds: a.rounds} }
 
 type tapeXORProc struct {
 	rounds int
 	val    uint64
 }
 
-func (p *tapeXORProc) Start(info NodeInfo) []Message {
+func (p *tapeXORProc) Start(info NodeInfo, out *Outbox) {
 	p.val = info.Tape.Uint64()
-	if p.rounds == 0 {
-		return nil
+	if p.rounds > 0 {
+		out.Broadcast(p.val)
 	}
-	out := make([]Message, info.Degree)
-	for i := range out {
-		out[i] = p.val
-	}
-	return out
 }
 
-func (p *tapeXORProc) Step(round int, received []Message) ([]Message, bool) {
-	for _, m := range received {
-		if m != nil {
-			p.val ^= m.(uint64)
+func (p *tapeXORProc) Step(round int, in *Inbox, out *Outbox) bool {
+	for port := 0; port < in.Degree(); port++ {
+		if w, ok := in.Word(port); ok {
+			p.val ^= w
 		}
 	}
 	if round >= p.rounds {
-		return nil, true
+		return true
 	}
-	out := make([]Message, len(received))
-	for i := range out {
-		out[i] = p.val
-	}
-	return out, false
+	out.Broadcast(p.val)
+	return false
 }
 
 func (p *tapeXORProc) Output() []byte { return encode64(int64(p.val)) }

@@ -56,7 +56,7 @@ import (
 // lane byte-identical to the unsharded Batch — holds across process
 // boundaries, and the golden CLI tests pin it end to end.
 
-// RemoteAlgorithm is a MessageAlgorithm that can cross a process
+// RemoteAlgorithm is a WireAlgorithm that can cross a process
 // boundary: it names itself with a registry key and flat int64
 // parameters, from which RegisterRemoteAlgorithm's builder reconstructs
 // an identical algorithm inside the worker process. Algorithms without
@@ -64,29 +64,29 @@ import (
 // orchestrator falls back to its local companion batch, which is
 // byte-identical by the sharding contract.
 type RemoteAlgorithm interface {
-	MessageAlgorithm
+	WireAlgorithm
 	RemoteSpec() (key string, params []int64)
 }
 
-var remoteAlgos sync.Map // key → func([]int64) (MessageAlgorithm, error)
+var remoteAlgos sync.Map // key → func([]int64) (WireAlgorithm, error)
 
 // RegisterRemoteAlgorithm installs the builder a shard-worker process
 // uses to reconstruct the algorithm named key. Packages register their
 // algorithms in init; both ends of the protocol run the same binary, so
 // registration is symmetric by construction.
-func RegisterRemoteAlgorithm(key string, build func(params []int64) (MessageAlgorithm, error)) {
+func RegisterRemoteAlgorithm(key string, build func(params []int64) (WireAlgorithm, error)) {
 	if _, dup := remoteAlgos.LoadOrStore(key, build); dup {
 		panic(fmt.Sprintf("local: remote algorithm %q registered twice", key))
 	}
 }
 
 // remoteAlgoFor reconstructs a registered remote algorithm.
-func remoteAlgoFor(key string, params []int64) (MessageAlgorithm, error) {
+func remoteAlgoFor(key string, params []int64) (WireAlgorithm, error) {
 	b, ok := remoteAlgos.Load(key)
 	if !ok {
 		return nil, fmt.Errorf("local: remote algorithm %q not registered in this binary", key)
 	}
-	return b.(func([]int64) (MessageAlgorithm, error))(params)
+	return b.(func([]int64) (WireAlgorithm, error))(params)
 }
 
 // BuildRemoteAlgorithm reconstructs the algorithm registered under key
@@ -95,7 +95,7 @@ func remoteAlgoFor(key string, params []int64) (MessageAlgorithm, error) {
 // validate and execute `POST /v1/runs` algorithm jobs against the
 // identical registry. Unknown keys and parameter-shape mismatches
 // error.
-func BuildRemoteAlgorithm(key string, params []int64) (MessageAlgorithm, error) {
+func BuildRemoteAlgorithm(key string, params []int64) (WireAlgorithm, error) {
 	return remoteAlgoFor(key, params)
 }
 

@@ -37,9 +37,10 @@ import (
 // cut slot, in ascending slot order, the k-lane lens range and the
 // capW·k-lane word range of the sender's send slab, flattened back to
 // back. Lens and Words are exactly the bytes a real transport would put
-// on the wire. Refs carries by-reference payloads (the boxing shim for
-// legacy Processes and the full-information adapter) and only works on
-// in-process links; wire-native algorithms leave it empty.
+// on the wire. Refs carries the by-reference payloads of the
+// full-information adapter's ref lane and only works on in-process
+// links (byte-stream links refuse it with ErrRefsNotPortable); every
+// other algorithm leaves it empty.
 type CutBlock struct {
 	Lens  []int32
 	Words []uint64
@@ -375,7 +376,7 @@ func (s *Sharded) Unsharded() *Batch {
 // memory a shard machine actually pays. The compaction gate compares it
 // against Unsharded().SlabBytesFor, which is what every shard paid when
 // shards held full-size global-slot slabs.
-func (s *Sharded) ShardSlabBytes(algo MessageAlgorithm) []int {
+func (s *Sharded) ShardSlabBytes(algo WireAlgorithm) []int {
 	bytes := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		bytes[i] = sh.bt.SlabBytesFor(algo)
@@ -387,7 +388,7 @@ func (s *Sharded) ShardSlabBytes(algo MessageAlgorithm) []int {
 // returning one Result per lane, byte-identical — outputs, Stats, and
 // errors — to Batch.Run at equal seeds. len(draws) may be any
 // 1..Width().
-func (s *Sharded) Run(in *lang.Instance, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+func (s *Sharded) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	bt0 := s.shards[0].bt
 	if err := bt0.lanes(len(draws)); err != nil {
 		return nil, err
@@ -407,7 +408,7 @@ func (s *Sharded) Run(in *lang.Instance, algo MessageAlgorithm, draws []localran
 // ship a job half its workers cannot build. An algorithm that cannot
 // cross runs on the local companion batch instead (byte-identical by
 // the sharding contract).
-func (s *Sharded) remotable(algo MessageAlgorithm) bool {
+func (s *Sharded) remotable(algo WireAlgorithm) bool {
 	ra, ok := algo.(RemoteAlgorithm)
 	if !ok {
 		return false
@@ -426,7 +427,7 @@ func (s *Sharded) remotable(algo MessageAlgorithm) bool {
 
 // RunInstances is Run with per-lane instances (all over the plan's
 // graph); a nil draws runs every lane deterministically.
-func (s *Sharded) RunInstances(ins []*lang.Instance, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+func (s *Sharded) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	bt0 := s.shards[0].bt
 	if err := bt0.lanes(len(ins)); err != nil {
 		return nil, err
@@ -506,14 +507,13 @@ func (s *Sharded) ensureLaneState() {
 // minimum and imposes it on all shards — any agreed lane split is
 // byte-identical to the unsharded batch lane for lane, because lanes
 // are independent.
-func (s *Sharded) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, algo MessageAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	wa := wireOf(algo)
+func (s *Sharded) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	block := s.layoutShards(wa)
 	s.ensureLaneState()
 	s.abort = make(chan struct{})
 	s.reports = make(chan shardReport, len(s.shards))
 	if s.remote != nil {
-		if err := s.ensureRemoteJob(algo.(RemoteAlgorithm)); err != nil {
+		if err := s.ensureRemoteJob(wa.(RemoteAlgorithm)); err != nil {
 			return nil, err
 		}
 	} else {

@@ -26,8 +26,8 @@ func shardCounts(n int) []int {
 }
 
 // TestShardedMatchesBatchMessage pins the tentpole contract inside the
-// package: every lane of a sharded run — wire-native and boxed/ref
-// transports, full batches, ragged tails, back-to-back reuse — is
+// package: every lane of a sharded run — slab words and the ref lane,
+// full batches, ragged tails, back-to-back reuse — is
 // byte-identical to the unsharded Batch at equal seeds, on every graph
 // family and shard count.
 func TestShardedMatchesBatchMessage(t *testing.T) {
@@ -60,19 +60,19 @@ func TestShardedMatchesBatchMessage(t *testing.T) {
 					lo += k
 				}
 
-				// Legacy boxed transport: payloads cross the cut by
-				// reference through CutBlock.Refs.
+				// Ref lane: payloads cross the cut by reference through
+				// CutBlock.Refs.
 				draws := drawRange(space, lo, 2)
-				want, err := bt.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
+				want, err := bt.Run(in, refFloodMin{t: 3}, draws, RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sh.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
+				got, err := sh.Run(in, refFloodMin{t: 3}, draws, RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for b := range draws {
-					expectSameResult(t, fmt.Sprintf("shards=%d boxed lane=%d", shards, b), want[b], got[b])
+					expectSameResult(t, fmt.Sprintf("shards=%d ref lane=%d", shards, b), want[b], got[b])
 				}
 
 				// Deterministic per-lane instances through RunInstances.
@@ -248,23 +248,19 @@ func TestShardedBlockSplitting(t *testing.T) {
 // nothing of the abort latch.
 type panicOnNode struct{ node int64 }
 
-func (a panicOnNode) Name() string { return "panic-on-node" }
-func (a panicOnNode) NewProcess() Process {
-	return &panicProc{node: a.node}
-}
+func (a panicOnNode) Name() string                { return "panic-on-node" }
+func (a panicOnNode) MsgWords(int) int            { return 0 }
+func (a panicOnNode) NewWireProcess() WireProcess { return &panicProc{node: a.node} }
 
 type panicProc struct{ node int64 }
 
-func (p *panicProc) Start(info NodeInfo) []Message {
+func (p *panicProc) Start(info NodeInfo, out *Outbox) {
 	if info.ID == p.node {
 		panic("node detonated")
 	}
-	return make([]Message, info.Degree)
 }
 
-func (p *panicProc) Step(round int, received []Message) ([]Message, bool) {
-	return nil, true
-}
+func (p *panicProc) Step(int, *Inbox, *Outbox) bool { return true }
 
 func (p *panicProc) Output() []byte { return nil }
 

@@ -290,8 +290,8 @@ func (out *OutboxVec) BroadcastRow2(w0, w1 []uint64, send []bool) {
 // a batch of width 1 would. Outputs and Stats are byte-identical to the
 // vector path at equal seeds — ScalarOnly is the reference baseline the
 // vec differential tests and benchmarks compare against.
-func ScalarOnly(algo MessageAlgorithm) MessageAlgorithm {
-	return scalarOnly{wa: wireOf(algo)}
+func ScalarOnly(algo WireAlgorithm) WireAlgorithm {
+	return scalarOnly{wa: algo}
 }
 
 // scalarOnly forwards the WireAlgorithm surface and deliberately does
@@ -301,7 +301,6 @@ type scalarOnly struct{ wa WireAlgorithm }
 func (a scalarOnly) Name() string                { return a.wa.Name() }
 func (a scalarOnly) MsgWords(deg int) int        { return a.wa.MsgWords(deg) }
 func (a scalarOnly) NewWireProcess() WireProcess { return a.wa.NewWireProcess() }
-func (a scalarOnly) NewProcess() Process         { return NewLegacyProcess(a.wa) }
 
 // startVecPass is startPass on the vector path: per node, one contiguous
 // clear of the lanes' send state and the done row, then ONE pooled (or

@@ -22,7 +22,6 @@ type vecMix struct{ rounds int }
 
 func (a vecMix) Name() string                { return fmt.Sprintf("vec-mix(%d)", a.rounds) }
 func (a vecMix) MsgWords(int) int            { return 2 }
-func (a vecMix) NewProcess() Process         { return NewLegacyProcess(a) }
 func (a vecMix) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
 func (a vecMix) NewVecProcess() VecProcess   { return &vecMixVec{rounds: a.rounds} }
 
@@ -260,7 +259,6 @@ type probeMix struct {
 	p *stepProbe
 }
 
-func (a probeMix) NewProcess() Process { return NewLegacyProcess(a) }
 func (a probeMix) NewWireProcess() WireProcess {
 	return &probeProc{vecMixProc: vecMixProc{rounds: a.rounds}, p: a.p}
 }
@@ -367,12 +365,12 @@ func TestVecDispatchPerPass(t *testing.T) {
 	}
 	runs := []struct {
 		name string
-		run  func(MessageAlgorithm, []localrand.Draw) ([]*Result, error)
+		run  func(WireAlgorithm, []localrand.Draw) ([]*Result, error)
 	}{
-		{"batch", func(a MessageAlgorithm, d []localrand.Draw) ([]*Result, error) {
+		{"batch", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 			return plan.NewBatch(5).Run(big, a, d, RunOptions{})
 		}},
-		{"sharded", func(a MessageAlgorithm, d []localrand.Draw) ([]*Result, error) {
+		{"sharded", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 			return sh.Run(big, a, d, RunOptions{})
 		}},
 	}

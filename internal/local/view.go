@@ -5,16 +5,14 @@
 // Two equivalent programming interfaces are provided, mirroring the
 // simulation argument of §2.1.1:
 //
-//   - the message-passing interface runs an explicit round loop with one
-//     goroutine per batch of nodes. Its native form is the wire-format
-//     interface (WireProcess/WireAlgorithm, wire.go): messages are
-//     fixed-width 64-bit words written straight into the engine's send
-//     slabs, so a round allocates nothing. The legacy boxed interface
-//     (Process/MessageAlgorithm) remains as a compatibility layer — a
-//     boxing shim runs legacy Processes on the same round loop with
-//     payloads carried by reference, and NewLegacyProcess runs a
-//     WireAlgorithm through the legacy API — with byte-identical outputs
-//     and Stats on every transport;
+//   - the message-passing interface (WireProcess/WireAlgorithm, wire.go)
+//     runs an explicit round loop with one goroutine per batch of nodes.
+//     Messages are fixed-width 64-bit words written straight into the
+//     engine's send slabs, so a round allocates nothing. The one
+//     exception is the full-information adapter FullInfo, whose
+//     unbounded gossip rides an in-process ref slab beside the words;
+//     it is the only algorithm on that lane, and byte-stream shard
+//     links refuse it;
 //   - the ball-view interface (ViewAlgorithm) computes each node's output
 //     directly as a function of its ball B_G(v,t).
 //
@@ -115,8 +113,8 @@
 // arithmetic, and decode validation hoist out of the per-lane loop and
 // the inner loop walks the adjacent memory the slot-major layout
 // already provides. A pass dispatches to the vector path when the
-// algorithm implements VecAlgorithm on the wire (non-boxed) path and the
-// pass has two or more lanes; the scalar per-lane path steps every
+// algorithm implements VecAlgorithm, carries no refs, and the pass has
+// two or more lanes; the scalar per-lane path steps every
 // one-lane pass (the Engine case included), and ScalarOnly wraps an
 // algorithm to force it — the differential suites pin both paths
 // byte-identical.
@@ -169,16 +167,17 @@
 // FaultPlan on every worker's executor.
 //
 // Everything an Engine or Batch passes to algorithm code is
-// engine-owned scratch with a uniform contract: the received slice of
-// Process.Step, assembled Views (and their LabeledBall reinterpretation),
-// and the tapes returned by View.TapeFor are valid only for the duration
-// of the call that hands them over, must be treated as read-only, and are
-// reused or released when the pass ends — algorithms copy whatever they
-// want to keep. Message payloads themselves and returned output strings
-// are never reused by the engine; conversely, shared encodings such as
-// lang.EncodeColor return read-only storage. These invariants are what
-// let pooled and batched executions drop every reference to a previous
-// trial's state while allocating nothing per round.
+// engine-owned scratch with a uniform contract: the Inbox and Outbox of
+// WireProcess.Step (and the words read through them), assembled Views
+// (and their LabeledBall reinterpretation), and the tapes returned by
+// View.TapeFor are valid only for the duration of the call that hands
+// them over, must be treated as read-only, and are reused or released
+// when the pass ends — algorithms copy whatever they want to keep. Ref
+// payloads and returned output strings are never reused by the engine;
+// conversely, shared encodings such as lang.EncodeColor return
+// read-only storage. These invariants are what let pooled and batched
+// executions drop every reference to a previous trial's state while
+// allocating nothing per round.
 package local
 
 import (

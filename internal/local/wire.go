@@ -2,29 +2,26 @@ package local
 
 import "reflect"
 
-// This file defines the wire-format message core: the zero-allocation
-// fast path of the message engine. Messages are sequences of fixed-width
-// 64-bit words staged straight into the engine's [slot][lane] send slabs
-// — no per-round slices, no interface boxing. The layering is
+// This file defines the wire-format message contract, the only one the
+// message engine has: messages are sequences of fixed-width 64-bit words
+// staged straight into the engine's [slot][lane] send slabs — no
+// per-round slices, no interface boxing — so one round loop (batch.go
+// runVec) executes every algorithm with zero allocations per round.
 //
-//	WireProcess  — native wire algorithms; words in the slabs (this file)
-//	boxing shim  — legacy Process implementations run on the same round
-//	               loop with their payloads carried by reference
-//	               (shimAlgo/shimProc below)
-//	legacy shim  — a WireAlgorithm used through the legacy Process API
-//	               has its words boxed into wireMsg payloads
-//	               (NewLegacyProcess below)
-//
-// so one round loop (batch.go runVec) executes every algorithm, and only
-// the payload transport differs. The equivalence contract is exact: an
-// algorithm produces byte-identical outputs and Stats on every transport
-// at equal seeds.
+// The one exception to fixed-width words is the ref lane: the §2.1.1
+// full-information adapter (FullInfo) gossips whole neighborhoods, which
+// have no fixed-width encoding, so its payloads travel by reference
+// through a parallel ref slab. The lane is internal (refCarrier is
+// unexported) and in-process only: a byte-stream transport refuses a
+// cut block that carries refs with ErrRefsNotPortable.
 
-// WireProcess is the wire-format per-node state machine of a
-// message-passing algorithm: the zero-allocation counterpart of Process.
-// Received messages are read from the Inbox as fixed-width 64-bit words;
-// outgoing messages are staged into the Outbox, which writes directly
-// into the engine's send slab for the node's directed-edge slots.
+// WireProcess is the per-node state machine of a message-passing
+// algorithm. The engine creates one WireProcess per node (and lane); a
+// process must not share mutable state with other processes, because
+// they run concurrently. Received messages are read from the Inbox as
+// fixed-width 64-bit words; outgoing messages are staged into the
+// Outbox, which writes directly into the engine's send slab for the
+// node's directed-edge slots.
 //
 // Inbox and Outbox are engine-owned scratch, valid only for the duration
 // of the call that hands them over — a WireProcess must not retain them.
@@ -39,16 +36,18 @@ type WireProcess interface {
 	// node's output; the node sends nothing afterwards but neighbors may
 	// keep running.
 	Step(round int, in *Inbox, out *Outbox) (done bool)
-	// Output returns the node's final output string, exactly as
-	// Process.Output does.
+	// Output returns the node's final output string. It is called once
+	// the execution finishes and must be valid as soon as done was
+	// returned (or when the engine's round budget is exhausted for
+	// fixed-round algorithms).
 	Output() []byte
 }
 
-// WireAlgorithm creates the wire-format per-node processes of a
-// distributed algorithm and declares the slab capacity its messages
-// need. Engines prefer this interface: an algorithm that implements it
-// runs with its message words written straight into the send slabs,
-// bypassing the boxed legacy transport entirely.
+// WireAlgorithm creates the per-node processes of a distributed
+// algorithm in which "all nodes perform the same instructions" (§2.1.1)
+// — one factory, one WireProcess per node — and declares the slab
+// capacity its messages need. It is the message contract every engine
+// shape (Engine, Batch, Sharded, remote shard workers) executes.
 type WireAlgorithm interface {
 	Name() string
 	NewWireProcess() WireProcess
@@ -96,28 +95,16 @@ func sameAlgo(a, b WireAlgorithm) bool {
 }
 
 // refCarrier marks wire algorithms whose payloads travel by reference
-// through the engine's ref slab instead of as slab words: the boxing
-// shim for legacy Processes and the full-information adapter, whose
-// gossip records are unbounded. Internal on purpose — out-of-tree
-// fat-message algorithms use the legacy Process API, which routes
-// through the shim.
+// through the engine's ref slab instead of as slab words. Only the
+// full-information adapter implements it: its gossip records are
+// unbounded. The marker is unexported on purpose, so the ref lane stays
+// an in-process detail of FullInfo rather than a second message contract.
 type refCarrier interface{ wireRefs() }
 
 // wantsRefs reports whether wa's messages need the ref slab.
 func wantsRefs(wa WireAlgorithm) bool {
 	_, ok := wa.(refCarrier)
 	return ok
-}
-
-// wireOf adapts any MessageAlgorithm to the wire core: native
-// WireAlgorithms pass through, legacy algorithms are wrapped in the
-// boxing shim, which transports their payloads by reference through the
-// same round loop.
-func wireOf(algo MessageAlgorithm) WireAlgorithm {
-	if wa, ok := algo.(WireAlgorithm); ok {
-		return wa
-	}
-	return shimAlgo{inner: algo}
 }
 
 // Inbox is the received side of one node in one round: one message per
@@ -133,7 +120,6 @@ type Inbox struct {
 	offW []int32 // per-slot word offsets (lane-0 base, in words)
 	capW []int32 // per-slot word capacities
 	refs []Message
-	box  [][]uint64 // legacy transport payloads; nil on the slab path
 }
 
 // Degree returns the number of ports (the node's degree).
@@ -158,9 +144,6 @@ func (in *Inbox) Word(port int) (word uint64, ok bool) {
 	if in.lens[s*in.B+in.b] < 2 {
 		return 0, false
 	}
-	if in.box != nil {
-		return in.box[port][0], true
-	}
 	return in.word[int(in.offW[s])*in.B+int(in.capW[s])*in.b], true
 }
 
@@ -173,9 +156,6 @@ func (in *Inbox) Words(port int) []uint64 {
 	n := int(in.lens[s*in.B+in.b]) - 1
 	if n <= 0 {
 		return nil
-	}
-	if in.box != nil {
-		return in.box[port][:n:n]
 	}
 	base := int(in.offW[s])*in.B + int(in.capW[s])*in.b
 	return in.word[base : base+n : base+n]
@@ -196,15 +176,12 @@ func (in *Inbox) Payload(port int) (words []uint64, ok bool) {
 	if n == 0 {
 		return nil, true
 	}
-	if in.box != nil {
-		return in.box[port][:n:n], true
-	}
 	base := int(in.offW[s])*in.B + int(in.capW[s])*in.b
 	return in.word[base : base+n : base+n], true
 }
 
-// ref returns the by-reference payload of the message on port (boxing
-// shim and full-information transport), or nil if no message arrived.
+// ref returns the by-reference payload of the message on port (the
+// full-information adapter's ref lane), or nil if no message arrived.
 func (in *Inbox) ref(port int) Message {
 	s := int(in.slot[port])
 	if in.lens[s*in.B+in.b] == 0 {
@@ -338,9 +315,8 @@ func (out *Outbox) Reset() {
 	}
 }
 
-// sendRef stages a by-reference message on port: the transport of the
-// boxing shim and the full-information adapter, whose payloads have no
-// fixed-width encoding.
+// sendRef stages a by-reference message on port: the ref lane of the
+// full-information adapter, whose payloads have no fixed-width encoding.
 func (out *Outbox) sendRef(port int, m Message) {
 	s := out.slotLo + port
 	li := s*out.B + out.b
@@ -355,7 +331,8 @@ func (out *Outbox) sendRef(port int, m Message) {
 // the given degree and per-message word capacity: a message staged on
 // outbox port p reads back on inbox port p. It exists so wire codec
 // tests (encode → decode round-trips) can exercise the exact staging and
-// reading machinery the engine uses, without running an engine.
+// reading machinery the engine uses without running an engine, and so
+// MessageAsView can start a zero-round process on a bare outbox.
 func NewLoopback(deg, msgWords int) (*Outbox, *Inbox) {
 	lens := make([]int32, deg)
 	words := make([]uint64, deg*msgWords)
@@ -372,177 +349,3 @@ func NewLoopback(deg, msgWords int) (*Outbox, *Inbox) {
 	in := &Inbox{deg: deg, B: 1, slot: slots, lens: lens, word: words, offW: offW, capW: capW, refs: refs}
 	return out, in
 }
-
-// --- Boxing shim: legacy Process implementations on the wire core -----------
-
-// shimAlgo adapts a legacy MessageAlgorithm to the wire engine. Its
-// messages occupy no slab words; the boxed payloads travel by reference
-// through the engine's ref slab, which is exactly the allocation profile
-// the legacy engine had.
-type shimAlgo struct{ inner MessageAlgorithm }
-
-func (a shimAlgo) Name() string     { return a.inner.Name() }
-func (a shimAlgo) MsgWords(int) int { return 0 }
-func (a shimAlgo) wireRefs()        {}
-func (a shimAlgo) NewWireProcess() WireProcess {
-	return &shimProc{inner: a.inner.NewProcess()}
-}
-
-// shimProc runs one legacy Process on the wire round loop: it gathers
-// the by-reference payloads into a reusable receive window, calls the
-// legacy Step, and stages the returned messages back by reference.
-type shimProc struct {
-	inner Process
-	win   []Message // engine-owned scratch handed to the legacy Step
-}
-
-func (p *shimProc) Start(info NodeInfo, out *Outbox) {
-	p.win = make([]Message, info.Degree)
-	p.stage(out, p.inner.Start(info))
-}
-
-func (p *shimProc) Step(round int, in *Inbox, out *Outbox) bool {
-	for port := range p.win {
-		p.win[port] = in.ref(port)
-	}
-	msgs, done := p.inner.Step(round, p.win)
-	p.stage(out, msgs)
-	return done
-}
-
-// stage sends the non-nil messages of a legacy send slice, padding (or
-// truncating) to the node's degree like the legacy engine always has.
-func (p *shimProc) stage(out *Outbox, msgs []Message) {
-	n := len(msgs)
-	if n > out.deg {
-		n = out.deg
-	}
-	for port := 0; port < n; port++ {
-		if msgs[port] != nil {
-			out.sendRef(port, msgs[port])
-		}
-	}
-}
-
-func (p *shimProc) Output() []byte { return p.inner.Output() }
-
-// --- Legacy shim: WireAlgorithms through the legacy Process API -------------
-
-// wireMsg is the boxed form a wire message takes on the legacy
-// transport: the payload words of one message. Zero-word signals box as
-// an empty wireMsg, preserving presence.
-type wireMsg struct{ Words []uint64 }
-
-// Boxed strips algo of its wire fast path: executions transport its
-// messages as boxed wireMsg payloads through the legacy Process API.
-// Outputs and Stats are byte-identical to the wire path at equal seeds —
-// Boxed is the reference baseline the wire benchmarks and equivalence
-// tests compare against, and a measure of what out-of-tree legacy
-// Process implementations pay.
-func Boxed(wa WireAlgorithm) MessageAlgorithm { return boxedAlgo{wa: wa} }
-
-type boxedAlgo struct{ wa WireAlgorithm }
-
-func (a boxedAlgo) Name() string        { return a.wa.Name() }
-func (a boxedAlgo) NewProcess() Process { return NewLegacyProcess(a.wa) }
-
-// NewLegacyProcess wraps a fresh WireProcess of wa as a legacy Process:
-// staged words are boxed into wireMsg payloads (copied out, because the
-// staging buffer is per-process scratch), by-reference payloads pass
-// through unchanged. Migrated algorithms use it to keep satisfying the
-// legacy MessageAlgorithm interface with one line. The send slice is a
-// reused per-process buffer, as the legacy engine contract allows.
-func NewLegacyProcess(wa WireAlgorithm) Process {
-	return &legacyProc{wa: wa, wp: wa.NewWireProcess()}
-}
-
-type legacyProc struct {
-	wa   WireAlgorithm
-	wp   WireProcess
-	deg  int
-	cap  int
-	in   Inbox
-	out  Outbox
-	send []Message
-}
-
-func (p *legacyProc) Start(info NodeInfo) []Message {
-	deg := info.Degree
-	p.deg = deg
-	p.cap = p.wa.MsgWords(deg)
-	slots := make([]int32, deg)
-	offW := make([]int32, deg)
-	capW := make([]int32, deg)
-	for i := 0; i < deg; i++ {
-		slots[i] = int32(i)
-		offW[i] = int32(i * p.cap)
-		capW[i] = int32(p.cap)
-	}
-	p.in = Inbox{
-		deg: deg, B: 1, slot: slots,
-		lens: make([]int32, deg),
-		refs: make([]Message, deg),
-		box:  make([][]uint64, deg),
-	}
-	p.out = Outbox{
-		deg: deg, B: 1,
-		lens: make([]int32, deg),
-		word: make([]uint64, deg*p.cap),
-		offW: offW, capW: capW,
-		refs: make([]Message, deg),
-		// The legacy transport keeps its own receiver-side accounting; the
-		// staged-transition counter lands in a throwaway row.
-		stage: make([]int64, 1),
-	}
-	p.send = make([]Message, deg)
-	p.wp.Start(info, &p.out)
-	return p.flush()
-}
-
-func (p *legacyProc) Step(round int, received []Message) ([]Message, bool) {
-	for port := 0; port < p.deg; port++ {
-		var m Message
-		if port < len(received) {
-			m = received[port]
-		}
-		if m == nil {
-			p.in.lens[port] = 0
-			p.in.box[port] = nil
-			p.in.refs[port] = nil
-			continue
-		}
-		p.in.refs[port] = m
-		if wm, ok := m.(wireMsg); ok {
-			p.in.lens[port] = int32(len(wm.Words) + 1)
-			p.in.box[port] = wm.Words
-		} else {
-			p.in.lens[port] = 1
-			p.in.box[port] = nil
-		}
-	}
-	done := p.wp.Step(round, &p.in, &p.out)
-	return p.flush(), done
-}
-
-// flush converts the staged outbox into a legacy send slice and resets
-// the staging state for the next round.
-func (p *legacyProc) flush() []Message {
-	for port := 0; port < p.deg; port++ {
-		n := int(p.out.lens[port])
-		switch {
-		case n == 0:
-			p.send[port] = nil
-		case p.out.refs[port] != nil:
-			p.send[port] = p.out.refs[port]
-			p.out.refs[port] = nil
-		default:
-			words := make([]uint64, n-1)
-			copy(words, p.out.word[port*p.cap:])
-			p.send[port] = wireMsg{Words: words}
-		}
-		p.out.lens[port] = 0
-	}
-	return p.send
-}
-
-func (p *legacyProc) Output() []byte { return p.wp.Output() }

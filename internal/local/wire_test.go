@@ -2,7 +2,11 @@ package local
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"testing"
 
 	"rlnc/internal/graph"
@@ -20,7 +24,6 @@ type wireMix struct{ rounds int }
 func (w wireMix) Name() string                { return fmt.Sprintf("wire-mix(%d)", w.rounds) }
 func (w wireMix) MsgWords(int) int            { return 2 }
 func (w wireMix) NewWireProcess() WireProcess { return &wireMixProc{rounds: w.rounds} }
-func (w wireMix) NewProcess() Process         { return NewLegacyProcess(w) }
 
 type wireMixProc struct {
 	rounds int
@@ -72,46 +75,62 @@ func (p *wireMixProc) Step(round int, in *Inbox, out *Outbox) bool {
 
 func (p *wireMixProc) Output() []byte { return encode64(int64(p.state)) }
 
-// TestWireMatchesBoxedTransport pins the transport-equivalence contract
-// of the wire core on every graph family: the same algorithm run
-// natively (words in the slabs) and through Boxed (the legacy []Message
-// transport, words boxed into payloads) must produce byte-identical
-// outputs and identical Stats at equal seeds, single-shot and batched.
-func TestWireMatchesBoxedTransport(t *testing.T) {
+// TestWireDigests pins the wire core's outputs and Stats on every graph
+// family to committed sha256 digests: wireMix single-shot, then three
+// batched lanes. The digests were recorded while this fixture was still
+// checked against the boxed []Message reference transport on the same
+// runs, so they carry that equivalence forward; the differential tests
+// compare engine shapes with each other, and these pin all of them to
+// the reference values.
+func TestWireDigests(t *testing.T) {
+	want := map[string]string{
+		"connected-gnp":  "471000a041d4150e5b446ec01a30bc0e4bfedb20c73fd105d30f1baacda063a1",
+		"cycle":          "7867300ed90a115f48b13fba7fab47d19e6c3c7e35b5e374ddc777f70413bc23",
+		"grid":           "1ba4866f769fc71c19536f9acfe326a3fdcde14b8364c7a21a40560156de0471",
+		"random-regular": "5e9ceaa9063bd6eeee0b2b14773cf470ef91d01b9c6082a48c84f94b0a21e34d",
+		"star":           "cab647f14e94f4d433f2d91408de98a4897c50c79ae3b4108ccb2df9ac6ab464",
+		"tree":           "4d82f01bd90f44b5482267f7cfd633181ba5ffab724a8d7b4198795ea1c1dcb8",
+	}
 	space := localrand.NewTapeSpace(81)
 	for name, g := range testFamilies(t) {
 		t.Run(name, func(t *testing.T) {
 			in := mustInstance(t, g)
 			algo := wireMix{rounds: 4}
+			h := sha256.New()
 			draw := space.Draw(9)
-			wire, err := RunMessage(in, algo, &draw, RunOptions{})
+			res, err := RunMessage(in, algo, &draw, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			boxed, err := RunMessage(in, Boxed(algo), &draw, RunOptions{})
+			hashResult(h, res)
+			lanes, err := MustPlan(g).NewBatch(3).Run(in, algo, drawRange(space, 20, 3), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			expectSameResult(t, "boxed vs wire", wire, boxed)
-
-			plan, err := NewPlan(g)
-			if err != nil {
-				t.Fatal(err)
+			for _, res := range lanes {
+				hashResult(h, res)
 			}
-			bt := plan.NewBatch(3)
-			draws := drawRange(space, 20, 3)
-			wireLanes, err := bt.Run(in, algo, draws, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			boxedLanes, err := bt.Run(in, Boxed(algo), draws, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for b := range draws {
-				expectSameResult(t, fmt.Sprintf("lane %d boxed vs wire", b), wireLanes[b], boxedLanes[b])
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+				t.Errorf("digest %s, want %s", got, want[name])
 			}
 		})
+	}
+}
+
+// hashResult feeds one execution's Stats and length-prefixed outputs
+// into h.
+func hashResult(h hash.Hash, res *Result) {
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	put(uint64(res.Stats.Rounds))
+	put(uint64(res.Stats.Messages))
+	put(uint64(len(res.Y)))
+	for _, y := range res.Y {
+		put(uint64(len(y)))
+		h.Write(y)
 	}
 }
 
@@ -182,48 +201,18 @@ func TestWireLoopback(t *testing.T) {
 	}
 }
 
-// TestLegacyProcessTransport pins the legacy shim path in isolation: a
-// WireAlgorithm used through NewLegacyProcess must behave exactly like
-// the legacy Processes the engine has always run — including presence of
-// zero-word signals as non-nil payloads.
-func TestLegacyProcessTransport(t *testing.T) {
-	in := mustInstance(t, graph.Cycle(6))
-	algo := wireMix{rounds: 3}
-	proc := algo.NewProcess()
-	msgs := proc.Start(NodeInfo{ID: in.ID[0], Degree: 2})
-	if len(msgs) != 2 {
-		t.Fatalf("legacy Start staged %d ports, want 2", len(msgs))
-	}
-	// Port 0 sends two words, port 1 a zero-word signal; both non-nil.
-	wm, ok := msgs[0].(wireMsg)
-	if !ok || len(wm.Words) != 2 {
-		t.Fatalf("port 0: payload %#v, want a 2-word wireMsg", msgs[0])
-	}
-	sig, ok := msgs[1].(wireMsg)
-	if !ok || len(sig.Words) != 0 {
-		t.Fatalf("port 1: payload %#v, want an empty wireMsg", msgs[1])
-	}
-}
-
 // TestWireStatsCountSignals pins that zero-word signals are delivered
-// messages: a signal-only algorithm must report the same Stats.Messages
-// as its boxed form, and a nonzero count.
+// messages: on C_5 every wireMix node stages a two-word message on port 0
+// and a signal on port 1 in Start and in round 1, so both rounds deliver
+// 5 × 2 messages.
 func TestWireStatsCountSignals(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(5))
-	algo := wireMix{rounds: 2}
-	wire, err := RunMessage(in, algo, nil, RunOptions{})
+	res, err := RunMessage(in, wireMix{rounds: 2}, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxed, err := RunMessage(in, Boxed(algo), nil, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire.Stats.Messages == 0 {
-		t.Error("wire run counted no messages")
-	}
-	if wire.Stats != boxed.Stats {
-		t.Errorf("wire Stats %+v != boxed Stats %+v", wire.Stats, boxed.Stats)
+	if want := (Stats{Rounds: 2, Messages: 20}); res.Stats != want {
+		t.Errorf("Stats %+v, want %+v", res.Stats, want)
 	}
 }
 

@@ -372,7 +372,7 @@ func (w *shardWorker) setupJob(spec *jobSpec) error {
 	job := &workerJob{
 		id:      spec.Job,
 		g:       g,
-		wa:      wireOf(algo),
+		wa:      algo,
 		width:   int(spec.Width),
 		timeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
 		sh:      sh,

@@ -20,16 +20,16 @@ import (
 // codec and connection machinery of a multi-process run, minus exec.
 
 func init() {
-	RegisterRemoteAlgorithm("test-wiremix", func(params []int64) (MessageAlgorithm, error) {
+	RegisterRemoteAlgorithm("test-wiremix", func(params []int64) (WireAlgorithm, error) {
 		if len(params) != 1 {
 			return nil, errors.New("test-wiremix wants one param")
 		}
 		return wireMix{rounds: int(params[0])}, nil
 	})
-	RegisterRemoteAlgorithm("test-floodmin", func(params []int64) (MessageAlgorithm, error) {
+	RegisterRemoteAlgorithm("test-floodmin", func(params []int64) (WireAlgorithm, error) {
 		return floodMin{t: int(params[0])}, nil
 	})
-	RegisterRemoteAlgorithm("test-panic-on-node", func(params []int64) (MessageAlgorithm, error) {
+	RegisterRemoteAlgorithm("test-panic-on-node", func(params []int64) (WireAlgorithm, error) {
 		return panicOnNode{node: params[0]}, nil
 	})
 }

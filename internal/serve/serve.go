@@ -577,7 +577,7 @@ func (s *Server) runJob(spec JobSpec, progress func(done, total int)) (table []b
 type algoState struct {
 	eng  *local.Engine
 	sh   *local.Sharded
-	algo local.MessageAlgorithm
+	algo local.WireAlgorithm
 	draw [1]localrand.Draw
 }
 

@@ -36,55 +36,43 @@ func faultPlanFor(t testing.TB, g *graph.Graph) *local.FaultPlan {
 	}
 }
 
-// boxedFloodMin is the fault-tolerant companion of the faulty matrix on
-// the legacy boxed path: payloads travel by reference through the ref
-// slabs (the boxing shim), so delayed messages exercise the heldRefs
-// retention path. Absent messages simply contribute nothing to the min,
-// and a stale (delayed) min is still a valid min — the algorithm has no
-// phase structure faults can break, unlike the synchronous-reliable
-// construct algorithms, whose protocol invariants assume the LOCAL
-// model's perfect delivery.
-type boxedFloodMin struct{ t int }
+// floodMin is the fault-tolerant companion of the faulty matrix: absent
+// messages simply contribute nothing to the min, and a stale (delayed)
+// min is still a valid min — the algorithm has no phase structure faults
+// can break, unlike the synchronous-reliable construct algorithms, whose
+// protocol invariants assume the LOCAL model's perfect delivery. Its
+// ref-slab twin, which exercises held by-reference payloads, is
+// refFloodMin in package local, because the ref lane is internal.
+type floodMin struct{ t int }
 
-func (f boxedFloodMin) Name() string { return fmt.Sprintf("boxed-flood-min(%d)", f.t) }
-func (f boxedFloodMin) NewProcess() local.Process {
-	return &boxedFloodMinProc{t: f.t}
-}
+func (f floodMin) Name() string                      { return fmt.Sprintf("flood-min(%d)", f.t) }
+func (f floodMin) MsgWords(int) int                  { return 1 }
+func (f floodMin) NewWireProcess() local.WireProcess { return &floodMinProc{t: f.t} }
 
-type boxedFloodMinProc struct {
+type floodMinProc struct {
 	t   int
 	min int64
 }
 
-func (p *boxedFloodMinProc) Start(info local.NodeInfo) []local.Message {
+func (p *floodMinProc) Start(info local.NodeInfo, out *local.Outbox) {
 	p.min = info.ID
-	out := make([]local.Message, info.Degree)
-	for i := range out {
-		out[i] = p.min
-	}
-	return out
+	out.Broadcast(uint64(p.min))
 }
 
-func (p *boxedFloodMinProc) Step(round int, received []local.Message) ([]local.Message, bool) {
-	for _, m := range received {
-		if m == nil {
-			continue
-		}
-		if id := m.(int64); id < p.min {
-			p.min = id
+func (p *floodMinProc) Step(round int, in *local.Inbox, out *local.Outbox) bool {
+	for port := 0; port < in.Degree(); port++ {
+		if w, ok := in.Word(port); ok && int64(w) < p.min {
+			p.min = int64(w)
 		}
 	}
 	if round >= p.t {
-		return nil, true
+		return true
 	}
-	out := make([]local.Message, len(received))
-	for i := range out {
-		out[i] = p.min
-	}
-	return out, false
+	out.Broadcast(uint64(p.min))
+	return false
 }
 
-func (p *boxedFloodMinProc) Output() []byte {
+func (p *floodMinProc) Output() []byte {
 	out := make([]byte, 8)
 	for i := 0; i < 8; i++ {
 		out[i] = byte(p.min >> (8 * i))
@@ -94,8 +82,8 @@ func (p *boxedFloodMinProc) Output() []byte {
 
 // TestShardEquivalenceFaulty is the faulty half of the headline
 // differential: the equivalence matrix with an armed FaultPlan in the run
-// options, on the two fault-tolerant algorithms — retry coloring on the
-// wire path and boxed flood-min on the ref path. Fault decisions are
+// options, on the two fault-tolerant algorithms — randomized retry
+// coloring and deterministic flood-min. Fault decisions are
 // keyed by global slot and draw seed, so every shard count and cut
 // placement must reproduce the faulty unsharded batch
 // lane-byte-identically.
@@ -106,7 +94,7 @@ func TestShardEquivalenceFaulty(t *testing.T) {
 		fp := faultPlanFor(t, g)
 		cases := []Case{
 			{Name: name, Algo: construct.RetryMessage(3, 4), In: in, Random: true, Opts: local.RunOptions{Fault: fp}},
-			{Name: name, Algo: boxedFloodMin{t: 4}, In: in, Opts: local.RunOptions{Fault: fp}},
+			{Name: name, Algo: floodMin{t: 4}, In: in, Opts: local.RunOptions{Fault: fp}},
 		}
 		for _, c := range cases {
 			c := c
@@ -130,7 +118,7 @@ func TestShardEquivalenceFaultyTCP(t *testing.T) {
 		fp := faultPlanFor(t, g)
 		cases := []Case{
 			{Name: name, Algo: construct.RetryMessage(3, 4), In: in, Random: true, Opts: local.RunOptions{Fault: fp}},
-			{Name: name, Algo: boxedFloodMin{t: 4}, In: in, Opts: local.RunOptions{Fault: fp}},
+			{Name: name, Algo: floodMin{t: 4}, In: in, Opts: local.RunOptions{Fault: fp}},
 		}
 		for _, c := range cases {
 			c := c
@@ -153,7 +141,7 @@ func TestFaultZeroPlanMatrix(t *testing.T) {
 	for name, g := range Families(t) {
 		in := Instance(t, g)
 		algos := []struct {
-			algo   local.MessageAlgorithm
+			algo   local.WireAlgorithm
 			random bool
 		}{
 			{construct.RetryMessage(3, 4), true},
@@ -188,7 +176,7 @@ func TestFaultZeroPlanMatrix(t *testing.T) {
 	}
 
 	ring := Instance(t, graph.Cycle(24))
-	for _, a := range []local.MessageAlgorithm{
+	for _, a := range []local.WireAlgorithm{
 		construct.ColeVishkin{MaxIDBits: 8},
 		construct.LinialReduction{MaxDegree: 2, MaxIDBits: 8, TargetColors: 3},
 	} {

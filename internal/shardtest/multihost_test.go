@@ -135,7 +135,7 @@ func TestMultiHostProcessEquivalence(t *testing.T) {
 		in := Instance(t, g)
 		plan := local.MustPlan(g)
 		bt := plan.NewBatch(width)
-		for _, algo := range []local.MessageAlgorithm{construct.RetryMessage(3, 4), construct.LubyMIS{}} {
+		for _, algo := range []local.WireAlgorithm{construct.RetryMessage(3, 4), construct.LubyMIS{}} {
 			sh, err := plan.NewShardedRemote(width, pool)
 			if err != nil {
 				t.Fatal(err)

@@ -30,7 +30,7 @@ import (
 // run options.
 type Case struct {
 	Name   string
-	Algo   local.MessageAlgorithm
+	Algo   local.WireAlgorithm
 	In     *lang.Instance
 	Random bool
 	Opts   local.RunOptions

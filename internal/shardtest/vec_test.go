@@ -28,7 +28,7 @@ import (
 // everywhere, and retry coloring — the fault-tolerant one — also under
 // the lossy faultPlanFor plan.
 type vecCase struct {
-	algo   local.MessageAlgorithm
+	algo   local.WireAlgorithm
 	random bool
 	plans  []string // subset of "none", "zero", "faulty"
 }
@@ -44,7 +44,7 @@ func vecPlans(t testing.TB, g *graph.Graph) map[string]*local.FaultPlan {
 // runVecPair runs k lanes of the algorithm on both sides of the
 // differential and asserts lane-byte-identical Results.
 func runVecPair(t *testing.T, label string, c vecCase, in *lang.Instance, fp *local.FaultPlan,
-	run func(algo local.MessageAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error),
+	run func(algo local.WireAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error),
 	ref *local.Batch, draws []localrand.Draw, k int) {
 	t.Helper()
 	opts := local.RunOptions{Fault: fp}
@@ -104,7 +104,7 @@ func TestVecMatchesScalarMatrix(t *testing.T) {
 					lo += k
 					for _, pname := range c.plans {
 						runVecPair(t, fmt.Sprintf("k %d plan %s", k, pname), c, in, plans[pname],
-							func(algo local.MessageAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
+							func(algo local.WireAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
 								return vecBt.Run(in, algo, draws, opts)
 							}, sclBt, draws, k)
 					}
@@ -125,7 +125,7 @@ func TestVecMatchesScalarMatrix(t *testing.T) {
 		for _, k := range []int{1, 3, B - 1, B} {
 			for _, pname := range cv.plans {
 				runVecPair(t, fmt.Sprintf("k %d plan %s", k, pname), cv, ring, plans[pname],
-					func(algo local.MessageAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
+					func(algo local.WireAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
 						ins := make([]*lang.Instance, k)
 						for i := range ins {
 							ins[i] = ring
@@ -188,7 +188,7 @@ func TestVecMatchesScalarSharded(t *testing.T) {
 							for _, pname := range c.plans {
 								runVecPair(t, fmt.Sprintf("%s shards %d k %d plan %s", tp.name, shards, k, pname),
 									c, in, plans[pname],
-									func(algo local.MessageAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
+									func(algo local.WireAlgorithm, draws []localrand.Draw, opts local.RunOptions) ([]*local.Result, error) {
 										return sh.Run(in, algo, draws, opts)
 									}, sclBt, draws, k)
 							}
@@ -250,9 +250,9 @@ func TestVecBlockSplitting(t *testing.T) {
 				t.Fatalf("fixture: shard blocks %d and %d, want 6 and more", b0, b1)
 			}
 			run := func(x interface {
-				Run(*lang.Instance, local.MessageAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
-				RunInstances([]*lang.Instance, local.MessageAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
-			}, algo local.MessageAlgorithm) []*local.Result {
+				Run(*lang.Instance, local.WireAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+				RunInstances([]*lang.Instance, local.WireAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+			}, algo local.WireAlgorithm) []*local.Result {
 				var rs []*local.Result
 				var err error
 				if c.random {

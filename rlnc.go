@@ -3,8 +3,9 @@
 // re-exports the library's main entry points:
 //
 //   - networks and instances: Graph, Assignment, Instance, Config;
-//   - the LOCAL model engine: ViewAlgorithm, MessageAlgorithm, RunView,
-//     RunMessage, and the §2.1.1 simulation adapters;
+//   - the LOCAL model engine: ViewAlgorithm and WireAlgorithm (the one
+//     message contract: fixed-width 64-bit words in the engine's slabs),
+//     RunView, RunMessage, and the §2.1.1 simulation adapters;
 //   - the execution-plan layer: a Plan is the reusable layout of one
 //     graph (CSR-flattened adjacency, reverse-port delivery table, cached
 //     balls) and an Engine is one worker's reusable execution scratch
@@ -131,17 +132,14 @@ type (
 
 // The LOCAL model engine (§2.1).
 type (
-	View             = local.View
-	ViewAlgorithm    = local.ViewAlgorithm
-	MessageAlgorithm = local.MessageAlgorithm
-	Process          = local.Process
-	RunOptions       = local.RunOptions
+	View          = local.View
+	ViewAlgorithm = local.ViewAlgorithm
+	RunOptions    = local.RunOptions
 
-	// WireAlgorithm/WireProcess are the wire-format message interface:
+	// WireAlgorithm/WireProcess are the message-passing interface:
 	// messages as fixed-width 64-bit words staged straight into the
 	// engine's send slabs (Inbox to read, Outbox to write), running with
-	// zero allocations per round. Process/MessageAlgorithm remain as the
-	// boxed legacy transport over the same round loop.
+	// zero allocations per round.
 	WireAlgorithm = local.WireAlgorithm
 	WireProcess   = local.WireProcess
 	Inbox         = local.Inbox
@@ -232,17 +230,13 @@ var (
 	// orchestrator and workers is deliberately unconstrained.
 	DialRetry = local.DialRetry
 	// FullInfo turns a radius-t view algorithm into a t-round
-	// message-passing algorithm (§2.1.1 simulation).
+	// message-passing algorithm (§2.1.1 simulation). Its unbounded gossip
+	// rides an in-process ref lane, so it cannot cross byte-stream shard
+	// links.
 	FullInfo = local.FullInfo
 	// MessageAsView simulates a t-round message algorithm inside a
 	// radius-(t+1) ball.
 	MessageAsView = local.MessageAsView
-	// Boxed strips a WireAlgorithm of its wire fast path, forcing the
-	// legacy boxed transport — the baseline the wire benchmarks compare
-	// against. NewLegacyProcess adapts one of its processes to the
-	// legacy Process interface.
-	Boxed            = local.Boxed
-	NewLegacyProcess = local.NewLegacyProcess
 	// CutForSubdivision performs the Theorem-2-style surgery step: it
 	// severs edge {u,z} at the given round and returns the twice-
 	// subdivided comparison graph (graph.SubdivideTwice) whose relay
