@@ -107,7 +107,7 @@ func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecide
 		y = local.RunView(in, algo, &draw)
 	}
 	dis := []*lang.DecisionInstance{{G: in.G, X: in.X, Y: y, ID: in.ID}}
-	return y, decide.Exec{Eng: eng}.Accepts(dis, d, nil)[0]
+	return y, decide.Exec{}.Accepts(dis, d, nil)[0]
 }
 
 // BenchmarkTrialSingleShot measures the per-trial cost of the

@@ -32,6 +32,7 @@ package certify
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rlnc/internal/lang"
 	"rlnc/internal/local"
@@ -59,26 +60,34 @@ type Scheme interface {
 // VerifyAll runs the verifier at every node with the given certificates
 // and returns the conjunction (acceptance, §2.2.1 style).
 func VerifyAll(di *lang.DecisionInstance, s Scheme, certs Certificates) bool {
-	if len(certs) != di.G.N() {
-		return false
-	}
+	return verifier(di, s)(certs)
+}
+
+// verifier returns VerifyAll for one configuration. Its width-1 batch
+// caches the balls and view skeletons, so repeated calls — the attempts
+// of SoundnessSearch — extract the balls once and reuse each node's
+// certificate row.
+func verifier(di *lang.DecisionInstance, s Scheme) func(Certificates) bool {
 	n := di.G.N()
-	ok := true
-	verdicts := make([]bool, n)
-	local.ParallelFor(n, func(v int) {
-		view := local.DecisionView(di, v, s.Radius(), nil)
-		ballCerts := make([][]byte, view.Ball.Size())
-		for i, u := range view.Ball.Nodes {
-			ballCerts[i] = certs[u]
+	bt := local.MustPlan(di.G).NewBatch(1)
+	dis := []*lang.DecisionInstance{di}
+	ok := make([]bool, n)
+	rows := make([][][]byte, n) // rows[v] holds node v's certificates, indexed like its view
+	return func(certs Certificates) bool {
+		if len(certs) != n {
+			return false
 		}
-		verdicts[v] = s.Verify(view, ballCerts)
-	})
-	for _, okV := range verdicts {
-		if !okV {
-			ok = false
+		if err := bt.ForEachDecisionViews(dis, s.Radius(), nil, func(_, v int, view *local.View) {
+			rows[v] = rows[v][:0]
+			for _, u := range view.Ball.Nodes {
+				rows[v] = append(rows[v], certs[u])
+			}
+			ok[v] = s.Verify(view, rows[v])
+		}); err != nil {
+			panic(err.Error())
 		}
+		return !slices.Contains(ok, false)
 	}
-	return ok
 }
 
 // Completeness checks that the prover's certificates are accepted on a
@@ -97,9 +106,10 @@ func Completeness(di *lang.DecisionInstance, s Scheme) (bool, error) {
 // that fools the verifier, if any. A nil return means the verifier
 // survived the search — empirical evidence of soundness, not a proof.
 func SoundnessSearch(di *lang.DecisionInstance, s Scheme, attempts, maxLen int, seed uint64) (Certificates, error) {
+	verify := verifier(di, s)
 	// The prover's own certificates must not fool the verifier either.
 	if certs, err := s.Prove(di); err == nil {
-		if VerifyAll(di, s, certs) {
+		if verify(certs) {
 			return certs, nil
 		}
 	}
@@ -115,7 +125,7 @@ func SoundnessSearch(di *lang.DecisionInstance, s Scheme, attempts, maxLen int, 
 			}
 			certs[v] = c
 		}
-		if VerifyAll(di, s, certs) {
+		if verify(certs) {
 			return certs, nil
 		}
 	}

@@ -12,8 +12,10 @@ import (
 // TestBatchVerdictsMatchPooledAndSingleShot pins the decision-side
 // equivalence contract: every lane of Exec{Bt}'s Verdicts / Accepts /
 // AcceptsFarFrom — full batches, ragged tails, back-to-back reuse of
-// one Batch — matches the pooled engine path and the one-shot path at the
-// same (instance, draw), for deterministic and randomized deciders.
+// one Batch — matches the pooled path and the one-shot path at the
+// same (instance, draw), for deterministic and randomized deciders on
+// the row path and on assembled views. The pooled path is a reused
+// width-1 batch.
 func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 	l := lang.ProperColoring(3)
 	g := graph.Cycle(18)
@@ -30,9 +32,10 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 	}
 	const width = 4
 	bt := plan.NewBatch(width)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 
-	for _, d := range []Decider{&LCLDecider{L: l}, NewResilientDecider(l, 1)} {
+	det, rnd := &LCLDecider{L: l}, NewResilientDecider(l, 1)
+	for _, d := range []Decider{det, rnd, viewOnly(det), viewOnly(rnd)} {
 		lo := 0
 		for rep, k := range []int{width, width - 1, width} {
 			// Fresh instances per lane, like the Monte-Carlo harness builds:
@@ -47,7 +50,7 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 			accs := Exec{Bt: bt}.Accepts(dis, d, draws)
 			for b := 0; b < k; b++ {
 				want := verdicts(Exec{}, dis[b], d, &draws[b])
-				pooled := verdicts(Exec{Eng: eng}, dis[b], d, &draws[b])
+				pooled := verdicts(Exec{Bt: one}, dis[b], d, &draws[b])
 				for v := range want {
 					if want[v] != got[b][v] {
 						t.Fatalf("%s rep %d lane %d node %d: batched %v, single-shot %v", d.Name(), rep, b, v, got[b][v], want[v])
@@ -65,7 +68,7 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 						if farBatch[b] != acceptsFarFrom(Exec{}, dis[b], d, &draws[b], u, far) {
 							t.Fatalf("%s rep %d lane %d: batched AcceptsFarFrom(u=%d, far=%d) disagrees with one-shot", d.Name(), rep, b, u, far)
 						}
-						if farBatch[b] != acceptsFarFrom(Exec{Eng: eng}, dis[b], d, &draws[b], u, far) {
+						if farBatch[b] != acceptsFarFrom(Exec{Bt: one}, dis[b], d, &draws[b], u, far) {
 							t.Fatalf("%s rep %d lane %d: batched AcceptsFarFrom(u=%d, far=%d) disagrees with pooled", d.Name(), rep, b, u, far)
 						}
 					}
@@ -77,7 +80,6 @@ func TestBatchVerdictsMatchPooledAndSingleShot(t *testing.T) {
 
 	// Deterministic deciders accept nil draws (the benchmark trial shape).
 	dis := []*lang.DecisionInstance{coloringInstance(t, g, colors...), coloringInstance(t, g, colors...)}
-	det := &LCLDecider{L: l}
 	got := Exec{Bt: bt}.Verdicts(dis, det, nil)
 	want := verdicts(Exec{}, dis[0], det, nil)
 	for b := range dis {

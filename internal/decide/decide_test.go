@@ -154,7 +154,7 @@ func TestBrokenAMOSDeciderFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := EstimateGuarantee([]*LabeledInstance{li}, &AMOSDecider{P: 0.3}, localrand.NewTapeSpace(9), 20000)
+	rep := EstimateGuarantee([]*LabeledInstance{li}, &LCLDecider{L: lang.NoneSelected(), F: 1, P: 0.3}, localrand.NewTapeSpace(9), 20000)
 	if rep.Min.P() > 0.4 {
 		t.Errorf("broken decider not flagged: %v", rep.Min)
 	}
@@ -238,8 +238,8 @@ func TestResilientDeciderGuaranteeAboveHalf(t *testing.T) {
 func TestSlackNodeAwareDecider(t *testing.T) {
 	l := lang.ProperColoring(3)
 	d := NewSlackNodeAwareDecider(l, 0.1, 60)
-	if d.Budget() != 6 {
-		t.Errorf("budget = %d, want 6", d.Budget())
+	if d.F != 6 {
+		t.Errorf("budget = %d, want 6", d.F)
 	}
 	if d.Guarantee() <= 0.5 {
 		t.Errorf("guarantee %v <= 1/2", d.Guarantee())

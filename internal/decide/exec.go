@@ -1,28 +1,26 @@
 package decide
 
 import (
+	"fmt"
+
 	"rlnc/internal/lang"
 	"rlnc/internal/local"
 	"rlnc/internal/localrand"
 )
 
 // Exec is the package's one execution handle: the three decision verbs —
-// Verdicts, Accepts, AcceptsFarFrom — are methods on it, and the handle
-// decides how the decision views are assembled. Set Bt for vectorized
-// trials on a reusable batch, Eng for pooled per-trial execution on a
-// reusable engine; the zero Exec builds a transient engine per call (the
-// single-shot convenience).
+// Verdicts, Accepts, AcceptsFarFrom — are methods on it. Set Bt for
+// trial loops on a reusable batch; the zero Exec builds a transient
+// batch per call (the single-shot convenience).
 //
 // All verbs take trial vectors: lane b evaluates dis[b] under draws[b]
 // (nil draws for deterministic deciders). Single-trial callers pass
 // one-element slices; every lane's verdicts are identical to a
 // single-shot evaluation of the same (instance, draw).
 type Exec struct {
-	// Eng, when set, assembles decision views on the engine's cached
-	// balls, one lane at a time.
-	Eng *local.Engine
-	// Bt, when set, assembles all lanes' views in one pass on the batch's
-	// cached balls; it takes precedence over Eng.
+	// Bt, when set, assembles all lanes' decision views in one pass on
+	// the batch's cached balls. Deciders evaluated on the row path do not
+	// touch it.
 	Bt *local.Batch
 	// Mem, when set, backs the returned verdict and acceptance slices
 	// with a reusable double-buffered store instead of fresh allocations:
@@ -42,7 +40,9 @@ type Exec struct {
 type Mem struct {
 	buf  [2]memBuf
 	flip int
-	col  []int32
+	// col is the row path's per-node decode scratch (lang.LCL.BadRow),
+	// transient within one Verdicts call, so it needs no double buffer.
+	col []int32
 }
 
 // memBuf is one buffer of the pair: the flat verdict slab (lane b's row
@@ -51,17 +51,6 @@ type memBuf struct {
 	slab []bool
 	rows [][]bool
 	acc  []bool
-}
-
-// col is the per-node decode scratch of the row-decider fast path
-// (lang.LCL.BadRow). Transient within one Verdicts call, so it needs no
-// double buffering.
-func (m *Mem) colRow(n int) []int32 {
-	if cap(m.col) >= n {
-		return m.col[:n]
-	}
-	m.col = make([]int32, n)
-	return m.col
 }
 
 // next returns the buffer the coming evaluation writes, sized for k
@@ -94,58 +83,89 @@ func boolsFor(s []bool, n int) []bool {
 	return make([]bool, n)
 }
 
-// engine resolves the pooled engine of a non-batched handle, building a
+// batch resolves the batch that assembles decision views, building a
 // transient one for the zero Exec.
-func (x Exec) engine(di *lang.DecisionInstance) *local.Engine {
-	if x.Eng != nil {
-		return x.Eng
+func (x Exec) batch(dis []*lang.DecisionInstance) *local.Batch {
+	if x.Bt != nil {
+		return x.Bt
 	}
-	return local.MustPlan(di.G).NewEngine()
+	return local.MustPlan(dis[0].G).NewBatch(len(dis))
+}
+
+// checkLanes validates a trial vector once for both evaluation paths:
+// every lane decides a configuration of lane 0's graph (the batch's
+// graph, when one is set) whose inputs, outputs and identities cover
+// exactly its nodes, under one draw per lane when draws are given.
+func (x Exec) checkLanes(dis []*lang.DecisionInstance, draws []localrand.Draw) error {
+	g := dis[0].G
+	n := g.N()
+	if x.Bt != nil && x.Bt.Plan().Graph() != g {
+		return fmt.Errorf("decide: lane graph %v is not the batch's plan graph %v", g, x.Bt.Plan().Graph())
+	}
+	if draws != nil && len(draws) != len(dis) {
+		return fmt.Errorf("decide: %d draws for %d lanes", len(draws), len(dis))
+	}
+	for b, di := range dis {
+		if di.G != g {
+			return fmt.Errorf("decide: lane %d graph %v is not lane 0's graph %v", b, di.G, g)
+		}
+		if len(di.X) != n || len(di.Y) != n || len(di.ID) != n {
+			return fmt.Errorf("decide: lane %d has %d inputs, %d outputs and %d identities for %d nodes",
+				b, len(di.X), len(di.Y), len(di.ID), n)
+		}
+	}
+	return nil
 }
 
 // Verdicts evaluates the decider at every node of every lane: out[b][v]
-// is node v's verdict on dis[b] under draws[b].
+// is node v's verdict on dis[b] under draws[b]. It panics on a
+// malformed trial vector (see checkLanes).
 func (x Exec) Verdicts(dis []*lang.DecisionInstance, d Decider, draws []localrand.Draw) [][]bool {
 	if len(dis) == 0 {
 		return nil
 	}
+	if err := x.checkLanes(dis, draws); err != nil {
+		panic(err.Error())
+	}
 	k, n := len(dis), dis[0].G.N()
 	slab, out := x.verdictStore(k, n)
-	// Row-decider fast path: a deterministic LCL decider whose language
-	// defines the whole-row Bad predicate skips view assembly entirely —
-	// each lane's outputs decode once into a scratch column and the
-	// verdicts are pure comparisons over the graph's adjacency. Verdicts
-	// are identical to the view path's by the BadRow contract.
-	if draws == nil {
-		if ld, ok := d.(*LCLDecider); ok && ld.L.BadRow != nil {
-			col := x.colStore(n)
-			for b, di := range dis {
+	// Row path: an LCL decider whose language defines the whole-row Bad
+	// predicate skips view assembly entirely. Each lane's outputs decode
+	// once into a scratch column, the bad row is pure comparisons over
+	// the graph's adjacency, and only flagged nodes flip their coin —
+	// reading exactly the tape bits View.Tape would hand the view path.
+	// Verdicts are identical to the view path's by the BadRow contract.
+	// A lane repeating the previous lane's instance (the estimators'
+	// shape: one instance, many draws) copies its bad row.
+	if ld, ok := d.(*LCLDecider); ok && ld.L.BadRow != nil && (ld.P == 0 || draws != nil) {
+		col := x.colStore(n)
+		for b, di := range dis {
+			if b > 0 && di == dis[b-1] {
+				copy(out[b], out[b-1])
+			} else {
 				ld.L.BadRow(di, out[b], col)
 			}
-			for i, bad := range slab[:k*n] {
-				slab[i] = !bad
-			}
-			return out
 		}
-	}
-	if x.Bt != nil {
-		if err := x.Bt.ForEachDecisionViews(dis, d.Radius(), draws, func(b, v int, view *local.View) {
-			slab[b*n+v] = d.Verdict(view)
-		}); err != nil {
-			panic(err.Error())
+		for i, bad := range slab[:k*n] {
+			slab[i] = !bad
+		}
+		if ld.P != 0 {
+			var t localrand.Tape
+			for b, di := range dis {
+				for v, ok := range out[b] {
+					if !ok {
+						draws[b].TapeInto(&t, di.ID[v])
+						out[b][v] = ld.coin(&t)
+					}
+				}
+			}
 		}
 		return out
 	}
-	eng := x.engine(dis[0])
-	for b, di := range dis {
-		var draw *localrand.Draw
-		if draws != nil {
-			draw = &draws[b]
-		}
-		row := out[b]
-		eng.ForEachDecisionView(di, d.Radius(), draw, func(v int, view *local.View) {
-			row[v] = d.Verdict(view)
-		})
+	if err := x.batch(dis).ForEachDecisionViews(dis, d.Radius(), draws, func(b, v int, view *local.View) {
+		slab[b*n+v] = d.Verdict(view)
+	}); err != nil {
+		panic(err.Error())
 	}
 	return out
 }
@@ -182,13 +202,16 @@ func (x Exec) Accepts(dis []*lang.DecisionInstance, d Decider, draws []localrand
 	return acc
 }
 
-// colStore stages the row-decider decode scratch: Mem-backed or freshly
+// colStore stages the row path's decode scratch: Mem-backed or freshly
 // allocated.
 func (x Exec) colStore(n int) []int32 {
-	if x.Mem != nil {
-		return x.Mem.colRow(n)
+	if x.Mem == nil {
+		return make([]int32, n)
 	}
-	return make([]int32, n)
+	if cap(x.Mem.col) < n {
+		x.Mem.col = make([]int32, n)
+	}
+	return x.Mem.col[:n]
 }
 
 // accStore stages the acceptance row: Mem-backed (the same buffer the
@@ -208,13 +231,8 @@ func (x Exec) AcceptsFarFrom(dis []*lang.DecisionInstance, d Decider, draws []lo
 	if len(dis) == 0 {
 		return nil
 	}
-	var dist []int
-	if x.Bt != nil {
-		dist = x.Bt.Plan().DistFrom(u)
-	} else {
-		x.Eng = x.engine(dis[0])
-		dist = x.Eng.Plan().DistFrom(u)
-	}
+	x.Bt = x.batch(dis)
+	dist := x.Bt.Plan().DistFrom(u)
 	verdicts := x.Verdicts(dis, d, draws)
 	acc := x.accStore(len(verdicts))
 	for b, row := range verdicts {

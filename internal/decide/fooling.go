@@ -67,9 +67,9 @@ func AMOSFooling(d Decider, pathLen int) (*FoolingReport, error) {
 	rep := &FoolingReport{
 		Radius:             t,
 		PathLen:            pathLen,
-		AcceptsLeft:        all(vLeft),
-		AcceptsRight:       all(vRight),
-		AcceptsBoth:        all(vBoth),
+		AcceptsLeft:        allTrue(vLeft),
+		AcceptsRight:       allTrue(vRight),
+		AcceptsBoth:        allTrue(vBoth),
 		TransferConsistent: true,
 	}
 	// Check the transfer prediction node by node: a node that cannot see
@@ -99,13 +99,4 @@ func AMOSFooling(d Decider, pathLen int) (*FoolingReport, error) {
 		rep.Reason = "decider escaped the fooling argument (non-local behavior?)"
 	}
 	return rep, nil
-}
-
-func all(bs []bool) bool {
-	for _, b := range bs {
-		if !b {
-			return false
-		}
-	}
-	return true
 }

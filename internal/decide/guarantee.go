@@ -40,10 +40,11 @@ type GuaranteeReport struct {
 const estimatorBatch = 32
 
 // guaranteeScratch is one worker's reusable trial-vector state for the
-// estimators below: a batch over the instance's plan plus lane slices
-// for the (constant) instance column and the per-trial draws.
+// estimators below: a batch over the instance's plan, a verdict store,
+// and lanes for the (constant) instance column and the per-trial draws.
 type guaranteeScratch struct {
 	bt    *local.Batch
+	mem   Mem
 	dis   []*lang.DecisionInstance
 	draws []localrand.Draw
 }
@@ -90,7 +91,7 @@ func estimate(di *lang.DecisionInstance, trials int, drawAt func(trial int) loca
 // one-lane Exec{}.Accepts of di under drawAt(trial).
 func acceptEstimate(di *lang.DecisionInstance, d Decider, trials int, drawAt func(trial int) localrand.Draw, want func(accept bool) bool) mc.Estimate {
 	return estimate(di, trials, drawAt, func(s *guaranteeScratch, k int) []bool {
-		return Exec{Bt: s.bt}.Accepts(s.dis[:k], d, s.draws[:k])
+		return Exec{Bt: s.bt, Mem: &s.mem}.Accepts(s.dis[:k], d, s.draws[:k])
 	}, want)
 }
 
@@ -129,7 +130,7 @@ func AcceptFarFromProbability(di *lang.DecisionInstance, d Decider, space *local
 	return estimate(di, trials,
 		func(trial int) localrand.Draw { return space.Draw(uint64(trial)) },
 		func(s *guaranteeScratch, k int) []bool {
-			return Exec{Bt: s.bt}.AcceptsFarFrom(s.dis[:k], d, s.draws[:k], u, far)
+			return Exec{Bt: s.bt, Mem: &s.mem}.AcceptsFarFrom(s.dis[:k], d, s.draws[:k], u, far)
 		},
 		func(acc bool) bool { return acc })
 }

@@ -9,11 +9,12 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// TestPooledVerdictsMatchSingleShot pins that the engine-pooled decision
-// path (Exec{Eng}'s Verdicts / Accepts / AcceptsFarFrom) produces
+// TestPooledVerdictsMatchSingleShot pins that a reused width-1 batch
+// (Exec{Bt}'s Verdicts / Accepts / AcceptsFarFrom) produces
 // identical verdicts to the one-shot path for randomized and
-// deterministic deciders, across back-to-back reuse with fresh
-// DecisionInstances per trial — the exact shape of the experiment loops.
+// deterministic deciders, on the row path and on assembled views, across
+// back-to-back reuse with fresh DecisionInstances per trial — the exact
+// shape of the experiment loops.
 func TestPooledVerdictsMatchSingleShot(t *testing.T) {
 	l := lang.ProperColoring(3)
 	g := graph.Cycle(18)
@@ -28,43 +29,47 @@ func TestPooledVerdictsMatchSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := plan.NewEngine()
+	bt := plan.NewBatch(1)
 	det := &LCLDecider{L: l}
-	for trial := 0; trial < 5; trial++ {
-		// Fresh instance per trial, like the Monte-Carlo harness builds.
-		di := coloringInstance(t, g, colors...)
-		draw := space.Draw(uint64(trial))
+	for _, d := range []Decider{det, viewOnly(det)} {
+		for trial := 0; trial < 5; trial++ {
+			// Fresh instance per trial, like the Monte-Carlo harness builds.
+			di := coloringInstance(t, g, colors...)
+			draw := space.Draw(uint64(trial))
 
-		want := verdicts(Exec{}, di, det, &draw)
-		got := verdicts(Exec{Eng: eng}, di, det, &draw)
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("trial %d node %d: pooled verdict %v, single-shot %v", trial, v, got[v], want[v])
+			want := verdicts(Exec{}, di, d, &draw)
+			got := verdicts(Exec{Bt: bt}, di, d, &draw)
+			for v := range want {
+				if want[v] != got[v] {
+					t.Fatalf("trial %d node %d: pooled verdict %v, single-shot %v", trial, v, got[v], want[v])
+				}
 			}
-		}
-		if accepts(Exec{}, di, det, &draw) != accepts(Exec{Eng: eng}, di, det, &draw) {
-			t.Fatalf("trial %d: Accepts disagrees", trial)
-		}
-		for _, u := range []int{0, 4, 9} {
-			for _, far := range []int{1, 3} {
-				if acceptsFarFrom(Exec{}, di, det, &draw, u, far) != acceptsFarFrom(Exec{Eng: eng}, di, det, &draw, u, far) {
-					t.Fatalf("trial %d: AcceptsFarFrom(u=%d, far=%d) disagrees", trial, u, far)
+			if accepts(Exec{}, di, d, &draw) != accepts(Exec{Bt: bt}, di, d, &draw) {
+				t.Fatalf("trial %d: Accepts disagrees", trial)
+			}
+			for _, u := range []int{0, 4, 9} {
+				for _, far := range []int{1, 3} {
+					if acceptsFarFrom(Exec{}, di, d, &draw, u, far) != acceptsFarFrom(Exec{Bt: bt}, di, d, &draw, u, far) {
+						t.Fatalf("trial %d: AcceptsFarFrom(u=%d, far=%d) disagrees", trial, u, far)
+					}
 				}
 			}
 		}
 	}
 
 	// Randomized decider: verdicts depend on tapes, so this also pins the
-	// pooled tape threading.
+	// pooled tape threading, on the row path and on assembled views.
 	rnd := NewResilientDecider(l, 1)
-	for trial := 0; trial < 5; trial++ {
-		di := coloringInstance(t, g, colors...)
-		draw := space.Draw(uint64(100 + trial))
-		want := verdicts(Exec{}, di, rnd, &draw)
-		got := verdicts(Exec{Eng: eng}, di, rnd, &draw)
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("randomized trial %d node %d: pooled %v, single-shot %v", trial, v, got[v], want[v])
+	for _, d := range []Decider{rnd, viewOnly(rnd)} {
+		for trial := 0; trial < 5; trial++ {
+			di := coloringInstance(t, g, colors...)
+			draw := space.Draw(uint64(100 + trial))
+			want := verdicts(Exec{}, di, d, &draw)
+			got := verdicts(Exec{Bt: bt}, di, d, &draw)
+			for v := range want {
+				if want[v] != got[v] {
+					t.Fatalf("randomized trial %d node %d: pooled %v, single-shot %v", trial, v, got[v], want[v])
+				}
 			}
 		}
 	}

@@ -1,11 +1,9 @@
 package decide
 
 import (
-	"fmt"
 	"math"
 
 	"rlnc/internal/lang"
-	"rlnc/internal/local"
 )
 
 // GoldenP is (√5−1)/2 ≈ 0.618, the guarantee of the zero-round AMOS
@@ -15,38 +13,12 @@ import (
 // 1 − p^s ≥ 1 − p² = p.
 var GoldenP = (math.Sqrt(5) - 1) / 2
 
-// AMOSDecider is the zero-round randomized decider for the language amos:
-// every non-selected node accepts; every selected node accepts with
-// probability P and rejects with probability 1−P.
-type AMOSDecider struct {
-	// P is the acceptance probability of a selected node; the guarantee
-	// of the decider is min(P, 1−P²), maximized at the golden ratio.
-	P float64
-}
-
-// NewAMOSDecider returns the decider with the optimal P = (√5−1)/2.
-func NewAMOSDecider() *AMOSDecider { return &AMOSDecider{P: GoldenP} }
-
-// Name implements Decider.
-func (d *AMOSDecider) Name() string { return fmt.Sprintf("amos-decider(p=%.3f)", d.P) }
-
-// Radius implements Decider. The decider inspects nothing beyond the
-// node's own output: zero rounds.
-func (d *AMOSDecider) Radius() int { return 0 }
-
-// Verdict implements Decider.
-func (d *AMOSDecider) Verdict(v *local.View) bool {
-	sel, err := lang.DecodeSelected(v.Y[0])
-	if err != nil || !sel {
-		// Malformed marks count as non-selected, matching the language.
-		return true
-	}
-	return v.Tape().Bernoulli(d.P)
-}
-
-// Guarantee returns the decider's analytic guarantee min(P, 1−P²).
-func (d *AMOSDecider) Guarantee() float64 {
-	return math.Min(d.P, 1-d.P*d.P)
+// NewAMOSDecider returns the zero-round randomized decider for the
+// language amos with the optimal P = (√5−1)/2: every non-selected node
+// accepts, and every selected node accepts with probability P. It is the
+// Corollary 1 decider for f = 1 over "no node selected".
+func NewAMOSDecider() *LCLDecider {
+	return &LCLDecider{L: lang.NoneSelected(), F: 1, P: GoldenP}
 }
 
 // ResilientP returns the acceptance probability used by the Corollary 1
@@ -62,98 +34,17 @@ func ResilientP(f int) float64 {
 	return math.Sqrt(lo * hi)
 }
 
-// ResilientDecider is the randomized decider from the proof of
-// Corollary 1, witnessing L_f ∈ BPLD for every LCL language L: every node
-// whose radius-t ball is good accepts; every node centering a bad ball
-// accepts with probability P and rejects with probability 1−P.
-//
-// With |F(G)| the number of bad balls, Pr[all accept] = P^{|F(G)|}, so
-//   - (G,(x,y)) ∈ L_f  (|F| ≤ f):   Pr[all accept] ≥ P^f > 1/2, and
-//   - (G,(x,y)) ∉ L_f  (|F| ≥ f+1): Pr[some reject] ≥ 1 − P^{f+1} > 1/2,
-//
-// because 2^{−1/f} < P < 2^{−1/(f+1)}.
-type ResilientDecider struct {
-	L *lang.LCL
-	F int
-	P float64
+// NewResilientDecider builds the Corollary 1 decider witnessing
+// L_f ∈ BPLD for an LCL language L, with the default P = ResilientP(f).
+func NewResilientDecider(l *lang.LCL, f int) *LCLDecider {
+	return &LCLDecider{L: l, F: f, P: ResilientP(f)}
 }
 
-// NewResilientDecider builds the Corollary 1 decider with the default P.
-func NewResilientDecider(l *lang.LCL, f int) *ResilientDecider {
-	return &ResilientDecider{L: l, F: f, P: ResilientP(f)}
-}
-
-// Name implements Decider.
-func (d *ResilientDecider) Name() string {
-	return fmt.Sprintf("resilient-decider(%s, f=%d, p=%.4f)", d.L.Name(), d.F, d.P)
-}
-
-// Radius implements Decider: t is the radius of the excluded balls.
-func (d *ResilientDecider) Radius() int { return d.L.Radius }
-
-// Verdict implements Decider.
-func (d *ResilientDecider) Verdict(v *local.View) bool {
-	bad := d.L.Bad(v.LabeledBall())
-	if !bad {
-		return true
-	}
-	return v.Tape().Bernoulli(d.P)
-}
-
-// Guarantee returns the analytic guarantee min(P^f, 1 − P^{f+1}).
-func (d *ResilientDecider) Guarantee() float64 {
-	return math.Min(math.Pow(d.P, float64(d.F)), 1-math.Pow(d.P, float64(d.F+1)))
-}
-
-// SlackNodeAwareDecider decides the ε-slack relaxation of an LCL language
-// when the number of nodes n is known a priori: it is the Corollary 1
-// decider with f = ⌊ε·n⌋. This witnesses ε-slack ∈ BPLD#node (§5); the
-// dependence on n is what keeps it outside BPLD, and the paper shows
+// NewSlackNodeAwareDecider builds the decider of the ε-slack relaxation
+// of an LCL language for n-node configurations: the Corollary 1 decider
+// with f = ⌊ε·n⌋ (at least 1). This witnesses ε-slack ∈ BPLD#node (§5);
+// the dependence on n is what keeps it outside BPLD, and the paper shows
 // Theorem 1 cannot extend to BPLD#node.
-type SlackNodeAwareDecider struct {
-	L   *lang.LCL
-	Eps float64
-	N   int
-	P   float64
-}
-
-// NewSlackNodeAwareDecider builds the decider for n-node configurations.
-func NewSlackNodeAwareDecider(l *lang.LCL, eps float64, n int) *SlackNodeAwareDecider {
-	f := int(math.Floor(eps * float64(n)))
-	if f < 1 {
-		f = 1
-	}
-	return &SlackNodeAwareDecider{L: l, Eps: eps, N: n, P: ResilientP(f)}
-}
-
-// Budget returns the tolerated number of bad balls ⌊ε·n⌋ (at least 1).
-func (d *SlackNodeAwareDecider) Budget() int {
-	f := int(math.Floor(d.Eps * float64(d.N)))
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
-// Name implements Decider.
-func (d *SlackNodeAwareDecider) Name() string {
-	return fmt.Sprintf("slack-decider(%s, eps=%g, n=%d)", d.L.Name(), d.Eps, d.N)
-}
-
-// Radius implements Decider.
-func (d *SlackNodeAwareDecider) Radius() int { return d.L.Radius }
-
-// Verdict implements Decider.
-func (d *SlackNodeAwareDecider) Verdict(v *local.View) bool {
-	bad := d.L.Bad(v.LabeledBall())
-	if !bad {
-		return true
-	}
-	return v.Tape().Bernoulli(d.P)
-}
-
-// Guarantee returns min(P^f, 1 − P^{f+1}) for f = Budget().
-func (d *SlackNodeAwareDecider) Guarantee() float64 {
-	f := float64(d.Budget())
-	return math.Min(math.Pow(d.P, f), 1-math.Pow(d.P, f+1))
+func NewSlackNodeAwareDecider(l *lang.LCL, eps float64, n int) *LCLDecider {
+	return NewResilientDecider(l, max(1, int(math.Floor(eps*float64(n)))))
 }

@@ -43,7 +43,7 @@ func (e e5) Run(cfg report.Config) (*report.Result, error) {
 	formulaWorks := true
 	for _, pr := range params {
 		sab := PlantedSaboteur{Beta: pr.beta}
-		d := &NoisyLCLDecider{L: l, RejectProb: pr.p}
+		d := &decide.LCLDecider{L: l, P: pr.p, Invert: true}
 		nuFormula, err := glue.NuDisjoint(pr.r, pr.p, pr.beta)
 		if err != nil {
 			return nil, err

@@ -40,7 +40,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 	l := lang.ProperColoring(3)
 	beta, p := 0.4, 0.75
 	sab := PlantedSaboteur{Beta: beta}
-	dec := &NoisyLCLDecider{L: l, RejectProb: p}
+	dec := &decide.LCLDecider{L: l, P: p, Invert: true}
 	tC, tD := sab.Radius(), l.Radius
 
 	mu, err := glue.Mu(p)

@@ -67,7 +67,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 					out[i] = acc == inL
 				}
 			})
-			ta.AddRow(n, d.Budget(), tc.name, inL, fmt.Sprintf("%.4f", est.P()), est.P() > 0.5)
+			ta.AddRow(n, d.F, tc.name, inL, fmt.Sprintf("%.4f", est.P()), est.P() > 0.5)
 			if est.P() <= 0.5 {
 				deciderOK = false
 			}
@@ -85,7 +85,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 				out[i] = acc == inL
 			}
 		})
-		ta.AddRow(n, d.Budget(), "monochromatic", inL, fmt.Sprintf("%.4f", est.P()), est.P() > 0.5)
+		ta.AddRow(n, d.F, "monochromatic", inL, fmt.Sprintf("%.4f", est.P()), est.P() > 0.5)
 		if est.P() <= 0.5 {
 			deciderOK = false
 		}

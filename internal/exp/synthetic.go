@@ -98,31 +98,3 @@ func sealGluedInputs(x [][]byte, vNodes, wNodes []int, zColors []int) {
 		x[wNodes[i]] = plantInput(1-zColors[i], false)
 	}
 }
-
-// NoisyLCLDecider is the randomized decider D of Claims 3–5 for an LCL
-// language: nodes with good balls accept; a node centering a bad ball
-// rejects with probability RejectProb. On the base language this decides
-// with guarantee RejectProb: members are always accepted, and a
-// non-member has at least one bad ball whose center rejects with
-// probability ≥ RejectProb.
-type NoisyLCLDecider struct {
-	L          *lang.LCL
-	RejectProb float64
-}
-
-// Name implements decide.Decider.
-func (d *NoisyLCLDecider) Name() string {
-	return fmt.Sprintf("noisy-lcl-decider(%s, p=%g)", d.L.Name(), d.RejectProb)
-}
-
-// Radius implements decide.Decider.
-func (d *NoisyLCLDecider) Radius() int { return d.L.Radius }
-
-// Verdict implements decide.Decider.
-func (d *NoisyLCLDecider) Verdict(v *local.View) bool {
-	bad := d.L.Bad(&lang.LabeledBall{Ball: v.Ball, X: v.X, Y: v.Y})
-	if !bad {
-		return true
-	}
-	return !v.Tape().Bernoulli(d.RejectProb)
-}

@@ -39,6 +39,7 @@ var rowLangs = []struct {
 	{ProperColoring(3), 3, false, false},
 	{WeakColoring(2), 2, false, true},
 	{MIS(), 0, true, false},
+	{NoneSelected(), 0, true, false},
 }
 
 // ballOnly strips the row form from an LCL, leaving per-ball evaluation

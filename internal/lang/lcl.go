@@ -45,17 +45,18 @@ type LCL struct {
 	// Bad(B(v, Radius)) for every node v — byte-for-byte the same
 	// predicate, including the treatment of malformed outputs and the
 	// neighbor scan order (the direct-neighbor order of a radius-1 ball
-	// is the graph's port order). Only radius-1 languages whose predicate
-	// reads the outputs of the center and its direct neighbors can define
-	// it. CountBadBalls, BadNodes and Contains evaluate it on every
-	// configuration whose X and Y cover exactly the graph's nodes, and
-	// deterministic deciders dispatch to it on the hot trial path
-	// (decide.Exec.Verdicts); per-ball evaluation of Bad is the fallback
-	// for languages without a row form and for shape-mismatched
-	// configurations. BadRow never reads identities. len(bad) is the node
-	// count; scratch is caller-provided per-node scratch of the same
-	// length, typically a decode-once column so each output is validated
-	// once instead of once per adjacent center.
+	// is the graph's port order). Only languages of radius at most 1
+	// whose predicate reads the outputs of the center and its direct
+	// neighbors can define it. CountBadBalls, BadNodes and Contains
+	// evaluate it on every configuration whose X and Y cover exactly the
+	// graph's nodes, and LCL deciders, with or without a coin, dispatch to
+	// it on the hot trial path (decide.Exec.Verdicts); per-ball
+	// evaluation of Bad is the fallback for languages without a row form
+	// and, when counting, for shape-mismatched configurations. BadRow
+	// never reads identities. len(bad) is the node count; scratch is
+	// caller-provided per-node scratch of the same length, typically a
+	// decode-once column so each output is validated once instead of
+	// once per adjacent center.
 	BadRow func(di *DecisionInstance, bad []bool, scratch []int32)
 }
 
@@ -324,6 +325,26 @@ func MIS() *LCL {
 				} else {
 					bad[v] = nbrErr || !anySelected // domination violated
 				}
+			}
+		},
+	}
+}
+
+// NoneSelected returns the radius-0 LCL "no node is selected": a ball is
+// bad iff its center decodes as selected (malformed marks count as not
+// selected). Its f = 1 relaxation is amos (§2.3.1).
+func NoneSelected() *LCL {
+	return &LCL{
+		LangName: "none-selected",
+		Radius:   0,
+		Bad: func(b *LabeledBall) bool {
+			sel, err := DecodeSelected(b.Y[0])
+			return err == nil && sel
+		},
+		BadRow: func(di *DecisionInstance, bad []bool, _ []int32) {
+			for v, yv := range di.Y {
+				sel, err := DecodeSelected(yv)
+				bad[v] = err == nil && sel
 			}
 		},
 	}

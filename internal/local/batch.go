@@ -1220,9 +1220,9 @@ func (bt *Batch) runViewVec(shared *lang.Instance, ins []*lang.Instance, k int, 
 // the worker pool. The usual trial shape shares identities and inputs
 // across lanes and varies only the candidate outputs, so the skeletons
 // are refilled once and each lane pays only its Y column and tape
-// binding. Lane verdictions are identical to Engine.ForEachDecisionView
-// with the same (instance, draw). Views are batch-owned scratch: valid
-// only for the duration of fn and read-only.
+// binding. It is the one assembly path of decision views; a width-1
+// batch serves single-trial callers. Views are batch-owned scratch:
+// valid only for the duration of fn and read-only.
 func (bt *Batch) ForEachDecisionViews(dis []*lang.DecisionInstance, radius int, draws []localrand.Draw, fn func(b, v int, view *View)) error {
 	if err := bt.lanes(len(dis)); err != nil {
 		return err

@@ -94,12 +94,6 @@ func runCore(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localran
 	return plan.NewEngine().runWithTapes(in, algo, tapeOf, opts)
 }
 
-// ParallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers.
-// fn must touch disjoint state per index; under that contract the result
-// is deterministic regardless of scheduling. Exported for the decider and
-// experiment packages, which share the same per-node parallelism pattern.
-func ParallelFor(n int, fn func(i int)) { parallelFor(n, fn) }
-
 // parallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers,
 // in contiguous chunks. Callers guarantee fn touches disjoint state per
 // index, so the iteration is deterministic regardless of scheduling. A

@@ -42,11 +42,11 @@ func TestEnginePanicsAreRecoverable(t *testing.T) {
 func TestParallelForSmallN(t *testing.T) {
 	// n smaller than worker count exercises the serial path.
 	hits := make([]bool, 2)
-	ParallelFor(2, func(i int) { hits[i] = true })
+	parallelFor(2, func(i int) { hits[i] = true })
 	if !hits[0] || !hits[1] {
-		t.Error("ParallelFor skipped indices")
+		t.Error("parallelFor skipped indices")
 	}
-	ParallelFor(0, func(i int) { t.Error("called for n=0") })
+	parallelFor(0, func(i int) { t.Error("called for n=0") })
 }
 
 func TestFullInfoZeroRound(t *testing.T) {

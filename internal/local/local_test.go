@@ -291,15 +291,29 @@ func TestDecisionViewCarriesOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := DecisionView(di, 1, 1, nil)
-	if v.Y == nil {
-		t.Fatal("decision view lost outputs")
+	// Views are valid only during the callback, so they are checked there.
+	seen := false
+	err = MustPlan(g).NewBatch(1).ForEachDecisionViews([]*lang.DecisionInstance{di}, 1, nil, func(_, v int, view *View) {
+		if v != 1 {
+			return
+		}
+		seen = true
+		if view.Y == nil {
+			t.Error("decision view lost outputs")
+			return
+		}
+		if !bytes.Equal(view.Y[0], []byte{2}) {
+			t.Errorf("center output = %v, want [2]", view.Y[0])
+		}
+		if view.Tape() != nil {
+			t.Error("deterministic view has a tape")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(v.Y[0], []byte{2}) {
-		t.Errorf("center output = %v, want [2]", v.Y[0])
-	}
-	if v.Tape() != nil {
-		t.Error("deterministic view has a tape")
+	if !seen {
+		t.Fatal("no view assembled for node 1")
 	}
 }
 

@@ -122,7 +122,6 @@ func (p *Plan) DistFrom(u int) []int {
 type Engine struct {
 	bt      Batch
 	drawBuf [1]localrand.Draw
-	diBuf   [1]*lang.DecisionInstance
 	ptrBuf  [1]*Result
 }
 
@@ -204,22 +203,4 @@ func (e *Engine) RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.
 		panic(err.Error())
 	}
 	return e.bt.runViewVec(in, nil, 1, algo, e.drawsOf(draw))[0]
-}
-
-// ForEachDecisionView assembles the radius-t decision views of di over
-// the plan's graph and invokes fn at every node on the worker pool,
-// exactly as the decide package's Verdicts does with one-shot views.
-// Skeletons are cached per radius; only the identity/input/label
-// pointers are refilled per call, so trial loops that hand a fresh
-// DecisionInstance every trial stay allocation-free. Views are
-// engine-owned scratch: they are valid only for the duration of fn and
-// must be treated as read-only.
-func (e *Engine) ForEachDecisionView(di *lang.DecisionInstance, radius int, draw *localrand.Draw, fn func(v int, view *View)) {
-	e.diBuf[0] = di
-	defer func() { e.diBuf[0] = nil }() // no-retention: drop the trial's instance
-	if err := e.bt.ForEachDecisionViews(e.diBuf[:], radius, e.drawsOf(draw), func(_, v int, view *View) {
-		fn(v, view)
-	}); err != nil {
-		panic(err.Error())
-	}
 }

@@ -246,20 +246,9 @@ type ViewAlgorithm interface {
 	Output(v *View) []byte
 }
 
-// tapeFunc builds the per-view tape accessor for a draw σ; nil draws give
-// deterministic views.
-func tapeFunc(drawPtr *localrand.Draw, idOf func(local int) int64) func(int) *localrand.Tape {
-	if drawPtr == nil {
-		return nil
-	}
-	draw := *drawPtr
-	return func(local int) *localrand.Tape {
-		return draw.Tape(idOf(local))
-	}
-}
-
 // ConstructionView assembles the radius-t view of node v for a
-// construction instance (no outputs).
+// construction instance (no outputs); a nil draw gives a deterministic
+// view.
 func ConstructionView(in *lang.Instance, v, t int, draw *localrand.Draw) *View {
 	b := in.G.BallAround(v, t)
 	view := &View{
@@ -271,26 +260,10 @@ func ConstructionView(in *lang.Instance, v, t int, draw *localrand.Draw) *View {
 		view.IDs[i] = in.ID[u]
 		view.X[i] = in.X[u]
 	}
-	view.TapeFor = tapeFunc(draw, func(local int) int64 { return view.IDs[local] })
-	return view
-}
-
-// DecisionView assembles the radius-t view of node v for a decision
-// instance (inputs and candidate outputs).
-func DecisionView(di *lang.DecisionInstance, v, t int, draw *localrand.Draw) *View {
-	b := di.G.BallAround(v, t)
-	view := &View{
-		Ball: b,
-		IDs:  make([]int64, b.Size()),
-		X:    make([][]byte, b.Size()),
-		Y:    make([][]byte, b.Size()),
+	if draw != nil {
+		d := *draw
+		view.TapeFor = func(local int) *localrand.Tape { return d.Tape(view.IDs[local]) }
 	}
-	for i, u := range b.Nodes {
-		view.IDs[i] = di.ID[u]
-		view.X[i] = di.X[u]
-		view.Y[i] = di.Y[u]
-	}
-	view.TapeFor = tapeFunc(draw, func(local int) int64 { return view.IDs[local] })
 	return view
 }
 

@@ -254,12 +254,13 @@ type (
 
 var NewTapeSpace = localrand.NewTapeSpace
 
-// Deciders (§2.2.1, §2.3).
+// Deciders (§2.2.1, §2.3). LCLDecider is the one LCL-shaped decider: a
+// bad-ball center rejects or, with a bias P, flips its own tape's coin.
+// NewAMOSDecider and NewResilientDecider return it with the coins of
+// §2.3.1 and Corollary 1.
 type (
-	Decider          = decide.Decider
-	LCLDecider       = decide.LCLDecider
-	AMOSDecider      = decide.AMOSDecider
-	ResilientDecider = decide.ResilientDecider
+	Decider    = decide.Decider
+	LCLDecider = decide.LCLDecider
 )
 
 var (
