@@ -127,12 +127,9 @@ func BenchmarkAblationViewViaGossip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	algo := local.FullInfo(summaryView)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := local.RunMessage(in, algo, nil, local.RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		local.RunFullInfo(in, summaryView, nil)
 	}
 }
 

@@ -62,24 +62,25 @@ func BenchmarkExpE17(b *testing.B) { benchExperiment(b, "E17") }
 // Substrate micro-benchmarks.
 
 // BenchmarkRoundEngine measures the synchronous round engine: nodes ×
-// rounds throughput of a flooding algorithm on a ring.
+// rounds throughput of Cole–Vishkin's word messages on a ring,
+// single-shot.
 func BenchmarkRoundEngine(b *testing.B) {
 	n := 1024
 	in, err := lang.NewInstance(graph.Cycle(n), lang.EmptyInputs(n), ids.Consecutive(n))
 	if err != nil {
 		b.Fatal(err)
 	}
-	algo := local.FullInfo(local.ViewFunc{
-		AlgoName: "probe", R: 4,
-		F: func(v *local.View) []byte { return []byte{byte(v.Ball.Size())} },
-	})
+	algo := construct.ColeVishkin{MaxIDBits: 63}
+	rounds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := local.RunMessage(in, algo, nil, local.RunOptions{}); err != nil {
+		res, err := local.RunMessage(in, algo, nil, local.RunOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds = res.Stats.Rounds
 	}
-	b.ReportMetric(float64(n*4), "node-rounds/op")
+	b.ReportMetric(float64(n*rounds), "node-rounds/op")
 }
 
 // benchTrialFixture builds the fixed Monte-Carlo trial setup shared by
@@ -641,20 +642,20 @@ func BenchmarkMessageEngineReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	algo := local.FullInfo(local.ViewFunc{
-		AlgoName: "probe", R: 4,
-		F: func(v *local.View) []byte { return []byte{byte(v.Ball.Size())} },
-	})
+	algo := construct.ColeVishkin{MaxIDBits: 63}
 	plan := local.MustPlan(in.G)
 	eng := plan.NewEngine()
+	rounds := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(in, algo, nil, local.RunOptions{}); err != nil {
+		res, err := eng.Run(in, algo, nil, local.RunOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds = res.Stats.Rounds
 	}
-	b.ReportMetric(float64(n*4), "node-rounds/op")
+	b.ReportMetric(float64(n*rounds), "node-rounds/op")
 }
 
 // BenchmarkBallExtraction measures B_G(v,t) extraction on a torus.
@@ -811,12 +812,9 @@ func BenchmarkFullInfoAdapter(b *testing.B) {
 		b.Fatal(err)
 	}
 	view := local.ViewFunc{AlgoName: "size", R: 3, F: func(v *local.View) []byte { return []byte{byte(v.Ball.Size())} }}
-	algo := local.FullInfo(view)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := local.RunMessage(in, algo, nil, local.RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		local.RunFullInfo(in, view, nil)
 	}
 }
 
@@ -835,10 +833,13 @@ func TestFacadeSmoke(t *testing.T) {
 	}
 	var plan *Plan = MustPlan(g)
 	var eng *Engine = plan.NewEngine()
-	if res, err := eng.Run(in, local.FullInfo(local.ViewFunc{AlgoName: "zero", R: 0, F: func(v *View) []byte {
-		return lang.EncodeColor(0)
-	}}), nil, RunOptions{}); err != nil || len(res.Y) != 12 {
+	if res, err := eng.Run(in, construct.ColeVishkin{MaxIDBits: 8}, nil, RunOptions{}); err != nil || len(res.Y) != 12 {
 		t.Fatalf("facade Plan/Engine broken: %v", err)
+	}
+	if res := RunFullInfo(in, local.ViewFunc{AlgoName: "zero", R: 1, F: func(v *View) []byte {
+		return lang.EncodeColor(0)
+	}}, nil); len(res.Y) != 12 || res.Stats.Rounds != 1 {
+		t.Fatalf("facade RunFullInfo broken: %+v", res.Stats)
 	}
 	if len(Experiments()) != 17 {
 		t.Fatalf("facade lists %d experiments", len(Experiments()))

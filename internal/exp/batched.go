@@ -149,28 +149,14 @@ func executor(trials int, plan *local.Plan, cfg report.Config) mc.Executor[*tria
 	return x
 }
 
-// runBatched runs a Bernoulli sweep over one plan on batched workers.
-func runBatched(trials int, plan *local.Plan, f func(s *trialBatch, lo, hi int, out []bool)) mc.Estimate {
-	return mc.Executor[*trialBatch]{
-		Trials: trials, Batch: trialBatchWidth, NewState: newTrialBatch(plan, 1, nil),
-	}.Run(f)
-}
-
-// meanBatched runs a real-valued sweep over one plan on batched workers.
-func meanBatched(trials int, plan *local.Plan, f func(s *trialBatch, lo, hi int, out []float64)) (mean, stderr float64) {
-	return mc.Executor[*trialBatch]{
-		Trials: trials, Batch: trialBatchWidth, NewState: newTrialBatch(plan, 1, nil),
-	}.Mean(f)
-}
-
-// runSharded is runBatched driven by the config's shard and fault axes;
-// see executor.
-func runSharded(trials int, plan *local.Plan, cfg report.Config, f func(s *trialBatch, lo, hi int, out []bool)) mc.Estimate {
+// runTrials runs a Bernoulli sweep over one plan on the config's
+// executor; see executor.
+func runTrials(trials int, plan *local.Plan, cfg report.Config, f func(s *trialBatch, lo, hi int, out []bool)) mc.Estimate {
 	return executor(trials, plan, cfg).Run(f)
 }
 
-// meanSharded is meanBatched driven by the config's shard and fault
-// axes; see executor.
-func meanSharded(trials int, plan *local.Plan, cfg report.Config, f func(s *trialBatch, lo, hi int, out []float64)) (mean, stderr float64) {
+// meanTrials runs a real-valued sweep over one plan on the config's
+// executor; see executor.
+func meanTrials(trials int, plan *local.Plan, cfg report.Config, f func(s *trialBatch, lo, hi int, out []float64)) (mean, stderr float64) {
 	return executor(trials, plan, cfg).Mean(f)
 }

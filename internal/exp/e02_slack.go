@@ -37,7 +37,7 @@ func meanBadFraction(n, T, nTrials int, seed uint64, cfg report.Config) (float64
 	in := cycleInstance(n, 1)
 	space := localrand.NewTapeSpace(seed)
 	plan := local.MustPlan(in.G)
-	return meanSharded(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []float64) {
+	return meanTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []float64) {
 		draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(t) })
 		ys, err := s.construct(construct.RetryColoring{Q: 3, T: T}, in, draws)
 		if err != nil {

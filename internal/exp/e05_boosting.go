@@ -70,7 +70,7 @@ func (e e5) Run(cfg report.Config) (*report.Result, error) {
 				return nil, err
 			}
 			plan := local.MustPlan(union.Instance.G)
-			est := runBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []bool) {
+			est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 				drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<32 | uint64(t) })
 				ys, err := s.bt.RunView(union.Instance, sab, drawsC)
 				if err != nil {

@@ -62,7 +62,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 	// instead of re-extracting them per invocation; trials run in batched
 	// vectors.
 	farAcceptProb := func(plan *local.Plan, in *lang.Instance, u int, tag uint64) mc.Estimate {
-		return runBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []bool) {
+		return runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return tag<<24 | uint64(t) })
 			ys, err := s.bt.RunView(in, sab, drawsC)
 			if err != nil {
@@ -139,7 +139,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 		// Acceptance of the glued instance, in batched trial vectors.
 		plan := local.MustPlan(gl.Instance.G)
 		nu := nu
-		est := runBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []bool) {
+		est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<40 | uint64(t) })
 			ys, err := s.bt.RunView(gl.Instance, sab, drawsC)
 			if err != nil {

@@ -50,7 +50,7 @@ func (e e10) Run(cfg report.Config) (*report.Result, error) {
 			// groups; every trial's outputs are byte-identical to the
 			// unsharded run (the table too, when the worker chunking
 			// coincides — see report.Config.Shards).
-			m, _ := meanSharded(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []float64) {
+			m, _ := meanTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []float64) {
 				draws := s.lanes(space, lo, hi, func(t int) uint64 { return tag<<32 | uint64(t) })
 				ys, err := s.construct(runner, in, draws)
 				if err != nil {

@@ -58,7 +58,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 				return nil, err
 			}
 			plan := local.MustPlan(di.G)
-			est := runBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []bool) {
+			est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 				draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(n)<<32 | uint64(t) })
 				for i := range draws {
 					s.dis[i] = di
@@ -76,7 +76,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 		diMono := coloredInstance(cycleInstance(n, 1).G, mono)
 		inL, _ := slackLang.Contains(diMono.Config())
 		planMono := local.MustPlan(diMono.G)
-		est := runBatched(nTrials, planMono, func(s *trialBatch, lo, hi int, out []bool) {
+		est := runTrials(nTrials, planMono, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(n)<<33 | uint64(t) })
 			for i := range draws {
 				s.dis[i] = diMono
@@ -99,7 +99,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 	for _, n := range pick(cfg, []int{300, 1200, 4800}, []int{300, 1200}) {
 		in := cycleInstance(n, 1)
 		plan := local.MustPlan(in.G)
-		est := runBatched(trials(cfg, 400, 60), plan, func(s *trialBatch, lo, hi int, out []bool) {
+		est := runTrials(trials(cfg, 400, 60), plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(n)<<34 | uint64(t) })
 			ys, err := s.construct(construct.RandomColoring(3), in, draws)
 			if err != nil {

@@ -54,7 +54,7 @@ func (e e12) Run(cfg report.Config) (*report.Result, error) {
 		for _, n := range sizes {
 			in := cycleInstance(n, 1)
 			plan := local.MustPlan(in.G)
-			mean, _ := meanBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []float64) {
+			mean, _ := meanTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []float64) {
 				draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(a.t)<<40 | uint64(n)<<8 | uint64(t) })
 				ys, err := s.construct(construct.RetryColoring{Q: 3, T: a.t}, in, draws)
 				if err != nil {

@@ -77,7 +77,7 @@ func (e e14) Run(cfg report.Config) (*report.Result, error) {
 				instance = gl.Instance
 			}
 			plan := local.MustPlan(instance.G)
-			est := runBatched(nTrials, plan, func(s *trialBatch, lo, hi int, out []bool) {
+			est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 				draws := s.lanes(space, lo, hi, func(t int) uint64 { return uint64(ai)<<48 | uint64(nu)<<32 | uint64(t) })
 				ys, err := s.construct(algo, instance, draws)
 				if err != nil {

@@ -89,7 +89,7 @@ func (e e17) Run(cfg report.Config) (*report.Result, error) {
 	planB := local.MustPlan(inB.G)
 	spaceB := localrand.NewTapeSpace(cfg.Seed ^ 0x17B)
 	violationsAt := func(fcfg report.Config) float64 {
-		mean, _ := meanSharded(nTrials, planB, fcfg, func(s *trialBatch, lo, hi int, out []float64) {
+		mean, _ := meanTrials(nTrials, planB, fcfg, func(s *trialBatch, lo, hi int, out []float64) {
 			draws := s.lanes(spaceB, lo, hi, func(t int) uint64 { return uint64(t) })
 			ys, err := s.construct(construct.RetryColoring{Q: 3, T: 4}, inB, draws)
 			if err != nil {
@@ -125,7 +125,7 @@ func (e e17) Run(cfg report.Config) (*report.Result, error) {
 	tc := res.NewTable(fmt.Sprintf("E17c: f-resilient decider (f=%d) acceptance of retry-3-coloring(T=4) on C_%d vs drop rate", fRes, nC),
 		"drop rate p", "Pr[accept]")
 	acceptanceAt := func(fcfg report.Config) float64 {
-		est := runSharded(accTrials, planC, fcfg, func(s *trialBatch, lo, hi int, out []bool) {
+		est := runTrials(accTrials, planC, fcfg, func(s *trialBatch, lo, hi int, out []bool) {
 			draws := s.lanes(spaceC, lo, hi, func(t int) uint64 { return uint64(t) })
 			draws2 := s.lanes2(spaceC2, lo, hi, func(t int) uint64 { return uint64(t) })
 			ys, err := s.construct(construct.RetryColoring{Q: 3, T: 4}, inC, draws)

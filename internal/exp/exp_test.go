@@ -3,6 +3,7 @@ package exp
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rlnc/internal/lang"
@@ -75,6 +76,33 @@ func TestShardedExperimentsMatchUnsharded(t *testing.T) {
 					id, shards, want, got)
 			}
 		}
+	}
+}
+
+// TestTrialLoopsHonorConfig pins that the experiments whose sweeps run
+// on batched trial workers build them from the run's Config: each must
+// report its sweeps through Config.Progress, one (0, total) event per
+// sweep, as the serve layer's progress stream expects.
+func TestTrialLoopsHonorConfig(t *testing.T) {
+	for _, id := range []string{"E3", "E5", "E6", "E11", "E12", "E14"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := report.ByID(id)
+			if !ok {
+				t.Fatalf("experiment %s not registered", id)
+			}
+			var sweeps atomic.Int64
+			cfg := report.Config{Quick: true, Seed: 7, Progress: func(done, total int) {
+				if done == 0 && total > 0 {
+					sweeps.Add(1)
+				}
+			}}
+			if _, err := e.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if sweeps.Load() == 0 {
+				t.Errorf("%s ran no sweep through Config.Progress", id)
+			}
+		})
 	}
 }
 

@@ -13,15 +13,19 @@ import (
 // viewed as an algorithm in which every node outputs after having
 // inspected its t-neighborhood"):
 //
-//   - FullInfo turns a radius-t ViewAlgorithm into a WireAlgorithm that
-//     runs in exactly t communication rounds by gossiping node records.
-//     The reconstruction recovers B_G(v,t) exactly — the frontier-edge
-//     exclusion in the ball definition is precisely the information that
-//     cannot reach the center in t rounds. One genuine model fact
-//     surfaces: the t-round view determines which ball nodes are adjacent
-//     to a frontier node but not the frontier node's own port numbering,
-//     so reconstructed frontier ports are marked unknown (-1). Algorithms
-//     that need frontier port order need radius t+1.
+//   - RunFullInfo runs a radius-t ViewAlgorithm as a message-passing
+//     protocol of exactly t communication rounds that gossips node
+//     records. The records are unbounded (whole neighborhoods, inputs,
+//     tapes), which the LOCAL model allows (§2.1.1) but the engine's
+//     fixed-width word contract does not, so the protocol runs on its
+//     own synchronous loop. The reconstruction recovers B_G(v,t)
+//     exactly — the frontier-edge exclusion in the ball definition is
+//     precisely the information that cannot reach the center in t
+//     rounds. One genuine model fact surfaces: the t-round view
+//     determines which ball nodes are adjacent to a frontier node but
+//     not the frontier node's own port numbering, so reconstructed
+//     frontier ports are marked unknown (-1). Algorithms that need
+//     frontier port order need radius t+1.
 //
 //   - MessageAsView turns a t-round WireAlgorithm into a ViewAlgorithm
 //     of radius t+1 by simulating the execution inside the ball: all nodes
@@ -49,8 +53,9 @@ type fullRec struct {
 	nbrs []int64
 }
 
-// gossip is the message exchanged from round 2 on: newly learned full
-// records and newly learned basic announcements. Both waves are needed:
+// gossip is the one value a node broadcasts in a round: in round 1 its
+// own basic record, from round 2 on the full records and basic
+// announcements it newly learned. Both waves are needed:
 // the basic record of a node at distance d reaches the center at round d
 // (self-announcement plus forwarding), while its full record — formed only
 // after round 1 — arrives at round d+1. The center therefore knows basics
@@ -61,145 +66,118 @@ type gossip struct {
 	basics []basicRec
 }
 
-// FullInfo adapts a ball-view algorithm to the message-passing interface.
-//
-// The returned algorithm is a WireAlgorithm whose payloads travel by
-// reference through the engine's ref slab rather than as slab words: the
-// gossip records of a full-information protocol are unbounded (whole
-// neighborhoods, inputs, tapes), so a fixed-width encoding would have to
-// reserve worst-case ball-sized capacity on every directed slot. One
-// gossip record fanned out to every port is a single shared value. It is
-// the only algorithm on the ref lane, and the lane is in-process only:
-// over a byte-stream shard link its runs fail with ErrRefsNotPortable.
-func FullInfo(algo ViewAlgorithm) WireAlgorithm {
-	return &fullInfoAlgo{inner: algo}
-}
-
-type fullInfoAlgo struct{ inner ViewAlgorithm }
-
-func (a *fullInfoAlgo) Name() string { return fmt.Sprintf("full-info(%s)", a.inner.Name()) }
-
-// MsgWords implements WireAlgorithm: gossip occupies no slab words.
-func (a *fullInfoAlgo) MsgWords(int) int { return 0 }
-
-// wireRefs marks the gossip payloads as ref-slab traffic.
-func (a *fullInfoAlgo) wireRefs() {}
-
-// NewWireProcess implements WireAlgorithm.
-func (a *fullInfoAlgo) NewWireProcess() WireProcess {
-	return &fullInfoProc{algo: a.inner, t: a.inner.Radius()}
-}
-
-type fullInfoProc struct {
-	algo ViewAlgorithm
-	t    int
-
-	info       NodeInfo
-	nbrIDs     []int64 // learned in round 1, port order
-	basics     map[int64]basicRec
-	recs       map[int64]fullRec
-	pendRecs   []fullRec  // full records to forward next round
-	pendBasics []basicRec // basic records to forward next round
-	output     []byte
-}
-
-func (p *fullInfoProc) Start(info NodeInfo, out *Outbox) {
-	p.info = info
-	p.basics = make(map[int64]basicRec)
-	p.recs = make(map[int64]fullRec)
-	var pristine *localrand.Tape
-	if info.Tape != nil {
-		pristine = info.Tape.Clone()
+// RunFullInfo executes a ball-view algorithm as the t-round
+// full-information protocol of §2.1.1 (t = algo.Radius()) and returns
+// every node's output with the protocol's Stats. It is a synchronous
+// gossip loop of its own rather than a WireAlgorithm: each round, every
+// node reads the one value each neighbor broadcast in the previous round
+// and broadcasts what it learned fresh, so no fixed-width encoding of
+// whole neighborhoods is needed. Messages counts one per port of every
+// broadcasting node per round; a zero-round algorithm reports 0 rounds
+// and 0 messages. A nil draw runs the algorithm deterministically.
+func RunFullInfo(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) *Result {
+	g, t := in.G, algo.Radius()
+	n := g.N()
+	nodes := make([]fullInfoNode, n)
+	sent := make([]*gossip, n)
+	for v := range nodes {
+		self := basicRec{id: in.ID[v], input: in.X[v]}
+		if draw != nil {
+			self.tape = draw.Tape(self.id)
+		}
+		nodes[v] = fullInfoNode{
+			t:      t,
+			self:   self,
+			basics: map[int64]basicRec{self.id: self},
+			recs:   make(map[int64]fullRec),
+		}
+		// Round 1: every node announces itself on all ports.
+		sent[v] = &gossip{basics: []basicRec{self}}
 	}
-	p.basics[info.ID] = basicRec{id: info.ID, input: info.Input, tape: pristine}
-	if p.t == 0 {
-		return
+	res := &Result{Y: make([][]byte, n), Stats: Stats{Rounds: t}}
+	next := make([]*gossip, n)
+	for round := 1; round <= t; round++ {
+		for v, m := range sent {
+			if m != nil {
+				res.Stats.Messages += int64(g.Degree(v))
+			}
+		}
+		for v := range nodes {
+			next[v] = nodes[v].receive(round, g.Neighbors(v), sent)
+		}
+		sent, next = next, sent
 	}
-	// Round 1: announce self to all ports (one record, shared).
-	self := Message(p.basics[info.ID])
-	for port := 0; port < info.Degree; port++ {
-		out.sendRef(port, self)
+	for v := range nodes {
+		res.Y[v] = algo.Output(nodes[v].reconstruct())
 	}
+	return res
 }
 
-func (p *fullInfoProc) Step(round int, in *Inbox, out *Outbox) bool {
-	if p.t == 0 {
-		p.output = p.algo.Output(p.reconstruct())
-		return true
+// fullInfoNode is one node's knowledge in the gossip loop: every basic
+// and full record it has heard of, keyed by identity.
+type fullInfoNode struct {
+	t      int
+	self   basicRec
+	basics map[int64]basicRec
+	recs   map[int64]fullRec
+}
+
+// receive folds the round's arrivals — sent[u] for each neighbor u, in
+// port order — into p's knowledge and returns the gossip p broadcasts
+// next round: the records that were new to it, or nil if none were. In
+// round 1 the arrivals are the neighbors' self-announcements, which fix
+// p's neighbor identities and so complete p's own full record.
+func (p *fullInfoNode) receive(round int, nbrs []int32, sent []*gossip) *gossip {
+	var fresh gossip
+	var nbrIDs []int64
+	if round == 1 {
+		nbrIDs = make([]int64, len(nbrs))
+	}
+	for port, u := range nbrs {
+		m := sent[u]
+		if m == nil {
+			continue
+		}
+		if round == 1 {
+			nbrIDs[port] = m.basics[0].id
+		}
+		for _, b := range m.basics {
+			if _, seen := p.basics[b.id]; !seen {
+				p.basics[b.id] = b
+				fresh.basics = append(fresh.basics, b)
+			}
+		}
+		for _, r := range m.recs {
+			if _, seen := p.recs[r.id]; !seen {
+				p.recs[r.id] = r
+				if _, haveBasic := p.basics[r.id]; !haveBasic {
+					p.basics[r.id] = r.basicRec
+				}
+				fresh.recs = append(fresh.recs, r)
+			}
+		}
 	}
 	if round == 1 {
-		// Learn neighbor identities; own record becomes complete.
-		p.nbrIDs = make([]int64, in.Degree())
-		p.pendBasics = nil
-		for port := range p.nbrIDs {
-			b, ok := in.ref(port).(basicRec)
-			if !ok {
-				panic("local: full-info adapter received foreign message")
-			}
-			p.nbrIDs[port] = b.id
-			p.basics[b.id] = b
-			p.pendBasics = append(p.pendBasics, b)
-		}
-		self := fullRec{basicRec: p.basics[p.info.ID], nbrs: p.nbrIDs}
-		p.recs[p.info.ID] = self
-		p.pendRecs = []fullRec{self}
-	} else {
-		var freshRecs []fullRec
-		var freshBasics []basicRec
-		for port := 0; port < in.Degree(); port++ {
-			m := in.ref(port)
-			if m == nil {
-				continue
-			}
-			g, ok := m.(gossip)
-			if !ok {
-				panic("local: full-info adapter received foreign message")
-			}
-			for _, b := range g.basics {
-				if _, seen := p.basics[b.id]; !seen {
-					p.basics[b.id] = b
-					freshBasics = append(freshBasics, b)
-				}
-			}
-			for _, r := range g.recs {
-				if _, seen := p.recs[r.id]; !seen {
-					p.recs[r.id] = r
-					if _, haveBasic := p.basics[r.id]; !haveBasic {
-						p.basics[r.id] = r.basicRec
-					}
-					freshRecs = append(freshRecs, r)
-				}
-			}
-		}
-		p.pendRecs = freshRecs
-		p.pendBasics = freshBasics
+		own := fullRec{basicRec: p.self, nbrs: nbrIDs}
+		p.recs[own.id] = own
+		fresh.recs = []fullRec{own}
 	}
-	if round == p.t {
-		p.output = p.algo.Output(p.reconstruct())
-		return true
+	if len(fresh.recs) == 0 && len(fresh.basics) == 0 {
+		return nil
 	}
-	// Flood the newly learned records (one gossip value, shared).
-	if len(p.pendRecs) > 0 || len(p.pendBasics) > 0 {
-		g := Message(gossip{recs: p.pendRecs, basics: p.pendBasics})
-		for port := 0; port < p.info.Degree; port++ {
-			out.sendRef(port, g)
-		}
-	}
-	return false
+	return &fresh
 }
 
-func (p *fullInfoProc) Output() []byte { return p.output }
-
 // reconstruct rebuilds B_G(v,t) from the gathered records. After t rounds
-// the process knows the basic records of every node at distance <= t and
+// the node knows the basic records of every node at distance <= t and
 // the full records (adjacency) of every node at distance <= t-1 — exactly
 // the ball with frontier-frontier edges excluded.
-func (p *fullInfoProc) reconstruct() *View {
+func (p *fullInfoNode) reconstruct() *View {
 	t := p.t
 	// BFS over full records, expanding neighbor lists in port order. The
 	// discovery order matches graph.BallAround's (both follow port order).
-	order := []int64{p.info.ID}
-	dist := map[int64]int{p.info.ID: 0}
+	order := []int64{p.self.id}
+	dist := map[int64]int{p.self.id: 0}
 	for i := 0; i < len(order); i++ {
 		id := order[i]
 		d := dist[id]
@@ -284,7 +262,7 @@ func (p *fullInfoProc) reconstruct() *View {
 	}
 	ball := &graph.Ball{G: g, Nodes: hostless, Dist: distArr, Ports: ports, Radius: t}
 	view := &View{Ball: ball, IDs: idArr, X: xArr}
-	if p.info.Tape != nil {
+	if p.self.tape != nil {
 		view.TapeFor = func(l int) *localrand.Tape {
 			if tapes[l] == nil {
 				return nil

@@ -64,13 +64,10 @@ type Batch struct {
 	capW     []int32 // per-slot word capacity, from MsgWords by sender degree
 	offW     []int32 // per-slot word offsets (lane-0 base), prefix sums of capW
 	totalW   int     // words per lane: offW[last] + capW[last]
-	useRefs  bool    // algorithm payloads travel through the ref slabs
 	curLens  []int32
 	nextLens []int32
 	curWords []uint64
 	nextWord []uint64
-	curRefs  []Message
-	nextRefs []Message
 	procs    []WireProcess  // [v*block+b]
 	resets   []ResetProcess // procs' ResetProcess views, filled as created
 	done     []bool         // [v*block+b]
@@ -161,7 +158,6 @@ type Batch struct {
 	fsev      []int32
 	heldLens  []int32
 	heldWords []uint64
-	heldRefs  []Message
 
 	// View-path scratch: skeleton views keyed by radius, shared by the
 	// construction and decision paths (decision views additionally carry
@@ -426,12 +422,8 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 		}
 	}
 	bt.totalW = total
-	bt.useRefs = wantsRefs(wa)
 	// Bytes one lane adds to a pass: both double-buffered slabs count.
 	bytesPerLane := 2 * (8*total + 4*slots)
-	if bt.useRefs {
-		bytesPerLane += 2 * 16 * slots
-	}
 	block := bt.width
 	if bytesPerLane > 0 {
 		block = msgSlabBudget / bytesPerLane
@@ -452,12 +444,11 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 // one-lane block, and a ragged one-lane tail. A one-lane VecProcess pays
 // the SoA overhead with nothing to amortize it (about 94 against 68 ns
 // per lane-step for retry coloring on C_4800, BenchmarkLaneStep at
-// -cpu 1). Ref-carried payloads (useRefs, from the current layout) have
-// no lane-major form and always step scalar. Both paths are
-// byte-identical, so the choice is invisible in outputs and Stats.
+// -cpu 1). Both paths are byte-identical, so the choice is invisible in
+// outputs and Stats.
 func (bt *Batch) armVec(wa WireAlgorithm, k int) {
 	bt.vecAlgo = nil
-	if va, ok := wa.(VecAlgorithm); ok && k >= 2 && !bt.useRefs {
+	if va, ok := wa.(VecAlgorithm); ok && k >= 2 {
 		bt.vecAlgo = va
 	}
 }
@@ -476,11 +467,7 @@ func (bt *Batch) SlabBytesFor(algo WireAlgorithm) int {
 // slabBytes is SlabBytesFor under the already-computed layout.
 func (bt *Batch) slabBytes() int {
 	slots := bt.localSlots()
-	perLane := 2 * (8*bt.totalW + 4*slots)
-	if bt.useRefs {
-		perLane += 2 * 16 * slots
-	}
-	return perLane * bt.block
+	return 2 * (8*bt.totalW + 4*slots) * bt.block
 }
 
 // msgLanesFor returns the lane count of one message pass of algo — how
@@ -559,8 +546,7 @@ func (bt *Batch) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
 // run's arena destinations — k*n output cells, k Result values, k result
 // pointers — typically one block's slices of a runBlocks-level arena
 // buffer. Algorithms stage fixed-width words straight into the send
-// slabs and the steady-state round costs zero allocations; FullInfo's
-// gossip rides the ref slabs of the identical loop.
+// slabs and the steady-state round costs zero allocations.
 func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, ys [][]byte, res []Result, out []*Result) error {
 	if k > bt.block {
 		return fmt.Errorf("local: %d lanes exceed the %d-lane slab block", k, bt.block)
@@ -578,7 +564,7 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 	bt.ensureWireState()
 	// endRun drops references into algorithm state when the run ends —
 	// on the error paths too — so a pooled batch never keeps a previous
-	// execution's processes and messages alive.
+	// execution's processes alive.
 	defer bt.endRun()
 
 	workers := maxWorkers(n)
@@ -644,7 +630,6 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 		parallelChunks(n, bt.roundFn)
 		bt.curLens, bt.nextLens = bt.nextLens, bt.curLens
 		bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
-		bt.curRefs, bt.nextRefs = bt.nextRefs, bt.curRefs
 		// Merge and re-zero the worker rows: a worker index can go idle
 		// between runs (GOMAXPROCS shrinks, or ceil-division leaves the
 		// last chunk empty), and an idle worker's row must read as zero
@@ -711,7 +696,7 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 
 // endRun is runVec's deferred cleanup: it drops references into
 // algorithm state so a pooled batch never keeps a previous execution's
-// processes and messages alive. The process table is the one deliberate
+// processes alive. The process table is the one deliberate
 // exception: when the algorithm's processes implement ResetProcess the
 // table is kept and reset in place next run. (The output arena is the
 // other intended survivor — its retention contract is the documented
@@ -725,9 +710,6 @@ func (bt *Batch) endRun() {
 		clear(bt.vprocs)
 		clear(bt.vresets)
 	}
-	clear(bt.curRefs)
-	clear(bt.nextRefs)
-	clear(bt.heldRefs)
 	bt.rsrc = laneSrc{}
 	bt.rys = nil
 	bt.rwa = nil
@@ -801,9 +783,9 @@ func (bt *Batch) startPass(w, vlo, vhi int) {
 	hasTapes := src.hasTapes()
 	procs, done := bt.procs, bt.done
 	resets := bt.resets
-	curLens, curRefs := bt.curLens, bt.curRefs
+	curLens := bt.curLens
 	out := &bt.outboxes[w]
-	bt.bindOutbox(out, bt.curLens, bt.curWords, bt.curRefs)
+	bt.bindOutbox(out, bt.curLens, bt.curWords)
 	out.stage = bt.wkStage[w]
 	for v := vlo; v < vhi; v++ {
 		lo, hi := topo.Slots(v)
@@ -811,9 +793,6 @@ func (bt *Batch) startPass(w, vlo, vhi int) {
 		slo, shi := lo-bt.slotBase, hi-bt.slotBase
 		out.deg, out.slotLo = deg, slo
 		clear(curLens[slo*B : shi*B])
-		if curRefs != nil {
-			clear(curRefs[slo*B : shi*B])
-		}
 		for b := 0; b < k; b++ {
 			in := src.instance(b)
 			done[v*B+b] = false
@@ -867,10 +846,10 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 	k, B, round := bt.rk, bt.block, bt.rround
 	finRow := bt.wkFin[w][:k]
 	in, out := &bt.inboxes[w], &bt.outboxes[w]
-	bt.bindInbox(in, bt.curLens, bt.curWords, bt.curRefs)
-	bt.bindOutbox(out, bt.nextLens, bt.nextWord, bt.nextRefs)
+	bt.bindInbox(in, bt.curLens, bt.curWords)
+	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
 	out.stage = bt.wkStage[w]
-	nextLens, nextRefs := bt.nextLens, bt.nextRefs
+	nextLens := bt.nextLens
 	alive, done, procs := bt.alive, bt.done, bt.procs
 	base := bt.slotBase
 	for v := vlo; v < vhi; v++ {
@@ -889,9 +868,6 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 		// is never read (they are skipped below and by every receiver),
 		// so the wider clear is output-invisible.
 		clear(nextLens[(lo-base)*B : (hi-base)*B])
-		if nextRefs != nil {
-			clear(nextRefs[(lo-base)*B : (hi-base)*B])
-		}
 		for b := 0; b < k; b++ {
 			if !alive[b] || done[v*B+b] {
 				continue
@@ -907,23 +883,21 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 
 // bindInbox points a worker's Inbox at the current receive slabs; the
 // per-node fields (deg, slot window, lane) are set in the loop.
-func (bt *Batch) bindInbox(in *Inbox, lens []int32, words []uint64, refs []Message) {
+func (bt *Batch) bindInbox(in *Inbox, lens []int32, words []uint64) {
 	in.B = bt.block
 	in.lens = lens
 	in.word = words
 	in.offW = bt.offW
 	in.capW = bt.capW
-	in.refs = refs
 }
 
 // bindOutbox points a worker's Outbox at the staging slabs.
-func (bt *Batch) bindOutbox(out *Outbox, lens []int32, words []uint64, refs []Message) {
+func (bt *Batch) bindOutbox(out *Outbox, lens []int32, words []uint64) {
 	out.B = bt.block
 	out.lens = lens
 	out.word = words
 	out.offW = bt.offW
 	out.capW = bt.capW
-	out.refs = refs
 }
 
 // ensureWireState sizes the round-loop slabs for the current layout,
@@ -943,14 +917,6 @@ func (bt *Batch) ensureWireState() {
 	bt.curWords = sliceFor(bt.curWords, bt.totalW*B)
 	bt.nextWord = sliceFor(bt.nextWord, bt.totalW*B)
 	bt.ensureHeldSlabs(slots, B)
-	if bt.useRefs {
-		bt.curRefs = sliceFor(bt.curRefs, slots*B)
-		bt.nextRefs = sliceFor(bt.nextRefs, slots*B)
-	} else {
-		// Hand the run nil refs so the hot loop skips ref clearing; a
-		// later ref-lane run re-allocates them.
-		bt.curRefs, bt.nextRefs = nil, nil
-	}
 	// Only the pass's own process table is sized: a vector pass never
 	// touches the n×B scalar table, a scalar pass never the per-node
 	// vector one.

@@ -16,25 +16,18 @@ import (
 //	offset  size  field
 //	0       4     magic "rlCB"
 //	4       1     version (currently 1)
-//	5       1     flags (reserved, must be zero)
-//	6       2     reserved, must be zero
+//	5       3     reserved, must be zero
 //	8       4     round (uint32) — the round the sender packed
 //	12      4     lens count (uint32)
 //	16      4     words count (uint32)
-//	20      4     refs length (reserved, must be zero)
+//	20      4     reserved, must be zero
 //	24      ...   lens   (int32 little-endian each)
 //	...     ...   words  (uint64 little-endian each)
 //
 // Lens and words are the exact slab ranges packCut flattens — fixed
 // width, so encoding is a bounds-checked copy in each direction and the
-// decoded block installs with no further translation.
-//
-// Refs — the by-reference payloads of the full-information adapter's
-// ref lane — have no byte encoding at all: a block that carries them
-// fails to encode with ErrRefsNotPortable, and such runs must use
-// in-process links. The flags byte and the refs length stay in the
-// header, fixed at zero, so the layout and version are unchanged; a
-// frame that sets either is malformed.
+// decoded block installs with no further translation. A frame that
+// sets any reserved byte is malformed.
 
 // ErrFrame reports a malformed cut-block frame: bad magic, an
 // unsupported version, a declared section exceeding the frame bounds, a
@@ -42,11 +35,6 @@ import (
 // sharded run with a descriptive message instead of panicking or
 // hanging.
 var ErrFrame = errors.New("local: malformed cut-block frame")
-
-// ErrRefsNotPortable reports a cut block whose by-reference payloads
-// cannot cross a byte stream: the ref lane (FullInfo) is in-process
-// only.
-var ErrRefsNotPortable = errors.New("local: cut block ref payloads are in-process only")
 
 const (
 	frameMagic   = "rlCB"
@@ -64,12 +52,8 @@ const (
 )
 
 // appendFrame encodes one cut block as a frame appended to dst and
-// returns the extended buffer (callers reuse it across rounds). A block
-// that carries refs is refused with ErrRefsNotPortable.
-func appendFrame(dst []byte, round int, blk CutBlock) ([]byte, error) {
-	if len(blk.Refs) > 0 {
-		return dst, ErrRefsNotPortable
-	}
+// returns the extended buffer (callers reuse it across rounds).
+func appendFrame(dst []byte, round int, blk CutBlock) []byte {
 	dst = append(dst, frameMagic...)
 	dst = append(dst, frameVersion, 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
@@ -82,7 +66,7 @@ func appendFrame(dst []byte, round int, blk CutBlock) ([]byte, error) {
 	for _, w := range blk.Words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return dst, nil
+	return dst
 }
 
 // readFrame reads and decodes one frame from r into blk, reusing its
@@ -103,14 +87,8 @@ func readFrame(r io.Reader, round int, blk *CutBlock, scratch []byte) ([]byte, e
 	if hdr[4] != frameVersion {
 		return scratch, fmt.Errorf("%w: version %d, this build speaks %d", ErrFrame, hdr[4], frameVersion)
 	}
-	if hdr[6] != 0 || hdr[7] != 0 {
+	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 || binary.LittleEndian.Uint32(hdr[20:24]) != 0 {
 		return scratch, fmt.Errorf("%w: nonzero reserved bytes", ErrFrame)
-	}
-	if hdr[5] != 0 {
-		return scratch, fmt.Errorf("%w: flags %#x set (refs do not cross byte streams)", ErrFrame, hdr[5])
-	}
-	if nRefs := binary.LittleEndian.Uint32(hdr[20:24]); nRefs != 0 {
-		return scratch, fmt.Errorf("%w: %d ref bytes declared (refs do not cross byte streams)", ErrFrame, nRefs)
 	}
 	gotRound := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	nLens := int(binary.LittleEndian.Uint32(hdr[12:16]))
@@ -137,7 +115,6 @@ func readFrame(r io.Reader, round int, blk *CutBlock, scratch []byte) ([]byte, e
 	for i := 0; i < nWords; i++ {
 		blk.Words = append(blk.Words, binary.LittleEndian.Uint64(words[8*i:]))
 	}
-	blk.Refs = blk.Refs[:0]
 	return scratch, nil
 }
 

@@ -29,10 +29,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	var blk CutBlock
 	var scratch []byte
 	for round, want := range blocks {
-		frame, err := appendFrame(nil, round, want)
-		if err != nil {
-			t.Fatalf("round %d: encode: %v", round, err)
-		}
+		frame := appendFrame(nil, round, want)
+		var err error
 		scratch, err = readFrame(bytes.NewReader(frame), round, &blk, scratch)
 		if err != nil {
 			t.Fatalf("round %d: decode: %v", round, err)
@@ -50,38 +48,19 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("round %d: words[%d] = %d, want %d", round, i, blk.Words[i], want.Words[i])
 			}
 		}
-		if len(blk.Refs) != 0 {
-			t.Fatalf("round %d: decoded %d refs from a byte stream", round, len(blk.Refs))
-		}
-	}
-}
-
-// TestFrameRefsInProcessOnly pins the explicit error for ref payloads:
-// no block that carries refs encodes, whatever the payload type.
-func TestFrameRefsInProcessOnly(t *testing.T) {
-	for _, refs := range [][]Message{{int64(7)}, {nil, struct{ V int }{7}}} {
-		_, err := appendFrame(nil, 1, CutBlock{Lens: []int32{1}, Refs: refs})
-		if !errors.Is(err, ErrRefsNotPortable) {
-			t.Fatalf("refs %v encoded: err = %v", refs, err)
-		}
 	}
 }
 
 // corruptFrame returns a valid frame with fn applied to its bytes.
 func corruptFrame(t *testing.T, fn func(f []byte) []byte) []byte {
 	t.Helper()
-	f, err := appendFrame(nil, 3, CutBlock{Lens: []int32{2, 0}, Words: []uint64{9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fn(f)
+	return fn(appendFrame(nil, 3, CutBlock{Lens: []int32{2, 0}, Words: []uint64{9}}))
 }
 
 // TestFrameMalformed pins every malformed-frame class to a descriptive
 // ErrFrame: truncated header, bad magic, wrong version byte, nonzero
-// reserved bytes, a refs flag or refs length (refs never cross a byte
-// stream), oversized declared sections, truncated payload, and a round
-// mismatch.
+// reserved bytes (the flags byte and header bytes 20–24 included),
+// oversized declared sections, truncated payload, and a round mismatch.
 func TestFrameMalformed(t *testing.T) {
 	cases := map[string]struct {
 		frame []byte
@@ -106,14 +85,14 @@ func TestFrameMalformed(t *testing.T) {
 		},
 		"refs-flag": {
 			frame: corruptFrame(t, func(f []byte) []byte { f[5] = 1; return f }),
-			round: 3, want: "flags 0x1",
+			round: 3, want: "reserved",
 		},
 		"refs-length": {
 			frame: corruptFrame(t, func(f []byte) []byte {
 				binary.LittleEndian.PutUint32(f[20:24], 8)
 				return f
 			}),
-			round: 3, want: "8 ref bytes",
+			round: 3, want: "reserved",
 		},
 		"oversized": {
 			frame: corruptFrame(t, func(f []byte) []byte {
@@ -230,59 +209,6 @@ func TestShardedTCPLoopback(t *testing.T) {
 	}
 }
 
-// TestShardedTCPRefsPayloads pins that the ref lane stays in process:
-// the full-information adapter over loopback TCP aborts with
-// ErrRefsNotPortable instead of shipping its gossip, the same run over
-// in-process links matches the unsharded batch, and the TCP executor
-// still runs a word algorithm afterwards.
-func TestShardedTCPRefsPayloads(t *testing.T) {
-	g := graph.Cycle(10)
-	in := mustInstance(t, g)
-	plan := MustPlan(g)
-	algo := FullInfo(minIDView{t: 2})
-	ins := []*lang.Instance{in, in}
-
-	tcp, err := plan.NewSharded(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp.UseTCPLoopback()
-	defer tcp.Close()
-	if _, err := tcp.RunInstances(ins, algo, nil, RunOptions{}); !errors.Is(err, ErrRefsNotPortable) {
-		t.Fatalf("ref payloads over TCP: err = %v, want ErrRefsNotPortable", err)
-	}
-
-	want, err := plan.NewBatch(2).RunInstances(ins, algo, nil, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc, err := plan.NewSharded(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inproc.Close()
-	got, err := inproc.RunInstances(ins, algo, nil, RunOptions{})
-	if err != nil {
-		t.Fatalf("in-process run of ref payloads: %v", err)
-	}
-	for b := range ins {
-		expectSameResult(t, fmt.Sprintf("in-process lane %d", b), want[b], got[b])
-	}
-
-	draws := drawRange(localrand.NewTapeSpace(43), 0, 2)
-	want, err = plan.NewBatch(2).Run(in, wireMix{rounds: 3}, draws, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = tcp.Run(in, wireMix{rounds: 3}, draws, RunOptions{})
-	if err != nil {
-		t.Fatalf("word run after the refused ref run: %v", err)
-	}
-	for b := range draws {
-		expectSameResult(t, fmt.Sprintf("tcp lane %d", b), want[b], got[b])
-	}
-}
-
 // TestShardedTCPRecoversAfterAbort pins the pooled-connection hygiene of
 // the loopback transport: a run that dies mid-round (one shard panics,
 // its peer's Recv hits the link deadline) may strand stale or partial
@@ -387,11 +313,7 @@ func TestShardedGarbageStream(t *testing.T) {
 // frame followed by trailing bytes.
 func FuzzReadFrame(f *testing.F) {
 	for round, blk := range []CutBlock{{}, {Lens: []int32{2, 0, 1}, Words: []uint64{7, ^uint64(0)}}} {
-		frame, err := appendFrame(nil, round, blk)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame)
+		f.Add(appendFrame(nil, round, blk))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		round := 0
@@ -404,10 +326,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		consumed := data[:len(data)-r.Len()]
-		again, err := appendFrame(nil, round, blk)
-		if err != nil {
-			t.Fatalf("accepted frame does not re-encode: %v", err)
-		}
+		again := appendFrame(nil, round, blk)
 		if !bytes.Equal(again, consumed) {
 			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", again, consumed)
 		}

@@ -9,15 +9,6 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// Message is a by-reference payload on the engine's ref lane. The LOCAL
-// model places no bound on message size (§2.1.1), and the
-// full-information adapter (FullInfo) uses that freedom: its gossip
-// records are whole neighborhoods, carried as Message values through an
-// in-process ref slab beside the word slabs. Every other algorithm
-// speaks the fixed-width word contract of WireAlgorithm (wire.go) and
-// never produces a Message.
-type Message any
-
 // NodeInfo is the static information a node holds when an execution
 // starts: its identity, degree, input, and (for Monte-Carlo algorithms)
 // its private random tape.

@@ -54,17 +54,14 @@ func TestFullInfoZeroRound(t *testing.T) {
 	view := ViewFunc{AlgoName: "self", R: 0, F: func(v *View) []byte {
 		return []byte{byte(v.IDs[0])}
 	}}
-	res, err := RunMessage(in, FullInfo(view), nil, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := RunFullInfo(in, view, nil)
 	for v := 0; v < 5; v++ {
 		if len(res.Y[v]) != 1 || res.Y[v][0] != byte(in.ID[v]) {
 			t.Errorf("node %d: output %v", v, res.Y[v])
 		}
 	}
-	if res.Stats.Messages != 0 {
-		t.Errorf("zero-round run sent %d messages", res.Stats.Messages)
+	if res.Stats != (Stats{}) {
+		t.Errorf("zero-round run: stats %+v, want 0 rounds and 0 messages", res.Stats)
 	}
 }
 

@@ -243,12 +243,6 @@ func (bt *Batch) ensureHeldSlabs(slots, B int) {
 	bt.heldLens = sliceFor(bt.heldLens, slots*B)
 	clear(bt.heldLens)
 	bt.heldWords = sliceFor(bt.heldWords, bt.totalW*B)
-	if bt.useRefs {
-		bt.heldRefs = sliceFor(bt.heldRefs, slots*B)
-		clear(bt.heldRefs)
-	} else {
-		bt.heldRefs = nil
-	}
 }
 
 // faultPass is roundPass under an armed fault plan: the identical fused
@@ -279,9 +273,8 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	f, ftape, fids, sev := bt.fault, bt.ftape, bt.flane, bt.fsev
 	var heldLens []int32
 	var heldWords []uint64
-	var heldRefs []Message
 	if f.Delay > 0 {
-		heldLens, heldWords, heldRefs = bt.heldLens, bt.heldWords, bt.heldRefs
+		heldLens, heldWords = bt.heldLens, bt.heldWords
 	}
 	crashFrom := f.CrashFrom
 	if crashFrom < 1 {
@@ -294,14 +287,13 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	clear(msgRow)
 	clear(finRow)
 	in, out := &bt.inboxes[w], &bt.outboxes[w]
-	bt.bindInbox(in, bt.curLens, bt.curWords, bt.curRefs)
-	bt.bindOutbox(out, bt.nextLens, bt.nextWord, bt.nextRefs)
+	bt.bindInbox(in, bt.curLens, bt.curWords)
+	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
 	// The stage counters land in the worker's row but are never merged:
 	// fault accounting is receiver-side (suppression makes staged ≠
 	// delivered), and the row is re-zeroed at the next run's init.
 	out.stage = bt.wkStage[w]
-	curLens, nextLens, nextRefs := bt.curLens, bt.nextLens, bt.nextRefs
-	curWords, curRefs := bt.curWords, bt.curRefs
+	curLens, nextLens, curWords := bt.curLens, bt.nextLens, bt.curWords
 	alive, done, procs := bt.alive, bt.done, bt.procs
 	base := bt.slotBase
 	offW, capW := bt.offW, bt.capW
@@ -357,14 +349,8 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 								wb := int(offW[s])*B + int(capW[s])*b
 								copy(curWords[wb:wb+nw], heldWords[wb:wb+nw])
 							}
-							if heldRefs != nil {
-								curRefs[li] = heldRefs[li]
-							}
 						}
 						heldLens[li] = 0
-						if heldRefs != nil {
-							heldRefs[li] = nil
-						}
 					}
 				}
 				if curLens[li] == 0 {
@@ -385,9 +371,6 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 						wb := int(offW[s])*B + int(capW[s])*b
 						copy(heldWords[wb:wb+nw], curWords[wb:wb+nw])
 					}
-					if heldRefs != nil {
-						heldRefs[li] = curRefs[li]
-					}
 					curLens[li] = 0
 					continue
 				}
@@ -399,9 +382,6 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 		// down node thereby sends nothing next round, and neither dead
 		// lanes' nor the unused capacity lanes' stale state is ever read.
 		clear(nextLens[(lo-base)*B : (hi-base)*B])
-		if nextRefs != nil {
-			clear(nextRefs[(lo-base)*B : (hi-base)*B])
-		}
 		if !vec {
 			for b := 0; b < k; b++ {
 				if !alive[b] {

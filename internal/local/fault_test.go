@@ -387,59 +387,9 @@ func TestFaultRemoteShardedMatchesBatch(t *testing.T) {
 	}
 }
 
-// refFloodMin is floodMin on the ref lane: the running minimum travels
-// as a by-reference payload through the ref slabs instead of as a slab
-// word, so delayed messages exercise the heldRefs retention path of the
-// fault pass. Absent messages contribute nothing to the min and a stale
-// (delayed) min is still a valid min, so its outputs under any fault
-// plan equal floodMin's.
-type refFloodMin struct{ t int }
-
-func (f refFloodMin) Name() string                { return fmt.Sprintf("ref-flood-min(%d)", f.t) }
-func (f refFloodMin) MsgWords(int) int            { return 0 }
-func (f refFloodMin) NewWireProcess() WireProcess { return &refFloodMinProc{t: f.t} }
-func (f refFloodMin) wireRefs()                   {}
-
-type refFloodMinProc struct {
-	t   int
-	min int64
-}
-
-func (p *refFloodMinProc) send(out *Outbox) {
-	for port := 0; port < out.Degree(); port++ {
-		out.sendRef(port, p.min)
-	}
-}
-
-func (p *refFloodMinProc) Start(info NodeInfo, out *Outbox) {
-	p.min = info.ID
-	if p.t > 0 {
-		p.send(out)
-	}
-}
-
-func (p *refFloodMinProc) Step(round int, in *Inbox, out *Outbox) bool {
-	for port := 0; port < in.Degree(); port++ {
-		if id, ok := in.ref(port).(int64); ok && id < p.min {
-			p.min = id
-		}
-	}
-	if round >= p.t {
-		return true
-	}
-	p.send(out)
-	return false
-}
-
-func (p *refFloodMinProc) Output() []byte { return encode64(p.min) }
-
 // TestFaultShardedMatchesBatch runs one faulty plan unsharded and across
 // every in-process shard count, demanding lane-byte-identical results —
-// the tentpole contract that fault decisions are shape-invariant. It
-// runs flood-min on both payload lanes: slab words (floodMin) and the
-// ref slab (refFloodMin, whose delayed payloads are held in heldRefs).
-// Fault decisions never look at payloads, so the two lanes must also
-// agree with each other.
+// the tentpole contract that fault decisions are shape-invariant.
 func TestFaultShardedMatchesBatch(t *testing.T) {
 	g, err := graph.ConnectedGNP(36, 0.18, 2)
 	if err != nil {
@@ -454,33 +404,23 @@ func TestFaultShardedMatchesBatch(t *testing.T) {
 	for i := range draws {
 		draws[i] = space.Draw(uint64(i))
 	}
-	var words []*Result
-	for _, algo := range []WireAlgorithm{floodMin{t: 5}, refFloodMin{t: 5}} {
-		bt := plan.NewBatch(k)
-		want, err := bt.Run(in, algo, draws, RunOptions{Fault: fp})
+	algo := floodMin{t: 5}
+	want, err := plan.NewBatch(k).Run(in, algo, draws, RunOptions{Fault: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3, 4} {
+		s, err := plan.NewSharded(k, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if words == nil {
-			words = want
-		} else {
-			for b := 0; b < k; b++ {
-				resultsEqual(t, fmt.Sprintf("%s vs words lane=%d", algo.Name(), b), words[b], want[b])
-			}
+		got, err := s.Run(in, algo, draws, RunOptions{Fault: fp})
+		if err != nil {
+			t.Fatalf("%s shards=%d: %v", algo.Name(), shards, err)
 		}
-		for _, shards := range []int{2, 3, 4} {
-			s, err := plan.NewSharded(k, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Run(in, algo, draws, RunOptions{Fault: fp})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", algo.Name(), shards, err)
-			}
-			for b := 0; b < k; b++ {
-				resultsEqual(t, fmt.Sprintf("%s shards=%d lane=%d", algo.Name(), shards, b), want[b], got[b])
-			}
-			s.Close()
+		for b := 0; b < k; b++ {
+			resultsEqual(t, fmt.Sprintf("%s shards=%d lane=%d", algo.Name(), shards, b), want[b], got[b])
 		}
+		s.Close()
 	}
 }

@@ -213,30 +213,32 @@ func TestStopAfter(t *testing.T) {
 	}
 }
 
+// TestFullInfoEquivalenceDeterministic checks RunFullInfo against
+// RunView on the same view algorithm, and pins the gossip's Stats: t
+// rounds, and one message per port of every node that learned something
+// new the round before.
 func TestFullInfoEquivalenceDeterministic(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		t    int
+		name  string
+		g     *graph.Graph
+		t     int
+		stats Stats
 	}{
-		{"cycle-r0", graph.Cycle(7), 0},
-		{"cycle-r1", graph.Cycle(7), 1},
-		{"cycle-r2", graph.Cycle(9), 2},
-		{"path-r3", graph.Path(12), 3},
-		{"grid-r2", graph.Grid(4, 5), 2},
-		{"tree-r2", graph.CompleteTree(3, 3), 2},
-		{"petersen-r2", Petersen(), 2},
+		{"cycle-r0", graph.Cycle(7), 0, Stats{}},
+		{"cycle-r1", graph.Cycle(7), 1, Stats{Rounds: 1, Messages: 14}},
+		{"cycle-r2", graph.Cycle(9), 2, Stats{Rounds: 2, Messages: 36}},
+		{"path-r3", graph.Path(12), 3, Stats{Rounds: 3, Messages: 66}},
+		{"grid-r2", graph.Grid(4, 5), 2, Stats{Rounds: 2, Messages: 124}},
+		{"tree-r2", graph.CompleteTree(3, 3), 2, Stats{Rounds: 2, Messages: 156}},
+		{"petersen-r2", Petersen(), 2, Stats{Rounds: 2, Messages: 60}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := mustInstance(t, tc.g)
 			view := ballSummaryView{t: tc.t}
 			want := RunView(in, view, nil)
-			res, err := RunMessage(in, FullInfo(view), nil, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.t > 0 && res.Stats.Rounds != tc.t {
-				t.Errorf("full-info rounds = %d, want %d", res.Stats.Rounds, tc.t)
+			res := RunFullInfo(in, view, nil)
+			if res.Stats != tc.stats {
+				t.Errorf("full-info stats = %+v, want %+v", res.Stats, tc.stats)
 			}
 			for v := range want {
 				if !bytes.Equal(res.Y[v], want[v]) {
@@ -255,9 +257,9 @@ func TestFullInfoEquivalenceRandomized(t *testing.T) {
 	draw := localrand.NewTapeSpace(5).Draw(0)
 	view := tapeSumView{t: 2}
 	want := RunView(in, view, &draw)
-	res, err := RunMessage(in, FullInfo(view), &draw, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	res := RunFullInfo(in, view, &draw)
+	if res.Stats != (Stats{Rounds: 2, Messages: 36}) {
+		t.Errorf("full-info stats = %+v, want 2 rounds, 36 messages", res.Stats)
 	}
 	for v := range want {
 		if !bytes.Equal(res.Y[v], want[v]) {
@@ -317,27 +319,41 @@ func TestDecisionViewCarriesOutputs(t *testing.T) {
 	}
 }
 
+// TestConstructionViewTapesAddressedByID checks that the same node
+// presents the same tape bits in every construction view that contains
+// it (the multiset-of-strings model of §3): each center of a path
+// records the first tape word of every ball node, by identity.
 func TestConstructionViewTapesAddressedByID(t *testing.T) {
-	g := graph.Path(3)
+	g := graph.Path(5)
 	in := mustInstance(t, g)
 	draw := localrand.NewTapeSpace(1).Draw(7)
-	// The same node must present the same first tape word in views built
-	// around different centers (the multiset-of-strings model of §3).
-	v0 := ConstructionView(in, 0, 2, &draw)
-	v2 := ConstructionView(in, 2, 2, &draw)
-	var at0, at2 uint64
-	for i, id := range v0.IDs {
-		if id == in.ID[1] {
-			at0 = v0.TapeFor(i).Uint64()
+	seen := make([]map[int64]uint64, g.N())
+	RunView(in, ViewFunc{AlgoName: "tape-words", R: 2, F: func(v *View) []byte {
+		words := make(map[int64]uint64, len(v.IDs))
+		for i, id := range v.IDs {
+			words[id] = v.TapeFor(i).Uint64()
 		}
-	}
-	for i, id := range v2.IDs {
-		if id == in.ID[1] {
-			at2 = v2.TapeFor(i).Uint64()
+		for c := range in.ID {
+			if in.ID[c] == v.IDs[0] {
+				seen[c] = words
+			}
 		}
-	}
-	if at0 != at2 || at0 == 0 {
-		t.Errorf("node 1 tape differs across views: %d vs %d", at0, at2)
+		return nil
+	}}, &draw)
+	for u, id := range in.ID {
+		want := draw.Tape(id).Uint64()
+		views := 0
+		for c, words := range seen {
+			if w, ok := words[id]; ok {
+				views++
+				if w != want {
+					t.Errorf("node %d in the view of %d: tape word %d, want %d", u, c, w, want)
+				}
+			}
+		}
+		if views < 2 {
+			t.Errorf("node %d appears in %d views, want at least 2", u, views)
+		}
 	}
 }
 
@@ -369,10 +385,7 @@ func TestFullInfoEquivalenceProperty(t *testing.T) {
 		}
 		view := ballSummaryView{t: radius}
 		want := RunView(in, view, nil)
-		res, err := RunMessage(in, FullInfo(view), nil, RunOptions{})
-		if err != nil {
-			return false
-		}
+		res := RunFullInfo(in, view, nil)
 		for v := range want {
 			if !bytes.Equal(res.Y[v], want[v]) {
 				return false

@@ -37,14 +37,10 @@ import (
 // cut slot, in ascending slot order, the k-lane lens range and the
 // capW·k-lane word range of the sender's send slab, flattened back to
 // back. Lens and Words are exactly the bytes a real transport would put
-// on the wire. Refs carries the by-reference payloads of the
-// full-information adapter's ref lane and only works on in-process
-// links (byte-stream links refuse it with ErrRefsNotPortable); every
-// other algorithm leaves it empty.
+// on the wire.
 type CutBlock struct {
 	Lens  []int32
 	Words []uint64
-	Refs  []Message
 }
 
 // ShardLink ships cut blocks across one directed shard pair: the sending
@@ -809,7 +805,6 @@ func (sh *shardExec) execRound(round, k int) error {
 	bt.roundPass(0, sh.lo, sh.hi)
 	bt.curLens, bt.nextLens = bt.nextLens, bt.curLens
 	bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
-	bt.curRefs, bt.nextRefs = bt.nextRefs, bt.curRefs
 	return nil
 }
 
@@ -825,9 +820,9 @@ func (sh *shardExec) collectInto(ys [][]byte, k, n int) {
 }
 
 // cleanup is the unsharded runVec's no-retention cleanup, per shard: a
-// pooled shard batch never keeps a previous execution's processes or
-// messages alive (the pooled process table is the deliberate exception,
-// as in Batch.runVec).
+// pooled shard batch never keeps a previous execution's processes alive
+// (the pooled process table is the deliberate exception, as in
+// Batch.runVec).
 func (sh *shardExec) cleanup() {
 	bt := sh.bt
 	if bt.procAlgo == nil {
@@ -836,9 +831,6 @@ func (sh *shardExec) cleanup() {
 	if bt.vprocAlgo == nil {
 		clear(bt.vprocs)
 	}
-	clear(bt.curRefs)
-	clear(bt.nextRefs)
-	clear(bt.heldRefs)
 	bt.rsrc = laneSrc{}
 	bt.rwa = nil
 }
@@ -911,15 +903,6 @@ func (bt *Batch) packCut(cut []int32, k int, blk *CutBlock) {
 		}
 	}
 	blk.Lens, blk.Words = lens, words
-	blk.Refs = blk.Refs[:0]
-	if bt.curRefs != nil {
-		refs := blk.Refs
-		for _, s := range cut {
-			li := (int(s) - base) * B
-			refs = append(refs, bt.curRefs[li:li+k]...)
-		}
-		blk.Refs = refs
-	}
 }
 
 // installCut writes a received block into the current receive slabs at
@@ -973,17 +956,6 @@ func (bt *Batch) installCut(haloLo, ncut, k int, blk CutBlock) error {
 				copy(bt.curWords[base:base+w*k], blk.Words[w0:w0+w*k])
 				w0 += w * k
 			}
-		}
-	}
-	if bt.curRefs != nil && len(blk.Refs) > 0 {
-		if len(blk.Refs) != ncut*k {
-			return fmt.Errorf("local: cut block carries %d refs for %d slots × %d lanes", len(blk.Refs), ncut, k)
-		}
-		r0 := 0
-		for i := 0; i < ncut; i++ {
-			li := (haloLo + i) * B
-			copy(bt.curRefs[li:li+k], blk.Refs[r0:r0+k])
-			r0 += k
 		}
 	}
 	return nil

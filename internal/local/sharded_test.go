@@ -26,9 +26,8 @@ func shardCounts(n int) []int {
 }
 
 // TestShardedMatchesBatchMessage pins the tentpole contract inside the
-// package: every lane of a sharded run — slab words and the ref lane,
-// full batches, ragged tails, back-to-back reuse — is
-// byte-identical to the unsharded Batch at equal seeds, on every graph
+// package: every lane of a sharded run — full batches, ragged tails,
+// back-to-back reuse — is byte-identical to the unsharded Batch at equal seeds, on every graph
 // family and shard count.
 func TestShardedMatchesBatchMessage(t *testing.T) {
 	const width = 4
@@ -60,21 +59,6 @@ func TestShardedMatchesBatchMessage(t *testing.T) {
 					lo += k
 				}
 
-				// Ref lane: payloads cross the cut by reference through
-				// CutBlock.Refs.
-				draws := drawRange(space, lo, 2)
-				want, err := bt.Run(in, refFloodMin{t: 3}, draws, RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sh.Run(in, refFloodMin{t: 3}, draws, RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b := range draws {
-					expectSameResult(t, fmt.Sprintf("shards=%d ref lane=%d", shards, b), want[b], got[b])
-				}
-
 				// Deterministic per-lane instances through RunInstances.
 				ins := []*lang.Instance{in, in, in}
 				gotDet, err := sh.RunInstances(ins, floodMin{t: 2}, nil, RunOptions{})
@@ -90,33 +74,6 @@ func TestShardedMatchesBatchMessage(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedFullInfoRefs pins the ref-slab path across the cut: the
-// full-information adapter's gossip records travel by reference through
-// CutBlock.Refs and must reconstruct identical views.
-func TestShardedFullInfoRefs(t *testing.T) {
-	g := graph.Cycle(12)
-	in := mustInstance(t, g)
-	plan := MustPlan(g)
-	sh, err := plan.NewSharded(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algo := FullInfo(tapeSumView{t: 2})
-	space := localrand.NewTapeSpace(93)
-	draws := drawRange(space, 0, 2)
-	want, err := plan.NewBatch(2).Run(in, algo, draws, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sh.Run(in, algo, draws, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range draws {
-		expectSameResult(t, fmt.Sprintf("full-info lane %d", b), want[b], got[b])
 	}
 }
 

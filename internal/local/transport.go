@@ -84,13 +84,8 @@ func (l *streamLink) Send(round int, blk CutBlock) error {
 	if l.send == nil {
 		return fmt.Errorf("local: stream link has no send connection")
 	}
-	buf, err := appendFrame(l.wbuf[:0], round, blk)
+	buf := appendFrame(l.wbuf[:0], round, blk)
 	l.wbuf = buf
-	if err != nil {
-		// Encoding failed before any byte hit the wire: the stream is
-		// still in sync, no need to invalidate.
-		return err
-	}
 	if l.timeout > 0 {
 		if err := l.send.SetWriteDeadline(time.Now().Add(l.timeout)); err != nil {
 			return l.failed(err)

@@ -22,15 +22,13 @@ import "rlnc/internal/localrand"
 //
 // An algorithm opts in by implementing VecAlgorithm next to its
 // WireAlgorithm; armVec arms the vector path per pass, when the pass has
-// two or more lanes and the algorithm's payloads are slab words
-// (ref-carried payloads stay scalar) — a one-lane pass (every Engine, a
-// one-lane slab block, a ragged one-lane tail) steps the scalar
-// WireProcess. Everything underneath —
-// process-table pooling, the fault pass, sharded windows, sender-side
-// message accounting — is unchanged: the vec passes fill the same
-// lens/word slabs and the same per-worker counter rows the scalar passes
-// do, and the contract is byte-identical outputs and Stats at equal
-// seeds on both paths.
+// two or more lanes — a one-lane pass (every Engine, a one-lane slab
+// block, a ragged one-lane tail) steps the scalar WireProcess.
+// Everything underneath — process-table pooling, the fault pass,
+// sharded windows, sender-side message accounting — is unchanged: the
+// vec passes fill the same lens/word slabs and the same per-worker
+// counter rows the scalar passes do, and the contract is byte-identical
+// outputs and Stats at equal seeds on both paths.
 
 // VecAlgorithm is the lane-vectorized extension of a WireAlgorithm: an
 // algorithm that can also step one node's whole lane vector through a

@@ -8,17 +8,16 @@
 //   - the message-passing interface (WireProcess/WireAlgorithm, wire.go)
 //     runs an explicit round loop with one goroutine per batch of nodes.
 //     Messages are fixed-width 64-bit words written straight into the
-//     engine's send slabs, so a round allocates nothing. The one
-//     exception is the full-information adapter FullInfo, whose
-//     unbounded gossip rides an in-process ref slab beside the words;
-//     it is the only algorithm on that lane, and byte-stream shard
-//     links refuse it;
+//     engine's send slabs, so a round allocates nothing, and every
+//     engine shape and shard link carries the same words;
 //   - the ball-view interface (ViewAlgorithm) computes each node's output
 //     directly as a function of its ball B_G(v,t).
 //
-// The adapters FullInfo (view algorithm → t-round message algorithm,
-// exact) and MessageAsView (t-round message algorithm → view algorithm of
-// radius t+1, exact) witness the equivalence; see adapter.go.
+// RunFullInfo (view algorithm → t-round gossip protocol, exact) and
+// MessageAsView (t-round message algorithm → view algorithm of radius
+// t+1, exact) witness the equivalence; see adapter.go. The gossip's
+// records are unbounded, as the model allows, so RunFullInfo runs on a
+// small synchronous loop of its own rather than on the word engine.
 //
 // Both interfaces execute through a four-level layering:
 //
@@ -113,11 +112,10 @@
 // arithmetic, and decode validation hoist out of the per-lane loop and
 // the inner loop walks the adjacent memory the slot-major layout
 // already provides. A pass dispatches to the vector path when the
-// algorithm implements VecAlgorithm, carries no refs, and the pass has
-// two or more lanes; the scalar per-lane path steps every
-// one-lane pass (the Engine case included), and ScalarOnly wraps an
-// algorithm to force it — the differential suites pin both paths
-// byte-identical.
+// algorithm implements VecAlgorithm and the pass has two or more lanes;
+// the scalar per-lane path steps every one-lane pass (the Engine case
+// included), and ScalarOnly wraps an algorithm to force it — the
+// differential suites pin both paths byte-identical.
 //
 // The VecProcess contract mirrors the scalar one per lane, with three
 // SoA-specific rules. State rule: all per-lane state lives in slices
@@ -172,8 +170,8 @@
 // (and their LabeledBall reinterpretation), and the tapes returned by
 // View.TapeFor are valid only for the duration of the call that hands
 // them over, must be treated as read-only, and are reused or released
-// when the pass ends — algorithms copy whatever they want to keep. Ref
-// payloads and returned output strings are never reused by the engine;
+// when the pass ends — algorithms copy whatever they want to keep.
+// Returned output strings are never reused by the engine;
 // conversely, shared encodings such as lang.EncodeColor return
 // read-only storage. These invariants are what let pooled and batched
 // executions drop every reference to a previous trial's state while
@@ -244,27 +242,6 @@ type ViewAlgorithm interface {
 	Name() string
 	Radius() int
 	Output(v *View) []byte
-}
-
-// ConstructionView assembles the radius-t view of node v for a
-// construction instance (no outputs); a nil draw gives a deterministic
-// view.
-func ConstructionView(in *lang.Instance, v, t int, draw *localrand.Draw) *View {
-	b := in.G.BallAround(v, t)
-	view := &View{
-		Ball: b,
-		IDs:  make([]int64, b.Size()),
-		X:    make([][]byte, b.Size()),
-	}
-	for i, u := range b.Nodes {
-		view.IDs[i] = in.ID[u]
-		view.X[i] = in.X[u]
-	}
-	if draw != nil {
-		d := *draw
-		view.TapeFor = func(local int) *localrand.Tape { return d.Tape(view.IDs[local]) }
-	}
-	return view
 }
 
 // RunView executes a ball-view algorithm on every node of an instance,

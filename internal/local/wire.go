@@ -6,14 +6,9 @@ import "reflect"
 // message engine has: messages are sequences of fixed-width 64-bit words
 // staged straight into the engine's [slot][lane] send slabs — no
 // per-round slices, no interface boxing — so one round loop (batch.go
-// runVec) executes every algorithm with zero allocations per round.
-//
-// The one exception to fixed-width words is the ref lane: the §2.1.1
-// full-information adapter (FullInfo) gossips whole neighborhoods, which
-// have no fixed-width encoding, so its payloads travel by reference
-// through a parallel ref slab. The lane is internal (refCarrier is
-// unexported) and in-process only: a byte-stream transport refuses a
-// cut block that carries refs with ErrRefsNotPortable.
+// runVec) executes every algorithm with zero allocations per round, and
+// every engine shape — Engine, Batch, Sharded, the fault pass, the TCP
+// and shard-worker links — carries the same words.
 
 // WireProcess is the per-node state machine of a message-passing
 // algorithm. The engine creates one WireProcess per node (and lane); a
@@ -94,19 +89,6 @@ func sameAlgo(a, b WireAlgorithm) bool {
 	return a == b
 }
 
-// refCarrier marks wire algorithms whose payloads travel by reference
-// through the engine's ref slab instead of as slab words. Only the
-// full-information adapter implements it: its gossip records are
-// unbounded. The marker is unexported on purpose, so the ref lane stays
-// an in-process detail of FullInfo rather than a second message contract.
-type refCarrier interface{ wireRefs() }
-
-// wantsRefs reports whether wa's messages need the ref slab.
-func wantsRefs(wa WireAlgorithm) bool {
-	_, ok := wa.(refCarrier)
-	return ok
-}
-
 // Inbox is the received side of one node in one round: one message per
 // port, read as fixed-width words. The port-to-slot indirection and the
 // lens/words slabs are engine-owned; an Inbox is valid only for the
@@ -119,7 +101,6 @@ type Inbox struct {
 	word []uint64
 	offW []int32 // per-slot word offsets (lane-0 base, in words)
 	capW []int32 // per-slot word capacities
-	refs []Message
 }
 
 // Degree returns the number of ports (the node's degree).
@@ -180,16 +161,6 @@ func (in *Inbox) Payload(port int) (words []uint64, ok bool) {
 	return in.word[base : base+n : base+n], true
 }
 
-// ref returns the by-reference payload of the message on port (the
-// full-information adapter's ref lane), or nil if no message arrived.
-func (in *Inbox) ref(port int) Message {
-	s := int(in.slot[port])
-	if in.lens[s*in.B+in.b] == 0 {
-		return nil
-	}
-	return in.refs[s*in.B+in.b]
-}
-
 // Outbox is the sending side of one node in one round: it stages
 // messages for the node's ports by writing words directly into the
 // engine's send slab. Staging is cumulative within the round — Send
@@ -204,7 +175,6 @@ type Outbox struct {
 	word   []uint64
 	offW   []int32
 	capW   []int32
-	refs   []Message
 	// stage is the engine's sender-side message accounting: every staging
 	// operation that turns an empty port into a staged one increments
 	// stage[b], and Reset decrements per staged port it clears, so after a
@@ -309,22 +279,7 @@ func (out *Outbox) Reset() {
 			out.stage[out.b]--
 		}
 		out.lens[li] = 0
-		if out.refs != nil {
-			out.refs[li] = nil
-		}
 	}
-}
-
-// sendRef stages a by-reference message on port: the ref lane of the
-// full-information adapter, whose payloads have no fixed-width encoding.
-func (out *Outbox) sendRef(port int, m Message) {
-	s := out.slotLo + port
-	li := s*out.B + out.b
-	if out.lens[li] == 0 {
-		out.stage[out.b]++
-	}
-	out.refs[li] = m
-	out.lens[li] = 1
 }
 
 // NewLoopback builds a connected Outbox/Inbox pair over a single node of
@@ -339,13 +294,12 @@ func NewLoopback(deg, msgWords int) (*Outbox, *Inbox) {
 	offW := make([]int32, deg)
 	capW := make([]int32, deg)
 	slots := make([]int32, deg)
-	refs := make([]Message, deg)
 	for i := 0; i < deg; i++ {
 		offW[i] = int32(i * msgWords)
 		capW[i] = int32(msgWords)
 		slots[i] = int32(i)
 	}
-	out := &Outbox{deg: deg, B: 1, lens: lens, word: words, offW: offW, capW: capW, refs: refs, stage: make([]int64, 1)}
-	in := &Inbox{deg: deg, B: 1, slot: slots, lens: lens, word: words, offW: offW, capW: capW, refs: refs}
+	out := &Outbox{deg: deg, B: 1, lens: lens, word: words, offW: offW, capW: capW, stage: make([]int64, 1)}
+	in := &Inbox{deg: deg, B: 1, slot: slots, lens: lens, word: words, offW: offW, capW: capW}
 	return out, in
 }

@@ -88,13 +88,11 @@ func TestConsecutiveInteriorPatternCollision(t *testing.T) {
 	// are adjacent.
 	g := graph.Cycle(4)
 	in := &lang.Instance{G: g, X: lang.EmptyInputs(4), ID: ids.Consecutive(4)}
-	v1 := local.ConstructionView(in, 1, 1, nil)
-	v2 := local.ConstructionView(in, 2, 1, nil)
-	nb1 := v1.Ball.G.Neighbors(0)
-	nb2 := v2.Ball.G.Neighbors(0)
-	p1 := ringPatternIndex(v1.IDs[0], v1.IDs[nb1[0]], v1.IDs[nb1[1]])
-	p2 := ringPatternIndex(v2.IDs[0], v2.IDs[nb2[0]], v2.IDs[nb2[1]])
-	if p1 != p2 {
+	pattern := local.RunView(in, local.ViewFunc{AlgoName: "ring-pattern", R: 1, F: func(v *local.View) []byte {
+		nb := v.Ball.G.Neighbors(0)
+		return []byte{byte(ringPatternIndex(v.IDs[0], v.IDs[nb[0]], v.IDs[nb[1]]))}
+	}}, nil)
+	if p1, p2 := pattern[1][0], pattern[2][0]; p1 != p2 {
 		t.Fatalf("interior patterns differ: %d vs %d", p1, p2)
 	}
 	if !g.HasEdge(1, 2) {

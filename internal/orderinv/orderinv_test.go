@@ -211,13 +211,12 @@ func TestSimulationPanicsOnSmallU(t *testing.T) {
 	sim := &Simulation{Inner: rankAlgo{t: 2}, U: []int64{1, 2}}
 	g := graph.Cycle(9)
 	in, _ := lang.NewInstance(g, lang.EmptyInputs(9), ids.Consecutive(9))
-	view := local.ConstructionView(in, 0, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for |U| smaller than the ball")
 		}
 	}()
-	sim.Output(view)
+	local.RunView(in, sim, nil)
 }
 
 func TestExtractRejectsBadParams(t *testing.T) {

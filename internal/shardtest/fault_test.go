@@ -40,9 +40,7 @@ func faultPlanFor(t testing.TB, g *graph.Graph) *local.FaultPlan {
 // messages simply contribute nothing to the min, and a stale (delayed)
 // min is still a valid min — the algorithm has no phase structure faults
 // can break, unlike the synchronous-reliable construct algorithms, whose
-// protocol invariants assume the LOCAL model's perfect delivery. Its
-// ref-slab twin, which exercises held by-reference payloads, is
-// refFloodMin in package local, because the ref lane is internal.
+// protocol invariants assume the LOCAL model's perfect delivery.
 type floodMin struct{ t int }
 
 func (f floodMin) Name() string                      { return fmt.Sprintf("flood-min(%d)", f.t) }

@@ -133,18 +133,6 @@ func TestShardSlabCompaction(t *testing.T) {
 	}
 }
 
-// TestShardEquivalenceFullInfo covers the ref-slab cut path: the
-// full-information adapter's gossip records cross shard boundaries by
-// reference through CutBlock.Refs.
-func TestShardEquivalenceFullInfo(t *testing.T) {
-	in := Instance(t, graph.Cycle(16))
-	algo := local.FullInfo(local.ViewFunc{
-		AlgoName: "ball-size", R: 2,
-		F: func(v *local.View) []byte { return []byte{byte(v.Ball.Size())} },
-	})
-	Equivalence(t, Case{Name: "cycle", Algo: algo, In: in}, 7001, 2)
-}
-
 // TestShardEquivalenceQuickFuzz is the testing/quick sweep over random
 // partitions of Offsets: random connected graphs, random shard counts,
 // random contiguous cut placements — every draw must reproduce the

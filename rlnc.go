@@ -5,7 +5,8 @@
 //   - networks and instances: Graph, Assignment, Instance, Config;
 //   - the LOCAL model engine: ViewAlgorithm and WireAlgorithm (the one
 //     message contract: fixed-width 64-bit words in the engine's slabs),
-//     RunView, RunMessage, and the §2.1.1 simulation adapters;
+//     RunView, RunMessage, and the two §2.1.1 simulations, RunFullInfo
+//     and MessageAsView;
 //   - the execution-plan layer: a Plan is the reusable layout of one
 //     graph (CSR-flattened adjacency, reverse-port delivery table, cached
 //     balls) and an Engine is one worker's reusable execution scratch
@@ -229,11 +230,10 @@ var (
 	// helper for control and data-link dials, where start order between
 	// orchestrator and workers is deliberately unconstrained.
 	DialRetry = local.DialRetry
-	// FullInfo turns a radius-t view algorithm into a t-round
-	// message-passing algorithm (§2.1.1 simulation). Its unbounded gossip
-	// rides an in-process ref lane, so it cannot cross byte-stream shard
-	// links.
-	FullInfo = local.FullInfo
+	// RunFullInfo runs a radius-t view algorithm as the t-round
+	// full-information gossip protocol (§2.1.1 simulation) on its own
+	// synchronous loop, returning outputs and round/message Stats.
+	RunFullInfo = local.RunFullInfo
 	// MessageAsView simulates a t-round message algorithm inside a
 	// radius-(t+1) ball.
 	MessageAsView = local.MessageAsView
