@@ -162,41 +162,24 @@ func (p *cvProc) Output() []byte {
 	return lang.EncodeColor(int(p.color))
 }
 
-// NewVecProcess implements local.VecAlgorithm: one SoA process per node
-// steps every lane of a batch in a single call per round.
-func (cv ColeVishkin) NewVecProcess() local.VecProcess {
-	return &cvVec{reductions: ReductionRounds(cv.MaxIDBits)}
-}
+// VecWords implements local.VecAlgorithm: one state word per lane, the
+// current color. The algorithm is deterministic and the reduction
+// schedule is shared by every lane, so nothing else is per-lane.
+func (cv ColeVishkin) VecWords() int { return 1 }
 
-// cvVec is cvProc across all lanes as struct-of-arrays. The algorithm is
-// deterministic, so the per-lane state is just the color word; the
-// reduction schedule is shared by every lane.
-type cvVec struct {
-	reductions int
-	phase2At   int // round index where shift-down begins
-	color      []uint64
-	act        []bool // scratch: lanes this call acts for
-}
-
-// ResetVec implements local.ResetVecProcess, keeping the reduction
-// schedule while dropping all execution state.
-func (p *cvVec) ResetVec() { p.phase2At = 0 }
-
-func (p *cvVec) StartVec(info *local.VecNodeInfo, out *local.OutboxVec) {
-	if info.Degree() != 2 {
-		panic("construct: Cole-Vishkin requires a cycle (degree 2 everywhere)")
+// StartVec implements local.VecAlgorithm: cvProc.Start on every lane of
+// the range.
+func (cv ColeVishkin) StartVec(r *local.VecRange) {
+	for v := r.Lo; v < r.Hi; v++ {
+		if r.Degree(v) != 2 {
+			panic("construct: Cole-Vishkin requires a cycle (degree 2 everywhere)")
+		}
+		color := r.State(v, 0)
+		for b := range color {
+			color[b] = uint64(r.ID(v, b))
+		}
+		r.BroadcastRow(v, color, r.Active(v))
 	}
-	k := info.Lanes()
-	p.color = vecRow(p.color, k)
-	p.act = vecRow(p.act, k)
-	p.phase2At = p.reductions + 1
-	for b := 0; b < k; b++ {
-		p.color[b] = uint64(info.ID(b))
-		p.act[b] = true
-	}
-	// Every round sends the current color both ways; only the successor's
-	// value is used during reduction, both during shift-down.
-	out.BroadcastRow(p.color, p.act)
 }
 
 // mustCVColorVec is mustCVColor against a lane's slab row: a missing or
@@ -209,47 +192,47 @@ func mustCVColorVec(lens []int32, words []uint64, b, stride int) uint64 {
 	return words[b*stride]
 }
 
-func (p *cvVec) StepVec(round int, in *local.InboxVec, out *local.OutboxVec, done []bool) {
-	k, mask := in.Lanes(), in.Mask()
-	act := p.act[:k]
-	for b := 0; b < k; b++ {
-		act[b] = !done[b] && (mask == nil || !mask[b])
-	}
-	succLens := in.LensRow(succPort)
-	succWords, succStride := in.WordBlock(succPort)
-	predLens := in.LensRow(predPort)
-	predWords, predStride := in.WordBlock(predPort)
-	reducing := round <= p.reductions
-	var target uint64
-	if !reducing {
-		// Shift-down: rounds phase2At, phase2At+1, phase2At+2 remove
-		// colors 5, 4, 3 in that order.
-		target = uint64(5 - (round - p.phase2At))
-	}
-	for b := 0; b < k; b++ {
-		if !act[b] {
+// StepVec implements local.VecAlgorithm: cvProc.Step on every active
+// lane of the range.
+func (cv ColeVishkin) StepVec(r *local.VecRange, round int) {
+	reductions := ReductionRounds(cv.MaxIDBits)
+	phase2At := reductions + 1 // round index where shift-down begins
+	reducing := round <= reductions
+	// Shift-down: rounds phase2At, phase2At+1, phase2At+2 remove colors
+	// 5, 4, 3 in that order.
+	target := uint64(5 - (round - phase2At))
+	for v := r.Lo; v < r.Hi; v++ {
+		act := r.Active(v)
+		if act == 0 {
 			continue
 		}
-		succC := mustCVColorVec(succLens, succWords, b, succStride)
-		predC := mustCVColorVec(predLens, predWords, b, predStride)
-		if reducing {
-			p.color[b] = cvStep(p.color[b], succC)
-		} else if p.color[b] == target {
-			p.color[b] = smallestFree(predC, succC)
-		}
-	}
-	if round >= p.phase2At+2 {
-		for b := 0; b < k; b++ {
-			if act[b] {
-				done[b] = true
+		color := r.State(v, 0)
+		succLens, succWords, succStride := r.Recv(v, succPort)
+		predLens, predWords, predStride := r.Recv(v, predPort)
+		for b := range color {
+			if act>>b&1 == 0 {
+				continue
+			}
+			succC := mustCVColorVec(succLens, succWords, b, succStride)
+			predC := mustCVColorVec(predLens, predWords, b, predStride)
+			if reducing {
+				color[b] = cvStep(color[b], succC)
+			} else if color[b] == target {
+				color[b] = smallestFree(predC, succC)
 			}
 		}
-		return
+		if round >= phase2At+2 {
+			r.Finish(v, act)
+			continue
+		}
+		r.BroadcastRow(v, color, act)
 	}
-	out.BroadcastRow(p.color, act)
 }
 
-func (p *cvVec) OutputVec(b int) []byte { return lang.EncodeColor(int(p.color[b])) }
+// OutputVec implements local.VecAlgorithm.
+func (cv ColeVishkin) OutputVec(r *local.VecRange, v, b int) []byte {
+	return lang.EncodeColor(int(r.State(v, 0)[b]))
+}
 
 // smallestFree returns the smallest color in {0,1,2} differing from both
 // arguments; it exists because only two values are excluded.

@@ -2,6 +2,7 @@ package construct
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rlnc/internal/lang"
 	"rlnc/internal/local"
@@ -125,119 +126,66 @@ func (p *retryProc) Step(round int, in *local.Inbox, out *local.Outbox) bool {
 
 func (p *retryProc) Output() []byte { return lang.EncodeColor(p.color) }
 
-// NewVecProcess implements local.VecAlgorithm: one SoA process per node
-// steps every lane of a batch in a single call per round.
-func (a retryAlgo) NewVecProcess() local.VecProcess { return &retryVec{q: a.q, t: a.t} }
+// VecWords implements local.VecAlgorithm: one state word per lane, the
+// current color, kept as the wire word so broadcasts need no conversion.
+func (a retryAlgo) VecWords() int { return 1 }
 
-// retryVec is retryProc across all lanes as struct-of-arrays; colors are
-// kept as wire words so the broadcast row needs no conversion pass.
-type retryVec struct {
-	q, t  int
-	tapes []*localrand.Tape
-	color []uint64
-	act   []bool // scratch: lanes this call acts for
-	conf  []bool // scratch: conflicted lanes
-	scan  []bool // scratch: lanes still scanning (act and not yet conflicted)
-}
-
-// ResetVec implements local.ResetVecProcess, keeping the palette and
-// round configuration while dropping the tape references into the
-// engine's per-run slab.
-func (p *retryVec) ResetVec() { clear(p.tapes) }
-
-func (p *retryVec) ensure(k int) {
-	p.tapes = vecRow(p.tapes, k)
-	p.color = vecRow(p.color, k)
-	p.act = vecRow(p.act, k)
-	p.conf = vecRow(p.conf, k)
-	p.scan = vecRow(p.scan, k)
-}
-
-func (p *retryVec) StartVec(info *local.VecNodeInfo, out *local.OutboxVec) {
-	k := info.Lanes()
-	p.ensure(k)
-	for b := 0; b < k; b++ {
-		t := info.Tape(b)
-		p.tapes[b] = t
-		p.color[b] = uint64(t.Intn(p.q))
-		p.act[b] = true
-	}
-	out.BroadcastRow(p.color, p.act)
-}
-
-func (p *retryVec) StepVec(round int, in *local.InboxVec, out *local.OutboxVec, done []bool) {
-	k, mask := in.Lanes(), in.Mask()
-	act, conf, scan := p.act[:k], p.conf[:k], p.scan[:k]
-	// Past the last retry round the lanes halt without scanning, exactly
-	// like the scalar Step's early return.
-	if round > p.t {
-		for b := 0; b < k; b++ {
-			if !done[b] && (mask == nil || !mask[b]) {
-				done[b] = true
-			}
+// StartVec implements local.VecAlgorithm: retryProc.Start on every lane
+// of the range.
+func (a retryAlgo) StartVec(r *local.VecRange) {
+	for v := r.Lo; v < r.Hi; v++ {
+		color := r.State(v, 0)
+		for b := range color {
+			color[b] = uint64(r.Tape(v, b).Intn(a.q))
 		}
-		return
+		r.BroadcastRow(v, color, r.Active(v))
 	}
-	for b := 0; b < k; b++ {
-		a := !done[b] && (mask == nil || !mask[b])
-		act[b] = a
-		conf[b] = false
-		// A conflicted lane skips the rest of the scan, like the scalar
-		// break — later ports go unvalidated either way — so the scan
-		// predicate folds act and not-yet-conflicted into one branch.
-		scan[b] = a
-	}
-	q, color := uint64(p.q), p.color[:k]
-	for port := 0; port < in.Degree(); port++ {
-		lens := in.LensRow(port)
-		words, stride := in.WordBlock(port)
-		if stride == 1 && len(words) >= k {
-			// MsgWords is 1, so every port's block is stride-1: the lane's
-			// word is words[b] and the bounds checks vanish from the loop.
-			w := words[:k]
-			for b := 0; b < k; b++ {
-				if !scan[b] {
+}
+
+// StepVec implements local.VecAlgorithm: retryProc.Step on every active
+// lane of the range, with the lanes still scanning for a conflict as one
+// mask.
+func (a retryAlgo) StepVec(r *local.VecRange, round int) {
+	q := uint64(a.q)
+	for v := r.Lo; v < r.Hi; v++ {
+		act := r.Active(v)
+		if act == 0 {
+			continue
+		}
+		// Past the last retry round the lanes halt without scanning,
+		// exactly like the scalar Step's early return.
+		if round > a.t {
+			r.Finish(v, act)
+			continue
+		}
+		color := r.State(v, 0)
+		// A conflicted lane stops scanning, like the scalar break — later
+		// ports go unvalidated either way.
+		scan := act
+		for p, deg := 0, r.Degree(v); p < deg && scan != 0; p++ {
+			lens, words, stride := r.Recv(v, p)
+			for b, l := range lens {
+				if scan>>b&1 == 0 || l == 0 {
 					continue
 				}
-				l := lens[b]
-				if l == 0 {
-					continue
-				}
-				c := w[b]
+				c := words[b*stride]
 				if l != 2 || c >= q {
 					panic("construct: retry coloring received a malformed color word")
 				}
 				if c == color[b] {
-					conf[b] = true
-					scan[b] = false
+					scan &^= 1 << b
 				}
 			}
-			continue
 		}
-		for b := 0; b < k; b++ {
-			if !scan[b] {
-				continue
-			}
-			l := lens[b]
-			if l == 0 {
-				continue
-			}
-			c := words[b*stride]
-			if l != 2 || c >= q {
-				panic("construct: retry coloring received a malformed color word")
-			}
-			if c == color[b] {
-				conf[b] = true
-				scan[b] = false
-			}
+		for conf := act &^ scan; conf != 0; conf &= conf - 1 {
+			b := bits.TrailingZeros64(conf)
+			color[b] = uint64(r.Tape(v, b).Intn(a.q))
 		}
+		r.BroadcastRow(v, color, act)
 	}
-	for b := 0; b < k; b++ {
-		if act[b] && conf[b] {
-			p.color[b] = uint64(p.tapes[b].Intn(p.q))
-		}
-	}
-	out.BroadcastRow(p.color, act)
 }
 
-func (p *retryVec) OutputVec(b int) []byte { return lang.EncodeColor(int(p.color[b])) }
+// OutputVec implements local.VecAlgorithm.
+func (a retryAlgo) OutputVec(r *local.VecRange, v, b int) []byte {
+	return lang.EncodeColor(int(r.State(v, 0)[b]))
+}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"rlnc/internal/construct"
+	"rlnc/internal/decide"
 	"rlnc/internal/lang"
 	"rlnc/internal/local"
 	"rlnc/internal/localrand"
@@ -18,9 +19,10 @@ const trialBatchWidth = 32
 // trialBatch is one Monte-Carlo worker's batched-trial scratch: the batch
 // itself plus reusable lane slices for draws (two independent sets, for
 // experiments that condition a decider's randomness on a construction
-// draw) and per-lane decision instances. It is the per-worker state of
-// a batched mc.Executor, playing the role a bare *local.Engine plays for
-// a scalar one. When the run is sharded (Config.Shards > 1), sh is the
+// draw), per-lane decision instances over one reused slab, and the
+// decide.Mem its decision loops evaluate into. It is the per-worker
+// state of a batched mc.Executor, playing the role a bare *local.Engine
+// plays for a scalar one. When the run is sharded (Config.Shards > 1), sh is the
 // worker group's sharded executor and message-algorithm constructions
 // route through it — byte-identical outputs, exercised across the cut.
 type trialBatch struct {
@@ -29,6 +31,8 @@ type trialBatch struct {
 	draws  []localrand.Draw
 	draws2 []localrand.Draw
 	dis    []*lang.DecisionInstance
+	diSlab []lang.DecisionInstance // what decisions points dis at
+	mem    decide.Mem
 }
 
 // newTrialBatch returns the per-worker state constructor for trial loops
@@ -50,6 +54,7 @@ func newTrialBatch(plan *local.Plan, shards int, provider func(plan *local.Plan,
 			draws:  make([]localrand.Draw, trialBatchWidth),
 			draws2: make([]localrand.Draw, trialBatchWidth),
 			dis:    make([]*lang.DecisionInstance, trialBatchWidth),
+			diSlab: make([]lang.DecisionInstance, trialBatchWidth),
 		}
 		if n := plan.Graph().N(); shards > n {
 			shards = n
@@ -124,12 +129,22 @@ func (s *trialBatch) lanes2(space *localrand.TapeSpace, lo, hi int, tag func(tri
 }
 
 // decisions wraps per-lane construction outputs as decision instances
-// over the shared instance's identity and input columns.
+// over the shared instance's identity and input columns. The instances
+// live in the worker's slab, rewritten by the next call.
 func (s *trialBatch) decisions(in *lang.Instance, ys [][][]byte) []*lang.DecisionInstance {
 	for i, y := range ys {
-		s.dis[i] = &lang.DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}
+		s.diSlab[i] = lang.DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}
+		s.dis[i] = &s.diSlab[i]
 	}
 	return s.dis[:len(ys)]
+}
+
+// decide is the worker's decision handle: its batch assembles the views
+// and its Mem backs the verdicts, so a decision loop evaluates without
+// per-chunk verdict allocations. Returned verdicts follow decide.Mem's
+// retention contract; the loops copy them out at once.
+func (s *trialBatch) decide() decide.Exec {
+	return decide.Exec{Bt: s.bt, Mem: &s.mem}
 }
 
 // executor assembles the mc.Executor of a config-driven trial loop over

@@ -77,7 +77,7 @@ func (e e5) Run(cfg report.Config) (*report.Result, error) {
 					panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 				}
 				drawsD := s.lanes2(dSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<32 | uint64(t) })
-				copy(out, decide.Exec{Bt: s.bt}.Accepts(s.decisions(union.Instance, ys), d, drawsD))
+				copy(out, s.decide().Accepts(s.decisions(union.Instance, ys), d, drawsD))
 			})
 			bound := glue.DisjointAcceptBound(pr.p, pr.beta, nu)
 			lo, _ := est.Wilson(3.3)

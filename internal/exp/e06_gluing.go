@@ -69,7 +69,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 				panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 			}
 			drawsD := s.lanes2(dSpace, lo, hi, func(t int) uint64 { return tag<<24 | uint64(t) })
-			copy(out, decide.Exec{Bt: s.bt}.AcceptsFarFrom(s.decisions(in, ys), dec, drawsD, u, tC+tD))
+			copy(out, s.decide().AcceptsFarFrom(s.decisions(in, ys), dec, drawsD, u, tC+tD))
 		})
 	}
 
@@ -146,7 +146,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 				panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 			}
 			drawsD := s.lanes2(dSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<40 | uint64(t) })
-			copy(out, decide.Exec{Bt: s.bt}.Accepts(s.decisions(gl.Instance, ys), dec, drawsD))
+			copy(out, s.decide().Accepts(s.decisions(gl.Instance, ys), dec, drawsD))
 		})
 		product := 1.0
 		for _, a := range blockFarAccept {

@@ -63,7 +63,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 				for i := range draws {
 					s.dis[i] = di
 				}
-				for i, acc := range (decide.Exec{Bt: s.bt}).Accepts(s.dis[:len(draws)], d, draws) {
+				for i, acc := range s.decide().Accepts(s.dis[:len(draws)], d, draws) {
 					out[i] = acc == inL
 				}
 			})
@@ -81,7 +81,7 @@ func (e e11) Run(cfg report.Config) (*report.Result, error) {
 			for i := range draws {
 				s.dis[i] = diMono
 			}
-			for i, acc := range (decide.Exec{Bt: s.bt}).Accepts(s.dis[:len(draws)], d, draws) {
+			for i, acc := range s.decide().Accepts(s.dis[:len(draws)], d, draws) {
 				out[i] = acc == inL
 			}
 		})

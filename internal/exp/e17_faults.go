@@ -135,7 +135,7 @@ func (e e17) Run(cfg report.Config) (*report.Result, error) {
 				mc.Fail(err)
 			}
 			dis := s.decisions(inC, ys)
-			for i, acc := range (decide.Exec{Bt: s.bt}).Accepts(dis, d, draws2[:len(dis)]) {
+			for i, acc := range s.decide().Accepts(dis, d, draws2[:len(dis)]) {
 				out[i] = acc
 			}
 		})

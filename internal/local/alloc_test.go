@@ -206,28 +206,23 @@ func (a staticVecMix) Name() string { return fmt.Sprintf("static-vec-mix(%d)", a
 func (a staticVecMix) NewWireProcess() WireProcess {
 	return &staticVecMixProc{vecMixProc{rounds: a.rounds}}
 }
-func (a staticVecMix) NewVecProcess() VecProcess {
-	return &staticVecMixVec{vecMixVec{rounds: a.rounds}}
+func (a staticVecMix) OutputVec(r *VecRange, v, b int) []byte {
+	return staticOutTable[r.State(v, 0)[b]&15]
 }
 
 type staticVecMixProc struct{ vecMixProc }
 
 func (p *staticVecMixProc) Output() []byte { return staticOutTable[p.state&15] }
 
-type staticVecMixVec struct{ vecMixVec }
-
-func (p *staticVecMixVec) OutputVec(b int) []byte { return staticOutTable[p.state[b]&15] }
-
 // TestVecAllocFloors pins the absolute allocation contract of the
 // lane-vectorized round kernel, exactly as TestSteadyStateAllocFloors
-// does for the scalar one: a warm batch stepping a ResetVecProcess
-// algorithm back to back allocates NOTHING per run — the per-node SoA
-// process table resets in place, the row staging writes straight into
-// the reused slabs, and outputs land in the double-buffered arena. The
-// fault-armed shape must hold the same floor: the lane mask and
-// pre-step done snapshot are per-worker scratch, not per-run
-// allocations. Skipped under -race, whose instrumentation changes
-// allocation counts.
+// does for the scalar one: a warm batch stepping a VecAlgorithm back to
+// back allocates NOTHING per run — the kernel's state is the batch's
+// reused word slab, the row staging writes straight into the reused
+// slabs, and outputs land in the double-buffered arena. The fault-armed
+// shape must hold the same floor: the crash masks are a batch-owned
+// per-node row, not per-run allocations. Skipped under -race, whose
+// instrumentation changes allocation counts.
 func TestVecAllocFloors(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(256))
 	plan, err := NewPlan(in.G)
@@ -258,7 +253,7 @@ func TestVecAllocFloors(t *testing.T) {
 			}
 		}
 		runBatch()
-		runBatch() // warm both arena buffers and the pooled process table
+		runBatch() // warm both arena buffers and the state slab
 		if bt.vecAlgo == nil {
 			t.Fatal("vector path not armed for the alloc floor")
 		}

@@ -85,14 +85,16 @@ type Batch struct {
 	// newly finished nodes. pending buffers the previous pass's merged
 	// stage counts: what was staged at round r-1 is delivered at round r,
 	// so runVec adds pending to msgsOf exactly where the receiver-side
-	// merge used to happen. Per-worker Inbox/Outbox scratch keeps the
-	// round loop allocation-free.
-	wkStage  [][]int64
-	wkMsgs   [][]int64
-	wkFin    [][]int
-	pending  []int64
-	inboxes  []Inbox
-	outboxes []Outbox
+	// merge used to happen. Per-worker Inbox/Outbox/VecRange scratch (wk)
+	// keeps the round loop allocation-free. Every worker's rows and
+	// scratch sit on their own cache lines (padRow, workerScratch): the
+	// passes write them per node, and workers sharing a line would
+	// serialize on it.
+	wkStage [][]int64
+	wkMsgs  [][]int64
+	wkFin   [][]int
+	pending []int64
+	wk      []workerScratch
 	// Per-worker slot-major scratch rows for the fault pass: wkDel
 	// accumulates each lane's delivered count during a node's
 	// reverse-slot walk (the walk reads each slot's contiguous
@@ -129,21 +131,14 @@ type Batch struct {
 	// Lane-vectorized stepping state (vec.go): vecAlgo is armed once per
 	// pass by armVec, when the run's algorithm implements VecAlgorithm
 	// and the pass has two or more lanes — the passes then dispatch to
-	// their vec twins, which drive ONE SoA process per node (vprocs,
-	// pooled via vresets/vprocAlgo under the same rules as the scalar
-	// table) through per-worker InboxVec/OutboxVec scratch. wkPrev holds
-	// the pre-step done row a pass diffs new finishes out of; wkMask the
-	// per-node lane mask the fault pass hands crashed lanes to StepVec
-	// with.
-	vecAlgo   VecAlgorithm
-	vprocs    []VecProcess // [v] — one per node, all lanes
-	vresets   []ResetVecProcess
-	vprocAlgo WireAlgorithm
-	vinboxes  []InboxVec
-	voutboxes []OutboxVec
-	vinfos    []VecNodeInfo
-	wkPrev    [][]bool
-	wkMask    [][]bool
+	// their vec twins, which hand each worker's node range to the
+	// kernel. vstate is the kernel's flat [node][word][lane] state slab,
+	// vdone each node's finished-lane mask, and vdown the fault pass's
+	// per-node crashed-lane masks.
+	vecAlgo VecAlgorithm
+	vstate  []uint64
+	vdone   []uint64
+	vdown   []uint64
 
 	// Fault state (fault.go): defFault is the executor default a run
 	// falls back to when RunOptions.Fault is nil; fault is the armed
@@ -431,21 +426,22 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 	if block < 1 {
 		block = 1
 	}
-	if block > bt.width {
-		block = bt.width
-	}
+	block = min(block, bt.width, maxBlock)
 	bt.block = block
 }
+
+// maxBlock caps the lanes of one message pass at one uint64 lane mask
+// (the vector path's done and crash masks). Lanes are independent, so a
+// wider vector running in 64-lane blocks changes no output.
+const maxBlock = 64
 
 // armVec chooses the stepping path of one pass of k lanes of wa, once
 // the pass's block is fixed: the vector path when wa steps SoA lanes
 // itself and the pass has lanes to share the hoisted per-node work
 // across, the scalar WireProcess path otherwise — every Engine, every
-// one-lane block, and a ragged one-lane tail. A one-lane VecProcess pays
-// the SoA overhead with nothing to amortize it (about 94 against 68 ns
-// per lane-step for retry coloring on C_4800, BenchmarkLaneStep at
-// -cpu 1). Both paths are byte-identical, so the choice is invisible in
-// outputs and Stats.
+// one-lane block, and a ragged one-lane tail: a one-lane vec pass pays
+// the mask and row overhead with nothing to amortize it. Both paths are
+// byte-identical, so the choice is invisible in outputs and Stats.
 func (bt *Batch) armVec(wa WireAlgorithm, k int) {
 	bt.vecAlgo = nil
 	if va, ok := wa.(VecAlgorithm); ok && k >= 2 {
@@ -700,15 +696,12 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 // exception: when the algorithm's processes implement ResetProcess the
 // table is kept and reset in place next run. (The output arena is the
 // other intended survivor — its retention contract is the documented
-// double-buffer alternation.)
+// double-buffer alternation; the vector path's state slab holds no
+// pointers at all.)
 func (bt *Batch) endRun() {
 	if bt.procAlgo == nil {
 		clear(bt.procs)
 		clear(bt.resets)
-	}
-	if bt.vprocAlgo == nil {
-		clear(bt.vprocs)
-		clear(bt.vresets)
 	}
 	bt.rsrc = laneSrc{}
 	bt.rys = nil
@@ -716,19 +709,31 @@ func (bt *Batch) endRun() {
 }
 
 // collectPass is one worker's share of the output gather: lane b's node
-// v output lands at rys[b*n+v]. Slot-free, so it walks the process
-// table in [node][lane] order directly.
+// v output lands at rys[b*n+v].
 func (bt *Batch) collectPass(w, vlo, vhi int) {
-	if bt.vecAlgo != nil {
-		bt.collectVecPass(vlo, vhi)
+	bt.collectRange(w, vlo, vhi, bt.rys, bt.plan.g.N(), 0)
+}
+
+// collectRange gathers the outputs of nodes [vlo, vhi) under the current
+// run's stepping mode: lane b's node v output lands at out[b*n+v-off].
+// It is the shared collection of the unsharded pass (worker w), the
+// sharded orchestrator, and the shard-worker protocol (worker 0 over
+// the shard's window).
+func (bt *Batch) collectRange(w, vlo, vhi int, out [][]byte, n, off int) {
+	k := bt.rk
+	if va := bt.vecAlgo; va != nil {
+		r := bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
+		for v := vlo; v < vhi; v++ {
+			for b := 0; b < k; b++ {
+				out[b*n+v-off] = va.OutputVec(r, v, b)
+			}
+		}
 		return
 	}
-	k, B, n := bt.rk, bt.block, bt.plan.g.N()
-	ys, procs := bt.rys, bt.procs
+	B, procs := bt.block, bt.procs
 	for v := vlo; v < vhi; v++ {
-		row := procs[v*B : v*B+k]
-		for b, p := range row {
-			ys[b*n+v] = p.Output()
+		for b, p := range procs[v*B : v*B+k] {
+			out[b*n+v-off] = p.Output()
 		}
 	}
 }
@@ -738,17 +743,9 @@ func (bt *Batch) collectPass(w, vlo, vhi int) {
 // dropped and one probe process determines whether the new algorithm's
 // processes implement ResetProcess. Steady-state trial loops (same
 // algorithm back to back) skip the probe entirely and reuse the table.
+// The vector path has no process table: its state slab is reused as is.
 func (bt *Batch) preparePools(wa WireAlgorithm) {
 	if bt.vecAlgo != nil {
-		if !sameAlgo(bt.vprocAlgo, bt.vecAlgo) {
-			clear(bt.vprocs)
-			clear(bt.vresets)
-			bt.vprocAlgo = nil
-			if _, ok := bt.vecAlgo.NewVecProcess().(ResetVecProcess); ok {
-				bt.vprocAlgo = bt.vecAlgo
-			}
-		}
-		bt.rpool = bt.vprocAlgo != nil
 		return
 	}
 	if !sameAlgo(bt.procAlgo, wa) {
@@ -784,7 +781,7 @@ func (bt *Batch) startPass(w, vlo, vhi int) {
 	procs, done := bt.procs, bt.done
 	resets := bt.resets
 	curLens := bt.curLens
-	out := &bt.outboxes[w]
+	out := &bt.wk[w].out
 	bt.bindOutbox(out, bt.curLens, bt.curWords)
 	out.stage = bt.wkStage[w]
 	for v := vlo; v < vhi; v++ {
@@ -845,7 +842,7 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 	topo := bt.plan.topo
 	k, B, round := bt.rk, bt.block, bt.rround
 	finRow := bt.wkFin[w][:k]
-	in, out := &bt.inboxes[w], &bt.outboxes[w]
+	in, out := &bt.wk[w].in, &bt.wk[w].out
 	bt.bindInbox(in, bt.curLens, bt.curWords)
 	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
 	out.stage = bt.wkStage[w]
@@ -917,17 +914,19 @@ func (bt *Batch) ensureWireState() {
 	bt.curWords = sliceFor(bt.curWords, bt.totalW*B)
 	bt.nextWord = sliceFor(bt.nextWord, bt.totalW*B)
 	bt.ensureHeldSlabs(slots, B)
-	// Only the pass's own process table is sized: a vector pass never
-	// touches the n×B scalar table, a scalar pass never the per-node
-	// vector one.
+	// Only the pass's own state is sized: a vector pass never touches
+	// the n×B scalar process table, a scalar pass never the state slab.
 	if bt.vecAlgo != nil {
-		bt.vprocs = sliceFor(bt.vprocs, n)
-		bt.vresets = sliceFor(bt.vresets, n)
+		bt.vstate = sliceFor(bt.vstate, n*bt.vecAlgo.VecWords()*B)
+		bt.vdone = sliceFor(bt.vdone, n)
+		if bt.fault != nil {
+			bt.vdown = sliceFor(bt.vdown, n)
+		}
 	} else {
 		bt.procs = sliceFor(bt.procs, n*B)
 		bt.resets = sliceFor(bt.resets, n*B)
+		bt.done = sliceFor(bt.done, n*B)
 	}
-	bt.done = sliceFor(bt.done, n*B)
 	if bt.alive == nil {
 		bt.alive = make([]bool, bt.width)
 		bt.notDone = make([]int, bt.width)
@@ -944,25 +943,34 @@ func (bt *Batch) ensureWireState() {
 // between runs).
 func (bt *Batch) ensureWorkerScratch(workers int) {
 	for len(bt.wkMsgs) < workers {
-		bt.wkStage = append(bt.wkStage, make([]int64, bt.width))
-		bt.wkMsgs = append(bt.wkMsgs, make([]int64, bt.width))
-		bt.wkFin = append(bt.wkFin, make([]int, bt.width))
-		bt.wkDel = append(bt.wkDel, make([]int32, bt.width))
-		bt.wkDown = append(bt.wkDown, make([]bool, bt.width))
+		bt.wkStage = append(bt.wkStage, padRow[int64](bt.width))
+		bt.wkMsgs = append(bt.wkMsgs, padRow[int64](bt.width))
+		bt.wkFin = append(bt.wkFin, padRow[int](bt.width))
+		bt.wkDel = append(bt.wkDel, padRow[int32](bt.width))
+		bt.wkDown = append(bt.wkDown, padRow[bool](bt.width))
 	}
-	for len(bt.wkPrev) < workers {
-		bt.wkPrev = append(bt.wkPrev, make([]bool, bt.width))
-		bt.wkMask = append(bt.wkMask, make([]bool, bt.width))
+	if len(bt.wk) < workers {
+		bt.wk = sliceFor(bt.wk, workers)
 	}
-	if len(bt.inboxes) < workers {
-		bt.inboxes = sliceFor(bt.inboxes, workers)
-		bt.outboxes = sliceFor(bt.outboxes, workers)
-	}
-	if len(bt.vinboxes) < workers {
-		bt.vinboxes = sliceFor(bt.vinboxes, workers)
-		bt.voutboxes = sliceFor(bt.voutboxes, workers)
-		bt.vinfos = sliceFor(bt.vinfos, workers)
-	}
+}
+
+// cacheLinePad is the byte distance that keeps two workers' scratch off
+// each other's cache lines: two 64-byte lines, because the adjacent-line
+// prefetcher of common x86 cores fetches lines in pairs.
+const cacheLinePad = 128
+
+// padRow returns a zeroed width-element per-worker row whose backing
+// array runs cacheLinePad elements (at least as many bytes) past the
+// row, so no other worker's row can share its last cache line.
+func padRow[T any](width int) []T { return make([]T, width, width+cacheLinePad) }
+
+// workerScratch is one worker's in/outbox and kernel-range scratch,
+// padded so consecutive workers' entries never share a cache line.
+type workerScratch struct {
+	in  Inbox
+	out Outbox
+	vr  VecRange
+	_   [cacheLinePad]byte
 }
 
 // viewSet is one radius's cached view skeletons, the per-node lane draw

@@ -286,7 +286,7 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	finRow := bt.wkFin[w][:k]
 	clear(msgRow)
 	clear(finRow)
-	in, out := &bt.inboxes[w], &bt.outboxes[w]
+	in, out := &bt.wk[w].in, &bt.wk[w].out
 	bt.bindInbox(in, bt.curLens, bt.curWords)
 	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
 	// The stage counters land in the worker's row but are never merged:
@@ -300,20 +300,16 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	del := bt.wkDel[w][:k]
 	down := bt.wkDown[w][:k]
 	// The vector path shares the whole suppression walk and replaces only
-	// the per-lane step tail: crashed lanes become the node's lane mask,
-	// and one StepVec call advances the rest.
+	// the per-lane step tail: each node's crashed lanes become its crash
+	// mask, and one StepVec call over the range advances the rest once
+	// the walk is done. Suppression touches only a node's own receive
+	// slots and a step reads only its own, so walking the whole range
+	// before stepping it reads exactly what the per-node order read.
 	vec := bt.vecAlgo != nil
-	var vin *InboxVec
-	var vout *OutboxVec
-	var prev, mask []bool
-	var vprocs []VecProcess
+	var r *VecRange
 	if vec {
-		vin, vout = &bt.vinboxes[w], &bt.voutboxes[w]
-		bt.bindInboxVec(vin, k)
-		bt.bindOutboxVec(vout, k, bt.wkStage[w], bt.nextLens, bt.nextWord)
-		prev = bt.wkPrev[w][:k]
-		mask = bt.wkMask[w][:k]
-		vprocs = bt.vprocs
+		r = bt.bindRange(w, vlo, vhi, bt.nextLens, bt.nextWord)
+		r.down = bt.vdown
 	}
 	for v := vlo; v < vhi; v++ {
 		lo, hi := topo.Slots(v) // global coordinates, every shape
@@ -382,74 +378,53 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 		// down node thereby sends nothing next round, and neither dead
 		// lanes' nor the unused capacity lanes' stale state is ever read.
 		clear(nextLens[(lo-base)*B : (hi-base)*B])
-		if !vec {
+		if vec {
+			// Vec tail: credit the deliveries and fold the node's crashed
+			// lanes into its crash mask; StepVec steps the rest below.
+			var crashed uint64
 			for b := 0; b < k; b++ {
-				if !alive[b] {
-					continue
-				}
-				msgRow[b] += int64(del[b])
-				if done[v*B+b] {
-					continue
-				}
-				if down[b] {
-					if f.CrashUntil == 0 {
-						// Permanent crash: finalize with the frozen state so the
-						// run's halting consensus can still complete; Output()
-						// reports whatever the process last committed to.
-						done[v*B+b] = true
-						finRow[b]++
+				if alive[b] {
+					msgRow[b] += int64(del[b])
+					if down[b] {
+						crashed |= 1 << b
 					}
-					continue
-				}
-				in.b, out.b = b, b
-				if procs[v*B+b].Step(round, in, out) {
-					done[v*B+b] = true
-					finRow[b]++
 				}
 			}
+			crashed &^= bt.vdone[v]
+			if f.CrashUntil == 0 {
+				// Permanent crash: finalize with the frozen state so the
+				// run's halting consensus can still complete.
+				r.Finish(v, crashed)
+			}
+			bt.vdown[v] = crashed
 			continue
 		}
-		// Vec step tail: the same per-lane resolution — delivered credit,
-		// permanent-crash finalization (before the pre-step snapshot, so
-		// the diff below cannot double-count it) — folded into a lane
-		// mask, then one StepVec over the remaining lanes.
-		vin.deg, vin.slot = deg, rev
-		vout.deg, vout.slotLo = deg, lo-base
-		doneRow := done[v*B : v*B+k]
-		anyMask, left := false, 0
 		for b := 0; b < k; b++ {
-			mask[b] = false
 			if !alive[b] {
 				continue
 			}
 			msgRow[b] += int64(del[b])
-			if doneRow[b] {
+			if done[v*B+b] {
 				continue
 			}
 			if down[b] {
-				mask[b] = true
-				anyMask = true
 				if f.CrashUntil == 0 {
-					doneRow[b] = true
+					// Permanent crash: finalize with the frozen state so the
+					// run's halting consensus can still complete; Output()
+					// reports whatever the process last committed to.
+					done[v*B+b] = true
 					finRow[b]++
 				}
 				continue
 			}
-			left++
-		}
-		if left == 0 {
-			continue
-		}
-		copy(prev, doneRow)
-		vin.mask = nil
-		if anyMask {
-			vin.mask = mask
-		}
-		vprocs[v].StepVec(round, vin, vout, doneRow)
-		for b := 0; b < k; b++ {
-			if doneRow[b] && !prev[b] {
+			in.b, out.b = b, b
+			if procs[v*B+b].Step(round, in, out) {
+				done[v*B+b] = true
 				finRow[b]++
 			}
 		}
+	}
+	if vec {
+		bt.vecAlgo.StepVec(r, round)
 	}
 }

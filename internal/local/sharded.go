@@ -752,7 +752,7 @@ func (sh *shardExec) run(s *Sharded, src laneSrc, k int, wa WireAlgorithm, ys []
 		cmd := <-sh.ctrl
 		if !cmd.run {
 			if cmd.collect {
-				sh.collectInto(ys, k, n)
+				sh.collectInto(ys, n)
 			}
 			// Cleanup strictly before the ack: the ack releases the
 			// orchestrator, which may immediately hand this batch to the
@@ -810,13 +810,8 @@ func (sh *shardExec) execRound(round, k int) error {
 
 // collectInto gathers the shard's node window outputs: ys[b*n+v] for
 // every lane b and owned node v (n is the global node count).
-func (sh *shardExec) collectInto(ys [][]byte, k, n int) {
-	bt := sh.bt
-	for v := sh.lo; v < sh.hi; v++ {
-		for b := 0; b < k; b++ {
-			ys[b*n+v] = bt.outputOf(v, b)
-		}
-	}
+func (sh *shardExec) collectInto(ys [][]byte, n int) {
+	sh.bt.collectRange(0, sh.lo, sh.hi, ys, n, 0)
 }
 
 // cleanup is the unsharded runVec's no-retention cleanup, per shard: a
@@ -827,9 +822,6 @@ func (sh *shardExec) cleanup() {
 	bt := sh.bt
 	if bt.procAlgo == nil {
 		clear(bt.procs)
-	}
-	if bt.vprocAlgo == nil {
-		clear(bt.vprocs)
 	}
 	bt.rsrc = laneSrc{}
 	bt.rwa = nil

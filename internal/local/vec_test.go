@@ -14,16 +14,16 @@ import (
 // byte for byte. Each round a node folds every port's payload into its
 // state (missing messages perturb it, so drop faults change the bytes),
 // draws one tape word (so tape cursors advance identically on both
-// paths), and alternates between one-word broadcasts and pure signals;
-// lanes finish at the round bound or early when the folded state hits a
-// sentinel residue, so the lane vector diverges mid-run and the done-row
-// skipping of the vector path is exercised on every graph.
+// paths), and broadcasts one word into two-word slots, so the vector
+// path's strided word blocks are exercised; lanes finish at the round
+// bound or early when the folded state hits a sentinel residue, so the
+// lane vector diverges mid-run and the done-mask skipping of the vector
+// path is exercised on every graph.
 type vecMix struct{ rounds int }
 
 func (a vecMix) Name() string                { return fmt.Sprintf("vec-mix(%d)", a.rounds) }
 func (a vecMix) MsgWords(int) int            { return 2 }
 func (a vecMix) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
-func (a vecMix) NewVecProcess() VecProcess   { return &vecMixVec{rounds: a.rounds} }
 
 // vecMixProc is the scalar reference stepping of vecMix.
 type vecMixProc struct {
@@ -40,10 +40,7 @@ func (p *vecMixProc) Start(info NodeInfo, out *Outbox) {
 	if p.tape != nil {
 		p.state ^= p.tape.Uint64()
 	}
-	for port := 0; port < out.Degree(); port++ {
-		out.Send(port, p.state)
-		out.Append(port, p.state>>7)
-	}
+	out.Broadcast(p.state)
 }
 
 func (p *vecMixProc) Step(round int, in *Inbox, out *Outbox) bool {
@@ -63,97 +60,77 @@ func (p *vecMixProc) Step(round int, in *Inbox, out *Outbox) bool {
 	if round >= p.rounds || (round >= 2 && p.state&7 == 0) {
 		return true
 	}
-	if round%2 == 1 {
-		out.Broadcast(p.state)
-	} else {
-		out.SignalAll()
-	}
+	out.Broadcast(p.state)
 	return false
 }
 
 func (p *vecMixProc) Output() []byte { return encode64(int64(p.state)) }
 
-// vecMixVec is vecMixProc across all lanes as struct-of-arrays: the same
-// fold, tape draw, halting rule, and send schedule, with the port
-// indirection hoisted out of the lane loop.
-type vecMixVec struct {
-	rounds int
-	tapes  []*localrand.Tape
-	state  []uint64
-	w1     []uint64
-	act    []bool
+// The vecMix kernel: vecMixProc across a node range of every lane, with
+// the same fold, tape draw, halting rule, and send schedule over one
+// state word per lane.
+
+func (a vecMix) VecWords() int { return 1 }
+
+func (a vecMix) StartVec(r *VecRange) {
+	for v := r.Lo; v < r.Hi; v++ {
+		st := r.State(v, 0)
+		for b := range st {
+			s := uint64(r.ID(v, b)) * 0x9e3779b97f4a7c15
+			if t := r.Tape(v, b); t != nil {
+				s ^= t.Uint64()
+			}
+			st[b] = s
+		}
+		r.BroadcastRow(v, st, r.Active(v))
+	}
 }
 
-func (p *vecMixVec) ResetVec() { clear(p.tapes) }
-
-func (p *vecMixVec) StartVec(info *VecNodeInfo, out *OutboxVec) {
-	k := info.Lanes()
-	p.tapes = sliceFor(p.tapes, k)
-	p.state = sliceFor(p.state, k)
-	p.w1 = sliceFor(p.w1, k)
-	p.act = sliceFor(p.act, k)
-	for b := 0; b < k; b++ {
-		t := info.Tape(b)
-		p.tapes[b] = t
-		s := uint64(info.ID(b)) * 0x9e3779b97f4a7c15
-		if t != nil {
-			s ^= t.Uint64()
-		}
-		p.state[b] = s
-		p.w1[b] = s >> 7
-		p.act[b] = true
-	}
-	out.BroadcastRow2(p.state, p.w1, p.act)
-}
-
-func (p *vecMixVec) StepVec(round int, in *InboxVec, out *OutboxVec, done []bool) {
-	k, mask := in.Lanes(), in.Mask()
-	act := p.act[:k]
-	for b := 0; b < k; b++ {
-		act[b] = !done[b] && (mask == nil || !mask[b])
-	}
-	for port := 0; port < in.Degree(); port++ {
-		lens := in.LensRow(port)
-		words, stride := in.WordBlock(port)
-		for b := 0; b < k; b++ {
-			if !act[b] {
-				continue
-			}
-			l := int(lens[b])
-			if l == 0 {
-				p.state[b] = p.state[b]*3 + 1
-				continue
-			}
-			n := l - 1
-			for _, w := range words[b*stride : b*stride+n] {
-				p.state[b] ^= w + uint64(n)
-			}
-		}
-	}
-	for b := 0; b < k; b++ {
-		if !act[b] {
+func (a vecMix) StepVec(r *VecRange, round int) {
+	for v := r.Lo; v < r.Hi; v++ {
+		act := r.Active(v)
+		if act == 0 {
 			continue
 		}
-		if p.tapes[b] != nil {
-			p.state[b] ^= p.tapes[b].Uint64()
+		st := r.State(v, 0)
+		for p := 0; p < r.Degree(v); p++ {
+			lens, words, stride := r.Recv(v, p)
+			for b, l := range lens {
+				if act>>b&1 == 0 {
+					continue
+				}
+				if l == 0 {
+					st[b] = st[b]*3 + 1
+					continue
+				}
+				n := int(l) - 1
+				for _, w := range words[b*stride : b*stride+n] {
+					st[b] ^= w + uint64(n)
+				}
+			}
 		}
-		if round >= p.rounds || (round >= 2 && p.state[b]&7 == 0) {
-			done[b] = true
-			act[b] = false
+		var fin uint64
+		for b := range st {
+			if act>>b&1 == 0 {
+				continue
+			}
+			if t := r.Tape(v, b); t != nil {
+				st[b] ^= t.Uint64()
+			}
+			if round >= a.rounds || (round >= 2 && st[b]&7 == 0) {
+				fin |= 1 << b
+			}
 		}
-	}
-	if round%2 == 1 {
-		out.BroadcastRow(p.state, act)
-	} else {
-		out.SignalRow(act)
+		r.Finish(v, fin)
+		r.BroadcastRow(v, st, act&^fin)
 	}
 }
 
-func (p *vecMixVec) OutputVec(b int) []byte { return encode64(int64(p.state[b])) }
+func (a vecMix) OutputVec(r *VecRange, v, b int) []byte { return encode64(int64(r.State(v, 0)[b])) }
 
 // TestVecMatchesScalar pins the tentpole contract of the vector path in
 // the package that owns it: on every graph family, a batch stepping
-// vecMix through its VecProcess must reproduce the ScalarOnly reference
+// vecMix through its kernel must reproduce the ScalarOnly reference
 // — the same algorithm stripped of the vector extension — byte for byte,
 // outputs and Stats, at widths 1 (the scalar fallback), 2, and 5, on
 // full and ragged lane vectors, under nil, zero, and lossy fault plans,
@@ -246,7 +223,7 @@ func TestVecSharded(t *testing.T) {
 }
 
 // stepProbe counts which stepping path the passes of a run took: Step
-// calls on scalar WireProcesses, StepVec calls on VecProcesses, and the
+// calls on scalar WireProcesses, StepVec calls of the kernel, and the
 // StepVec calls that stepped fewer than two lanes.
 type stepProbe struct {
 	scalar, vec, vecOneLane atomic.Int64
@@ -262,8 +239,13 @@ type probeMix struct {
 func (a probeMix) NewWireProcess() WireProcess {
 	return &probeProc{vecMixProc: vecMixProc{rounds: a.rounds}, p: a.p}
 }
-func (a probeMix) NewVecProcess() VecProcess {
-	return &probeVec{vecMixVec: vecMixVec{rounds: a.rounds}, p: a.p}
+
+func (a probeMix) StepVec(r *VecRange, round int) {
+	a.p.vec.Add(1)
+	if r.Lanes() < 2 {
+		a.p.vecOneLane.Add(1)
+	}
+	a.vecMix.StepVec(r, round)
 }
 
 type probeProc struct {
@@ -276,24 +258,11 @@ func (q *probeProc) Step(round int, in *Inbox, out *Outbox) bool {
 	return q.vecMixProc.Step(round, in, out)
 }
 
-type probeVec struct {
-	vecMixVec
-	p *stepProbe
-}
-
-func (q *probeVec) StepVec(round int, in *InboxVec, out *OutboxVec, done []bool) {
-	q.p.vec.Add(1)
-	if in.Lanes() < 2 {
-		q.p.vecOneLane.Add(1)
-	}
-	q.vecMixVec.StepVec(round, in, out, done)
-}
-
 // TestVecDispatchPerPass pins the stepping-path choice: it is made per
 // pass by the pass's lane count, not per executor by its width. A
 // one-lane pass — an Engine, a one-lane run on a wide batch, the ragged
 // one-lane tail of a lane vector the slab budget splits — steps the
-// scalar WireProcess; a pass of two or more lanes steps the VecProcess.
+// scalar WireProcess; a pass of two or more lanes runs the kernel.
 // The sharded case uses an uneven partition whose shards' own slab
 // budgets disagree, so the common block is the smaller shard's, and the
 // tail's scalar steps must match a lone Engine run of the tail lane.

@@ -101,37 +101,38 @@
 //
 // # Lane-vectorized stepping
 //
-// A WireAlgorithm may additionally implement VecAlgorithm (vec.go): one
-// VecProcess instance then owns a node's state for ALL lanes of the
-// batch as struct-of-arrays, and the round kernel makes a single
-// StartVec/StepVec call per node per pass instead of B scalar calls.
-// InboxVec and OutboxVec expose the slabs lane-major — per-port
-// contiguous lens rows (LensRow) and per-slot word blocks with their
-// lane stride (WordBlock), plus row-staging verbs (SignalRow,
-// BroadcastRow, BroadcastRow2) — so the port→slot lookup, base-offset
-// arithmetic, and decode validation hoist out of the per-lane loop and
-// the inner loop walks the adjacent memory the slot-major layout
-// already provides. A pass dispatches to the vector path when the
-// algorithm implements VecAlgorithm and the pass has two or more lanes;
-// the scalar per-lane path steps every one-lane pass (the Engine case
+// A WireAlgorithm may additionally implement VecAlgorithm (vec.go): a
+// stateless kernel on the algorithm value that steps one worker's whole
+// node range of every lane per call, so the round kernel makes one
+// StartVec/StepVec call per worker per pass instead of B scalar calls
+// per node. The kernel sees the pass through a VecRange — a concrete,
+// inlinable view of the slabs: Active(v) is node v's lane mask to step,
+// Recv(v, p) hands port p's contiguous lens row and word block,
+// BroadcastRow stages a whole lane row, Finish(v, mask) fixes
+// lanes' outputs, and State(v, j) and Tape(v, b) reach the state slab
+// and the tape slab — so the port→slot lookup, base-offset arithmetic,
+// stage and fin counting, and fault masking stay in the engine and the
+// inner loop walks the adjacent memory the slot-major layout already
+// provides. A pass dispatches to the kernel when the algorithm
+// implements VecAlgorithm and the pass has two or more lanes; the
+// scalar per-lane path steps every one-lane pass (the Engine case
 // included), and ScalarOnly wraps an algorithm to force it — the
 // differential suites pin both paths byte-identical.
 //
-// The VecProcess contract mirrors the scalar one per lane, with three
-// SoA-specific rules. State rule: all per-lane state lives in slices
-// the process sizes to VecNodeInfo.Lanes (resized, never reallocated
-// per pass when capacity suffices), and a process implementing
-// ResetVecProcess is pooled per NODE across back-to-back runs exactly
-// like ResetProcess tables — TestVecAllocFloors pins the warm vec trial
-// at zero allocations, fault plans included. Mask rule: StepVec acts
-// only for lanes with done[b] false and Mask()[b] false (a nil mask
-// means all lanes live); the mask is how crashed and finalized lanes
-// are frozen under faults, so a vec process must neither read arrivals
-// for nor stage messages from a masked lane, and it signals halting by
-// setting done[b] itself. Aliasing rule: everything InboxVec hands over
-// is engine-owned scratch valid only during the call, like the scalar
-// Inbox; lens rows and word blocks are read-only views of the live
-// slabs.
+// The kernel contract mirrors the scalar one per lane, with three
+// range-specific rules. State rule: all per-lane state lives in the
+// batch's flat [node][word][lane] uint64 slab, VecWords words per
+// (node, lane), reached through State; the slab holds no pointers and
+// is reused across runs whatever the algorithm's parameters, so
+// TestVecAllocFloors pins the warm vec trial at zero allocations, fault
+// plans included. Mask rule: lane sets are uint64 masks (a block holds
+// at most 64 lanes); StepVec acts only for node v's lanes in Active(v),
+// which excludes finished lanes and, under a fault plan, crashed ones
+// — a kernel must neither read arrivals for nor stage messages from an
+// inactive lane, nor change its state — and it signals halting through
+// Finish. Aliasing rule: every row a VecRange hands over aliases the
+// live slabs and is valid only during the call; lens rows and word
+// blocks are read-only.
 //
 // # Fault injection
 //

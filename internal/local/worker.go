@@ -623,11 +623,7 @@ func (w *shardWorker) execCmd(cmd *cmdMsg) (rep *reportMsg) {
 		if run.errText == "" && run.panicked == "" && cmd.Collect {
 			nwin := sh.hi - sh.lo
 			rep.Out = make([][]byte, run.k*nwin)
-			for v := sh.lo; v < sh.hi; v++ {
-				for b := 0; b < run.k; b++ {
-					rep.Out[b*nwin+(v-sh.lo)] = bt.outputOf(v, b)
-				}
-			}
+			bt.collectRange(0, sh.lo, sh.hi, rep.Out, nwin, sh.lo)
 		}
 		sh.cleanup()
 		w.run = nil

@@ -285,3 +285,157 @@ func TestVecBlockSplitting(t *testing.T) {
 		})
 	}
 }
+
+// kernelPlans are the fault shapes the range kernels must step exactly
+// like their scalar processes: lossy links (drop), one-round holds
+// (delay), permanent crashes, and crashes that recover (CrashUntil), the
+// shape whose crash masks freeze lanes mid-range and thaw them later.
+var kernelPlans = []struct {
+	name string
+	fp   *local.FaultPlan
+}{
+	{"none", nil},
+	{"drop", &local.FaultPlan{Seed: 301, Drop: 0.2}},
+	{"delay", &local.FaultPlan{Seed: 302, Delay: 0.25}},
+	{"crash", &local.FaultPlan{Seed: 303, CrashP: 0.2, CrashFrom: 2}},
+	{"crash-recover", &local.FaultPlan{Seed: 304, Drop: 0.05, CrashP: 0.3, CrashFrom: 1, CrashUntil: 4}},
+}
+
+// laneOutcome is one lane's Result, or the panic or error its run ended
+// in: Cole–Vishkin panics on the first missing neighbor color, and the
+// kernel must fail exactly where the scalar process fails.
+type laneOutcome struct {
+	res  *local.Result
+	fail string
+}
+
+// runOutcomes runs one execution and returns its per-lane outcomes; a
+// panic or error fails every lane alike.
+func runOutcomes(k int, run func() ([]*local.Result, error)) (out []laneOutcome) {
+	out = make([]laneOutcome, k)
+	failAll := func(msg string) {
+		for b := range out {
+			out[b] = laneOutcome{fail: msg}
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			failAll(fmt.Sprint("panic: ", r))
+		}
+	}()
+	rs, err := run()
+	if err != nil {
+		failAll("error: " + err.Error())
+		return out
+	}
+	for b, r := range rs {
+		out[b] = laneOutcome{res: r}
+	}
+	return out
+}
+
+// expectSameOutcome asserts lane-identical outcomes: equal results, or
+// the same failure.
+func expectSameOutcome(t *testing.T, label string, want, got laneOutcome) {
+	t.Helper()
+	if want.fail != "" || got.fail != "" {
+		if want.fail != got.fail {
+			t.Fatalf("%s: outcome %q, want %q", label, got.fail, want.fail)
+		}
+		return
+	}
+	expectSame(t, label, want.res, got.res)
+}
+
+// TestVecKernelMatchesScalar pins both range kernels (retry coloring and
+// Cole–Vishkin) against the scalar reference — one width-1 Engine run per
+// lane under ScalarOnly, which no block split or lane mask can reach —
+// byte for byte, outputs and Stats (or the identical panic), under every
+// kernelPlans shape. The unsharded half runs widths {2, 3, 63, 64, 65,
+// 100} on rings small enough that the slab budget never binds, so the
+// 64-lane block cap splits 65 and 100 into a full mask plus a ragged
+// tail; the sharded half runs windows on the channel and loopback-TCP
+// transports.
+func TestVecKernelMatchesScalar(t *testing.T) {
+	ring := Instance(t, graph.Cycle(48))
+	plan := local.MustPlan(ring.G)
+	space := localrand.NewTapeSpace(9101)
+	const maxK = 100
+	draws := make([]localrand.Draw, maxK)
+	ins := make([]*lang.Instance, maxK)
+	for i := range draws {
+		draws[i] = space.Draw(uint64(i))
+		ins[i] = ring
+	}
+	cases := []vecCase{
+		{construct.RetryMessage(3, 4), true, nil},
+		{construct.ColeVishkin{MaxIDBits: 8}, false, nil},
+	}
+	// run executes k lanes of algo on x: random lanes under draws,
+	// deterministic ones over per-lane copies of the ring.
+	type executor interface {
+		Run(*lang.Instance, local.WireAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+		RunInstances([]*lang.Instance, local.WireAlgorithm, []localrand.Draw, local.RunOptions) ([]*local.Result, error)
+	}
+	run := func(x executor, c vecCase, algo local.WireAlgorithm, k int, fp *local.FaultPlan) []laneOutcome {
+		opts := local.RunOptions{Fault: fp}
+		return runOutcomes(k, func() ([]*local.Result, error) {
+			if c.random {
+				return x.Run(ring, algo, draws[:k], opts)
+			}
+			return x.RunInstances(ins[:k], algo, nil, opts)
+		})
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.algo.Name(), func(t *testing.T) {
+			eng := plan.NewEngine()
+			ref := make(map[string][]laneOutcome)
+			for _, pl := range kernelPlans {
+				want := make([]laneOutcome, maxK)
+				for b := range want {
+					want[b] = runOutcomes(1, func() ([]*local.Result, error) {
+						var d *localrand.Draw
+						if c.random {
+							d = &draws[b]
+						}
+						r, err := eng.Run(ring, local.ScalarOnly(c.algo), d, local.RunOptions{Fault: pl.fp})
+						return []*local.Result{r}, err
+					})[0]
+				}
+				ref[pl.name] = want
+			}
+			check := func(label string, want, got []laneOutcome) {
+				t.Helper()
+				for b := range got {
+					expectSameOutcome(t, fmt.Sprintf("%s lane %d", label, b), want[b], got[b])
+				}
+			}
+			for _, width := range []int{2, 3, 63, 64, 65, 100} {
+				bt := plan.NewBatch(width)
+				for _, pl := range kernelPlans {
+					check(fmt.Sprintf("width %d plan %s", width, pl.name), ref[pl.name], run(bt, c, c.algo, width, pl.fp))
+				}
+			}
+			for _, tp := range []struct {
+				name string
+				tr   Transport
+			}{{"chan", nil}, {"tcp", TCPTransport}} {
+				for _, width := range []int{3, 65} {
+					sh, err := plan.NewSharded(width, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tp.tr != nil {
+						if cleanup := tp.tr(sh); cleanup != nil {
+							defer cleanup()
+						}
+					}
+					for _, pl := range kernelPlans {
+						check(fmt.Sprintf("%s shards 3 width %d plan %s", tp.name, width, pl.name), ref[pl.name], run(sh, c, c.algo, width, pl.fp))
+					}
+				}
+			}
+		})
+	}
+}
