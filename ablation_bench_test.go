@@ -56,8 +56,8 @@ func BenchmarkAblationMCSerial(b *testing.B)   { benchMCWithProcs(b, 1) }
 func BenchmarkAblationMCParallel(b *testing.B) { benchMCWithProcs(b, runtime.NumCPU()) }
 
 // --- Per-worker engines in the Monte-Carlo harness ---------------------------
-// The Plan/Engine design choice: each trial-pool worker holds one
-// reusable engine (mc.Executor.NewState) vs rebuilding execution state
+// The Plan/Batch design choice: each trial-pool worker holds one
+// reusable width-1 batch (mc.Executor.NewState) vs rebuilding execution state
 // every trial, on the kind of construction trial every experiment runs.
 
 func benchMCTrialLoop(b *testing.B, pooled bool) {
@@ -75,10 +75,14 @@ func benchMCTrialLoop(b *testing.B, pooled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pooled {
-			mc.Executor[*local.Engine]{Trials: 500, NewState: plan.NewEngine}.
-				Run(mc.Scalar(func(eng *local.Engine, trial int) bool {
-					draw := space.Draw(uint64(trial))
-					return eng.RunView(in, algo, &draw)[0][0] == 0
+			newState := func() *local.Batch { return plan.NewBatch(1) }
+			mc.Executor[*local.Batch]{Trials: 500, NewState: newState}.
+				Run(mc.Scalar(func(one *local.Batch, trial int) bool {
+					ys, err := one.RunView(in, algo, []localrand.Draw{space.Draw(uint64(trial))})
+					if err != nil {
+						panic(err)
+					}
+					return ys[0][0][0] == 0
 				}))
 		} else {
 			mc.Executor[struct{}]{Trials: 500}.Run(mc.Scalar(func(_ struct{}, trial int) bool {

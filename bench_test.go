@@ -98,12 +98,16 @@ func benchTrialFixture(b *testing.B) (*lang.Instance, local.ViewAlgorithm, *deci
 	return in, algo, &decide.LCLDecider{L: lang.ProperColoring(3)}
 }
 
-// benchTrial runs one construction+decision Monte-Carlo trial, pooled or
-// single-shot.
-func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecider, eng *local.Engine, draw localrand.Draw) ([][]byte, bool) {
+// benchTrial runs one construction+decision Monte-Carlo trial, pooled on
+// a reusable width-1 batch or single-shot (one == nil).
+func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecider, one *local.Batch, draw localrand.Draw) ([][]byte, bool) {
 	var y [][]byte
-	if eng != nil {
-		y = eng.RunView(in, algo, &draw)
+	if one != nil {
+		ys, err := one.RunView(in, algo, []localrand.Draw{draw})
+		if err != nil {
+			panic(err)
+		}
+		y = ys[0]
 	} else {
 		y = local.RunView(in, algo, &draw)
 	}
@@ -113,7 +117,7 @@ func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecide
 
 // BenchmarkTrialSingleShot measures the per-trial cost of the
 // single-shot path: every iteration re-extracts balls and reassembles
-// views, as all trial loops did before the Plan/Engine layer.
+// views, as all trial loops did before the Plan/Batch layer.
 func BenchmarkTrialSingleShot(b *testing.B) {
 	in, algo, d := benchTrialFixture(b)
 	space := localrand.NewTapeSpace(17)
@@ -125,7 +129,8 @@ func BenchmarkTrialSingleShot(b *testing.B) {
 }
 
 // BenchmarkTrialPooledEngine is the identical trial on one reusable
-// Engine — the acceptance benchmark of the Plan/Engine PR: repeated
+// width-1 Batch (the shape the retired Engine type had) — the
+// acceptance benchmark of the pooled plan layer: repeated
 // executions on a fixed graph must show ≥ 40% fewer allocs/op than
 // BenchmarkTrialSingleShot, with identical outputs (verified below and
 // pinned exhaustively by internal/local/plan_test.go).
@@ -133,9 +138,9 @@ func BenchmarkTrialPooledEngine(b *testing.B) {
 	in, algo, d := benchTrialFixture(b)
 	space := localrand.NewTapeSpace(17)
 	plan := local.MustPlan(in.G)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	// Verify pooled and single-shot trials agree before timing.
-	yp, ap := benchTrial(in, algo, d, eng, space.Draw(0))
+	yp, ap := benchTrial(in, algo, d, one, space.Draw(0))
 	ys, as := benchTrial(in, algo, d, nil, space.Draw(0))
 	if ap != as {
 		b.Fatal("pooled and single-shot verdicts differ")
@@ -148,7 +153,7 @@ func BenchmarkTrialPooledEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchTrial(in, algo, d, eng, space.Draw(uint64(i)))
+		benchTrial(in, algo, d, one, space.Draw(uint64(i)))
 	}
 }
 
@@ -156,7 +161,7 @@ func BenchmarkTrialPooledEngine(b *testing.B) {
 // vectors of `width` lanes through one Batch — the acceptance benchmark
 // of the batched-execution PR: at width ≥ 32 it must show ≥ 2× trials/sec
 // over BenchmarkTrialPooledEngine, with outputs byte-identical to the
-// pooled engine at equal seeds (verified below before timing and pinned
+// pooled width-1 batch at equal seeds (verified below before timing and pinned
 // exhaustively by internal/local/batch_test.go). Reported time/op is per
 // trial, so the ratio against the pooled benchmark is the throughput gain.
 func benchTrialBatched(b *testing.B, width int) {
@@ -164,7 +169,7 @@ func benchTrialBatched(b *testing.B, width int) {
 	space := localrand.NewTapeSpace(17)
 	plan := local.MustPlan(in.G)
 	bt := plan.NewBatch(width)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	dx := decide.Exec{Bt: bt, Mem: &decide.Mem{}}
 	draws := make([]localrand.Draw, width)
 	// The lane decision instances are reused across passes — only the
@@ -188,7 +193,7 @@ func benchTrialBatched(b *testing.B, width int) {
 	}
 	accs := dx.Accepts(dis, d, nil)
 	for i := range draws {
-		yp, ap := benchTrial(in, algo, d, eng, space.Draw(uint64(i)))
+		yp, ap := benchTrial(in, algo, d, one, space.Draw(uint64(i)))
 		if ap != accs[i] {
 			b.Fatalf("lane %d: batched and pooled verdicts differ", i)
 		}
@@ -530,10 +535,7 @@ func benchTrialSharded(b *testing.B, shards int) {
 	algo := construct.RetryColoring{Q: 3, T: 2}
 	space := localrand.NewTapeSpace(19)
 	plan := local.MustPlan(in.G)
-	sh, err := plan.NewSharded(width, shards)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sh := plan.NewShardedBatch(width, shards, nil)
 	bt := plan.NewBatch(width)
 	draws := make([]localrand.Draw, width)
 	for i := range draws {
@@ -543,7 +545,7 @@ func benchTrialSharded(b *testing.B, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	got, err := construct.Exec{Sh: sh}.Run(algo, in, draws)
+	got, err := construct.Exec{Bt: sh}.Run(algo, in, draws)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -564,7 +566,7 @@ func benchTrialSharded(b *testing.B, shards int) {
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if _, err := (construct.Exec{Sh: sh}).Run(algo, in, draws[:k]); err != nil {
+		if _, err := (construct.Exec{Bt: sh}).Run(algo, in, draws[:k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -580,12 +582,13 @@ func BenchmarkTrialPooledMessage(b *testing.B) {
 	algo := construct.RetryMessage(3, 2)
 	space := localrand.NewTapeSpace(19)
 	plan := local.MustPlan(in.G)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
+	lane := make([]localrand.Draw, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		draw := space.Draw(uint64(i))
-		if _, err := eng.Run(in, algo, &draw, local.RunOptions{}); err != nil {
+		lane[0] = space.Draw(uint64(i))
+		if _, err := one.Run(in, algo, lane, local.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,8 +610,8 @@ func benchMessageFixture(b *testing.B) (*lang.Instance, construct.LubyMIS, *loca
 }
 
 // benchMessagePath measures one trial of a message algorithm per draw,
-// run `width` lanes at a time through a Batch (width 1 = pooled Engine
-// shape). Reported time/op is per trial.
+// run `width` lanes at a time through a Batch (width 1 = the pooled
+// single-trial shape). Reported time/op is per trial.
 func benchMessagePath(b *testing.B, width int) {
 	in, algo, space := benchMessageFixture(b)
 	bt := local.MustPlan(in.G).NewBatch(width)
@@ -630,7 +633,8 @@ func benchMessagePath(b *testing.B, width int) {
 }
 
 // BenchmarkMessageWire{1,32}: Luby's MIS trials through the wire message
-// core at the Engine shape (width 1) and a full lane vector (width 32).
+// core at the single-trial shape (width 1) and a full lane vector (width
+// 32).
 func BenchmarkMessageWire1(b *testing.B)  { benchMessagePath(b, 1) }
 func BenchmarkMessageWire32(b *testing.B) { benchMessagePath(b, 32) }
 
@@ -644,16 +648,17 @@ func BenchmarkMessageEngineReuse(b *testing.B) {
 	}
 	algo := construct.ColeVishkin{MaxIDBits: 63}
 	plan := local.MustPlan(in.G)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
+	lane := []*lang.Instance{in}
 	rounds := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(in, algo, nil, local.RunOptions{})
+		rs, err := one.RunInstances(lane, algo, nil, local.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = res.Stats.Rounds
+		rounds = rs[0].Stats.Rounds
 	}
 	b.ReportMetric(float64(n*rounds), "node-rounds/op")
 }
@@ -832,9 +837,12 @@ func TestFacadeSmoke(t *testing.T) {
 		t.Fatal("facade RunView broken")
 	}
 	var plan *Plan = MustPlan(g)
-	var eng *Engine = plan.NewEngine()
-	if res, err := eng.Run(in, construct.ColeVishkin{MaxIDBits: 8}, nil, RunOptions{}); err != nil || len(res.Y) != 12 {
-		t.Fatalf("facade Plan/Engine broken: %v", err)
+	var bt *Batch = plan.NewShardedBatch(2, 3, nil)
+	if rs, err := bt.RunInstances([]*Instance{in, in}, construct.ColeVishkin{MaxIDBits: 8}, nil, RunOptions{}); err != nil || len(rs) != 2 || len(rs[1].Y) != 12 {
+		t.Fatalf("facade Plan/Batch broken: %v", err)
+	}
+	if err := bt.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if res := RunFullInfo(in, local.ViewFunc{AlgoName: "zero", R: 1, F: func(v *View) []byte {
 		return lang.EncodeColor(0)

@@ -201,6 +201,18 @@ func cmdList() error {
 	return nil
 }
 
+// poolProvider hosts every sharded executor on the worker pool. The
+// pool decides the shard count, not the request: the executor is built
+// from however many workers are still live (clamped to the graph), so a
+// mid-run worker death degrades to the survivors instead of erroring the
+// whole run — the sharding contract keeps the output bytes identical
+// either way.
+func poolProvider(pool *local.WorkerPool) local.ShardProvider {
+	return func(plan *local.Plan, width, _ int) (*local.Sharded, error) {
+		return plan.NewShardedRemote(width, pool)
+	}
+}
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "reduced trial counts")
@@ -278,14 +290,7 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("run: start shard workers: %w", err)
 		}
 		defer stop()
-		cfg.NewSharded = func(plan *local.Plan, width, shards int) (*local.Sharded, error) {
-			// The pool decides the shard count, not the request: the
-			// executor is built from however many workers are still live
-			// (clamped to the graph), so a mid-run worker death degrades
-			// to the survivors instead of erroring the whole run — the
-			// sharding contract keeps the output bytes identical either way.
-			return plan.NewShardedRemote(width, pool)
-		}
+		cfg.NewSharded = poolProvider(pool)
 	default:
 		return fmt.Errorf("run: unknown transport %q (chan, tcp-loopback, tcp)", *transport)
 	}
@@ -571,12 +576,7 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("serve: start shard workers: %w", err)
 		}
 		defer stop()
-		opts.NewSharded = func(plan *local.Plan, width, shards int) (*local.Sharded, error) {
-			// As in cmdRun's tcp transport: the pool sizes the executor from
-			// its surviving workers, so fleet deaths degrade instead of
-			// erroring (see the package comment on multi-host deployment).
-			return plan.NewShardedRemote(width, pool)
-		}
+		opts.NewSharded = poolProvider(pool)
 	}
 	srv, err := serve.NewServer(opts)
 	if err != nil {

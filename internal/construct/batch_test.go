@@ -24,9 +24,10 @@ func (p plainAlgorithm) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, 
 // contract: for every catalogue constructor — ball-view, message-passing,
 // retry, and pipeline paths, the mixed message-then-view pipeline of
 // WeakColoringViaMIS, plus the single-shot fallback — every lane of
-// Exec{Bt} (width 5) and Exec{Sh} (2 shards) is byte-identical to Exec{}
-// and to Algorithm.Run at the same draw, including ragged lane counts
-// and back-to-back reuse of one batch and one sharded executor.
+// Exec{Bt} on a plain width-5 batch and on a 2-shard batch
+// (Plan.NewShardedBatch) is byte-identical to Exec{} and to
+// Algorithm.Run at the same draw, including ragged lane counts and
+// back-to-back reuse of one batch and one sharded batch.
 func TestRunBatchMatchesRunOn(t *testing.T) {
 	in := instanceOn(t, graph.Cycle(24), ids.Consecutive(24))
 	plan := local.MustPlan(in.G)
@@ -53,10 +54,7 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 	}
 	const width = 5
 	bt := plan.NewBatch(width)
-	sh, err := plan.NewSharded(width, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := plan.NewShardedBatch(width, 2, nil)
 	defer sh.Close()
 	for _, a := range algos {
 		t.Run(a.Name(), func(t *testing.T) {
@@ -73,7 +71,7 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 				for _, shape := range []struct {
 					name string
 					x    Exec
-				}{{"batched", Exec{Bt: bt}}, {"sharded", Exec{Sh: sh}}} {
+				}{{"batched", Exec{Bt: bt}}, {"sharded", Exec{Bt: sh}}} {
 					ys, err := shape.x.Run(a, in, draws)
 					if err != nil {
 						t.Fatalf("%s: %v", shape.name, err)

@@ -27,19 +27,15 @@ type Algorithm interface {
 }
 
 // Exec is the package's one execution handle: the Run verb dispatches a
-// construction algorithm to whichever execution shape the handle holds.
-// Set Sh for sharded execution, Bt for a vectorized batch; the zero Exec
-// runs every lane single-shot through Algorithm.Run. Sh takes precedence
-// over Bt. Algorithms without an engine fast path for a shape run their
-// lanes single-shot, and view-only algorithms run a sharded handle on
-// the Sharded's companion batch. Outputs are byte-identical across
-// shapes at equal draws.
+// construction algorithm to the batch the handle holds, or runs every
+// lane single-shot through Algorithm.Run when Bt is nil (the zero Exec).
+// A batch built by local.Plan.NewShardedBatch sends message runs across
+// its shards by itself. Algorithms without an engine fast path run their
+// lanes single-shot. Outputs are byte-identical across shapes at equal
+// draws.
 type Exec struct {
 	// Bt, when set, runs the whole lane vector through the batch.
 	Bt *local.Batch
-	// Sh, when set, runs the lane vector across the shards; it takes
-	// precedence over Bt.
-	Sh *local.Sharded
 }
 
 // Run executes len(draws) independent trials of a on one shared
@@ -101,18 +97,12 @@ func (a ViewConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte
 	return local.RunView(in, a.Algo, draw), nil
 }
 
-// runInstances implements laneRunner. Ball-view work is node-local and
-// gains nothing from a cut exchange, so a sharded handle runs on the
-// Sharded's companion unsharded batch.
+// runInstances implements laneRunner.
 func (a ViewConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	bt := x.Bt
-	if x.Sh != nil {
-		bt = x.Sh.Unsharded()
-	}
-	if bt == nil {
+	if x.Bt == nil {
 		return runLanes(a, ins, draws)
 	}
-	return bt.RunViewInstances(ins, a.Algo, draws)
+	return x.Bt.RunViewInstances(ins, a.Algo, draws)
 }
 
 // MessageConstruction adapts a message-passing algorithm.
@@ -134,18 +124,12 @@ func (a MessageConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]b
 }
 
 // runInstances implements laneRunner: the lane vector runs through the
-// batch, or across the shards with per-round cut exchange.
+// batch (across its shards, when it holds any).
 func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	var rs []*local.Result
-	var err error
-	switch {
-	case x.Sh != nil:
-		rs, err = x.Sh.RunInstances(ins, a.Algo, draws, a.Opts)
-	case x.Bt != nil:
-		rs, err = x.Bt.RunInstances(ins, a.Algo, draws, a.Opts)
-	default:
+	if x.Bt == nil {
 		return runLanes(a, ins, draws)
 	}
+	rs, err := x.Bt.RunInstances(ins, a.Algo, draws, a.Opts)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import "rlnc/internal/local"
 // pass of two or more lanes picks the kernel up automatically — through
 // the remote registry too, which reconstructs these same struct values
 // on shard workers — and the scalar WireProcess remains the one-lane
-// path (Engines, one-lane slab blocks) and the local.ScalarOnly
+// path (width-1 batches, one-lane slab blocks) and the local.ScalarOnly
 // reference the differential suite pins byte-identical outputs against.
 var (
 	_ local.VecAlgorithm = retryAlgo{}

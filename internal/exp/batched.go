@@ -11,23 +11,22 @@ import (
 )
 
 // trialBatchWidth is the lane count the experiment trial loops hand to
-// plan.NewBatch: wide enough that view assembly, tape seeding, and round
-// scheduling amortize across a worker's chunk, narrow enough that
-// quick-mode trial counts still fill whole batches.
+// plan.NewShardedBatch: wide enough that view assembly, tape seeding,
+// and round scheduling amortize across a worker's chunk, narrow enough
+// that quick-mode trial counts still fill whole batches.
 const trialBatchWidth = 32
 
-// trialBatch is one Monte-Carlo worker's batched-trial scratch: the batch
-// itself plus reusable lane slices for draws (two independent sets, for
-// experiments that condition a decider's randomness on a construction
-// draw), per-lane decision instances over one reused slab, and the
-// decide.Mem its decision loops evaluate into. It is the per-worker
-// state of a batched mc.Executor, playing the role a bare *local.Engine
-// plays for a scalar one. When the run is sharded (Config.Shards > 1), sh is the
-// worker group's sharded executor and message-algorithm constructions
-// route through it — byte-identical outputs, exercised across the cut.
+// trialBatch is one Monte-Carlo worker's batched-trial scratch: the
+// worker's batch plus reusable lane slices for draws (two independent
+// sets, for experiments that condition a decider's randomness on a
+// construction draw), per-lane decision instances over one reused slab,
+// and the decide.Mem its decision loops evaluate into. The embedded
+// batch comes from Plan.NewShardedBatch, so under Config.Shards > 1 its
+// message runs go across the worker group's shards — byte-identical
+// outputs, exercised across the cut — and its SetFault and Close are
+// the fault-setter and closer hooks mc.Executor drives.
 type trialBatch struct {
-	bt     *local.Batch
-	sh     *local.Sharded
+	*local.Batch
 	draws  []localrand.Draw
 	draws2 []localrand.Draw
 	dis    []*lang.DecisionInstance
@@ -36,76 +35,24 @@ type trialBatch struct {
 }
 
 // newTrialBatch returns the per-worker state constructor for trial loops
-// over the given plan; shards > 1 equips each worker group with a
-// sharded executor (clamped to the graph's node count), built by the
-// injected provider when one is set — that is how `rlnc run -transport`
-// swaps the in-process channel links for loopback-TCP links or a
-// shard-worker process pool. A provider that refuses (a worker pool
-// serves one group at a time) degrades the group to a plain batch,
-// which the sharding contract keeps byte-identical.
-func newTrialBatch(plan *local.Plan, shards int, provider func(plan *local.Plan, width, shards int) (*local.Sharded, error)) func() *trialBatch {
-	if provider == nil {
-		provider = func(plan *local.Plan, width, shards int) (*local.Sharded, error) {
-			return plan.NewSharded(width, shards)
-		}
-	}
+// over the given plan; Plan.NewShardedBatch decides whether each worker
+// holds a sharded executor (shards > 1, built by the injected provider
+// when one is set) and falls back to a plain batch when it cannot.
+func newTrialBatch(plan *local.Plan, shards int, provide local.ShardProvider) func() *trialBatch {
 	return func() *trialBatch {
-		s := &trialBatch{
+		return &trialBatch{
+			Batch:  plan.NewShardedBatch(trialBatchWidth, shards, provide),
 			draws:  make([]localrand.Draw, trialBatchWidth),
 			draws2: make([]localrand.Draw, trialBatchWidth),
 			dis:    make([]*lang.DecisionInstance, trialBatchWidth),
 			diSlab: make([]lang.DecisionInstance, trialBatchWidth),
 		}
-		if n := plan.Graph().N(); shards > n {
-			shards = n
-		}
-		if shards > 1 {
-			sh, err := provider(plan, trialBatchWidth, shards)
-			if err == nil {
-				s.sh = sh
-				s.bt = sh.Unsharded()
-				return s
-			}
-		}
-		s.bt = plan.NewBatch(trialBatchWidth)
-		return s
 	}
 }
 
-// Close releases the worker's sharded executor (transport links, worker
-// pool leases); the mc harness closes trial states when their worker
-// retires.
-func (s *trialBatch) Close() error {
-	if s.sh != nil {
-		return s.sh.Close()
-	}
-	return nil
-}
-
-// SetFault arms the fault plan on the worker's executor (the sharded
-// one when present — it propagates to the companion batch), making
-// trialBatch a fault-capable state for mc.Executor's Fault option.
-func (s *trialBatch) SetFault(f *local.FaultPlan) {
-	if s.sh != nil {
-		s.sh.SetFault(f)
-		return
-	}
-	s.bt.SetFault(f)
-}
-
-// exec is the worker's construction handle: sharded when the trial
-// state carries a sharded executor, batched otherwise. Outputs are
-// byte-identical either way.
-func (s *trialBatch) exec() construct.Exec {
-	if s.sh != nil {
-		return construct.Exec{Sh: s.sh}
-	}
-	return construct.Exec{Bt: s.bt}
-}
-
-// construct runs one construction lane vector on the worker's engine.
+// construct runs one construction lane vector on the worker's batch.
 func (s *trialBatch) construct(algo construct.Algorithm, in *lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	return s.exec().Run(algo, in, draws)
+	return construct.Exec{Bt: s.Batch}.Run(algo, in, draws)
 }
 
 // lanes fills the primary draw lanes for trials [lo, hi): lane i carries
@@ -144,22 +91,25 @@ func (s *trialBatch) decisions(in *lang.Instance, ys [][][]byte) []*lang.Decisio
 // per-chunk verdict allocations. Returned verdicts follow decide.Mem's
 // retention contract; the loops copy them out at once.
 func (s *trialBatch) decide() decide.Exec {
-	return decide.Exec{Bt: s.bt, Mem: &s.mem}
+	return decide.Exec{Bt: s.Batch, Mem: &s.mem}
 }
 
 // executor assembles the mc.Executor of a config-driven trial loop over
 // one plan: cfg.Shards > 1 distributes the trial chunks across shard
 // groups of that many shards each (built through cfg.NewSharded when a
 // transport was injected), and cfg.Fault arms the fault plan on every
-// worker's executor via trialBatch.SetFault. Message constructions then
-// run on sharded engines with byte-identical per-trial outputs.
+// worker's batch via its SetFault. Message constructions then run on
+// sharded engines with byte-identical per-trial outputs.
 func executor(trials int, plan *local.Plan, cfg report.Config) mc.Executor[*trialBatch] {
-	x := mc.Executor[*trialBatch]{Trials: trials, Batch: trialBatchWidth, Fault: cfg.Fault, Progress: cfg.Progress}
+	x := mc.Executor[*trialBatch]{
+		Trials:   trials,
+		Batch:    trialBatchWidth,
+		Fault:    cfg.Fault,
+		NewState: newTrialBatch(plan, cfg.Shards, cfg.NewSharded),
+		Progress: cfg.Progress,
+	}
 	if cfg.Shards > 1 {
 		x.Shards = cfg.Shards
-		x.NewState = newTrialBatch(plan, cfg.Shards, cfg.NewSharded)
-	} else {
-		x.NewState = newTrialBatch(plan, 1, nil)
 	}
 	return x
 }

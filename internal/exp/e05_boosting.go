@@ -72,7 +72,7 @@ func (e e5) Run(cfg report.Config) (*report.Result, error) {
 			plan := local.MustPlan(union.Instance.G)
 			est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 				drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<32 | uint64(t) })
-				ys, err := s.bt.RunView(union.Instance, sab, drawsC)
+				ys, err := s.RunView(union.Instance, sab, drawsC)
 				if err != nil {
 					panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 				}

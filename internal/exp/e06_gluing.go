@@ -64,7 +64,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 	farAcceptProb := func(plan *local.Plan, in *lang.Instance, u int, tag uint64) mc.Estimate {
 		return runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return tag<<24 | uint64(t) })
-			ys, err := s.bt.RunView(in, sab, drawsC)
+			ys, err := s.RunView(in, sab, drawsC)
 			if err != nil {
 				panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 			}
@@ -141,7 +141,7 @@ func (e e6) Run(cfg report.Config) (*report.Result, error) {
 		nu := nu
 		est := runTrials(nTrials, plan, cfg, func(s *trialBatch, lo, hi int, out []bool) {
 			drawsC := s.lanes(cSpace, lo, hi, func(t int) uint64 { return uint64(nu)<<40 | uint64(t) })
-			ys, err := s.bt.RunView(gl.Instance, sab, drawsC)
+			ys, err := s.RunView(gl.Instance, sab, drawsC)
 			if err != nil {
 				panic(err) // lane/plan mismatch: programmer error, not a trial outcome
 			}

@@ -17,7 +17,8 @@ import (
 // counts.
 //
 // The contract is path-specific. The ball-view path — the Monte-Carlo
-// trial hot path — must show ≥ 40% fewer allocs/op on a pooled engine,
+// trial hot path — must show ≥ 40% fewer allocs/op on a pooled width-1
+// batch,
 // because ball extraction and view assembly amortize away. The
 // message path's single-shot form is already slab-based after this
 // refactor (no per-round receive allocation), so reuse only trims the
@@ -38,12 +39,16 @@ func TestEngineReuseCutsAllocs(t *testing.T) {
 		RunView(in, tapeSumView{t: 2}, &draw)
 		trial++
 	})
-	veng := plan.NewEngine()
-	draw := space.Draw(0)
-	veng.RunView(in, tapeSumView{t: 2}, &draw) // warm the view cache
+	vone := plan.NewBatch(1)
+	vd := []localrand.Draw{space.Draw(0)}
+	if _, err := vone.RunView(in, tapeSumView{t: 2}, vd); err != nil {
+		t.Fatal(err) // warm the view cache
+	}
 	reuseV := testing.AllocsPerRun(50, func() {
-		draw := space.Draw(uint64(trial))
-		veng.RunView(in, tapeSumView{t: 2}, &draw)
+		vd[0] = space.Draw(uint64(trial))
+		if _, err := vone.RunView(in, tapeSumView{t: 2}, vd); err != nil {
+			t.Fatal(err)
+		}
 		trial++
 	})
 	t.Logf("view allocs/op: single-shot %.1f, pooled %.1f", singleV, reuseV)
@@ -52,20 +57,21 @@ func TestEngineReuseCutsAllocs(t *testing.T) {
 	}
 
 	// Message path: pooled must not allocate more than single-shot.
-	run := func(eng *Engine, trial int) {
-		d := space.Draw(uint64(trial))
-		if _, err := eng.Run(in, tapeXOR{rounds: 4}, &d, RunOptions{}); err != nil {
+	md := make([]localrand.Draw, 1)
+	run := func(one *Batch, trial int) {
+		md[0] = space.Draw(uint64(trial))
+		if _, err := one.Run(in, tapeXOR{rounds: 4}, md, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	single := testing.AllocsPerRun(50, func() {
-		run(plan.NewEngine(), trial)
+		run(plan.NewBatch(1), trial)
 		trial++
 	})
-	eng := plan.NewEngine()
-	run(eng, 0) // warm the slabs before measuring the steady state
+	one := plan.NewBatch(1)
+	run(one, 0) // warm the slabs before measuring the steady state
 	reuse := testing.AllocsPerRun(50, func() {
-		run(eng, trial)
+		run(one, trial)
 		trial++
 	})
 	t.Logf("message allocs/op: single-shot %.1f, pooled %.1f", single, reuse)
@@ -147,11 +153,8 @@ func (p *staticOutProc) Output() []byte { return staticOutTable[p.state&15] }
 // running one ResetProcess wire algorithm back to back allocates
 // NOTHING per run: outputs land in the double-buffered arena, processes
 // reset in place, tapes reseed in place, and the round loop itself has
-// been allocation-free since the wire core landed. A warm pooled Engine
-// allocates exactly its two caller-owned slices — the Result vector and
-// the output table — which are the price of the Engine contract that
-// callers may retain results forever (TestFaultDeterminismAcrossShapes
-// relies on it). The fixture's Output must itself be allocation-free
+// been allocation-free since the wire core landed, at width 1 as at any
+// other. The fixture's Output must itself be allocation-free
 // (immutable table rows, like construct's lang.Encode* outputs), hence
 // staticOutMix rather than wireMix. Skipped under -race, whose
 // instrumentation changes allocation counts.
@@ -182,18 +185,19 @@ func TestSteadyStateAllocFloors(t *testing.T) {
 		t.Errorf("warm batched message run allocates %.1f/op; want exactly 0", got)
 	}
 
-	eng := plan.NewEngine()
-	runEng := func() {
-		d := space.Draw(uint64(trial))
+	one := plan.NewBatch(1)
+	d := make([]localrand.Draw, 1)
+	runOne := func() {
+		d[0] = space.Draw(uint64(trial))
 		trial++
-		if _, err := eng.Run(in, staticOutMix{rounds: 6}, &d, RunOptions{}); err != nil {
+		if _, err := one.Run(in, staticOutMix{rounds: 6}, d, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	runEng()
-	runEng()
-	if got := testing.AllocsPerRun(50, runEng); got > 2 {
-		t.Errorf("warm pooled engine run allocates %.1f/op; want ≤ 2 (the caller-owned Result and output table)", got)
+	runOne()
+	runOne()
+	if got := testing.AllocsPerRun(50, runOne); got != 0 {
+		t.Errorf("warm width-1 batch run allocates %.1f/op; want exactly 0", got)
 	}
 }
 
@@ -338,9 +342,9 @@ func TestProcessPoolingCutsAllocs(t *testing.T) {
 // contract: the message round loop on the wire core allocates nothing
 // per round. Per-run costs are unavoidable (process table, result
 // slices), so the gate compares trials whose only difference is the
-// round count — 4 versus 36 rounds — on a reusable engine and batch: if
-// any allocation happened per round, the longer trial would show 32
-// rounds' worth more. Skipped under -race, whose instrumentation changes
+// round count — 4 versus 36 rounds — on reusable width-1 and width-8
+// batches: if any allocation happened per round, the longer trial would
+// show 32 rounds' worth more. Skipped under -race, whose instrumentation changes
 // allocation counts.
 func TestWireMessageZeroAllocsPerRound(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(256))
@@ -354,10 +358,11 @@ func TestWireMessageZeroAllocsPerRound(t *testing.T) {
 		trial func(rounds, trial int)
 	}{
 		{"pooled", func() func(rounds, trial int) {
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
+			d := make([]localrand.Draw, 1)
 			return func(rounds, trial int) {
-				d := space.Draw(uint64(trial))
-				if _, err := eng.Run(in, wireMix{rounds: rounds}, &d, RunOptions{}); err != nil {
+				d[0] = space.Draw(uint64(trial))
+				if _, err := one.Run(in, wireMix{rounds: rounds}, d, RunOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}

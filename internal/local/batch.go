@@ -9,29 +9,34 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// Batch executes a vector of independent trials of one algorithm through a
-// single engine pass, so the per-round scheduling, the CSR reverse-slot
-// gather, the halting checks, and the view assembly amortize across the
-// whole vector instead of being paid once per trial. It is the
-// structure-of-arrays generalization of Engine: message slabs are indexed
-// [slot][lane] (flattened, stride = the batch width B), tape slabs hold one
-// row per lane (seeded in one pass by localrand.Draw.TapeVecInto), and the
-// cached view skeletons are refilled once per batch with only the
-// lane-varying columns (candidate outputs, tapes) swapped per trial. An
-// Engine is exactly the B = 1 case of this core.
+// Batch is the one execution handle of the package: it executes a vector
+// of independent trials of one algorithm through a single engine pass, so
+// the per-round scheduling, the CSR reverse-slot gather, the halting
+// checks, and the view assembly amortize across the whole vector instead
+// of being paid once per trial. Message slabs are structure-of-arrays,
+// indexed [slot][lane] (flattened, stride = the batch width B), tape slabs
+// hold one row per lane (seeded in one pass by
+// localrand.Draw.TapeVecInto), and the cached view skeletons are refilled
+// once per batch with only the lane-varying columns (candidate outputs,
+// tapes) swapped per trial. A single execution is the B = 1 case of the
+// same core (Plan.Run, RunMessage, RunView).
 //
-// Lanes are independent: lane b behaves byte-identically to a pooled
-// Engine run of the same (instance, draw) pair — outputs, Stats, and error
+// Lanes are independent: lane b behaves byte-identically to a width-1
+// batch run of the same (instance, draw) pair — outputs, Stats, and error
 // behavior included. That equivalence is the contract Monte-Carlo
 // harnesses rely on when they hand each worker a contiguous trial chunk
-// (mc.Executor with Batch set) instead of one index at a time.
+// (mc.Executor with Batch set) instead of one index at a time. A batch
+// built by Plan.NewShardedBatch additionally sends its message runs across
+// a Sharded, under the same byte-identity contract.
 //
-// A Batch, like an Engine, is one worker's private scratch: it is NOT safe
-// for concurrent use. Concurrency comes from one Batch per worker on a
-// shared Plan.
+// A Batch is one worker's private scratch: it is NOT safe for concurrent
+// use. Concurrency comes from one Batch per worker on a shared Plan.
 type Batch struct {
 	plan  *Plan
 	width int
+	// sh, when non-nil, is the sharded executor message runs go across
+	// (Plan.NewShardedBatch); every other pass runs on the batch itself.
+	sh *Sharded
 
 	// win, when non-nil, makes this batch one shard's compacted window:
 	// its wire slabs cover only the shard's own slot range plus the
@@ -253,7 +258,8 @@ type colRefill struct{ id, x, y bool }
 // NewBatch returns a fresh batch of the plan with the given width (the
 // lane capacity B). Runs may use any 1..width lanes, so ragged tails of a
 // trial loop (trials % B != 0) reuse the same batch. Slabs are allocated
-// lazily on first use, exactly like an Engine's.
+// lazily on first use, so view-only batches never pay for message slabs
+// and vice versa.
 func (p *Plan) NewBatch(width int) *Batch {
 	if width < 1 {
 		panic(fmt.Sprintf("local: batch width %d, need >= 1", width))
@@ -307,7 +313,7 @@ func (bt *Batch) checkInstance(in *lang.Instance) error {
 // Run executes one message-passing trial per draw — lane b runs in.ID's
 // tapes under draws[b] — through a blocked round loop, returning one
 // Result per lane. Successful lane outputs and Stats are byte-identical
-// to Engine.Run with the same draw; errors fail fast, so a lane
+// to a width-1 run with the same draw; errors fail fast, so a lane
 // exceeding the round budget aborts its whole vector rather than failing
 // alone (the repository's algorithms halt within the budget for every
 // draw, making the two behaviors indistinguishable in practice).
@@ -315,6 +321,9 @@ func (bt *Batch) checkInstance(in *lang.Instance) error {
 // double-buffered output arena: they stay valid while the next run on
 // this batch executes and are overwritten by the run after that.
 func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	if bt.sh != nil && bt.sh.carries(algo) {
+		return bt.sh.Run(in, algo, draws, opts)
+	}
 	if err := bt.lanes(len(draws)); err != nil {
 		return nil, err
 	}
@@ -329,6 +338,9 @@ func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Dr
 // deterministically; otherwise len(draws) must equal len(ins). Pipelines
 // use this form — after the first stage, each lane carries its own inputs.
 func (bt *Batch) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	if bt.sh != nil && bt.sh.carries(algo) {
+		return bt.sh.RunInstances(ins, algo, draws, opts)
+	}
 	if err := bt.lanes(len(ins)); err != nil {
 		return nil, err
 	}
@@ -341,6 +353,26 @@ func (bt *Batch) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []
 		}
 	}
 	return bt.runBlocks(nil, ins, len(ins), algo, draws, opts)
+}
+
+// runWithTapes runs one lane with an explicit per-node tape source (nil
+// for deterministic executions) addressed by node index; the
+// ball-simulation adapter threads view tapes through it (laneSrc.tapeFn).
+// The result lives in the batch's output arena, like Run's.
+func (bt *Batch) runWithTapes(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
+	if err := bt.checkInstance(in); err != nil {
+		return nil, err
+	}
+	src := laneSrc{shared: in}
+	if tapeOf != nil {
+		src.tapeFn = func(_, v int) *localrand.Tape { return tapeOf(v) }
+	}
+	bt.layoutWire(algo)
+	ar := bt.outs.next(1, bt.plan.g.N())
+	if err := bt.runVec(src, 1, algo, nil, opts, ar.ys, ar.res, ar.ptr); err != nil {
+		return nil, err
+	}
+	return ar.ptr[0], nil
 }
 
 // msgSlabBudget bounds the bytes the two send slabs of one message pass
@@ -438,9 +470,9 @@ const maxBlock = 64
 // armVec chooses the stepping path of one pass of k lanes of wa, once
 // the pass's block is fixed: the vector path when wa steps SoA lanes
 // itself and the pass has lanes to share the hoisted per-node work
-// across, the scalar WireProcess path otherwise — every Engine, every
-// one-lane block, and a ragged one-lane tail: a one-lane vec pass pays
-// the mask and row overhead with nothing to amortize it. Both paths are
+// across, the scalar WireProcess path otherwise — every width-1 batch,
+// every one-lane block, and a ragged one-lane tail: a one-lane vec pass
+// pays the mask and row overhead with nothing to amortize it. Both paths are
 // byte-identical, so the choice is invisible in outputs and Stats.
 func (bt *Batch) armVec(wa WireAlgorithm, k int) {
 	bt.vecAlgo = nil
@@ -534,10 +566,10 @@ func (bt *Batch) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
 }
 
 // runVec is the batched round-loop core shared by every execution path:
-// Engine.Run and the single-shot wrappers are the k = 1 case. src
-// supplies lane instances and tapes (the caller has validated all lanes
-// against the plan), draws carries the lanes' draw identities (read
-// only by the fault seam; nil for deterministic lanes), and wa's slab
+// the single-shot wrappers are the k = 1 case. src supplies lane
+// instances and tapes (the caller has validated all lanes against the
+// plan), draws carries the lanes' draw identities (read only by the
+// fault seam; nil for deterministic lanes), and wa's slab
 // layout must be current on this batch (layoutWire). ys/res/out are the
 // run's arena destinations — k*n output cells, k Result values, k result
 // pointers — typically one block's slices of a runBlocks-level arena
@@ -904,11 +936,6 @@ func (bt *Batch) ensureWireState() {
 	n := bt.plan.g.N()
 	slots := bt.localSlots()
 	B := bt.block
-	if bt.revTab == nil {
-		// Engines embed a zero-value Batch; a full batch's delivery table
-		// is the topology's global one.
-		bt.revTab = bt.plan.topo.RevSlot
-	}
 	bt.curLens = sliceFor(bt.curLens, slots*B)
 	bt.nextLens = sliceFor(bt.nextLens, slots*B)
 	bt.curWords = sliceFor(bt.curWords, bt.totalW*B)
@@ -1062,7 +1089,7 @@ func (bt *Batch) ensureColumns() {
 // lane-varying columns per trial. draws carries lane randomness (nil =
 // deterministic). Views are batch-owned scratch: valid only for the
 // duration of fn, read-only, and released when the pass ends — the
-// no-retention invariant of pooled engines.
+// no-retention invariant of pooled batches.
 func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand.Draw, fn func(b, v int, view *View)) {
 	rf := bt.refill
 	for b := 0; b < k; b++ {
@@ -1127,7 +1154,7 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 // returning lane b's global output at index b. The cached view skeletons
 // are assembled once for the whole batch — only the tape binding varies
 // per lane — which is where batched ball-view trials beat pooled ones.
-// Lane outputs are byte-identical to Engine.RunView at the same draw.
+// Lane outputs are byte-identical to a width-1 RunView at the same draw.
 // The returned rows live in the batch's double-buffered view arena:
 // valid while the next view pass on this batch runs, overwritten by the
 // one after that.

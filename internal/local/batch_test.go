@@ -21,10 +21,32 @@ func drawRange(space *localrand.TapeSpace, lo, k int) []localrand.Draw {
 	return out
 }
 
+// runLane runs one execution on a width-1 batch, the per-lane reference
+// the batched and sharded shapes are checked against; a nil draw runs
+// deterministically. The result lives in one's output arena, valid
+// through its next run.
+func runLane(one *Batch, in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
+	rs, err := one.RunInstances([]*lang.Instance{in}, algo, oneDraw(draw), opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// viewLane is runLane for a ball-view algorithm; it panics on a foreign
+// instance, which no caller passes.
+func viewLane(one *Batch, in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]byte {
+	ys, err := one.RunViewInstances([]*lang.Instance{in}, algo, oneDraw(draw))
+	if err != nil {
+		panic(err)
+	}
+	return ys[0]
+}
+
 // TestBatchMatchesPooledMessage pins the tentpole equivalence contract
 // for the message path: every lane of a Batch.Run — full batches, ragged
 // tails, and back-to-back reuse of one Batch — produces byte-identical
-// outputs and identical Stats to a pooled Engine run and a single-shot
+// outputs and identical Stats to a pooled width-1 batch run and a single-shot
 // run at the same draw, on every graph family.
 func TestBatchMatchesPooledMessage(t *testing.T) {
 	const width = 4
@@ -37,7 +59,7 @@ func TestBatchMatchesPooledMessage(t *testing.T) {
 				t.Fatal(err)
 			}
 			bt := plan.NewBatch(width)
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
 			algo := tapeXOR{rounds: 3}
 
 			// Back-to-back runs on one Batch: a full batch, then a ragged
@@ -53,7 +75,7 @@ func TestBatchMatchesPooledMessage(t *testing.T) {
 					t.Fatalf("rep %d: %d results for %d lanes", rep, len(results), k)
 				}
 				for b := 0; b < k; b++ {
-					want, err := eng.Run(in, algo, &draws[b], RunOptions{})
+					want, err := runLane(one, in, algo, &draws[b], RunOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -87,7 +109,7 @@ func TestBatchMatchesPooledMessage(t *testing.T) {
 // TestBatchPartialWidthMatrix sweeps the slot-major kernel's ragged
 // widths: k ∈ {1, 3, B-1, B} lanes on a width-B batch, across every
 // graph family and two message shapes (one-word tapeXOR, mixed
-// two-word/signal wireMix), every lane byte-identical to a pooled Engine
+// two-word/signal wireMix), every lane byte-identical to a pooled width-1 batch
 // run at the same draw. Partial widths are where a slot-major kernel can first go
 // wrong — the contiguous lens clears and dense cut copies span all B
 // lanes of a slot while only k are live — so the matrix pins that dead
@@ -103,7 +125,7 @@ func TestBatchPartialWidthMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			bt := plan.NewBatch(width)
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
 			lo := 0
 			for _, algo := range []WireAlgorithm{tapeXOR{rounds: 3}, wireMix{rounds: 4}} {
 				for _, k := range []int{1, 3, width - 1, width} {
@@ -117,7 +139,7 @@ func TestBatchPartialWidthMatrix(t *testing.T) {
 						t.Fatalf("%s k=%d: %d results", algo.Name(), k, len(results))
 					}
 					for b := 0; b < k; b++ {
-						want, err := eng.Run(in, algo, &draws[b], RunOptions{})
+						want, err := runLane(one, in, algo, &draws[b], RunOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -142,7 +164,7 @@ func TestBatchMatchesPooledView(t *testing.T) {
 				t.Fatal(err)
 			}
 			bt := plan.NewBatch(width)
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
 
 			lo := 0
 			for rep, k := range []int{width, 2, width} {
@@ -152,7 +174,7 @@ func TestBatchMatchesPooledView(t *testing.T) {
 					t.Fatal(err)
 				}
 				for b := 0; b < k; b++ {
-					want := eng.RunView(in, tapeSumView{t: 2}, &draws[b])
+					want := viewLane(one, in, tapeSumView{t: 2}, &draws[b])
 					single := RunView(in, tapeSumView{t: 2}, &draws[b])
 					for v := range want {
 						if !bytes.Equal(want[v], ys[b][v]) {
@@ -205,7 +227,7 @@ func TestBatchPerLaneInstances(t *testing.T) {
 	draws := drawRange(space, 0, len(ins))
 
 	bt := plan.NewBatch(4)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 
 	// Message path: xorInput reads the lane's input column.
 	results, err := bt.RunInstances(ins, tapeXOR{rounds: 2}, draws, RunOptions{})
@@ -213,7 +235,7 @@ func TestBatchPerLaneInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := range ins {
-		want, err := eng.Run(ins[b], tapeXOR{rounds: 2}, &draws[b], RunOptions{})
+		want, err := runLane(one, ins[b], tapeXOR{rounds: 2}, &draws[b], RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +257,7 @@ func TestBatchPerLaneInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := range ins {
-		want := eng.RunView(ins[b], sumX, &draws[b])
+		want := viewLane(one, ins[b], sumX, &draws[b])
 		for v := range want {
 			if !bytes.Equal(want[v], ys[b][v]) {
 				t.Fatalf("view lane %d node %d: %x, want %x", b, v, ys[b][v], want[v])
@@ -359,7 +381,7 @@ func TestBatchMessageBlocking(t *testing.T) {
 	if lanes := bt.msgLanesFor(tapeXOR{rounds: 3}); lanes >= 4 {
 		t.Fatalf("fixture too small: block %d does not split 4 lanes", lanes)
 	}
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	space := localrand.NewTapeSpace(44)
 	draws := drawRange(space, 0, 4)
 	results, err := bt.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
@@ -370,7 +392,7 @@ func TestBatchMessageBlocking(t *testing.T) {
 		t.Fatalf("%d results, want 4", len(results))
 	}
 	for b := range draws {
-		want, err := eng.Run(in, tapeXOR{rounds: 3}, &draws[b], RunOptions{})
+		want, err := runLane(one, in, tapeXOR{rounds: 3}, &draws[b], RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,12 +60,12 @@ type RunOptions struct {
 // draw yields a deterministic execution; otherwise each node's tape is
 // drawn from σ by identity.
 //
-// RunMessage is the single-shot convenience wrapper over the Plan/Engine
+// RunMessage is the single-shot convenience wrapper over the Plan/Batch
 // layer: it builds the instance's execution plan (the CSR flattening and
 // reverse-port table are cached on the graph, so repeat runs share them)
-// and a transient Engine. Callers measuring many executions on one graph
-// — Monte-Carlo trial loops above all — should hold a Plan and give each
-// worker its own Engine; see Plan and Engine in plan.go.
+// and a transient width-1 Batch. Callers measuring many executions on
+// one graph — Monte-Carlo trial loops above all — should hold a Plan and
+// give each worker its own Batch; see plan.go and batch.go.
 func RunMessage(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
 	plan, err := NewPlan(in.G)
 	if err != nil {
@@ -75,14 +75,14 @@ func RunMessage(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opt
 }
 
 // runCore runs a message algorithm with an explicit per-node tape source
-// on a transient engine; the ball-simulation adapter uses it to thread
-// view tapes through.
+// on a transient width-1 batch; the ball-simulation adapter uses it to
+// thread view tapes through.
 func runCore(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
 	plan, err := NewPlan(in.G)
 	if err != nil {
 		return nil, err
 	}
-	return plan.NewEngine().runWithTapes(in, algo, tapeOf, opts)
+	return plan.NewBatch(1).runWithTapes(in, algo, tapeOf, opts)
 }
 
 // parallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers,

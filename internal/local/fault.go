@@ -13,8 +13,8 @@ import (
 // receiver-side pass over the wire slabs — the fixed-width [slot][lane]
 // send state of batch.go — rather than as a separate transport. Every
 // execution shape honors the same plan byte-identically: the unsharded
-// Batch (and Engine, its width-1 case), the in-process Sharded, and the
-// shard-worker processes, which receive the plan inside runSpec
+// Batch (width-1 single executions included), the in-process Sharded,
+// and the shard-worker processes, which receive the plan inside runSpec
 // (remote.go) and rebuild identical fault state from it.
 //
 // Determinism is positional. All fault decisions come from a dedicated
@@ -149,20 +149,17 @@ func severedTable(topo *graph.Topology, cuts []EdgeCut, prev []int32) []int32 {
 // nil (or a zero plan) restores the fault-free fast path. Trial harnesses
 // that cannot thread RunOptions through an algorithm's own entry points
 // (construct.RetryColoring builds its own options) arm faults here.
-func (bt *Batch) SetFault(f *FaultPlan) { bt.defFault = f }
-
-// SetFault installs the sharded executor's default fault plan, mirroring
-// Batch.SetFault; the Unsharded companion batch inherits it.
-func (s *Sharded) SetFault(f *FaultPlan) {
-	s.defFault = f
-	if s.full != nil {
-		s.full.SetFault(f)
+// A batch holding a sharded executor arms it too.
+func (bt *Batch) SetFault(f *FaultPlan) {
+	bt.defFault = f
+	if bt.sh != nil {
+		bt.sh.SetFault(f)
 	}
 }
 
-// SetFault installs the engine's default fault plan (Batch.SetFault of
-// its one-lane core).
-func (e *Engine) SetFault(f *FaultPlan) { e.bt.SetFault(f) }
+// SetFault installs the sharded executor's default fault plan, mirroring
+// Batch.SetFault.
+func (s *Sharded) SetFault(f *FaultPlan) { s.defFault = f }
 
 // effectiveFault resolves the plan one run obeys.
 func (bt *Batch) effectiveFault(opts RunOptions) *FaultPlan {

@@ -44,9 +44,9 @@ func TestFaultZeroPlanFree(t *testing.T) {
 	}
 	resultsEqual(t, "zero plan via RunOptions", base, viaOpts)
 
-	e := plan.NewEngine()
+	e := plan.NewBatch(1)
 	e.SetFault(&FaultPlan{Seed: 7})
-	viaDefault, err := e.Run(in, algo, nil, RunOptions{})
+	viaDefault, err := runLane(e, in, algo, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestFaultDropDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultEngineBatchIdentical runs one faulty plan through the width-1
-// Engine and a width-3 Batch (distinct draws per lane) and demands
+// TestFaultEngineBatchIdentical runs one faulty plan through a width-1
+// Batch and a width-3 Batch (distinct draws per lane) and demands
 // lane-byte-identical outputs: fault decisions are keyed by draw seed, not
 // lane position, so batch width cannot perturb them.
 func TestFaultEngineBatchIdentical(t *testing.T) {
@@ -124,10 +124,10 @@ func TestFaultEngineBatchIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	for b := 0; b < k; b++ {
 		d := draws[b]
-		single, err := eng.Run(in, algo, &d, RunOptions{Fault: fp})
+		single, err := runLane(one, in, algo, &d, RunOptions{Fault: fp})
 		if err != nil {
 			t.Fatal(err)
 		}

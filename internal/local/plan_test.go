@@ -82,7 +82,7 @@ func expectSameResult(t *testing.T, label string, want, got *Result) {
 }
 
 // TestEngineReuseMatchesSingleShotMessage pins the tentpole contract for
-// the message path: one pooled Engine, reused back to back across draws,
+// the message path: one pooled width-1 Batch, reused back to back across draws,
 // produces byte-identical outputs and identical Stats to fresh
 // single-shot runs — on every graph family and with both deterministic
 // and randomized algorithms.
@@ -95,7 +95,7 @@ func TestEngineReuseMatchesSingleShotMessage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
 
 			// Deterministic algorithm, reused engine.
 			want, err := RunMessage(in, floodMin{t: 3}, nil, RunOptions{})
@@ -103,7 +103,7 @@ func TestEngineReuseMatchesSingleShotMessage(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 3; rep++ {
-				got, err := eng.Run(in, floodMin{t: 3}, nil, RunOptions{})
+				got, err := runLane(one, in, floodMin{t: 3}, nil, RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestEngineReuseMatchesSingleShotMessage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Run(in, tapeXOR{rounds: 2}, &draw, RunOptions{})
+				got, err := runLane(one, in, tapeXOR{rounds: 2}, &draw, RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestEngineReuseMatchesSingleShotMessage(t *testing.T) {
 
 			// Switching algorithms on the same engine must not leak state:
 			// rerun the deterministic algorithm after the randomized ones.
-			got, err := eng.Run(in, floodMin{t: 3}, nil, RunOptions{})
+			got, err := runLane(one, in, floodMin{t: 3}, nil, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +148,11 @@ func TestEngineReuseMatchesSingleShotView(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := plan.NewEngine()
+			one := plan.NewBatch(1)
 			for trial := 0; trial < 4; trial++ {
 				draw := space.Draw(uint64(trial))
 				want := RunView(in, tapeSumView{t: 2}, &draw)
-				got := eng.RunView(in, tapeSumView{t: 2}, &draw)
+				got := viewLane(one, in, tapeSumView{t: 2}, &draw)
 				for v := range want {
 					if !bytes.Equal(want[v], got[v]) {
 						t.Fatalf("trial %d node %d: %x, want %x", trial, v, got[v], want[v])
@@ -162,7 +162,7 @@ func TestEngineReuseMatchesSingleShotView(t *testing.T) {
 			// Radius switch (rebuilds the cache), then deterministic run
 			// (drops tapes) on the same engine.
 			want := RunView(in, minIDView{t: 3}, nil)
-			got := eng.RunView(in, minIDView{t: 3}, nil)
+			got := viewLane(one, in, minIDView{t: 3}, nil)
 			for v := range want {
 				if !bytes.Equal(want[v], got[v]) {
 					t.Fatalf("radius switch node %d: %x, want %x", v, got[v], want[v])
@@ -172,8 +172,8 @@ func TestEngineReuseMatchesSingleShotView(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsForeignInstance pins the plan/instance contract: an
-// engine only runs instances over its own graph.
+// TestEngineRejectsForeignInstance pins the plan/instance contract: a
+// width-1 batch only runs instances over its own graph.
 func TestEngineRejectsForeignInstance(t *testing.T) {
 	a := mustInstance(t, graph.Cycle(6))
 	b := mustInstance(t, graph.Cycle(6)) // same shape, different graph value
@@ -181,25 +181,25 @@ func TestEngineRejectsForeignInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.NewEngine().Run(b, floodMin{t: 1}, nil, RunOptions{}); err == nil {
+	if _, err := runLane(plan.NewBatch(1), b, floodMin{t: 1}, nil, RunOptions{}); err == nil {
 		t.Fatal("engine accepted an instance over a foreign graph")
 	}
 }
 
 // TestEngineErrorPathsMatchSingleShot pins ErrNoHalt and StopAfter
-// behavior on reused engines, including reuse after a failed run.
+// behavior on reused width-1 batches, including reuse after a failed run.
 func TestEngineErrorPathsMatchSingleShot(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(5))
 	plan, err := NewPlan(in.G)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := plan.NewEngine()
-	if _, err := eng.Run(in, neverHalt{}, nil, RunOptions{MaxRounds: 20}); err == nil {
+	one := plan.NewBatch(1)
+	if _, err := runLane(one, in, neverHalt{}, nil, RunOptions{MaxRounds: 20}); err == nil {
 		t.Fatal("expected ErrNoHalt")
 	}
 	// The engine must be reusable after an aborted run.
-	res, err := eng.Run(in, neverHalt{}, nil, RunOptions{StopAfter: 7})
+	res, err := runLane(one, in, neverHalt{}, nil, RunOptions{StopAfter: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestEngineErrorPathsMatchSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Run(in, floodMin{t: 2}, nil, RunOptions{})
+	got, err := runLane(one, in, floodMin{t: 2}, nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectSameResult(t, "after aborted run", want, got)
 }
 
-// TestPlanBallCacheShared pins that engines of one plan share one ball
+// TestPlanBallCacheShared pins that batches of one plan share one ball
 // cache (the point of putting it on the Plan).
 func TestPlanBallCacheShared(t *testing.T) {
 	g := graph.Cycle(12)

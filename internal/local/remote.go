@@ -45,8 +45,8 @@ import (
 // Sharded. The Monte-Carlo scheduler (internal/mc) then closes that
 // trial state and retries the in-flight trial chunk on a fresh one;
 // NewShardedRemote builds the replacement from the pool's surviving
-// workers (or the provider falls back to a local batch when none are
-// left), so a worker dying mid-run requeues its chunk instead of
+// workers (or refuses when none are left, and Plan.NewShardedBatch keeps
+// the worker on a plain batch), so a worker dying mid-run requeues its chunk instead of
 // aborting the sweep — with byte-identical output, per the sharding
 // contract.
 //
@@ -60,8 +60,8 @@ import (
 // boundary: it names itself with a registry key and flat int64
 // parameters, from which RegisterRemoteAlgorithm's builder reconstructs
 // an identical algorithm inside the worker process. Algorithms without
-// this (or with unregistered keys) still run on a remote Sharded — the
-// orchestrator falls back to its local companion batch, which is
+// this (or with unregistered keys) cannot cross: a remote Sharded
+// refuses them, and a Batch holding one runs them itself, which is
 // byte-identical by the sharding contract.
 type RemoteAlgorithm interface {
 	WireAlgorithm
@@ -395,8 +395,8 @@ func (p *WorkerPool) liveWorkers() []*WorkerConn {
 }
 
 // acquire reserves the pool for one Sharded; a pool serves one at a
-// time (Monte-Carlo harnesses with more worker groups fall back to
-// local batches, which the sharding contract keeps byte-identical).
+// time (Monte-Carlo harnesses with more worker groups keep the others
+// on plain batches, which the sharding contract keeps byte-identical).
 func (p *WorkerPool) acquire() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -433,8 +433,8 @@ func (p *WorkerPool) Close() {
 //
 // Dead workers are skipped, so a pool that lost members mid-sweep keeps
 // serving with the survivors; only a pool with no live worker errors,
-// which is the signal for callers (exp's trial-state provider) to fall
-// back to a local batch.
+// which is the signal for Plan.NewShardedBatch to keep the worker on a
+// plain batch.
 func (p *Plan) NewShardedRemote(width int, pool *WorkerPool) (*Sharded, error) {
 	if err := pool.acquire(); err != nil {
 		return nil, err

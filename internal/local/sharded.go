@@ -162,10 +162,6 @@ type Sharded struct {
 	// agreed split is byte-identical to the unsharded batch lane for
 	// lane). Recomputed per run from the algorithm's layout.
 	block int
-	// full is the lazily built companion Batch Unsharded returns — the
-	// shard batches are compacted windows now and cannot stand in for a
-	// whole-graph engine.
-	full *Batch
 	// linkTimeout is the deadline handed to built-in links (and exported
 	// to transports through LinkTimeout); closeLinks tears down an
 	// installed transport's resources on Close.
@@ -310,6 +306,62 @@ func (p *Plan) NewShardedPartition(width int, part graph.Partition) (*Sharded, e
 	return s, nil
 }
 
+// ShardProvider builds the sharded executor of one worker: shards
+// shards of lane capacity width over plan. (*Plan).NewSharded is the
+// in-process provider; the CLI and serve inject loopback-TCP links or a
+// shard-worker pool through this type. A provider may refuse — a worker
+// pool serves one executor at a time, and a pool with no live worker
+// serves none — and Plan.NewShardedBatch then keeps the worker on a
+// plain batch.
+type ShardProvider func(plan *Plan, width, shards int) (*Sharded, error)
+
+// NewShardedBatch returns the one execution handle a Monte-Carlo worker
+// holds: a batch of the given width whose message runs go across a
+// sharded executor when the run asks for one. It owns the shard choice
+// and every fallback: shards is clamped to the graph's node count,
+// shards ≤ 1 gives a plain batch, a nil provide defaults to
+// (*Plan).NewSharded, and a refusing provider leaves the plain batch.
+// The sharding contract keeps every result byte-identical whichever
+// shape serves it. Ball-view and decision passes always run on the
+// batch itself: they are node-local and gain nothing from a cut
+// exchange. Close releases the executor's transport.
+func (p *Plan) NewShardedBatch(width, shards int, provide ShardProvider) *Batch {
+	bt := p.NewBatch(width)
+	if n := p.g.N(); shards > n {
+		shards = n
+	}
+	if shards <= 1 {
+		return bt
+	}
+	if provide == nil {
+		provide = (*Plan).NewSharded
+	}
+	if sh, err := provide(p, width, shards); err == nil {
+		bt.attach(sh)
+	}
+	return bt
+}
+
+// attach makes sh the batch's message executor, arming it with the
+// batch's default fault plan.
+func (bt *Batch) attach(sh *Sharded) {
+	bt.sh = sh
+	sh.SetFault(bt.defFault)
+}
+
+// Close releases the transport of the batch's sharded executor
+// (sockets, a worker-pool lease) and detaches it, so later runs stay on
+// the batch. It is a no-op on a plain batch and safe to repeat;
+// mc.Executor closes worker states when their worker retires.
+func (bt *Batch) Close() error {
+	sh := bt.sh
+	if sh == nil {
+		return nil
+	}
+	bt.sh = nil
+	return sh.Close()
+}
+
 // SetLinkFactory installs a transport for the cut exchange; nil restores
 // the in-process channel links. Call before Run.
 func (s *Sharded) SetLinkFactory(f LinkFactory) { s.links = f }
@@ -354,24 +406,11 @@ func (s *Sharded) NumShards() int { return s.part.NumShards() }
 // Partition returns the node partition.
 func (s *Sharded) Partition() graph.Partition { return s.part }
 
-// Unsharded returns a companion Batch on the same plan with the same
-// lane capacity, for execution paths that have no sharded form (pure
-// ball-view trials above all). The shard batches are compacted windows,
-// so the companion is a separate full batch, built lazily and reused;
-// use it and the Sharded from the same goroutine, never concurrently.
-func (s *Sharded) Unsharded() *Batch {
-	if s.full == nil {
-		s.full = s.plan.NewBatch(s.width)
-		s.full.SetFault(s.defFault)
-	}
-	return s.full
-}
-
 // ShardSlabBytes reports, per shard, the wire-slab byte footprint one
 // pass of algo would stream on that shard's compacted window — the
 // memory a shard machine actually pays. The compaction gate compares it
-// against Unsharded().SlabBytesFor, which is what every shard paid when
-// shards held full-size global-slot slabs.
+// against a full batch's SlabBytesFor, which is what every shard paid
+// when shards held full-size global-slot slabs.
 func (s *Sharded) ShardSlabBytes(algo WireAlgorithm) []int {
 	bytes := make([]int, len(s.shards))
 	for i, sh := range s.shards {
@@ -392,19 +431,23 @@ func (s *Sharded) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.D
 	if err := bt0.checkInstance(in); err != nil {
 		return nil, err
 	}
-	if s.remote != nil && !s.remotable(algo) {
-		return s.Unsharded().Run(in, algo, draws, opts)
+	if !s.carries(algo) {
+		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", algo.Name())
 	}
 	return s.runBlocks(in, nil, len(draws), algo, draws, opts)
 }
 
-// remotable reports whether algo can cross to the worker processes: it
-// must be reconstructible from this binary's registry AND advertised by
-// every live worker's handshake — a fleet of mixed binaries must not
-// ship a job half its workers cannot build. An algorithm that cannot
-// cross runs on the local companion batch instead (byte-identical by
-// the sharding contract).
-func (s *Sharded) remotable(algo WireAlgorithm) bool {
+// carries reports whether the executor can run algo: always in
+// process, and on worker processes only when algo is reconstructible
+// from this binary's registry AND advertised by every live worker's
+// handshake — a fleet of mixed binaries must not ship a job half its
+// workers cannot build. A Batch holding a remote Sharded runs the
+// algorithms it does not carry itself (byte-identical by the sharding
+// contract).
+func (s *Sharded) carries(algo WireAlgorithm) bool {
+	if s.remote == nil {
+		return true
+	}
 	ra, ok := algo.(RemoteAlgorithm)
 	if !ok {
 		return false
@@ -436,8 +479,8 @@ func (s *Sharded) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws [
 			return nil, err
 		}
 	}
-	if s.remote != nil && !s.remotable(algo) {
-		return s.Unsharded().RunInstances(ins, algo, draws, opts)
+	if !s.carries(algo) {
+		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", algo.Name())
 	}
 	return s.runBlocks(nil, ins, len(ins), algo, draws, opts)
 }

@@ -26,8 +26,8 @@ import (
 //
 // An algorithm opts in by implementing VecAlgorithm next to its
 // WireAlgorithm; armVec arms the vector path per pass, when the pass has
-// two or more lanes — a one-lane pass (every Engine, a one-lane slab
-// block, a ragged one-lane tail) steps the scalar WireProcess.
+// two or more lanes — a one-lane pass (every width-1 batch, a one-lane
+// slab block, a ragged one-lane tail) steps the scalar WireProcess.
 //
 // State is flat: VecWords uint64 words per (node, lane), laid out
 // [node][word][lane] in one batch-owned slab that no pointer-carrying
@@ -45,7 +45,7 @@ import (
 // stateless kernel that steps one worker's node range of every lane per
 // call. Executors use it automatically for every pass of two or more
 // lanes; the WireAlgorithm methods step every one-lane pass (the
-// width-1 Engine path included), and both paths must produce
+// width-1 single executions included), and both paths must produce
 // byte-identical outputs and Stats at equal seeds.
 type VecAlgorithm interface {
 	WireAlgorithm

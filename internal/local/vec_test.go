@@ -260,12 +260,12 @@ func (q *probeProc) Step(round int, in *Inbox, out *Outbox) bool {
 
 // TestVecDispatchPerPass pins the stepping-path choice: it is made per
 // pass by the pass's lane count, not per executor by its width. A
-// one-lane pass — an Engine, a one-lane run on a wide batch, the ragged
-// one-lane tail of a lane vector the slab budget splits — steps the
+// one-lane pass — a width-1 batch, a one-lane run on a wide batch, the
+// ragged one-lane tail of a lane vector the slab budget splits — steps the
 // scalar WireProcess; a pass of two or more lanes runs the kernel.
 // The sharded case uses an uneven partition whose shards' own slab
 // budgets disagree, so the common block is the smaller shard's, and the
-// tail's scalar steps must match a lone Engine run of the tail lane.
+// tail's scalar steps must match a lone width-1 run of the tail lane.
 func TestVecDispatchPerPass(t *testing.T) {
 	space := localrand.NewTapeSpace(71)
 	type want struct{ scalar, vec bool }
@@ -286,10 +286,10 @@ func TestVecDispatchPerPass(t *testing.T) {
 	plan := MustPlan(small.G)
 	draws := drawRange(space, 0, 5)
 	var p stepProbe
-	if _, err := plan.NewEngine().Run(small, probeMix{vecMix{rounds: 4}, &p}, &draws[0], RunOptions{}); err != nil {
+	if _, err := runLane(plan.NewBatch(1), small, probeMix{vecMix{rounds: 4}, &p}, &draws[0], RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check(t, "engine", &p, want{scalar: true})
+	check(t, "width-1", &p, want{scalar: true})
 	for _, c := range []struct {
 		k int
 		w want
@@ -310,12 +310,12 @@ func TestVecDispatchPerPass(t *testing.T) {
 		t.Fatalf("fixture: block %d, want 2", lanes)
 	}
 	var tail stepProbe
-	if _, err := plan.NewEngine().Run(big, probeMix{algo, &tail}, &draws[4], RunOptions{}); err != nil {
+	if _, err := runLane(plan.NewBatch(1), big, probeMix{algo, &tail}, &draws[4], RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ref := make([]*Result, 5)
 	for b := range ref {
-		r, err := plan.NewEngine().Run(big, algo, &draws[b], RunOptions{})
+		r, err := runLane(plan.NewBatch(1), big, algo, &draws[b], RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@
 // records are unbounded, as the model allows, so RunFullInfo runs on a
 // small synchronous loop of its own rather than on the word engine.
 //
-// Both interfaces execute through a four-level layering:
+// Both interfaces execute through a three-level layering:
 //
 //   - Plan (plan.go) is the reusable, concurrency-safe layout of one
 //     graph: the CSR-flattened adjacency, the reverse-port delivery
@@ -35,10 +35,11 @@
 //     Lane b is byte-identical to a lone execution of the same
 //     (instance, draw). Algorithms whose processes implement
 //     ResetProcess additionally have their per-(node, lane) process
-//     table pooled across back-to-back runs.
-//   - Engine (plan.go) is the one-lane case of the same core: a Batch of
-//     width 1 with scalar wrappers. RunView and RunMessage are
-//     single-shot wrappers building a transient Engine.
+//     table pooled across back-to-back runs. A Batch is the one handle a
+//     worker holds: Plan.NewShardedBatch owns the choice between a plain
+//     batch and one whose message runs go across a Sharded, and every
+//     fallback between them. RunView, RunMessage and Plan.Run are
+//     single-shot wrappers over a transient width-1 Batch.
 //   - Sharded (sharded.go) is the multi-machine shape of the message
 //     path: the plan's CSR layout is partitioned into contiguous node
 //     ranges (a shard boundary is a cut in Topology.Offsets), and each
@@ -94,10 +95,10 @@
 //
 // Per-run outputs land in double-buffered arenas (per-node output
 // encodings and the Result vector alternate between two buffers), so a
-// warm Batch runs a full trial with zero allocations; the width-1
-// Engine instead returns freshly allocated, caller-owned Result and
-// output slices — exactly two allocations — because its callers may
-// retain results indefinitely. alloc_test.go pins both floors.
+// warm Batch runs a full trial with zero allocations, at width 1 as at
+// any other; the single-shot wrappers hand the caller a transient
+// batch's arena, which nothing else references. alloc_test.go pins the
+// floors.
 //
 // # Lane-vectorized stepping
 //
@@ -115,7 +116,7 @@
 // inner loop walks the adjacent memory the slot-major layout already
 // provides. A pass dispatches to the kernel when the algorithm
 // implements VecAlgorithm and the pass has two or more lanes; the
-// scalar per-lane path steps every one-lane pass (the Engine case
+// scalar per-lane path steps every one-lane pass (the width-1 case
 // included), and ScalarOnly wraps an algorithm to force it — the
 // differential suites pin both paths byte-identical.
 //
@@ -140,13 +141,13 @@
 // seeded schedule of per-round message drops and one-round delays, node
 // crashes with optional recovery windows, and mid-run topology surgery
 // (EdgeCut; CutForSubdivision pairs a cut with its twice-subdivided
-// comparison graph). A plan is armed durably with SetFault — on an
-// Engine, a Batch, or a Sharded, which propagates it to every shard and
-// its companion batch — or per run through RunOptions.Fault. The
+// comparison graph). A plan is armed durably with SetFault — on a
+// Batch, which propagates it to its Sharded, or on a Sharded, whose
+// shards all obey it — or per run through RunOptions.Fault. The
 // implementation lives once in the shared round core: an armed batch
 // routes roundPass through its fault sibling, which suppresses or holds
 // receive slots and freezes crashed lanes' nodes before the delivered
-// counts are taken, so Engine, Batch, Sharded, and the remote
+// counts are taken, so Batch, Sharded, and the remote
 // shard-worker path (the plan ships inside the job spec) all honor the
 // same plan byte-identically. Fault decisions come from a dedicated
 // fault tape keyed by shape-invariant coordinates — (round, global
@@ -160,12 +161,12 @@
 //
 // Monte-Carlo trial loops hold a Plan and give each worker its own Batch
 // (mc.Executor with a Batch width hands workers contiguous trial
-// chunks), Engine (width 1, one index at a time), or Sharded (Shards > 0
-// hands chunks to shard groups), which removes all steady-state
-// allocations from the trial loop; the Executor's Fault option arms a
-// FaultPlan on every worker's executor.
+// chunks; with Shards > 0 it sizes the pool for shard groups, each
+// worker's batch built by Plan.NewShardedBatch), which removes all
+// steady-state allocations from the trial loop; the Executor's Fault
+// option arms a FaultPlan on every worker's batch.
 //
-// Everything an Engine or Batch passes to algorithm code is
+// Everything a Batch passes to algorithm code is
 // engine-owned scratch with a uniform contract: the Inbox and Outbox of
 // WireProcess.Step (and the words read through them), assembled Views
 // (and their LabeledBall reinterpretation), and the tapes returned by
@@ -252,8 +253,8 @@ type ViewAlgorithm interface {
 // now that views are cached, algorithms must treat them as read-only:
 // Ball, IDs, and X are shared scratch, not per-call copies).
 //
-// RunView is the single-shot wrapper over the Plan/Engine layer; trial
-// loops should hold a Plan and one Engine per worker so ball extraction
+// RunView is the single-shot wrapper over the Plan/Batch layer; trial
+// loops should hold a Plan and one Batch per worker so ball extraction
 // and view assembly are amortized across executions.
 func RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]byte {
 	plan, err := NewPlan(in.G)
@@ -263,7 +264,7 @@ func RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]by
 		// signature for the overwhelmingly common case.
 		panic(err)
 	}
-	return plan.NewEngine().RunView(in, algo, draw)
+	return plan.NewBatch(1).runViewVec(in, nil, 1, algo, oneDraw(draw))[0]
 }
 
 // ViewFunc wraps a plain function as a ViewAlgorithm.

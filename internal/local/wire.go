@@ -7,7 +7,7 @@ import "reflect"
 // staged straight into the engine's [slot][lane] send slabs — no
 // per-round slices, no interface boxing — so one round loop (batch.go
 // runVec) executes every algorithm with zero allocations per round, and
-// every engine shape — Engine, Batch, Sharded, the fault pass, the TCP
+// every engine shape — Batch, Sharded, the fault pass, the TCP
 // and shard-worker links — carries the same words.
 
 // WireProcess is the per-node state machine of a message-passing
@@ -42,7 +42,7 @@ type WireProcess interface {
 // algorithm in which "all nodes perform the same instructions" (§2.1.1)
 // — one factory, one WireProcess per node — and declares the slab
 // capacity its messages need. It is the message contract every engine
-// shape (Engine, Batch, Sharded, remote shard workers) executes.
+// shape (Batch, Sharded, remote shard workers) executes.
 type WireAlgorithm interface {
 	Name() string
 	NewWireProcess() WireProcess

@@ -237,9 +237,9 @@ func TestWireBlockSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	for b := range draws {
-		want, err := eng.Run(in, algo, &draws[b], RunOptions{})
+		want, err := runLane(one, in, algo, &draws[b], RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,10 +253,10 @@ func TestWireBlockSplitting(t *testing.T) {
 func TestWireOutputsStable(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(8))
 	plan := MustPlan(in.G)
-	eng := plan.NewEngine()
+	one := plan.NewBatch(1)
 	space := localrand.NewTapeSpace(85)
 	d0 := space.Draw(0)
-	first, err := eng.Run(in, wireMix{rounds: 3}, &d0, RunOptions{})
+	first, err := runLane(one, in, wireMix{rounds: 3}, &d0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestWireOutputsStable(t *testing.T) {
 		snapshot[v] = bytes.Clone(first.Y[v])
 	}
 	d1 := space.Draw(1)
-	if _, err := eng.Run(in, wireMix{rounds: 3}, &d1, RunOptions{}); err != nil {
+	if _, err := runLane(one, in, wireMix{rounds: 3}, &d1, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for v := range first.Y {

@@ -183,7 +183,8 @@ func TestRemoteShardedAlgorithmSwitch(t *testing.T) {
 
 // TestRemoteShardedFallbacks pins the degradation contract: a pool in
 // use refuses a second Sharded; a non-portable algorithm transparently
-// runs on the local companion batch with identical results.
+// runs on the batch that owns the remote Sharded, with identical results,
+// while the Sharded alone refuses it.
 func TestRemoteShardedFallbacks(t *testing.T) {
 	pool := startWorkerPool(t, 2)
 	g := graph.Cycle(12)
@@ -197,23 +198,27 @@ func TestRemoteShardedFallbacks(t *testing.T) {
 		t.Fatal("busy pool handed out twice")
 	}
 
-	// tapeXOR has no RemoteSpec: the remote Sharded must fall back to its
-	// local companion batch, byte-identically.
+	// tapeXOR has no RemoteSpec: the batch owning the remote Sharded must
+	// run it itself, byte-identically.
+	owner := plan.NewShardedBatch(2, 2, func(*Plan, int, int) (*Sharded, error) { return sh, nil })
 	space := localrand.NewTapeSpace(55)
 	draws := drawRange(space, 0, 2)
 	want, err := plan.NewBatch(2).Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
+	got, err := owner.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := range draws {
 		expectSameResult(t, fmt.Sprintf("fallback lane %d", b), want[b], got[b])
 	}
+	if _, err := sh.Run(in, tapeXOR{rounds: 3}, draws, RunOptions{}); err == nil {
+		t.Fatal("remote Sharded ran an algorithm its workers cannot build")
+	}
 
-	sh.Close()
+	owner.Close()
 	// Released pool serves again.
 	sh2, err := plan.NewShardedRemote(2, pool)
 	if err != nil {

@@ -34,18 +34,20 @@ type Executor[S any] struct {
 	// already runs on Shards goroutines. Zero selects the scalar pool.
 	Shards int
 	// Fault, when non-nil, is armed as the default fault plan of every
-	// worker state that exposes SetFault(*local.FaultPlan) — Engine,
-	// Batch, and Sharded all do — so a whole trial sweep runs under one
-	// fault model without threading RunOptions through every call site.
-	// States without SetFault ignore it.
+	// worker state that exposes SetFault(*local.FaultPlan) — local.Batch
+	// does, and passes it on to the Sharded it may hold — so a whole
+	// trial sweep runs under one fault model without threading
+	// RunOptions through every call site. States without SetFault ignore
+	// it.
 	Fault *local.FaultPlan
 	// NewState is called once per worker, when the worker claims its
 	// first trial chunk (and again after a failed chunk discards the
 	// state); its value is passed to every trial body that worker
-	// executes, so every built state runs at least one chunk. The intended state is reusable
-	// execution scratch (*local.Engine, *local.Batch, *local.Sharded).
-	// nil yields the zero S. States implementing io.Closer are closed
-	// when their worker retires.
+	// executes, so every built state runs at least one chunk. The
+	// intended state is reusable execution scratch: a *local.Batch, or a
+	// struct embedding one, from local.Plan.NewShardedBatch when Shards is
+	// set. nil yields the zero S. States implementing io.Closer are
+	// closed when their worker retires.
 	NewState func() S
 	// Progress, when non-nil, observes the sweep's trial-chunk schedule:
 	// it is called once with (0, total) before the first chunk runs —
@@ -59,7 +61,7 @@ type Executor[S any] struct {
 }
 
 // faultSetter is what a worker state must expose for Executor.Fault to
-// arm it; local.Engine, local.Batch, and local.Sharded all qualify.
+// arm it; local.Batch and local.Sharded both qualify.
 type faultSetter interface {
 	SetFault(*local.FaultPlan)
 }

@@ -166,12 +166,13 @@ type Config struct {
 	Seed uint64
 	// Shards, when > 1, runs message-algorithm trial loops on a sharded
 	// engine of that many shards (clamped per graph to its node count).
-	// Every trial's outputs are byte-identical to the unsharded run;
-	// aggregated tables are additionally byte-identical whenever the
-	// Monte-Carlo worker chunking coincides (shard groups shrink the
-	// pool, which can regroup float accumulation — pin GOMAXPROCS to
-	// one, as the golden tests do, for exact table equality). The knob
-	// exists to exercise the multi-machine execution path end to end.
+	// Every trial's outputs are byte-identical to the unsharded run, and
+	// so are the aggregated tables: the Monte-Carlo layer folds per-trial
+	// values in trial order whatever the pool size (internal/mc/steal.go),
+	// so shard groups shrinking the pool regroup no float accumulation.
+	// cmd/rlnc's TestQuickSuiteDigests checks every quick table at shards
+	// 1 and 2 under GOMAXPROCS 1 and 4. The knob exists to exercise the
+	// multi-machine execution path end to end.
 	Shards int
 	// Fault, when non-nil and enabled, arms the fault plan on every trial
 	// executor the experiment builds — batched and sharded alike — so the
@@ -187,8 +188,9 @@ type Config struct {
 	// loopback-TCP transport and the shard-worker process pool through
 	// it (`rlnc run -transport ...`, spawned loopback workers or a
 	// `-control` multi-host fleet). A provider may refuse (a worker pool
-	// serves one executor at a time); the trial loop then falls back to
-	// a plain batch, which the sharding contract keeps byte-identical.
+	// serves one executor at a time); the worker then keeps a plain
+	// batch (local.Plan.NewShardedBatch), which the sharding contract
+	// keeps byte-identical.
 	// Providers are also the recovery path: when a chunk fails because a
 	// worker process died, the Monte-Carlo scheduler closes the chunk's
 	// executor and calls the provider again, which builds from the
@@ -196,7 +198,7 @@ type Config struct {
 	// batch) — so trial sweeps ride out mid-run worker deaths with
 	// unchanged output bytes. Executors are Closed when their worker
 	// retires.
-	NewSharded func(plan *local.Plan, width, shards int) (*local.Sharded, error)
+	NewSharded local.ShardProvider
 	// Progress, when set, observes every Monte-Carlo sweep the experiment
 	// runs: each sweep reports (0, total) once before its first trial
 	// chunk executes — total being that sweep's chunk count — and the

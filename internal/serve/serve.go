@@ -73,7 +73,7 @@ type Options struct {
 	// algorithm trial loops use — this is how `rlnc serve -control` puts
 	// a multi-host worker fleet behind the HTTP API (the same provider
 	// `rlnc run -transport` injects).
-	NewSharded func(plan *local.Plan, width, shards int) (*local.Sharded, error)
+	NewSharded local.ShardProvider
 	// Runner, when set, replaces the default job runner. Tests inject a
 	// counting runner here to pin the cache-hit contract (a repeated
 	// submission must reach the runner zero times).
@@ -573,9 +573,10 @@ func (s *Server) runJob(spec JobSpec, progress func(done, total int)) (table []b
 }
 
 // algoBatchWidth is the lane count of an algorithm job's trial vectors:
-// each Monte-Carlo chunk runs this many trials on one Batch (or Sharded)
-// execution, so vectorized stepping, one cut exchange per round for all
-// lanes, and the batch's reused result arena apply to serve jobs. Wider
+// each Monte-Carlo chunk runs this many trials on one Batch execution
+// (across its shards, when the job asked for some), so vectorized
+// stepping, one cut exchange per round for all lanes, and the batch's
+// reused result arena apply to serve jobs. Wider
 // vectors buy little more speed and cost memory. The serve-mix benchmark
 // on a shared 2-core host (15 s runs, alternating pairs) measured,
 // relative to width 1:
@@ -589,41 +590,16 @@ func (s *Server) runJob(spec JobSpec, progress func(done, total int)) (table []b
 const algoBatchWidth = 4
 
 // algoState is one Monte-Carlo worker's execution scratch for an
-// algorithm job: a lane vector of algoBatchWidth trials on a plain batch,
-// or on a sharded executor when the job asked for shards. It satisfies
-// the executor's fault-setter and closer hooks, so fault plans arm and
-// transports release exactly as in the experiment trial loops.
+// algorithm job: a batch of algoBatchWidth lanes from
+// Plan.NewShardedBatch (sharded when the job asked for shards), the
+// job's algorithm, and the lane draw slice. The embedded batch's
+// SetFault and Close are the executor's fault-setter and closer hooks,
+// so fault plans arm and transports release exactly as in the
+// experiment trial loops.
 type algoState struct {
-	bt    *local.Batch
-	sh    *local.Sharded
+	*local.Batch
 	algo  local.WireAlgorithm
 	draws []localrand.Draw
-}
-
-// SetFault arms the fault plan on the worker's executor.
-func (a *algoState) SetFault(f *local.FaultPlan) {
-	if a.sh != nil {
-		a.sh.SetFault(f)
-		return
-	}
-	a.bt.SetFault(f)
-}
-
-// Close releases the worker's sharded executor, if any.
-func (a *algoState) Close() error {
-	if a.sh != nil {
-		return a.sh.Close()
-	}
-	return nil
-}
-
-// run executes one trial per draw. The results are the executor's
-// scratch: read them before its next run.
-func (a *algoState) run(in *lang.Instance, draws []localrand.Draw) ([]*local.Result, error) {
-	if a.sh != nil {
-		return a.sh.Run(in, a.algo, draws, local.RunOptions{})
-	}
-	return a.bt.Run(in, a.algo, draws, local.RunOptions{})
 }
 
 // runAlgorithm executes an algorithm job: Trials independent runs of
@@ -647,32 +623,16 @@ func (s *Server) runAlgorithm(spec JobSpec, progress func(done, total int)) ([]b
 	if err != nil {
 		return nil, false, err
 	}
-	shards := spec.Shards
-	if shards > g.N() {
-		shards = g.N()
-	}
-	provider := s.opts.NewSharded
-	if provider == nil {
-		provider = func(plan *local.Plan, width, shards int) (*local.Sharded, error) {
-			return plan.NewSharded(width, shards)
-		}
-	}
 	newState := func() *algoState {
 		algo, err := local.BuildRemoteAlgorithm(a.Key, a.Params)
 		if err != nil {
 			mc.Fail(err) // validated at intake; only a registry change mid-flight gets here
 		}
-		st := &algoState{algo: algo, draws: make([]localrand.Draw, algoBatchWidth)}
-		if shards > 1 {
-			if sh, err := provider(plan, algoBatchWidth, shards); err == nil {
-				st.sh = sh
-				return st
-			}
-			// Provider refused (a busy worker pool): degrade to a plain
-			// batch, which the sharding contract keeps byte-identical.
+		return &algoState{
+			Batch: plan.NewShardedBatch(algoBatchWidth, spec.Shards, s.opts.NewSharded),
+			algo:  algo,
+			draws: make([]localrand.Draw, algoBatchWidth),
 		}
-		st.bt = plan.NewBatch(algoBatchWidth)
-		return st
 	}
 
 	space := localrand.NewTapeSpace(spec.Seed)
@@ -681,7 +641,7 @@ func (s *Server) runAlgorithm(spec JobSpec, progress func(done, total int)) ([]b
 	x := mc.Executor[*algoState]{
 		Trials:   a.Trials,
 		Batch:    algoBatchWidth,
-		Shards:   shards,
+		Shards:   min(spec.Shards, g.N()),
 		Fault:    spec.Fault.plan(),
 		NewState: newState,
 		Progress: progress,
@@ -691,7 +651,7 @@ func (s *Server) runAlgorithm(spec JobSpec, progress func(done, total int)) ([]b
 		for i := range draws {
 			draws[i] = space.Draw(uint64(lo + i))
 		}
-		rs, err := st.run(in, draws)
+		rs, err := st.Run(in, st.algo, draws, local.RunOptions{})
 		if err != nil {
 			mc.Fail(err)
 		}

@@ -215,12 +215,11 @@ func TestFaultDeterminismAcrossShapes(t *testing.T) {
 		draws[i] = space.Draw(uint64(i))
 	}
 
-	// Reference: one engine run per trial.
+	// Reference: one width-1 Plan.Run per trial.
 	want := make([]*local.Result, trials)
-	eng := plan.NewEngine()
 	for i := range draws {
 		d := draws[i]
-		r, err := eng.Run(in, algo, &d, local.RunOptions{Fault: fp})
+		r, err := plan.Run(in, algo, &d, local.RunOptions{Fault: fp})
 		if err != nil {
 			t.Fatal(err)
 		}

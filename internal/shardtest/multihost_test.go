@@ -159,22 +159,6 @@ func TestMultiHostProcessEquivalence(t *testing.T) {
 	}
 }
 
-// remoteOrLocal is the worker state of the kill test: the remote
-// sharded executor when the process pool is free, the local batch
-// otherwise — the same degradation ladder internal/exp's trial batches
-// ride. Both rungs are byte-identical by the sharding contract.
-type remoteOrLocal struct {
-	sh *local.Sharded
-	bt *local.Batch
-}
-
-func (s *remoteOrLocal) Close() error {
-	if s.sh != nil {
-		return s.sh.Close()
-	}
-	return nil
-}
-
 // TestMultiHostWorkerKillRequeue is the acceptance test of the requeue
 // contract, library-level: two worker processes host the shards, one
 // kills itself mid-run, and the Monte-Carlo sweep must (1) complete,
@@ -235,29 +219,28 @@ func TestMultiHostWorkerKillRequeue(t *testing.T) {
 		}
 	}
 
+	// The worker state is the batch internal/exp's trial loops hold: the
+	// remote sharded executor when the process pool is free, a plain batch
+	// otherwise. Both are byte-identical by the sharding contract.
 	var built, remoteBuilt atomic.Int32
-	est := mc.Executor[*remoteOrLocal]{
+	remote := func(p *local.Plan, width, _ int) (*local.Sharded, error) {
+		sh, err := p.NewShardedRemote(width, pool)
+		if err == nil {
+			sh.SetLinkTimeout(2 * time.Second) // bound the survivor's wait on its dead peer
+			remoteBuilt.Add(1)
+		}
+		return sh, err
+	}
+	est := mc.Executor[*local.Batch]{
 		Trials: trials,
 		Batch:  width,
 		Shards: 2,
-		NewState: func() *remoteOrLocal {
+		NewState: func() *local.Batch {
 			built.Add(1)
-			if sh, err := plan.NewShardedRemote(width, pool); err == nil {
-				sh.SetLinkTimeout(2 * time.Second) // bound the survivor's wait on its dead peer
-				remoteBuilt.Add(1)
-				return &remoteOrLocal{sh: sh}
-			}
-			return &remoteOrLocal{bt: plan.NewBatch(width)}
+			return plan.NewShardedBatch(width, 2, remote)
 		},
-	}.Run(func(s *remoteOrLocal, lo, hi int, out []bool) {
-		draws := mkDraws(lo, hi)
-		var rs []*local.Result
-		var err error
-		if s.sh != nil {
-			rs, err = s.sh.Run(in, algo, draws, local.RunOptions{})
-		} else {
-			rs, err = s.bt.Run(in, algo, draws, local.RunOptions{})
-		}
+	}.Run(func(bt *local.Batch, lo, hi int, out []bool) {
+		rs, err := bt.Run(in, algo, mkDraws(lo, hi), local.RunOptions{})
 		if err != nil {
 			// Substrate failure (the killed worker): hand the chunk back to
 			// the scheduler instead of fabricating outcomes.

@@ -113,7 +113,7 @@ func TestShardSlabCompaction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := sh.Unsharded().SlabBytesFor(algo)
+			full := plan.NewBatch(3).SlabBytesFor(algo)
 			per := sh.ShardSlabBytes(algo)
 			total := 0
 			for i, b := range per {

@@ -210,7 +210,7 @@ func laneBlock(width1, widthK int) int { return widthK / width1 }
 // vector algorithms: on C_4800 the 1 MB slab budget splits a 13-lane
 // vector of one-word messages into blocks of 4 + 4 + 4 + 1, so the full
 // blocks step the vector path and the one-lane tail the scalar one.
-// Every lane — outputs and Stats — must match a per-lane Engine run and
+// Every lane — outputs and Stats — must match a per-lane width-1 run and
 // the ScalarOnly batch. The sharded half cuts the ring unevenly, so the
 // shards' own budgets disagree and the orchestrator imposes the big
 // shard's smaller block (6 + 6 + 1) on both.
@@ -268,13 +268,12 @@ func TestVecBlockSplitting(t *testing.T) {
 			scalar := run(sclBt, local.ScalarOnly(c.algo))
 			vec := run(vecBt, c.algo)
 			sharded := run(sh, c.algo)
-			eng := plan.NewEngine()
 			for b := 0; b < K; b++ {
 				var draw *localrand.Draw
 				if c.random {
 					draw = &draws[b]
 				}
-				want, err := eng.Run(in, c.algo, draw, local.RunOptions{})
+				want, err := plan.Run(in, c.algo, draw, local.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +347,7 @@ func expectSameOutcome(t *testing.T, label string, want, got laneOutcome) {
 }
 
 // TestVecKernelMatchesScalar pins both range kernels (retry coloring and
-// Cole–Vishkin) against the scalar reference — one width-1 Engine run per
+// Cole–Vishkin) against the scalar reference — one width-1 Plan.Run per
 // lane under ScalarOnly, which no block split or lane mask can reach —
 // byte for byte, outputs and Stats (or the identical panic), under every
 // kernelPlans shape. The unsharded half runs widths {2, 3, 63, 64, 65,
@@ -389,7 +388,6 @@ func TestVecKernelMatchesScalar(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.algo.Name(), func(t *testing.T) {
-			eng := plan.NewEngine()
 			ref := make(map[string][]laneOutcome)
 			for _, pl := range kernelPlans {
 				want := make([]laneOutcome, maxK)
@@ -399,7 +397,7 @@ func TestVecKernelMatchesScalar(t *testing.T) {
 						if c.random {
 							d = &draws[b]
 						}
-						r, err := eng.Run(ring, local.ScalarOnly(c.algo), d, local.RunOptions{Fault: pl.fp})
+						r, err := plan.Run(ring, local.ScalarOnly(c.algo), d, local.RunOptions{Fault: pl.fp})
 						return []*local.Result{r}, err
 					})[0]
 				}

@@ -9,16 +9,17 @@
 //     and MessageAsView;
 //   - the execution-plan layer: a Plan is the reusable layout of one
 //     graph (CSR-flattened adjacency, reverse-port delivery table, cached
-//     balls) and an Engine is one worker's reusable execution scratch
-//     (double-buffered message slabs, tape slab, assembled views).
-//     RunView/RunMessage are single-shot wrappers over this layer;
-//     Monte-Carlo trial loops build one Plan per instance and hand each
-//     trial-pool worker its own Engine (mc.Executor.NewState), which
-//     eliminates steady-state allocations from the trial loop. A Batch is the
-//     vectorized worker scratch, and a Sharded runs the message path
-//     across a contiguous partition of the plan's CSR layout with
-//     per-round cut-block exchange — the multi-machine execution shape,
-//     byte-identical to the unsharded engines;
+//     balls) and a Batch is one worker's reusable, vectorized execution
+//     scratch (double-buffered message slabs, tape slab, assembled
+//     views). RunView/RunMessage are single-shot wrappers over a
+//     width-1 Batch; Monte-Carlo trial loops build one Plan per instance
+//     and hand each trial-pool worker its own Batch
+//     (mc.Executor.NewState), which eliminates steady-state allocations
+//     from the trial loop. A Sharded runs the message path across a
+//     contiguous partition of the plan's CSR layout with per-round
+//     cut-block exchange — the multi-machine execution shape,
+//     byte-identical to the plain batch — and Plan.NewShardedBatch
+//     gives a worker a Batch whose message runs go across one;
 //   - distributed languages: LCL languages via excluded bad balls,
 //     global languages (AMOS, Majority), the F_k promise, and the ε-slack
 //     / f-resilient relaxations of §1.1 and Definition 1;
@@ -148,16 +149,14 @@ type (
 
 	// Plan is the reusable execution layout of one graph: CSR adjacency,
 	// the reverse-port delivery table, and the per-radius ball cache.
-	// Plans are concurrency-safe and shared by all engines built on them.
+	// Plans are concurrency-safe and shared by all batches built on them.
 	Plan = local.Plan
-	// Engine is one worker's reusable execution scratch (message slabs,
-	// tapes, assembled views); not safe for concurrent use — trial pools
-	// hold one Engine per worker.
-	Engine = local.Engine
-	// Batch runs a vector of independent trials through one engine pass
-	// (structure-of-arrays message slabs, batch-refilled view skeletons),
-	// so per-round scheduling and view assembly amortize across the
-	// vector; an Engine is the width-1 case. Not safe for concurrent use —
+	// Batch is one worker's reusable execution scratch: it runs a vector
+	// of independent trials through one engine pass (structure-of-arrays
+	// message slabs, batch-refilled view skeletons), so per-round
+	// scheduling and view assembly amortize across the vector; a single
+	// execution is the width-1 case. Plan.NewShardedBatch builds one whose
+	// message runs go across a Sharded. Not safe for concurrent use —
 	// trial pools hold one Batch per worker (see mc.Executor.Batch).
 	Batch = local.Batch
 	// Sharded runs the message path across a contiguous node partition
@@ -195,8 +194,8 @@ type (
 	ResetProcess = local.ResetProcess
 	// FaultPlan is the first-class fault model: a seeded schedule of
 	// message drops, one-round delays, node crashes (with optional
-	// recovery), and mid-run topology surgery (EdgeCut), armed on an
-	// Engine, Batch, or Sharded via SetFault or per-run via
+	// recovery), and mid-run topology surgery (EdgeCut), armed on a
+	// Batch or Sharded via SetFault or per-run via
 	// RunOptions.Fault. Fault decisions come from a dedicated tape keyed
 	// by (round, edge slot, lane), so faulty runs are deterministic and
 	// byte-identical across every execution shape, including remote
@@ -313,10 +312,10 @@ type (
 	// MCEstimate is a Monte-Carlo success estimate with Wilson bounds.
 	MCEstimate = mc.Estimate
 	// DecideExec evaluates deciders: Verdicts, Accepts, AcceptsFarFrom
-	// over trial vectors on an engine, a batch, or transiently.
+	// over trial vectors on a batch, or transiently.
 	DecideExec = decide.Exec
 	// ConstructExec runs construction algorithms: Run and RunInstances
-	// single-shot, over a batch, or over a sharded executor.
+	// single-shot or over a batch (sharded or not).
 	ConstructExec = construct.Exec
 )
 
