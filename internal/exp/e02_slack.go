@@ -93,9 +93,16 @@ func (e e2) Run(cfg report.Config) (*report.Result, error) {
 	// (c) Rounds to reach a target ε: independent of n.
 	tc := res.NewTable("E2c: retry rounds needed to reach bad fraction ≤ ε — independent of n",
 		"ε", "rounds at n=600", "rounds at n=4800")
+	// Every ε restarts its sweep at T = 0 on the same seed, so each
+	// (n, T) estimate is computed once and shared.
+	memo := make(map[[2]int]float64)
 	roundsFor := func(eps float64, n int) int {
 		for T := 0; T <= 16; T++ {
-			mean, _ := meanBadFraction(n, T, nTrials, cfg.Seed^0xE2C, cfg)
+			mean, ok := memo[[2]int{n, T}]
+			if !ok {
+				mean, _ = meanBadFraction(n, T, nTrials, cfg.Seed^0xE2C, cfg)
+				memo[[2]int{n, T}] = mean
+			}
 			if mean <= eps {
 				return T
 			}

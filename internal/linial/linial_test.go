@@ -102,9 +102,18 @@ func colorableByEnumeration(g *graph.Graph, k int) bool {
 	return rec(0)
 }
 
-func TestColorableMatchesEnumeration(t *testing.T) {
+// randomInstance is one graph and palette of the random comparison
+// set.
+type randomInstance struct {
+	g *graph.Graph
+	k int
+}
+
+// randomInstances draws 600 random graphs on 1–10 vertices, with edge
+// densities 0.15–0.85 and palettes of 2–4 colors.
+func randomInstances() []randomInstance {
 	rng := rand.New(rand.NewSource(13))
-	verdicts := map[bool]int{}
+	out := make([]randomInstance, 0, 600)
 	for trial := 0; trial < 600; trial++ {
 		n := 1 + rng.Intn(10)
 		k := 2 + rng.Intn(3)
@@ -117,7 +126,15 @@ func TestColorableMatchesEnumeration(t *testing.T) {
 				}
 			}
 		}
-		g := b.MustBuild()
+		out = append(out, randomInstance{b.MustBuild(), k})
+	}
+	return out
+}
+
+func TestColorableMatchesEnumeration(t *testing.T) {
+	verdicts := map[bool]int{}
+	for trial, in := range randomInstances() {
+		g, k, n := in.g, in.k, in.g.N()
 		want := colorableByEnumeration(g, k)
 		verdicts[want]++
 		ok, coloring, err := Colorable(g, k, 0)
@@ -172,6 +189,48 @@ func factorialInt(n int) int {
 		f *= i
 	}
 	return f
+}
+
+// compatible reports whether two patterns can appear on consecutive
+// windows by comparing every pair of shared positions: the order p
+// induces on p[1:] must be the order q induces on q[:w-1].
+func compatible(p, q []int) bool {
+	w := len(p)
+	for i := 1; i < w; i++ {
+		for j := i + 1; j < w; j++ {
+			if (p[i] < p[j]) != (q[i-1] < q[j-1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPatternGraphMatchesPairwise checks the construction by overlap key
+// against the pairwise reference that tests all (2t+1)!² pattern pairs
+// with compatible, adjacency list by adjacency list in order.
+func TestPatternGraphMatchesPairwise(t *testing.T) {
+	for _, radius := range []int{1, 2, 3} {
+		pg := BuildPatternGraph(radius)
+		for i, p := range pg.Patterns {
+			var adj []int
+			self := false
+			for j, q := range pg.Patterns {
+				if !compatible(p, q) {
+					continue
+				}
+				if i == j {
+					self = true
+				} else {
+					adj = append(adj, j)
+				}
+			}
+			if pg.SelfLoop[i] != self || !slices.Equal(pg.Adj[i], adj) {
+				t.Fatalf("t=%d pattern %v: self-loop %v, adjacency %v; pairwise reference %v, %v",
+					radius, p, pg.SelfLoop[i], pg.Adj[i], self, adj)
+			}
+		}
+	}
 }
 
 func TestPatternCompatibility(t *testing.T) {
@@ -298,6 +357,155 @@ func TestNeighborhoodGraphMatchesReference(t *testing.T) {
 			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
 				t.Fatalf("B(%d,%d): vertex %d neighbors %v, reference %v",
 					n, radius, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+	}
+}
+
+// colorableFrozen is the solver as it stood before bucketed selection,
+// kept verbatim as the differential reference: an O(n) scan per search
+// state picks the DSATUR vertex. It also returns the number of search
+// states it entered.
+func colorableFrozen(g *graph.Graph, k int, budget int64) (bool, []int, int64, error) {
+	n := g.N()
+	if k < 0 {
+		return false, nil, 0, fmt.Errorf("linial: negative palette")
+	}
+	if n == 0 {
+		return true, nil, 0, nil
+	}
+	if budget == 0 {
+		budget = 50_000_000
+	}
+	colors := make([]int, n)
+	for i := range colors {
+		colors[i] = -1
+	}
+	neighborColors := make([][]int32, n)
+	satDegree := make([]int, n)
+	uncolored := make([]int, n)
+	for v := 0; v < n; v++ {
+		neighborColors[v] = make([]int32, k)
+		uncolored[v] = g.Degree(v)
+	}
+	var nodes int64
+	var solve func(assigned, maxUsed int) (bool, error)
+	solve = func(assigned, maxUsed int) (bool, error) {
+		if assigned == n {
+			return true, nil
+		}
+		nodes++
+		if nodes > budget {
+			return false, ErrBudget
+		}
+		best := -1
+		for v := 0; v < n; v++ {
+			if colors[v] != -1 {
+				continue
+			}
+			if best == -1 || satDegree[v] > satDegree[best] ||
+				(satDegree[v] == satDegree[best] && uncolored[v] > uncolored[best]) {
+				best = v
+			}
+		}
+		nbrs := g.Neighbors(best)
+		for _, w := range nbrs {
+			uncolored[w]--
+		}
+		for c := 0; c < k && c <= maxUsed+1; c++ {
+			if neighborColors[best][c] > 0 {
+				continue
+			}
+			colors[best] = c
+			for _, w := range nbrs {
+				if neighborColors[w][c] == 0 {
+					satDegree[w]++
+				}
+				neighborColors[w][c]++
+			}
+			ok, err := solve(assigned+1, max(maxUsed, c))
+			if ok || err != nil {
+				return ok, err
+			}
+			for _, w := range nbrs {
+				neighborColors[w][c]--
+				if neighborColors[w][c] == 0 {
+					satDegree[w]--
+				}
+			}
+			colors[best] = -1
+		}
+		for _, w := range nbrs {
+			uncolored[w]++
+		}
+		return false, nil
+	}
+	ok, err := solve(0, -1)
+	if err != nil {
+		return false, nil, nodes, err
+	}
+	if !ok {
+		return false, nil, nodes, nil
+	}
+	return true, colors, nodes, nil
+}
+
+// TestColorableMatchesFrozenSolver checks that Colorable enters the same
+// search states in the same order as colorableFrozen: the same verdict
+// and the same coloring at the default budget, ErrBudget from both one
+// state short of the reference's count, and an answer from both at
+// exactly that count.
+func TestColorableMatchesFrozenSolver(t *testing.T) {
+	type instance struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}
+	var cases []instance
+	for i, in := range randomInstances() {
+		for _, k := range []int{2, 3, 4} {
+			cases = append(cases, instance{fmt.Sprintf("random %d", i), in.g, k})
+		}
+	}
+	for _, k := range []int{2, 3, 4} {
+		cases = append(cases,
+			instance{"Petersen", graph.Petersen(), k},
+			instance{"K4", graph.Complete(4), k},
+			instance{"grid", graph.Grid(3, 4), k})
+	}
+	for n := 4; n <= 8; n++ {
+		cases = append(cases, instance{fmt.Sprintf("B(%d,1)", n), mustNG(t, n, 1), 3})
+	}
+	frozen := func(g *graph.Graph, k int, budget int64) (bool, []int, error) {
+		ok, colors, _, err := colorableFrozen(g, k, budget)
+		return ok, colors, err
+	}
+	solvers := []struct {
+		name  string
+		solve func(*graph.Graph, int, int64) (bool, []int, error)
+	}{{"reference", frozen}, {"Colorable", Colorable}}
+	for _, tc := range cases {
+		wantOK, wantColors, states, err := colorableFrozen(tc.g, tc.k, 0)
+		if err != nil {
+			t.Fatalf("%s k=%d: reference: %v", tc.name, tc.k, err)
+		}
+		if ok, colors, err := Colorable(tc.g, tc.k, 0); err != nil || ok != wantOK || !slices.Equal(colors, wantColors) {
+			t.Fatalf("%s k=%d: Colorable = %v, %v, %v; reference %v, %v",
+				tc.name, tc.k, ok, colors, err, wantOK, wantColors)
+		}
+		for _, sv := range solvers {
+			// A budget of 0 selects the default, so one state short is
+			// only expressible when the reference entered two or more.
+			if states > 1 {
+				if _, _, err := sv.solve(tc.g, tc.k, states-1); !errors.Is(err, ErrBudget) {
+					t.Fatalf("%s k=%d: %s at budget %d, one short of %d states: got %v, want ErrBudget",
+						tc.name, tc.k, sv.name, states-1, states, err)
+				}
+			}
+			if ok, colors, err := sv.solve(tc.g, tc.k, states); err != nil || ok != wantOK ||
+				!slices.Equal(colors, wantColors) {
+				t.Fatalf("%s k=%d: %s at budget %d, the reference's state count: got %v, %v, %v",
+					tc.name, tc.k, sv.name, states, ok, colors, err)
 			}
 		}
 	}

@@ -51,26 +51,32 @@ func permutationsOf(n int) [][]int {
 	return out
 }
 
-// compatible reports whether two patterns can appear on consecutive
-// windows: the order they induce on the shared 2t positions must agree.
-// (The fresh endpoints can then always be placed, so agreement on the
-// overlap is both necessary and sufficient.)
-func compatible(p, q []int) bool {
-	w := len(p)
-	// Shared positions: p[1..w-1] vs q[0..w-2]; ranks induce an order on
-	// the shared elements, and both orders must coincide.
-	for i := 1; i < w; i++ {
-		for j := i + 1; j < w; j++ {
-			if (p[i] < p[j]) != (q[i-1] < q[j-1]) {
-				return false
+// rankKey encodes the rank pattern of a sequence of distinct values as
+// Σ rank(s[i])·len(s)^i, where rank counts the smaller values: two
+// sequences get the same key exactly when they induce the same order.
+func rankKey(s []int) int {
+	key := 0
+	for i := len(s) - 1; i >= 0; i-- {
+		rank := 0
+		for _, x := range s {
+			if x < s[i] {
+				rank++
 			}
 		}
+		key = key*len(s) + rank
 	}
-	return true
+	return key
 }
 
 // BuildPatternGraph constructs the pattern graph for radius t (window
-// width 2t+1).
+// width w = 2t+1).
+//
+// Patterns p and q can appear on consecutive windows exactly when they
+// induce the same order on the 2t shared positions, p[1:] and q[:w-1]:
+// the fresh endpoints can then always be placed, so agreement on the
+// overlap is both necessary and sufficient. Grouping the patterns by the
+// rank key of q[:w-1] therefore lists each pattern's neighbors as the
+// group of its p[1:] key, in ascending order.
 func BuildPatternGraph(t int) *PatternGraph {
 	w := 2*t + 1
 	patterns := permutationsOf(w)
@@ -80,11 +86,13 @@ func BuildPatternGraph(t int) *PatternGraph {
 		Adj:      make([][]int, len(patterns)),
 		SelfLoop: make([]bool, len(patterns)),
 	}
+	byPrefix := make(map[int][]int)
+	for j, q := range patterns {
+		key := rankKey(q[:w-1])
+		byPrefix[key] = append(byPrefix[key], j)
+	}
 	for i, p := range patterns {
-		for j, q := range patterns {
-			if !compatible(p, q) {
-				continue
-			}
+		for _, j := range byPrefix[rankKey(p[1:])] {
 			if i == j {
 				pg.SelfLoop[i] = true
 				continue
