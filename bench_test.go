@@ -791,6 +791,7 @@ func BenchmarkColorableB8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok, _, err := linial.Colorable(g, 3, 5_000_000)
 		if err != nil || ok {

@@ -61,10 +61,10 @@ func suiteDigests(t *testing.T, args ...string) []string {
 }
 
 // quickSuiteDigests renders the quick suite's digest lines at the given
-// shard count.
-func quickSuiteDigests(t *testing.T, shards int) []string {
+// shard count and cut-exchange transport.
+func quickSuiteDigests(t *testing.T, shards int, transport string) []string {
 	t.Helper()
-	return suiteDigests(t, "all", "-quick", "-seed", "7", "-shards", strconv.Itoa(shards))
+	return suiteDigests(t, "all", "-quick", "-seed", "7", "-shards", strconv.Itoa(shards), "-transport", transport)
 }
 
 // readDigests loads a digest file, first rewriting it from fresh when
@@ -97,21 +97,30 @@ func compareDigests(t *testing.T, shape, file string, got, want []string) {
 }
 
 // TestQuickSuiteDigests pins every table of the quick suite to the
-// committed digests, on four execution shapes: shards {1, 2} ×
-// GOMAXPROCS {1, 4}. Changing any cell of any table fails here, naming
-// its experiment, unless the same change updates the digest file. The
-// test sets GOMAXPROCS itself, so it must not run in parallel.
+// committed digests on every in-process execution shape: GOMAXPROCS
+// {1, 2, 8} × (one shard, and shards {2, 4} over chan and tcp-loopback
+// links). Under -short it checks four shapes: GOMAXPROCS {1, 4} × shards
+// {1, 2} over chan links. Changing any cell of any table fails here,
+// naming its experiment and shape, unless the same change updates the
+// digest file. The test sets GOMAXPROCS itself, so it must not run in
+// parallel.
 func TestQuickSuiteDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole quick suite in -short mode")
+	type shape struct {
+		shards    int
+		transport string
 	}
-	want := readDigests(t, quickDigestsFile, func() []string { return quickSuiteDigests(t, 1) })
+	procs, shapes := []int{1, 4}, []shape{{1, "chan"}, {2, "chan"}}
+	if !testing.Short() {
+		procs = []int{1, 2, 8}
+		shapes = append(shapes, shape{2, "tcp-loopback"}, shape{4, "chan"}, shape{4, "tcp-loopback"})
+	}
+	want := readDigests(t, quickDigestsFile, func() []string { return quickSuiteDigests(t, 1, "chan") })
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2} {
-			compareDigests(t, fmt.Sprintf("GOMAXPROCS %d shards %d", procs, shards), quickDigestsFile,
-				quickSuiteDigests(t, shards), want)
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		for _, sh := range shapes {
+			compareDigests(t, fmt.Sprintf("GOMAXPROCS %d shards %d %s", p, sh.shards, sh.transport), quickDigestsFile,
+				quickSuiteDigests(t, sh.shards, sh.transport), want)
 		}
 	}
 }

@@ -49,10 +49,10 @@
 //	              over a gob control stream, and the workers exchange cut
 //	              blocks directly with each other over TCP
 //
-// Per-trial outputs are byte-identical across all transports; rendered
-// tables additionally match the unsharded run whenever the Monte-Carlo
-// worker chunking coincides (pin GOMAXPROCS=1 for exact equality, as CI
-// does when diffing against the committed goldens).
+// Per-trial outputs and rendered tables are byte-identical across all
+// transports and shard counts, and match the unsharded run at any
+// GOMAXPROCS: the Monte-Carlo layer folds per-trial values in trial
+// order whatever the pool size.
 //
 // # The shard-worker protocol
 //

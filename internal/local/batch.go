@@ -47,7 +47,7 @@ type Batch struct {
 	// slotBase is 0 and revTab is the topology's global RevSlot table, so
 	// the unsharded round loop pays a constant subtract-zero and nothing
 	// else. Windowed batches must only ever be driven over the window's
-	// node range (the sharded orchestrator does); procs/done/tapes stay
+	// node range (the sharded orchestrator does); procs/done stay
 	// globally node-indexed so collection code is shared.
 	win      *graph.ShardSlots
 	slotBase int
@@ -76,21 +76,21 @@ type Batch struct {
 	procs    []WireProcess  // [v*block+b]
 	resets   []ResetProcess // procs' ResetProcess views, filled as created
 	done     []bool         // [v*block+b]
-	tapes    []localrand.Tape
-	alive    []bool  // per-lane: still running
-	notDone  []int   // per-lane count of nodes still running
-	roundsOf []int   // per-lane Stats.Rounds
-	msgsOf   []int64 // per-lane Stats.Messages
-	// Per-worker, per-lane round counters, merged serially after each
-	// round pass so the hot loop runs without atomics: wkStage holds the
-	// messages each worker's nodes staged this pass (the Outbox stage
-	// rows — the fault-free path's sender-side message accounting),
-	// wkMsgs the receiver-side delivered counts (written only by the
-	// fault pass, whose suppression makes staged ≠ delivered), wkFin the
-	// newly finished nodes. pending buffers the previous pass's merged
-	// stage counts: what was staged at round r-1 is delivered at round r,
-	// so runVec adds pending to msgsOf exactly where the receiver-side
-	// merge used to happen. Per-worker Inbox/Outbox/VecRange scratch (wk)
+	// alive is the per-lane liveness the passes read, updated between
+	// rounds by its owner: led, this batch's lane ledger, in an unsharded
+	// run; the orchestrator's ledger for an in-process shard; the
+	// orchestrator's commands on a shard-worker process.
+	alive []bool
+	led   laneLedger
+	// Per-worker, per-lane round counters, which the hot loop fills
+	// without atomics. Every round pass leaves its round's counts in its
+	// worker's rows — wkMsgs the messages delivered to its nodes, wkFin
+	// its newly finished nodes — and the ledger sums the rows after the
+	// pass, exactly as the orchestrator sums shard reports. wkStage
+	// counts the messages a pass stages (the Outbox stage rows), which
+	// the next round pass credits as delivered (see roundPass). The run's
+	// worker count is fixed, so each worker index steps the same node
+	// range every pass. Per-worker Inbox/Outbox/VecRange scratch (wk)
 	// keeps the round loop allocation-free. Every worker's rows and
 	// scratch sit on their own cache lines (padRow, workerScratch): the
 	// passes write them per node, and workers sharing a line would
@@ -98,7 +98,6 @@ type Batch struct {
 	wkStage [][]int64
 	wkMsgs  [][]int64
 	wkFin   [][]int
-	pending []int64
 	wk      []workerScratch
 	// Per-worker slot-major scratch rows for the fault pass: wkDel
 	// accumulates each lane's delivered count during a node's
@@ -123,8 +122,6 @@ type Batch struct {
 	rwa       WireAlgorithm
 	rsrc      laneSrc
 	rys       [][]byte
-	// outs is the double-buffered per-run output arena (see arenaPair).
-	outs arenaPair
 	// procAlgo is the algorithm whose process table survives in procs
 	// between runs: non-nil only when its processes implement
 	// ResetProcess, in which case startPass resets and reuses them
@@ -330,7 +327,7 @@ func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Dr
 	if err := bt.checkInstance(in); err != nil {
 		return nil, err
 	}
-	return bt.runBlocks(in, nil, len(draws), algo, draws, opts)
+	return bt.runLanes(laneSrc{shared: in}, len(draws), algo, draws, opts)
 }
 
 // RunInstances is Run with per-lane instances (all over the plan's graph):
@@ -352,7 +349,7 @@ func (bt *Batch) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []
 			return nil, err
 		}
 	}
-	return bt.runBlocks(nil, ins, len(ins), algo, draws, opts)
+	return bt.runLanes(laneSrc{ins: ins}, len(ins), algo, draws, opts)
 }
 
 // runWithTapes runs one lane with an explicit per-node tape source (nil
@@ -367,12 +364,22 @@ func (bt *Batch) runWithTapes(in *lang.Instance, algo WireAlgorithm, tapeOf func
 	if tapeOf != nil {
 		src.tapeFn = func(_, v int) *localrand.Tape { return tapeOf(v) }
 	}
-	bt.layoutWire(algo)
-	ar := bt.outs.next(1, bt.plan.g.N())
-	if err := bt.runVec(src, 1, algo, nil, opts, ar.ys, ar.res, ar.ptr); err != nil {
+	res, err := bt.runLanes(src, 1, algo, nil, opts)
+	if err != nil {
 		return nil, err
 	}
-	return ar.ptr[0], nil
+	return res[0], nil
+}
+
+// runLanes runs a lane vector of wa on the batch itself: the shared
+// block loop (laneLedger.runBlocks) under the current slab layout, one
+// unsharded round loop per block.
+func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	bt.layoutWire(wa)
+	return bt.led.runBlocks(bt.plan.g.N(), bt.block, all, k, draws, true,
+		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
+			return bt.runVec(src, k, wa, draws, opts, ys)
+		})
 }
 
 // msgSlabBudget bounds the bytes the two send slabs of one message pass
@@ -516,220 +523,95 @@ func sliceFor[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// runBlocks drives the message core over a lane vector in slab-budget
-// blocks: lanes [lo, lo+block) share one round loop per pass. Exactly
-// one of shared/ins carries the lane instances. The whole vector's
-// outputs land in one arena buffer, so the arena alternates per
-// top-level run, not per block — a multi-block run never clobbers its
-// own earlier blocks.
-func (bt *Batch) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	bt.layoutWire(wa)
+// runVec is the unsharded round loop of one lane block: the start pass,
+// then one round pass per round across the run's workers, each pass's
+// worker rows summed into the batch's lane ledger, then the output
+// gather into ys (k*n cells, lane b's node v at ys[b*n+v]). src supplies
+// lane instances and tapes (the caller has validated all lanes against
+// the plan), draws carries the lanes' draw identities (read only by the
+// fault seam; nil for deterministic lanes), and wa's slab layout must be
+// current on this batch (layoutWire). Algorithms stage fixed-width words
+// straight into the send slabs and the steady-state round costs zero
+// allocations.
+func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, ys [][]byte) error {
 	n := bt.plan.g.N()
-	ar := bt.outs.next(k, n)
-	for lo := 0; lo < k; lo += bt.block {
-		hi := lo + bt.block
-		if hi > k {
-			hi = k
-		}
-		var chunk []localrand.Draw
-		if draws != nil {
-			chunk = draws[lo:hi]
-		}
-		src := laneSrc{shared: shared}
-		if ins != nil {
-			src.ins = ins[lo:hi]
-		}
-		bt.seedTapes(hi-lo, chunk, &src)
-		err := bt.runVec(src, hi-lo, wa, chunk, opts, ar.ys[lo*n:hi*n], ar.res[lo:hi], ar.ptr[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ar.ptr[:k], nil
-}
-
-// seedTapes reseeds the first k tape rows — row b holds lane b's
-// per-node tapes under draws[b], addressed by src's lane instances —
-// and points src at them (deterministic vectors leave src tape-free).
-func (bt *Batch) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
-	if draws == nil {
-		return
-	}
-	n := bt.plan.g.N()
-	// Sized by the pass, not the batch width: a pass holds at most one
-	// block of lanes, and the first pass of a vector is its widest.
-	bt.tapes = sliceFor(bt.tapes, k*n)
-	for b := 0; b < k; b++ {
-		draws[b].TapeVecInto(bt.tapes[b*n:(b+1)*n], src.instance(b).ID)
-	}
-	src.tapes, src.tlo, src.tn = bt.tapes, 0, n
-}
-
-// runVec is the batched round-loop core shared by every execution path:
-// the single-shot wrappers are the k = 1 case. src supplies lane
-// instances and tapes (the caller has validated all lanes against the
-// plan), draws carries the lanes' draw identities (read only by the
-// fault seam; nil for deterministic lanes), and wa's slab
-// layout must be current on this batch (layoutWire). ys/res/out are the
-// run's arena destinations — k*n output cells, k Result values, k result
-// pointers — typically one block's slices of a runBlocks-level arena
-// buffer. Algorithms stage fixed-width words straight into the send
-// slabs and the steady-state round costs zero allocations.
-func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, ys [][]byte, res []Result, out []*Result) error {
-	if k > bt.block {
-		return fmt.Errorf("local: %d lanes exceed the %d-lane slab block", k, bt.block)
-	}
-	bt.armVec(wa, k)
-	n := bt.plan.g.N()
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 2*n + 64
-	}
-	if opts.StopAfter > 0 {
-		maxRounds = opts.StopAfter
-	}
-	bt.installFault(bt.effectiveFault(opts), draws, k)
-	bt.ensureWireState()
+	led := &bt.led
+	led.begin(k, n, opts)
+	// The worker count is fixed for the whole run: the worker rows and
+	// scratch are sized by it, and a worker index must step the same
+	// node range every pass whatever GOMAXPROCS does meanwhile.
+	workers := maxWorkers(n)
 	// endRun drops references into algorithm state when the run ends —
 	// on the error paths too — so a pooled batch never keeps a previous
 	// execution's processes alive.
 	defer bt.endRun()
-
-	workers := maxWorkers(n)
-	bt.ensureWorkerScratch(workers)
-	for b := 0; b < k; b++ {
-		bt.alive[b] = true
-		bt.notDone[b] = n
-		bt.roundsOf[b] = 0
-		bt.msgsOf[b] = 0
+	bt.beginPass(src, k, wa, draws, effectiveFault(opts, bt.defFault), led.alive, workers)
+	if bt.roundFn == nil {
+		// Bind the method values once; rebuilding them per pass would
+		// allocate a closure in the hot loop.
+		bt.startFn, bt.roundFn, bt.collectFn = bt.startPass, bt.roundPass, bt.collectPass
 	}
-	// Zero the worker counter rows before the first pass: the passes no
-	// longer self-clear them (the merges below re-zero after reading),
-	// so a row left over from a previous run — a fault run's uncaptured
-	// stage counts above all — must not replay into this one.
+	parallelChunks(n, workers, bt.startFn)
+	for round := 1; ; round++ {
+		if err := led.admit(round); err != nil {
+			return err
+		}
+		bt.rround = round
+		parallelChunks(n, workers, bt.roundFn)
+		bt.curLens, bt.nextLens = bt.nextLens, bt.curLens
+		bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
+		for w := 0; w < workers; w++ {
+			led.add(bt.wkMsgs[w], bt.wkFin[w])
+		}
+		if led.endRound(round) {
+			break
+		}
+	}
+	bt.rys = ys
+	parallelChunks(n, workers, bt.collectFn)
+	return nil
+}
+
+// beginPass stands one lane block of wa up on the batch. It is the one
+// pass setup of every execution shape: the unsharded round loop (over
+// `workers` workers), an in-process shard and a shard-worker process
+// (one worker each, over the shard's node window). It arms the stepping
+// path and the fault plan, sizes the slabs and the workers' scratch,
+// zeroes their counter rows — a previous run's final-round stage counts
+// must not replay into this one — points the passes at alive, the
+// ledger's lane liveness, and binds the pass parameters.
+func (bt *Batch) beginPass(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, fault *FaultPlan, alive []bool, workers int) {
+	bt.armVec(wa, k)
+	bt.installFault(fault, draws, k)
+	bt.ensureWireState()
+	for len(bt.wkMsgs) < workers {
+		bt.wkStage = append(bt.wkStage, padRow[int64](bt.width))
+		bt.wkMsgs = append(bt.wkMsgs, padRow[int64](bt.width))
+		bt.wkFin = append(bt.wkFin, padRow[int](bt.width))
+		bt.wkDel = append(bt.wkDel, padRow[int32](bt.width))
+		bt.wkDown = append(bt.wkDown, padRow[bool](bt.width))
+	}
+	if len(bt.wk) < workers {
+		bt.wk = sliceFor(bt.wk, workers)
+	}
 	for w := 0; w < workers; w++ {
 		clear(bt.wkStage[w])
 		clear(bt.wkMsgs[w])
 		clear(bt.wkFin[w])
 	}
-
-	// Init + round-1 staging: every (node, lane) clears its lane's send
-	// state (the slabs are reused across runs) and lets Start stage into
-	// the cur slabs through a per-worker Outbox.
+	bt.alive = alive
 	bt.preparePools(wa)
 	bt.rk, bt.rwa, bt.rsrc = k, wa, src
-	if bt.startFn == nil {
-		bt.startFn = bt.startPass
-	}
-	parallelChunks(n, bt.startFn)
-
-	// capture merges the worker stage rows into pending — the messages
-	// staged this pass, delivered (and credited to msgsOf) next round —
-	// re-zeroing the rows for the next pass. Fault runs skip it: their
-	// accounting is receiver-side (wkMsgs), and the stage rows are dead
-	// weight cleared at the next run's init.
-	faulty := bt.fault != nil
-	pend := bt.pending[:k]
-	capture := func() {
-		clear(pend)
-		for w := 0; w < workers; w++ {
-			stRow := bt.wkStage[w][:k]
-			for b := 0; b < k; b++ {
-				pend[b] += stRow[b]
-			}
-			clear(stRow)
-		}
-	}
-	if !faulty {
-		capture()
-	}
-
-	live := k
-	if bt.roundFn == nil {
-		// Bind the method value once; rebuilding it per round would
-		// allocate a closure in the hot loop.
-		bt.roundFn = bt.roundPass
-	}
-	for round := 1; opts.StopAfter == 0 || round <= opts.StopAfter; round++ {
-		if round > maxRounds {
-			return fmt.Errorf("%w: %d rounds on %d nodes", ErrNoHalt, maxRounds, n)
-		}
-		bt.rround = round
-		parallelChunks(n, bt.roundFn)
-		bt.curLens, bt.nextLens = bt.nextLens, bt.curLens
-		bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
-		// Merge and re-zero the worker rows: a worker index can go idle
-		// between runs (GOMAXPROCS shrinks, or ceil-division leaves the
-		// last chunk empty), and an idle worker's row must read as zero
-		// rather than replay a previous round's counts.
-		for w := 0; w < workers; w++ {
-			finRow := bt.wkFin[w][:k]
-			for b := 0; b < k; b++ {
-				bt.notDone[b] -= finRow[b]
-			}
-			clear(finRow)
-		}
-		if faulty {
-			// Receiver-side accounting: the fault pass counts what
-			// survived suppression into the wkMsgs rows.
-			for w := 0; w < workers; w++ {
-				msgRow := bt.wkMsgs[w][:k]
-				for b := 0; b < k; b++ {
-					bt.msgsOf[b] += msgRow[b]
-				}
-				clear(msgRow)
-			}
-		} else {
-			// Sender-side accounting: what the previous pass staged was
-			// delivered by this one. The alive gate matches the old
-			// receiver-side count exactly — a lane that finished last
-			// round no longer counts arrivals, and a lane's final-round
-			// stages are never delivered or counted.
-			for b := 0; b < k; b++ {
-				if bt.alive[b] {
-					bt.msgsOf[b] += pend[b]
-				}
-			}
-			capture()
-		}
-		for b := 0; b < k; b++ {
-			if !bt.alive[b] {
-				continue
-			}
-			bt.roundsOf[b] = round
-			if bt.notDone[b] == 0 {
-				bt.alive[b] = false
-				live--
-			}
-		}
-		if live == 0 {
-			break
-		}
-	}
-
-	bt.rys = ys
-	if bt.collectFn == nil {
-		bt.collectFn = bt.collectPass
-	}
-	parallelChunks(n, bt.collectFn)
-	for b := 0; b < k; b++ {
-		res[b] = Result{
-			Y:     ys[b*n : (b+1)*n : (b+1)*n],
-			Stats: Stats{Rounds: bt.roundsOf[b], Messages: bt.msgsOf[b]},
-		}
-		out[b] = &res[b]
-	}
-	return nil
 }
 
-// endRun is runVec's deferred cleanup: it drops references into
-// algorithm state so a pooled batch never keeps a previous execution's
-// processes alive. The process table is the one deliberate
-// exception: when the algorithm's processes implement ResetProcess the
-// table is kept and reset in place next run. (The output arena is the
-// other intended survivor — its retention contract is the documented
-// double-buffer alternation; the vector path's state slab holds no
-// pointers at all.)
+// endRun is the cleanup of every execution shape's run: it drops
+// references into algorithm state so a pooled batch never keeps a
+// previous execution's processes alive. The process table is the one
+// deliberate exception: when the algorithm's processes implement
+// ResetProcess the table is kept and reset in place next run. (The
+// output arena is the other intended survivor — its retention contract
+// is the documented double-buffer alternation; the vector path's state
+// slab holds no pointers at all.)
 func (bt *Batch) endRun() {
 	if bt.procAlgo == nil {
 		clear(bt.procs)
@@ -849,20 +731,37 @@ func (bt *Batch) startPass(w, vlo, vhi int) {
 // the message lane b's node v sent on port p arrives across the edge at
 // the reverse slot, and the Inbox reads payload words from cur in place —
 // no receive copy at all. New sends are staged into next through the
-// worker's Outbox, whose stage row counts them as they are staged:
-// message accounting is sender-side (every staged message is read by
-// exactly one receiver next round, so runVec credits the previous pass's
-// stage counts as this round's deliveries), which removes the per-round
-// arrival-count walk over the RevSlot window entirely. Done nodes still
-// receive but stage nothing. Halting counters accumulate into
-// worker-indexed scratch and merge serially after the pass, so the hot
-// loop carries no atomics — and, on the wire path, no allocations.
+// worker's Outbox, whose stage row counts them as they are staged. Done
+// nodes still receive but stage nothing. Message and halting counters
+// accumulate into worker-indexed rows that the lane ledger sums after the
+// pass, so the hot loop carries no atomics — and, on the wire path, no
+// allocations.
+//
+// Message accounting is sender-side: every staged message is read by
+// exactly one receiver the next round, so what this worker's nodes staged
+// last pass is what this round delivers, and the pass opens by moving its
+// stage row into its delivered row — which removes the per-round
+// arrival-count walk over the RevSlot window entirely. Only live lanes
+// are credited: a lane that finished last round counts no arrivals, and
+// its final-round stages are never delivered. Shard partials differ from
+// receiver-side ones (a cut message counts at its sender's shard), but
+// the ledger only ever sums the rows.
 //
 // An armed fault plan dispatches to faultPass (fault.go), the same walk
 // with the plan applied receiver-side (suppression makes staged ≠
-// delivered, so the fault pass keeps the arrival count); a fault-free
-// run pays exactly one predictable nil check here and nothing else.
+// delivered, so the fault pass recounts its arrivals); a fault-free run
+// pays exactly one predictable nil check there and nothing else.
 func (bt *Batch) roundPass(w, vlo, vhi int) {
+	k := bt.rk
+	msgRow, stRow, finRow := bt.wkMsgs[w][:k], bt.wkStage[w][:k], bt.wkFin[w][:k]
+	for b := range msgRow {
+		msgRow[b] = 0
+		if bt.alive[b] {
+			msgRow[b] = stRow[b]
+		}
+	}
+	clear(stRow)
+	clear(finRow)
 	if bt.fault != nil {
 		bt.faultPass(w, vlo, vhi)
 		return
@@ -872,8 +771,7 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 		return
 	}
 	topo := bt.plan.topo
-	k, B, round := bt.rk, bt.block, bt.rround
-	finRow := bt.wkFin[w][:k]
+	B, round := bt.block, bt.rround
 	in, out := &bt.wk[w].in, &bt.wk[w].out
 	bt.bindInbox(in, bt.curLens, bt.curWords)
 	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
@@ -953,31 +851,6 @@ func (bt *Batch) ensureWireState() {
 		bt.procs = sliceFor(bt.procs, n*B)
 		bt.resets = sliceFor(bt.resets, n*B)
 		bt.done = sliceFor(bt.done, n*B)
-	}
-	if bt.alive == nil {
-		bt.alive = make([]bool, bt.width)
-		bt.notDone = make([]int, bt.width)
-		bt.roundsOf = make([]int, bt.width)
-		bt.msgsOf = make([]int64, bt.width)
-	}
-	if bt.pending == nil {
-		bt.pending = make([]int64, bt.width)
-	}
-}
-
-// ensureWorkerScratch sizes the per-worker round counters and wire
-// in/outbox scratch for the current worker count (GOMAXPROCS may change
-// between runs).
-func (bt *Batch) ensureWorkerScratch(workers int) {
-	for len(bt.wkMsgs) < workers {
-		bt.wkStage = append(bt.wkStage, padRow[int64](bt.width))
-		bt.wkMsgs = append(bt.wkMsgs, padRow[int64](bt.width))
-		bt.wkFin = append(bt.wkFin, padRow[int](bt.width))
-		bt.wkDel = append(bt.wkDel, padRow[int32](bt.width))
-		bt.wkDown = append(bt.wkDown, padRow[bool](bt.width))
-	}
-	if len(bt.wk) < workers {
-		bt.wk = sliceFor(bt.wk, workers)
 	}
 }
 

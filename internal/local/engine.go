@@ -91,15 +91,15 @@ func runCore(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localran
 // panic inside fn is captured and re-raised on the calling goroutine, so
 // algorithm contract violations surface as ordinary recoverable panics.
 func parallelFor(n int, fn func(i int)) {
-	parallelChunks(n, func(w, lo, hi int) {
+	parallelChunks(n, maxWorkers(n), func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 	})
 }
 
-// maxWorkers bounds the worker index parallelChunks can hand out for n
-// indices; callers size worker-indexed scratch from it.
+// maxWorkers is the worker count of a parallel pass over n indices:
+// GOMAXPROCS, at most n, at least 1.
 func maxWorkers(n int) int {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -111,14 +111,14 @@ func maxWorkers(n int) int {
 	return workers
 }
 
-// parallelChunks partitions [0, n) into contiguous chunks and runs
-// body(w, lo, hi) for each on its own goroutine (inline when one worker
-// suffices). w < maxWorkers(n) always holds, so bodies may accumulate
-// into worker-indexed scratch without atomics — the batched round loop
-// counts delivered messages and halting transitions this way. Panics are
-// captured and re-raised on the calling goroutine.
-func parallelChunks(n int, body func(w, lo, hi int)) {
-	workers := maxWorkers(n)
+// parallelChunks partitions [0, n) into at most `workers` contiguous
+// chunks and runs body(w, lo, hi) for each on its own goroutine (inline
+// when one worker suffices). w < workers always holds, so bodies may
+// accumulate into worker-indexed scratch sized by the caller without
+// atomics — the batched round loop counts delivered messages and
+// halting transitions this way, with one worker count for the whole run.
+// Panics are captured and re-raised on the calling goroutine.
+func parallelChunks(n, workers int, body func(w, lo, hi int)) {
 	if workers <= 1 {
 		if n > 0 {
 			body(0, 0, n)

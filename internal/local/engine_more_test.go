@@ -1,6 +1,7 @@
 package local
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,6 +48,48 @@ func TestParallelForSmallN(t *testing.T) {
 		t.Error("parallelFor skipped indices")
 	}
 	parallelFor(0, func(i int) { t.Error("called for n=0") })
+}
+
+// procsGrower is floodMin whose processes raise GOMAXPROCS to 4 in
+// round 2, in the middle of the run.
+type procsGrower struct{ floodMin }
+
+func (a procsGrower) NewWireProcess() WireProcess {
+	return procsGrowerProc{a.floodMin.NewWireProcess()}
+}
+
+type procsGrowerProc struct{ WireProcess }
+
+func (p procsGrowerProc) Step(round int, in *Inbox, out *Outbox) bool {
+	if round == 2 {
+		runtime.GOMAXPROCS(4)
+	}
+	return p.WireProcess.Step(round, in, out)
+}
+
+// TestRunSurvivesGOMAXPROCSGrowth pins the worker count of a run: the
+// round loop sizes its worker rows and scratch once, so GOMAXPROCS
+// growing mid-run must not hand a later pass a worker index past them.
+// The run matches the same algorithm run at a fixed GOMAXPROCS.
+func TestRunSurvivesGOMAXPROCSGrowth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	in := mustInstance(t, graph.Cycle(64))
+	want, err := RunMessage(in, floodMin{t: 5}, nil, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunMessage(in, procsGrower{floodMin{t: 5}}, nil, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want.Stats {
+		t.Errorf("stats %+v, want %+v", got.Stats, want.Stats)
+	}
+	for v := range want.Y {
+		if string(got.Y[v]) != string(want.Y[v]) {
+			t.Fatalf("node %d: output %x, want %x", v, got.Y[v], want.Y[v])
+		}
+	}
 }
 
 func TestFullInfoZeroRound(t *testing.T) {

@@ -27,7 +27,7 @@ import (
 // perturb a faulty run, which is what lets the shardtest differential pin
 // faulty sharded runs lane-byte-identical to faulty unsharded ones.
 //
-// A nil (or all-zero) plan is provably free: runVec disarms the fault
+// A nil (or all-zero) plan is provably free: beginPass disarms the fault
 // state and roundPass dispatches to the exact pre-fault loop.
 
 // FaultPlan describes the faults injected into an execution. The zero
@@ -161,28 +161,21 @@ func (bt *Batch) SetFault(f *FaultPlan) {
 // Batch.SetFault.
 func (s *Sharded) SetFault(f *FaultPlan) { s.defFault = f }
 
-// effectiveFault resolves the plan one run obeys.
-func (bt *Batch) effectiveFault(opts RunOptions) *FaultPlan {
+// effectiveFault resolves the plan one run obeys: the run's own when set,
+// the executor default def otherwise.
+func effectiveFault(opts RunOptions, def *FaultPlan) *FaultPlan {
 	if opts.Fault != nil {
 		return opts.Fault
 	}
-	return bt.defFault
-}
-
-// effectiveFault resolves the plan one sharded run obeys.
-func (s *Sharded) effectiveFault(opts RunOptions) *FaultPlan {
-	if opts.Fault != nil {
-		return opts.Fault
-	}
-	return s.defFault
+	return def
 }
 
 // installFault arms (or disarms) the batch's per-run fault state, taking
 // lane identities from the run's draws: lane b's fault identity is
-// draws[b].Seed(), the same word runSpec ships to shard workers, and 0
-// for deterministic lanes. Called once per execution vector, before the
-// slabs are sized; a disabled plan leaves roundPass on the exact
-// pre-fault path.
+// draws[b].Seed() — the word runSpec ships to shard workers, which
+// rebuild the draws from it — and 0 for deterministic lanes. Called once
+// per lane block, before the slabs are sized; a disabled plan leaves
+// roundPass on the exact pre-fault path.
 func (bt *Batch) installFault(f *FaultPlan, draws []localrand.Draw, k int) {
 	if !f.Enabled() {
 		bt.fault = nil
@@ -192,24 +185,6 @@ func (bt *Batch) installFault(f *FaultPlan, draws []localrand.Draw, k int) {
 	for b := 0; b < k; b++ {
 		if draws != nil {
 			bt.flane[b] = draws[b].Seed()
-		} else {
-			bt.flane[b] = 0
-		}
-	}
-	bt.armFault(f)
-}
-
-// installFaultSeeds is installFault from shipped draw seeds — the worker
-// side of the process boundary, where draws exist only as runSpec words.
-func (bt *Batch) installFaultSeeds(f *FaultPlan, seeds []uint64, k int) {
-	if !f.Enabled() {
-		bt.fault = nil
-		return
-	}
-	bt.flane = sliceFor(bt.flane, k)
-	for b := 0; b < k; b++ {
-		if seeds != nil {
-			bt.flane[b] = seeds[b]
 		} else {
 			bt.flane[b] = 0
 		}
@@ -279,16 +254,16 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	}
 	crashNow := f.CrashP > 0 && round >= crashFrom &&
 		(f.CrashUntil == 0 || round < f.CrashUntil)
+	// roundPass has credited last pass's stage counts into msgRow and
+	// cleared finRow; fault accounting is receiver-side (suppression makes
+	// staged ≠ delivered), so the delivered row is recounted here, and the
+	// stage counts this pass leaves are never read.
 	msgRow := bt.wkMsgs[w][:k]
 	finRow := bt.wkFin[w][:k]
 	clear(msgRow)
-	clear(finRow)
 	in, out := &bt.wk[w].in, &bt.wk[w].out
 	bt.bindInbox(in, bt.curLens, bt.curWords)
 	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
-	// The stage counters land in the worker's row but are never merged:
-	// fault accounting is receiver-side (suppression makes staged ≠
-	// delivered), and the row is re-zeroed at the next run's init.
 	out.stage = bt.wkStage[w]
 	curLens, nextLens, curWords := bt.curLens, bt.nextLens, bt.curWords
 	alive, done, procs := bt.alive, bt.done, bt.procs

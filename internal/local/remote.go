@@ -606,7 +606,7 @@ func (s *Sharded) remoteDrive(idx, k, n int, ys [][]byte) {
 				Round:   int32(cmd.round),
 				Run:     cmd.run,
 				Collect: cmd.collect,
-				Alive:   s.alive[:k],
+				Alive:   s.led.alive[:k],
 			}}
 			timeout := w.readTimeout()
 			if cmd.collect {

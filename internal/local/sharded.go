@@ -188,21 +188,15 @@ type Sharded struct {
 	remoteKey     string
 	remoteParams  []int64
 
-	// Orchestrator-owned per-run state: the shared tape slab (one row per
-	// lane, read by each node's owning shard), the lane bookkeeping
-	// identical to Batch.runVec's, the shared report channel, and the
-	// abort latch that unblocks links when a shard dies. outs is the
-	// double-buffered per-run output arena (same alternation contract as
-	// Batch's) and deadSh the reusable per-shard death flags.
-	tapes    []localrand.Tape
-	alive    []bool
-	notDone  []int
-	roundsOf []int
-	msgsOf   []int64
-	reports  chan shardReport
-	abort    chan struct{}
-	outs     arenaPair
-	deadSh   []bool
+	// Orchestrator-owned per-run state: the lane ledger (the same one
+	// the unsharded round loop keeps; its tape rows are read by each
+	// node's owning shard, its liveness by every shard's passes), the
+	// shared report channel, the abort latch that unblocks links when a
+	// shard dies, and the reusable per-shard death flags.
+	led     laneLedger
+	reports chan shardReport
+	abort   chan struct{}
+	deadSh  []bool
 }
 
 // shardExec is one shard of a Sharded: its node range, its private
@@ -431,10 +425,7 @@ func (s *Sharded) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.D
 	if err := bt0.checkInstance(in); err != nil {
 		return nil, err
 	}
-	if !s.carries(algo) {
-		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", algo.Name())
-	}
-	return s.runBlocks(in, nil, len(draws), algo, draws, opts)
+	return s.runLanes(laneSrc{shared: in}, len(draws), algo, draws, opts)
 }
 
 // carries reports whether the executor can run algo: always in
@@ -479,10 +470,7 @@ func (s *Sharded) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws [
 			return nil, err
 		}
 	}
-	if !s.carries(algo) {
-		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", algo.Name())
-	}
-	return s.runBlocks(nil, ins, len(ins), algo, draws, opts)
+	return s.runLanes(laneSrc{ins: ins}, len(ins), algo, draws, opts)
 }
 
 // buildLinks installs fresh links for a run: in-process channels wired
@@ -513,42 +501,19 @@ func (s *Sharded) buildLinks() {
 	}
 }
 
-// seedTapes reseeds the first k rows of the shared tape slab — row b
-// holds lane b's per-node tapes under draws[b] — and points src at it;
-// every shard reads the shared slab (a node's tapes are touched only
-// by its owning shard, so the slab needs no further coordination). Like
-// the batch's, the slab holds one pass, not the whole lane vector.
-func (s *Sharded) seedTapes(k int, draws []localrand.Draw, src *laneSrc) {
-	if draws == nil {
-		return
+// runLanes opens a sharded run of a lane vector — the common lane
+// block, a fresh abort latch and report channel, the job on the worker
+// processes or this run's links — and drives it through the shared block
+// loop (laneLedger.runBlocks), one orchestrated round loop per block.
+// Compacted windows give every shard its own slab budget block, so the
+// orchestrator imposes the minimum on all shards. Remote workers seed
+// their own node windows from the shipped draw seeds; the orchestrator
+// then never materializes tapes.
+func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	if !s.carries(wa) {
+		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", wa.Name())
 	}
-	n := s.plan.g.N()
-	s.tapes = sliceFor(s.tapes, k*n)
-	for b := 0; b < k; b++ {
-		draws[b].TapeVecInto(s.tapes[b*n:(b+1)*n], src.instance(b).ID)
-	}
-	src.tapes, src.tlo, src.tn = s.tapes, 0, n
-}
-
-// ensureLaneState sizes the orchestrator's lane bookkeeping.
-func (s *Sharded) ensureLaneState() {
-	if s.alive == nil {
-		s.alive = make([]bool, s.width)
-		s.notDone = make([]int, s.width)
-		s.roundsOf = make([]int, s.width)
-		s.msgsOf = make([]int64, s.width)
-	}
-}
-
-// runBlocks drives the sharded core over a lane vector in slab-budget
-// blocks, exactly like Batch.runBlocks. Compacted windows give every
-// shard its own slab budget block, so the orchestrator takes the
-// minimum and imposes it on all shards — any agreed lane split is
-// byte-identical to the unsharded batch lane for lane, because lanes
-// are independent.
-func (s *Sharded) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	block := s.layoutShards(wa)
-	s.ensureLaneState()
 	s.abort = make(chan struct{})
 	s.reports = make(chan shardReport, len(s.shards))
 	if s.remote != nil {
@@ -558,32 +523,10 @@ func (s *Sharded) runBlocks(shared *lang.Instance, ins []*lang.Instance, k int, 
 	} else {
 		s.buildLinks()
 	}
-	n := s.plan.g.N()
-	ar := s.outs.next(k, n)
-	for lo := 0; lo < k; lo += block {
-		hi := lo + block
-		if hi > k {
-			hi = k
-		}
-		var chunk []localrand.Draw
-		if draws != nil {
-			chunk = draws[lo:hi]
-		}
-		src := laneSrc{shared: shared}
-		if ins != nil {
-			src.ins = ins[lo:hi]
-		}
-		if s.remote == nil {
-			// Remote workers seed their own node windows from the shipped
-			// draw seeds; the orchestrator never materializes tapes.
-			s.seedTapes(hi-lo, chunk, &src)
-		}
-		err := s.runVec(src, hi-lo, wa, chunk, opts, ar.ys[lo*n:hi*n], ar.res[lo:hi], ar.ptr[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ar.ptr[:k], nil
+	return s.led.runBlocks(s.plan.g.N(), block, all, k, draws, s.remote == nil,
+		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
+			return s.runVec(src, k, wa, draws, opts, ys)
+		})
 }
 
 // layoutShards computes every shard's wire layout for wa and imposes
@@ -603,32 +546,16 @@ func (s *Sharded) layoutShards(wa WireAlgorithm) int {
 	return block
 }
 
-// runVec runs one execution vector of k lanes across the shards. It is
-// the orchestrator side of Batch.runVec's round loop: shards execute
-// startPass/roundPass over their node ranges on their own goroutines,
-// and the per-round merge — message counts, halting consensus, the lane
-// liveness that every shard's next pass reads — happens here, once,
-// exactly as the unsharded loop merges its worker rows. Round count
-// semantics, the ErrNoHalt budget, and StopAfter match Batch.runVec
-// decision for decision.
-func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand.Draw, opts RunOptions, ys [][]byte, res []Result, out []*Result) error {
+// runVec runs one lane block of k lanes across the shards: shards
+// execute startPass/roundPass over their node ranges on their own
+// goroutines, and each round's shard reports are summed into the lane
+// ledger — the same ledger, round budget and halting consensus the
+// unsharded round loop keeps — whose liveness every shard's next pass
+// reads.
+func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand.Draw, opts RunOptions, ys [][]byte) error {
 	n := s.plan.g.N()
-	if k > s.block {
-		return fmt.Errorf("local: %d lanes exceed the %d-lane slab block", k, s.block)
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 2*n + 64
-	}
-	if opts.StopAfter > 0 {
-		maxRounds = opts.StopAfter
-	}
-	for b := 0; b < k; b++ {
-		s.alive[b] = true
-		s.notDone[b] = n
-		s.roundsOf[b] = 0
-		s.msgsOf[b] = 0
-	}
+	led := &s.led
+	led.begin(k, n, opts)
 	dead := sliceFor(s.deadSh, len(s.shards))
 	clear(dead)
 	s.deadSh = dead
@@ -645,7 +572,7 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 	// in-process batch or worker process — arms identical fault state;
 	// decisions are keyed on global coordinates, making faulty sharded
 	// runs byte-identical to faulty unsharded ones.
-	eff := s.effectiveFault(opts)
+	eff := effectiveFault(opts, s.defFault)
 	if s.remote != nil {
 		if err := s.beginRemoteRun(src, k, chunk, eff); err != nil {
 			return err
@@ -656,13 +583,8 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 		}
 	} else {
 		for _, sh := range s.shards {
-			// Arm the stepping path only now that the common block is
-			// imposed and the pass's lane count known: every shard
-			// steps the same path.
-			sh.bt.armVec(wa, k)
-			sh.bt.installFault(eff, chunk, k)
 			sh.ctrl = make(chan shardCmd, 1)
-			go sh.run(s, src, k, wa, ys)
+			go sh.run(s, src, k, wa, chunk, eff, ys)
 		}
 	}
 	liveShards := len(s.shards)
@@ -670,8 +592,8 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 	// gather collects one report per live shard, in arrival order (a
 	// shard blocked on a dead peer's block reports only after the abort
 	// latch trips, which happens when the failing shard's own report is
-	// read here — so arrival order is the only safe order). Counts are
-	// summed exactly like the unsharded worker-row merge.
+	// read here — so arrival order is the only safe order), adding each
+	// round row to the ledger.
 	gather := func(counts bool) {
 		for got := 0; got < liveShards; got++ {
 			rep := <-s.reports
@@ -688,10 +610,7 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 				}
 				closeAbort()
 			case counts && rep.msgs != nil:
-				for b := 0; b < k; b++ {
-					s.msgsOf[b] += rep.msgs[b]
-					s.notDone[b] -= rep.fins[b]
-				}
+				led.add(rep.msgs, rep.fins)
 			}
 		}
 		liveShards = 0
@@ -716,11 +635,9 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 		}
 	}
 
-	live := k
 	var runErr error
-	for round := 1; opts.StopAfter == 0 || round <= opts.StopAfter; round++ {
-		if round > maxRounds {
-			runErr = fmt.Errorf("%w: %d rounds on %d nodes", ErrNoHalt, maxRounds, n)
+	for round := 1; ; round++ {
+		if runErr = led.admit(round); runErr != nil {
 			break
 		}
 		broadcast(shardCmd{round: round, run: true})
@@ -732,17 +649,7 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 			runErr = fmt.Errorf("local: sharded exchange: %w", linkErr)
 			break
 		}
-		for b := 0; b < k; b++ {
-			if !s.alive[b] {
-				continue
-			}
-			s.roundsOf[b] = round
-			if s.notDone[b] == 0 {
-				s.alive[b] = false
-				live--
-			}
-		}
-		if live == 0 {
+		if led.endRound(round) {
 			break
 		}
 	}
@@ -755,52 +662,34 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 		// collection, above all) must not pass for a clean run.
 		return fmt.Errorf("local: sharded exchange: %w", linkErr)
 	}
-	for b := 0; b < k; b++ {
-		res[b] = Result{
-			Y:     ys[b*n : (b+1)*n : (b+1)*n],
-			Stats: Stats{Rounds: s.roundsOf[b], Messages: s.msgsOf[b]},
-		}
-		out[b] = &res[b]
-	}
 	return nil
 }
 
-// run is one shard's execution loop: init + round-1 staging over its own
-// node range, then one exchange + pass + swap per orchestrator command.
-// The Batch passes are the unsharded ones — worker 0 over [lo, hi) — and
-// the shared alive slice (orchestrator-written between rounds, command
-// channels provide the happens-before) stands in for the batch's own.
-func (sh *shardExec) run(s *Sharded, src laneSrc, k int, wa WireAlgorithm, ys [][]byte) {
+// run is one shard's execution loop: the pass setup and init + round-1
+// staging over its own node range, then one exchange + pass + swap per
+// orchestrator command. The Batch passes are the unsharded ones — worker
+// 0 over [lo, hi) — reading the orchestrator ledger's liveness, which is
+// written between rounds (command channels provide the happens-before).
+func (sh *shardExec) run(s *Sharded, src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, fault *FaultPlan, ys [][]byte) {
+	bt := sh.bt
 	defer func() {
 		if r := recover(); r != nil {
-			sh.cleanup()
+			bt.endRun()
 			s.reports <- shardReport{from: sh.idx, panicked: r}
 		}
 	}()
-	bt := sh.bt
-	n := s.plan.g.N()
-	bt.ensureWireState()
-	bt.ensureWorkerScratch(1)
-	// Zero the counter rows before staging: a previous run's final-round
-	// stage counts (never captured — last-round stages are not delivered)
-	// must not replay into this run's first round.
-	clear(bt.wkStage[0])
-	clear(bt.wkMsgs[0])
-	clear(bt.wkFin[0])
-	bt.alive = s.alive
-	bt.preparePools(wa)
-	bt.rk, bt.rwa, bt.rsrc = k, wa, src
+	bt.beginPass(src, k, wa, draws, fault, s.led.alive, 1)
 	bt.startPass(0, sh.lo, sh.hi)
 	for {
 		cmd := <-sh.ctrl
 		if !cmd.run {
 			if cmd.collect {
-				sh.collectInto(ys, n)
+				bt.collectRange(0, sh.lo, sh.hi, ys, s.plan.g.N(), 0)
 			}
 			// Cleanup strictly before the ack: the ack releases the
 			// orchestrator, which may immediately hand this batch to the
 			// next execution vector's goroutine.
-			sh.cleanup()
+			bt.endRun()
 			s.reports <- shardReport{from: sh.idx}
 			return
 		}
@@ -813,61 +702,20 @@ func (sh *shardExec) run(s *Sharded, src laneSrc, k int, wa WireAlgorithm, ys []
 }
 
 // execRound is one shard's round: the cut exchange, the round pass over
-// the shard's node window, and the slab swap. The shard-worker protocol
-// drives the same method from a control connection instead of the
-// in-process ctrl channel.
-//
-// Message accounting on the fault-free path is sender-side: what this
-// shard's nodes staged last round is delivered (to its own nodes or
-// across a cut to a peer's) this round, so the previous pass's stage
-// counts become this round's report row. Per-shard partials differ from
-// the receiver-side ones — a cut message now counts at its sender's
-// shard — but the orchestrator only ever sums the rows, and the global
-// per-lane sums are identical. The alive gate matches the unsharded
-// merge: the orchestrator updates the shared alive vector before issuing
-// the round, exactly the state the receiver-side count observed. Fault
-// runs keep receiver-side accounting — faultPass overwrites the row.
+// the shard's node window, and the slab swap. The pass leaves the round's
+// delivered and finished counts in worker 0's rows, which the shard
+// reports. The shard-worker protocol drives the same method from a
+// control connection instead of the in-process ctrl channel.
 func (sh *shardExec) execRound(round, k int) error {
 	bt := sh.bt
 	if err := sh.exchange(round, k); err != nil {
 		return err
 	}
-	stRow := bt.wkStage[0][:k]
-	if bt.fault == nil {
-		msgRow := bt.wkMsgs[0][:k]
-		for b := 0; b < k; b++ {
-			msgRow[b] = 0
-			if bt.alive[b] {
-				msgRow[b] = stRow[b]
-			}
-		}
-	}
-	clear(stRow)
-	clear(bt.wkFin[0][:k])
 	bt.rround = round
 	bt.roundPass(0, sh.lo, sh.hi)
 	bt.curLens, bt.nextLens = bt.nextLens, bt.curLens
 	bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
 	return nil
-}
-
-// collectInto gathers the shard's node window outputs: ys[b*n+v] for
-// every lane b and owned node v (n is the global node count).
-func (sh *shardExec) collectInto(ys [][]byte, n int) {
-	sh.bt.collectRange(0, sh.lo, sh.hi, ys, n, 0)
-}
-
-// cleanup is the unsharded runVec's no-retention cleanup, per shard: a
-// pooled shard batch never keeps a previous execution's processes alive
-// (the pooled process table is the deliberate exception, as in
-// Batch.runVec).
-func (sh *shardExec) cleanup() {
-	bt := sh.bt
-	if bt.procAlgo == nil {
-		clear(bt.procs)
-	}
-	bt.rsrc = laneSrc{}
-	bt.rwa = nil
 }
 
 // exchange performs one round's cut handoff: pack and send the cur-slab

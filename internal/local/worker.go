@@ -21,9 +21,9 @@ import (
 // worker rebuilds the job's graph and its compacted slot window from the
 // shipped CSR adjacency, establishes direct TCP data links to its peer
 // workers, and then drives the very same shardExec machinery the
-// in-process orchestrator uses — startPass, execRound, collectInto — one
-// control command at a time. `rlnc shard-worker` is the process entry
-// point.
+// in-process orchestrator uses — beginPass, startPass, execRound,
+// collectRange — one control command at a time. `rlnc shard-worker` is
+// the process entry point.
 
 // dataPreambleLen is the fixed-width connection preamble a dialing
 // worker writes before its first frame: magic "rlSW", the job id, and
@@ -107,6 +107,9 @@ type workerJob struct {
 	timeout time.Duration
 	sh      *shardExec
 	conns   []net.Conn
+	// tapes holds the current run's tape rows over this shard's node
+	// window, reused across the job's runs.
+	tapes []localrand.Tape
 }
 
 // workerRun is one execution vector in flight: lane count, the
@@ -116,7 +119,6 @@ type workerRun struct {
 	k        int
 	insts    []*lang.Instance
 	alive    []bool
-	tapes    []localrand.Tape
 	errText  string
 	panicked string
 }
@@ -481,8 +483,8 @@ func (j *workerJob) connectLinks(ln net.Listener, peers []string) error {
 	return nil
 }
 
-// beginRun stands one execution vector up: instances, draws, tapes, and
-// the startPass staging. Failures (including panics out of the
+// beginRun stands one execution vector up: instances, draws, tapes, the
+// fault plan, then the shared pass setup and the startPass staging. Failures (including panics out of the
 // algorithm's Start) are parked and reported on the next command, which
 // is when the orchestrator listens.
 func (w *shardWorker) beginRun(rs *runSpec) {
@@ -510,7 +512,6 @@ func (w *shardWorker) beginRun(rs *runSpec) {
 		return
 	}
 	bt.block = int(rs.Block)
-	bt.armVec(j.wa, k)
 	run.k = k
 	if len(rs.Lane) != k {
 		run.errText = fmt.Sprintf("local: %d lane indices for %d lanes", len(rs.Lane), k)
@@ -539,12 +540,25 @@ func (w *shardWorker) beginRun(rs *runSpec) {
 	for b := 0; b < k; b++ {
 		laneIns[b] = run.insts[rs.Lane[b]]
 	}
-	// Reconstruct the effective fault plan (or disarm any previous run's).
-	// Lane identities come from the same draw seeds the tapes use, so a
-	// faulty remote shard makes byte-identical fault decisions to its
-	// in-process twin.
+	// Lane identities come from the shipped draw seeds: they seed this
+	// shard's tape window and key the fault plan, so a remote shard makes
+	// byte-identical decisions to its in-process twin.
+	var draws []localrand.Draw
+	if rs.HasDraws {
+		if len(rs.Draws) != k {
+			run.errText = fmt.Sprintf("local: %d draw seeds for %d lanes", len(rs.Draws), k)
+			return
+		}
+		draws = make([]localrand.Draw, k)
+		for b, seed := range rs.Draws {
+			draws[b] = localrand.DrawFromSeed(seed)
+		}
+	}
+	// Reconstruct the effective fault plan; nil disarms any previous
+	// run's.
+	var f *FaultPlan
 	if rs.HasFault {
-		f := &FaultPlan{
+		f = &FaultPlan{
 			Seed:       rs.FaultSeed,
 			Drop:       rs.FaultDrop,
 			Delay:      rs.FaultDelay,
@@ -563,43 +577,14 @@ func (w *shardWorker) beginRun(rs *runSpec) {
 				Z:     int(rs.FaultCuts[i+2]),
 			})
 		}
-		var seeds []uint64
-		if rs.HasDraws {
-			seeds = rs.Draws
-		}
-		bt.installFaultSeeds(f, seeds, k)
-	} else {
-		bt.installFaultSeeds(nil, nil, k)
 	}
 	src := laneSrc{ins: laneIns}
-	if rs.HasDraws {
-		if len(rs.Draws) != k {
-			run.errText = fmt.Sprintf("local: %d draw seeds for %d lanes", len(rs.Draws), k)
-			return
-		}
-		nwin := sh.hi - sh.lo
-		run.tapes = make([]localrand.Tape, k*nwin)
-		for b := 0; b < k; b++ {
-			d := localrand.DrawFromSeed(rs.Draws[b])
-			d.TapeVecInto(run.tapes[b*nwin:(b+1)*nwin], laneIns[b].ID[sh.lo:sh.hi])
-		}
-		src.tapes, src.tlo, src.tn = run.tapes, sh.lo, nwin
-	}
-	run.alive = make([]bool, j.width)
-	for b := 0; b < k; b++ {
+	j.tapes = seedTapes(j.tapes, sh.lo, sh.hi, draws, &src)
+	run.alive = make([]bool, k)
+	for b := range run.alive {
 		run.alive[b] = true
 	}
-	bt.ensureWireState()
-	bt.ensureWorkerScratch(1)
-	// Zero the counter rows before staging, exactly as the in-process
-	// shard loop does: a previous run's uncaptured final-round stage
-	// counts must not replay into this run's first round.
-	clear(bt.wkStage[0])
-	clear(bt.wkMsgs[0])
-	clear(bt.wkFin[0])
-	bt.alive = run.alive
-	bt.preparePools(j.wa)
-	bt.rk, bt.rwa, bt.rsrc = k, j.wa, src
+	bt.beginPass(src, k, j.wa, draws, f, run.alive, 1)
 	bt.startPass(0, sh.lo, sh.hi)
 }
 
@@ -625,7 +610,7 @@ func (w *shardWorker) execCmd(cmd *cmdMsg) (rep *reportMsg) {
 			rep.Out = make([][]byte, run.k*nwin)
 			bt.collectRange(0, sh.lo, sh.hi, rep.Out, nwin, sh.lo)
 		}
-		sh.cleanup()
+		bt.endRun()
 		w.run = nil
 		return rep
 	}

@@ -171,8 +171,8 @@ type Config struct {
 	// values in trial order whatever the pool size (internal/mc/steal.go),
 	// so shard groups shrinking the pool regroup no float accumulation.
 	// cmd/rlnc's TestQuickSuiteDigests checks every quick table at shards
-	// 1 and 2 under GOMAXPROCS 1 and 4. The knob exists to exercise the
-	// multi-machine execution path end to end.
+	// 1, 2 and 4 under GOMAXPROCS 1, 2 and 8. The knob exists to exercise
+	// the multi-machine execution path end to end.
 	Shards int
 	// Fault, when non-nil and enabled, arms the fault plan on every trial
 	// executor the experiment builds — batched and sharded alike — so the
