@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,15 +87,11 @@ func TestRunExperimentGolden(t *testing.T) {
 // TestRunExperimentGoldenSharded is the end-to-end shard-equivalence
 // differential at the CLI: `run E2 -shards 2` (and 4) must reproduce the
 // committed unsharded golden byte for byte — the sharded engine may not
-// change a single digit of a published table. GOMAXPROCS is pinned to 1
-// for the duration so the Monte-Carlo chunk boundaries (and hence the
-// float accumulation order) match the unsharded golden exactly.
+// change a single digit of a published table.
 func TestRunExperimentGoldenSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	for _, shards := range []string{"2", "4"} {
 		out := captureStdout(t, func() error {
 			return cmdRun([]string{"E2", "-quick", "-seed", "7", "-shards", shards})
@@ -109,14 +104,11 @@ func TestRunExperimentGoldenSharded(t *testing.T) {
 // the CLI: `run E2 -shards 2` must reproduce the committed unsharded
 // golden byte for byte over every cut-exchange transport — the
 // in-process loopback-TCP links and the real N-process shard-worker
-// path alike. GOMAXPROCS is pinned for the chunk boundaries, as in
-// TestRunExperimentGoldenSharded.
+// path alike.
 func TestRunExperimentGoldenTransports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	for _, transport := range []string{"tcp-loopback", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
 			out := captureStdout(t, func() error {
@@ -172,8 +164,6 @@ func TestRunMultiHostGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	control := freePort(t)
 	startExternalWorker(t, control)
 	startExternalWorker(t, control)
@@ -192,8 +182,6 @@ func TestRunMultiHostWorkerDeathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	control := freePort(t)
 	startExternalWorker(t, control, "-die-after-rounds", "35")
 	startExternalWorker(t, control)

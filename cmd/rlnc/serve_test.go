@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,16 +16,11 @@ import (
 // TestServeE2Golden is the control plane's acceptance differential: E2
 // submitted over HTTP must produce the committed CLI golden byte for
 // byte, and resubmitting it must be a cache hit that never reaches the
-// execution machinery. GOMAXPROCS is pinned to 1 so the Monte-Carlo
-// chunk boundaries — hence the float accumulation order in the rendered
-// table — match the golden exactly, as in the CLI golden tests.
+// execution machinery.
 func TestServeE2Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-
 	st, err := serve.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -50,11 +49,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 // experiments (E2 and E10, the two message-construction trial loops)
 // with Config.Shards set and requires the rendered tables to match the
 // unsharded run byte for byte: sharding is an execution topology, never
-// a result change. GOMAXPROCS is pinned to 1 so the Monte-Carlo chunk
-// boundaries — and hence the floating-point accumulation order — agree.
+// a result change.
 func TestShardedExperimentsMatchUnsharded(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	for _, id := range []string{"E2", "E10"} {
 		e, ok := report.ByID(id)
 		if !ok {

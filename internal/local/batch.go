@@ -78,8 +78,8 @@ type Batch struct {
 	done     []bool         // [v*block+b]
 	// alive is the per-lane liveness the passes read, updated between
 	// rounds by its owner: led, this batch's lane ledger, in an unsharded
-	// run; the orchestrator's ledger for an in-process shard; the
-	// orchestrator's commands on a shard-worker process.
+	// run; on a shard, the handler's own row, which each round command
+	// copies the orchestrator's ledger into.
 	alive []bool
 	led   laneLedger
 	// Per-worker, per-lane round counters, which the hot loop fills
@@ -122,6 +122,8 @@ type Batch struct {
 	rwa       WireAlgorithm
 	rsrc      laneSrc
 	rys       [][]byte
+	// tapes holds the current block's tape rows, reused across runs.
+	tapes []localrand.Tape
 	// procAlgo is the algorithm whose process table survives in procs
 	// between runs: non-nil only when its processes implement
 	// ResetProcess, in which case startPass resets and reuses them
@@ -318,16 +320,7 @@ func (bt *Batch) checkInstance(in *lang.Instance) error {
 // double-buffered output arena: they stay valid while the next run on
 // this batch executes and are overwritten by the run after that.
 func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	if bt.sh != nil && bt.sh.carries(algo) {
-		return bt.sh.Run(in, algo, draws, opts)
-	}
-	if err := bt.lanes(len(draws)); err != nil {
-		return nil, err
-	}
-	if err := bt.checkInstance(in); err != nil {
-		return nil, err
-	}
-	return bt.runLanes(laneSrc{shared: in}, len(draws), algo, draws, opts)
+	return bt.runVector(in, nil, algo, draws, opts)
 }
 
 // RunInstances is Run with per-lane instances (all over the plan's graph):
@@ -335,21 +328,43 @@ func (bt *Batch) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Dr
 // deterministically; otherwise len(draws) must equal len(ins). Pipelines
 // use this form — after the first stage, each lane carries its own inputs.
 func (bt *Batch) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	return bt.runVector(nil, ins, algo, draws, opts)
+}
+
+// runVector runs a lane vector of Run's (in) or RunInstances' (ins)
+// form: across the sharded executor when it carries algo, on the batch
+// itself otherwise.
+func (bt *Batch) runVector(in *lang.Instance, ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	if bt.sh != nil && bt.sh.carries(algo) {
-		return bt.sh.RunInstances(ins, algo, draws, opts)
+		return bt.sh.runVector(in, ins, algo, draws, opts)
 	}
-	if err := bt.lanes(len(ins)); err != nil {
+	src, k, err := bt.laneVector(in, ins, draws)
+	if err != nil {
 		return nil, err
 	}
-	if draws != nil && len(draws) != len(ins) {
-		return nil, fmt.Errorf("local: %d draws for %d lanes", len(draws), len(ins))
+	return bt.runLanes(src, k, algo, draws, opts)
+}
+
+// laneVector validates a lane vector against the batch — every lane on
+// in, one lane per draw; or lane b on ins[b], with nil draws or one per
+// lane — and returns its lane source and lane count.
+func (bt *Batch) laneVector(in *lang.Instance, ins []*lang.Instance, draws []localrand.Draw) (laneSrc, int, error) {
+	src, k := laneSrc{ins: ins}, len(ins)
+	if in != nil {
+		src, k = laneSrc{shared: in}, len(draws)
 	}
-	for _, in := range ins {
-		if err := bt.checkInstance(in); err != nil {
-			return nil, err
+	if err := bt.lanes(k); err != nil {
+		return src, 0, err
+	}
+	if draws != nil && len(draws) != k {
+		return src, 0, fmt.Errorf("local: %d draws for %d lanes", len(draws), k)
+	}
+	for b := 0; b < k; b++ {
+		if err := bt.checkInstance(src.instance(b)); err != nil {
+			return src, 0, err
 		}
 	}
-	return bt.runLanes(laneSrc{ins: ins}, len(ins), algo, draws, opts)
+	return src, k, nil
 }
 
 // runWithTapes runs one lane with an explicit per-node tape source (nil
@@ -376,8 +391,10 @@ func (bt *Batch) runWithTapes(in *lang.Instance, algo WireAlgorithm, tapeOf func
 // unsharded round loop per block.
 func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	bt.layoutWire(wa)
-	return bt.led.runBlocks(bt.plan.g.N(), bt.block, all, k, draws, true,
+	n := bt.plan.g.N()
+	return bt.led.runBlocks(n, bt.block, all, k, draws,
 		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
+			bt.tapes = seedTapes(bt.tapes, 0, n, draws, &src)
 			return bt.runVec(src, k, wa, draws, opts, ys)
 		})
 }
@@ -1032,37 +1049,28 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 // valid while the next view pass on this batch runs, overwritten by the
 // one after that.
 func (bt *Batch) RunView(in *lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([][][]byte, error) {
-	if err := bt.lanes(len(draws)); err != nil {
+	src, k, err := bt.laneVector(in, nil, draws)
+	if err != nil {
 		return nil, err
 	}
-	if err := bt.checkInstance(in); err != nil {
-		return nil, err
-	}
-	return bt.runViewVec(in, nil, len(draws), algo, draws), nil
+	return bt.runViewVec(&src, k, algo, draws), nil
 }
 
 // RunViewInstances is RunView with per-lane instances (all over the
 // plan's graph); a nil draws runs every lane deterministically.
 func (bt *Batch) RunViewInstances(ins []*lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([][][]byte, error) {
-	if err := bt.lanes(len(ins)); err != nil {
+	src, k, err := bt.laneVector(nil, ins, draws)
+	if err != nil {
 		return nil, err
 	}
-	if draws != nil && len(draws) != len(ins) {
-		return nil, fmt.Errorf("local: %d draws for %d lanes", len(draws), len(ins))
-	}
-	for _, in := range ins {
-		if err := bt.checkInstance(in); err != nil {
-			return nil, err
-		}
-	}
-	return bt.runViewVec(nil, ins, len(ins), algo, draws), nil
+	return bt.runViewVec(&src, k, algo, draws), nil
 }
 
 // runViewVec is the batched ball-view core; the output rows live in the
 // batch's double-buffered view arena (zero steady-state allocations per
 // pass instead of one per trial), alternating per pass so a pipeline
 // can read one pass's outputs while the next runs.
-func (bt *Batch) runViewVec(shared *lang.Instance, ins []*lang.Instance, k int, algo ViewAlgorithm, draws []localrand.Draw) [][][]byte {
+func (bt *Batch) runViewVec(src *laneSrc, k int, algo ViewAlgorithm, draws []localrand.Draw) [][][]byte {
 	vs := bt.viewSetFor(algo.Radius(), false)
 	n := len(vs.views)
 	ar := &bt.viewOuts[bt.viewFlip]
@@ -1071,10 +1079,7 @@ func (bt *Batch) runViewVec(shared *lang.Instance, ins []*lang.Instance, k int, 
 	ar.slab = slab
 	bt.ensureColumns()
 	for b := 0; b < k; b++ {
-		in := shared
-		if in == nil {
-			in = ins[b]
-		}
+		in := src.instance(b)
 		bt.colID[b] = in.ID
 		bt.colX[b] = in.X
 	}

@@ -12,8 +12,7 @@ import (
 // the same way. It holds the round budget, the halting consensus (a lane
 // stops once all of its nodes finished), and the lanes' Stats.Rounds and
 // Stats.Messages, so no two shapes can disagree on a round count. It also
-// keeps what a lane vector reuses across its blocks: the current block's
-// tape rows and the double-buffered output arena.
+// keeps the double-buffered output arena a lane vector's blocks share.
 type laneLedger struct {
 	n         int
 	budget    int // last round a run may execute
@@ -23,7 +22,6 @@ type laneLedger struct {
 	notDone   []int // per-lane count of nodes still running
 	rounds    []int
 	msgs      []int64
-	tapes     []localrand.Tape
 	outs      arenaPair
 }
 
@@ -105,13 +103,12 @@ func (l *laneLedger) results(ys [][]byte, res []Result, out []*Result) {
 
 // runBlocks drives a lane vector through run in blocks of at most block
 // lanes, one round loop per block (lanes are independent, so any split
-// is byte-identical). all carries the vector's lane instances; when seed
-// is set each block's tapes are seeded into the ledger's rows first
-// (shard-worker processes seed their own node windows instead). The whole
-// vector's outputs land in one arena buffer, so the arena alternates per
-// top-level run, not per block — a multi-block run never clobbers its
-// own earlier blocks.
-func (l *laneLedger) runBlocks(n, block int, all laneSrc, k int, draws []localrand.Draw, seed bool,
+// is byte-identical). all carries the vector's lane instances; run seeds
+// each block's tapes for the nodes it steps. The whole vector's outputs
+// land in one arena buffer, so the arena alternates per top-level run,
+// not per block — a multi-block run never clobbers its own earlier
+// blocks.
+func (l *laneLedger) runBlocks(n, block int, all laneSrc, k int, draws []localrand.Draw,
 	run func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error) ([]*Result, error) {
 	ar := l.outs.next(k, n)
 	for lo := 0; lo < k; lo += block {
@@ -123,9 +120,6 @@ func (l *laneLedger) runBlocks(n, block int, all laneSrc, k int, draws []localra
 		src := all
 		if all.ins != nil {
 			src.ins = all.ins[lo:hi]
-		}
-		if seed {
-			l.tapes = seedTapes(l.tapes, 0, n, chunk, &src)
 		}
 		ys := ar.ys[lo*n : hi*n]
 		if err := run(src, hi-lo, chunk, ys); err != nil {

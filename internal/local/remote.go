@@ -5,23 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rlnc/internal/lang"
-	"rlnc/internal/localrand"
 )
 
 // This file is the orchestrator half of the shard-worker protocol: a
 // Sharded whose shards are real OS processes. The orchestrator keeps the
-// whole consensus loop of sharded.go — runVec, gather, the abort
-// bookkeeping — and swaps the in-process shardExec goroutines for
-// per-worker drivers that relay round commands and reports over a gob
-// control stream, while the cut blocks themselves travel worker-to-worker
-// over direct TCP connections carrying the codec.go frames. Worker side:
-// worker.go (ServeShard); process entry point: `rlnc shard-worker`.
+// whole round loop of sharded.go and swaps only the carrier behind each
+// shard driver: remoteConn relays the block and round commands over a
+// gob control stream to the shardExec handler in the worker, while the
+// cut blocks travel worker-to-worker over direct TCP connections
+// carrying the codec.go frames. Worker side: worker.go (ServeShard);
+// process entry point: `rlnc shard-worker`.
 //
 // Protocol (one gob stream per direction per worker):
 //
@@ -32,7 +32,7 @@ import (
 //	                                        with any reply below
 //	orchestrator → worker   ctrlMsg{Job}    per (graph, algorithm) job
 //	worker → orchestrator   workerMsg{Ready}  job built (or its error)
-//	orchestrator → worker   ctrlMsg{Run}    per execution vector
+//	orchestrator → worker   ctrlMsg{Run}    per lane block
 //	orchestrator → worker   ctrlMsg{Cmd}    per round: run/finish+collect,
 //	                                        with the lane-liveness vector
 //	worker → orchestrator   workerMsg{Report} per Cmd: per-lane delivered
@@ -116,10 +116,11 @@ func RegisteredRemoteAlgorithms() []string {
 
 // ctrlProtoVersion is the control-stream protocol version. Version 2
 // added the versioned hello (capabilities + heartbeat period) and the
-// heartbeat message; the orchestrator refuses workers speaking any other
-// version — a silent field mismatch between fleet binaries must fail the
-// handshake, not corrupt a run.
-const ctrlProtoVersion = 2
+// heartbeat message; version 3 ships a report's finished counts as the
+// engine's own []int row. The orchestrator refuses workers speaking any
+// other version — a silent field mismatch between fleet binaries must
+// fail the handshake, not corrupt a run.
+const ctrlProtoVersion = 3
 
 // helloMsg is the worker's first message: the protocol version it
 // speaks, where peers dial its data listener, which remote-algorithm
@@ -155,7 +156,7 @@ type instPayload struct {
 	X  [][]byte
 }
 
-// runSpec begins one execution vector: per-lane instances (deduplicated:
+// runSpec begins one lane block: per-lane instances (deduplicated:
 // Lane[b] indexes Insts) and draw seeds. Round budgets stay with the
 // orchestrator — workers execute exactly the rounds they are told to.
 type runSpec struct {
@@ -180,10 +181,10 @@ type runSpec struct {
 	FaultCuts       []int64
 }
 
-// cmdMsg is one orchestrator command: execute round Round (Run), or
-// finish — collecting outputs when Collect. Alive is the lane-liveness
-// vector the round pass reads, maintained by the orchestrator's halting
-// consensus.
+// cmdMsg is one orchestrator command, on either carrier: execute round
+// Round (Run), or finish — collecting outputs when Collect. Alive is the
+// lane-liveness vector the round pass reads, maintained by the
+// orchestrator's halting consensus.
 type cmdMsg struct {
 	Round   int32
 	Run     bool
@@ -205,7 +206,7 @@ type ctrlMsg struct {
 // foreign process's panic value cannot be re-raised faithfully.
 type reportMsg struct {
 	Msgs     []int64
-	Fins     []int32
+	Fins     []int
 	Out      [][]byte
 	Err      string
 	Panicked string
@@ -252,19 +253,9 @@ func NewWorkerConn(ctrl net.Conn, timeout time.Duration) (*WorkerConn, error) {
 		ctrl.Close()
 		return nil, err
 	}
-	if timeout > 0 {
-		if err := ctrl.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return fail(fmt.Errorf("local: worker hello read deadline: %w", err))
-		}
-	}
 	var hello helloMsg
-	if err := w.dec.Decode(&hello); err != nil {
+	if err := decodeWithin(ctrl, w.dec, &hello, timeout); err != nil {
 		return fail(fmt.Errorf("local: worker hello: %w", err))
-	}
-	if timeout > 0 {
-		if err := ctrl.SetReadDeadline(time.Time{}); err != nil {
-			return fail(fmt.Errorf("local: worker hello clear deadline: %w", err))
-		}
 	}
 	if hello.Version != ctrlProtoVersion {
 		return fail(fmt.Errorf("local: worker speaks control protocol v%d, orchestrator wants v%d (mismatched binaries?)", hello.Version, ctrlProtoVersion))
@@ -306,19 +297,11 @@ func (w *WorkerConn) readTimeout() time.Duration {
 // send encodes one control message under the write deadline, marking the
 // worker dead on any failure.
 func (w *WorkerConn) send(m *ctrlMsg) error {
-	if err := w.ctrl.SetWriteDeadline(time.Now().Add(ctrlWriteTimeout)); err != nil {
+	err := encodeWithin(w.ctrl, w.enc, m)
+	if err != nil {
 		w.markDead()
-		return fmt.Errorf("local: worker control write deadline: %w", err)
 	}
-	if err := w.enc.Encode(m); err != nil {
-		w.markDead()
-		return err
-	}
-	if err := w.ctrl.SetWriteDeadline(time.Time{}); err != nil {
-		w.markDead()
-		return fmt.Errorf("local: worker control clear write deadline: %w", err)
-	}
-	return nil
+	return err
 }
 
 // recv decodes the next non-heartbeat worker message. timeout bounds the
@@ -330,28 +313,50 @@ func (w *WorkerConn) send(m *ctrlMsg) error {
 // worker dead.
 func (w *WorkerConn) recv(timeout time.Duration) (*workerMsg, error) {
 	for {
-		if timeout > 0 {
-			if err := w.ctrl.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-				w.markDead()
-				return nil, fmt.Errorf("local: worker control read deadline: %w", err)
-			}
-		}
 		var msg workerMsg
-		if err := w.dec.Decode(&msg); err != nil {
+		if err := decodeWithin(w.ctrl, w.dec, &msg, timeout); err != nil {
 			w.markDead()
 			return nil, err
 		}
-		if msg.Beat {
-			continue
+		if !msg.Beat {
+			return &msg, nil
 		}
-		if timeout > 0 {
-			if err := w.ctrl.SetReadDeadline(time.Time{}); err != nil {
-				w.markDead()
-				return nil, fmt.Errorf("local: worker control clear read deadline: %w", err)
-			}
-		}
-		return &msg, nil
 	}
+}
+
+// encodeWithin encodes m on a control stream under ctrlWriteTimeout.
+// Deadline errors are real failures (a closed or deadline-refusing
+// conn), not noise to discard.
+func encodeWithin(conn net.Conn, enc *gob.Encoder, m any) error {
+	if err := conn.SetWriteDeadline(time.Now().Add(ctrlWriteTimeout)); err != nil {
+		return fmt.Errorf("local: control write deadline: %w", err)
+	}
+	if err := enc.Encode(m); err != nil {
+		return err
+	}
+	if err := conn.SetWriteDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("local: control clear write deadline: %w", err)
+	}
+	return nil
+}
+
+// decodeWithin decodes the next control-stream message into m, waiting
+// at most timeout (0: no deadline).
+func decodeWithin(conn net.Conn, dec *gob.Decoder, m any, timeout time.Duration) error {
+	if timeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+			return fmt.Errorf("local: control read deadline: %w", err)
+		}
+	}
+	if err := dec.Decode(m); err != nil {
+		return err
+	}
+	if timeout > 0 {
+		if err := conn.SetReadDeadline(time.Time{}); err != nil {
+			return fmt.Errorf("local: control clear read deadline: %w", err)
+		}
+	}
+	return nil
 }
 
 // Close closes the control connection, which a serving worker treats as
@@ -454,16 +459,19 @@ func (p *Plan) NewShardedRemote(width int, pool *WorkerPool) (*Sharded, error) {
 	}
 	s.remote = pool
 	s.remoteWorkers = live
+	local := s.conns
+	s.conns = make([]shardConn, len(live))
+	for i, w := range live {
+		s.conns[i] = &remoteConn{s: s, idx: i, w: w}
+	}
 	s.closeLinks = func() {
 		s.remote = nil
 		s.remoteWorkers = nil
+		s.conns = local
 		pool.release()
 	}
 	return s, nil
 }
-
-// Remote reports whether the shards run as worker processes.
-func (s *Sharded) Remote() bool { return s.remote != nil }
 
 // ensureRemoteJob makes the workers hold this Sharded's (graph,
 // partition, algorithm) job, shipping a fresh jobSpec when the pool
@@ -472,7 +480,7 @@ func (s *Sharded) ensureRemoteJob(algo RemoteAlgorithm) error {
 	key, params := algo.RemoteSpec()
 	pool := s.remote
 	pool.mu.Lock()
-	same := pool.current == s && s.remoteKey == key && int64SliceEq(s.remoteParams, params)
+	same := pool.current == s && s.remoteKey == key && slices.Equal(s.remoteParams, params)
 	if !same {
 		pool.jobSeq++
 		s.remoteJob = pool.jobSeq
@@ -524,28 +532,16 @@ func (s *Sharded) ensureRemoteJob(algo RemoteAlgorithm) error {
 	return nil
 }
 
-// int64SliceEq reports element equality.
-func int64SliceEq(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// beginRemoteRun ships one execution vector's inputs: deduplicated
-// instances, per-lane indices, draw seeds, and the effective fault plan
-// (flattened; workers rebuild it so faulty sharded-remote runs stay
-// byte-identical to local ones).
-func (s *Sharded) beginRemoteRun(src laneSrc, k int, draws []localrand.Draw, fault *FaultPlan) error {
-	rs := &runSpec{K: int32(k), Block: int32(s.block), Lane: make([]int32, k)}
+// flattenRun builds a lane block's control-stream form, once per block
+// for every worker: deduplicated instances with per-lane indices, draw
+// seeds, and the effective fault plan as flat fields (decodeRun rebuilds
+// them).
+func flattenRun(run *shardRun) *runSpec {
+	k := run.k
+	rs := &runSpec{K: int32(k), Block: int32(run.block), Lane: make([]int32, k)}
 	idxOf := make(map[*lang.Instance]int32, 1)
 	for b := 0; b < k; b++ {
-		in := src.instance(b)
+		in := run.src.instance(b)
 		idx, ok := idxOf[in]
 		if !ok {
 			idx = int32(len(rs.Insts))
@@ -554,128 +550,69 @@ func (s *Sharded) beginRemoteRun(src laneSrc, k int, draws []localrand.Draw, fau
 		}
 		rs.Lane[b] = idx
 	}
-	if draws != nil {
+	if run.draws != nil {
 		rs.HasDraws = true
 		rs.Draws = make([]uint64, k)
 		for b := 0; b < k; b++ {
-			rs.Draws[b] = draws[b].Seed()
+			rs.Draws[b] = run.draws[b].Seed()
 		}
 	}
-	if fault.Enabled() {
+	if f := run.fault; f.Enabled() {
 		rs.HasFault = true
-		rs.FaultSeed = fault.Seed
-		rs.FaultDrop = fault.Drop
-		rs.FaultDelay = fault.Delay
-		rs.FaultCrashP = fault.CrashP
-		rs.FaultCrashFrom = int32(fault.CrashFrom)
-		rs.FaultCrashUntil = int32(fault.CrashUntil)
-		for _, c := range fault.Surgery {
+		rs.FaultSeed = f.Seed
+		rs.FaultDrop = f.Drop
+		rs.FaultDelay = f.Delay
+		rs.FaultCrashP = f.CrashP
+		rs.FaultCrashFrom = int32(f.CrashFrom)
+		rs.FaultCrashUntil = int32(f.CrashUntil)
+		for _, c := range f.Surgery {
 			rs.FaultCuts = append(rs.FaultCuts, int64(c.Round), int64(c.U), int64(c.Z))
 		}
 	}
-	for i, w := range s.remoteWorkers {
-		if err := w.send(&ctrlMsg{Run: rs}); err != nil {
-			return fmt.Errorf("local: send run to worker %d: %w", i, err)
-		}
+	return rs
+}
+
+// remoteConn is the control-stream carrier of shard idx: its handler
+// runs in the worker process behind w, the block crosses as its runSpec,
+// and each command and report as one gob message.
+type remoteConn struct {
+	s   *Sharded
+	idx int
+	w   *WorkerConn
+}
+
+func (c *remoteConn) begin(run *shardRun) error {
+	if err := c.w.send(&ctrlMsg{Run: run.spec}); err != nil {
+		return fmt.Errorf("local: send run to worker %d: %w", c.idx, err)
 	}
 	return nil
 }
 
-// remoteDrive is the orchestrator-side stand-in for one shardExec
-// goroutine: it relays ctrl commands to the worker and its reports back,
-// collecting outputs on finish. A broken control stream degrades to
-// error reports so the consensus loop unwinds exactly like an exchange
-// failure.
-func (s *Sharded) remoteDrive(idx, k, n int, ys [][]byte) {
-	w := s.remoteWorkers[idx]
-	sh := s.shards[idx]
-	lo, hi := sh.lo, sh.hi
+func (c *remoteConn) exec(cmd cmdMsg) (shardReport, error) {
+	w := c.w
 	// Round replies are small and heartbeat-covered; a collect reply can
 	// be a large gob message whose decode outlasts the heartbeat window
 	// on a slow link, so it gets the more generous of the two bounds.
-	collectTimeout := w.readTimeout()
-	if lt := 2 * s.linkTimeout; lt > collectTimeout {
-		collectTimeout = lt
+	timeout := w.readTimeout()
+	if cmd.Collect {
+		timeout = max(timeout, 2*c.s.linkTimeout)
 	}
-	var broken error
-	for {
-		cmd := <-sh.ctrl
-		var rep *reportMsg
-		if broken == nil {
-			msg := ctrlMsg{Cmd: &cmdMsg{
-				Round:   int32(cmd.round),
-				Run:     cmd.run,
-				Collect: cmd.collect,
-				Alive:   s.led.alive[:k],
-			}}
-			timeout := w.readTimeout()
-			if cmd.collect {
-				timeout = collectTimeout
-			}
-			if err := w.send(&msg); err != nil {
-				broken = fmt.Errorf("local: worker %d command: %w", idx, err)
-			} else {
-				wm, err := w.recv(timeout)
-				if err != nil {
-					broken = fmt.Errorf("local: worker %d report: %w", idx, err)
-				} else if wm.Report == nil {
-					w.markDead() // protocol violation: the stream is desynced
-					broken = fmt.Errorf("local: worker %d answered a command with no report", idx)
-				} else {
-					rep = wm.Report
-				}
-			}
-		}
-		// Classify the answer once. A failed answer to a round command is
-		// an error report; a finish command is always this goroutine's
-		// last, so whatever the answer, it must report exactly once and
-		// terminate — looping back on a failed finish would leak the
-		// driver (and everything it pins) forever.
-		var repErr error
-		switch {
-		case broken != nil:
-			// A broken control stream is an error whenever the command
-			// needed an answer: every round command, and a collecting
-			// finish (silent nil outputs must not pass for a clean run). A
-			// plain finish after an already-reported failure just acks.
-			if cmd.run || cmd.collect {
-				repErr = broken
-			}
-		case rep.Panicked != "":
-			repErr = fmt.Errorf("local: worker %d shard panic: %s", idx, rep.Panicked)
-		case rep.Err != "":
-			repErr = errors.New(rep.Err)
-		}
-		if !cmd.run {
-			nwin := hi - lo
-			switch {
-			case repErr != nil:
-				s.reports <- shardReport{from: idx, err: repErr}
-			case broken == nil && cmd.collect && len(rep.Out) != k*nwin:
-				s.reports <- shardReport{from: idx, err: fmt.Errorf("local: worker %d collected %d outputs, want %d", idx, len(rep.Out), k*nwin)}
-			default:
-				if broken == nil && cmd.collect {
-					for b := 0; b < k; b++ {
-						for v := lo; v < hi; v++ {
-							ys[b*n+v] = rep.Out[b*nwin+(v-lo)]
-						}
-					}
-				}
-				s.reports <- shardReport{from: idx}
-			}
-			return
-		}
-		switch {
-		case repErr != nil:
-			s.reports <- shardReport{from: idx, err: repErr}
-		case len(rep.Msgs) != k || len(rep.Fins) != k:
-			s.reports <- shardReport{from: idx, err: fmt.Errorf("local: worker %d round report carries %d/%d lanes, want %d", idx, len(rep.Msgs), len(rep.Fins), k)}
-		default:
-			fins := make([]int, k)
-			for b, f := range rep.Fins {
-				fins[b] = int(f)
-			}
-			s.reports <- shardReport{from: idx, msgs: rep.Msgs, fins: fins}
-		}
+	if err := w.send(&ctrlMsg{Cmd: &cmd}); err != nil {
+		return shardReport{}, fmt.Errorf("local: worker %d command: %w", c.idx, err)
 	}
+	wm, err := w.recv(timeout)
+	if err != nil {
+		return shardReport{}, fmt.Errorf("local: worker %d report: %w", c.idx, err)
+	}
+	rep := wm.Report
+	switch {
+	case rep == nil:
+		w.markDead() // protocol violation: the stream is desynced
+		return shardReport{}, fmt.Errorf("local: worker %d answered a command with no report", c.idx)
+	case rep.Panicked != "":
+		return shardReport{panicked: workerPanic(rep.Panicked)}, nil
+	case rep.Err != "":
+		return shardReport{err: errors.New(rep.Err)}, nil
+	}
+	return shardReport{msgs: rep.Msgs, fins: rep.Fins, out: rep.Out}, nil
 }

@@ -156,15 +156,9 @@ type Sharded struct {
 	links  LinkFactory // nil: in-process channel links
 	shards []*shardExec
 
-	// block is the common lane count of one sharded pass: the minimum of
-	// the shards' compacted slab blocks, so every shard agrees on the
-	// lane split of an execution vector (lanes are independent, so any
-	// agreed split is byte-identical to the unsharded batch lane for
-	// lane). Recomputed per run from the algorithm's layout.
-	block int
-	// linkTimeout is the deadline handed to built-in links (and exported
-	// to transports through LinkTimeout); closeLinks tears down an
-	// installed transport's resources on Close.
+	// linkTimeout is the deadline handed to built-in links and
+	// transports; closeLinks tears down an installed transport's
+	// resources on Close.
 	linkTimeout time.Duration
 	closeLinks  func()
 
@@ -188,29 +182,42 @@ type Sharded struct {
 	remoteKey     string
 	remoteParams  []int64
 
+	// conns carries each shard's handler calls (in process, or over the
+	// control stream in remote mode); ctrl feeds each shard's driver,
+	// which consumes every command it is sent, so runs reuse them.
+	conns []shardConn
+	ctrl  []chan cmdMsg
+
 	// Orchestrator-owned per-run state: the lane ledger (the same one
-	// the unsharded round loop keeps; its tape rows are read by each
-	// node's owning shard, its liveness by every shard's passes), the
-	// shared report channel, the abort latch that unblocks links when a
-	// shard dies, and the reusable per-shard death flags.
+	// the unsharded round loop keeps), the block every driver begins,
+	// the shared report channel, the abort latch that unblocks links
+	// when a shard dies, and the reusable per-shard death flags.
 	led     laneLedger
+	run     shardRun
 	reports chan shardReport
 	abort   chan struct{}
 	deadSh  []bool
 }
 
-// shardExec is one shard of a Sharded: its node range, its private
-// windowed Batch (slabs compacted to the shard's own slot range plus the
-// remote halo it reads, indexed by window-local slot), and its link
-// ports. ctrl carries the orchestrator's per-round commands.
+// shardExec is one shard's command handler, in process and in a
+// shard-worker process alike: its node range, its private windowed Batch
+// (slabs compacted to the shard's own slot range plus the remote halo it
+// reads, indexed by window-local slot), its link ports, and the run in
+// flight — lane count, its own liveness row, tape and collect windows,
+// and the error or recovered panic it parks until the next command.
 type shardExec struct {
 	idx    int
 	lo, hi int
-	win    *graph.ShardSlots
 	bt     *Batch
 	out    []shardPort
 	in     []shardPort
-	ctrl   chan shardCmd
+
+	k        int
+	alive    []bool
+	tapes    []localrand.Tape
+	outs     [][]byte
+	err      error
+	panicked any
 }
 
 // shardPort is one direction of one cut: the slots it carries and the
@@ -228,24 +235,50 @@ type shardPort struct {
 	buf    CutBlock
 }
 
-// shardCmd is one orchestrator command: execute round `round` (run =
-// true), or finish — collecting outputs first when collect is set.
-type shardCmd struct {
-	round   int
-	run     bool
-	collect bool
+// shardRun is one lane block in the handler's form; spec is its
+// flattened control-stream form, set only for worker processes.
+type shardRun struct {
+	k, block int
+	wa       WireAlgorithm
+	src      laneSrc
+	draws    []localrand.Draw
+	fault    *FaultPlan
+	spec     *runSpec
 }
 
-// shardReport is one shard's answer to a command: the per-lane delivered
-// and newly-finished counts of the round it just ran (nil on the finish
-// ack), an exchange error, or a recovered panic to re-raise.
+// shardReport is one shard's answer to a command: the round's per-lane
+// delivered and newly-finished counts, the node window's outputs on a
+// collecting finish ([lane][own node]), an error, or a recovered panic
+// (the raw value in process, a workerPanic from a worker process).
 type shardReport struct {
 	from     int
 	msgs     []int64
 	fins     []int
+	out      [][]byte
 	err      error
 	panicked any
 }
+
+// workerPanic is a panic recovered in a shard-worker process, as text: a
+// foreign panic value cannot be re-raised faithfully, so it fails the
+// run as an error.
+type workerPanic string
+
+// shardConn carries one shard's begin and exec between the orchestrator
+// and the handler; an error means the carrier itself broke (a dead
+// control stream), not that the handler reported a failure.
+type shardConn interface {
+	begin(run *shardRun) error
+	exec(cmd cmdMsg) (shardReport, error)
+}
+
+// localConn is the in-process carrier: direct calls, the block's lane
+// source, draws and fault plan passed through unchanged.
+type localConn struct{ sh *shardExec }
+
+func (c localConn) begin(run *shardRun) error { c.sh.begin(run); return nil }
+
+func (c localConn) exec(cmd cmdMsg) (shardReport, error) { return c.sh.exec(cmd), nil }
 
 // NewSharded partitions the plan into `shards` contiguous slot-balanced
 // node ranges (Topology.PartitionBySlots) and returns the sharded
@@ -277,27 +310,30 @@ func (p *Plan) NewShardedPartition(width int, part graph.Partition) (*Sharded, e
 		linkTimeout: DefaultLinkTimeout,
 	}
 	for i := 0; i < part.NumShards(); i++ {
-		lo, hi := part.Shard(i)
-		win := p.topo.ShardSlots(part, s.cuts, i)
-		sh := &shardExec{idx: i, lo: lo, hi: hi, win: &win, bt: p.newWindowBatch(width, &win)}
+		sh := p.newShardExec(width, part, s.cuts, i)
 		s.shards = append(s.shards, sh)
-	}
-	// Ports are persistent (their staging buffers amortize across runs);
-	// links are installed per run by buildLinks. An in-port's halo base
-	// comes from the receiver's window: peer i's cut slots occupy one
-	// contiguous local segment there.
-	for i := range s.shards {
-		for j := range s.shards {
-			if len(s.cuts[i][j]) == 0 {
-				continue
-			}
-			s.shards[i].out = append(s.shards[i].out, shardPort{peer: j, cut: s.cuts[i][j]})
-			s.shards[j].in = append(s.shards[j].in, shardPort{
-				peer: i, cut: s.cuts[i][j], haloLo: s.shards[j].win.HaloLocal(i),
-			})
-		}
+		s.conns = append(s.conns, localConn{sh})
+		s.ctrl = append(s.ctrl, make(chan cmdMsg, 1))
 	}
 	return s, nil
+}
+
+// newShardExec builds shard i's handler with its ports in peer order.
+// Ports are persistent (their staging buffers amortize across runs);
+// links are installed per run or per job.
+func (p *Plan) newShardExec(width int, part graph.Partition, cuts [][][]int32, i int) *shardExec {
+	lo, hi := part.Shard(i)
+	win := p.topo.ShardSlots(part, cuts, i)
+	sh := &shardExec{idx: i, lo: lo, hi: hi, bt: p.newWindowBatch(width, &win)}
+	for j := range cuts {
+		if len(cuts[i][j]) > 0 {
+			sh.out = append(sh.out, shardPort{peer: j, cut: cuts[i][j]})
+		}
+		if len(cuts[j][i]) > 0 {
+			sh.in = append(sh.in, shardPort{peer: j, cut: cuts[j][i], haloLo: win.HaloLocal(j)})
+		}
+	}
+	return sh
 }
 
 // ShardProvider builds the sharded executor of one worker: shards
@@ -369,12 +405,9 @@ func (s *Sharded) SetTransport(f LinkFactory, close func()) {
 }
 
 // SetLinkTimeout sets the deadline built-in links apply to each Send and
-// Recv (DefaultLinkTimeout initially; 0 disables). Transports installed
-// through a factory read it via LinkTimeout.
+// Recv (DefaultLinkTimeout initially; 0 disables). The loopback-TCP and
+// shard-worker transports take it too.
 func (s *Sharded) SetLinkTimeout(d time.Duration) { s.linkTimeout = d }
-
-// LinkTimeout returns the configured per-operation link deadline.
-func (s *Sharded) LinkTimeout() time.Duration { return s.linkTimeout }
 
 // Close tears down an installed transport's resources (a no-op for the
 // in-process channel links). The Sharded itself remains usable with the
@@ -388,17 +421,8 @@ func (s *Sharded) Close() error {
 	return nil
 }
 
-// Plan returns the plan the sharded executor runs on.
-func (s *Sharded) Plan() *Plan { return s.plan }
-
-// Width returns the lane capacity.
-func (s *Sharded) Width() int { return s.width }
-
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return s.part.NumShards() }
-
-// Partition returns the node partition.
-func (s *Sharded) Partition() graph.Partition { return s.part }
 
 // ShardSlabBytes reports, per shard, the wire-slab byte footprint one
 // pass of algo would stream on that shard's compacted window — the
@@ -418,14 +442,7 @@ func (s *Sharded) ShardSlabBytes(algo WireAlgorithm) []int {
 // errors — to Batch.Run at equal seeds. len(draws) may be any
 // 1..Width().
 func (s *Sharded) Run(in *lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	bt0 := s.shards[0].bt
-	if err := bt0.lanes(len(draws)); err != nil {
-		return nil, err
-	}
-	if err := bt0.checkInstance(in); err != nil {
-		return nil, err
-	}
-	return s.runLanes(laneSrc{shared: in}, len(draws), algo, draws, opts)
+	return s.runVector(in, nil, algo, draws, opts)
 }
 
 // carries reports whether the executor can run algo: always in
@@ -458,19 +475,17 @@ func (s *Sharded) carries(algo WireAlgorithm) bool {
 // RunInstances is Run with per-lane instances (all over the plan's
 // graph); a nil draws runs every lane deterministically.
 func (s *Sharded) RunInstances(ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	bt0 := s.shards[0].bt
-	if err := bt0.lanes(len(ins)); err != nil {
+	return s.runVector(nil, ins, algo, draws, opts)
+}
+
+// runVector validates a lane vector on shard 0's batch (every shard
+// batch has the executor's width and plan) and runs it.
+func (s *Sharded) runVector(in *lang.Instance, ins []*lang.Instance, algo WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	src, k, err := s.shards[0].bt.laneVector(in, ins, draws)
+	if err != nil {
 		return nil, err
 	}
-	if draws != nil && len(draws) != len(ins) {
-		return nil, fmt.Errorf("local: %d draws for %d lanes", len(draws), len(ins))
-	}
-	for _, in := range ins {
-		if err := bt0.checkInstance(in); err != nil {
-			return nil, err
-		}
-	}
-	return s.runLanes(laneSrc{ins: ins}, len(ins), algo, draws, opts)
+	return s.runLanes(src, k, algo, draws, opts)
 }
 
 // buildLinks installs fresh links for a run: in-process channels wired
@@ -506,14 +521,14 @@ func (s *Sharded) buildLinks() {
 // processes or this run's links — and drives it through the shared block
 // loop (laneLedger.runBlocks), one orchestrated round loop per block.
 // Compacted windows give every shard its own slab budget block, so the
-// orchestrator imposes the minimum on all shards. Remote workers seed
-// their own node windows from the shipped draw seeds; the orchestrator
-// then never materializes tapes.
+// orchestrator imposes the minimum on all shards. Every shard seeds the
+// tapes of its own node window, so the orchestrator never materializes
+// tapes.
 func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
 	if !s.carries(wa) {
 		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", wa.Name())
 	}
-	block := s.layoutShards(wa)
+	s.run = shardRun{block: s.layoutShards(wa), wa: wa}
 	s.abort = make(chan struct{})
 	s.reports = make(chan shardReport, len(s.shards))
 	if s.remote != nil {
@@ -523,14 +538,15 @@ func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localra
 	} else {
 		s.buildLinks()
 	}
-	return s.led.runBlocks(s.plan.g.N(), block, all, k, draws, s.remote == nil,
+	return s.led.runBlocks(s.plan.g.N(), s.run.block, all, k, draws,
 		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
-			return s.runVec(src, k, wa, draws, opts, ys)
+			return s.runVec(src, k, draws, opts, ys)
 		})
 }
 
-// layoutShards computes every shard's wire layout for wa and imposes
-// the common (minimum) lane block on all of them, returning it.
+// layoutShards computes every shard's wire layout for wa and returns the
+// minimum of their lane blocks, which every shard's begin imposes: lanes
+// are independent, so any agreed split is byte-identical.
 func (s *Sharded) layoutShards(wa WireAlgorithm) int {
 	block := 0
 	for _, sh := range s.shards {
@@ -539,99 +555,67 @@ func (s *Sharded) layoutShards(wa WireAlgorithm) int {
 			block = sh.bt.block
 		}
 	}
-	for _, sh := range s.shards {
-		sh.bt.block = block
-	}
-	s.block = block
 	return block
 }
 
-// runVec runs one lane block of k lanes across the shards: shards
-// execute startPass/roundPass over their node ranges on their own
-// goroutines, and each round's shard reports are summed into the lane
-// ledger — the same ledger, round budget and halting consensus the
-// unsharded round loop keeps — whose liveness every shard's next pass
-// reads.
-func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand.Draw, opts RunOptions, ys [][]byte) error {
-	n := s.plan.g.N()
+// runVec runs one lane block of k lanes across the shards, one driver
+// goroutine per shard whatever the carrier. Each round's shard reports
+// are validated and summed into the lane ledger — the same ledger, round
+// budget and halting consensus the unsharded round loop keeps — whose
+// liveness rides the next round command.
+func (s *Sharded) runVec(src laneSrc, k int, chunk []localrand.Draw, opts RunOptions, ys [][]byte) error {
 	led := &s.led
-	led.begin(k, n, opts)
+	led.begin(k, s.plan.g.N(), opts)
 	dead := sliceFor(s.deadSh, len(s.shards))
 	clear(dead)
 	s.deadSh = dead
-	var panicked any
-	var linkErr error
-	aborted := false
-	closeAbort := func() {
-		if !aborted {
-			aborted = true
-			close(s.abort)
-		}
-	}
 	// The effective fault plan is resolved once here, so every shard —
 	// in-process batch or worker process — arms identical fault state;
 	// decisions are keyed on global coordinates, making faulty sharded
 	// runs byte-identical to faulty unsharded ones.
-	eff := effectiveFault(opts, s.defFault)
+	run := &s.run
+	run.k, run.src, run.draws = k, src, chunk
+	run.fault = effectiveFault(opts, s.defFault)
+	run.spec = nil
 	if s.remote != nil {
-		if err := s.beginRemoteRun(src, k, chunk, eff); err != nil {
-			return err
-		}
-		for i, sh := range s.shards {
-			sh.ctrl = make(chan shardCmd, 1)
-			go s.remoteDrive(i, k, n, ys)
-		}
-	} else {
-		for _, sh := range s.shards {
-			sh.ctrl = make(chan shardCmd, 1)
-			go sh.run(s, src, k, wa, chunk, eff, ys)
-		}
+		run.spec = flattenRun(run)
 	}
-	liveShards := len(s.shards)
+	for i := range s.shards {
+		go s.drive(i)
+	}
+	live := len(s.shards)
+	var panicked any
+	var linkErr error
+	aborted := false
 
-	// gather collects one report per live shard, in arrival order (a
-	// shard blocked on a dead peer's block reports only after the abort
-	// latch trips, which happens when the failing shard's own report is
-	// read here — so arrival order is the only safe order), adding each
-	// round row to the ledger.
-	gather := func(counts bool) {
-		for got := 0; got < liveShards; got++ {
+	// exec broadcasts cmd to every live shard and gathers one report per
+	// live shard, in arrival order (a shard blocked on a dead peer's block
+	// reports only after the abort latch trips, which happens when the
+	// failing shard's own report is read here — so arrival order is the
+	// only safe order). A panicked shard gets no further command.
+	exec := func(cmd cmdMsg) {
+		for i, d := range dead {
+			if !d {
+				s.ctrl[i] <- cmd
+			}
+		}
+		for got := live; got > 0; got-- {
 			rep := <-s.reports
-			switch {
-			case rep.panicked != nil:
+			err := s.accept(&rep, cmd, k, ys)
+			if rep.panicked != nil {
 				dead[rep.from] = true
-				if panicked == nil {
+				live--
+				if _, text := rep.panicked.(workerPanic); !text && panicked == nil {
 					panicked = rep.panicked
 				}
-				closeAbort()
-			case rep.err != nil:
-				if linkErr == nil {
-					linkErr = rep.err
-				}
-				closeAbort()
-			case counts && rep.msgs != nil:
-				led.add(rep.msgs, rep.fins)
 			}
-		}
-		liveShards = 0
-		for _, d := range dead {
-			if !d {
-				liveShards++
+			if err != nil && linkErr == nil {
+				linkErr = err
 			}
-		}
-	}
-	broadcast := func(cmd shardCmd) {
-		for si, sh := range s.shards {
-			if !dead[si] {
-				sh.ctrl <- cmd
+			if (err != nil || rep.panicked != nil) && !aborted {
+				aborted = true
+				close(s.abort)
 			}
-		}
-	}
-	finish := func(collect bool) {
-		broadcast(shardCmd{run: false, collect: collect})
-		gather(false)
-		if panicked != nil {
-			panic(panicked)
 		}
 	}
 
@@ -640,20 +624,15 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 		if runErr = led.admit(round); runErr != nil {
 			break
 		}
-		broadcast(shardCmd{round: round, run: true})
-		gather(true)
-		if panicked != nil {
-			finish(false)
-		}
-		if linkErr != nil {
-			runErr = fmt.Errorf("local: sharded exchange: %w", linkErr)
-			break
-		}
-		if led.endRound(round) {
+		exec(cmdMsg{Round: int32(round), Run: true, Alive: led.alive})
+		if panicked != nil || linkErr != nil || led.endRound(round) {
 			break
 		}
 	}
-	finish(runErr == nil && linkErr == nil)
+	exec(cmdMsg{Collect: runErr == nil && linkErr == nil && panicked == nil})
+	if panicked != nil {
+		panic(panicked)
+	}
 	if runErr != nil {
 		return runErr
 	}
@@ -665,47 +644,157 @@ func (s *Sharded) runVec(src laneSrc, k int, wa WireAlgorithm, chunk []localrand
 	return nil
 }
 
-// run is one shard's execution loop: the pass setup and init + round-1
-// staging over its own node range, then one exchange + pass + swap per
-// orchestrator command. The Batch passes are the unsharded ones — worker
-// 0 over [lo, hi) — reading the orchestrator ledger's liveness, which is
-// written between rounds (command channels provide the happens-before).
-func (sh *shardExec) run(s *Sharded, src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, fault *FaultPlan, ys [][]byte) {
+// accept validates one shard report against the command it answers,
+// whatever the carrier, and applies it: a round's k lanes of counts go
+// to the ledger, a collect's k rows of the shard's node window into ys.
+// It returns the failure the report carries or is. A worker's panic text
+// is such a failure; a raw panic value is left to the caller to re-raise.
+func (s *Sharded) accept(rep *shardReport, cmd cmdMsg, k int, ys [][]byte) error {
+	switch {
+	case rep.panicked != nil:
+		if text, ok := rep.panicked.(workerPanic); ok {
+			return fmt.Errorf("local: worker %d shard panic: %s", rep.from, text)
+		}
+		return nil
+	case rep.err != nil:
+		return rep.err
+	case cmd.Run:
+		if len(rep.msgs) != k || len(rep.fins) != k {
+			return fmt.Errorf("local: shard %d round report carries %d/%d lanes, want %d", rep.from, len(rep.msgs), len(rep.fins), k)
+		}
+		s.led.add(rep.msgs, rep.fins)
+	case cmd.Collect:
+		sh, n := s.shards[rep.from], s.plan.g.N()
+		nwin := sh.hi - sh.lo
+		if len(rep.out) != k*nwin {
+			return fmt.Errorf("local: shard %d collected %d outputs, want %d", rep.from, len(rep.out), k*nwin)
+		}
+		for b := 0; b < k; b++ {
+			copy(ys[b*n+sh.lo:b*n+sh.hi], rep.out[b*nwin:(b+1)*nwin])
+		}
+	}
+	return nil
+}
+
+// drive is shard i's driver goroutine, for every carrier: it begins the
+// block, then answers each command with exactly one report, and exits
+// after a finish or a panic (which marks the shard dead). A broken
+// carrier degrades to error reports, so the round loop unwinds exactly
+// like an exchange failure.
+func (s *Sharded) drive(i int) {
+	c := s.conns[i]
+	broken := c.begin(&s.run)
+	for {
+		cmd := <-s.ctrl[i]
+		var rep shardReport
+		if broken == nil {
+			rep, broken = c.exec(cmd)
+		}
+		if broken != nil {
+			// A broken carrier is an error whenever the command needed an
+			// answer: every round command, and a collecting finish (silent
+			// nil outputs must not pass for a clean run). A plain finish
+			// after an already-reported failure just acks.
+			rep = shardReport{}
+			if cmd.Run || cmd.Collect {
+				rep.err = broken
+			}
+		}
+		rep.from = i
+		s.reports <- rep
+		if !cmd.Run || rep.panicked != nil {
+			return
+		}
+	}
+}
+
+// reset drops the handler's run and parks err (nil: none) for the next
+// command.
+func (sh *shardExec) reset(err error) { sh.k, sh.err, sh.panicked = 0, err, nil }
+
+// begin stands one lane block up on the shard: it checks k against the
+// width and the block against the shard's own layout, seeds the tapes of
+// its node window, then runs the pass setup and the start pass.
+// Failures, panics included, are parked for the next command, which is
+// when the orchestrator listens.
+func (sh *shardExec) begin(run *shardRun) {
+	sh.reset(nil)
 	bt := sh.bt
 	defer func() {
 		if r := recover(); r != nil {
 			bt.endRun()
-			s.reports <- shardReport{from: sh.idx, panicked: r}
+			sh.panicked = r
 		}
 	}()
-	bt.beginPass(src, k, wa, draws, fault, s.led.alive, 1)
-	bt.startPass(0, sh.lo, sh.hi)
-	for {
-		cmd := <-sh.ctrl
-		if !cmd.run {
-			if cmd.collect {
-				bt.collectRange(0, sh.lo, sh.hi, ys, s.plan.g.N(), 0)
-			}
-			// Cleanup strictly before the ack: the ack releases the
-			// orchestrator, which may immediately hand this batch to the
-			// next execution vector's goroutine.
-			bt.endRun()
-			s.reports <- shardReport{from: sh.idx}
-			return
-		}
-		if err := sh.execRound(cmd.round, k); err != nil {
-			s.reports <- shardReport{from: sh.idx, err: err}
-			continue
-		}
-		s.reports <- shardReport{from: sh.idx, msgs: bt.wkMsgs[0][:k], fins: bt.wkFin[0][:k]}
+	k := run.k
+	if sh.err = bt.lanes(k); sh.err != nil {
+		return
 	}
+	bt.layoutWire(run.wa)
+	if run.block > bt.block || run.block < k {
+		sh.err = fmt.Errorf("local: run block %d outside [%d, %d]", run.block, k, bt.block)
+		return
+	}
+	bt.block = run.block
+	sh.k = k
+	src := run.src
+	sh.tapes = seedTapes(sh.tapes, sh.lo, sh.hi, run.draws, &src)
+	sh.alive = sliceFor(sh.alive, k)
+	for b := range sh.alive {
+		sh.alive[b] = true
+	}
+	bt.beginPass(src, k, run.wa, run.draws, run.fault, sh.alive, 1)
+	bt.startPass(0, sh.lo, sh.hi)
+}
+
+// exec answers one command. A round copies the liveness in, runs
+// execRound and reports worker 0's count rows (valid until the next
+// command); a finish collects the node window when asked and nothing
+// failed, then ends the run. A parked failure answers every round; a
+// panic is recovered into the report and parked.
+func (sh *shardExec) exec(cmd cmdMsg) (rep shardReport) {
+	bt := sh.bt
+	defer func() {
+		if r := recover(); r != nil {
+			bt.endRun()
+			sh.panicked = r
+			rep = shardReport{panicked: r}
+		}
+	}()
+	if !cmd.Run {
+		if cmd.Collect && sh.err == nil && sh.panicked == nil {
+			nwin := sh.hi - sh.lo
+			sh.outs = sliceFor(sh.outs, sh.k*nwin)
+			bt.collectRange(0, sh.lo, sh.hi, sh.outs, nwin, sh.lo)
+			rep.out = sh.outs
+		}
+		// Cleanup strictly before the report: the report releases the
+		// orchestrator, which may immediately hand this batch to the
+		// next block's driver.
+		bt.endRun()
+		sh.reset(nil)
+		return rep
+	}
+	switch {
+	case sh.panicked != nil:
+		return shardReport{panicked: sh.panicked}
+	case sh.err != nil:
+		return shardReport{err: sh.err}
+	case sh.k == 0:
+		return shardReport{err: errors.New("local: command before any run")}
+	case len(cmd.Alive) != sh.k:
+		return shardReport{err: fmt.Errorf("local: liveness vector carries %d lanes, want %d", len(cmd.Alive), sh.k)}
+	}
+	copy(sh.alive, cmd.Alive)
+	if err := sh.execRound(int(cmd.Round), sh.k); err != nil {
+		return shardReport{err: err}
+	}
+	return shardReport{msgs: bt.wkMsgs[0][:sh.k], fins: bt.wkFin[0][:sh.k]}
 }
 
 // execRound is one shard's round: the cut exchange, the round pass over
-// the shard's node window, and the slab swap. The pass leaves the round's
-// delivered and finished counts in worker 0's rows, which the shard
-// reports. The shard-worker protocol drives the same method from a
-// control connection instead of the in-process ctrl channel.
+// the shard's node window (leaving its counts in worker 0's rows), and
+// the slab swap.
 func (sh *shardExec) execRound(round, k int) error {
 	bt := sh.bt
 	if err := sh.exchange(round, k); err != nil {

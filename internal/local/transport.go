@@ -26,28 +26,19 @@ func DialRetry(network, addr string, total time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(total)
 	delay := 50 * time.Millisecond
 	var lastErr error
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, fmt.Errorf("local: dial %s: gave up after %v: %w", addr, total, lastErr)
-		}
-		attempt := remain
-		if attempt > 3*time.Second {
-			attempt = 3 * time.Second
-		}
-		conn, err := net.DialTimeout(network, addr, attempt)
+	for remain := total; remain > 0; remain = time.Until(deadline) {
+		conn, err := net.DialTimeout(network, addr, min(remain, 3*time.Second))
 		if err == nil {
 			return conn, nil
 		}
 		lastErr = err
 		if time.Until(deadline) <= delay {
-			return nil, fmt.Errorf("local: dial %s: gave up after %v: %w", addr, total, lastErr)
+			break
 		}
 		time.Sleep(delay)
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
-		}
+		delay = min(2*delay, time.Second)
 	}
+	return nil, fmt.Errorf("local: dial %s: gave up after %v: %w", addr, total, lastErr)
 }
 
 // StreamLink wraps byte-stream connections as a ShardLink: Send frames

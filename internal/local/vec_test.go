@@ -363,7 +363,7 @@ func TestVecDispatchPerPass(t *testing.T) {
 			}
 		}
 	}
-	if sh.block != 2 {
-		t.Errorf("sharded block %d, want the big shard's 2", sh.block)
+	if sh.run.block != 2 {
+		t.Errorf("sharded block %d, want the big shard's 2", sh.run.block)
 	}
 }

@@ -264,7 +264,7 @@ func RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]by
 		// signature for the overwhelmingly common case.
 		panic(err)
 	}
-	return plan.NewBatch(1).runViewVec(in, nil, 1, algo, oneDraw(draw))[0]
+	return plan.NewBatch(1).runViewVec(&laneSrc{shared: in}, 1, algo, oneDraw(draw))[0]
 }
 
 // ViewFunc wraps a plain function as a ViewAlgorithm.

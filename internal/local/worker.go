@@ -19,11 +19,11 @@ import (
 // remote.go for the orchestrator and the message catalogue): ServeShard
 // turns the current process into one shard of a remote Sharded. The
 // worker rebuilds the job's graph and its compacted slot window from the
-// shipped CSR adjacency, establishes direct TCP data links to its peer
-// workers, and then drives the very same shardExec machinery the
-// in-process orchestrator uses — beginPass, startPass, execRound,
-// collectRange — one control command at a time. `rlnc shard-worker` is
-// the process entry point.
+// shipped CSR adjacency and establishes direct TCP data links to its
+// peer workers. Its serve loop decodes each shipped block (decodeRun)
+// and hands it, and every command after it, to the shardExec handler
+// an in-process shard runs too. `rlnc shard-worker` is the process
+// entry point.
 
 // dataPreambleLen is the fixed-width connection preamble a dialing
 // worker writes before its first frame: magic "rlSW", the job id, and
@@ -58,7 +58,7 @@ func readDataPreamble(conn net.Conn) (job int64, from, to int32, err error) {
 }
 
 // shardWorker is one serving worker's state: the control connection and
-// codecs, the data listener peers dial, and the current job and run.
+// codecs, the data listener peers dial, and the current job.
 // sendMu serializes control-stream writes between the serve loop and the
 // heartbeat goroutine — a gob encoder is not safe for concurrent use.
 type shardWorker struct {
@@ -75,52 +75,26 @@ type shardWorker struct {
 	dieAfter int
 
 	job *workerJob
-	run *workerRun
 }
 
-// sendMsg encodes one worker message under the write deadline. Deadline
-// errors are real failures (a closed or deadline-refusing conn), not
-// noise to discard: they surface so the serve loop can exit descriptively.
-func (w *shardWorker) sendMsg(m *workerMsg) error {
+// sendMsg encodes one worker message — the hello, or a workerMsg —
+// under the write deadline; its errors surface so the serve loop can
+// exit descriptively.
+func (w *shardWorker) sendMsg(m any) error {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
-	if err := w.ctrl.SetWriteDeadline(time.Now().Add(ctrlWriteTimeout)); err != nil {
-		return fmt.Errorf("local: shard worker write deadline: %w", err)
-	}
-	if err := w.enc.Encode(m); err != nil {
-		return err
-	}
-	if err := w.ctrl.SetWriteDeadline(time.Time{}); err != nil {
-		return fmt.Errorf("local: shard worker clear write deadline: %w", err)
-	}
-	return nil
+	return encodeWithin(w.ctrl, w.enc, m)
 }
 
-// workerJob is one (graph, partition, algorithm) job: the rebuilt plan,
-// this shard's executor with its windowed batch, and the data
-// connections backing its links.
+// workerJob is one (graph, partition, algorithm) job: the algorithm,
+// this shard's handler with its windowed batch over the rebuilt plan,
+// and the data connections backing its links.
 type workerJob struct {
 	id      int64
-	g       *graph.Graph
 	wa      WireAlgorithm
-	width   int
 	timeout time.Duration
 	sh      *shardExec
 	conns   []net.Conn
-	// tapes holds the current run's tape rows over this shard's node
-	// window, reused across the job's runs.
-	tapes []localrand.Tape
-}
-
-// workerRun is one execution vector in flight: lane count, the
-// per-lane instances and liveness, and any setup failure to report on
-// the next command.
-type workerRun struct {
-	k        int
-	insts    []*lang.Instance
-	alive    []bool
-	errText  string
-	panicked string
 }
 
 // DefaultWorkerBeat is the heartbeat period a serving worker announces
@@ -198,7 +172,7 @@ func ServeShardOpts(ctrl net.Conn, o ServeOptions) error {
 	if beat > 0 {
 		hello.BeatMS = beat.Milliseconds()
 	}
-	if err := w.sendHello(hello); err != nil {
+	if err := w.sendMsg(hello); err != nil {
 		return fmt.Errorf("local: shard worker hello: %w", err)
 	}
 	if beat > 0 {
@@ -242,23 +216,6 @@ func ServeShardOpts(ctrl net.Conn, o ServeOptions) error {
 	}
 }
 
-// sendHello encodes the hello under the write deadline (the hello
-// predates workerMsg framing, so it cannot ride sendMsg).
-func (w *shardWorker) sendHello(h *helloMsg) error {
-	w.sendMu.Lock()
-	defer w.sendMu.Unlock()
-	if err := w.ctrl.SetWriteDeadline(time.Now().Add(ctrlWriteTimeout)); err != nil {
-		return fmt.Errorf("local: shard worker write deadline: %w", err)
-	}
-	if err := w.enc.Encode(h); err != nil {
-		return err
-	}
-	if err := w.ctrl.SetWriteDeadline(time.Time{}); err != nil {
-		return fmt.Errorf("local: shard worker clear write deadline: %w", err)
-	}
-	return nil
-}
-
 // heartbeat sends one Beat per period until stop closes or a send fails.
 // A failed beat is not itself fatal to the worker: either the control
 // stream is dead (the serve loop is about to find out) or nothing has
@@ -284,11 +241,7 @@ func (w *shardWorker) heartbeat(period time.Duration, stop chan struct{}) {
 func (w *shardWorker) abruptClose() {
 	w.ctrl.Close()
 	w.ln.Close()
-	if w.job != nil {
-		for _, c := range w.job.conns {
-			c.Close()
-		}
-	}
+	w.teardownJob()
 }
 
 // advertiseAddr resolves the data address peers will dial: the explicit
@@ -324,7 +277,6 @@ func (w *shardWorker) teardownJob() {
 		c.Close()
 	}
 	w.job = nil
-	w.run = nil
 }
 
 // setupJob rebuilds the job's graph, window, and shard executor, and
@@ -359,25 +311,14 @@ func (w *shardWorker) setupJob(spec *jobSpec) error {
 	if err != nil {
 		return err
 	}
-	cuts := plan.topo.CutSlots(part)
-	win := plan.topo.ShardSlots(part, cuts, me)
-	lo, hi := part.Shard(me)
-	sh := &shardExec{idx: me, lo: lo, hi: hi, win: &win, bt: plan.newWindowBatch(int(spec.Width), &win)}
-	for j := 0; j < part.NumShards(); j++ {
-		if len(cuts[me][j]) > 0 {
-			sh.out = append(sh.out, shardPort{peer: j, cut: cuts[me][j]})
-		}
-		if len(cuts[j][me]) > 0 {
-			sh.in = append(sh.in, shardPort{peer: j, cut: cuts[j][me], haloLo: win.HaloLocal(j)})
-		}
+	if spec.Width < 1 {
+		return fmt.Errorf("local: job %d width %d, need >= 1", spec.Job, spec.Width)
 	}
 	job := &workerJob{
 		id:      spec.Job,
-		g:       g,
 		wa:      algo,
-		width:   int(spec.Width),
 		timeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
-		sh:      sh,
+		sh:      plan.newShardExec(int(spec.Width), part, plan.topo.CutSlots(part), me),
 	}
 	if err := job.connectLinks(w.ln, spec.Peers); err != nil {
 		for _, c := range job.conns {
@@ -483,82 +424,86 @@ func (j *workerJob) connectLinks(ln net.Listener, peers []string) error {
 	return nil
 }
 
-// beginRun stands one execution vector up: instances, draws, tapes, the
-// fault plan, then the shared pass setup and the startPass staging. Failures (including panics out of the
-// algorithm's Start) are parked and reported on the next command, which
-// is when the orchestrator listens.
+// beginRun decodes a shipped block and begins it on the job's handler; a
+// decode failure is parked like any setup failure (with no job, the next
+// command reports that instead).
 func (w *shardWorker) beginRun(rs *runSpec) {
-	run := &workerRun{}
-	w.run = run
-	defer func() {
-		if r := recover(); r != nil {
-			run.panicked = fmt.Sprint(r)
-		}
-	}()
 	if w.job == nil {
-		run.errText = "local: run before any job"
 		return
 	}
-	j := w.job
-	bt, sh := j.sh.bt, j.sh
+	run, err := decodeRun(w.job.sh.bt.plan.g, w.job.wa, rs)
+	if err != nil {
+		w.job.sh.reset(err)
+		return
+	}
+	w.job.sh.begin(&run)
+}
+
+// execCmd answers one command through the job's handler.
+func (w *shardWorker) execCmd(cmd *cmdMsg) *reportMsg {
+	if w.job == nil {
+		return &reportMsg{Err: "local: command before any job"}
+	}
+	rep := w.job.sh.exec(*cmd)
+	m := &reportMsg{Msgs: rep.msgs, Fins: rep.fins, Out: rep.out}
+	if rep.err != nil {
+		m.Err = rep.err.Error()
+	}
+	if rep.panicked != nil {
+		m.Panicked = fmt.Sprint(rep.panicked)
+	}
+	return m
+}
+
+// decodeRun turns a shipped runSpec back into the handler's run form over
+// the job's graph and algorithm — instances, lane indices, draws from
+// their seeds, and the fault plan from its flattened fields, which is
+// the one place a plan is rebuilt. It rejects every shape the handler
+// could not run without faulting; k against the width and the block
+// against the layout are begin's checks.
+func decodeRun(g *graph.Graph, wa WireAlgorithm, rs *runSpec) (shardRun, error) {
 	k := int(rs.K)
-	if k < 1 || k > j.width {
-		run.errText = fmt.Sprintf("local: run of %d lanes on width %d", k, j.width)
-		return
-	}
-	bt.layoutWire(j.wa)
-	if int(rs.Block) > bt.block || int(rs.Block) < k {
-		run.errText = fmt.Sprintf("local: run block %d outside [%d, %d]", rs.Block, k, bt.block)
-		return
-	}
-	bt.block = int(rs.Block)
-	run.k = k
 	if len(rs.Lane) != k {
-		run.errText = fmt.Sprintf("local: %d lane indices for %d lanes", len(rs.Lane), k)
-		return
+		return shardRun{}, fmt.Errorf("local: %d lane indices for %d lanes", len(rs.Lane), k)
 	}
-	run.insts = make([]*lang.Instance, len(rs.Insts))
+	insts := make([]*lang.Instance, len(rs.Insts))
 	for i, ip := range rs.Insts {
 		x := ip.X
 		if x == nil {
-			x = make([][]byte, j.g.N())
+			x = make([][]byte, g.N())
 		}
-		in, err := lang.NewInstance(j.g, x, ip.ID)
+		in, err := lang.NewInstance(g, x, ip.ID)
 		if err != nil {
-			run.errText = fmt.Sprintf("local: run instance %d: %v", i, err)
-			return
+			return shardRun{}, fmt.Errorf("local: run instance %d: %w", i, err)
 		}
-		run.insts[i] = in
+		insts[i] = in
 	}
-	for _, li := range rs.Lane {
-		if int(li) < 0 || int(li) >= len(run.insts) {
-			run.errText = fmt.Sprintf("local: run lane instance index %d out of %d", li, len(run.insts))
-			return
+	ins := make([]*lang.Instance, k)
+	for b, li := range rs.Lane {
+		if li < 0 || int(li) >= len(insts) {
+			return shardRun{}, fmt.Errorf("local: run lane instance index %d out of %d", li, len(insts))
 		}
+		ins[b] = insts[li]
 	}
-	laneIns := make([]*lang.Instance, k)
-	for b := 0; b < k; b++ {
-		laneIns[b] = run.insts[rs.Lane[b]]
-	}
+	run := shardRun{k: k, block: int(rs.Block), wa: wa, src: laneSrc{ins: ins}}
 	// Lane identities come from the shipped draw seeds: they seed this
 	// shard's tape window and key the fault plan, so a remote shard makes
 	// byte-identical decisions to its in-process twin.
-	var draws []localrand.Draw
 	if rs.HasDraws {
 		if len(rs.Draws) != k {
-			run.errText = fmt.Sprintf("local: %d draw seeds for %d lanes", len(rs.Draws), k)
-			return
+			return shardRun{}, fmt.Errorf("local: %d draw seeds for %d lanes", len(rs.Draws), k)
 		}
-		draws = make([]localrand.Draw, k)
+		run.draws = make([]localrand.Draw, k)
 		for b, seed := range rs.Draws {
-			draws[b] = localrand.DrawFromSeed(seed)
+			run.draws[b] = localrand.DrawFromSeed(seed)
 		}
 	}
-	// Reconstruct the effective fault plan; nil disarms any previous
-	// run's.
-	var f *FaultPlan
+	// The effective fault plan; nil disarms any previous run's.
 	if rs.HasFault {
-		f = &FaultPlan{
+		if len(rs.FaultCuts)%3 != 0 {
+			return shardRun{}, fmt.Errorf("local: %d fault cut words, want a multiple of 3", len(rs.FaultCuts))
+		}
+		f := &FaultPlan{
 			Seed:       rs.FaultSeed,
 			Drop:       rs.FaultDrop,
 			Delay:      rs.FaultDelay,
@@ -566,72 +511,14 @@ func (w *shardWorker) beginRun(rs *runSpec) {
 			CrashFrom:  int(rs.FaultCrashFrom),
 			CrashUntil: int(rs.FaultCrashUntil),
 		}
-		if len(rs.FaultCuts)%3 != 0 {
-			run.errText = fmt.Sprintf("local: %d fault cut words, want a multiple of 3", len(rs.FaultCuts))
-			return
-		}
 		for i := 0; i < len(rs.FaultCuts); i += 3 {
-			f.Surgery = append(f.Surgery, EdgeCut{
-				Round: int(rs.FaultCuts[i]),
-				U:     int(rs.FaultCuts[i+1]),
-				Z:     int(rs.FaultCuts[i+2]),
-			})
+			c := EdgeCut{Round: int(rs.FaultCuts[i]), U: int(rs.FaultCuts[i+1]), Z: int(rs.FaultCuts[i+2])}
+			if c.U < 0 || c.U >= g.N() || c.Z < 0 || c.Z >= g.N() {
+				return shardRun{}, fmt.Errorf("local: fault cut {%d, %d} names a node outside [0, %d)", c.U, c.Z, g.N())
+			}
+			f.Surgery = append(f.Surgery, c)
 		}
+		run.fault = f
 	}
-	src := laneSrc{ins: laneIns}
-	j.tapes = seedTapes(j.tapes, sh.lo, sh.hi, draws, &src)
-	run.alive = make([]bool, k)
-	for b := range run.alive {
-		run.alive[b] = true
-	}
-	bt.beginPass(src, k, j.wa, draws, f, run.alive, 1)
-	bt.startPass(0, sh.lo, sh.hi)
-}
-
-// execCmd executes one orchestrator command against the current run and
-// returns its report.
-func (w *shardWorker) execCmd(cmd *cmdMsg) (rep *reportMsg) {
-	rep = &reportMsg{}
-	run := w.run
-	if run == nil {
-		rep.Err = "local: command before any run"
-		return rep
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rep = &reportMsg{Panicked: fmt.Sprint(r)}
-		}
-	}()
-	sh := w.job.sh
-	bt := sh.bt
-	if !cmd.Run {
-		if run.errText == "" && run.panicked == "" && cmd.Collect {
-			nwin := sh.hi - sh.lo
-			rep.Out = make([][]byte, run.k*nwin)
-			bt.collectRange(0, sh.lo, sh.hi, rep.Out, nwin, sh.lo)
-		}
-		bt.endRun()
-		w.run = nil
-		return rep
-	}
-	switch {
-	case run.panicked != "":
-		rep.Panicked = run.panicked
-	case run.errText != "":
-		rep.Err = run.errText
-	case len(cmd.Alive) != run.k:
-		rep.Err = fmt.Sprintf("local: liveness vector carries %d lanes, want %d", len(cmd.Alive), run.k)
-	default:
-		copy(run.alive[:run.k], cmd.Alive)
-		if err := sh.execRound(int(cmd.Round), run.k); err != nil {
-			rep.Err = err.Error()
-			return rep
-		}
-		rep.Msgs = bt.wkMsgs[0][:run.k]
-		rep.Fins = make([]int32, run.k)
-		for b, f := range bt.wkFin[0][:run.k] {
-			rep.Fins[b] = int32(f)
-		}
-	}
-	return rep
+	return run, nil
 }
