@@ -82,12 +82,12 @@ func benchMCTrialLoop(b *testing.B, pooled bool) {
 					if err != nil {
 						panic(err)
 					}
-					return ys[0][0][0] == 0
+					return ys[0].At(0)[0] == 0
 				}))
 		} else {
 			mc.Executor[struct{}]{Trials: 500}.Run(mc.Scalar(func(_ struct{}, trial int) bool {
 				draw := space.Draw(uint64(trial))
-				return local.RunView(in, algo, &draw)[0][0] == 0
+				return local.RunView(in, algo, &draw).At(0)[0] == 0
 			}))
 		}
 	}

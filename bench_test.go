@@ -100,8 +100,8 @@ func benchTrialFixture(b *testing.B) (*lang.Instance, local.ViewAlgorithm, *deci
 
 // benchTrial runs one construction+decision Monte-Carlo trial, pooled on
 // a reusable width-1 batch or single-shot (one == nil).
-func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecider, one *local.Batch, draw localrand.Draw) ([][]byte, bool) {
-	var y [][]byte
+func benchTrial(in *lang.Instance, algo local.ViewAlgorithm, d *decide.LCLDecider, one *local.Batch, draw localrand.Draw) (lang.Column, bool) {
+	var y lang.Column
 	if one != nil {
 		ys, err := one.RunView(in, algo, []localrand.Draw{draw})
 		if err != nil {
@@ -145,8 +145,8 @@ func BenchmarkTrialPooledEngine(b *testing.B) {
 	if ap != as {
 		b.Fatal("pooled and single-shot verdicts differ")
 	}
-	for v := range ys {
-		if string(yp[v]) != string(ys[v]) {
+	for v := range ys.Len() {
+		if string(yp.At(v)) != string(ys.At(v)) {
 			b.Fatalf("node %d: pooled output differs from single-shot", v)
 		}
 	}
@@ -197,8 +197,8 @@ func benchTrialBatched(b *testing.B, width int) {
 		if ap != accs[i] {
 			b.Fatalf("lane %d: batched and pooled verdicts differ", i)
 		}
-		for v := range yp {
-			if string(yp[v]) != string(ys[i][v]) {
+		for v := range yp.Len() {
+			if string(yp.At(v)) != string(ys[i].At(v)) {
 				b.Fatalf("lane %d node %d: batched output differs from pooled", i, v)
 			}
 		}
@@ -421,8 +421,8 @@ func benchStepPath(b *testing.B, wa local.WireAlgorithm, in *lang.Instance, rand
 		if want[i].Stats != got[i].Stats {
 			b.Fatalf("lane %d: Stats %+v, want %+v", i, got[i].Stats, want[i].Stats)
 		}
-		for v := range want[i].Y {
-			if string(want[i].Y[v]) != string(got[i].Y[v]) {
+		for v := range want[i].Y.Len() {
+			if string(want[i].Y.At(v)) != string(got[i].Y.At(v)) {
 				b.Fatalf("lane %d node %d: output differs from scalar reference", i, v)
 			}
 		}
@@ -550,8 +550,8 @@ func benchTrialSharded(b *testing.B, shards int) {
 		b.Fatal(err)
 	}
 	for i := range draws {
-		for v := range want[i] {
-			if string(want[i][v]) != string(got[i][v]) {
+		for v := range want[i].Len() {
+			if string(want[i].At(v)) != string(got[i].At(v)) {
 				b.Fatalf("lane %d node %d: sharded output differs from batched", i, v)
 			}
 		}
@@ -715,7 +715,7 @@ func BenchmarkLCLDecide(b *testing.B) {
 	for v := 0; v < n; v++ {
 		y[v] = lang.EncodeColor(v % 2)
 	}
-	dis := []*lang.DecisionInstance{{G: graph.Cycle(n), X: lang.EmptyInputs(n), Y: y, ID: ids.Consecutive(n)}}
+	dis := []*lang.DecisionInstance{{G: graph.Cycle(n), X: lang.EmptyInputs(n), Y: lang.ColumnOf(y), ID: ids.Consecutive(n)}}
 	d := &decide.LCLDecider{L: l}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -834,12 +834,12 @@ func TestFacadeSmoke(t *testing.T) {
 	y := RunView(in, local.ViewFunc{AlgoName: "zero", R: 0, F: func(v *View) []byte {
 		return lang.EncodeColor(0)
 	}}, nil)
-	if len(y) != 12 {
+	if y.Len() != 12 {
 		t.Fatal("facade RunView broken")
 	}
 	var plan *Plan = MustPlan(g)
 	var bt *Batch = plan.NewShardedBatch(2, 3, nil)
-	if rs, err := bt.RunInstances([]*Instance{in, in}, construct.ColeVishkin{MaxIDBits: 8}, nil, RunOptions{}); err != nil || len(rs) != 2 || len(rs[1].Y) != 12 {
+	if rs, err := bt.RunInstances([]*Instance{in, in}, construct.ColeVishkin{MaxIDBits: 8}, nil, RunOptions{}); err != nil || len(rs) != 2 || rs[1].Y.Len() != 12 {
 		t.Fatalf("facade Plan/Batch broken: %v", err)
 	}
 	if err := bt.Close(); err != nil {
@@ -847,7 +847,7 @@ func TestFacadeSmoke(t *testing.T) {
 	}
 	if res := RunFullInfo(in, local.ViewFunc{AlgoName: "zero", R: 1, F: func(v *View) []byte {
 		return lang.EncodeColor(0)
-	}}, nil); len(res.Y) != 12 || res.Stats.Rounds != 1 {
+	}}, nil); res.Y.Len() != 12 || res.Stats.Rounds != 1 {
 		t.Fatalf("facade RunFullInfo broken: %+v", res.Stats)
 	}
 	if len(Experiments()) != 17 {

@@ -48,7 +48,7 @@ func Example_relaxations() {
 		y[v] = lang.EncodeColor(v % 3) // proper except nothing: fully proper
 	}
 	y[1] = y[0] // plant one conflicted edge: 2 bad balls
-	cfg := &rlnc.Config{G: g, X: make([][]byte, 12), Y: y}
+	cfg := &rlnc.Config{G: g, X: make([][]byte, 12), Y: rlnc.ColumnOf(y)}
 
 	slack := &rlnc.EpsSlack{L: l, Eps: 0.25}
 	resil := &rlnc.FResilient{L: l, F: 1}

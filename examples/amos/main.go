@@ -58,7 +58,9 @@ func selInstance(g *graph.Graph, selected ...int) *lang.DecisionInstance {
 	for _, v := range selected {
 		y[v] = lang.EncodeSelected(true)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+	// ColumnOf copies the per-node rows into the output column a
+	// configuration carries.
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 }
 
 // naiveDecider rejects iff it sees two selections in its radius-t view.

@@ -29,7 +29,7 @@ func main() {
 		for _, v := range selected {
 			y[v] = lang.EncodeSelected(true)
 		}
-		return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+		return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 	}
 
 	one := mk(7)
@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	di := &lang.DecisionInstance{G: torus, X: in.X, Y: y, ID: in.ID}
+	di := &lang.DecisionInstance{G: torus, X: in.X, Y: lang.ColumnOf(y), ID: in.ID}
 	ok, err = certify.Completeness(di, certify.SpanningTreeScheme{})
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +63,7 @@ func main() {
 
 	// Corrupt the tree with a second root and attack.
 	y[12] = certify.RootMark
-	bad := &lang.DecisionInstance{G: torus, X: in.X, Y: y, ID: in.ID}
+	bad := &lang.DecisionInstance{G: torus, X: in.X, Y: lang.ColumnOf(y), ID: in.ID}
 	inLang, _ := (certify.SpanningTree{}).Contains(bad.Config())
 	fooling, err = certify.SoundnessSearch(bad, certify.SpanningTreeScheme{}, 5000, 14, 43)
 	if err != nil {

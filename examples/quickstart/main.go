@@ -56,10 +56,11 @@ func main() {
 	accepts := decide.Exec{}.Accepts([]*lang.DecisionInstance{di}, decider, nil)[0]
 	fmt.Printf("local decider accepts: %v\n", accepts)
 
-	// Show a few node outputs.
+	// Show a few node outputs. res.Y is a lang.Column: every node's
+	// output in one byte slab (here one byte per node), read with At.
 	fmt.Print("first colors: ")
 	for v := 0; v < 10; v++ {
-		c, _ := lang.DecodeColor(res.Y[v])
+		c, _ := lang.DecodeColor(res.Y.At(v))
 		fmt.Printf("%d ", c)
 	}
 	fmt.Println("...")

@@ -59,7 +59,7 @@ func main() {
 	fmt.Println("that is Corollary 1, via the derandomization theorem (Theorem 1) for BPLD.")
 }
 
-func report(name, rounds string, n int, lf *relax.FResilient, in *lang.Instance, y [][]byte) {
+func report(name, rounds string, n int, lf *relax.FResilient, in *lang.Instance, y lang.Column) {
 	cfg := &lang.Config{G: in.G, X: in.X, Y: y}
 	bad := lf.Violations(cfg)
 	ok, _ := lf.Contains(cfg)

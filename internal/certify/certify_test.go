@@ -17,7 +17,7 @@ func selDI(t testing.TB, g *graph.Graph, selected ...int) *lang.DecisionInstance
 	for _, v := range selected {
 		y[v] = lang.EncodeSelected(true)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 }
 
 func TestAMOSSchemeCompleteness(t *testing.T) {
@@ -97,7 +97,7 @@ func TestSpanningTreeLanguage(t *testing.T) {
 		t.Fatal(err)
 	}
 	stLang := SpanningTree{}
-	ok, err := stLang.Contains(&lang.Config{G: g, X: in.X, Y: y})
+	ok, err := stLang.Contains(&lang.Config{G: g, X: in.X, Y: lang.ColumnOf(y)})
 	if err != nil || !ok {
 		t.Fatalf("BFS tree rejected: ok=%v err=%v", ok, err)
 	}
@@ -105,14 +105,14 @@ func TestSpanningTreeLanguage(t *testing.T) {
 	// Two roots: invalid.
 	y2 := append([][]byte{}, y...)
 	y2[3] = RootMark
-	if ok, _ := stLang.Contains(&lang.Config{G: g, X: in.X, Y: y2}); ok {
+	if ok, _ := stLang.Contains(&lang.Config{G: g, X: in.X, Y: lang.ColumnOf(y2)}); ok {
 		t.Error("two roots accepted")
 	}
 
 	// No root: invalid.
 	y3 := append([][]byte{}, y...)
 	y3[0] = EncodeParentPort(0)
-	if ok, _ := stLang.Contains(&lang.Config{G: g, X: in.X, Y: y3}); ok {
+	if ok, _ := stLang.Contains(&lang.Config{G: g, X: in.X, Y: lang.ColumnOf(y3)}); ok {
 		t.Error("rootless pointer structure accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestSpanningTreeCycleDetected(t *testing.T) {
 		EncodeParentPort(1), // 3 -> 2?? port 1 of 3 is node 2
 	}
 	// 3's pred is 2: so 3 -> 2, and 2 -> 3: a 2-cycle.
-	ok, err := (SpanningTree{}).Contains(&lang.Config{G: g, X: lang.EmptyInputs(4), Y: y})
+	ok, err := (SpanningTree{}).Contains(&lang.Config{G: g, X: lang.EmptyInputs(4), Y: lang.ColumnOf(y)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSpanningTreeSchemeCompleteness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		di := &lang.DecisionInstance{G: g, X: in.X, Y: y, ID: in.ID}
+		di := &lang.DecisionInstance{G: g, X: in.X, Y: lang.ColumnOf(y), ID: in.ID}
 		ok, err := Completeness(di, SpanningTreeScheme{})
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestSpanningTreeSchemeSoundnessOnCycle(t *testing.T) {
 		EncodeParentPort(0),
 		EncodeParentPort(1),
 	}
-	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(4), Y: y, ID: ids.Consecutive(4)}
+	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(4), Y: lang.ColumnOf(y), ID: ids.Consecutive(4)}
 	fooling, err := SoundnessSearch(di, SpanningTreeScheme{}, 3000, 14, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestSpanningTreeSchemeSoundnessTwoRoots(t *testing.T) {
 	for v := 4; v <= 6; v++ {
 		y[v] = EncodeParentPort(1) // toward node 7
 	}
-	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(8), Y: y, ID: ids.Consecutive(8)}
+	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(8), Y: lang.ColumnOf(y), ID: ids.Consecutive(8)}
 	if ok, _ := (SpanningTree{}).Contains(di.Config()); ok {
 		t.Fatal("fixture error: two-root forest in language")
 	}

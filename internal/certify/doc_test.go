@@ -18,7 +18,7 @@ func ExampleAMOSScheme() {
 	for v := range y {
 		y[v] = lang.EncodeSelected(v == 3)
 	}
-	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(8), Y: y, ID: ids.Consecutive(8)}
+	di := &lang.DecisionInstance{G: g, X: lang.EmptyInputs(8), Y: lang.ColumnOf(y), ID: ids.Consecutive(8)}
 	ok, err := certify.Completeness(di, certify.AMOSScheme{})
 	if err != nil {
 		log.Fatal(err)
@@ -26,6 +26,7 @@ func ExampleAMOSScheme() {
 	fmt.Println("one selected, certified:", ok)
 
 	y[6] = lang.EncodeSelected(true) // second selection: now illegal
+	di.Y = lang.ColumnOf(y)
 	_, err = (certify.AMOSScheme{}).Prove(di)
 	fmt.Println("two selected, prover refuses:", err != nil)
 	// Output:

@@ -52,7 +52,7 @@ func (AMOSScheme) Prove(di *lang.DecisionInstance) (Certificates, error) {
 	}
 	leader := int64(1) // arbitrary when nothing is selected
 	for v := 0; v < di.G.N(); v++ {
-		if sel, err := lang.DecodeSelected(di.Y[v]); err == nil && sel {
+		if sel, err := lang.DecodeSelected(di.Y.At(v)); err == nil && sel {
 			leader = di.ID[v]
 		}
 	}
@@ -119,7 +119,7 @@ func (SpanningTree) Contains(c *lang.Config) (bool, error) {
 	parent := make([]int, n)
 	root := -1
 	for v := 0; v < n; v++ {
-		isRoot, port, ok := decodeTreeOutput(c.Y[v])
+		isRoot, port, ok := decodeTreeOutput(c.Y.At(v))
 		if !ok {
 			return false, nil
 		}
@@ -193,7 +193,7 @@ func (SpanningTreeScheme) Prove(di *lang.DecisionInstance) (Certificates, error)
 	parent := make([]int, n)
 	root := -1
 	for v := 0; v < n; v++ {
-		isRoot, port, _ := decodeTreeOutput(di.Y[v])
+		isRoot, port, _ := decodeTreeOutput(di.Y.At(v))
 		if isRoot {
 			root = v
 			parent[v] = -1

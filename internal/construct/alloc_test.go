@@ -3,6 +3,7 @@
 package construct
 
 import (
+	"runtime"
 	"testing"
 
 	"rlnc/internal/graph"
@@ -85,5 +86,42 @@ func TestVecColdAllocsFlatInN(t *testing.T) {
 			t.Errorf("%s: cold batch run allocates %.0f objects on C_1200 and %.0f on C_4800; want no growth with n and at most 64",
 				c.algo.Name(), small, big)
 		}
+	}
+}
+
+// TestOutputColumnBytes pins that a run's outputs are bytes, not one
+// slice header per output: a cold 32-lane batch's first two retry
+// coloring runs on C_4800 — which fill both buffers of its output arena
+// and size every slab — allocate less in total than k·n·24 bytes, what
+// one buffer of per-output headers alone would take. Skipped under
+// -race.
+func TestOutputColumnBytes(t *testing.T) {
+	const width, n = 32, 4800
+	in := ringInstance(n)
+	plan := local.MustPlan(in.G)
+	space := localrand.NewTapeSpace(47)
+	draws := make([]localrand.Draw, width)
+	for i := range draws {
+		draws[i] = space.Draw(uint64(i))
+	}
+	algo := RetryColoring{Q: 3, T: 4}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	bt := plan.NewBatch(width)
+	for range 2 {
+		ys, err := Exec{Bt: bt}.Run(algo, in, draws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ys) != width || ys[width-1].Len() != n {
+			t.Fatalf("%d lanes, last of %d outputs", len(ys), ys[width-1].Len())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got, headers := after.TotalAlloc-before.TotalAlloc, uint64(width*n*24)
+	t.Logf("cold 32-lane batch, two runs on C_%d: %d bytes allocated (one buffer of output headers: %d)", n, got, headers)
+	if got >= headers {
+		t.Errorf("two cold runs allocate %d bytes, not less than the %d of k·n slice headers", got, headers)
 	}
 }

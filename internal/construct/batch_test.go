@@ -16,7 +16,7 @@ import (
 type plainAlgorithm struct{ a Algorithm }
 
 func (p plainAlgorithm) Name() string { return p.a.Name() }
-func (p plainAlgorithm) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (p plainAlgorithm) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	return p.a.Run(in, draw)
 }
 
@@ -80,9 +80,9 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 						t.Fatalf("%s rep %d: %d lanes, want %d", shape.name, rep, len(ys), k)
 					}
 					for b := range ys {
-						for v := range want[b] {
-							if !bytes.Equal(want[b][v], ys[b][v]) {
-								t.Fatalf("%s rep %d lane %d node %d: %x, Exec{} %x", shape.name, rep, b, v, ys[b][v], want[b][v])
+						for v := range want[b].Len() {
+							if !bytes.Equal(want[b].At(v), ys[b].At(v)) {
+								t.Fatalf("%s rep %d lane %d node %d: %x, Exec{} %x", shape.name, rep, b, v, ys[b].At(v), want[b].At(v))
 							}
 						}
 					}
@@ -92,9 +92,9 @@ func TestRunBatchMatchesRunOn(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for v := range single {
-						if !bytes.Equal(single[v], want[b][v]) {
-							t.Fatalf("rep %d lane %d node %d: Exec{} %x, single-shot %x", rep, b, v, want[b][v], single[v])
+					for v := range single.Len() {
+						if !bytes.Equal(single.At(v), want[b].At(v)) {
+							t.Fatalf("rep %d lane %d node %d: Exec{} %x, single-shot %x", rep, b, v, want[b].At(v), single.At(v))
 						}
 					}
 				}

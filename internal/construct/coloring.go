@@ -40,12 +40,12 @@ type RetryColoring struct {
 func (r RetryColoring) Name() string { return fmt.Sprintf("retry-%d-coloring(T=%d)", r.Q, r.T) }
 
 // Run implements Algorithm.
-func (r RetryColoring) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (r RetryColoring) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	return r.message().Run(in, draw)
 }
 
 // runInstances implements laneRunner.
-func (r RetryColoring) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+func (r RetryColoring) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	return r.message().runInstances(x, ins, draws)
 }
 

@@ -19,11 +19,12 @@ import (
 
 // Algorithm is a construction algorithm for a distributed task: given an
 // instance (G, x, id) and (for Monte-Carlo algorithms) a draw σ from its
-// tape space, it produces the global output y. Implementations wrap
-// either the ball-view or the message-passing interface of package local.
+// tape space, it produces the global output column y. Implementations
+// wrap either the ball-view or the message-passing interface of package
+// local.
 type Algorithm interface {
 	Name() string
-	Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error)
+	Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error)
 }
 
 // Exec is the package's one execution handle: the Run verb dispatches a
@@ -40,8 +41,10 @@ type Exec struct {
 
 // Run executes len(draws) independent trials of a on one shared
 // instance — the standard Monte-Carlo chunk shape. Lane b runs in under
-// draws[b]; out[b] is lane b's global output.
-func (x Exec) Run(a Algorithm, in *lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+// draws[b]; out[b] is lane b's global output column. Lanes run on a
+// batch live in its output arena and follow its retention contract
+// (local.Batch.Run): valid while the next run on the batch executes.
+func (x Exec) Run(a Algorithm, in *lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	ins := make([]*lang.Instance, len(draws))
 	for b := range ins {
 		ins[b] = in
@@ -52,7 +55,7 @@ func (x Exec) Run(a Algorithm, in *lang.Instance, draws []localrand.Draw) ([][][
 // RunInstances is Run with per-lane instances (all over the handle's
 // plan graph); pipelines use it to thread lane-varying inputs between
 // stages. nil draws run every lane deterministically.
-func (x Exec) RunInstances(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+func (x Exec) RunInstances(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	if r, ok := a.(laneRunner); ok {
 		return r.runInstances(x, ins, draws)
 	}
@@ -64,12 +67,12 @@ func (x Exec) RunInstances(a Algorithm, ins []*lang.Instance, draws []localrand.
 // holds, with every lane's output byte-identical to a single-shot Run
 // of the same (instance, draw).
 type laneRunner interface {
-	runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error)
+	runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error)
 }
 
 // runLanes runs the lanes one at a time through the single-shot Run.
-func runLanes(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
-	ys := make([][][]byte, len(ins))
+func runLanes(a Algorithm, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
+	ys := make([]lang.Column, len(ins))
 	for b, in := range ins {
 		var sub *localrand.Draw
 		if draws != nil {
@@ -93,12 +96,12 @@ type ViewConstruction struct {
 func (a ViewConstruction) Name() string { return a.Algo.Name() }
 
 // Run implements Algorithm.
-func (a ViewConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (a ViewConstruction) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	return local.RunView(in, a.Algo, draw), nil
 }
 
 // runInstances implements laneRunner.
-func (a ViewConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+func (a ViewConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	if x.Bt == nil {
 		return runLanes(a, ins, draws)
 	}
@@ -115,17 +118,17 @@ type MessageConstruction struct {
 func (a MessageConstruction) Name() string { return a.Algo.Name() }
 
 // Run implements Algorithm.
-func (a MessageConstruction) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (a MessageConstruction) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	res, err := local.RunMessage(in, a.Algo, draw, a.Opts)
 	if err != nil {
-		return nil, err
+		return lang.Column{}, err
 	}
 	return res.Y, nil
 }
 
 // runInstances implements laneRunner: the lane vector runs through the
 // batch (across its shards, when it holds any).
-func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	if x.Bt == nil {
 		return runLanes(a, ins, draws)
 	}
@@ -133,7 +136,7 @@ func (a MessageConstruction) runInstances(x Exec, ins []*lang.Instance, draws []
 	if err != nil {
 		return nil, err
 	}
-	ys := make([][][]byte, len(rs))
+	ys := make([]lang.Column, len(rs))
 	for b, r := range rs {
 		ys[b] = r.Y
 	}
@@ -165,23 +168,23 @@ func (p Pipeline) Name() string {
 }
 
 // Run implements Algorithm.
-func (p Pipeline) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (p Pipeline) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	var draws []localrand.Draw
 	if draw != nil {
 		draws = []localrand.Draw{*draw}
 	}
 	ys, err := p.runInstances(Exec{}, []*lang.Instance{in}, draws)
 	if err != nil {
-		return nil, err
+		return lang.Column{}, err
 	}
 	return ys[0], nil
 }
 
 // runInstances implements laneRunner: every stage runs its whole lane
 // vector in the shape x holds, stage i's lane outputs become stage i+1's
-// lane inputs, and lane b's stage i runs under the sub-draw
-// draws[b].Derive(i).
-func (p Pipeline) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+// lane inputs (as row views of the output columns), and lane b's stage
+// i runs under the sub-draw draws[b].Derive(i).
+func (p Pipeline) runInstances(x Exec, ins []*lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	if len(p.Stages) == 0 {
 		return nil, fmt.Errorf("construct: empty pipeline")
 	}
@@ -191,7 +194,7 @@ func (p Pipeline) runInstances(x Exec, ins []*lang.Instance, draws []localrand.D
 	if draws != nil {
 		subs = make([]localrand.Draw, len(draws))
 	}
-	var ys [][][]byte
+	var ys []lang.Column
 	for i, stage := range p.Stages {
 		for b := range subs {
 			subs[b] = draws[b].Derive(uint64(i))
@@ -202,7 +205,7 @@ func (p Pipeline) runInstances(x Exec, ins []*lang.Instance, draws []localrand.D
 		}
 		ys = y
 		for b := range cur {
-			cur[b] = &lang.Instance{G: cur[b].G, X: y[b], ID: cur[b].ID}
+			cur[b] = &lang.Instance{G: cur[b].G, X: y[b].Rows(), ID: cur[b].ID}
 		}
 	}
 	return ys, nil

@@ -26,7 +26,7 @@ func drawOf(seed, idx uint64) *localrand.Draw {
 	return &d
 }
 
-func outputConfig(in *lang.Instance, y [][]byte) *lang.Config {
+func outputConfig(in *lang.Instance, y lang.Column) *lang.Config {
 	return &lang.Config{G: in.G, X: in.X, Y: y}
 }
 
@@ -36,7 +36,8 @@ func TestRandomColoringRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, out := range y {
+	for v := range y.Len() {
+		out := y.At(v)
 		c, err := lang.DecodeColor(out)
 		if err != nil || c >= 3 {
 			t.Fatalf("node %d: color %d err %v", v, c, err)
@@ -50,11 +51,11 @@ func TestRandomColoringDeterministicPerDraw(t *testing.T) {
 	y2, _ := RandomColoring(3).Run(in, drawOf(1, 7))
 	y3, _ := RandomColoring(3).Run(in, drawOf(1, 8))
 	same := true
-	for v := range y1 {
-		if !bytes.Equal(y1[v], y2[v]) {
+	for v := range y1.Len() {
+		if !bytes.Equal(y1.At(v), y2.At(v)) {
 			t.Fatalf("same draw differs at %d", v)
 		}
-		if !bytes.Equal(y1[v], y3[v]) {
+		if !bytes.Equal(y1.At(v), y3.At(v)) {
 			same = false
 		}
 	}
@@ -329,7 +330,8 @@ func TestMoserTardosOutputsBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, out := range y {
+	for v := range y.Len() {
+		out := y.At(v)
 		c, err := lang.DecodeColor(out)
 		if err != nil || c > 1 {
 			t.Fatalf("node %d: output %v not a bit", v, out)
@@ -357,8 +359,8 @@ func TestOrderInvariantCorpusInvariance(t *testing.T) {
 	for _, algo := range corpus {
 		ya := local.RunView(inA, algo, nil)
 		yb := local.RunView(inB, algo, nil)
-		for v := range ya {
-			if !bytes.Equal(ya[v], yb[v]) {
+		for v := range ya.Len() {
+			if !bytes.Equal(ya.At(v), yb.At(v)) {
 				t.Errorf("%s: output changed under order-preserving remap at node %d", algo.Name(), v)
 			}
 		}
@@ -376,7 +378,8 @@ func TestOrderInvariantCorpusMonochromesConsecutiveCycle(t *testing.T) {
 		tRad := algo.Radius()
 		y := local.RunView(in, algo, nil)
 		counts := map[string]int{}
-		for _, out := range y {
+		for i := range y.Len() {
+			out := y.At(i)
 			counts[string(out)]++
 		}
 		max := 0
@@ -408,8 +411,8 @@ func TestPipelineComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range y {
-		if c, _ := lang.DecodeColor(y[v]); c != 2 {
+	for v := range y.Len() {
+		if c, _ := lang.DecodeColor(y.At(v)); c != 2 {
 			t.Fatalf("node %d: color %d, want 2", v, c)
 		}
 	}
@@ -437,7 +440,7 @@ func TestPipelineStagesGetIndependentRandomness(t *testing.T) {
 	}
 	// The second stage reads stage 1's output as input; if the stages
 	// shared randomness, output would equal input deterministically.
-	if string(y[0]) == "" {
+	if string(y.At(0)) == "" {
 		t.Fatal("no output")
 	}
 }

@@ -135,8 +135,9 @@ func hashResult(h hash.Hash, res *local.Result) {
 	}
 	put(uint64(res.Stats.Rounds))
 	put(uint64(res.Stats.Messages))
-	put(uint64(len(res.Y)))
-	for _, y := range res.Y {
+	put(uint64(res.Y.Len()))
+	for v := range res.Y.Len() {
+		y := res.Y.At(v)
 		put(uint64(len(y)))
 		h.Write(y)
 	}

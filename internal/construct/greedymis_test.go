@@ -28,7 +28,7 @@ func TestGreedyMISFromColoring(t *testing.T) {
 	}
 	// Color-0 nodes must all be in (first class joins unconditionally).
 	for v := 0; v < 9; v += 3 {
-		sel, _ := lang.DecodeSelected(y[v])
+		sel, _ := lang.DecodeSelected(y.At(v))
 		if !sel {
 			t.Errorf("color-0 node %d not selected", v)
 		}
@@ -59,8 +59,8 @@ func TestDeterministicRingMISIsDeterministic(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	for v := range y1 {
-		if !bytes.Equal(y1[v], y2[v]) {
+	for v := range y1.Len() {
+		if !bytes.Equal(y1.At(v), y2.At(v)) {
 			t.Fatalf("deterministic MIS differs across runs at node %d", v)
 		}
 	}

@@ -111,10 +111,10 @@ func TestResetProcessReuseByteIdentical(t *testing.T) {
 					if want.Stats != got[b].Stats {
 						t.Fatalf("trial %d lane %d: pooled Stats %+v, want %+v", trial, b, got[b].Stats, want.Stats)
 					}
-					for v := range want.Y {
-						if string(want.Y[v]) != string(got[b].Y[v]) {
+					for v := range want.Y.Len() {
+						if string(want.Y.At(v)) != string(got[b].Y.At(v)) {
 							t.Fatalf("trial %d lane %d node %d: pooled output %x, want %x",
-								trial, b, v, got[b].Y[v], want.Y[v])
+								trial, b, v, got[b].Y.At(v), want.Y.At(v))
 						}
 					}
 				}

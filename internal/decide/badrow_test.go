@@ -118,7 +118,7 @@ func TestBadRowMatchesBallPath(t *testing.T) {
 					dis := make([]*lang.DecisionInstance, lanes)
 					for b := range dis {
 						dis[b] = &lang.DecisionInstance{
-							G: g, X: x, Y: corruptOutputs(rng, n, 3, lc.selection), ID: id,
+							G: g, X: x, Y: lang.ColumnOf(corruptOutputs(rng, n, 3, lc.selection)), ID: id,
 						}
 					}
 					d := &LCLDecider{L: lc.l}
@@ -128,7 +128,7 @@ func TestBadRowMatchesBallPath(t *testing.T) {
 						for v := 0; v < n; v++ {
 							if want[b][v] != got[b][v] {
 								t.Fatalf("seed %d lane %d node %d: row path %v, view path %v (y=%x)",
-									seed, b, v, got[b][v], want[b][v], dis[b].Y[v])
+									seed, b, v, got[b][v], want[b][v], dis[b].Y.At(v))
 							}
 						}
 					}
@@ -157,7 +157,7 @@ func TestBadRowWeakColoringOrder(t *testing.T) {
 			y[v] = lang.EncodeColor(0)
 		}
 		y[1], y[2] = first, second
-		return &lang.DecisionInstance{G: g, X: x, Y: y, ID: id}
+		return &lang.DecisionInstance{G: g, X: x, Y: lang.ColumnOf(y), ID: id}
 	}
 	cases := []struct {
 		name      string
@@ -227,7 +227,7 @@ func TestCoinRowMatchesViewPath(t *testing.T) {
 					draws := make([]localrand.Draw, lanes)
 					for b := range dis {
 						dis[b] = &lang.DecisionInstance{
-							G: g, X: x, Y: corruptOutputs(rng, n, 3, dc.selection), ID: id,
+							G: g, X: x, Y: lang.ColumnOf(corruptOutputs(rng, n, 3, dc.selection)), ID: id,
 						}
 						draws[b] = space.Draw(uint64(seed*lanes + b))
 					}
@@ -239,7 +239,7 @@ func TestCoinRowMatchesViewPath(t *testing.T) {
 							for v := 0; v < n; v++ {
 								if want[b][v] != got[b][v] {
 									t.Fatalf("seed %d lane %d node %d: row path %v, view path %v (y=%x)",
-										seed, b, v, got[b][v], want[b][v], dis[b].Y[v])
+										seed, b, v, got[b][v], want[b][v], dis[b].Y.At(v))
 								}
 							}
 						}
@@ -277,7 +277,7 @@ func TestVerdictsRejectMalformedLanes(t *testing.T) {
 		draws []localrand.Draw
 		bt    *local.Batch
 	}{
-		{"short-Y", []*lang.DecisionInstance{short(func(di *lang.DecisionInstance) { di.Y = di.Y[:2] })}, nil, nil},
+		{"short-Y", []*lang.DecisionInstance{short(func(di *lang.DecisionInstance) { di.Y = lang.ColumnOf(di.Y.Rows()[:2]) })}, nil, nil},
 		{"short-X", []*lang.DecisionInstance{short(func(di *lang.DecisionInstance) { di.X = di.X[:2] })}, nil, nil},
 		{"short-ID", []*lang.DecisionInstance{short(func(di *lang.DecisionInstance) { di.ID = di.ID[:5] })}, nil, nil},
 		{"other-graph", []*lang.DecisionInstance{good, coloringInstance(t, graph.Cycle(6), 0, 1, 0, 1, 0, 1)}, nil, nil},

@@ -44,7 +44,7 @@ func selInstance(t testing.TB, g *graph.Graph, selected ...int) *lang.DecisionIn
 	for _, v := range selected {
 		y[v] = lang.EncodeSelected(true)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 }
 
 // coloringInstance builds a decision instance carrying a coloring.
@@ -54,7 +54,7 @@ func coloringInstance(t testing.TB, g *graph.Graph, colors ...int) *lang.Decisio
 	for v, c := range colors {
 		y[v] = lang.EncodeColor(c)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 }
 
 func TestLCLDeciderMatchesLanguage(t *testing.T) {

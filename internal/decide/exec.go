@@ -109,9 +109,9 @@ func (x Exec) checkLanes(dis []*lang.DecisionInstance, draws []localrand.Draw) e
 		if di.G != g {
 			return fmt.Errorf("decide: lane %d graph %v is not lane 0's graph %v", b, di.G, g)
 		}
-		if len(di.X) != n || len(di.Y) != n || len(di.ID) != n {
+		if len(di.X) != n || di.Y.Len() != n || len(di.ID) != n {
 			return fmt.Errorf("decide: lane %d has %d inputs, %d outputs and %d identities for %d nodes",
-				b, len(di.X), len(di.Y), len(di.ID), n)
+				b, len(di.X), di.Y.Len(), len(di.ID), n)
 		}
 	}
 	return nil

@@ -55,7 +55,7 @@ func AMOSFooling(d Decider, pathLen int) (*FoolingReport, error) {
 		for _, v := range selected {
 			y[v] = lang.EncodeSelected(true)
 		}
-		return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(pathLen), Y: y, ID: id}
+		return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(pathLen), Y: lang.ColumnOf(y), ID: id}
 	}
 	left := mk(0)
 	right := mk(pathLen - 1)

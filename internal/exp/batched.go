@@ -51,7 +51,7 @@ func newTrialBatch(plan *local.Plan, shards int, provide local.ShardProvider) fu
 }
 
 // construct runs one construction lane vector on the worker's batch.
-func (s *trialBatch) construct(algo construct.Algorithm, in *lang.Instance, draws []localrand.Draw) ([][][]byte, error) {
+func (s *trialBatch) construct(algo construct.Algorithm, in *lang.Instance, draws []localrand.Draw) ([]lang.Column, error) {
 	return construct.Exec{Bt: s.Batch}.Run(algo, in, draws)
 }
 
@@ -78,7 +78,7 @@ func (s *trialBatch) lanes2(space *localrand.TapeSpace, lo, hi int, tag func(tri
 // decisions wraps per-lane construction outputs as decision instances
 // over the shared instance's identity and input columns. The instances
 // live in the worker's slab, rewritten by the next call.
-func (s *trialBatch) decisions(in *lang.Instance, ys [][][]byte) []*lang.DecisionInstance {
+func (s *trialBatch) decisions(in *lang.Instance, ys []lang.Column) []*lang.DecisionInstance {
 	for i, y := range ys {
 		s.diSlab[i] = lang.DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}
 		s.dis[i] = &s.diSlab[i]

@@ -106,8 +106,8 @@ func (e e13) Run(cfg report.Config) (*report.Result, error) {
 		in := &lang.Instance{G: g, X: lang.EmptyInputs(8), ID: idAssign}
 		ya := local.RunView(in, a, nil)
 		yb := local.RunView(in, sim, nil)
-		for v := range ya {
-			if string(ya[v]) != string(yb[v]) {
+		for v := range ya.Len() {
+			if string(ya.At(v)) != string(yb.At(v)) {
 				agree = false
 			}
 		}

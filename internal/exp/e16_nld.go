@@ -97,7 +97,7 @@ func (e e16) Run(cfg report.Config) (*report.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		di := &lang.DecisionInstance{G: gr.g, X: in.X, Y: y, ID: in.ID}
+		di := &lang.DecisionInstance{G: gr.g, X: in.X, Y: lang.ColumnOf(y), ID: in.ID}
 		ok, err := certify.Completeness(di, certify.SpanningTreeScheme{})
 		if err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func (e e16) Run(cfg report.Config) (*report.Result, error) {
 		// Corrupt: second root.
 		y2 := append([][]byte{}, y...)
 		y2[gr.g.N()-1] = certify.RootMark
-		di2 := &lang.DecisionInstance{G: gr.g, X: in.X, Y: y2, ID: in.ID}
+		di2 := &lang.DecisionInstance{G: gr.g, X: in.X, Y: lang.ColumnOf(y2), ID: in.ID}
 		inL, _ := (certify.SpanningTree{}).Contains(di2.Config())
 		fooling, err := certify.SoundnessSearch(di2, certify.SpanningTreeScheme{}, attempts, 14, cfg.Seed^0x61)
 		if err != nil {
@@ -146,7 +146,7 @@ func mkSelected(g *graph.Graph, selected []int) *lang.DecisionInstance {
 	for _, v := range selected {
 		y[v] = lang.EncodeSelected(true)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: y, ID: ids.Consecutive(g.N())}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(g.N()), Y: lang.ColumnOf(y), ID: ids.Consecutive(g.N())}
 }
 
 // naiveCountDecider duplicates E9's natural decider for the contrast row.

@@ -48,7 +48,7 @@ func selectedInstance(g *graph.Graph, selected ...int) *lang.DecisionInstance {
 	for _, v := range selected {
 		y[v] = lang.EncodeSelected(true)
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(n), Y: y, ID: ids.Consecutive(n)}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(n), Y: lang.ColumnOf(y), ID: ids.Consecutive(n)}
 }
 
 // coloredInstance attaches 1-byte colors to g with consecutive ids.
@@ -58,7 +58,7 @@ func coloredInstance(g *graph.Graph, colors []int) *lang.DecisionInstance {
 	for v := 0; v < n; v++ {
 		y[v] = lang.EncodeColor(colors[v])
 	}
-	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(n), Y: y, ID: ids.Consecutive(n)}
+	return &lang.DecisionInstance{G: g, X: lang.EmptyInputs(n), Y: lang.ColumnOf(y), ID: ids.Consecutive(n)}
 }
 
 // plantedRingColoring returns a 3-coloring of C_n (n divisible by 6) with

@@ -131,18 +131,19 @@ func TestPlantedSaboteur(t *testing.T) {
 	in := plantedBlock(12, 1)
 	draw := localrand.NewTapeSpace(1).Draw(0)
 	clean := local.RunView(in, PlantedSaboteur{Beta: 0}, &draw)
-	for v, y := range clean {
+	for v := range clean.Len() {
+		y := clean.At(v)
 		want := byte(v % 2)
 		if len(y) != 1 || y[0] != want {
 			t.Fatalf("node %d: clean output %v, want color %d", v, y, want)
 		}
 	}
 	corrupted := local.RunView(in, PlantedSaboteur{Beta: 1}, &draw)
-	if corrupted[0][0] != corrupted[1][0] {
+	if corrupted.At(0)[0] != corrupted.At(1)[0] {
 		t.Error("β=1: leader did not copy its successor's color")
 	}
 	for v := 2; v < 11; v++ {
-		if corrupted[v][0] != byte(v%2) {
+		if corrupted.At(v)[0] != byte(v%2) {
 			t.Errorf("β=1: non-leader node %d changed color", v)
 		}
 	}

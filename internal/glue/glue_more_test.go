@@ -18,7 +18,7 @@ import (
 type coinRunner struct{}
 
 func (coinRunner) Name() string { return "coin" }
-func (coinRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (coinRunner) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	y := make([][]byte, in.G.N())
 	fail := draw != nil && draw.Tape(in.ID.Min()).Bernoulli(0.5)
 	for v := range y {
@@ -28,7 +28,7 @@ func (coinRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error)
 		}
 		y[v] = lang.EncodeColor(c)
 	}
-	return y, nil
+	return lang.ColumnOf(y), nil
 }
 
 func TestFindHardCycleRandomized(t *testing.T) {
@@ -119,8 +119,8 @@ func TestEstimateFailureRunnerError(t *testing.T) {
 type errorRunner struct{}
 
 func (errorRunner) Name() string { return "error" }
-func (errorRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
-	return nil, errors.New("boom")
+func (errorRunner) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
+	return lang.Column{}, errors.New("boom")
 }
 
 // TestEstimateFailurePathsAgree pins that the failure estimate replays

@@ -260,12 +260,12 @@ func TestBuildGluedValidation(t *testing.T) {
 type failingRunner struct{}
 
 func (failingRunner) Name() string { return "mono" }
-func (failingRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (failingRunner) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	y := make([][]byte, in.G.N())
 	for v := range y {
 		y[v] = lang.EncodeColor(1)
 	}
-	return y, nil
+	return lang.ColumnOf(y), nil
 }
 
 func TestFindHardCycleDeterministic(t *testing.T) {
@@ -292,13 +292,13 @@ func TestFindHardCycleDeterministic(t *testing.T) {
 type perfectRunner struct{}
 
 func (perfectRunner) Name() string { return "oracle" }
-func (perfectRunner) Run(in *lang.Instance, draw *localrand.Draw) ([][]byte, error) {
+func (perfectRunner) Run(in *lang.Instance, draw *localrand.Draw) (lang.Column, error) {
 	y := make([][]byte, in.G.N())
 	for v := range y {
 		y[v] = lang.EncodeColor(v % 2)
 	}
 	// Proper on even cycles; the search uses powers of two, all even.
-	return y, nil
+	return lang.ColumnOf(y), nil
 }
 
 func TestFindHardCycleGivesUp(t *testing.T) {

@@ -69,7 +69,7 @@ func FindHardCycle(runner Runner, language lang.Language, dmin int, imin int64,
 // path. A runner error fails every trial of its vector.
 func estimateFailure(runner Runner, language lang.Language, in *lang.Instance,
 	space *localrand.TapeSpace, trials int) mc.Estimate {
-	outside := func(y [][]byte, err error) bool {
+	outside := func(y lang.Column, err error) bool {
 		if err != nil {
 			return true // failure to run is failure
 		}

@@ -164,7 +164,7 @@ func TestRowPathMatchesBallPath(t *testing.T) {
 					if seed > 0 {
 						y = saltOutputs(rng, base, lc.q, lc.selection)
 					}
-					c := &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+					c := &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 					want, got := ball.CountBadBalls(c), row.CountBadBalls(c)
 					if got != want {
 						t.Fatalf("seed %d: row path counts %d bad balls, ball path %d", seed, got, want)
@@ -215,11 +215,11 @@ func TestRowPathShapeMismatch(t *testing.T) {
 			Bad:      lc.l.Bad,
 			BadRow:   func(*DecisionInstance, []bool, []int32) { panic("lang: row path taken on a mismatched shape") },
 		}
-		ref := &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+		ref := &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 		want := ballOnly(lc.l).CountBadBalls(ref)
 		for name, c := range map[string]*Config{
-			"long-y": {G: g, X: EmptyInputs(g.N()), Y: append(slices.Clone(y), EncodeColor(0))},
-			"long-x": {G: g, X: EmptyInputs(g.N() + 1), Y: y},
+			"long-y": {G: g, X: EmptyInputs(g.N()), Y: ColumnOf(append(slices.Clone(y), EncodeColor(0)))},
+			"long-x": {G: g, X: EmptyInputs(g.N() + 1), Y: ColumnOf(y)},
 		} {
 			if got := l.CountBadBalls(c); got != want {
 				t.Errorf("%s/%s: CountBadBalls %d, want %d", lc.l.LangName, name, got, want)
@@ -249,7 +249,7 @@ func TestRowPathConcurrent(t *testing.T) {
 		g := graph.Cycle(30 + 17*i)
 		rng := rand.New(rand.NewSource(int64(i)))
 		y := saltOutputs(rng, memberOutputs(g, false, false), 3, false)
-		c := &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+		c := &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 		jobs[i] = job{c, ballOnly(l).CountBadBalls(c)}
 	}
 	var wg sync.WaitGroup
@@ -282,7 +282,7 @@ func countBenchConfig() *Config {
 	for v := range y {
 		y[v] = EncodeColor(rng.Intn(3))
 	}
-	return &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+	return &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 }
 
 // BenchmarkCountBadBallsRow times one CountBadBalls through the row

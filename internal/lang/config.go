@@ -17,13 +17,14 @@ import (
 )
 
 // Config is an input-output configuration (G, (x, y)). X and Y are indexed
-// by node; entries may be empty strings but the slices must cover all
-// nodes. Membership in a language never depends on identities, so Config
+// by node; entries may be empty strings but both must cover all nodes.
+// Outputs are a Column: one byte slab, not one slice per node.
+// Membership in a language never depends on identities, so Config
 // carries none.
 type Config struct {
 	G *graph.Graph
 	X [][]byte
-	Y [][]byte
+	Y Column
 }
 
 // Instance is an instance (G, x, id) of a construction task (§2.2.1):
@@ -39,7 +40,7 @@ type Instance struct {
 type DecisionInstance struct {
 	G  *graph.Graph
 	X  [][]byte
-	Y  [][]byte
+	Y  Column
 	ID ids.Assignment
 }
 
@@ -79,9 +80,9 @@ func NewInstance(g *graph.Graph, x [][]byte, id ids.Assignment) (*Instance, erro
 
 // WithOutput attaches a constructed output to an instance, yielding the
 // decision instance that a decider will examine.
-func (in *Instance) WithOutput(y [][]byte) (*DecisionInstance, error) {
-	if len(y) != in.G.N() {
-		return nil, fmt.Errorf("%w: |y|=%d, n=%d", ErrShape, len(y), in.G.N())
+func (in *Instance) WithOutput(y Column) (*DecisionInstance, error) {
+	if y.Len() != in.G.N() {
+		return nil, fmt.Errorf("%w: |y|=%d, n=%d", ErrShape, y.Len(), in.G.N())
 	}
 	return &DecisionInstance{G: in.G, X: in.X, Y: y, ID: in.ID}, nil
 }
@@ -94,8 +95,8 @@ func (c *Config) Validate() error {
 	if len(c.X) != c.G.N() {
 		return fmt.Errorf("%w: |x|=%d, n=%d", ErrShape, len(c.X), c.G.N())
 	}
-	if len(c.Y) != c.G.N() {
-		return fmt.Errorf("%w: |y|=%d, n=%d", ErrShape, len(c.Y), c.G.N())
+	if c.Y.Len() != c.G.N() {
+		return fmt.Errorf("%w: |y|=%d, n=%d", ErrShape, c.Y.Len(), c.G.N())
 	}
 	return nil
 }
@@ -127,7 +128,7 @@ func (f Fk) Holds(c *Config) bool {
 		return false
 	}
 	for v := 0; v < c.G.N(); v++ {
-		if len(c.X[v]) > f.K || len(c.Y[v]) > f.K {
+		if len(c.X[v]) > f.K || len(c.Y.At(v)) > f.K {
 			return false
 		}
 	}

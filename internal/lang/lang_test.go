@@ -14,7 +14,7 @@ func colorConfig(g *graph.Graph, colors ...int) *Config {
 	for v, c := range colors {
 		y[v] = EncodeColor(c)
 	}
-	return &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+	return &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 }
 
 // selConfig builds a configuration with the given selected node set.
@@ -26,7 +26,7 @@ func selConfig(g *graph.Graph, selected ...int) *Config {
 	for _, v := range selected {
 		y[v] = EncodeSelected(true)
 	}
-	return &Config{G: g, X: EmptyInputs(g.N()), Y: y}
+	return &Config{G: g, X: EmptyInputs(g.N()), Y: ColumnOf(y)}
 }
 
 func mustContain(t *testing.T, l Language, c *Config, want bool) {
@@ -42,11 +42,11 @@ func mustContain(t *testing.T, l Language, c *Config, want bool) {
 
 func TestConfigValidate(t *testing.T) {
 	g := graph.Path(3)
-	good := &Config{G: g, X: EmptyInputs(3), Y: EmptyInputs(3)}
+	good := &Config{G: g, X: EmptyInputs(3), Y: ColumnOf(EmptyInputs(3))}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	bad := &Config{G: g, X: EmptyInputs(2), Y: EmptyInputs(3)}
+	bad := &Config{G: g, X: EmptyInputs(2), Y: ColumnOf(EmptyInputs(3))}
 	if err := bad.Validate(); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
@@ -71,28 +71,30 @@ func TestNewInstanceValidation(t *testing.T) {
 func TestWithOutput(t *testing.T) {
 	g := graph.Path(3)
 	in, _ := NewInstance(g, EmptyInputs(3), ids.Consecutive(3))
-	di, err := in.WithOutput(EmptyInputs(3))
+	di, err := in.WithOutput(ColumnOf(EmptyInputs(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := di.Config().Validate(); err != nil {
 		t.Errorf("decision config invalid: %v", err)
 	}
-	if _, err := in.WithOutput(EmptyInputs(2)); !errors.Is(err, ErrShape) {
+	if _, err := in.WithOutput(ColumnOf(EmptyInputs(2))); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
 }
 
 func TestFkPromise(t *testing.T) {
 	g := graph.Star(5) // center degree 4
-	c := &Config{G: g, X: EmptyInputs(5), Y: EmptyInputs(5)}
+	c := &Config{G: g, X: EmptyInputs(5), Y: ColumnOf(EmptyInputs(5))}
 	if !(Fk{K: 4}).Holds(c) {
 		t.Error("F_4 should hold for star with Δ=4")
 	}
 	if (Fk{K: 3}).Holds(c) {
 		t.Error("F_3 should fail for star with Δ=4")
 	}
-	c.Y[0] = []byte("too long for k")
+	long := c.Y.Rows()
+	long[0] = []byte("too long for k")
+	c.Y = ColumnOf(long)
 	if (Fk{K: 4}).Holds(c) {
 		t.Error("F_4 should fail for a 14-byte output")
 	}
@@ -148,7 +150,9 @@ func TestProperColoring(t *testing.T) {
 	mustContain(t, l, colorConfig(c5, 0, 1, 0, 1, 3), false)
 	// Malformed output string.
 	bad := colorConfig(c5, 0, 1, 0, 1, 2)
-	bad.Y[2] = nil
+	rows := bad.Y.Rows()
+	rows[2] = nil
+	bad.Y = ColumnOf(rows)
 	mustContain(t, l, bad, false)
 }
 
@@ -201,7 +205,7 @@ func TestMaximalMatching(t *testing.T) {
 		EncodeMatchPort(1, true), // 2 matched to 3
 		EncodeMatchPort(0, true), // 3 matched to 2
 	}
-	c := &Config{G: p4, X: EmptyInputs(4), Y: y}
+	c := &Config{G: p4, X: EmptyInputs(4), Y: ColumnOf(y)}
 	mustContain(t, l, c, true)
 
 	// Non-reciprocal: 1 claims 2 while 2 claims 3.
@@ -211,7 +215,7 @@ func TestMaximalMatching(t *testing.T) {
 		EncodeMatchPort(1, true),
 		EncodeMatchPort(0, true),
 	}
-	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: y2}, false)
+	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: ColumnOf(y2)}, false)
 
 	// Not maximal: middle edge unmatched while both endpoints unmatched.
 	y3 := [][]byte{
@@ -220,7 +224,7 @@ func TestMaximalMatching(t *testing.T) {
 		EncodeMatchPort(0, false),
 		EncodeMatchPort(0, false),
 	}
-	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: y3}, false)
+	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: ColumnOf(y3)}, false)
 
 	// Matched through a nonexistent port.
 	y4 := [][]byte{
@@ -229,7 +233,7 @@ func TestMaximalMatching(t *testing.T) {
 		EncodeMatchPort(1, true),
 		EncodeMatchPort(0, true),
 	}
-	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: y4}, false)
+	mustContain(t, l, &Config{G: p4, X: EmptyInputs(4), Y: ColumnOf(y4)}, false)
 }
 
 func TestMinimalDominatingSet(t *testing.T) {

@@ -17,8 +17,8 @@ type Language interface {
 // countSelected counts nodes whose output is exactly the selection mark.
 func countSelected(c *Config) int {
 	count := 0
-	for _, y := range c.Y {
-		if len(y) == 1 && y[0] == Selected {
+	for v := range c.Y.Len() {
+		if y := c.Y.At(v); len(y) == 1 && y[0] == Selected {
 			count++
 		}
 	}

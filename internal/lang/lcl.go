@@ -25,7 +25,7 @@ func LabeledBallAround(c *Config, v, t int) *LabeledBall {
 	y := make([][]byte, b.Size())
 	for i, u := range b.Nodes {
 		x[i] = c.X[u]
-		y[i] = c.Y[u]
+		y[i] = c.Y.At(u)
 	}
 	return &LabeledBall{Ball: b, X: x, Y: y}
 }
@@ -129,7 +129,7 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 // graph's nodes; the caller then evaluates Bad ball by ball.
 func (l *LCL) evalRow(c *Config, f func(bad []bool)) bool {
 	n := c.G.N()
-	if l.BadRow == nil || len(c.X) != n || len(c.Y) != n {
+	if l.BadRow == nil || len(c.X) != n || c.Y.Len() != n {
 		return false
 	}
 	s := rowPool.Get().(*rowScratch)
@@ -206,13 +206,48 @@ func ProperColoring(q int) *LCL {
 // decodeColorRow decodes every node's output color once into col:
 // -1 for a malformed output, the raw decoded value otherwise (range
 // checks stay with the caller — Bad treats center and neighbor ranges
-// differently).
-func decodeColorRow(y [][]byte, col []int32) {
-	for v, yv := range y {
-		if c, err := DecodeColor(yv); err != nil {
+// differently). A fixed-form width-1 column is read as one color per
+// byte.
+func decodeColorRow(y Column, col []int32) {
+	if w, fixed := y.Width(); fixed && w == 1 {
+		for v, c := range y.data[:len(col)] {
+			col[v] = int32(c)
+		}
+		return
+	}
+	for v := range col {
+		if c, err := DecodeColor(y.At(v)); err != nil {
 			col[v] = -1
 		} else {
 			col[v] = int32(c)
+		}
+	}
+}
+
+// decodeSelectedRow decodes every node's selection mark once into sel:
+// 1 selected, 0 not selected, -1 malformed — DecodeSelected's verdicts,
+// read as bytes from a fixed-form width-1 column.
+func decodeSelectedRow(y Column, sel []int32) {
+	if w, fixed := y.Width(); fixed && w == 1 {
+		for v, c := range y.data[:len(sel)] {
+			switch c {
+			case Selected:
+				sel[v] = 1
+			case NotSelected:
+				sel[v] = 0
+			default:
+				sel[v] = -1
+			}
+		}
+		return
+	}
+	for v := range sel {
+		if s, err := DecodeSelected(y.At(v)); err != nil {
+			sel[v] = -1
+		} else if s {
+			sel[v] = 1
+		} else {
+			sel[v] = 0
 		}
 	}
 }
@@ -295,15 +330,7 @@ func MIS() *LCL {
 			return !anySelected // domination violated
 		},
 		BadRow: func(di *DecisionInstance, bad []bool, sel []int32) {
-			for v, yv := range di.Y {
-				if s, err := DecodeSelected(yv); err != nil {
-					sel[v] = -1
-				} else if s {
-					sel[v] = 1
-				} else {
-					sel[v] = 0
-				}
-			}
+			decodeSelectedRow(di.Y, sel)
 			g := di.G
 			for v := range bad {
 				sv := sel[v]
@@ -341,10 +368,10 @@ func NoneSelected() *LCL {
 			sel, err := DecodeSelected(b.Y[0])
 			return err == nil && sel
 		},
-		BadRow: func(di *DecisionInstance, bad []bool, _ []int32) {
-			for v, yv := range di.Y {
-				sel, err := DecodeSelected(yv)
-				bad[v] = err == nil && sel
+		BadRow: func(di *DecisionInstance, bad []bool, sel []int32) {
+			decodeSelectedRow(di.Y, sel)
+			for v, s := range sel {
+				bad[v] = s == 1
 			}
 		},
 	}

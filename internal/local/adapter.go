@@ -94,7 +94,7 @@ func RunFullInfo(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) *R
 		// Round 1: every node announces itself on all ports.
 		sent[v] = &gossip{basics: []basicRec{self}}
 	}
-	res := &Result{Y: make([][]byte, n), Stats: Stats{Rounds: t}}
+	res := &Result{Stats: Stats{Rounds: t}}
 	next := make([]*gossip, n)
 	for round := 1; round <= t; round++ {
 		for v, m := range sent {
@@ -107,9 +107,11 @@ func RunFullInfo(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) *R
 		}
 		sent, next = next, sent
 	}
+	ys := make([][]byte, n)
 	for v := range nodes {
-		res.Y[v] = algo.Output(nodes[v].reconstruct())
+		ys[v] = algo.Output(nodes[v].reconstruct())
 	}
+	res.Y = lang.ColumnOf(ys)
 	return res
 }
 
@@ -314,5 +316,5 @@ func (a *msgViewAlgo) Output(v *View) []byte {
 	if err != nil {
 		panic(fmt.Sprintf("local: ball simulation failed: %v", err))
 	}
-	return res.Y[0]
+	return res.Y.At(0)
 }

@@ -398,3 +398,36 @@ func TestWireMessageZeroAllocsPerRound(t *testing.T) {
 		}
 	}
 }
+
+// TestChanLinkWaitsAllocFlat pins the in-process link's deadline timers:
+// each direction of a chanLink keeps one timer and re-arms it, so a warm
+// two-shard run over channel links allocates the same whether it runs 4
+// rounds or 64. A timer made per wait would add an allocation for every
+// Send or Recv that blocks — at GOMAXPROCS 1, where testing.AllocsPerRun
+// runs, the shard goroutines alternate and most Recvs do. Skipped under
+// -race.
+func TestChanLinkWaitsAllocFlat(t *testing.T) {
+	in := mustInstance(t, graph.Cycle(64))
+	s, err := MustPlan(in.G).NewSharded(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	space := localrand.NewTapeSpace(5)
+	draws := []localrand.Draw{space.Draw(0), space.Draw(1)}
+	allocs := func(rounds int) float64 {
+		run := func() {
+			if _, err := s.Run(in, tapeXOR{rounds: rounds}, draws, RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		run() // warm both output arena buffers
+		return testing.AllocsPerRun(20, run)
+	}
+	few, many := allocs(4), allocs(64)
+	t.Logf("warm 2-shard chan run: %.1f allocs at 4 rounds, %.1f at 64", few, many)
+	if many > few+2 {
+		t.Errorf("a 64-round run allocates %.1f, a 4-round run %.1f: link waits allocate per round", many, few)
+	}
+}

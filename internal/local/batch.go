@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"rlnc/internal/graph"
 	"rlnc/internal/ids"
@@ -109,8 +110,9 @@ type Batch struct {
 	wkDown [][]bool
 	// roundFn/startFn/collectFn are the bound roundPass/startPass/
 	// collectPass methods, built once so the per-round parallelChunks
-	// dispatch does not allocate a closure; rk/rround/rwa/rsrc/rys carry
-	// the pass parameters to them. The sharded orchestrator drives the
+	// dispatch does not allocate a closure; rk/rround/rwa/rsrc/rcols
+	// carry the pass parameters to them, and rragged is where collecting
+	// workers flag an output of another width than the block's. The sharded orchestrator drives the
 	// same passes directly over a shard's node range (see sharded.go),
 	// which is why the parameters live on the batch rather than in
 	// closures.
@@ -121,7 +123,8 @@ type Batch struct {
 	rround    int
 	rwa       WireAlgorithm
 	rsrc      laneSrc
-	rys       [][]byte
+	rcols     *outCols
+	rragged   atomic.Bool
 	// tapes holds the current block's tape rows, reused across runs.
 	tapes []localrand.Tape
 	// procAlgo is the algorithm whose process table survives in procs
@@ -167,13 +170,14 @@ type Batch struct {
 	dviewSets map[int]*viewSet
 	colID     []ids.Assignment
 	colX      [][][]byte
-	colY      [][][]byte
+	colY      []lang.Column
 	refill    []colRefill
-	// viewOuts is the double-buffered view-path output arena; viewFlip
-	// selects the buffer the next view pass writes (same contract as the
-	// message path's arenaPair).
-	viewOuts [2]viewArena
-	viewFlip int
+	// viewOuts is the double-buffered view-path output arena (the same
+	// alternation contract as the message path's), and viewW the width
+	// the next view pass writes its fixed-form outputs at: the width of
+	// the previous pass's first output, 1 before any.
+	viewOuts arenaPair
+	viewW    int
 }
 
 // laneSrc supplies the per-lane inputs of one execution vector — lane
@@ -213,12 +217,13 @@ func (src *laneSrc) tape(b, v int) *localrand.Tape {
 }
 
 // runArena is one buffer of a double-buffered per-run output store: the
-// flat output slab (lane b's column at [b*n, (b+1)*n)), the Result
-// values, and the pointer slice handed to the caller.
+// run's output bytes, one column per lane over them, the Result values,
+// and the pointer slice handed to the caller.
 type runArena struct {
-	ys  [][]byte
-	res []Result
-	ptr []*Result
+	out  outCols
+	cols []lang.Column
+	res  []Result
+	ptr  []*Result
 }
 
 // arenaPair is the double-buffered per-run output arena of an executor.
@@ -231,23 +236,16 @@ type arenaPair struct {
 	flip int
 }
 
-// next returns the buffer the coming run writes, sized for k lanes of n
-// nodes, and flips the pair.
+// next returns the buffer the coming run writes, opened for k lanes of
+// n nodes, and flips the pair.
 func (p *arenaPair) next(k, n int) *runArena {
 	ar := &p.buf[p.flip]
 	p.flip ^= 1
-	ar.ys = sliceFor(ar.ys, k*n)
+	ar.out.begin(k, n)
+	ar.cols = sliceFor(ar.cols, k)
 	ar.res = sliceFor(ar.res, k)
 	ar.ptr = sliceFor(ar.ptr, k)
 	return ar
-}
-
-// viewArena is one buffer of the view path's double-buffered output
-// store: the flat per-node output slab and the per-lane row slice,
-// under the same alternation contract as arenaPair.
-type viewArena struct {
-	slab [][]byte
-	ys   [][][]byte
 }
 
 // colRefill records which of a lane's columns differ from the previous
@@ -263,7 +261,7 @@ func (p *Plan) NewBatch(width int) *Batch {
 	if width < 1 {
 		panic(fmt.Sprintf("local: batch width %d, need >= 1", width))
 	}
-	return &Batch{plan: p, width: width, revTab: p.topo.RevSlot}
+	return &Batch{plan: p, width: width, revTab: p.topo.RevSlot, viewW: 1}
 }
 
 // newWindowBatch returns a batch whose wire slabs are compacted to one
@@ -393,9 +391,9 @@ func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localran
 	bt.layoutWire(wa)
 	n := bt.plan.g.N()
 	return bt.led.runBlocks(n, bt.block, all, k, draws,
-		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
+		func(src laneSrc, k int, draws []localrand.Draw, out *outCols) error {
 			bt.tapes = seedTapes(bt.tapes, 0, n, draws, &src)
-			return bt.runVec(src, k, wa, draws, opts, ys)
+			return bt.runVec(src, k, wa, draws, opts, out)
 		})
 }
 
@@ -543,14 +541,14 @@ func sliceFor[T any](s []T, n int) []T {
 // runVec is the unsharded round loop of one lane block: the start pass,
 // then one round pass per round across the run's workers, each pass's
 // worker rows summed into the batch's lane ledger, then the output
-// gather into ys (k*n cells, lane b's node v at ys[b*n+v]). src supplies
+// gather into the block of out (collect). src supplies
 // lane instances and tapes (the caller has validated all lanes against
 // the plan), draws carries the lanes' draw identities (read only by the
 // fault seam; nil for deterministic lanes), and wa's slab layout must be
 // current on this batch (layoutWire). Algorithms stage fixed-width words
 // straight into the send slabs and the steady-state round costs zero
 // allocations.
-func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, ys [][]byte) error {
+func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions, out *outCols) error {
 	n := bt.plan.g.N()
 	led := &bt.led
 	led.begin(k, n, opts)
@@ -584,8 +582,7 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 			break
 		}
 	}
-	bt.rys = ys
-	parallelChunks(n, workers, bt.collectFn)
+	bt.collect(out, workers)
 	return nil
 }
 
@@ -635,38 +632,86 @@ func (bt *Batch) endRun() {
 		clear(bt.resets)
 	}
 	bt.rsrc = laneSrc{}
-	bt.rys = nil
+	bt.rcols = nil
 	bt.rwa = nil
 }
 
-// collectPass is one worker's share of the output gather: lane b's node
-// v output lands at rys[b*n+v].
-func (bt *Batch) collectPass(w, vlo, vhi int) {
-	bt.collectRange(w, vlo, vhi, bt.rys, bt.plan.g.N(), 0)
+// collect gathers the block's k lanes of outputs into out on the run's
+// workers. The block opens in fixed form at the width of lane 0's first
+// output; if any worker meets another width, the block is refilled in
+// offsets form on one worker.
+func (bt *Batch) collect(out *outCols, workers int) {
+	n := bt.plan.g.N()
+	out.fixed(bt.rk, bt.outWidth(0, n))
+	bt.rcols = out
+	bt.rragged.Store(false)
+	parallelChunks(n, workers, bt.collectFn)
+	if bt.rragged.Load() {
+		out.ragged()
+		bt.collectRange(0, 0, n, out, n, 0)
+	}
 }
 
-// collectRange gathers the outputs of nodes [vlo, vhi) under the current
-// run's stepping mode: lane b's node v output lands at out[b*n+v-off].
-// It is the shared collection of the unsharded pass (worker w), the
-// sharded orchestrator, and the shard-worker protocol (worker 0 over
-// the shard's window).
-func (bt *Batch) collectRange(w, vlo, vhi int, out [][]byte, n, off int) {
+// collectPass is one worker's share of the output gather into rcols.
+func (bt *Batch) collectPass(w, vlo, vhi int) {
+	if !bt.collectRange(w, vlo, vhi, bt.rcols, bt.plan.g.N(), 0) {
+		bt.rragged.Store(true)
+	}
+}
+
+// outWidth returns the width of lane 0's output at node vlo, the width
+// a collect of nodes [vlo, vhi) opens its fixed-form block at (0 for an
+// empty range).
+func (bt *Batch) outWidth(vlo, vhi int) int {
+	if vlo == vhi {
+		return 0
+	}
+	var r *VecRange
+	if bt.vecAlgo != nil {
+		r = bt.bindRange(0, vlo, vhi, bt.curLens, bt.curWords)
+	}
+	return len(bt.outputAt(r, vlo, 0))
+}
+
+// outputAt returns lane b's output at node v under the run's stepping
+// path: the kernel's, read through r, or the process's (r nil).
+func (bt *Batch) outputAt(r *VecRange, v, b int) []byte {
+	if r != nil {
+		return bt.vecAlgo.OutputVec(r, v, b)
+	}
+	return bt.procs[v*bt.block+b].Output()
+}
+
+// collectRange gathers the outputs of nodes [vlo, vhi) of the run's k
+// lanes into out's open block, entry (b, v) at block index
+// b*stride+v-off. It is the shared collection of the unsharded pass
+// (worker w), an in-process shard and a shard-worker process (worker 0
+// over the shard's window). In fixed form it writes bytes in place and
+// reports false, leaving the block unfinished, at the first output of
+// another width. In offsets form it appends lane by lane, so it must
+// then cover the block's whole node range in one call.
+func (bt *Batch) collectRange(w, vlo, vhi int, out *outCols, stride, off int) bool {
 	k := bt.rk
-	if va := bt.vecAlgo; va != nil {
-		r := bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
-		for v := vlo; v < vhi; v++ {
-			for b := 0; b < k; b++ {
-				out[b*n+v-off] = va.OutputVec(r, v, b)
+	var r *VecRange
+	if bt.vecAlgo != nil {
+		r = bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
+	}
+	if out.w < 0 {
+		for b := 0; b < k; b++ {
+			for v := vlo; v < vhi; v++ {
+				out.add(bt.outputAt(r, v, b))
 			}
 		}
-		return
+		return true
 	}
-	B, procs := bt.block, bt.procs
 	for v := vlo; v < vhi; v++ {
-		for b, p := range procs[v*B : v*B+k] {
-			out[b*n+v-off] = p.Output()
+		for b := 0; b < k; b++ {
+			if !out.put(b*stride+v-off, bt.outputAt(r, v, b)) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // preparePools decides whether this run's process table can be pooled:
@@ -965,7 +1010,7 @@ func (bt *Batch) ensureColumns() {
 	if bt.colID == nil {
 		bt.colID = make([]ids.Assignment, bt.width)
 		bt.colX = make([][][]byte, bt.width)
-		bt.colY = make([][][]byte, bt.width)
+		bt.colY = make([]lang.Column, bt.width)
 		bt.refill = make([]colRefill, bt.width)
 	}
 }
@@ -988,7 +1033,7 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 			x:  b == 0 || !sameColumn(bt.colX[b], bt.colX[b-1]),
 		}
 		if hasY {
-			rf[b].y = b == 0 || !sameColumn(bt.colY[b], bt.colY[b-1])
+			rf[b].y = b == 0 || !bt.colY[b].Shares(bt.colY[b-1])
 		}
 	}
 	defer func() {
@@ -1021,7 +1066,7 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 			if rf[b].y {
 				y := bt.colY[b]
 				for i, u := range nodes {
-					view.Y[i] = y[u]
+					view.Y[i] = y.At(u)
 				}
 			}
 			if draws != nil {
@@ -1041,14 +1086,14 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 }
 
 // RunView executes one ball-view trial per draw on a shared instance,
-// returning lane b's global output at index b. The cached view skeletons
+// returning lane b's output column at index b. The cached view skeletons
 // are assembled once for the whole batch — only the tape binding varies
 // per lane — which is where batched ball-view trials beat pooled ones.
 // Lane outputs are byte-identical to a width-1 RunView at the same draw.
-// The returned rows live in the batch's double-buffered view arena:
+// The returned columns live in the batch's double-buffered view arena:
 // valid while the next view pass on this batch runs, overwritten by the
 // one after that.
-func (bt *Batch) RunView(in *lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([][][]byte, error) {
+func (bt *Batch) RunView(in *lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([]lang.Column, error) {
 	src, k, err := bt.laneVector(in, nil, draws)
 	if err != nil {
 		return nil, err
@@ -1058,7 +1103,7 @@ func (bt *Batch) RunView(in *lang.Instance, algo ViewAlgorithm, draws []localran
 
 // RunViewInstances is RunView with per-lane instances (all over the
 // plan's graph); a nil draws runs every lane deterministically.
-func (bt *Batch) RunViewInstances(ins []*lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([][][]byte, error) {
+func (bt *Batch) RunViewInstances(ins []*lang.Instance, algo ViewAlgorithm, draws []localrand.Draw) ([]lang.Column, error) {
 	src, k, err := bt.laneVector(nil, ins, draws)
 	if err != nil {
 		return nil, err
@@ -1066,31 +1111,52 @@ func (bt *Batch) RunViewInstances(ins []*lang.Instance, algo ViewAlgorithm, draw
 	return bt.runViewVec(&src, k, algo, draws), nil
 }
 
-// runViewVec is the batched ball-view core; the output rows live in the
-// batch's double-buffered view arena (zero steady-state allocations per
-// pass instead of one per trial), alternating per pass so a pipeline
-// can read one pass's outputs while the next runs.
-func (bt *Batch) runViewVec(src *laneSrc, k int, algo ViewAlgorithm, draws []localrand.Draw) [][][]byte {
+// runViewVec is the batched ball-view core. Outputs land in the batch's
+// double-buffered view arena, one column per lane (zero steady-state
+// allocations per pass), alternating per pass so a pipeline can read
+// one pass's outputs while the next runs. The pass writes fixed-form
+// bytes at viewW; an output of another width reruns the pass in offsets
+// form. Views are read-only and an algorithm's output is a function of
+// its view, so the rerun reproduces every output.
+func (bt *Batch) runViewVec(src *laneSrc, k int, algo ViewAlgorithm, draws []localrand.Draw) []lang.Column {
 	vs := bt.viewSetFor(algo.Radius(), false)
 	n := len(vs.views)
-	ar := &bt.viewOuts[bt.viewFlip]
-	bt.viewFlip ^= 1
-	slab := sliceFor(ar.slab, k*n)
-	ar.slab = slab
+	ar := bt.viewOuts.next(k, n)
+	out := &ar.out
+	out.fixed(k, bt.viewW)
+	bt.rragged.Store(false)
+	bt.stageViewLanes(src, k)
+	bt.forEachViewVec(vs, k, false, draws, func(b, v int, view *View) {
+		if !out.put(b*n+v, algo.Output(view)) {
+			bt.rragged.Store(true)
+		}
+	})
+	if bt.rragged.Load() {
+		rows := make([][]byte, k*n)
+		bt.stageViewLanes(src, k)
+		bt.forEachViewVec(vs, k, false, draws,
+			func(b, v int, view *View) { rows[b*n+v] = algo.Output(view) })
+		out.ragged()
+		for _, y := range rows {
+			out.add(y)
+		}
+		if len(rows) > 0 {
+			bt.viewW = len(rows[0])
+		}
+	}
+	out.seal(ar.cols)
+	return ar.cols
+}
+
+// stageViewLanes points the view refill's per-lane identity and input
+// columns at src's first k lane instances.
+func (bt *Batch) stageViewLanes(src *laneSrc, k int) {
 	bt.ensureColumns()
 	for b := 0; b < k; b++ {
 		in := src.instance(b)
 		bt.colID[b] = in.ID
 		bt.colX[b] = in.X
 	}
-	bt.forEachViewVec(vs, k, false, draws,
-		func(b, v int, view *View) { slab[b*n+v] = algo.Output(view) })
-	ys := sliceFor(ar.ys, k)
-	ar.ys = ys
-	for b := 0; b < k; b++ {
-		ys[b] = slab[b*n : (b+1)*n : (b+1)*n]
-	}
-	return ys
 }
 
 // ForEachDecisionViews assembles the radius-t decision views of one

@@ -35,7 +35,7 @@ func runLane(one *Batch, in *lang.Instance, algo WireAlgorithm, draw *localrand.
 
 // viewLane is runLane for a ball-view algorithm; it panics on a foreign
 // instance, which no caller passes.
-func viewLane(one *Batch, in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]byte {
+func viewLane(one *Batch, in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) lang.Column {
 	ys, err := one.RunViewInstances([]*lang.Instance{in}, algo, oneDraw(draw))
 	if err != nil {
 		panic(err)
@@ -176,12 +176,12 @@ func TestBatchMatchesPooledView(t *testing.T) {
 				for b := 0; b < k; b++ {
 					want := viewLane(one, in, tapeSumView{t: 2}, &draws[b])
 					single := RunView(in, tapeSumView{t: 2}, &draws[b])
-					for v := range want {
-						if !bytes.Equal(want[v], ys[b][v]) {
-							t.Fatalf("rep %d lane %d node %d: %x, want %x (pooled)", rep, b, v, ys[b][v], want[v])
+					for v := range want.Len() {
+						if !bytes.Equal(want.At(v), ys[b].At(v)) {
+							t.Fatalf("rep %d lane %d node %d: %x, want %x (pooled)", rep, b, v, ys[b].At(v), want.At(v))
 						}
-						if !bytes.Equal(single[v], ys[b][v]) {
-							t.Fatalf("rep %d lane %d node %d: %x, want %x (single-shot)", rep, b, v, ys[b][v], single[v])
+						if !bytes.Equal(single.At(v), ys[b].At(v)) {
+							t.Fatalf("rep %d lane %d node %d: %x, want %x (single-shot)", rep, b, v, ys[b].At(v), single.At(v))
 						}
 					}
 				}
@@ -195,9 +195,9 @@ func TestBatchMatchesPooledView(t *testing.T) {
 			}
 			want := RunView(in, minIDView{t: 3}, nil)
 			for b := range ys {
-				for v := range want {
-					if !bytes.Equal(want[v], ys[b][v]) {
-						t.Fatalf("radius switch lane %d node %d: %x, want %x", b, v, ys[b][v], want[v])
+				for v := range want.Len() {
+					if !bytes.Equal(want.At(v), ys[b].At(v)) {
+						t.Fatalf("radius switch lane %d node %d: %x, want %x", b, v, ys[b].At(v), want.At(v))
 					}
 				}
 			}
@@ -258,9 +258,9 @@ func TestBatchPerLaneInstances(t *testing.T) {
 	}
 	for b := range ins {
 		want := viewLane(one, ins[b], sumX, &draws[b])
-		for v := range want {
-			if !bytes.Equal(want[v], ys[b][v]) {
-				t.Fatalf("view lane %d node %d: %x, want %x", b, v, ys[b][v], want[v])
+		for v := range want.Len() {
+			if !bytes.Equal(want.At(v), ys[b].At(v)) {
+				t.Fatalf("view lane %d node %d: %x, want %x", b, v, ys[b].At(v), want.At(v))
 			}
 		}
 	}

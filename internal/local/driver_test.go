@@ -1,6 +1,7 @@
 package local
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
@@ -9,16 +10,19 @@ import (
 	"time"
 
 	"rlnc/internal/graph"
+	"rlnc/internal/lang"
 	"rlnc/internal/localrand"
 )
 
 // fakeConn is a scripted shardConn. By default it answers like a shard
 // whose every node finishes in round 1 and whose outputs name (shard,
-// lane, node); round and finish, when set, replace its answers. It
-// counts the commands it was asked to carry.
+// lane, node), with an extra byte at odd nodes when ragged; round and
+// finish, when set, replace its answers. It counts the commands it was
+// asked to carry.
 type fakeConn struct {
 	shard, lo, hi int
 	k             int
+	ragged        bool
 	beginErr      error
 	round         func(cmd cmdMsg) (shardReport, error)
 	finish        func(cmd cmdMsg) (shardReport, error)
@@ -55,16 +59,24 @@ func (c *fakeConn) answer(cmd cmdMsg) shardReport {
 		out := make([][]byte, c.k*nwin)
 		for b := 0; b < c.k; b++ {
 			for v := c.lo; v < c.hi; v++ {
-				out[b*nwin+v-c.lo] = []byte{byte(c.shard), byte(b), byte(v)}
+				out[b*nwin+v-c.lo] = c.entry(b, v)
 			}
 		}
-		return shardReport{out: out}
+		return shardReport{out: wireColOf(lang.ColumnOf(out))}
 	}
 	return shardReport{}
 }
 
+// entry is the fake's output of lane b at node v.
+func (c *fakeConn) entry(b, v int) []byte {
+	if c.ragged && v%2 == 1 {
+		return []byte{byte(c.shard), byte(b), byte(v), byte(v)}
+	}
+	return []byte{byte(c.shard), byte(b), byte(v)}
+}
+
 // fakeSharded is a two-shard executor over C_8 whose shards are fakes.
-func fakeSharded(t *testing.T) (*Sharded, []*fakeConn) {
+func fakeSharded(t testing.TB) (*Sharded, []*fakeConn) {
 	t.Helper()
 	s, err := MustPlan(graph.Cycle(8)).NewSharded(2, 2)
 	if err != nil {
@@ -112,12 +124,49 @@ func TestShardDriverContract(t *testing.T) {
 			script: func(f []*fakeConn) {
 				f[0].finish = func(cmd cmdMsg) (shardReport, error) {
 					rep := f[0].answer(cmd)
-					rep.out = rep.out[1:]
+					rep.out.Data, rep.out.N = rep.out.Data[3:], rep.out.N-1
 					return rep, nil
 				}
 			},
 			want:  "shard 0 collected 7 outputs, want 8",
 			execs: [2]int{2, 2},
+		},
+		{
+			name: "collect column with ends out of order",
+			script: func(f []*fakeConn) {
+				f[0].ragged = true
+				f[0].finish = func(cmd cmdMsg) (shardReport, error) {
+					rep := f[0].answer(cmd)
+					rep.out.Ends[2], rep.out.Ends[3] = rep.out.Ends[3], rep.out.Ends[2]
+					return rep, nil
+				}
+			},
+			want:  "shard 0 collect: lang: malformed output column: entry 3 ends at",
+			execs: [2]int{2, 2},
+		},
+		{
+			name: "collect column whose width does not fill its slab",
+			script: func(f []*fakeConn) {
+				f[1].finish = func(cmd cmdMsg) (shardReport, error) {
+					rep := f[1].answer(cmd)
+					rep.out.W = 2
+					return rep, nil
+				}
+			},
+			want:  "shard 1 collect: lang: malformed output column: 24 bytes for 8 entries of width 2",
+			execs: [2]int{2, 2},
+		},
+		{
+			name:    "mixed widths across shards",
+			script:  func(f []*fakeConn) { f[1].ragged = true },
+			execs:   [2]int{2, 2},
+			outputs: true,
+		},
+		{
+			name:    "mixed widths within both shards",
+			script:  func(f []*fakeConn) { f[0].ragged, f[1].ragged = true, true },
+			execs:   [2]int{2, 2},
+			outputs: true,
 		},
 		{
 			name: "worker panic string",
@@ -179,12 +228,16 @@ func TestShardDriverContract(t *testing.T) {
 		}
 		if c.outputs {
 			for b, r := range res {
-				for v, y := range r.Y {
+				if r.Y.Len() != s.plan.g.N() {
+					t.Fatalf("%s: lane %d has %d outputs", c.name, b, r.Y.Len())
+				}
+				for v := range r.Y.Len() {
+					y := r.Y.At(v)
 					shard := 0
 					if v >= s.shards[1].lo {
 						shard = 1
 					}
-					if want := []byte{byte(shard), byte(b), byte(v)}; !reflect.DeepEqual(y, want) {
+					if want := fakes[shard].entry(b, v); !reflect.DeepEqual(y, want) {
 						t.Errorf("%s: lane %d node %d collected %v, want %v", c.name, b, v, y, want)
 					}
 				}
@@ -271,5 +324,60 @@ func FuzzDecodeRun(f *testing.F) {
 			t.Fatalf("begin panicked on a decoded run: %v", sh.panicked)
 		}
 		sh.exec(cmdMsg{})
+	})
+}
+
+// FuzzAcceptColumn feeds arbitrary collect columns to the orchestrator's
+// check: shard 0 of a two-shard C_8 executor (nodes [0, 4)) reports a
+// column in fixed form (Ends nil) or offsets form (ends from fuzzed
+// little-endian words), with any slab, entry count and width, for a
+// block of 1 or 2 lanes. Sharded.accept must turn every malformed column
+// into an error, never a panic. A column it accepts must hold exactly
+// k·4 entries, and gathering it next to a well-formed shard 1 column
+// must give k lanes of 8 outputs whose first 4 read shard 0's entries
+// unchanged. Seeds: testdata/fuzz/FuzzAcceptColumn plus the well-formed
+// column below.
+func FuzzAcceptColumn(f *testing.F) {
+	s, _ := fakeSharded(f)
+	lo, hi := s.shards[0].lo, s.shards[0].hi
+	nwin, n := hi-lo, s.plan.g.N()
+	f.Add(uint8(1), true, []byte("abcdefgh"), []byte(nil), int32(8), int32(1))
+	f.Fuzz(func(t *testing.T, lanes uint8, fixed bool, data, ends []byte, count, width int32) {
+		k := 1 + int(lanes%2)
+		wc := wireCol{Data: data, N: int(count), W: int(width)}
+		if !fixed {
+			wc.Ends = []int32{}
+			for i := 0; i+4 <= len(ends); i += 4 {
+				wc.Ends = append(wc.Ends, int32(binary.LittleEndian.Uint32(ends[i:])))
+			}
+		}
+		s.got = make([]lang.Column, len(s.shards))
+		if err := s.accept(&shardReport{from: 0, out: wc}, cmdMsg{Collect: true}, k); err != nil {
+			return
+		}
+		got := s.got[0]
+		if got.Len() != k*nwin {
+			t.Fatalf("accepted a column of %d entries for %d lanes of %d nodes", got.Len(), k, nwin)
+		}
+		rows := make([][]byte, k*(n-hi))
+		for i := range rows {
+			rows[i] = []byte{byte(i)}
+		}
+		s.got[1] = lang.ColumnOf(rows)
+		var out outCols
+		out.begin(k, n)
+		s.gather(&out, k)
+		cols := make([]lang.Column, k)
+		out.seal(cols)
+		for b, c := range cols {
+			if c.Len() != n {
+				t.Fatalf("lane %d gathered %d outputs, want %d", b, c.Len(), n)
+			}
+			for v := lo; v < hi; v++ {
+				if string(c.At(v)) != string(got.At(b*nwin+v-lo)) {
+					t.Fatalf("lane %d node %d gathered %x, shard reported %x", b, v, c.At(v), got.At(b*nwin+v-lo))
+				}
+			}
+		}
 	})
 }

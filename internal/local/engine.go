@@ -28,9 +28,10 @@ type Stats struct {
 	Messages int64
 }
 
-// Result is the outcome of a message-passing execution.
+// Result is the outcome of a message-passing execution: the output
+// column (node v's output is Y.At(v)) and the run's cost.
 type Result struct {
-	Y     [][]byte
+	Y     lang.Column
 	Stats Stats
 }
 

@@ -85,9 +85,9 @@ func TestRunSurvivesGOMAXPROCSGrowth(t *testing.T) {
 	if got.Stats != want.Stats {
 		t.Errorf("stats %+v, want %+v", got.Stats, want.Stats)
 	}
-	for v := range want.Y {
-		if string(got.Y[v]) != string(want.Y[v]) {
-			t.Fatalf("node %d: output %x, want %x", v, got.Y[v], want.Y[v])
+	for v := range want.Y.Len() {
+		if string(got.Y.At(v)) != string(want.Y.At(v)) {
+			t.Fatalf("node %d: output %x, want %x", v, got.Y.At(v), want.Y.At(v))
 		}
 	}
 }
@@ -99,8 +99,8 @@ func TestFullInfoZeroRound(t *testing.T) {
 	}}
 	res := RunFullInfo(in, view, nil)
 	for v := 0; v < 5; v++ {
-		if len(res.Y[v]) != 1 || res.Y[v][0] != byte(in.ID[v]) {
-			t.Errorf("node %d: output %v", v, res.Y[v])
+		if len(res.Y.At(v)) != 1 || res.Y.At(v)[0] != byte(in.ID[v]) {
+			t.Errorf("node %d: output %v", v, res.Y.At(v))
 		}
 	}
 	if res.Stats != (Stats{}) {
@@ -130,7 +130,7 @@ func TestRunMessageRejectsNilGraphInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Y) != 1 {
+	if res.Y.Len() != 1 {
 		t.Error("single-node run lost its output")
 	}
 }

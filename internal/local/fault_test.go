@@ -17,9 +17,9 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 	if a.Stats != b.Stats {
 		t.Errorf("%s: stats %+v vs %+v", label, a.Stats, b.Stats)
 	}
-	for v := range a.Y {
-		if !bytes.Equal(a.Y[v], b.Y[v]) {
-			t.Errorf("%s: node %d outputs differ: %x vs %x", label, v, a.Y[v], b.Y[v])
+	for v := range a.Y.Len() {
+		if !bytes.Equal(a.Y.At(v), b.Y.At(v)) {
+			t.Errorf("%s: node %d outputs differ: %x vs %x", label, v, a.Y.At(v), b.Y.At(v))
 		}
 	}
 }
@@ -68,9 +68,9 @@ func TestFaultDropAllSilencesNetwork(t *testing.T) {
 	if res.Stats.Messages != 0 {
 		t.Errorf("messages = %d, want 0 under full drop", res.Stats.Messages)
 	}
-	for v := range res.Y {
-		if !bytes.Equal(res.Y[v], encode64(in.ID[v])) {
-			t.Errorf("node %d: output %x, want own id", v, res.Y[v])
+	for v := range res.Y.Len() {
+		if !bytes.Equal(res.Y.At(v), encode64(in.ID[v])) {
+			t.Errorf("node %d: output %x, want own id", v, res.Y.At(v))
 		}
 	}
 }
@@ -152,9 +152,9 @@ func TestFaultCrashPermanentFinalizes(t *testing.T) {
 	if res.Stats.Rounds != 1 {
 		t.Errorf("rounds = %d, want 1 when every node crashes at round 1", res.Stats.Rounds)
 	}
-	for v := range res.Y {
-		if !bytes.Equal(res.Y[v], encode64(in.ID[v])) {
-			t.Errorf("node %d: frozen output %x, want own id", v, res.Y[v])
+	for v := range res.Y.Len() {
+		if !bytes.Equal(res.Y.At(v), encode64(in.ID[v])) {
+			t.Errorf("node %d: frozen output %x, want own id", v, res.Y.At(v))
 		}
 	}
 }
@@ -177,9 +177,9 @@ func TestFaultCrashRecovery(t *testing.T) {
 		t.Errorf("rounds = %d, want 4 (recovered nodes must resume)", res.Stats.Rounds)
 	}
 	want := RunView(in, minIDView{t: 2}, nil)
-	for v := range res.Y {
-		if !bytes.Equal(res.Y[v], want[v]) {
-			t.Errorf("node %d: output %x, want radius-2 min %x", v, res.Y[v], want[v])
+	for v := range res.Y.Len() {
+		if !bytes.Equal(res.Y.At(v), want.At(v)) {
+			t.Errorf("node %d: output %x, want radius-2 min %x", v, res.Y.At(v), want.At(v))
 		}
 	}
 }
@@ -200,9 +200,9 @@ func TestFaultDelayHoldsOneRound(t *testing.T) {
 	if res.Stats.Messages != 0 {
 		t.Errorf("messages = %d, want 0 under permanent delay", res.Stats.Messages)
 	}
-	for v := range res.Y {
-		if !bytes.Equal(res.Y[v], encode64(in.ID[v])) {
-			t.Errorf("node %d: output %x, want own id", v, res.Y[v])
+	for v := range res.Y.Len() {
+		if !bytes.Equal(res.Y.At(v), encode64(in.ID[v])) {
+			t.Errorf("node %d: output %x, want own id", v, res.Y.At(v))
 		}
 	}
 }
@@ -260,8 +260,8 @@ func TestFaultSurgeryCutsEdge(t *testing.T) {
 	}
 	wantEarly := []int64{min2(id(0), id(1)), min2(id(0), id(1)), id(2)}
 	for v, w := range wantEarly {
-		if !bytes.Equal(res.Y[v], encode64(w)) {
-			t.Errorf("round-1 cut, node %d: got %x want %x", v, res.Y[v], encode64(w))
+		if !bytes.Equal(res.Y.At(v), encode64(w)) {
+			t.Errorf("round-1 cut, node %d: got %x want %x", v, res.Y.At(v), encode64(w))
 		}
 	}
 
@@ -274,8 +274,8 @@ func TestFaultSurgeryCutsEdge(t *testing.T) {
 	all := min2(min2(id(0), id(1)), id(2))
 	wantLate := []int64{all, all, min2(id(1), id(2))}
 	for v, w := range wantLate {
-		if !bytes.Equal(res.Y[v], encode64(w)) {
-			t.Errorf("round-2 cut, node %d: got %x want %x", v, res.Y[v], encode64(w))
+		if !bytes.Equal(res.Y.At(v), encode64(w)) {
+			t.Errorf("round-2 cut, node %d: got %x want %x", v, res.Y.At(v), encode64(w))
 		}
 	}
 }
@@ -313,7 +313,7 @@ func TestCutForSubdivision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range withCut.Y {
+	for v := range withCut.Y.Len() {
 		want := in.ID[v]
 		nodes, _ := g.NodesWithin(v, 2)
 		for _, u := range nodes {
@@ -323,7 +323,7 @@ func TestCutForSubdivision(t *testing.T) {
 				want = in.ID[u]
 			}
 		}
-		if got := int64(binary.LittleEndian.Uint64(withCut.Y[v])); got != want {
+		if got := int64(binary.LittleEndian.Uint64(withCut.Y.At(v))); got != want {
 			t.Errorf("node %d: min %d, want %d", v, got, want)
 		}
 	}

@@ -3,6 +3,7 @@ package local
 import (
 	"fmt"
 
+	"rlnc/internal/lang"
 	"rlnc/internal/localrand"
 )
 
@@ -89,12 +90,11 @@ func (l *laneLedger) endRound(round int) bool {
 }
 
 // results points res and out at the run's lanes: lane b's outputs are
-// ys[b*n:(b+1)*n], its Stats the ledger's counts.
-func (l *laneLedger) results(ys [][]byte, res []Result, out []*Result) {
-	n := l.n
+// cols[b], its Stats the ledger's counts.
+func (l *laneLedger) results(cols []lang.Column, res []Result, out []*Result) {
 	for b := range res {
 		res[b] = Result{
-			Y:     ys[b*n : (b+1)*n : (b+1)*n],
+			Y:     cols[b],
 			Stats: Stats{Rounds: l.rounds[b], Messages: l.msgs[b]},
 		}
 		out[b] = &res[b]
@@ -104,12 +104,12 @@ func (l *laneLedger) results(ys [][]byte, res []Result, out []*Result) {
 // runBlocks drives a lane vector through run in blocks of at most block
 // lanes, one round loop per block (lanes are independent, so any split
 // is byte-identical). all carries the vector's lane instances; run seeds
-// each block's tapes for the nodes it steps. The whole vector's outputs
-// land in one arena buffer, so the arena alternates per top-level run,
-// not per block — a multi-block run never clobbers its own earlier
-// blocks.
+// each block's tapes for the nodes it steps and collects the block's
+// outputs into the store it is handed. The whole vector's outputs land
+// in one arena buffer, so the arena alternates per top-level run, not
+// per block — a multi-block run never clobbers its own earlier blocks.
 func (l *laneLedger) runBlocks(n, block int, all laneSrc, k int, draws []localrand.Draw,
-	run func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error) ([]*Result, error) {
+	run func(src laneSrc, k int, draws []localrand.Draw, out *outCols) error) ([]*Result, error) {
 	ar := l.outs.next(k, n)
 	for lo := 0; lo < k; lo += block {
 		hi := min(lo+block, k)
@@ -121,11 +121,11 @@ func (l *laneLedger) runBlocks(n, block int, all laneSrc, k int, draws []localra
 		if all.ins != nil {
 			src.ins = all.ins[lo:hi]
 		}
-		ys := ar.ys[lo*n : hi*n]
-		if err := run(src, hi-lo, chunk, ys); err != nil {
+		if err := run(src, hi-lo, chunk, &ar.out); err != nil {
 			return nil, err
 		}
-		l.results(ys, ar.res[lo:hi], ar.ptr[lo:hi])
+		ar.out.seal(ar.cols[lo:hi])
+		l.results(ar.cols[lo:hi], ar.res[lo:hi], ar.ptr[lo:hi])
 	}
 	return ar.ptr[:k], nil
 }

@@ -136,7 +136,7 @@ func TestRunViewMinID(t *testing.T) {
 				want = in.ID[u]
 			}
 		}
-		if !bytes.Equal(y[v], encode64(want)) {
+		if !bytes.Equal(y.At(v), encode64(want)) {
 			t.Errorf("node %d: wrong min", v)
 		}
 	}
@@ -156,9 +156,9 @@ func TestRunMessageFloodMin(t *testing.T) {
 		t.Error("no messages recorded")
 	}
 	y := RunView(in, minIDView{t: 3}, nil)
-	for v := range y {
-		if !bytes.Equal(res.Y[v], y[v]) {
-			t.Errorf("node %d: message %x vs view %x", v, res.Y[v], y[v])
+	for v := range y.Len() {
+		if !bytes.Equal(res.Y.At(v), y.At(v)) {
+			t.Errorf("node %d: message %x vs view %x", v, res.Y.At(v), y.At(v))
 		}
 	}
 }
@@ -174,8 +174,8 @@ func TestRunMessageDeterministic(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	for v := range r1.Y {
-		if !bytes.Equal(r1.Y[v], r2.Y[v]) {
+	for v := range r1.Y.Len() {
+		if !bytes.Equal(r1.Y.At(v), r2.Y.At(v)) {
 			t.Fatalf("node %d: outputs differ across runs", v)
 		}
 	}
@@ -240,9 +240,9 @@ func TestFullInfoEquivalenceDeterministic(t *testing.T) {
 			if res.Stats != tc.stats {
 				t.Errorf("full-info stats = %+v, want %+v", res.Stats, tc.stats)
 			}
-			for v := range want {
-				if !bytes.Equal(res.Y[v], want[v]) {
-					t.Errorf("node %d:\n message: %s\n view:    %s", v, res.Y[v], want[v])
+			for v := range want.Len() {
+				if !bytes.Equal(res.Y.At(v), want.At(v)) {
+					t.Errorf("node %d:\n message: %s\n view:    %s", v, res.Y.At(v), want.At(v))
 				}
 			}
 		})
@@ -261,8 +261,8 @@ func TestFullInfoEquivalenceRandomized(t *testing.T) {
 	if res.Stats != (Stats{Rounds: 2, Messages: 36}) {
 		t.Errorf("full-info stats = %+v, want 2 rounds, 36 messages", res.Stats)
 	}
-	for v := range want {
-		if !bytes.Equal(res.Y[v], want[v]) {
+	for v := range want.Len() {
+		if !bytes.Equal(res.Y.At(v), want.At(v)) {
 			t.Errorf("node %d: tape sums differ between view and message run", v)
 		}
 	}
@@ -277,9 +277,9 @@ func TestMessageAsViewEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := RunView(in, MessageAsView(floodMin{t: rounds}, rounds), nil)
-		for v := range sim {
-			if !bytes.Equal(direct.Y[v], sim[v]) {
-				t.Errorf("rounds=%d node %d: direct %x vs simulated %x", rounds, v, direct.Y[v], sim[v])
+		for v := range sim.Len() {
+			if !bytes.Equal(direct.Y.At(v), sim.At(v)) {
+				t.Errorf("rounds=%d node %d: direct %x vs simulated %x", rounds, v, direct.Y.At(v), sim.At(v))
 			}
 		}
 	}
@@ -289,7 +289,7 @@ func TestDecisionViewCarriesOutputs(t *testing.T) {
 	g := graph.Path(4)
 	in := mustInstance(t, g)
 	y := [][]byte{{1}, {2}, {3}, {4}}
-	di, err := in.WithOutput(y)
+	di, err := in.WithOutput(lang.ColumnOf(y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestViewFunc(t *testing.T) {
 	}
 	in := mustInstance(t, graph.Path(3))
 	y := RunView(in, f, nil)
-	if !bytes.Equal(y[1], []byte{9}) {
+	if !bytes.Equal(y.At(1), []byte{9}) {
 		t.Error("ViewFunc output wrong")
 	}
 }
@@ -386,8 +386,8 @@ func TestFullInfoEquivalenceProperty(t *testing.T) {
 		view := ballSummaryView{t: radius}
 		want := RunView(in, view, nil)
 		res := RunFullInfo(in, view, nil)
-		for v := range want {
-			if !bytes.Equal(res.Y[v], want[v]) {
+		for v := range want.Len() {
+			if !bytes.Equal(res.Y.At(v), want.At(v)) {
 				return false
 			}
 		}

@@ -74,9 +74,12 @@ func expectSameResult(t *testing.T, label string, want, got *Result) {
 	if want.Stats != got.Stats {
 		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
 	}
-	for v := range want.Y {
-		if !bytes.Equal(want.Y[v], got.Y[v]) {
-			t.Fatalf("%s: node %d output %x, want %x", label, v, got.Y[v], want.Y[v])
+	if got.Y.Len() != want.Y.Len() {
+		t.Fatalf("%s: %d outputs, want %d", label, got.Y.Len(), want.Y.Len())
+	}
+	for v := range want.Y.Len() {
+		if !bytes.Equal(want.Y.At(v), got.Y.At(v)) {
+			t.Fatalf("%s: node %d output %x, want %x", label, v, got.Y.At(v), want.Y.At(v))
 		}
 	}
 }
@@ -153,9 +156,9 @@ func TestEngineReuseMatchesSingleShotView(t *testing.T) {
 				draw := space.Draw(uint64(trial))
 				want := RunView(in, tapeSumView{t: 2}, &draw)
 				got := viewLane(one, in, tapeSumView{t: 2}, &draw)
-				for v := range want {
-					if !bytes.Equal(want[v], got[v]) {
-						t.Fatalf("trial %d node %d: %x, want %x", trial, v, got[v], want[v])
+				for v := range want.Len() {
+					if !bytes.Equal(want.At(v), got.At(v)) {
+						t.Fatalf("trial %d node %d: %x, want %x", trial, v, got.At(v), want.At(v))
 					}
 				}
 			}
@@ -163,9 +166,9 @@ func TestEngineReuseMatchesSingleShotView(t *testing.T) {
 			// (drops tapes) on the same engine.
 			want := RunView(in, minIDView{t: 3}, nil)
 			got := viewLane(one, in, minIDView{t: 3}, nil)
-			for v := range want {
-				if !bytes.Equal(want[v], got[v]) {
-					t.Fatalf("radius switch node %d: %x, want %x", v, got[v], want[v])
+			for v := range want.Len() {
+				if !bytes.Equal(want.At(v), got.At(v)) {
+					t.Fatalf("radius switch node %d: %x, want %x", v, got.At(v), want.At(v))
 				}
 			}
 		})

@@ -117,10 +117,12 @@ func RegisteredRemoteAlgorithms() []string {
 // ctrlProtoVersion is the control-stream protocol version. Version 2
 // added the versioned hello (capabilities + heartbeat period) and the
 // heartbeat message; version 3 ships a report's finished counts as the
-// engine's own []int row. The orchestrator refuses workers speaking any
-// other version — a silent field mismatch between fleet binaries must
-// fail the handshake, not corrupt a run.
-const ctrlProtoVersion = 3
+// engine's own []int row; version 4 ships a collect's outputs as one
+// byte column (wireCol) instead of one byte slice per output. The
+// orchestrator refuses workers speaking any other version — a silent
+// field mismatch between fleet binaries must fail the handshake, not
+// corrupt a run.
+const ctrlProtoVersion = 4
 
 // helloMsg is the worker's first message: the protocol version it
 // speaks, where peers dial its data listener, which remote-algorithm
@@ -200,14 +202,16 @@ type ctrlMsg struct {
 }
 
 // reportMsg is the worker's answer to a command: per-lane delivered and
-// newly-finished counts (a round), collected outputs (finish+collect;
-// flattened [lane][ownNode]), or a failure. Panicked carries a recovered
+// newly-finished counts (a round), collected outputs (finish+collect; one
+// column of k·nwin entries, lane b's node window at [b·nwin, (b+1)·nwin),
+// so a reply costs the output bytes plus, only for outputs of mixed
+// widths, one end offset each), or a failure. Panicked carries a recovered
 // panic as text — the orchestrator surfaces it as an error, since a
 // foreign process's panic value cannot be re-raised faithfully.
 type reportMsg struct {
 	Msgs     []int64
 	Fins     []int
-	Out      [][]byte
+	Out      wireCol
 	Err      string
 	Panicked string
 }

@@ -83,11 +83,33 @@ const DefaultLinkTimeout = 30 * time.Second
 // per-round consensus barrier guarantees at most one block is in flight
 // per link, so Send never blocks; abort unblocks a Recv whose peer died
 // mid-round instead of deadlocking the run, and the deadline is the
-// backstop for links built without an abort latch.
+// backstop for links built without an abort latch. Each direction keeps
+// one deadline timer, made on its first wait and re-armed with Reset on
+// every later one, so a long run's waits allocate nothing. The two must
+// be separate: Send runs on the sending shard's goroutine and Recv on
+// the receiver's. (Go 1.23+ timers: Reset and Stop never leave a stale
+// expiry in the channel.)
 type chanLink struct {
 	ch      chan CutBlock
 	abort   <-chan struct{}
 	timeout time.Duration
+	sendTm  *time.Timer
+	recvTm  *time.Timer
+}
+
+// arm starts the deadline of one wait on *tm and returns its channel, or
+// nil (never ready) when the link has no deadline. The caller stops the
+// timer when the wait ends.
+func (l *chanLink) arm(tm **time.Timer) <-chan time.Time {
+	if l.timeout <= 0 {
+		return nil
+	}
+	if *tm == nil {
+		*tm = time.NewTimer(l.timeout)
+	} else {
+		(*tm).Reset(l.timeout)
+	}
+	return (*tm).C
 }
 
 func (l *chanLink) Send(round int, block CutBlock) error {
@@ -98,11 +120,9 @@ func (l *chanLink) Send(round int, block CutBlock) error {
 		return errShardAborted
 	default:
 	}
-	var expired <-chan time.Time
-	if l.timeout > 0 {
-		tm := time.NewTimer(l.timeout)
-		defer tm.Stop()
-		expired = tm.C
+	expired := l.arm(&l.sendTm)
+	if expired != nil {
+		defer l.sendTm.Stop()
 	}
 	select {
 	case l.ch <- block:
@@ -122,11 +142,9 @@ func (l *chanLink) Recv(round int) (CutBlock, error) {
 		return CutBlock{}, errShardAborted
 	default:
 	}
-	var expired <-chan time.Time
-	if l.timeout > 0 {
-		tm := time.NewTimer(l.timeout)
-		defer tm.Stop()
-		expired = tm.C
+	expired := l.arm(&l.recvTm)
+	if expired != nil {
+		defer l.recvTm.Stop()
 	}
 	select {
 	case b := <-l.ch:
@@ -197,6 +215,7 @@ type Sharded struct {
 	reports chan shardReport
 	abort   chan struct{}
 	deadSh  []bool
+	got     []lang.Column // the collect's accepted shard columns, by shard
 }
 
 // shardExec is one shard's command handler, in process and in a
@@ -215,7 +234,8 @@ type shardExec struct {
 	k        int
 	alive    []bool
 	tapes    []localrand.Tape
-	outs     [][]byte
+	outs     outCols
+	col      [1]lang.Column
 	err      error
 	panicked any
 }
@@ -248,13 +268,14 @@ type shardRun struct {
 
 // shardReport is one shard's answer to a command: the round's per-lane
 // delivered and newly-finished counts, the node window's outputs on a
-// collecting finish ([lane][own node]), an error, or a recovered panic
-// (the raw value in process, a workerPanic from a worker process).
+// collecting finish (one column of k·nwin entries, lane-major), an error,
+// or a recovered panic (the raw value in process, a workerPanic from a
+// worker process).
 type shardReport struct {
 	from     int
 	msgs     []int64
 	fins     []int
-	out      [][]byte
+	out      wireCol
 	err      error
 	panicked any
 }
@@ -539,8 +560,8 @@ func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localra
 		s.buildLinks()
 	}
 	return s.led.runBlocks(s.plan.g.N(), s.run.block, all, k, draws,
-		func(src laneSrc, k int, draws []localrand.Draw, ys [][]byte) error {
-			return s.runVec(src, k, draws, opts, ys)
+		func(src laneSrc, k int, draws []localrand.Draw, out *outCols) error {
+			return s.runVec(src, k, draws, opts, out)
 		})
 }
 
@@ -562,13 +583,17 @@ func (s *Sharded) layoutShards(wa WireAlgorithm) int {
 // goroutine per shard whatever the carrier. Each round's shard reports
 // are validated and summed into the lane ledger — the same ledger, round
 // budget and halting consensus the unsharded round loop keeps — whose
-// liveness rides the next round command.
-func (s *Sharded) runVec(src laneSrc, k int, chunk []localrand.Draw, opts RunOptions, ys [][]byte) error {
+// liveness rides the next round command. The final collect's columns
+// are validated as they arrive and gathered into out's block once all
+// are in.
+func (s *Sharded) runVec(src laneSrc, k int, chunk []localrand.Draw, opts RunOptions, out *outCols) error {
 	led := &s.led
 	led.begin(k, s.plan.g.N(), opts)
 	dead := sliceFor(s.deadSh, len(s.shards))
 	clear(dead)
 	s.deadSh = dead
+	s.got = sliceFor(s.got, len(s.shards))
+	clear(s.got)
 	// The effective fault plan is resolved once here, so every shard —
 	// in-process batch or worker process — arms identical fault state;
 	// decisions are keyed on global coordinates, making faulty sharded
@@ -601,7 +626,7 @@ func (s *Sharded) runVec(src laneSrc, k int, chunk []localrand.Draw, opts RunOpt
 		}
 		for got := live; got > 0; got-- {
 			rep := <-s.reports
-			err := s.accept(&rep, cmd, k, ys)
+			err := s.accept(&rep, cmd, k)
 			if rep.panicked != nil {
 				dead[rep.from] = true
 				live--
@@ -641,15 +666,18 @@ func (s *Sharded) runVec(src laneSrc, k int, chunk []localrand.Draw, opts RunOpt
 		// collection, above all) must not pass for a clean run.
 		return fmt.Errorf("local: sharded exchange: %w", linkErr)
 	}
+	s.gather(out, k)
 	return nil
 }
 
 // accept validates one shard report against the command it answers,
 // whatever the carrier, and applies it: a round's k lanes of counts go
-// to the ledger, a collect's k rows of the shard's node window into ys.
-// It returns the failure the report carries or is. A worker's panic text
-// is such a failure; a raw panic value is left to the caller to re-raise.
-func (s *Sharded) accept(rep *shardReport, cmd cmdMsg, k int, ys [][]byte) error {
+// to the ledger, a collect's column over the shard's node window — k·nwin
+// entries, with in-range monotone ends or one consistent width — is kept
+// for gather. It returns the failure the report carries or is: a
+// malformed column is an error, never a panic. A worker's panic text is
+// such a failure; a raw panic value is left to the caller to re-raise.
+func (s *Sharded) accept(rep *shardReport, cmd cmdMsg, k int) error {
 	switch {
 	case rep.panicked != nil:
 		if text, ok := rep.panicked.(workerPanic); ok {
@@ -664,16 +692,60 @@ func (s *Sharded) accept(rep *shardReport, cmd cmdMsg, k int, ys [][]byte) error
 		}
 		s.led.add(rep.msgs, rep.fins)
 	case cmd.Collect:
-		sh, n := s.shards[rep.from], s.plan.g.N()
+		sh := s.shards[rep.from]
 		nwin := sh.hi - sh.lo
-		if len(rep.out) != k*nwin {
-			return fmt.Errorf("local: shard %d collected %d outputs, want %d", rep.from, len(rep.out), k*nwin)
+		col, err := rep.out.column()
+		if err != nil {
+			return fmt.Errorf("local: shard %d collect: %w", rep.from, err)
 		}
-		for b := 0; b < k; b++ {
-			copy(ys[b*n+sh.lo:b*n+sh.hi], rep.out[b*nwin:(b+1)*nwin])
+		if col.Len() != k*nwin {
+			return fmt.Errorf("local: shard %d collected %d outputs, want %d", rep.from, col.Len(), k*nwin)
 		}
+		s.got[rep.from] = col
 	}
 	return nil
+}
+
+// gather assembles the block's k lanes from the shards' accepted
+// columns (shard i's column holds lane b's node window at [b·nwin,
+// (b+1)·nwin)). The block is fixed-form when every non-empty shard column
+// is fixed at one width — a copy of each lane's window — and is appended
+// in offsets form, lane by lane in node order, otherwise.
+func (s *Sharded) gather(out *outCols, k int) {
+	n := s.plan.g.N()
+	w, fixed := 0, true
+	seen := false
+	for _, c := range s.got {
+		if c.Len() == 0 {
+			continue
+		}
+		cw, ok := c.Width()
+		if !ok || (seen && cw != w) {
+			fixed = false
+			break
+		}
+		w, seen = cw, true
+	}
+	if fixed {
+		out.fixed(k, w)
+		for i, sh := range s.shards {
+			nwin := sh.hi - sh.lo
+			data, _ := s.got[i].Parts()
+			for b := 0; b < k; b++ {
+				copy(out.fix[(b*n+sh.lo)*w:(b*n+sh.hi)*w], data[b*nwin*w:(b+1)*nwin*w])
+			}
+		}
+	} else {
+		out.ragged()
+		for b := 0; b < k; b++ {
+			for i, sh := range s.shards {
+				nwin := sh.hi - sh.lo
+				for v := b * nwin; v < (b+1)*nwin; v++ {
+					out.add(s.got[i].At(v))
+				}
+			}
+		}
+	}
 }
 
 // drive is shard i's driver goroutine, for every carrier: it begins the
@@ -763,10 +835,7 @@ func (sh *shardExec) exec(cmd cmdMsg) (rep shardReport) {
 	}()
 	if !cmd.Run {
 		if cmd.Collect && sh.err == nil && sh.panicked == nil {
-			nwin := sh.hi - sh.lo
-			sh.outs = sliceFor(sh.outs, sh.k*nwin)
-			bt.collectRange(0, sh.lo, sh.hi, sh.outs, nwin, sh.lo)
-			rep.out = sh.outs
+			rep.out = sh.collect()
 		}
 		// Cleanup strictly before the report: the report releases the
 		// orchestrator, which may immediately hand this batch to the
@@ -790,6 +859,23 @@ func (sh *shardExec) exec(cmd cmdMsg) (rep shardReport) {
 		return shardReport{err: err}
 	}
 	return shardReport{msgs: bt.wkMsgs[0][:sh.k], fins: bt.wkFin[0][:sh.k]}
+}
+
+// collect gathers the shard's node window, every lane, into one column
+// of k·nwin entries (lane b's window at [b·nwin, (b+1)·nwin)): fixed-form
+// at the width of lane 0's first output, refilled in offsets form if
+// another width turns up. The column is valid until the next collect.
+func (sh *shardExec) collect() wireCol {
+	bt, o := sh.bt, &sh.outs
+	nwin := sh.hi - sh.lo
+	o.begin(1, sh.k*nwin)
+	o.fixed(1, bt.outWidth(sh.lo, sh.hi))
+	if !bt.collectRange(0, sh.lo, sh.hi, o, nwin, sh.lo) {
+		o.ragged()
+		bt.collectRange(0, sh.lo, sh.hi, o, nwin, sh.lo)
+	}
+	o.seal(sh.col[:])
+	return wireColOf(sh.col[0])
 }
 
 // execRound is one shard's round: the cut exchange, the round pass over

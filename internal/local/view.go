@@ -247,7 +247,7 @@ type ViewAlgorithm interface {
 }
 
 // RunView executes a ball-view algorithm on every node of an instance,
-// returning the global output y. A nil draw runs the algorithm
+// returning the global output column y. A nil draw runs the algorithm
 // deterministically (no tapes). Nodes are processed on a worker pool; the
 // result is independent of scheduling because views are read-only (and,
 // now that views are cached, algorithms must treat them as read-only:
@@ -256,7 +256,7 @@ type ViewAlgorithm interface {
 // RunView is the single-shot wrapper over the Plan/Batch layer; trial
 // loops should hold a Plan and one Batch per worker so ball extraction
 // and view assembly are amortized across executions.
-func RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) [][]byte {
+func RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.Draw) lang.Column {
 	plan, err := NewPlan(in.G)
 	if err != nil {
 		// Unreachable for graphs built through the public constructors,

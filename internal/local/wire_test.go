@@ -127,8 +127,9 @@ func hashResult(h hash.Hash, res *Result) {
 	}
 	put(uint64(res.Stats.Rounds))
 	put(uint64(res.Stats.Messages))
-	put(uint64(len(res.Y)))
-	for _, y := range res.Y {
+	put(uint64(res.Y.Len()))
+	for v := range res.Y.Len() {
+		y := res.Y.At(v)
 		put(uint64(len(y)))
 		h.Write(y)
 	}
@@ -260,16 +261,16 @@ func TestWireOutputsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := make([][]byte, len(first.Y))
-	for v := range first.Y {
-		snapshot[v] = bytes.Clone(first.Y[v])
+	snapshot := make([][]byte, first.Y.Len())
+	for v := range first.Y.Len() {
+		snapshot[v] = bytes.Clone(first.Y.At(v))
 	}
 	d1 := space.Draw(1)
 	if _, err := runLane(one, in, wireMix{rounds: 3}, &d1, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for v := range first.Y {
-		if !bytes.Equal(first.Y[v], snapshot[v]) {
+	for v := range first.Y.Len() {
+		if !bytes.Equal(first.Y.At(v), snapshot[v]) {
 			t.Fatalf("node %d: output mutated by a later run", v)
 		}
 	}

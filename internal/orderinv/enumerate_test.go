@@ -92,7 +92,7 @@ func TestConsecutiveInteriorPatternCollision(t *testing.T) {
 		nb := v.Ball.G.Neighbors(0)
 		return []byte{byte(ringPatternIndex(v.IDs[0], v.IDs[nb[0]], v.IDs[nb[1]]))}
 	}}, nil)
-	if p1, p2 := pattern[1][0], pattern[2][0]; p1 != p2 {
+	if p1, p2 := pattern.At(1)[0], pattern.At(2)[0]; p1 != p2 {
 		t.Fatalf("interior patterns differ: %d vs %d", p1, p2)
 	}
 	if !g.HasEdge(1, 2) {

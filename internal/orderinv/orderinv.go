@@ -35,10 +35,10 @@ func CheckInvariance(algo local.ViewAlgorithm, in *lang.Instance, pool []int64) 
 	inB := &lang.Instance{G: in.G, X: in.X, ID: remapped}
 	ya := local.RunView(in, algo, nil)
 	yb := local.RunView(inB, algo, nil)
-	for v := range ya {
-		if string(ya[v]) != string(yb[v]) {
+	for v := range ya.Len() {
+		if string(ya.At(v)) != string(yb.At(v)) {
 			return fmt.Errorf("orderinv: %s is not order-invariant: node %d output %q vs %q under remap",
-				algo.Name(), v, ya[v], yb[v])
+				algo.Name(), v, ya.At(v), yb.At(v))
 		}
 	}
 	return nil

@@ -200,9 +200,9 @@ func TestSimulationIsOrderInvariantAndAgreesOnU(t *testing.T) {
 	}
 	ya := local.RunView(in, inner, nil)
 	yb := local.RunView(in, sim, nil)
-	for v := range ya {
-		if string(ya[v]) != string(yb[v]) {
-			t.Errorf("node %d: A=%v A'=%v on U-instance", v, ya[v], yb[v])
+	for v := range ya.Len() {
+		if string(ya.At(v)) != string(yb.At(v)) {
+			t.Errorf("node %d: A=%v A'=%v on U-instance", v, ya.At(v), yb.At(v))
 		}
 	}
 }

@@ -20,7 +20,7 @@ func TestViolationsAccessors(t *testing.T) {
 
 func TestRelaxationsRejectMalformedConfigs(t *testing.T) {
 	l := lang.ProperColoring(3)
-	bad := &lang.Config{G: graph.Path(3), X: lang.EmptyInputs(2), Y: lang.EmptyInputs(3)}
+	bad := &lang.Config{G: graph.Path(3), X: lang.EmptyInputs(2), Y: lang.ColumnOf(lang.EmptyInputs(3))}
 	if _, err := (&FResilient{L: l, F: 1}).Contains(bad); err == nil {
 		t.Error("FResilient accepted malformed config")
 	}
@@ -40,7 +40,7 @@ func TestEpsSlackExtremes(t *testing.T) {
 	if ok, _ := full.Contains(mono); !ok {
 		t.Error("ε=1 rejected a proper coloring")
 	}
-	allBad := &lang.Config{G: graph.Cycle(36), X: lang.EmptyInputs(36), Y: monoColors(36)}
+	allBad := &lang.Config{G: graph.Cycle(36), X: lang.EmptyInputs(36), Y: lang.ColumnOf(monoColors(36))}
 	if ok, _ := full.Contains(allBad); !ok {
 		t.Error("ε=1 must accept even the monochromatic coloring")
 	}

@@ -21,7 +21,7 @@ func conflictedRing(n, pairs int) *lang.Config {
 		// conflicted edge; spacing 6 keeps conflicts disjoint.
 		y[6*i+1] = lang.EncodeColor((6 * i) % 3)
 	}
-	return &lang.Config{G: g, X: lang.EmptyInputs(n), Y: y}
+	return &lang.Config{G: g, X: lang.EmptyInputs(n), Y: lang.ColumnOf(y)}
 }
 
 func TestConflictedRingHelper(t *testing.T) {

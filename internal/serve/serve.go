@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,8 +384,14 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 // handleEvents is GET /v1/runs/{id}/events: the run's SSE progress
 // stream. Live runs stream until their terminal event; finished and
 // stored runs replay their log (or a synthesized terminal event) and
-// end. Last-Event-ID (or ?lastEventID=) resumes a dropped stream.
+// end. Last-Event-ID (or ?lastEventID=) resumes a dropped stream; one
+// that is not a non-negative event number is a 400, not a full replay.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	after, err := lastEventID(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("lastEventID"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	id := r.PathValue("id")
 	meta, _, lg, ok, err := s.lookup(id)
 	if err != nil {
@@ -403,12 +408,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		lg = newEventLog()
 		lg.emit("done", doneEvent(meta))
 		lg.close()
-	}
-	after := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.Atoi(v)
-	} else if v := r.URL.Query().Get("lastEventID"); v != "" {
-		after, _ = strconv.Atoi(v)
 	}
 	writeSSE(w, r, lg, after)
 }

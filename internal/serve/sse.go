@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -121,6 +122,25 @@ func (l *eventLog) subscribe(after int) (replay []Event, ch chan Event, cancel f
 		}
 	}
 	return replay, ch, cancel
+}
+
+// lastEventID parses a resume point: the Last-Event-ID header when set,
+// else the lastEventID query parameter, else 0 (replay the whole log). A
+// set value must be a non-negative decimal event number; anything else
+// is an error.
+func lastEventID(header, query string) (int, error) {
+	name, v := "Last-Event-ID", header
+	if v == "" {
+		name, v = "lastEventID", query
+	}
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%s %q is not a non-negative event number", name, v)
+	}
+	return n, nil
 }
 
 // writeSSE streams a run's event log to one client in Server-Sent

@@ -194,3 +194,82 @@ func TestEventLogBackpressureAndReplayCap(t *testing.T) {
 		t.Fatalf("closed-log subscribe: ch=%v replay=%+v", ch2, replay2)
 	}
 }
+
+// TestSSERejectsMalformedLastEventID pins the resume parse: a
+// Last-Event-ID header or lastEventID parameter that is not a
+// non-negative event number answers 400 with a message naming it,
+// instead of replaying the whole log as if no resume point were given.
+func TestSSERejectsMalformedLastEventID(t *testing.T) {
+	var calls atomic.Int64
+	_, ts := newTestServer(t, t.TempDir(), countingRunner(&calls))
+	_, body := postJob(t, ts, `{"experiment":"E2"}`)
+	var meta RunMeta
+	if err := json.Unmarshal(body, &meta); err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, ts, meta.ID)
+	url := ts.URL + "/v1/runs/" + meta.ID + "/events"
+	for _, c := range []struct{ header, query, name string }{
+		{header: "-1", name: "Last-Event-ID"},
+		{header: "four", name: "Last-Event-ID"},
+		{header: "99999999999999999999", name: "Last-Event-ID"},
+		{query: "-3", name: "lastEventID"},
+		{query: "2x", name: "lastEventID"},
+		{header: "x", query: "2", name: "Last-Event-ID"},
+	} {
+		u := url
+		if c.query != "" {
+			u += "?lastEventID=" + c.query
+		}
+		req, err := http.NewRequest("GET", u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set("Last-Event-ID", c.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(msg.Error, c.name) {
+			t.Errorf("header %q query %q: status %d, error %q (decode %v); want 400 naming %s",
+				c.header, c.query, resp.StatusCode, msg.Error, err, c.name)
+		}
+	}
+}
+
+// FuzzLastEventID fuzzes the SSE resume parse with any header and query
+// values: it never panics, the header wins when set, an accepted value
+// is the non-negative number strconv reads from the chosen source (0
+// when neither is set), and a rejected one names its source. Seeds:
+// testdata/fuzz/FuzzLastEventID plus the pair below.
+func FuzzLastEventID(f *testing.F) {
+	f.Add("4", "")
+	f.Fuzz(func(t *testing.T, header, query string) {
+		n, err := lastEventID(header, query)
+		src, name := header, "Last-Event-ID"
+		if src == "" {
+			src, name = query, "lastEventID"
+		}
+		if err != nil {
+			if src == "" || !strings.Contains(err.Error(), name) {
+				t.Fatalf("header %q query %q: error %v", header, query, err)
+			}
+			if want, aerr := strconv.Atoi(src); aerr == nil && want >= 0 {
+				t.Fatalf("header %q query %q: rejected event number %d", header, query, want)
+			}
+			return
+		}
+		want := 0
+		if src != "" {
+			want, _ = strconv.Atoi(src)
+		}
+		if n != want || n < 0 {
+			t.Fatalf("header %q query %q: parsed %d, want %d", header, query, n, want)
+		}
+	})
+}

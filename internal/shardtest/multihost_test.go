@@ -191,7 +191,8 @@ func TestMultiHostWorkerKillRequeue(t *testing.T) {
 	}
 	outcome := func(r *local.Result) bool {
 		sum := 0
-		for _, y := range r.Y {
+		for i := range r.Y.Len() {
+			y := r.Y.At(i)
 			for _, b := range y {
 				sum += int(b)
 			}

@@ -230,12 +230,12 @@ func expectSame(t *testing.T, label string, want, got *local.Result) {
 	if want.Stats != got.Stats {
 		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
 	}
-	if len(want.Y) != len(got.Y) {
-		t.Fatalf("%s: %d outputs, want %d", label, len(got.Y), len(want.Y))
+	if want.Y.Len() != got.Y.Len() {
+		t.Fatalf("%s: %d outputs, want %d", label, got.Y.Len(), want.Y.Len())
 	}
-	for v := range want.Y {
-		if string(want.Y[v]) != string(got.Y[v]) {
-			t.Fatalf("%s: node %d output %x, want %x", label, v, got.Y[v], want.Y[v])
+	for v := range want.Y.Len() {
+		if string(want.Y.At(v)) != string(got.Y.At(v)) {
+			t.Fatalf("%s: node %d output %x, want %x", label, v, got.Y.At(v), want.Y.At(v))
 		}
 	}
 }

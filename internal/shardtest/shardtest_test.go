@@ -173,8 +173,8 @@ func TestShardEquivalenceQuickFuzz(t *testing.T) {
 			if want[b].Stats != got[b].Stats {
 				return false
 			}
-			for v := range want[b].Y {
-				if string(want[b].Y[v]) != string(got[b].Y[v]) {
+			for v := range want[b].Y.Len() {
+				if string(want[b].Y.At(v)) != string(got[b].Y.At(v)) {
 					return false
 				}
 			}
@@ -206,7 +206,8 @@ func TestShardedStatsNonTrivial(t *testing.T) {
 		t.Fatalf("sharded run reported trivial Stats %+v", rs[0].Stats)
 	}
 	selected := 0
-	for _, y := range rs[0].Y {
+	for i := range rs[0].Y.Len() {
+		y := rs[0].Y.At(i)
 		sel, err := lang.DecodeSelected(y)
 		if err != nil {
 			t.Fatal(err)

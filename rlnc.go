@@ -112,6 +112,15 @@ type (
 // NewInstance validates and assembles a construction instance (G, x, id).
 var NewInstance = lang.NewInstance
 
+// Column is an output assignment y as one byte slab: Config.Y,
+// DecisionInstance.Y and every run's Result.Y. At(v) reads node v's
+// output without a copy.
+type Column = lang.Column
+
+// ColumnOf copies per-node output rows into a Column; Column.Rows is the
+// way back.
+var ColumnOf = lang.ColumnOf
+
 // Languages.
 var (
 	ProperColoring       = lang.ProperColoring
