@@ -265,42 +265,6 @@ func BenchmarkTrialBatchedMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkTrialBatchedMessageScalar is BenchmarkTrialBatchedMessage
-// with the lane-vectorized fast path stripped (local.ScalarOnly): the
-// same retry-coloring vectors stepped one lane at a time through scalar
-// WireProcesses. The BatchedMessage/BatchedMessageScalar ratio is the
-// speedup of the SoA stepping seam alone, at byte-identical outputs
-// (pinned by internal/shardtest's vec differential matrix).
-func BenchmarkTrialBatchedMessageScalar(b *testing.B) {
-	const width = 32
-	in, _, _ := benchTrialFixture(b)
-	algo := construct.MessageConstruction{Algo: local.ScalarOnly(construct.RetryMessage(3, 2))}
-	space := localrand.NewTapeSpace(19)
-	plan := local.MustPlan(in.G)
-	bt := plan.NewBatch(width)
-	draws := make([]localrand.Draw, width)
-	for j := 0; j < width; j++ {
-		draws[j] = space.Draw(uint64(j))
-	}
-	if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += width {
-		k := width
-		if left := b.N - done; left < k {
-			k = left
-		}
-		for j := 0; j < k; j++ {
-			draws[j] = space.Draw(uint64(done + j))
-		}
-		if _, err := (construct.Exec{Bt: bt}).Run(algo, in, draws[:k]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTrialColdE2Cell is one cold Monte-Carlo cell of E2c (§1.1,
 // rounds-to-ε on C_4800): each iteration builds a fresh plan and a
 // width-32 batch, as an E2 worker does per cell, and runs
@@ -330,103 +294,77 @@ func BenchmarkTrialColdE2Cell(b *testing.B) {
 }
 
 // BenchmarkLaneStep measures the warm per-(node, lane, round) cost of
-// retry coloring (T = 5) on C_n through a width-k batch, on the vector
-// path and on ScalarOnly, reported as ns/lane-step: elapsed time over
-// the lanes' summed n × Stats.Rounds. Passes hold at most the slab
-// budget's block of lanes, so a cell whose k exceeds the block runs
-// successive blocks, and a one-lane block steps the scalar path on both
-// sides.
+// retry coloring's kernel (T = 5) on C_n through a width-k batch,
+// reported as ns/lane-step: elapsed time over the lanes' summed
+// n × Stats.Rounds. Passes hold at most the slab budget's block of
+// lanes, so a cell whose k exceeds the block runs successive blocks.
 func BenchmarkLaneStep(b *testing.B) {
+	algo := construct.RetryMessage(3, 5)
 	for _, n := range []int{600, 4800, 38400} {
 		in := &lang.Instance{G: graph.Cycle(n), X: lang.EmptyInputs(n), ID: ids.ConsecutiveFrom(n, 1)}
 		plan := local.MustPlan(in.G)
 		for _, k := range []int{1, 2, 4, 8, 32} {
-			for _, path := range []string{"vec", "scalar"} {
-				algo := construct.RetryMessage(3, 5)
-				if path == "scalar" {
-					algo = local.ScalarOnly(algo)
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				bt := plan.NewBatch(k)
+				space := localrand.NewTapeSpace(0xE2C)
+				draws := make([]localrand.Draw, k)
+				steps := 0
+				run := func(i int) {
+					for j := range draws {
+						draws[j] = space.Draw(uint64(i*k + j))
+					}
+					rs, err := bt.Run(in, algo, draws, local.RunOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, r := range rs {
+						steps += n * r.Stats.Rounds
+					}
 				}
-				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, path), func(b *testing.B) {
-					bt := plan.NewBatch(k)
-					space := localrand.NewTapeSpace(0xE2C)
-					draws := make([]localrand.Draw, k)
-					steps := 0
-					run := func(i int) {
-						for j := range draws {
-							draws[j] = space.Draw(uint64(i*k + j))
-						}
-						rs, err := bt.Run(in, algo, draws, local.RunOptions{})
-						if err != nil {
-							b.Fatal(err)
-						}
-						for _, r := range rs {
-							steps += n * r.Stats.Rounds
-						}
-					}
-					run(0) // size the slabs and the process tables
-					steps = 0
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						run(i + 1)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/lane-step")
-				})
-			}
+				run(0) // size the slabs
+				steps = 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(i + 1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/lane-step")
+			})
 		}
 	}
 }
 
 // benchStepPath measures one algorithm's per-trial stepping cost at
-// width 32, vectorized (the SoA StepVec path) or scalar (ScalarOnly).
-// Each Benchmark{Step*}{Scalar,Vec} pair isolates one migrated
-// algorithm's kernel, so a regression in a single StepVec shows up in
-// its own pair instead of being averaged into the trial benchmarks.
-// BenchmarkStepLubyScalar has no Vec twin: Luby's MIS steps only through
-// its scalar WireProcess. Both sides are asserted byte-identical before
-// timing.
-func benchStepPath(b *testing.B, wa local.WireAlgorithm, in *lang.Instance, random, scalar bool) {
+// width 32 through its one stepping path: the kernel of retry coloring
+// and Cole–Vishkin, the processes of Luby's MIS. Each Benchmark{Step*}
+// isolates one algorithm, so a regression in a single kernel shows up in
+// its own benchmark instead of being averaged into the trial benchmarks;
+// the kernels' byte identity with their scalar oracle is
+// internal/shardtest's to pin.
+func benchStepPath(b *testing.B, algo local.WireAlgorithm, in *lang.Instance, random bool) {
 	const width = 32
-	algo := wa
-	if scalar {
-		algo = local.ScalarOnly(wa)
-	}
 	plan := local.MustPlan(in.G)
 	bt := plan.NewBatch(width)
 	space := localrand.NewTapeSpace(29)
-	sclBt := plan.NewBatch(width)
 	ins := make([]*lang.Instance, width)
 	for i := range ins {
 		ins[i] = in
 	}
-	run := func(bt *local.Batch, a local.WireAlgorithm, draws []localrand.Draw) []*local.Result {
-		var res []*local.Result
+	draws := make([]localrand.Draw, width)
+	run := func(k int) {
 		var err error
 		if random {
-			res, err = bt.Run(in, a, draws, local.RunOptions{})
+			_, err = bt.Run(in, algo, draws[:k], local.RunOptions{})
 		} else {
-			res, err = bt.RunInstances(ins[:len(ins)], a, nil, local.RunOptions{})
+			_, err = bt.RunInstances(ins[:k], algo, nil, local.RunOptions{})
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res
 	}
-	draws := make([]localrand.Draw, width)
 	for i := range draws {
 		draws[i] = space.Draw(uint64(i))
 	}
-	got := run(bt, algo, draws)
-	want := run(sclBt, local.ScalarOnly(wa), draws)
-	for i := range want {
-		if want[i].Stats != got[i].Stats {
-			b.Fatalf("lane %d: Stats %+v, want %+v", i, got[i].Stats, want[i].Stats)
-		}
-		for v := range want[i].Y.Len() {
-			if string(want[i].Y.At(v)) != string(got[i].Y.At(v)) {
-				b.Fatalf("lane %d node %d: output differs from scalar reference", i, v)
-			}
-		}
-	}
+	run(width) // size the slabs and the process table
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += width {
@@ -437,15 +375,7 @@ func benchStepPath(b *testing.B, wa local.WireAlgorithm, in *lang.Instance, rand
 		for j := 0; j < k; j++ {
 			draws[j] = space.Draw(uint64(done + j))
 		}
-		if random {
-			if _, err := bt.Run(in, algo, draws[:k], local.RunOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := bt.RunInstances(ins[:k], algo, nil, local.RunOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(k)
 	}
 }
 
@@ -466,20 +396,16 @@ func stepRingIn(b *testing.B) *lang.Instance {
 	return in
 }
 
+// BenchmarkStepLubyScalar keeps its name from when Luby's MIS had a
+// kernel twin: it steps Luby's processes.
 func BenchmarkStepLubyScalar(b *testing.B) {
-	benchStepPath(b, construct.LubyMIS{}, stepLubyIn(b), true, true)
-}
-func BenchmarkStepRetryScalar(b *testing.B) {
-	benchStepPath(b, construct.RetryMessage(3, 2), stepRingIn(b), true, true)
+	benchStepPath(b, construct.LubyMIS{}, stepLubyIn(b), true)
 }
 func BenchmarkStepRetryVec(b *testing.B) {
-	benchStepPath(b, construct.RetryMessage(3, 2), stepRingIn(b), true, false)
-}
-func BenchmarkStepCVScalar(b *testing.B) {
-	benchStepPath(b, construct.ColeVishkin{MaxIDBits: 63}, stepRingIn(b), false, true)
+	benchStepPath(b, construct.RetryMessage(3, 2), stepRingIn(b), true)
 }
 func BenchmarkStepCVVec(b *testing.B) {
-	benchStepPath(b, construct.ColeVishkin{MaxIDBits: 63}, stepRingIn(b), false, false)
+	benchStepPath(b, construct.ColeVishkin{MaxIDBits: 63}, stepRingIn(b), false)
 }
 
 // benchTrialFaulty is BenchmarkTrialBatchedMessage with a FaultPlan

@@ -48,15 +48,15 @@ func TestRetryVecWarmAllocFloor(t *testing.T) {
 	}
 }
 
-// TestVecColdAllocsFlatInN pins that the vector path keeps no per-node
+// TestVecColdAllocsFlatInN pins that a kernel keeps no per-node
 // objects: a cold batch's first run allocates slabs, worker rows, and
 // arenas — a fixed number of objects (about 33) — so quadrupling the
 // ring adds none. The slack of a few objects absorbs the runtime's own
-// occasional allocation; a per-node table would add thousands. Both
-// rings run in 4-lane blocks. Skipped under -race.
+// occasional allocation; a per-node table would add thousands. Width 4
+// runs both rings in 4-lane blocks, and width 1 pins that a one-lane
+// run steps the kernel too. Skipped under -race.
 func TestVecColdAllocsFlatInN(t *testing.T) {
-	const width = 4
-	cold := func(n int, algo local.WireAlgorithm, random bool) float64 {
+	cold := func(n, width int, algo local.WireAlgorithm, random bool) float64 {
 		in := ringInstance(n)
 		plan := local.MustPlan(in.G)
 		var draws []localrand.Draw
@@ -67,7 +67,10 @@ func TestVecColdAllocsFlatInN(t *testing.T) {
 				draws[i] = space.Draw(uint64(i))
 			}
 		}
-		ins := []*lang.Instance{in, in, in, in}
+		ins := make([]*lang.Instance, width)
+		for i := range ins {
+			ins[i] = in
+		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := plan.NewBatch(width).RunInstances(ins, algo, draws, local.RunOptions{}); err != nil {
 				t.Fatal(err)
@@ -81,10 +84,12 @@ func TestVecColdAllocsFlatInN(t *testing.T) {
 		{RetryMessage(3, 5), true},
 		{ColeVishkin{MaxIDBits: 16}, false},
 	} {
-		small, big := cold(1200, c.algo, c.random), cold(4800, c.algo, c.random)
-		if big > small+4 || big > 64 {
-			t.Errorf("%s: cold batch run allocates %.0f objects on C_1200 and %.0f on C_4800; want no growth with n and at most 64",
-				c.algo.Name(), small, big)
+		for _, width := range []int{4, 1} {
+			small, big := cold(1200, width, c.algo, c.random), cold(4800, width, c.algo, c.random)
+			if big > small+4 || big > 64 {
+				t.Errorf("%s width %d: cold batch run allocates %.0f objects on C_1200 and %.0f on C_4800; want no growth with n and at most 64",
+					c.algo.Name(), width, small, big)
+			}
 		}
 	}
 }

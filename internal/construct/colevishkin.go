@@ -85,17 +85,6 @@ func (cv ColeVishkin) Rounds() int { return ReductionRounds(cv.MaxIDBits) + 3 }
 // MsgWords implements local.WireAlgorithm: one word, the current color.
 func (cv ColeVishkin) MsgWords(int) int { return 1 }
 
-// NewWireProcess implements local.WireAlgorithm.
-func (cv ColeVishkin) NewWireProcess() local.WireProcess {
-	return &cvProc{reductions: ReductionRounds(cv.MaxIDBits)}
-}
-
-type cvProc struct {
-	reductions int
-	color      uint64
-	phase2At   int // round index where shift-down begins
-}
-
 // Cycle port convention (see graph.Cycle): port 0 = successor,
 // port 1 = predecessor.
 const (
@@ -103,72 +92,14 @@ const (
 	predPort = 1
 )
 
-// decodeCVColor rejects anything but a single color word.
-func decodeCVColor(words []uint64) (uint64, bool) {
-	if len(words) != 1 {
-		return 0, false
-	}
-	return words[0], true
-}
-
-// mustCVColor is decodeCVColor for the round loop, where a missing or
-// malformed neighbor color is a broken invariant (the ring is
-// synchronous: both neighbors send every round until the common halt).
-func mustCVColor(in *local.Inbox, port int) uint64 {
-	c, ok := decodeCVColor(in.Words(port))
-	if !ok {
-		panic("construct: Cole-Vishkin received a malformed color word")
-	}
-	return c
-}
-
-// ResetProcess implements local.ResetProcess, keeping the reduction
-// schedule while dropping all execution state.
-func (p *cvProc) ResetProcess() { *p = cvProc{reductions: p.reductions} }
-
-func (p *cvProc) Start(info local.NodeInfo, out *local.Outbox) {
-	if info.Degree != 2 {
-		panic("construct: Cole-Vishkin requires a cycle (degree 2 everywhere)")
-	}
-	p.color = uint64(info.ID)
-	p.phase2At = p.reductions + 1
-	// Every round sends the current color both ways; only the successor's
-	// value is used during reduction, both during shift-down.
-	out.Broadcast(p.color)
-}
-
-func (p *cvProc) Step(round int, in *local.Inbox, out *local.Outbox) bool {
-	succC := mustCVColor(in, succPort)
-	predC := mustCVColor(in, predPort)
-	switch {
-	case round <= p.reductions:
-		p.color = cvStep(p.color, succC)
-	default:
-		// Shift-down: rounds phase2At, phase2At+1, phase2At+2 remove
-		// colors 5, 4, 3 in that order.
-		target := uint64(5 - (round - p.phase2At))
-		if p.color == target {
-			p.color = smallestFree(predC, succC)
-		}
-		if round >= p.phase2At+2 {
-			return true
-		}
-	}
-	out.Broadcast(p.color)
-	return false
-}
-
-func (p *cvProc) Output() []byte {
-	return lang.EncodeColor(int(p.color))
-}
-
 // VecWords implements local.VecAlgorithm: one state word per lane, the
 // current color. The algorithm is deterministic and the reduction
 // schedule is shared by every lane, so nothing else is per-lane.
 func (cv ColeVishkin) VecWords() int { return 1 }
 
-// StartVec implements local.VecAlgorithm: cvProc.Start on every lane of
-// the range.
+// StartVec implements local.VecAlgorithm: every lane's color starts as
+// the node's identity, sent both ways (only the successor's value is
+// used during reduction, both during shift-down).
 func (cv ColeVishkin) StartVec(r *local.VecRange) {
 	for v := r.Lo; v < r.Hi; v++ {
 		if r.Degree(v) != 2 {
@@ -182,18 +113,27 @@ func (cv ColeVishkin) StartVec(r *local.VecRange) {
 	}
 }
 
-// mustCVColorVec is mustCVColor against a lane's slab row: a missing or
-// malformed neighbor color is a broken invariant, exactly as on the
-// scalar path.
-func mustCVColorVec(lens []int32, words []uint64, b, stride int) uint64 {
-	if lens[b] != 2 {
-		panic("construct: Cole-Vishkin received a malformed color word")
-	}
-	return words[b*stride]
+// decodeCVColor reads one lane's arrival as a kernel sees it — l is its
+// lens entry (0 = no message, n+1 = an n-word payload), w its first slab
+// word — and rejects anything but a single color word.
+func decodeCVColor(l int32, w uint64) (uint64, bool) {
+	return w, l == 2
 }
 
-// StepVec implements local.VecAlgorithm: cvProc.Step on every active
-// lane of the range.
+// mustCVColor reads a neighbor's color from a lane's slab row: a
+// missing or malformed color is a broken invariant (the ring is
+// synchronous: both neighbors send every round until the common halt).
+func mustCVColor(lens []int32, words []uint64, b, stride int) uint64 {
+	c, ok := decodeCVColor(lens[b], words[b*stride])
+	if !ok {
+		panic("construct: Cole-Vishkin received a malformed color word")
+	}
+	return c
+}
+
+// StepVec implements local.VecAlgorithm: one reduction (cvStep against
+// the successor) per round, then the three shift-down rounds, on every
+// active lane of the range.
 func (cv ColeVishkin) StepVec(r *local.VecRange, round int) {
 	reductions := ReductionRounds(cv.MaxIDBits)
 	phase2At := reductions + 1 // round index where shift-down begins
@@ -213,8 +153,8 @@ func (cv ColeVishkin) StepVec(r *local.VecRange, round int) {
 			if act>>b&1 == 0 {
 				continue
 			}
-			succC := mustCVColorVec(succLens, succWords, b, succStride)
-			predC := mustCVColorVec(predLens, predWords, b, predStride)
+			succC := mustCVColor(succLens, succWords, b, succStride)
+			predC := mustCVColor(predLens, predWords, b, predStride)
 			if reducing {
 				color[b] = cvStep(color[b], succC)
 			} else if color[b] == target {

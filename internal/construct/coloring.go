@@ -66,72 +66,12 @@ func (a retryAlgo) Name() string { return fmt.Sprintf("retry-%d-coloring(T=%d)",
 // MsgWords implements local.WireAlgorithm: one word, the current color.
 func (a retryAlgo) MsgWords(int) int { return 1 }
 
-// NewWireProcess implements local.WireAlgorithm.
-func (a retryAlgo) NewWireProcess() local.WireProcess {
-	return &retryProc{q: a.q, t: a.t}
-}
-
-type retryProc struct {
-	q, t  int
-	tape  *localrand.Tape
-	color int
-}
-
-// decodeRetryColor rejects anything but a single word holding a color
-// below q.
-func decodeRetryColor(words []uint64, q int) (int, bool) {
-	if len(words) != 1 || words[0] >= uint64(q) {
-		return 0, false
-	}
-	return int(words[0]), true
-}
-
-// ResetProcess implements local.ResetProcess, keeping the palette and
-// round configuration while dropping all execution state.
-func (p *retryProc) ResetProcess() { *p = retryProc{q: p.q, t: p.t} }
-
-func (p *retryProc) Start(info local.NodeInfo, out *local.Outbox) {
-	p.tape = info.Tape
-	p.color = p.tape.Intn(p.q)
-	out.Broadcast(uint64(p.color))
-}
-
-func (p *retryProc) Step(round int, in *local.Inbox, out *local.Outbox) bool {
-	// Past the last retry round nothing can change the color any more, so
-	// the node halts without scanning its final arrivals (whose only
-	// possible effect is a conflict bit nobody reads).
-	if round > p.t {
-		return true
-	}
-	conflicted := false
-	for port := 0; port < in.Degree(); port++ {
-		if !in.Has(port) {
-			continue
-		}
-		c, ok := decodeRetryColor(in.Words(port), p.q)
-		if !ok {
-			panic("construct: retry coloring received a malformed color word")
-		}
-		if c == p.color {
-			conflicted = true
-			break
-		}
-	}
-	if conflicted {
-		p.color = p.tape.Intn(p.q)
-	}
-	out.Broadcast(uint64(p.color))
-	return false
-}
-
-func (p *retryProc) Output() []byte { return lang.EncodeColor(p.color) }
-
 // VecWords implements local.VecAlgorithm: one state word per lane, the
 // current color, kept as the wire word so broadcasts need no conversion.
 func (a retryAlgo) VecWords() int { return 1 }
 
-// StartVec implements local.VecAlgorithm: retryProc.Start on every lane
-// of the range.
+// StartVec implements local.VecAlgorithm: every lane of every node
+// draws a uniform color and broadcasts it.
 func (a retryAlgo) StartVec(r *local.VecRange) {
 	for v := r.Lo; v < r.Hi; v++ {
 		color := r.State(v, 0)
@@ -142,9 +82,18 @@ func (a retryAlgo) StartVec(r *local.VecRange) {
 	}
 }
 
-// StepVec implements local.VecAlgorithm: retryProc.Step on every active
-// lane of the range, with the lanes still scanning for a conflict as one
-// mask.
+// decodeRetryColor reads one lane's arrival as a kernel sees it — l is
+// its lens entry (0 = no message, n+1 = an n-word payload), w its first
+// slab word — and rejects anything but a single word holding a color
+// below q.
+func decodeRetryColor(l int32, w, q uint64) (uint64, bool) {
+	return w, l == 2 && w < q
+}
+
+// StepVec implements local.VecAlgorithm: in each of the T retry rounds
+// every active lane in conflict with a neighbor resamples, with the
+// lanes still scanning for a conflict as one mask. A color word that is
+// not one word below q is a broken invariant.
 func (a retryAlgo) StepVec(r *local.VecRange, round int) {
 	q := uint64(a.q)
 	for v := r.Lo; v < r.Hi; v++ {
@@ -152,15 +101,16 @@ func (a retryAlgo) StepVec(r *local.VecRange, round int) {
 		if act == 0 {
 			continue
 		}
-		// Past the last retry round the lanes halt without scanning,
-		// exactly like the scalar Step's early return.
+		// Past the last retry round nothing can change the color any
+		// more, so the lanes halt without scanning their final arrivals
+		// (whose only possible effect is a conflict bit nobody reads).
 		if round > a.t {
 			r.Finish(v, act)
 			continue
 		}
 		color := r.State(v, 0)
-		// A conflicted lane stops scanning, like the scalar break — later
-		// ports go unvalidated either way.
+		// A conflicted lane stops scanning: its later ports go
+		// unvalidated.
 		scan := act
 		for p, deg := 0, r.Degree(v); p < deg && scan != 0; p++ {
 			lens, words, stride := r.Recv(v, p)
@@ -168,8 +118,8 @@ func (a retryAlgo) StepVec(r *local.VecRange, round int) {
 				if scan>>b&1 == 0 || l == 0 {
 					continue
 				}
-				c := words[b*stride]
-				if l != 2 || c >= q {
+				c, ok := decodeRetryColor(l, words[b*stride], q)
+				if !ok {
 					panic("construct: retry coloring received a malformed color word")
 				}
 				if c == color[b] {

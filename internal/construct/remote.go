@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"errors"
 	"fmt"
 
 	"rlnc/internal/local"
@@ -11,12 +12,24 @@ import (
 // (`rlnc shard-worker`) reconstructs an identical algorithm from the
 // orchestrator's (key, params) pair, and implements RemoteSpec so remote
 // sharded executors recognize it. Registration and reconstruction run in
-// the same binary, so the mapping cannot skew.
+// the same binary, so the mapping cannot skew. Parameters arrive from
+// outside the process (a shipped job, a serve request), so each builder
+// rejects every value its algorithm cannot run, all errors together.
 
 func init() {
 	local.RegisterRemoteAlgorithm("retry-coloring", func(p []int64) (local.WireAlgorithm, error) {
 		if len(p) != 2 {
 			return nil, fmt.Errorf("construct: retry-coloring wants (q, t), got %d params", len(p))
+		}
+		var errs []error
+		if p[0] < 1 {
+			errs = append(errs, fmt.Errorf("construct: retry-coloring q = %d, need q >= 1", p[0]))
+		}
+		if p[1] < 0 {
+			errs = append(errs, fmt.Errorf("construct: retry-coloring t = %d, need t >= 0", p[1]))
+		}
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
 		}
 		return retryAlgo{q: int(p[0]), t: int(p[1])}, nil
 	})
@@ -29,6 +42,9 @@ func init() {
 	local.RegisterRemoteAlgorithm("cole-vishkin", func(p []int64) (local.WireAlgorithm, error) {
 		if len(p) != 1 {
 			return nil, fmt.Errorf("construct: cole-vishkin wants (maxIDBits), got %d params", len(p))
+		}
+		if p[0] < 1 || p[0] > 63 {
+			return nil, fmt.Errorf("construct: cole-vishkin maxIDBits = %d, need 1 <= maxIDBits <= 63", p[0])
 		}
 		return ColeVishkin{MaxIDBits: int(p[0])}, nil
 	})

@@ -11,11 +11,14 @@ import (
 )
 
 // TestResetProcessReuseByteIdentical pins the ResetProcess contract for
-// every migrated algorithm: back-to-back trials on ONE batch — which
+// every process algorithm: back-to-back trials on ONE batch — which
 // reset and reuse the pooled per-(node, lane) process table — must
 // produce byte-identical outputs and identical Stats to fresh
 // single-shot runs at the same draws. Any state a ResetProcess fails to
-// drop shows up here as a second-trial divergence.
+// drop shows up here as a second-trial divergence. The kernel-only
+// algorithms (retry coloring, Cole–Vishkin) have no process to pool:
+// they must not be ProcessAlgorithms at all, and their kernels' reused
+// state slab must match fresh runs the same way.
 func TestResetProcessReuseByteIdentical(t *testing.T) {
 	ring := func(n int) *lang.Instance {
 		in, err := lang.NewInstance(graph.Cycle(n), lang.EmptyInputs(n), ids.RandomPerm(n, 17))
@@ -51,26 +54,30 @@ func TestResetProcessReuseByteIdentical(t *testing.T) {
 		algo   local.WireAlgorithm
 		in     *lang.Instance
 		random bool
+		kernel bool
 	}{
-		{retryAlgo{q: 3, t: 4}, ring(30), true},
-		{ColeVishkin{MaxIDBits: 8}, ring(30), false},
-		{LinialReduction{MaxDegree: 2, MaxIDBits: 8, TargetColors: 3}, ring(30), false},
-		{GreedyMISFromColoring{Q: 3}, colored(9, 3), false},
-		{LubyMIS{}, regular(32, 4), true},
-		{EdgeLubyMatching{}, regular(32, 4), true},
-		{MoserTardosLLL{Phases: 3}, regular(32, 4), true},
+		{retryAlgo{q: 3, t: 4}, ring(30), true, true},
+		{ColeVishkin{MaxIDBits: 8}, ring(30), false, true},
+		{LinialReduction{MaxDegree: 2, MaxIDBits: 8, TargetColors: 3}, ring(30), false, false},
+		{GreedyMISFromColoring{Q: 3}, colored(9, 3), false, false},
+		{LubyMIS{}, regular(32, 4), true, false},
+		{EdgeLubyMatching{}, regular(32, 4), true, false},
+		{MoserTardosLLL{Phases: 3}, regular(32, 4), true, false},
 	}
 	space := localrand.NewTapeSpace(57)
 	for _, tc := range cases {
 		t.Run(tc.algo.Name(), func(t *testing.T) {
-			// The processes of every migrated algorithm must opt into
-			// pooling.
-			wa, ok := tc.algo.(local.WireAlgorithm)
-			if !ok {
-				t.Fatalf("%s is not a WireAlgorithm", tc.algo.Name())
+			// An algorithm steps one way: a kernel, or processes that
+			// opt into pooling.
+			_, vec := tc.algo.(local.VecAlgorithm)
+			pa, proc := tc.algo.(local.ProcessAlgorithm)
+			if vec != tc.kernel || proc == tc.kernel {
+				t.Fatalf("%s: VecAlgorithm %v, ProcessAlgorithm %v; want kernel-only %v", tc.algo.Name(), vec, proc, tc.kernel)
 			}
-			if _, ok := wa.NewWireProcess().(local.ResetProcess); !ok {
-				t.Fatalf("%s processes do not implement ResetProcess", tc.algo.Name())
+			if proc {
+				if _, ok := pa.NewWireProcess().(local.ResetProcess); !ok {
+					t.Fatalf("%s processes do not implement ResetProcess", tc.algo.Name())
+				}
 			}
 
 			plan := local.MustPlan(tc.in.G)

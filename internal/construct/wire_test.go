@@ -96,28 +96,46 @@ func FuzzMatchValCodec(f *testing.F) {
 	})
 }
 
+// laneArrival stages words on port 0 of a loopback (a zero-word signal
+// when there are none) and reads the arrival back as a vec kernel sees
+// it: the lens entry and the first slab word.
+func laneArrival(words ...uint64) (int32, uint64) {
+	out, in := local.NewLoopback(1, max(len(words), 1))
+	if len(words) == 0 {
+		out.Signal(0)
+	}
+	for _, w := range words {
+		out.Append(0, w)
+	}
+	w, _ := in.Word(0)
+	return int32(in.Len(0) + 1), w
+}
+
 // FuzzRetryColorCodec: single-word colors below q round-trip; oversized
 // colors and wrong lengths are rejected.
 func FuzzRetryColorCodec(f *testing.F) {
 	f.Add(uint64(2), uint8(3))
 	f.Add(uint64(0), uint8(1))
 	f.Fuzz(func(t *testing.T, c uint64, rawQ uint8) {
-		q := int(rawQ%8) + 1
-		c %= uint64(q)
-		out, in := local.NewLoopback(1, 1)
-		out.Send(0, c)
-		got, ok := decodeRetryColor(in.Words(0), q)
-		if !ok || got != int(c) {
+		q := uint64(rawQ%8) + 1
+		c %= q
+		l, w := laneArrival(c)
+		if got, ok := decodeRetryColor(l, w, q); !ok || got != c {
 			t.Fatalf("decode(encode(%d)) = %d, %v", c, got, ok)
 		}
-		if _, ok := decodeRetryColor([]uint64{uint64(q)}, q); ok {
-			t.Error("out-of-palette color accepted")
+		bad := []struct {
+			what  string
+			words []uint64
+		}{
+			{"out-of-palette color", []uint64{q}},
+			{"two-word color", []uint64{c, c}},
+			{"empty color", nil},
 		}
-		if _, ok := decodeRetryColor([]uint64{c, c}, q); ok {
-			t.Error("two-word color accepted")
-		}
-		if _, ok := decodeRetryColor(nil, q); ok {
-			t.Error("empty color accepted")
+		for _, m := range bad {
+			l, w := laneArrival(m.words...)
+			if _, ok := decodeRetryColor(l, w, q); ok {
+				t.Errorf("%s accepted", m.what)
+			}
 		}
 	})
 }
@@ -174,21 +192,21 @@ func FuzzMTEventCodec(f *testing.F) {
 }
 
 // FuzzCVLinialColorCodec: the single-word color codecs of Cole–Vishkin
-// and the Linial reduction.
+// (read from a lane's slab row by its kernel) and the Linial reduction.
 func FuzzCVLinialColorCodec(f *testing.F) {
 	f.Add(uint64(5))
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, c uint64) {
-		out, in := local.NewLoopback(1, 1)
-		out.Send(0, c)
-		if got, ok := decodeCVColor(in.Words(0)); !ok || got != c {
+		if got, ok := decodeCVColor(laneArrival(c)); !ok || got != c {
 			t.Fatalf("cv decode = %d, %v", got, ok)
 		}
+		out, in := local.NewLoopback(1, 1)
+		out.Send(0, c)
 		if got, ok := decodeLinialColor(in.Words(0)); !ok || got != c {
 			t.Fatalf("linial decode = %d, %v", got, ok)
 		}
 		for _, bad := range [][]uint64{nil, {c, c}} {
-			if _, ok := decodeCVColor(bad); ok {
+			if _, ok := decodeCVColor(laneArrival(bad...)); ok {
 				t.Errorf("cv accepted %v", bad)
 			}
 			if _, ok := decodeLinialColor(bad); ok {

@@ -291,18 +291,6 @@ func (a *msgViewAlgo) Name() string { return fmt.Sprintf("simulate(%s)", a.inner
 func (a *msgViewAlgo) Radius() int { return a.rounds + 1 }
 
 func (a *msgViewAlgo) Output(v *View) []byte {
-	if a.rounds == 0 {
-		// Zero-round algorithms fix their output in Start; whatever they
-		// stage for round 1 is never delivered.
-		proc := a.inner.NewWireProcess()
-		info := NodeInfo{ID: v.IDs[0], Degree: v.Degree(), Input: v.X[0]}
-		if v.TapeFor != nil {
-			info.Tape = v.TapeFor(0)
-		}
-		out, _ := NewLoopback(info.Degree, a.inner.MsgWords(info.Degree))
-		proc.Start(info, out)
-		return proc.Output()
-	}
 	// Run the message algorithm on the ball as a standalone network for
 	// exactly `rounds` rounds and return the center's output. Identity
 	// validation is skipped deliberately: ball identities are inherited
@@ -312,7 +300,21 @@ func (a *msgViewAlgo) Output(v *View) []byte {
 	if v.TapeFor != nil {
 		tapeOf = func(i int) *localrand.Tape { return v.TapeFor(i) }
 	}
-	res, err := runCore(sub, a.inner, tapeOf, RunOptions{StopAfter: a.rounds})
+	plan, err := NewPlan(sub.G)
+	if err != nil {
+		panic(fmt.Sprintf("local: ball simulation failed: %v", err))
+	}
+	if a.rounds == 0 {
+		// Zero-round algorithms fix their output in the start pass;
+		// whatever they stage for round 1 is never delivered, so only
+		// the center starts.
+		y, err := plan.NewBatch(1).startOutput(sub, a.inner, tapeOf, 0)
+		if err != nil {
+			panic(fmt.Sprintf("local: ball simulation failed: %v", err))
+		}
+		return y
+	}
+	res, err := plan.NewBatch(1).runWithTapes(sub, a.inner, tapeOf, RunOptions{StopAfter: a.rounds})
 	if err != nil {
 		panic(fmt.Sprintf("local: ball simulation failed: %v", err))
 	}

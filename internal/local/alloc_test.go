@@ -201,22 +201,15 @@ func TestSteadyStateAllocFloors(t *testing.T) {
 	}
 }
 
-// staticVecMix is vecMix with allocation-free outputs on both paths —
-// the vector-path analogue of staticOutMix, so the floor below measures
-// the vec round kernel rather than the fixture's encoder.
+// staticVecMix is vecMix with allocation-free outputs — the kernel
+// analogue of staticOutMix, so the floor below measures the kernel
+// round loop rather than the fixture's encoder.
 type staticVecMix struct{ vecMix }
 
 func (a staticVecMix) Name() string { return fmt.Sprintf("static-vec-mix(%d)", a.rounds) }
-func (a staticVecMix) NewWireProcess() WireProcess {
-	return &staticVecMixProc{vecMixProc{rounds: a.rounds}}
-}
 func (a staticVecMix) OutputVec(r *VecRange, v, b int) []byte {
 	return staticOutTable[r.State(v, 0)[b]&15]
 }
-
-type staticVecMixProc struct{ vecMixProc }
-
-func (p *staticVecMixProc) Output() []byte { return staticOutTable[p.state&15] }
 
 // TestVecAllocFloors pins the absolute allocation contract of the
 // lane-vectorized round kernel, exactly as TestSteadyStateAllocFloors
@@ -225,7 +218,8 @@ func (p *staticVecMixProc) Output() []byte { return staticOutTable[p.state&15] }
 // reused word slab, the row staging writes straight into the reused
 // slabs, and outputs land in the double-buffered arena. The fault-armed
 // shape must hold the same floor: the crash masks are a batch-owned
-// per-node row, not per-run allocations. Skipped under -race, whose
+// per-node row, not per-run allocations. Width 1 holds it too: a
+// one-lane pass steps the same kernel. Skipped under -race, whose
 // instrumentation changes allocation counts.
 func TestVecAllocFloors(t *testing.T) {
 	in := mustInstance(t, graph.Cycle(256))
@@ -236,15 +230,18 @@ func TestVecAllocFloors(t *testing.T) {
 	space := localrand.NewTapeSpace(29)
 	trial := 0
 
-	const width = 8
 	shapes := []struct {
-		name string
-		fp   *FaultPlan
+		name  string
+		width int
+		fp    *FaultPlan
 	}{
-		{"fault-free", nil},
-		{"faulty", &FaultPlan{Seed: 31, Drop: 0.1, CrashP: 0.05, CrashFrom: 2}},
+		{"fault-free", 8, nil},
+		{"faulty", 8, &FaultPlan{Seed: 31, Drop: 0.1, CrashP: 0.05, CrashFrom: 2}},
+		{"width-1", 1, nil},
+		{"width-1 faulty", 1, &FaultPlan{Seed: 31, Drop: 0.1, CrashP: 0.05, CrashFrom: 2}},
 	}
 	for _, shape := range shapes {
+		width := shape.width
 		bt := plan.NewBatch(width)
 		draws := make([]localrand.Draw, width)
 		runBatch := func() {
@@ -258,18 +255,15 @@ func TestVecAllocFloors(t *testing.T) {
 		}
 		runBatch()
 		runBatch() // warm both arena buffers and the state slab
-		if bt.vecAlgo == nil {
-			t.Fatal("vector path not armed for the alloc floor")
-		}
 		if got := testing.AllocsPerRun(50, runBatch); got != 0 {
 			t.Errorf("%s: warm vectorized batched run allocates %.1f/op; want exactly 0", shape.name, got)
 		}
 	}
 }
 
-// stripReset wraps a wire algorithm so its processes lose the
+// stripReset wraps a process algorithm so its processes lose the
 // ResetProcess extension: the pooling gate's control group.
-type stripReset struct{ inner WireAlgorithm }
+type stripReset struct{ inner ProcessAlgorithm }
 
 func (a stripReset) Name() string       { return a.inner.Name() }
 func (a stripReset) MsgWords(d int) int { return a.inner.MsgWords(d) }

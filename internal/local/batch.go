@@ -48,8 +48,8 @@ type Batch struct {
 	// slotBase is 0 and revTab is the topology's global RevSlot table, so
 	// the unsharded round loop pays a constant subtract-zero and nothing
 	// else. Windowed batches must only ever be driven over the window's
-	// node range (the sharded orchestrator does); procs/done stay
-	// globally node-indexed so collection code is shared.
+	// node range (the sharded orchestrator does); procs and the lane
+	// masks stay globally node-indexed so collection code is shared.
 	win      *graph.ShardSlots
 	slotBase int
 	revTab   []int32
@@ -61,11 +61,10 @@ type Batch struct {
 	// (0 = no message, n+1 = n payload words) and the word range starting
 	// at offW[s]*B + capW[s]*b, so one slot's lanes are contiguous and the
 	// reverse-slot walk of a delivery is shared by every lane of the
-	// batch. Each round counts arrivals out of the cur slabs, steps each
-	// process with an Inbox reading cur and an Outbox writing next, and
-	// swaps. block is the lane count of one message pass (see
-	// msgSlabBudget); slabs are sized and strided by it, and wider lane
-	// vectors run in successive blocks.
+	// batch. Each round steps the kernel over each worker's node range,
+	// reading cur and staging into next, and swaps. block is the lane
+	// count of one message pass (see msgSlabBudget); slabs are sized and
+	// strided by it, and wider lane vectors run in successive blocks.
 	block    int
 	capW     []int32 // per-slot word capacity, from MsgWords by sender degree
 	offW     []int32 // per-slot word offsets (lane-0 base), prefix sums of capW
@@ -74,9 +73,8 @@ type Batch struct {
 	nextLens []int32
 	curWords []uint64
 	nextWord []uint64
-	procs    []WireProcess  // [v*block+b]
+	procs    []WireProcess  // [v*block+b], a ProcessAlgorithm's table
 	resets   []ResetProcess // procs' ResetProcess views, filled as created
-	done     []bool         // [v*block+b]
 	// alive is the per-lane liveness the passes read, updated between
 	// rounds by its owner: led, this batch's lane ledger, in an unsharded
 	// run; on a shard, the handler's own row, which each round command
@@ -110,8 +108,8 @@ type Batch struct {
 	wkDown [][]bool
 	// roundFn/startFn/collectFn are the bound roundPass/startPass/
 	// collectPass methods, built once so the per-round parallelChunks
-	// dispatch does not allocate a closure; rk/rround/rwa/rsrc/rcols
-	// carry the pass parameters to them, and rragged is where collecting
+	// dispatch does not allocate a closure; rk/rround/rsrc/rcols carry
+	// the pass parameters to them, and rragged is where collecting
 	// workers flag an output of another width than the block's. The sharded orchestrator drives the
 	// same passes directly over a shard's node range (see sharded.go),
 	// which is why the parameters live on the batch rather than in
@@ -121,7 +119,6 @@ type Batch struct {
 	collectFn func(w, vlo, vhi int)
 	rk        int
 	rround    int
-	rwa       WireAlgorithm
 	rsrc      laneSrc
 	rcols     *outCols
 	rragged   atomic.Bool
@@ -129,23 +126,21 @@ type Batch struct {
 	tapes []localrand.Tape
 	// procAlgo is the algorithm whose process table survives in procs
 	// between runs: non-nil only when its processes implement
-	// ResetProcess, in which case startPass resets and reuses them
-	// instead of allocating n×lanes fresh processes per trial. rpool is
-	// the per-run flag startPass reads.
-	procAlgo WireAlgorithm
-	rpool    bool
+	// ResetProcess, in which case the start pass resets and reuses them
+	// instead of allocating n×lanes fresh processes per trial.
+	procAlgo ProcessAlgorithm
 
-	// Lane-vectorized stepping state (vec.go): vecAlgo is armed once per
-	// pass by armVec, when the run's algorithm implements VecAlgorithm
-	// and the pass has two or more lanes — the passes then dispatch to
-	// their vec twins, which hand each worker's node range to the
-	// kernel. vstate is the kernel's flat [node][word][lane] state slab,
-	// vdone each node's finished-lane mask, and vdown the fault pass's
-	// per-node crashed-lane masks.
-	vecAlgo VecAlgorithm
-	vstate  []uint64
-	vdone   []uint64
-	vdown   []uint64
+	// Stepping state (vec.go, procs.go): kern is the run's kernel, armed
+	// once per block by armKernel — the algorithm's own VecAlgorithm, or
+	// pk over a ProcessAlgorithm's process table — and every pass hands
+	// each worker's node range to it. vstate is a VecAlgorithm's flat
+	// [node][word][lane] state slab, vdone each node's finished-lane
+	// mask, and vdown the fault pass's per-node crashed-lane masks.
+	kern   rangeKernel
+	pk     procKernel
+	vstate []uint64
+	vdone  []uint64
+	vdown  []uint64
 
 	// Fault state (fault.go): defFault is the executor default a run
 	// falls back to when RunOptions.Fault is nil; fault is the armed
@@ -185,16 +180,14 @@ type Batch struct {
 // instead of per-run closures, so binding a run's parameters to the
 // batch allocates nothing. Exactly one of shared/ins is set. Randomness
 // comes from tapes (row b covers nodes [tlo, tlo+tn), node v at index
-// b*tn+(v-tlo) — shard workers hold windowed rows) or, for the
-// ball-simulation adapter only, from the tapeFn fallback; both nil
-// means deterministic lanes.
+// b*tn+(v-tlo) — shard workers hold windowed rows); nil means
+// deterministic lanes.
 type laneSrc struct {
 	shared *lang.Instance   // every lane runs this instance...
 	ins    []*lang.Instance // ...or lane b runs ins[b]
 	tapes  []localrand.Tape
 	tlo    int // first node the tape rows cover
 	tn     int // tape row stride (nodes per row)
-	tapeFn func(b, v int) *localrand.Tape
 }
 
 // instance returns lane b's instance.
@@ -206,14 +199,11 @@ func (src *laneSrc) instance(b int) *lang.Instance {
 }
 
 // hasTapes reports whether the lanes carry randomness.
-func (src *laneSrc) hasTapes() bool { return src.tapes != nil || src.tapeFn != nil }
+func (src *laneSrc) hasTapes() bool { return src.tapes != nil }
 
 // tape returns the tape of (lane b, node v); only called when hasTapes.
 func (src *laneSrc) tape(b, v int) *localrand.Tape {
-	if src.tapes != nil {
-		return &src.tapes[b*src.tn+(v-src.tlo)]
-	}
-	return src.tapeFn(b, v)
+	return &src.tapes[b*src.tn+(v-src.tlo)]
 }
 
 // runArena is one buffer of a double-buffered per-run output store: the
@@ -367,27 +357,62 @@ func (bt *Batch) laneVector(in *lang.Instance, ins []*lang.Instance, draws []loc
 
 // runWithTapes runs one lane with an explicit per-node tape source (nil
 // for deterministic executions) addressed by node index; the
-// ball-simulation adapter threads view tapes through it (laneSrc.tapeFn).
+// ball-simulation adapter threads view tapes through it (tapeSrc).
 // The result lives in the batch's output arena, like Run's.
 func (bt *Batch) runWithTapes(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
 	if err := bt.checkInstance(in); err != nil {
 		return nil, err
 	}
-	src := laneSrc{shared: in}
-	if tapeOf != nil {
-		src.tapeFn = func(_, v int) *localrand.Tape { return tapeOf(v) }
-	}
-	res, err := bt.runLanes(src, 1, algo, nil, opts)
+	res, err := bt.runLanes(bt.tapeSrc(in, tapeOf), 1, algo, nil, opts)
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
 }
 
+// startOutput returns node v's output after a one-lane start pass of wa
+// over node v alone, under runWithTapes' tape source: the output of a
+// zero-round algorithm, fixed before any message is delivered. The
+// output is valid after the batch runs again.
+func (bt *Batch) startOutput(in *lang.Instance, wa WireAlgorithm, tapeOf func(v int) *localrand.Tape, v int) ([]byte, error) {
+	if err := bt.checkInstance(in); err != nil {
+		return nil, err
+	}
+	if err := checkStepping(wa); err != nil {
+		return nil, err
+	}
+	bt.layoutWire(wa)
+	defer bt.endRun()
+	bt.beginPass(bt.tapeSrc(in, tapeOf), 1, wa, nil, nil, []bool{true}, 1)
+	bt.startPass(0, v, v+1)
+	return bt.kern.OutputVec(bt.bindRange(0, v, v+1, bt.curLens, bt.curWords), v, 0), nil
+}
+
+// tapeSrc is the one-lane source of in whose tapes are copies of
+// tapeOf's (nil: deterministic), taken once per run into the batch's
+// tape rows: a tapeOf may hand out a rewound tape on every call, while
+// a run draws each node's tape on from where its last round stopped.
+func (bt *Batch) tapeSrc(in *lang.Instance, tapeOf func(v int) *localrand.Tape) laneSrc {
+	src := laneSrc{shared: in}
+	if tapeOf == nil {
+		return src
+	}
+	n := in.G.N()
+	bt.tapes = sliceFor(bt.tapes, n)
+	for v := range bt.tapes {
+		bt.tapes[v] = *tapeOf(v)
+	}
+	src.tapes, src.tlo, src.tn = bt.tapes, 0, n
+	return src
+}
+
 // runLanes runs a lane vector of wa on the batch itself: the shared
 // block loop (laneLedger.runBlocks) under the current slab layout, one
 // unsharded round loop per block.
 func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	if err := checkStepping(wa); err != nil {
+		return nil, err
+	}
 	bt.layoutWire(wa)
 	n := bt.plan.g.N()
 	return bt.led.runBlocks(n, bt.block, all, k, draws,
@@ -485,23 +510,9 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 }
 
 // maxBlock caps the lanes of one message pass at one uint64 lane mask
-// (the vector path's done and crash masks). Lanes are independent, so a
+// (the kernels' done and crash masks). Lanes are independent, so a
 // wider vector running in 64-lane blocks changes no output.
 const maxBlock = 64
-
-// armVec chooses the stepping path of one pass of k lanes of wa, once
-// the pass's block is fixed: the vector path when wa steps SoA lanes
-// itself and the pass has lanes to share the hoisted per-node work
-// across, the scalar WireProcess path otherwise — every width-1 batch,
-// every one-lane block, and a ragged one-lane tail: a one-lane vec pass
-// pays the mask and row overhead with nothing to amortize it. Both paths are
-// byte-identical, so the choice is invisible in outputs and Stats.
-func (bt *Batch) armVec(wa WireAlgorithm, k int) {
-	bt.vecAlgo = nil
-	if va, ok := wa.(VecAlgorithm); ok && k >= 2 {
-		bt.vecAlgo = va
-	}
-}
 
 // SlabBytesFor reports the byte footprint of the double-buffered wire
 // slabs one pass of algo streams on this batch — the memory a shard (or
@@ -595,7 +606,7 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 // must not replay into this one — points the passes at alive, the
 // ledger's lane liveness, and binds the pass parameters.
 func (bt *Batch) beginPass(src laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, fault *FaultPlan, alive []bool, workers int) {
-	bt.armVec(wa, k)
+	bt.armKernel(wa)
 	bt.installFault(fault, draws, k)
 	bt.ensureWireState()
 	for len(bt.wkMsgs) < workers {
@@ -614,8 +625,8 @@ func (bt *Batch) beginPass(src laneSrc, k int, wa WireAlgorithm, draws []localra
 		clear(bt.wkFin[w])
 	}
 	bt.alive = alive
-	bt.preparePools(wa)
-	bt.rk, bt.rwa, bt.rsrc = k, wa, src
+	bt.preparePools()
+	bt.rk, bt.rsrc = k, src
 }
 
 // endRun is the cleanup of every execution shape's run: it drops
@@ -624,8 +635,8 @@ func (bt *Batch) beginPass(src laneSrc, k int, wa WireAlgorithm, draws []localra
 // deliberate exception: when the algorithm's processes implement
 // ResetProcess the table is kept and reset in place next run. (The
 // output arena is the other intended survivor — its retention contract
-// is the documented double-buffer alternation; the vector path's state
-// slab holds no pointers at all.)
+// is the documented double-buffer alternation; a kernel's state slab
+// holds no pointers at all.)
 func (bt *Batch) endRun() {
 	if bt.procAlgo == nil {
 		clear(bt.procs)
@@ -633,7 +644,7 @@ func (bt *Batch) endRun() {
 	}
 	bt.rsrc = laneSrc{}
 	bt.rcols = nil
-	bt.rwa = nil
+	bt.kern, bt.pk.pa = nil, nil
 }
 
 // collect gathers the block's k lanes of outputs into out on the run's
@@ -666,20 +677,7 @@ func (bt *Batch) outWidth(vlo, vhi int) int {
 	if vlo == vhi {
 		return 0
 	}
-	var r *VecRange
-	if bt.vecAlgo != nil {
-		r = bt.bindRange(0, vlo, vhi, bt.curLens, bt.curWords)
-	}
-	return len(bt.outputAt(r, vlo, 0))
-}
-
-// outputAt returns lane b's output at node v under the run's stepping
-// path: the kernel's, read through r, or the process's (r nil).
-func (bt *Batch) outputAt(r *VecRange, v, b int) []byte {
-	if r != nil {
-		return bt.vecAlgo.OutputVec(r, v, b)
-	}
-	return bt.procs[v*bt.block+b].Output()
+	return len(bt.kern.OutputVec(bt.bindRange(0, vlo, vhi, bt.curLens, bt.curWords), vlo, 0))
 }
 
 // collectRange gathers the outputs of nodes [vlo, vhi) of the run's k
@@ -691,22 +689,19 @@ func (bt *Batch) outputAt(r *VecRange, v, b int) []byte {
 // another width. In offsets form it appends lane by lane, so it must
 // then cover the block's whole node range in one call.
 func (bt *Batch) collectRange(w, vlo, vhi int, out *outCols, stride, off int) bool {
-	k := bt.rk
-	var r *VecRange
-	if bt.vecAlgo != nil {
-		r = bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
-	}
+	k, kern := bt.rk, bt.kern
+	r := bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
 	if out.w < 0 {
 		for b := 0; b < k; b++ {
 			for v := vlo; v < vhi; v++ {
-				out.add(bt.outputAt(r, v, b))
+				out.add(kern.OutputVec(r, v, b))
 			}
 		}
 		return true
 	}
 	for v := vlo; v < vhi; v++ {
 		for b := 0; b < k; b++ {
-			if !out.put(b*stride+v-off, bt.outputAt(r, v, b)) {
+			if !out.put(b*stride+v-off, kern.OutputVec(r, v, b)) {
 				return false
 			}
 		}
@@ -714,89 +709,34 @@ func (bt *Batch) collectRange(w, vlo, vhi int, out *outCols, stride, off int) bo
 	return true
 }
 
-// preparePools decides whether this run's process table can be pooled:
-// when the algorithm changed since the last run, the stale table is
-// dropped and one probe process determines whether the new algorithm's
-// processes implement ResetProcess. Steady-state trial loops (same
-// algorithm back to back) skip the probe entirely and reuse the table.
-// The vector path has no process table: its state slab is reused as is.
-func (bt *Batch) preparePools(wa WireAlgorithm) {
-	if bt.vecAlgo != nil {
-		return
-	}
-	if !sameAlgo(bt.procAlgo, wa) {
-		clear(bt.procs)
-		clear(bt.resets)
-		bt.procAlgo = nil
-		if _, ok := wa.NewWireProcess().(ResetProcess); ok {
-			bt.procAlgo = wa
-		}
-	}
-	bt.rpool = bt.procAlgo != nil
-}
-
-// startPass is one worker's share of the init + round-1 staging: every
-// node clears its lanes' send state slot-major — the node's outgoing
-// slots are consecutive, so the whole [lo*B, hi*B) window is ONE
-// contiguous clear (lanes ≥ k are unused capacity nobody ever reads, so
-// clearing the full block width is output-invisible and lets the clear
-// run at memclr bandwidth) — then every (node, lane) obtains a process —
-// pooled and reset in place when the algorithm supports it, freshly
-// created otherwise — and lets Start stage into the cur slabs through
-// the worker's Outbox. Pass parameters arrive via rk/rwa/rsrc, exactly
-// like roundPass's.
+// startPass is one worker's share of the init + round-1 staging: one
+// contiguous clear of the range's send state — the range's outgoing
+// slots are consecutive, so the whole [lo*B, hi*B) window is ONE clear
+// (lanes ≥ k are unused capacity nobody ever reads, so clearing the
+// full block width is output-invisible and lets the clear run at memclr
+// bandwidth) — and of its finished-lane masks, then one StartVec call
+// that initializes and stages every node and lane of the range into the
+// cur slabs. Pass parameters arrive via rk/rsrc, exactly like
+// roundPass's.
 func (bt *Batch) startPass(w, vlo, vhi int) {
-	if bt.vecAlgo != nil {
-		bt.startVecPass(w, vlo, vhi)
-		return
-	}
-	topo := bt.plan.topo
-	k, B, wa := bt.rk, bt.block, bt.rwa
-	src, pool := &bt.rsrc, bt.rpool
-	hasTapes := src.hasTapes()
-	procs, done := bt.procs, bt.done
-	resets := bt.resets
-	curLens := bt.curLens
-	out := &bt.wk[w].out
-	bt.bindOutbox(out, bt.curLens, bt.curWords)
-	out.stage = bt.wkStage[w]
-	for v := vlo; v < vhi; v++ {
-		lo, hi := topo.Slots(v)
-		deg := hi - lo
-		slo, shi := lo-bt.slotBase, hi-bt.slotBase
-		out.deg, out.slotLo = deg, slo
-		clear(curLens[slo*B : shi*B])
-		for b := 0; b < k; b++ {
-			in := src.instance(b)
-			done[v*B+b] = false
-			p := procs[v*B+b]
-			if pool && resets[v*B+b] != nil {
-				resets[v*B+b].ResetProcess()
-			} else {
-				p = wa.NewWireProcess()
-				procs[v*B+b] = p
-				if rp, ok := p.(ResetProcess); ok {
-					resets[v*B+b] = rp
-				}
-			}
-			info := NodeInfo{ID: in.ID[v], Degree: deg, Input: in.X[v]}
-			if hasTapes {
-				info.Tape = src.tape(b, v)
-			}
-			out.b = b
-			p.Start(info, out)
-		}
-	}
+	lo, hi := bt.rangeSlots(vlo, vhi)
+	clear(bt.curLens[lo*bt.block : hi*bt.block])
+	clear(bt.vdone[vlo:vhi])
+	bt.kern.StartVec(bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords))
 }
 
 // roundPass is one worker's share of one round, fused deliver + step:
 // the message lane b's node v sent on port p arrives across the edge at
-// the reverse slot, and the Inbox reads payload words from cur in place —
-// no receive copy at all. New sends are staged into next through the
-// worker's Outbox, whose stage row counts them as they are staged. Done
-// nodes still receive but stage nothing. Message and halting counters
-// accumulate into worker-indexed rows that the lane ledger sums after the
-// pass, so the hot loop carries no atomics — and, on the wire path, no
+// the reverse slot, and the kernel reads payload words from cur in place
+// — no receive copy at all. The range's outgoing slots clear in one go
+// (next still holds the sends of two rounds ago; dead lanes and the
+// unused capacity lanes ≥ k clear along with the live ones, their stale
+// state never read), then one StepVec call steps the range, staging into
+// next and counting the stages as they happen. Finished nodes still
+// receive but stage nothing; a dead lane's nodes are all finished, so
+// VecRange.Active is the whole liveness check. Message and halting
+// counters accumulate into worker-indexed rows that the lane ledger sums
+// after the pass, so the hot loop carries no atomics — and no
 // allocations.
 //
 // Message accounting is sender-side: every staged message is read by
@@ -809,10 +749,11 @@ func (bt *Batch) startPass(w, vlo, vhi int) {
 // receiver-side ones (a cut message counts at its sender's shard), but
 // the ledger only ever sums the rows.
 //
-// An armed fault plan dispatches to faultPass (fault.go), the same walk
-// with the plan applied receiver-side (suppression makes staged ≠
-// delivered, so the fault pass recounts its arrivals); a fault-free run
-// pays exactly one predictable nil check there and nothing else.
+// An armed fault plan runs faultPass (fault.go) between the clear and
+// the step: it applies the plan receiver-side to the range's arrivals
+// (suppression makes staged ≠ delivered, so it recounts them) and arms
+// the range's crash masks; a fault-free run pays exactly one
+// predictable nil check there and nothing else.
 func (bt *Batch) roundPass(w, vlo, vhi int) {
 	k := bt.rk
 	msgRow, stRow, finRow := bt.wkMsgs[w][:k], bt.wkStage[w][:k], bt.wkFin[w][:k]
@@ -824,69 +765,13 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 	}
 	clear(stRow)
 	clear(finRow)
+	lo, hi := bt.rangeSlots(vlo, vhi)
+	clear(bt.nextLens[lo*bt.block : hi*bt.block])
+	r := bt.bindRange(w, vlo, vhi, bt.nextLens, bt.nextWord)
 	if bt.fault != nil {
-		bt.faultPass(w, vlo, vhi)
-		return
+		bt.faultPass(w, r)
 	}
-	if bt.vecAlgo != nil {
-		bt.roundVecPass(w, vlo, vhi)
-		return
-	}
-	topo := bt.plan.topo
-	B, round := bt.block, bt.rround
-	in, out := &bt.wk[w].in, &bt.wk[w].out
-	bt.bindInbox(in, bt.curLens, bt.curWords)
-	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
-	out.stage = bt.wkStage[w]
-	nextLens := bt.nextLens
-	alive, done, procs := bt.alive, bt.done, bt.procs
-	base := bt.slotBase
-	for v := vlo; v < vhi; v++ {
-		lo, hi := topo.Slots(v)
-		deg := hi - lo
-		// revTab is already in the batch's local slot coordinates (the
-		// global table for a full batch, the window remap for a shard).
-		rev := bt.revTab[lo-base : hi-base]
-		in.deg, in.slot = deg, rev
-		out.deg, out.slotLo = deg, lo-base
-		// Reset the node's outgoing slots before staging — next still
-		// holds the sends of two rounds ago. The node's slots are
-		// consecutive, so the whole window is ONE contiguous clear at
-		// memclr bandwidth; dead lanes and the unused capacity lanes
-		// ≥ k are cleared along with the live ones: their stale state
-		// is never read (they are skipped below and by every receiver),
-		// so the wider clear is output-invisible.
-		clear(nextLens[(lo-base)*B : (hi-base)*B])
-		for b := 0; b < k; b++ {
-			if !alive[b] || done[v*B+b] {
-				continue
-			}
-			in.b, out.b = b, b
-			if procs[v*B+b].Step(round, in, out) {
-				done[v*B+b] = true
-				finRow[b]++
-			}
-		}
-	}
-}
-
-// bindInbox points a worker's Inbox at the current receive slabs; the
-// per-node fields (deg, slot window, lane) are set in the loop.
-func (bt *Batch) bindInbox(in *Inbox, lens []int32, words []uint64) {
-	in.B = bt.block
-	in.lens = lens
-	in.word = words
-	in.offW = bt.offW
-	in.capW = bt.capW
-}
-
-// bindOutbox points a worker's Outbox at the staging slabs.
-func (bt *Batch) bindOutbox(out *Outbox, lens []int32, words []uint64) {
-	out.B = bt.block
-	out.lens = lens
-	out.word = words
-	out.offW = bt.offW
-	out.capW = bt.capW
+	bt.kern.StepVec(r, bt.rround)
 }
 
 // ensureWireState sizes the round-loop slabs for the current layout,
@@ -901,18 +786,16 @@ func (bt *Batch) ensureWireState() {
 	bt.curWords = sliceFor(bt.curWords, bt.totalW*B)
 	bt.nextWord = sliceFor(bt.nextWord, bt.totalW*B)
 	bt.ensureHeldSlabs(slots, B)
-	// Only the pass's own state is sized: a vector pass never touches
-	// the n×B scalar process table, a scalar pass never the state slab.
-	if bt.vecAlgo != nil {
-		bt.vstate = sliceFor(bt.vstate, n*bt.vecAlgo.VecWords()*B)
-		bt.vdone = sliceFor(bt.vdone, n)
-		if bt.fault != nil {
-			bt.vdown = sliceFor(bt.vdown, n)
-		}
-	} else {
+	bt.vstate = sliceFor(bt.vstate, n*bt.kern.VecWords()*B)
+	bt.vdone = sliceFor(bt.vdone, n)
+	if bt.fault != nil {
+		bt.vdown = sliceFor(bt.vdown, n)
+	}
+	// Only a ProcessAlgorithm has a process table: a kernel pass never
+	// touches the n×B process objects.
+	if bt.pk.pa != nil {
 		bt.procs = sliceFor(bt.procs, n*B)
 		bt.resets = sliceFor(bt.resets, n*B)
-		bt.done = sliceFor(bt.done, n*B)
 	}
 }
 
@@ -926,8 +809,9 @@ const cacheLinePad = 128
 // row, so no other worker's row can share its last cache line.
 func padRow[T any](width int) []T { return make([]T, width, width+cacheLinePad) }
 
-// workerScratch is one worker's in/outbox and kernel-range scratch,
-// padded so consecutive workers' entries never share a cache line.
+// workerScratch is one worker's kernel range and the in/outbox it binds
+// for a process kernel, padded so consecutive workers' entries never
+// share a cache line.
 type workerScratch struct {
 	in  Inbox
 	out Outbox

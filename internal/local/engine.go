@@ -75,17 +75,6 @@ func RunMessage(in *lang.Instance, algo WireAlgorithm, draw *localrand.Draw, opt
 	return plan.Run(in, algo, draw, opts)
 }
 
-// runCore runs a message algorithm with an explicit per-node tape source
-// on a transient width-1 batch; the ball-simulation adapter uses it to
-// thread view tapes through.
-func runCore(in *lang.Instance, algo WireAlgorithm, tapeOf func(v int) *localrand.Tape, opts RunOptions) (*Result, error) {
-	plan, err := NewPlan(in.G)
-	if err != nil {
-		return nil, err
-	}
-	return plan.NewBatch(1).runWithTapes(in, algo, tapeOf, opts)
-}
-
 // parallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers,
 // in contiguous chunks. Callers guarantee fn touches disjoint state per
 // index, so the iteration is deterministic regardless of scheduling. A

@@ -217,29 +217,30 @@ func (bt *Batch) ensureHeldSlabs(slots, B int) {
 	bt.heldWords = sliceFor(bt.heldWords, bt.totalW*B)
 }
 
-// faultPass is roundPass under an armed fault plan: the identical fused
-// deliver + step walk, with the plan applied on the receiver side before
-// anything is counted or read. Per (node, lane), a crashed pair skips
-// reading (and counting) entirely; otherwise each arriving port first
-// resolves last round's held message (delivered now unless a fresh
-// message occupies the port — fresh wins), then the surgery table, then
-// the drop and delay draws. Suppression happens strictly before the
-// delivered count, so Stats stay shape-identical. All slab writes — a
-// receiver zeroing curLens at its sender's slot included — touch slots
-// this worker is the unique reader of, so the pass stays data-race-free
-// under the same contract as roundPass.
+// faultPass applies an armed fault plan to worker w's range r of one
+// round, before roundPass steps it: receiver-side, before anything is
+// counted or read. Per (node, lane), a crashed pair skips reading (and
+// counting) entirely; otherwise each arriving port first resolves last
+// round's held message (delivered now unless a fresh message occupies
+// the port — fresh wins), then the surgery table, then the drop and
+// delay draws. Suppression happens strictly before the delivered count,
+// so Stats stay shape-identical. All slab writes — a receiver zeroing
+// curLens at its sender's slot included — touch slots this worker is
+// the unique reader of, so the pass stays data-race-free under the same
+// contract as roundPass.
 //
-// Like roundPass, the walk is slot-major: per node, the crash draws
-// resolve once per lane, then one pass over the RevSlot window applies
-// the suppression chain to each slot's contiguous [s*B, s*B+k) lane
-// range, then the outgoing slots clear contiguously, then the lanes
-// step. Every fault decision is a pure positional function of
-// (channel, round, global slot, lane identity), so the iteration-order
-// change cannot perturb a single draw — outputs are byte-identical to
-// the lane-major walk. Down and dead lanes skip the suppression chain
-// entirely (held-slab state included), exactly as they skipped the
-// whole per-lane walk before.
-func (bt *Batch) faultPass(w, vlo, vhi int) {
+// The walk is slot-major: per node, the crash draws resolve once per
+// lane, then one pass over the RevSlot window applies the suppression
+// chain to each slot's contiguous [s*B, s*B+k) lane range, and the
+// node's crashed lanes become its crash mask, which VecRange.Active
+// applies when the range steps. Every fault decision is a pure
+// positional function of (channel, round, global slot, lane identity),
+// so the iteration order cannot perturb a single draw. Down and dead
+// lanes skip the suppression chain entirely (held-slab state included).
+// Suppression touches only a node's own receive slots and a step reads
+// only its own, so walking the whole range before stepping it reads
+// exactly what a per-node order would.
+func (bt *Batch) faultPass(w int, r *VecRange) {
 	topo := bt.plan.topo
 	k, B, round := bt.rk, bt.block, bt.rround
 	f, ftape, fids, sev := bt.fault, bt.ftape, bt.flane, bt.fsev
@@ -259,36 +260,17 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 	// staged ≠ delivered), so the delivered row is recounted here, and the
 	// stage counts this pass leaves are never read.
 	msgRow := bt.wkMsgs[w][:k]
-	finRow := bt.wkFin[w][:k]
 	clear(msgRow)
-	in, out := &bt.wk[w].in, &bt.wk[w].out
-	bt.bindInbox(in, bt.curLens, bt.curWords)
-	bt.bindOutbox(out, bt.nextLens, bt.nextWord)
-	out.stage = bt.wkStage[w]
-	curLens, nextLens, curWords := bt.curLens, bt.nextLens, bt.curWords
-	alive, done, procs := bt.alive, bt.done, bt.procs
+	curLens, curWords := bt.curLens, bt.curWords
+	alive := bt.alive
 	base := bt.slotBase
 	offW, capW := bt.offW, bt.capW
 	del := bt.wkDel[w][:k]
 	down := bt.wkDown[w][:k]
-	// The vector path shares the whole suppression walk and replaces only
-	// the per-lane step tail: each node's crashed lanes become its crash
-	// mask, and one StepVec call over the range advances the rest once
-	// the walk is done. Suppression touches only a node's own receive
-	// slots and a step reads only its own, so walking the whole range
-	// before stepping it reads exactly what the per-node order read.
-	vec := bt.vecAlgo != nil
-	var r *VecRange
-	if vec {
-		r = bt.bindRange(w, vlo, vhi, bt.nextLens, bt.nextWord)
-		r.down = bt.vdown
-	}
-	for v := vlo; v < vhi; v++ {
+	r.down = bt.vdown
+	for v := r.Lo; v < r.Hi; v++ {
 		lo, hi := topo.Slots(v) // global coordinates, every shape
-		deg := hi - lo
 		rev := bt.revTab[lo-base : hi-base]
-		in.deg, in.slot = deg, rev
-		out.deg, out.slotLo = deg, lo-base
 		// Crash draws, once per lane. The round coordinate is pinned to 0
 		// so one (node, lane) pair crashes in every round of its window.
 		for b := 0; b < k; b++ {
@@ -345,58 +327,24 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 				del[b]++
 			}
 		}
-		// Reset the node's outgoing slots exactly as roundPass does — one
-		// contiguous clear over the node's consecutive slot window; a
-		// down node thereby sends nothing next round, and neither dead
-		// lanes' nor the unused capacity lanes' stale state is ever read.
-		clear(nextLens[(lo-base)*B : (hi-base)*B])
-		if vec {
-			// Vec tail: credit the deliveries and fold the node's crashed
-			// lanes into its crash mask; StepVec steps the rest below.
-			var crashed uint64
-			for b := 0; b < k; b++ {
-				if alive[b] {
-					msgRow[b] += int64(del[b])
-					if down[b] {
-						crashed |= 1 << b
-					}
-				}
-			}
-			crashed &^= bt.vdone[v]
-			if f.CrashUntil == 0 {
-				// Permanent crash: finalize with the frozen state so the
-				// run's halting consensus can still complete.
-				r.Finish(v, crashed)
-			}
-			bt.vdown[v] = crashed
-			continue
-		}
+		// Credit the deliveries and fold the node's crashed lanes into
+		// its crash mask: a down node stages nothing, so it sends nothing
+		// next round.
+		var crashed uint64
 		for b := 0; b < k; b++ {
-			if !alive[b] {
-				continue
-			}
-			msgRow[b] += int64(del[b])
-			if done[v*B+b] {
-				continue
-			}
-			if down[b] {
-				if f.CrashUntil == 0 {
-					// Permanent crash: finalize with the frozen state so the
-					// run's halting consensus can still complete; Output()
-					// reports whatever the process last committed to.
-					done[v*B+b] = true
-					finRow[b]++
+			if alive[b] {
+				msgRow[b] += int64(del[b])
+				if down[b] {
+					crashed |= 1 << b
 				}
-				continue
-			}
-			in.b, out.b = b, b
-			if procs[v*B+b].Step(round, in, out) {
-				done[v*B+b] = true
-				finRow[b]++
 			}
 		}
-	}
-	if vec {
-		bt.vecAlgo.StepVec(r, round)
+		crashed &^= bt.vdone[v]
+		if f.CrashUntil == 0 {
+			// Permanent crash: finalize with the frozen state so the
+			// run's halting consensus can still complete.
+			r.Finish(v, crashed)
+		}
+		bt.vdown[v] = crashed
 	}
 }

@@ -268,23 +268,6 @@ func TestFullInfoEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-func TestMessageAsViewEquivalence(t *testing.T) {
-	for _, rounds := range []int{0, 1, 2, 3} {
-		g := graph.Cycle(10)
-		in := mustInstance(t, g)
-		direct, err := RunMessage(in, floodMin{t: rounds}, nil, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := RunView(in, MessageAsView(floodMin{t: rounds}, rounds), nil)
-		for v := range sim.Len() {
-			if !bytes.Equal(direct.Y.At(v), sim.At(v)) {
-				t.Errorf("rounds=%d node %d: direct %x vs simulated %x", rounds, v, direct.Y.At(v), sim.At(v))
-			}
-		}
-	}
-}
-
 func TestDecisionViewCarriesOutputs(t *testing.T) {
 	g := graph.Path(4)
 	in := mustInstance(t, g)

@@ -80,13 +80,22 @@ func RegisterRemoteAlgorithm(key string, build func(params []int64) (WireAlgorit
 	}
 }
 
-// remoteAlgoFor reconstructs a registered remote algorithm.
+// remoteAlgoFor reconstructs a registered remote algorithm, refusing
+// one that steps both ways or neither (checkStepping) before any job is
+// built from it.
 func remoteAlgoFor(key string, params []int64) (WireAlgorithm, error) {
 	b, ok := remoteAlgos.Load(key)
 	if !ok {
 		return nil, fmt.Errorf("local: remote algorithm %q not registered in this binary", key)
 	}
-	return b.(func([]int64) (WireAlgorithm, error))(params)
+	wa, err := b.(func([]int64) (WireAlgorithm, error))(params)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkStepping(wa); err != nil {
+		return nil, err
+	}
+	return wa, nil
 }
 
 // BuildRemoteAlgorithm reconstructs the algorithm registered under key

@@ -546,6 +546,9 @@ func (s *Sharded) buildLinks() {
 // tapes of its own node window, so the orchestrator never materializes
 // tapes.
 func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
+	if err := checkStepping(wa); err != nil {
+		return nil, err
+	}
 	if !s.carries(wa) {
 		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", wa.Name())
 	}

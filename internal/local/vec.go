@@ -6,47 +6,42 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// This file is the lane-vectorized stepping seam of the message engine:
-// the fast path where an algorithm steps a whole node range of every
-// lane in one kernel call per pass, over state the batch owns. The slabs
-// already store messages [slot][lane]-major (batch.go), so a slot's
-// lanes are adjacent in memory; the scalar path walks them through B
-// per-(node, lane) WireProcess objects, re-deriving the port→slot
-// indirection, the lens lookup, the base-offset arithmetic, and the
-// decode validation B times per node per round. A VecAlgorithm is a
-// stateless kernel instead: the engine hands each worker's node range
-// to StartVec/StepVec once per pass through a VecRange, whose concrete,
-// inlinable methods resolve the slot math once per (node, port) and
-// hand the kernel whole lane rows.
+// This file is the range-kernel seam of the message engine: every pass
+// steps a worker's whole node range of every lane in one kernel call,
+// over state the batch owns. The slabs store messages [slot][lane]-major
+// (batch.go), so a slot's lanes are adjacent in memory. A VecAlgorithm
+// is a stateless kernel on the algorithm value: the engine hands each
+// worker's node range to StartVec/StepVec once per pass through a
+// VecRange, whose concrete, inlinable methods resolve the port→slot
+// indirection, the lens lookup and the base-offset arithmetic once per
+// (node, port) and hand the kernel whole lane rows.
 //
-// The layering mirrors the wire core exactly:
+// Every algorithm steps one way, whatever the lane count — a width-1
+// batch, a one-lane slab block and a ragged one-lane tail included:
 //
-//	VecAlgorithm  — one kernel call per worker range per pass
-//	WireProcess   — the scalar fallback (and every one-lane pass)
+//	VecAlgorithm      — its own kernel, over the state slab
+//	ProcessAlgorithm  — procKernel (procs.go), the engine's kernel over
+//	                    its per-(node, lane) WireProcess table
 //
-// An algorithm opts in by implementing VecAlgorithm next to its
-// WireAlgorithm; armVec arms the vector path per pass, when the pass has
-// two or more lanes — a one-lane pass (every width-1 batch, a one-lane
-// slab block, a ragged one-lane tail) steps the scalar WireProcess.
+// so the start, round and fault passes each have one body. An algorithm
+// implementing both or neither is refused at run start (checkStepping).
 //
 // State is flat: VecWords uint64 words per (node, lane), laid out
 // [node][word][lane] in one batch-owned slab that no pointer-carrying
 // value ever enters, so it is reused across runs whatever the
 // algorithm's parameters and costs the garbage collector nothing to
 // scan. Lane sets are uint64 masks (layoutWire caps a block at 64
-// lanes). The engine keeps everything that is not the algorithm's own
+// lanes): finished lanes (vdone) and crashed lanes (vdown) on every
+// path. The engine keeps everything that is not the algorithm's own
 // arithmetic: slot and reverse-slot math, sender-side stage counting,
 // fin counting, and the fault plan's crash masks. Tapes are read from
 // the batch's tape slab when the kernel asks for them, so no tape
-// pointer outlives a pass. The contract is byte-identical outputs and
-// Stats at equal seeds on both paths.
+// pointer outlives a pass.
 
-// VecAlgorithm is the lane-vectorized extension of a WireAlgorithm: a
+// VecAlgorithm is a WireAlgorithm stepped by its own kernel: a
 // stateless kernel that steps one worker's node range of every lane per
-// call. Executors use it automatically for every pass of two or more
-// lanes; the WireAlgorithm methods step every one-lane pass (the
-// width-1 single executions included), and both paths must produce
-// byte-identical outputs and Stats at equal seeds.
+// call, on every pass of every execution shape. An algorithm is a
+// VecAlgorithm or a ProcessAlgorithm, never both.
 type VecAlgorithm interface {
 	WireAlgorithm
 	// VecWords is the number of state words the kernel keeps per (node,
@@ -90,6 +85,8 @@ type VecRange struct {
 	stage       []int64
 	fin         []int
 	src         *laneSrc
+	in          *Inbox  // the worker's, bound to cur (procKernel's)
+	out         *Outbox // the worker's, bound to the send slabs
 }
 
 // Lanes returns the pass's lane count k; state and lens rows have k
@@ -152,7 +149,7 @@ func (r *VecRange) Finish(v int, mask uint64) {
 // returns the node's local send-slot range. BroadcastRow stages every
 // port alike, so all of a node's ports share one staged lane set and
 // port 0's lens row alone decides which lanes are fresh: each counts
-// Degree(v) messages, the sender-side accounting of the scalar Outbox.
+// Degree(v) messages, the sender-side accounting of the Outbox.
 func (r *VecRange) stageCount(v int, mask uint64) (lo, hi int) {
 	lo, hi = int(r.off[v])-r.base, int(r.off[v+1])-r.base
 	if lo == hi {
@@ -211,32 +208,19 @@ func (r *VecRange) BroadcastRow(v int, words []uint64, mask uint64) {
 	}
 }
 
-// ScalarOnly strips algo of its lane-vectorized fast path: executions
-// step it one lane at a time through its scalar WireProcess, exactly as
-// a batch of width 1 would. Outputs and Stats are byte-identical to the
-// vector path at equal seeds — ScalarOnly is the reference baseline the
-// vec differential tests and benchmarks compare against.
-func ScalarOnly(algo WireAlgorithm) WireAlgorithm {
-	return scalarOnly{wa: algo}
-}
-
-// scalarOnly forwards the WireAlgorithm surface and deliberately does
-// not implement VecAlgorithm, so no pass ever arms the vector path.
-type scalarOnly struct{ wa WireAlgorithm }
-
-func (a scalarOnly) Name() string                { return a.wa.Name() }
-func (a scalarOnly) MsgWords(deg int) int        { return a.wa.MsgWords(deg) }
-func (a scalarOnly) NewWireProcess() WireProcess { return a.wa.NewWireProcess() }
-
 // bindRange points worker w's VecRange at nodes [vlo, vhi) of the
 // current pass, staging into the given send slabs (cur for the start
-// pass, next for the round passes). The crash masks are cleared — only
-// the fault pass arms them.
+// pass, next for the round passes), and binds the worker's Inbox and
+// Outbox to the same slabs for a process kernel. The crash masks are
+// cleared — only the fault pass arms them.
 func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecRange {
-	r := &bt.wk[w].vr
+	ws := &bt.wk[w]
+	ws.in = Inbox{B: bt.block, lens: bt.curLens, word: bt.curWords, offW: bt.offW, capW: bt.capW}
+	ws.out = Outbox{B: bt.block, lens: slens, word: sword, offW: bt.offW, capW: bt.capW, stage: bt.wkStage[w]}
+	r := &ws.vr
 	*r = VecRange{
 		Lo: vlo, Hi: vhi,
-		k: bt.rk, B: bt.block, words: bt.vecAlgo.VecWords(),
+		k: bt.rk, B: bt.block, words: bt.kern.VecWords(),
 		lanes: ^uint64(0) >> (64 - bt.rk),
 		off:   bt.plan.topo.Offsets, base: bt.slotBase, rev: bt.revTab,
 		lens: bt.curLens, word: bt.curWords, slens: slens, sword: sword,
@@ -244,6 +228,7 @@ func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecR
 		state: bt.vstate, done: bt.vdone,
 		stage: bt.wkStage[w], fin: bt.wkFin[w],
 		src: &bt.rsrc,
+		in:  &ws.in, out: &ws.out,
 	}
 	return r
 }
@@ -253,25 +238,4 @@ func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecR
 func (bt *Batch) rangeSlots(vlo, vhi int) (lo, hi int) {
 	off := bt.plan.topo.Offsets
 	return int(off[vlo]) - bt.slotBase, int(off[vhi]) - bt.slotBase
-}
-
-// startVecPass is startPass on the vector path: one contiguous clear of
-// the range's send state and done masks, then one StartVec call that
-// initializes and stages every node and lane of the range.
-func (bt *Batch) startVecPass(w, vlo, vhi int) {
-	lo, hi := bt.rangeSlots(vlo, vhi)
-	clear(bt.curLens[lo*bt.block : hi*bt.block])
-	clear(bt.vdone[vlo:vhi])
-	bt.vecAlgo.StartVec(bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords))
-}
-
-// roundVecPass is the fault-free roundPass on the vector path: the
-// range's outgoing slots clear in one go (next still holds the sends of
-// two rounds ago), then one StepVec call steps the range. A dead lane's
-// nodes are all finished, so Active subsumes the scalar path's alive
-// check.
-func (bt *Batch) roundVecPass(w, vlo, vhi int) {
-	lo, hi := bt.rangeSlots(vlo, vhi)
-	clear(bt.nextLens[lo*bt.block : hi*bt.block])
-	bt.vecAlgo.StepVec(bt.bindRange(w, vlo, vhi, bt.nextLens, bt.nextWord), bt.rround)
 }

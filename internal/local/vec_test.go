@@ -6,26 +6,34 @@ import (
 	"testing"
 
 	"rlnc/internal/graph"
+	"rlnc/internal/lang"
 	"rlnc/internal/localrand"
 )
 
-// vecMix is the lane-vectorized companion of wireMix: a wire algorithm
-// implementing VecAlgorithm whose scalar and vector steppings must agree
-// byte for byte. Each round a node folds every port's payload into its
-// state (missing messages perturb it, so drop faults change the bytes),
-// draws one tape word (so tape cursors advance identically on both
-// paths), and broadcasts one word into two-word slots, so the vector
-// path's strided word blocks are exercised; lanes finish at the round
-// bound or early when the folded state hits a sentinel residue, so the
-// lane vector diverges mid-run and the done-mask skipping of the vector
-// path is exercised on every graph.
+// vecMix is the lane-vectorized companion of wireMix: a kernel-only
+// wire algorithm whose stepping must agree byte for byte with its
+// process twin vecMixRef. Each round a node folds every port's payload
+// into its state (missing messages perturb it, so drop faults change the
+// bytes), draws one tape word (so tape cursors advance identically on
+// both), and broadcasts one word into two-word slots, so the kernel's
+// strided word blocks are exercised; lanes finish at the round bound or
+// early when the folded state hits a sentinel residue, so the lane
+// vector diverges mid-run and the done-mask skipping of the kernel is
+// exercised on every graph.
 type vecMix struct{ rounds int }
 
-func (a vecMix) Name() string                { return fmt.Sprintf("vec-mix(%d)", a.rounds) }
-func (a vecMix) MsgWords(int) int            { return 2 }
-func (a vecMix) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
+func (a vecMix) Name() string     { return fmt.Sprintf("vec-mix(%d)", a.rounds) }
+func (a vecMix) MsgWords(int) int { return 2 }
 
-// vecMixProc is the scalar reference stepping of vecMix.
+// vecMixRef is vecMix as a ProcessAlgorithm: the per-(node, lane)
+// reference the kernel is compared against.
+type vecMixRef struct{ rounds int }
+
+func (a vecMixRef) Name() string                { return fmt.Sprintf("vec-mix-ref(%d)", a.rounds) }
+func (a vecMixRef) MsgWords(int) int            { return 2 }
+func (a vecMixRef) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
+
+// vecMixProc is the process of vecMixRef.
 type vecMixProc struct {
 	rounds int
 	tape   *localrand.Tape
@@ -128,13 +136,12 @@ func (a vecMix) StepVec(r *VecRange, round int) {
 
 func (a vecMix) OutputVec(r *VecRange, v, b int) []byte { return encode64(int64(r.State(v, 0)[b])) }
 
-// TestVecMatchesScalar pins the tentpole contract of the vector path in
-// the package that owns it: on every graph family, a batch stepping
-// vecMix through its kernel must reproduce the ScalarOnly reference
-// — the same algorithm stripped of the vector extension — byte for byte,
-// outputs and Stats, at widths 1 (the scalar fallback), 2, and 5, on
-// full and ragged lane vectors, under nil, zero, and lossy fault plans,
-// on reused executors back to back.
+// TestVecMatchesScalar pins the kernel contract in the package that
+// owns it: on every graph family, a batch stepping vecMix through its
+// kernel must reproduce the process reference vecMixRef byte for byte,
+// outputs and Stats, at widths 1, 2, and 5, on full and ragged lane
+// vectors, under nil, zero, and lossy fault plans, on reused executors
+// back to back.
 func TestVecMatchesScalar(t *testing.T) {
 	space := localrand.NewTapeSpace(57)
 	plans := []struct {
@@ -160,7 +167,7 @@ func TestVecMatchesScalar(t *testing.T) {
 						draws := drawRange(space, lo, k)
 						lo += k
 						opts := RunOptions{Fault: pl.fp}
-						want, wantErr := sclBt.Run(in, ScalarOnly(algo), draws, opts)
+						want, wantErr := sclBt.Run(in, vecMixRef(algo), draws, opts)
 						got, gotErr := vecBt.Run(in, algo, draws, opts)
 						label := fmt.Sprintf("width %d k %d plan %s", width, k, pl.name)
 						if (wantErr == nil) != (gotErr == nil) {
@@ -174,21 +181,15 @@ func TestVecMatchesScalar(t *testing.T) {
 						}
 					}
 				}
-				if width > 1 && vecBt.vecAlgo == nil {
-					t.Fatalf("width %d: vector path not armed for a VecAlgorithm", width)
-				}
-				if sclBt.vecAlgo != nil {
-					t.Fatalf("width %d: ScalarOnly failed to strip the vector path", width)
-				}
 			}
 		})
 	}
 }
 
-// TestVecSharded pins the vector path under the sharded orchestrator:
-// a sharded run of a VecAlgorithm (whose shard batches step vectorized)
-// must reproduce the unsharded ScalarOnly batch byte for byte — cut
-// exchange, windowed rev tables, and per-shard collection included.
+// TestVecSharded pins the kernel under the sharded orchestrator: a
+// sharded run of a VecAlgorithm must reproduce the unsharded process
+// reference byte for byte — cut exchange, windowed rev tables, and
+// per-shard collection included.
 func TestVecSharded(t *testing.T) {
 	space := localrand.NewTapeSpace(61)
 	for name, g := range testFamilies(t) {
@@ -205,7 +206,7 @@ func TestVecSharded(t *testing.T) {
 				}
 				for rep, k := range []int{width, width - 1} {
 					draws := drawRange(space, rep*width, k)
-					want, err := sclBt.Run(in, ScalarOnly(algo), draws, RunOptions{})
+					want, err := sclBt.Run(in, vecMixRef(algo), draws, RunOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -222,104 +223,136 @@ func TestVecSharded(t *testing.T) {
 	}
 }
 
-// stepProbe counts which stepping path the passes of a run took: Step
-// calls on scalar WireProcesses, StepVec calls of the kernel, and the
-// StepVec calls that stepped fewer than two lanes.
-type stepProbe struct {
-	scalar, vec, vecOneLane atomic.Int64
-}
-
-// probeMix is vecMix with its steps counted into a stepProbe; both
-// paths step exactly as vecMix does.
-type probeMix struct {
+// kernelProbe is vecMix with its kernel calls counted: StepVec calls in
+// total, and those stepping a one-lane range.
+type kernelProbe struct {
 	vecMix
-	p *stepProbe
+	calls, oneLane *atomic.Int64
 }
 
-func (a probeMix) NewWireProcess() WireProcess {
-	return &probeProc{vecMixProc: vecMixProc{rounds: a.rounds}, p: a.p}
-}
-
-func (a probeMix) StepVec(r *VecRange, round int) {
-	a.p.vec.Add(1)
-	if r.Lanes() < 2 {
-		a.p.vecOneLane.Add(1)
+func (a kernelProbe) StepVec(r *VecRange, round int) {
+	a.calls.Add(1)
+	if r.Lanes() == 1 {
+		a.oneLane.Add(1)
 	}
 	a.vecMix.StepVec(r, round)
 }
 
-type probeProc struct {
+// procProbe is vecMixRef with its process steps counted. It also has a
+// StepVec method, counted apart, but no other kernel method, so it is a
+// ProcessAlgorithm and nothing else: no pass may call it.
+type procProbe struct {
+	vecMixRef
+	steps, vec *atomic.Int64
+}
+
+func (a procProbe) NewWireProcess() WireProcess {
+	return &countedProc{vecMixProc: vecMixProc{rounds: a.rounds}, steps: a.steps}
+}
+
+func (a procProbe) StepVec(*VecRange, int) { a.vec.Add(1) }
+
+type countedProc struct {
 	vecMixProc
-	p *stepProbe
+	steps *atomic.Int64
 }
 
-func (q *probeProc) Step(round int, in *Inbox, out *Outbox) bool {
-	q.p.scalar.Add(1)
-	return q.vecMixProc.Step(round, in, out)
+func (p *countedProc) Step(round int, in *Inbox, out *Outbox) bool {
+	p.steps.Add(1)
+	return p.vecMixProc.Step(round, in, out)
 }
 
-// TestVecDispatchPerPass pins the stepping-path choice: it is made per
-// pass by the pass's lane count, not per executor by its width. A
-// one-lane pass — a width-1 batch, a one-lane run on a wide batch, the
-// ragged one-lane tail of a lane vector the slab budget splits — steps the
-// scalar WireProcess; a pass of two or more lanes runs the kernel.
-// The sharded case uses an uneven partition whose shards' own slab
-// budgets disagree, so the common block is the smaller shard's, and the
-// tail's scalar steps must match a lone width-1 run of the tail lane.
+// bothMix steps both ways, neitherMix neither: each must be refused when
+// a run starts.
+type bothMix struct{ vecMix }
+
+func (a bothMix) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
+
+type neitherMix struct{}
+
+func (neitherMix) Name() string     { return "neither" }
+func (neitherMix) MsgWords(int) int { return 1 }
+
+func init() {
+	RegisterRemoteAlgorithm("test-both-mix", func([]int64) (WireAlgorithm, error) { return bothMix{vecMix{rounds: 3}}, nil })
+	RegisterRemoteAlgorithm("test-neither-mix", func([]int64) (WireAlgorithm, error) { return neitherMix{}, nil })
+}
+
+// TestVecDispatchPerPass pins the one stepping path per algorithm: a
+// kernel algorithm steps every pass through its kernel — a width-1
+// batch, a one-lane run on a wide batch, and the one-lane tail of the
+// C_6000 vector the slab budget splits 2 + 2 + 1, on the batch and on an
+// uneven sharding whose common block is the big shard's — with every
+// lane equal to the process reference; a process algorithm steps only
+// through its processes; and an algorithm stepping both ways or neither
+// is refused at run start by the batch, the sharded executor and the
+// shard-worker registry, before any pass runs.
 func TestVecDispatchPerPass(t *testing.T) {
 	space := localrand.NewTapeSpace(71)
-	type want struct{ scalar, vec bool }
-	check := func(t *testing.T, label string, p *stepProbe, w want) {
+	draws := drawRange(space, 0, 5)
+	type exec func(WireAlgorithm, []localrand.Draw) ([]*Result, error)
+	check := func(t *testing.T, label string, run exec, k int, tail bool, ref []*Result) {
 		t.Helper()
-		if got := p.scalar.Load() > 0; got != w.scalar {
-			t.Errorf("%s: scalar steps %d, want scalar path %v", label, p.scalar.Load(), w.scalar)
+		var calls, oneLane, steps, vec atomic.Int64
+		got, err := run(kernelProbe{vecMix{rounds: 4}, &calls, &oneLane}, draws[:k])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := p.vec.Load() > 0; got != w.vec {
-			t.Errorf("%s: vec steps %d, want vec path %v", label, p.vec.Load(), w.vec)
+		if calls.Load() == 0 {
+			t.Errorf("%s: the kernel never stepped", label)
 		}
-		if n := p.vecOneLane.Load(); n != 0 {
-			t.Errorf("%s: %d StepVec calls on a one-lane pass", label, n)
+		if got := oneLane.Load() > 0; got != tail {
+			t.Errorf("%s: one-lane kernel passes %v, want %v", label, got, tail)
 		}
+		for b := range got {
+			expectSameResult(t, fmt.Sprintf("%s kernel lane %d", label, b), ref[b], got[b])
+		}
+		got, err = run(procProbe{vecMixRef{rounds: 4}, &steps, &vec}, draws[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps.Load() == 0 || vec.Load() != 0 {
+			t.Errorf("%s: process algorithm made %d process steps and %d StepVec calls", label, steps.Load(), vec.Load())
+		}
+		for b := range got {
+			expectSameResult(t, fmt.Sprintf("%s process lane %d", label, b), ref[b], got[b])
+		}
+		for _, bad := range []WireAlgorithm{bothMix{vecMix{rounds: 4}}, neitherMix{}} {
+			if _, err := run(bad, draws[:k]); err == nil {
+				t.Errorf("%s: %s ran", label, bad.Name())
+			}
+		}
+	}
+	refs := func(in *lang.Instance) []*Result {
+		ref := make([]*Result, len(draws))
+		for b := range ref {
+			r, err := runLane(MustPlan(in.G).NewBatch(1), in, vecMixRef{rounds: 4}, &draws[b], RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref[b] = r
+		}
+		return ref
 	}
 
 	small := mustInstance(t, graph.Cycle(64))
 	plan := MustPlan(small.G)
-	draws := drawRange(space, 0, 5)
-	var p stepProbe
-	if _, err := runLane(plan.NewBatch(1), small, probeMix{vecMix{rounds: 4}, &p}, &draws[0], RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	check(t, "width-1", &p, want{scalar: true})
-	for _, c := range []struct {
-		k int
-		w want
-	}{{1, want{scalar: true}}, {2, want{vec: true}}, {5, want{vec: true}}} {
-		var p stepProbe
-		if _, err := plan.NewBatch(5).Run(small, probeMix{vecMix{rounds: 4}, &p}, draws[:c.k], RunOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, fmt.Sprintf("width 5 k %d", c.k), &p, c.w)
+	ref := refs(small)
+	check(t, "width-1", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+		return plan.NewBatch(1).Run(small, a, d, RunOptions{})
+	}, 1, true, ref)
+	for _, k := range []int{1, 2, 5} {
+		check(t, fmt.Sprintf("width 5 k %d", k), func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+			return plan.NewBatch(5).Run(small, a, d, RunOptions{})
+		}, k, k == 1, ref)
 	}
 
 	// C_6000 under 2-word messages: the 1 MB budget fits 2 lanes per
 	// pass, so 5 lanes run as 2 + 2 + 1.
 	big := mustInstance(t, graph.Cycle(6000))
 	plan = MustPlan(big.G)
-	algo := vecMix{rounds: 4}
-	if lanes := plan.NewBatch(5).msgLanesFor(algo); lanes != 2 {
+	if lanes := plan.NewBatch(5).msgLanesFor(vecMix{rounds: 4}); lanes != 2 {
 		t.Fatalf("fixture: block %d, want 2", lanes)
-	}
-	var tail stepProbe
-	if _, err := runLane(plan.NewBatch(1), big, probeMix{algo, &tail}, &draws[4], RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ref := make([]*Result, 5)
-	for b := range ref {
-		r, err := runLane(plan.NewBatch(1), big, algo, &draws[b], RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[b] = r
 	}
 	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 5000, 6000}})
 	if err != nil {
@@ -327,43 +360,27 @@ func TestVecDispatchPerPass(t *testing.T) {
 	}
 	blocks := make([]int, len(sh.shards))
 	for i, s := range sh.shards {
-		blocks[i] = s.bt.msgLanesFor(algo)
+		blocks[i] = s.bt.msgLanesFor(vecMix{rounds: 4})
 	}
 	if blocks[0] != 2 || blocks[1] <= 2 {
 		t.Fatalf("fixture: shard blocks %v, want the big shard at 2 and the small one above", blocks)
 	}
-	runs := []struct {
-		name string
-		run  func(WireAlgorithm, []localrand.Draw) ([]*Result, error)
-	}{
-		{"batch", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
-			return plan.NewBatch(5).Run(big, a, d, RunOptions{})
-		}},
-		{"sharded", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
-			return sh.Run(big, a, d, RunOptions{})
-		}},
-	}
-	for _, r := range runs {
-		for _, c := range []struct {
-			k int
-			w want
-		}{{5, want{scalar: true, vec: true}}, {4, want{vec: true}}} {
-			var p stepProbe
-			got, err := r.run(probeMix{algo, &p}, draws[:c.k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s C_6000 k %d", r.name, c.k)
-			check(t, label, &p, c.w)
-			if c.w.scalar && p.scalar.Load() != tail.scalar.Load() {
-				t.Errorf("%s: %d scalar steps, want the tail lane's %d", label, p.scalar.Load(), tail.scalar.Load())
-			}
-			for b := range got {
-				expectSameResult(t, fmt.Sprintf("%s lane %d", label, b), ref[b], got[b])
-			}
-		}
-	}
+	ref = refs(big)
+	check(t, "batch C_6000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+		return plan.NewBatch(5).Run(big, a, d, RunOptions{})
+	}, 5, true, ref)
+	check(t, "sharded C_6000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+		return sh.Run(big, a, d, RunOptions{})
+	}, 5, true, ref)
 	if sh.run.block != 2 {
 		t.Errorf("sharded block %d, want the big shard's 2", sh.run.block)
+	}
+
+	// The shard-worker side: a job names its algorithm by registry key,
+	// and the lookup a worker decodes a job with refuses both shapes.
+	for _, key := range []string{"test-both-mix", "test-neither-mix"} {
+		if _, err := remoteAlgoFor(key, nil); err == nil {
+			t.Errorf("shard-worker registry built %s", key)
+		}
 	}
 }

@@ -5,8 +5,9 @@
 // Two equivalent programming interfaces are provided, mirroring the
 // simulation argument of §2.1.1:
 //
-//   - the message-passing interface (WireProcess/WireAlgorithm, wire.go)
-//     runs an explicit round loop with one goroutine per batch of nodes.
+//   - the message-passing interface (WireAlgorithm, wire.go, stepped by
+//     a VecAlgorithm kernel or a ProcessAlgorithm's WireProcesses) runs
+//     an explicit round loop with one goroutine per batch of nodes.
 //     Messages are fixed-width 64-bit words written straight into the
 //     engine's send slabs, so a round allocates nothing, and every
 //     engine shape and shard link carries the same words;
@@ -75,10 +76,10 @@
 // prefix sum. A slot belongs to its SENDER: a node's Outbox writes its
 // own contiguous slot window [lo, hi), and receivers read through the
 // plan's reverse-slot table. That ownership is what makes the round
-// kernel slot-major: one pass walks each node's window once, clears the
-// next-round lens range with a single contiguous clear — (hi-lo)·B
-// adjacent entries, not B strided walks — then steps the node's live
-// lanes in place. The same contiguity powers the sharded cut exchange:
+// kernel slot-major: a worker's node range owns one consecutive slot
+// window, so a pass clears its next-round lens range with a single
+// contiguous clear — (hi-lo)·B adjacent entries, not B strided walks —
+// then steps the range's live lanes in place. The same contiguity powers the sharded cut exchange:
 // at full lane blocks (k == B), packCut flattens a maximal run of
 // consecutive cut slots into one dense lens copy and one dense word
 // copy, and installCut writes a peer's whole halo segment the same way
@@ -100,40 +101,50 @@
 // batch's arena, which nothing else references. alloc_test.go pins the
 // floors.
 //
-// # Lane-vectorized stepping
+// # One stepping path per algorithm
 //
-// A WireAlgorithm may additionally implement VecAlgorithm (vec.go): a
-// stateless kernel on the algorithm value that steps one worker's whole
-// node range of every lane per call, so the round kernel makes one
-// StartVec/StepVec call per worker per pass instead of B scalar calls
-// per node. The kernel sees the pass through a VecRange — a concrete,
-// inlinable view of the slabs: Active(v) is node v's lane mask to step,
-// Recv(v, p) hands port p's contiguous lens row and word block,
-// BroadcastRow stages a whole lane row, Finish(v, mask) fixes
-// lanes' outputs, and State(v, j) and Tape(v, b) reach the state slab
-// and the tape slab — so the port→slot lookup, base-offset arithmetic,
-// stage and fin counting, and fault masking stay in the engine and the
-// inner loop walks the adjacent memory the slot-major layout already
-// provides. A pass dispatches to the kernel when the algorithm
-// implements VecAlgorithm and the pass has two or more lanes; the
-// scalar per-lane path steps every one-lane pass (the width-1 case
-// included), and ScalarOnly wraps an algorithm to force it — the
-// differential suites pin both paths byte-identical.
+// Every pass steps a worker's whole node range of every lane through
+// one kernel call (vec.go): StartVec in the start pass, StepVec in each
+// round or fault pass. An algorithm provides the kernel in one of two
+// ways, never both — an algorithm implementing both or neither is
+// refused at run start, by the batch, the sharded executor and the
+// shard-worker registry alike:
 //
-// The kernel contract mirrors the scalar one per lane, with three
+//   - a VecAlgorithm is its own stateless kernel on the algorithm value
+//     (retry coloring and Cole–Vishkin);
+//   - a ProcessAlgorithm's per-(node, lane) WireProcess table is stepped
+//     by procKernel (procs.go), the engine's kernel over the processes
+//     (Luby's MIS, matching, Moser–Tardos, greedy MIS, Linial).
+//
+// The choice does not depend on the lane count: a width-1 batch, a
+// one-lane slab block and a ragged one-lane tail step the same kernel
+// as a 64-lane block. The kernel sees the pass through a VecRange — a
+// concrete, inlinable view of the slabs: Active(v) is node v's lane mask
+// to step, Recv(v, p) hands port p's contiguous lens row and word block,
+// BroadcastRow stages a whole lane row, Finish(v, mask) fixes lanes'
+// outputs, and State(v, j) and Tape(v, b) reach the state slab and the
+// tape slab — so the port→slot lookup, base-offset arithmetic, stage and
+// fin counting, and fault masking stay in the engine and the inner loop
+// walks the adjacent memory the slot-major layout already provides.
+// internal/shardtest pins the two kernels of the ring algorithms byte
+// for byte against a frozen copy of the per-node processes they
+// replaced.
+//
+// The kernel contract mirrors the WireProcess one per lane, with three
 // range-specific rules. State rule: all per-lane state lives in the
 // batch's flat [node][word][lane] uint64 slab, VecWords words per
-// (node, lane), reached through State; the slab holds no pointers and
-// is reused across runs whatever the algorithm's parameters, so
-// TestVecAllocFloors pins the warm vec trial at zero allocations, fault
-// plans included. Mask rule: lane sets are uint64 masks (a block holds
-// at most 64 lanes); StepVec acts only for node v's lanes in Active(v),
-// which excludes finished lanes and, under a fault plan, crashed ones
-// — a kernel must neither read arrivals for nor stage messages from an
-// inactive lane, nor change its state — and it signals halting through
-// Finish. Aliasing rule: every row a VecRange hands over aliases the
-// live slabs and is valid only during the call; lens rows and word
-// blocks are read-only.
+// (node, lane), reached through State (a procKernel's state is the
+// process table instead); the slab holds no pointers and is reused
+// across runs whatever the algorithm's parameters, so TestVecAllocFloors
+// pins the warm kernel trial at zero allocations, fault plans and
+// width 1 included. Mask rule: lane sets are uint64 masks (a block
+// holds at most 64 lanes); StepVec acts only for node v's lanes in
+// Active(v), which excludes finished lanes and, under a fault plan,
+// crashed ones — a kernel must neither read arrivals for nor stage
+// messages from an inactive lane, nor change its state — and it signals
+// halting through Finish. Aliasing rule: every row a VecRange hands over
+// aliases the live slabs and is valid only during the call; lens rows
+// and word blocks are read-only.
 //
 // # Fault injection
 //
@@ -144,10 +155,10 @@
 // comparison graph). A plan is armed durably with SetFault — on a
 // Batch, which propagates it to its Sharded, or on a Sharded, whose
 // shards all obey it — or per run through RunOptions.Fault. The
-// implementation lives once in the shared round core: an armed batch
-// routes roundPass through its fault sibling, which suppresses or holds
-// receive slots and freezes crashed lanes' nodes before the delivered
-// counts are taken, so Batch, Sharded, and the remote
+// implementation lives once in the shared round core: an armed batch's
+// roundPass runs the fault walk before it steps the range, which
+// suppresses or holds receive slots and masks crashed lanes out before
+// the delivered counts are taken, so Batch, Sharded, and the remote
 // shard-worker path (the plan ships inside the job spec) all honor the
 // same plan byte-identically. Fault decisions come from a dedicated
 // fault tape keyed by shape-invariant coordinates — (round, global

@@ -1,6 +1,9 @@
 package local
 
-import "reflect"
+import (
+	"fmt"
+	"reflect"
+)
 
 // This file defines the wire-format message contract, the only one the
 // message engine has: messages are sequences of fixed-width 64-bit words
@@ -38,14 +41,16 @@ type WireProcess interface {
 	Output() []byte
 }
 
-// WireAlgorithm creates the per-node processes of a distributed
-// algorithm in which "all nodes perform the same instructions" (§2.1.1)
-// — one factory, one WireProcess per node — and declares the slab
-// capacity its messages need. It is the message contract every engine
-// shape (Batch, Sharded, remote shard workers) executes.
+// WireAlgorithm is the message contract every engine shape (Batch,
+// Sharded, remote shard workers) executes: a distributed algorithm in
+// which "all nodes perform the same instructions" (§2.1.1), named, with
+// the slab capacity its messages need. It steps through exactly one of
+// two extensions: a ProcessAlgorithm creates one WireProcess per (node,
+// lane), a VecAlgorithm (vec.go) is a kernel stepping a whole node range
+// of every lane. An algorithm implementing both, or neither, is refused
+// when a run starts.
 type WireAlgorithm interface {
 	Name() string
-	NewWireProcess() WireProcess
 	// MsgWords bounds the number of 64-bit words of any single message a
 	// node of the given degree stages in one round. The engine sizes the
 	// per-slot slab capacity from it (it must be a pure function of the
@@ -53,9 +58,31 @@ type WireAlgorithm interface {
 	MsgWords(degree int) int
 }
 
+// ProcessAlgorithm is a WireAlgorithm stepped through per-node state
+// machines: one factory, one WireProcess per (node, lane).
+type ProcessAlgorithm interface {
+	WireAlgorithm
+	NewWireProcess() WireProcess
+}
+
+// checkStepping refuses an algorithm that implements both VecAlgorithm
+// and ProcessAlgorithm, or neither: every execution shape calls it when
+// a run starts, before a pass could meet the ambiguity.
+func checkStepping(wa WireAlgorithm) error {
+	_, vec := wa.(VecAlgorithm)
+	_, proc := wa.(ProcessAlgorithm)
+	switch {
+	case vec && proc:
+		return fmt.Errorf("local: %s implements both VecAlgorithm and NewWireProcess; an algorithm steps one way", wa.Name())
+	case !vec && !proc:
+		return fmt.Errorf("local: %s implements neither VecAlgorithm nor NewWireProcess", wa.Name())
+	}
+	return nil
+}
+
 // ResetProcess is an optional extension of WireProcess: a process that
-// can return to its just-created state. When every process of an
-// algorithm implements it, engines pool the per-(node, lane) process
+// can return to its just-created state. When every process of a
+// ProcessAlgorithm implements it, engines pool the per-(node, lane) process
 // table across back-to-back executions of that algorithm — the dominant
 // remaining per-trial allocation on message paths — resetting each entry
 // in place instead of allocating n×lanes fresh processes per run.
@@ -74,11 +101,12 @@ type ResetProcess interface {
 	ResetProcess()
 }
 
-// sameAlgo reports whether two wire algorithms are the same value; it is
-// how a batch detects back-to-back runs of one algorithm when deciding
-// to pool the process table. Uncomparable dynamic types (closures inside
-// adapter structs) never compare equal — they simply never pool.
-func sameAlgo(a, b WireAlgorithm) bool {
+// sameAlgo reports whether two process algorithms are the same value; it
+// is how a batch detects back-to-back runs of one algorithm when
+// deciding to pool the process table. Uncomparable dynamic types
+// (closures inside adapter structs) never compare equal — they simply
+// never pool.
+func sameAlgo(a, b ProcessAlgorithm) bool {
 	if a == nil || b == nil {
 		return false
 	}
@@ -286,8 +314,7 @@ func (out *Outbox) Reset() {
 // the given degree and per-message word capacity: a message staged on
 // outbox port p reads back on inbox port p. It exists so wire codec
 // tests (encode → decode round-trips) can exercise the exact staging and
-// reading machinery the engine uses without running an engine, and so
-// MessageAsView can start a zero-round process on a bare outbox.
+// reading machinery the engine uses without running an engine.
 func NewLoopback(deg, msgWords int) (*Outbox, *Inbox) {
 	lens := make([]int32, deg)
 	words := make([]uint64, deg*msgWords)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -123,5 +124,45 @@ func TestAlgorithmJobChunks(t *testing.T) {
 	want := (13 + algoBatchWidth - 1) / algoBatchWidth
 	if len(totals) != 1 || totals[0] != want || calls != want+1 {
 		t.Fatalf("sweeps announced %v chunks over %d progress calls, want one sweep of %d", totals, calls, want)
+	}
+}
+
+// TestAlgorithmParamsRejected pins that serve's intake refuses algorithm
+// parameters the registry's builders reject, with the validation status
+// (422, docs/OPERATIONS.md) and an error that names the parameter: retry coloring with q = 0 used to be accepted and panic in
+// the run, Cole–Vishkin with MaxIDBits = 0 used to run "ok" on a
+// fabricated coloring. Both errors of one request come back together.
+// The pinned algorithm jobs still normalize.
+func TestAlgorithmParamsRejected(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), func(JobSpec, func(int, int)) ([]byte, bool, error) {
+		t.Error("runner reached for an invalid job")
+		return nil, false, errors.New("unreachable")
+	})
+	for _, c := range []struct {
+		key    string
+		params string
+		want   []string
+	}{
+		{"retry-coloring", "[0, 4]", []string{"q = 0"}},
+		{"retry-coloring", "[0, -1]", []string{"q = 0", "t = -1"}},
+		{"cole-vishkin", "[0]", []string{"maxIDBits = 0"}},
+		{"cole-vishkin", "[-1]", []string{"maxIDBits = -1"}},
+	} {
+		body := fmt.Sprintf(`{"algorithm":{"key":%q,"params":%s,"family":"cycle","n":64,"trials":4},"seed":1}`, c.key, c.params)
+		resp, got := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s %s: status %d, want 422 (body %s)", c.key, c.params, resp.StatusCode, got)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(string(got), w) {
+				t.Errorf("%s %s: body %s does not name %q", c.key, c.params, got, w)
+			}
+		}
+	}
+	for _, spec := range algoTableCases() {
+		if err := spec.normalize(Limits{}); err != nil {
+			t.Errorf("%s: %v", spec.Describe(), err)
+		}
 	}
 }

@@ -11,24 +11,23 @@ import (
 	"rlnc/internal/localrand"
 )
 
-// This file is the vec-vs-scalar differential matrix of the
-// lane-vectorized stepping seam on the real construction algorithms:
-// every migrated VecAlgorithm (retry coloring, Cole–Vishkin) run
-// through its SoA vector path must reproduce the ScalarOnly reference —
-// the same algorithm stripped of the vector extension — byte for byte,
-// outputs and Stats, across the six graph families, batch widths from
-// one ragged lane to the full vector, the channel and loopback-TCP
-// sharded transports, and zero and lossy fault plans. Luby's MIS has no
-// vector path; its rows are the control: a wire algorithm without the
-// extension must run identically whether or not ScalarOnly wraps it.
+// This file is the kernel-vs-scalar differential matrix of the range
+// kernels on the real construction algorithms: each kernel-only
+// algorithm (retry coloring, Cole–Vishkin) must reproduce its frozen
+// scalar oracle (oracle_test.go) byte for byte, outputs and Stats,
+// across the six graph families, batch widths from one ragged lane to
+// the full vector, the channel and loopback-TCP sharded transports, and
+// zero and lossy fault plans. Luby's MIS is a process algorithm; its
+// rows are the control, run against itself on the reference batch.
 
-// vecCase is one (algorithm, plans) row of the matrix. CV is determin-
-// istic (nil draws) and protocol-synchronous, so it runs only on the
-// cycle under delivery-preserving plans; the randomized algorithms run
-// everywhere, and retry coloring — the fault-tolerant one — also under
-// the lossy faultPlanFor plan.
+// vecCase is one (algorithm, reference, plans) row of the matrix. CV is
+// deterministic (nil draws) and protocol-synchronous, so it runs only on
+// the cycle under delivery-preserving plans; the randomized algorithms
+// run everywhere, and retry coloring — the fault-tolerant one — also
+// under the lossy faultPlanFor plan.
 type vecCase struct {
 	algo   local.WireAlgorithm
+	ref    local.WireAlgorithm // the oracle the reference batch runs
 	random bool
 	plans  []string // subset of "none", "zero", "faulty"
 }
@@ -51,14 +50,14 @@ func runVecPair(t *testing.T, label string, c vecCase, in *lang.Instance, fp *lo
 	var want, got []*local.Result
 	var wantErr, gotErr error
 	if c.random {
-		want, wantErr = ref.Run(in, local.ScalarOnly(c.algo), draws[:k], opts)
+		want, wantErr = ref.Run(in, c.ref, draws[:k], opts)
 		got, gotErr = run(c.algo, draws[:k], opts)
 	} else {
 		ins := make([]*lang.Instance, k)
 		for i := range ins {
 			ins[i] = in
 		}
-		want, wantErr = ref.RunInstances(ins, local.ScalarOnly(c.algo), nil, opts)
+		want, wantErr = ref.RunInstances(ins, c.ref, nil, opts)
 		got, gotErr = run(c.algo, nil, opts)
 	}
 	if (wantErr == nil) != (gotErr == nil) ||
@@ -74,10 +73,9 @@ func runVecPair(t *testing.T, label string, c vecCase, in *lang.Instance, fp *lo
 }
 
 // TestVecMatchesScalarMatrix is the batched half of the matrix: one
-// width-5 batch stepping the vector path against a ScalarOnly batch of
-// the same width, at lane counts {1, 3, 4, 5} (ragged tails included)
-// under every plan the algorithm tolerates, back to back on reused
-// executors.
+// width-5 batch stepping the kernel against an oracle batch of the same
+// width, at lane counts {1, 3, 4, 5} (ragged tails included) under every
+// plan the algorithm tolerates, back to back on reused executors.
 func TestVecMatchesScalarMatrix(t *testing.T) {
 	const B = 5
 	seed := uint64(7001)
@@ -85,8 +83,8 @@ func TestVecMatchesScalarMatrix(t *testing.T) {
 		in := Instance(t, g)
 		plans := vecPlans(t, g)
 		cases := []vecCase{
-			{construct.RetryMessage(3, 4), true, []string{"none", "zero", "faulty"}},
-			{construct.LubyMIS{}, true, []string{"none", "zero"}},
+			{construct.RetryMessage(3, 4), retryRef{3, 4}, true, []string{"none", "zero", "faulty"}},
+			{construct.LubyMIS{}, construct.LubyMIS{}, true, []string{"none", "zero"}},
 		}
 		for _, c := range cases {
 			c := c
@@ -116,7 +114,7 @@ func TestVecMatchesScalarMatrix(t *testing.T) {
 
 	// Cole–Vishkin: deterministic, cycle-only, delivery-preserving plans.
 	ring := Instance(t, graph.Cycle(24))
-	cv := vecCase{construct.ColeVishkin{MaxIDBits: 8}, false, []string{"none", "zero"}}
+	cv := vecCase{construct.ColeVishkin{MaxIDBits: 8}, cvRef{8}, false, []string{"none", "zero"}}
 	t.Run("cycle/"+cv.algo.Name(), func(t *testing.T) {
 		plan := local.MustPlan(ring.G)
 		vecBt := plan.NewBatch(B)
@@ -137,11 +135,11 @@ func TestVecMatchesScalarMatrix(t *testing.T) {
 	})
 }
 
-// TestVecMatchesScalarSharded is the sharded half: the vector path
-// under the shard orchestrator — windowed rev tables, cut exchange,
-// per-shard collection — against the unsharded ScalarOnly batch, on the
-// in-process channel links everywhere and on loopback-TCP sockets for
-// the cycle and connected-gnp families (the byte-stream codec path).
+// TestVecMatchesScalarSharded is the sharded half: the kernel under the
+// shard orchestrator — windowed rev tables, cut exchange, per-shard
+// collection — against the unsharded oracle batch, on the in-process
+// channel links everywhere and on loopback-TCP sockets for the cycle and
+// connected-gnp families (the byte-stream codec path).
 func TestVecMatchesScalarSharded(t *testing.T) {
 	const B = 5
 	seed := uint64(8001)
@@ -150,8 +148,8 @@ func TestVecMatchesScalarSharded(t *testing.T) {
 		in := Instance(t, g)
 		plans := vecPlans(t, g)
 		cases := []vecCase{
-			{construct.RetryMessage(3, 4), true, []string{"none", "faulty"}},
-			{construct.LubyMIS{}, true, []string{"none"}},
+			{construct.RetryMessage(3, 4), retryRef{3, 4}, true, []string{"none", "faulty"}},
+			{construct.LubyMIS{}, construct.LubyMIS{}, true, []string{"none"}},
 		}
 		for _, c := range cases {
 			c := c
@@ -206,14 +204,14 @@ func TestVecMatchesScalarSharded(t *testing.T) {
 // bytes, and a width-1 executor's block is 1.
 func laneBlock(width1, widthK int) int { return widthK / width1 }
 
-// TestVecBlockSplitting pins the per-pass stepping choice on the real
-// vector algorithms: on C_4800 the 1 MB slab budget splits a 13-lane
-// vector of one-word messages into blocks of 4 + 4 + 4 + 1, so the full
-// blocks step the vector path and the one-lane tail the scalar one.
-// Every lane — outputs and Stats — must match a per-lane width-1 run and
-// the ScalarOnly batch. The sharded half cuts the ring unevenly, so the
-// shards' own budgets disagree and the orchestrator imposes the big
-// shard's smaller block (6 + 6 + 1) on both.
+// TestVecBlockSplitting pins the block split on the real kernels: on
+// C_4800 the 1 MB slab budget splits a 13-lane vector of one-word
+// messages into blocks of 4 + 4 + 4 + 1, every block — the one-lane tail
+// included — stepping the kernel. Every lane — outputs and Stats — must
+// match a per-lane width-1 oracle run, and the oracle batch. The sharded
+// half cuts the ring unevenly, so the shards' own budgets disagree and
+// the orchestrator imposes the big shard's smaller block (6 + 6 + 1) on
+// both.
 func TestVecBlockSplitting(t *testing.T) {
 	const K = 13
 	in := Instance(t, graph.Cycle(4800))
@@ -237,8 +235,8 @@ func TestVecBlockSplitting(t *testing.T) {
 		ins[i] = in
 	}
 	for _, c := range []vecCase{
-		{construct.RetryMessage(3, 5), true, nil},
-		{construct.ColeVishkin{MaxIDBits: 13}, false, nil},
+		{construct.RetryMessage(3, 5), retryRef{3, 5}, true, nil},
+		{construct.ColeVishkin{MaxIDBits: 13}, cvRef{13}, false, nil},
 	} {
 		t.Run(c.algo.Name(), func(t *testing.T) {
 			vecBt, sclBt := plan.NewBatch(K), plan.NewBatch(K)
@@ -265,7 +263,7 @@ func TestVecBlockSplitting(t *testing.T) {
 				}
 				return rs
 			}
-			scalar := run(sclBt, local.ScalarOnly(c.algo))
+			scalar := run(sclBt, c.ref)
 			vec := run(vecBt, c.algo)
 			sharded := run(sh, c.algo)
 			for b := 0; b < K; b++ {
@@ -273,11 +271,16 @@ func TestVecBlockSplitting(t *testing.T) {
 				if c.random {
 					draw = &draws[b]
 				}
-				want, err := plan.Run(in, c.algo, draw, local.RunOptions{})
+				want, err := plan.Run(in, c.ref, draw, local.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, err := plan.Run(in, c.algo, draw, local.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				expectSame(t, fmt.Sprintf("scalar lane %d", b), want, scalar[b])
+				expectSame(t, fmt.Sprintf("width-1 kernel lane %d", b), want, one)
 				expectSame(t, fmt.Sprintf("batch lane %d", b), want, vec[b])
 				expectSame(t, fmt.Sprintf("sharded lane %d", b), want, sharded[b])
 			}
@@ -347,9 +350,9 @@ func expectSameOutcome(t *testing.T, label string, want, got laneOutcome) {
 }
 
 // TestVecKernelMatchesScalar pins both range kernels (retry coloring and
-// Cole–Vishkin) against the scalar reference — one width-1 Plan.Run per
-// lane under ScalarOnly, which no block split or lane mask can reach —
-// byte for byte, outputs and Stats (or the identical panic), under every
+// Cole–Vishkin) against the frozen scalar oracle — one width-1 Plan.Run
+// per lane, which no block split or lane mask can reach — byte for
+// byte, outputs and Stats (or the identical panic), under every
 // kernelPlans shape. The unsharded half runs widths {2, 3, 63, 64, 65,
 // 100} on rings small enough that the slab budget never binds, so the
 // 64-lane block cap splits 65 and 100 into a full mask plus a ragged
@@ -367,8 +370,8 @@ func TestVecKernelMatchesScalar(t *testing.T) {
 		ins[i] = ring
 	}
 	cases := []vecCase{
-		{construct.RetryMessage(3, 4), true, nil},
-		{construct.ColeVishkin{MaxIDBits: 8}, false, nil},
+		{construct.RetryMessage(3, 4), retryRef{3, 4}, true, nil},
+		{construct.ColeVishkin{MaxIDBits: 8}, cvRef{8}, false, nil},
 	}
 	// run executes k lanes of algo on x: random lanes under draws,
 	// deterministic ones over per-lane copies of the ring.
@@ -397,7 +400,7 @@ func TestVecKernelMatchesScalar(t *testing.T) {
 						if c.random {
 							d = &draws[b]
 						}
-						r, err := plan.Run(ring, local.ScalarOnly(c.algo), d, local.RunOptions{Fault: pl.fp})
+						r, err := plan.Run(ring, c.ref, d, local.RunOptions{Fault: pl.fp})
 						return []*local.Result{r}, err
 					})[0]
 				}

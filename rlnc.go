@@ -4,9 +4,10 @@
 //
 //   - networks and instances: Graph, Assignment, Instance, Config;
 //   - the LOCAL model engine: ViewAlgorithm and WireAlgorithm (the one
-//     message contract: fixed-width 64-bit words in the engine's slabs),
-//     RunView, RunMessage, and the two §2.1.1 simulations, RunFullInfo
-//     and MessageAsView;
+//     message contract: fixed-width 64-bit words in the engine's slabs,
+//     stepped by a kernel or a ProcessAlgorithm's WireProcesses, never
+//     both), RunView, RunMessage, and the two §2.1.1 simulations,
+//     RunFullInfo and MessageAsView;
 //   - the execution-plan layer: a Plan is the reusable layout of one
 //     graph (CSR-flattened adjacency, reverse-port delivery table, cached
 //     balls) and a Batch is one worker's reusable, vectorized execution
@@ -147,14 +148,19 @@ type (
 	ViewAlgorithm = local.ViewAlgorithm
 	RunOptions    = local.RunOptions
 
-	// WireAlgorithm/WireProcess are the message-passing interface:
-	// messages as fixed-width 64-bit words staged straight into the
-	// engine's send slabs (Inbox to read, Outbox to write), running with
-	// zero allocations per round.
-	WireAlgorithm = local.WireAlgorithm
-	WireProcess   = local.WireProcess
-	Inbox         = local.Inbox
-	Outbox        = local.Outbox
+	// WireAlgorithm is the message-passing interface: messages as
+	// fixed-width 64-bit words staged straight into the engine's send
+	// slabs, running with zero allocations per round. An algorithm
+	// steps one way, whatever the lane count: a ProcessAlgorithm makes
+	// one WireProcess per node and lane (Inbox to read, Outbox to
+	// write); a local.VecAlgorithm is a kernel stepping a whole node
+	// range of every lane. Implementing both, or neither, is an error
+	// when a run starts.
+	WireAlgorithm    = local.WireAlgorithm
+	ProcessAlgorithm = local.ProcessAlgorithm
+	WireProcess      = local.WireProcess
+	Inbox            = local.Inbox
+	Outbox           = local.Outbox
 
 	// Plan is the reusable execution layout of one graph: CSR adjacency,
 	// the reverse-port delivery table, and the per-radius ball cache.
