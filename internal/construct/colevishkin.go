@@ -114,8 +114,8 @@ func (cv ColeVishkin) StartVec(r *local.VecRange) {
 }
 
 // decodeCVColor reads one lane's arrival as a kernel sees it — l is its
-// lens entry (0 = no message, n+1 = an n-word payload), w its first slab
-// word — and rejects anything but a single color word.
+// lens entry (0 = no message, n+1 = an n-word payload), w its slab word
+// — and rejects anything but a single color word.
 func decodeCVColor(l int32, w uint64) (uint64, bool) {
 	return w, l == 2
 }
@@ -123,8 +123,8 @@ func decodeCVColor(l int32, w uint64) (uint64, bool) {
 // mustCVColor reads a neighbor's color from a lane's slab row: a
 // missing or malformed color is a broken invariant (the ring is
 // synchronous: both neighbors send every round until the common halt).
-func mustCVColor(lens []int32, words []uint64, b, stride int) uint64 {
-	c, ok := decodeCVColor(lens[b], words[b*stride])
+func mustCVColor(lens []int32, words []uint64, b int) uint64 {
+	c, ok := decodeCVColor(lens[b], words[b])
 	if !ok {
 		panic("construct: Cole-Vishkin received a malformed color word")
 	}
@@ -147,14 +147,14 @@ func (cv ColeVishkin) StepVec(r *local.VecRange, round int) {
 			continue
 		}
 		color := r.State(v, 0)
-		succLens, succWords, succStride := r.Recv(v, succPort)
-		predLens, predWords, predStride := r.Recv(v, predPort)
+		succLens, succWords := r.Recv(v, succPort)
+		predLens, predWords := r.Recv(v, predPort)
 		for b := range color {
 			if act>>b&1 == 0 {
 				continue
 			}
-			succC := mustCVColor(succLens, succWords, b, succStride)
-			predC := mustCVColor(predLens, predWords, b, predStride)
+			succC := mustCVColor(succLens, succWords, b)
+			predC := mustCVColor(predLens, predWords, b)
 			if reducing {
 				color[b] = cvStep(color[b], succC)
 			} else if color[b] == target {

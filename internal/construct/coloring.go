@@ -83,11 +83,30 @@ func (a retryAlgo) StartVec(r *local.VecRange) {
 }
 
 // decodeRetryColor reads one lane's arrival as a kernel sees it — l is
-// its lens entry (0 = no message, n+1 = an n-word payload), w its first
-// slab word — and rejects anything but a single word holding a color
-// below q.
+// its lens entry (0 = no message, n+1 = an n-word payload), w its slab
+// word — and rejects anything but a single word holding a color below q.
+// StepVec evaluates the same predicate as a lane mask (portMasks).
 func decodeRetryColor(l int32, w, q uint64) (uint64, bool) {
 	return w, l == 2 && w < q
+}
+
+// portMasks evaluates one port's arrivals for every lane at once, as
+// two lane masks: bad, a message arrived (l != 0) that decodeRetryColor
+// rejects (not l == 2 with w < q); hit, a message arrived whose word
+// equals the lane's own color. Lens entries are in [0, 2] (one-word
+// slots), so each test is sign or borrow arithmetic, with no branch on
+// the random colors. It is kept within the inliner's budget: at one or
+// two lanes a call per port would cost as much as the scan.
+func portMasks(lens []int32, words, color []uint64, q uint64) (bad, hit uint64) {
+	for b, l := range lens {
+		w := words[b]
+		_, below := bits.Sub64(w, q, 0) // 1: w < q
+		pres := uint64(uint32(-l)) >> 31
+		d := w ^ color[b]
+		bad |= (pres &^ (below & ((uint64(uint32(l^2)) - 1) >> 63))) << (b & 63)
+		hit |= (pres &^ ((d | -d) >> 63)) << (b & 63)
+	}
+	return bad, hit
 }
 
 // StepVec implements local.VecAlgorithm: in each of the T retry rounds
@@ -113,19 +132,12 @@ func (a retryAlgo) StepVec(r *local.VecRange, round int) {
 		// unvalidated.
 		scan := act
 		for p, deg := 0, r.Degree(v); p < deg && scan != 0; p++ {
-			lens, words, stride := r.Recv(v, p)
-			for b, l := range lens {
-				if scan>>b&1 == 0 || l == 0 {
-					continue
-				}
-				c, ok := decodeRetryColor(l, words[b*stride], q)
-				if !ok {
-					panic("construct: retry coloring received a malformed color word")
-				}
-				if c == color[b] {
-					scan &^= 1 << b
-				}
+			lens, words := r.Recv(v, p)
+			bad, hit := portMasks(lens, words, color, q)
+			if scan&bad != 0 {
+				panic("construct: retry coloring received a malformed color word")
 			}
+			scan &^= hit
 		}
 		for conf := act &^ scan; conf != 0; conf &= conf - 1 {
 			b := bits.TrailingZeros64(conf)

@@ -140,6 +140,54 @@ func FuzzRetryColorCodec(f *testing.F) {
 	})
 }
 
+// TestRetryPortMasksMatchDecode pins the retry kernel's branch-free
+// port scan against its per-lane codec: for every lane count 1…64 and
+// random arrivals — absent, zero-word, one-word and wider lens entries,
+// in- and out-of-palette words, words equal and unequal to the lane's
+// color — bad holds exactly the arrived lanes decodeRetryColor rejects
+// and hit exactly the arrived lanes whose word is the lane's color.
+func TestRetryPortMasksMatchDecode(t *testing.T) {
+	rnd := localrand.NewSource(41)
+	for k := 1; k <= 64; k++ {
+		for rep := 0; rep < 50; rep++ {
+			q := uint64(rnd.Intn(5) + 1)
+			lens := make([]int32, k)
+			words := make([]uint64, k)
+			color := make([]uint64, k)
+			for b := range lens {
+				lens[b] = int32(rnd.Intn(4))
+				color[b] = uint64(rnd.Intn(int(q)))
+				switch rnd.Intn(4) {
+				case 0:
+					words[b] = color[b]
+				case 1:
+					words[b] = q + uint64(rnd.Intn(3))
+				case 2:
+					words[b] = rnd.Uint64()
+				default:
+					words[b] = uint64(rnd.Intn(int(q)))
+				}
+			}
+			bad, hit := portMasks(lens, words, color, q)
+			for b := range lens {
+				c, ok := decodeRetryColor(lens[b], words[b], q)
+				wantBad := lens[b] != 0 && !ok
+				wantHit := lens[b] != 0 && words[b] == color[b]
+				if ok && c != words[b] {
+					t.Fatalf("decode returned %d for word %d", c, words[b])
+				}
+				if bad>>b&1 == 1 != wantBad || hit>>b&1 == 1 != wantHit {
+					t.Fatalf("k %d lane %d (l %d, w %d, color %d, q %d): bad %v hit %v, want %v %v",
+						k, b, lens[b], words[b], color[b], q, bad>>b&1 == 1, hit>>b&1 == 1, wantBad, wantHit)
+				}
+			}
+			if k < 64 && (bad|hit)>>k != 0 {
+				t.Fatalf("k %d: masks %x %x set bits past the lanes", k, bad, hit)
+			}
+		}
+	}
+}
+
 // FuzzMTEventCodec: violated-event lists of any size (including empty)
 // round-trip as sets; bits accept only a single 0/1 word; resample
 // commands only zero words.

@@ -12,11 +12,14 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle needs n >= 3, got %d", n))
 	}
+	// One slab backs every adjacency row: node v's ports are
+	// slab[2v:2v+2], capped so no row can grow into its successor's.
+	slab := make([]int32, 2*n)
 	adj := make([][]int32, n)
 	for v := 0; v < n; v++ {
-		succ := int32((v + 1) % n)
-		pred := int32((v - 1 + n) % n)
-		adj[v] = []int32{succ, pred}
+		slab[2*v] = int32((v + 1) % n)
+		slab[2*v+1] = int32((v - 1 + n) % n)
+		adj[v] = slab[2*v : 2*v+2 : 2*v+2]
 	}
 	return &Graph{adj: adj, m: n}
 }

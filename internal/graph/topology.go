@@ -42,48 +42,94 @@ func (t *Topology) InPort(v, p int) int {
 	return int(s - t.Offsets[w])
 }
 
-// topoEdge keys an undirected edge with ordered endpoints.
-type topoEdge struct{ lo, hi int32 }
-
 // buildTopology flattens adj into CSR form and pairs every directed edge
-// with its reverse in one pass over the slots (O(n + m) expected time).
-// Adjacency built by Builder or FromAdjacency is symmetric by
-// construction; the error path guards hand-rolled graphs.
+// with its reverse in O(n + m) time, with no map. A counting sort lists,
+// for each node v, the slots arriving from smaller neighbors u < v; v
+// then marks its own out-slots by neighbor and pairs each listed slot
+// (u → v) with its mark for u, both directions at once. Adjacency built
+// by Builder or FromAdjacency is symmetric and simple by construction;
+// the error paths guard hand-rolled graphs — out-of-range, self-loop and
+// repeated neighbors — and an asymmetric one names an edge listed by one
+// endpoint only.
 func buildTopology(adj [][]int32) (*Topology, error) {
 	n := len(adj)
-	offsets := make([]int32, n+1)
 	total := 0
-	for v, nb := range adj {
-		offsets[v] = int32(total)
+	for _, nb := range adj {
 		total += len(nb)
 	}
-	offsets[n] = int32(total)
-
-	nbrs := make([]int32, total)
-	rev := make([]int32, total)
-	// Pair the two directed copies of each undirected edge: the first
-	// visit parks its slot in pending, the second wires both directions.
-	pending := make(map[topoEdge]int32, total/2)
+	offsets, nbrs, rev := make([]int32, n+1), make([]int32, total), make([]int32, total)
+	m := 0 // slots toward a larger neighbor: one per edge
 	for v, nb := range adj {
-		base := offsets[v]
-		for p, w := range nb {
-			s := base + int32(p)
-			nbrs[s] = w
-			key := topoEdge{int32(v), w}
-			if key.lo > key.hi {
-				key.lo, key.hi = key.hi, key.lo
+		offsets[v+1] = offsets[v] + int32(len(nb))
+		copy(nbrs[offsets[v]:], nb)
+		for _, w := range nb {
+			if w < 0 || int(w) >= n || int(w) == v {
+				return nil, fmt.Errorf("graph: node %d lists %d on %d nodes", v, w, n)
 			}
-			if other, ok := pending[key]; ok {
-				rev[s] = other
-				rev[other] = s
-				delete(pending, key)
-			} else {
-				pending[key] = s
+			if int(w) > v {
+				m++
 			}
 		}
 	}
-	for key := range pending {
-		return nil, fmt.Errorf("graph: asymmetric adjacency at edge {%d,%d}", key.lo, key.hi)
+	// pos counts each node's arrivals from smaller senders, then holds
+	// its list's start, then (after the fill) its end: node v's list is
+	// [pos[v-1], pos[v]), from 0 for v = 0. from and slot are the listed
+	// slots' senders and slots; mark[u] is v's slot toward u while v
+	// pairs, else -1.
+	tmp := make([]int32, 2*n+1+2*m)
+	pos, mark, from, slot := tmp[:n+1], tmp[n+1:2*n+1], tmp[2*n+1:2*n+1+m], tmp[2*n+1+m:]
+	for v := 0; v < n; v++ {
+		for _, w := range nbrs[offsets[v]:offsets[v+1]] {
+			if int(w) > v {
+				pos[w+1]++
+			}
+		}
+	}
+	for w := 0; w < n; w++ {
+		pos[w+1] += pos[w]
+	}
+	for v := 0; v < n; v++ {
+		for s := offsets[v]; s < offsets[v+1]; s++ {
+			if w := nbrs[s]; int(w) > v {
+				from[pos[w]], slot[pos[w]] = int32(v), s
+				pos[w]++
+			}
+		}
+	}
+	for s := range rev {
+		rev[s] = -1
+	}
+	for u := range mark {
+		mark[u] = -1
+	}
+	lo := int32(0)
+	for v := 0; v < n; v++ {
+		for s := offsets[v]; s < offsets[v+1]; s++ {
+			if mark[nbrs[s]] >= 0 {
+				return nil, fmt.Errorf("graph: node %d lists %d twice", v, nbrs[s])
+			}
+			mark[nbrs[s]] = s
+		}
+		for i := lo; i < pos[v]; i++ {
+			u, t := from[i], slot[i]
+			back := mark[u]
+			if back < 0 {
+				return nil, fmt.Errorf("graph: asymmetric adjacency at edge {%d,%d}", u, v)
+			}
+			rev[t], rev[back] = back, t
+		}
+		for s := offsets[v]; s < offsets[v+1]; s++ {
+			mark[nbrs[s]] = -1
+		}
+		lo = pos[v]
+	}
+	// What is left unpaired is a slot (v → u), u < v, that u never lists.
+	for v := 0; v < n; v++ {
+		for s := offsets[v]; s < offsets[v+1]; s++ {
+			if rev[s] < 0 {
+				return nil, fmt.Errorf("graph: asymmetric adjacency at edge {%d,%d}", nbrs[s], v)
+			}
+		}
 	}
 	return &Topology{Offsets: offsets, Nbrs: nbrs, RevSlot: rev}, nil
 }

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"rlnc/internal/graph"
@@ -77,9 +78,7 @@ func (l *LCL) CountBadBalls(c *Config) int {
 	count := 0
 	if l.evalRow(c, func(bad []bool) {
 		for _, b := range bad {
-			if b {
-				count++
-			}
+			count += b2i(b)
 		}
 	}) {
 		return count
@@ -159,6 +158,8 @@ func centerColor(b *LabeledBall, q int) (int, bool) {
 // of radius 1 are those whose center shares its color with a neighbor (or
 // carries no valid color).
 func ProperColoring(q int) *LCL {
+	// lim is q as the uint32 bound of a valid center color.
+	lim := uint32(min(max(q, 0), math.MaxInt32))
 	return &LCL{
 		LangName: fmt.Sprintf("%d-coloring", q),
 		Radius:   1,
@@ -182,25 +183,37 @@ func ProperColoring(q int) *LCL {
 			decodeColorRow(di.Y, col)
 			g := di.G
 			for v := range bad {
-				cv := col[v]
 				// The center must carry a valid color below q; neighbors
 				// need only decode — an out-of-palette neighbor is its own
-				// center's violation, exactly as in Bad.
-				if cv < 0 || int(cv) >= q {
-					bad[v] = true
-					continue
-				}
-				b := false
+				// center's violation, exactly as in Bad. Colors are
+				// random, so the predicate is bit arithmetic over every
+				// neighbor (Bad's early exit changes no verdict): a
+				// malformed -1 is the sign bit, and the uint32 compare
+				// folds cv < 0 into cv >= q.
+				cv := col[v]
+				viol := b2i(uint32(cv) >= lim)
 				for _, u := range g.Neighbors(v) {
-					if cu := col[u]; cu < 0 || cu == cv {
-						b = true
-						break
-					}
+					cu := col[u]
+					viol |= int(uint32(cu)>>31) | eqBit(cu, cv)
 				}
-				bad[v] = b
+				bad[v] = viol != 0
 			}
 		},
 	}
+}
+
+// b2i turns a comparison into 0 or 1; the compiler emits a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// eqBit is 1 when a == b and 0 otherwise.
+func eqBit(a, b int32) int {
+	return int((uint64(uint32(a^b)) - 1) >> 63)
 }
 
 // decodeColorRow decodes every node's output color once into col:

@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rlnc/internal/graph"
@@ -378,10 +379,9 @@ func (bt *Batch) startOutput(in *lang.Instance, wa WireAlgorithm, tapeOf func(v 
 	if err := bt.checkInstance(in); err != nil {
 		return nil, err
 	}
-	if err := checkStepping(wa); err != nil {
+	if err := bt.layoutWire(wa); err != nil {
 		return nil, err
 	}
-	bt.layoutWire(wa)
 	defer bt.endRun()
 	bt.beginPass(bt.tapeSrc(in, tapeOf), 1, wa, nil, nil, []bool{true}, 1)
 	bt.startPass(0, v, v+1)
@@ -410,10 +410,9 @@ func (bt *Batch) tapeSrc(in *lang.Instance, tapeOf func(v int) *localrand.Tape) 
 // block loop (laneLedger.runBlocks) under the current slab layout, one
 // unsharded round loop per block.
 func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	if err := checkStepping(wa); err != nil {
+	if err := bt.layoutWire(wa); err != nil {
 		return nil, err
 	}
-	bt.layoutWire(wa)
 	n := bt.plan.g.N()
 	return bt.led.runBlocks(n, bt.block, all, k, draws,
 		func(src laneSrc, k int, draws []localrand.Draw, out *outCols) error {
@@ -443,18 +442,25 @@ func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localran
 //	unbounded   1.60 (1.56–1.67) s      359 MB
 //
 // Six alternating 30 s pairs at seed 5 then put 1 MB and 4 MB level on
-// time (medians 1.31 and 1.34 s) with 4 MB about 10 MB heavier
-// (119–124 against 131–136 MB). 1 MB is the smallest budget that
-// reaches the larger budgets' speed; the unbounded block pays for a
-// 38400-node ring's 32 lanes of slab at once.
+// time (1.31 and 1.34 s) with 4 MB about 10 MB heavier. 1 MB is the
+// smallest budget that reaches the larger budgets' speed. One-word
+// kernel rows kept the bytes per slot-lane; re-measured with them (seed
+// 1, two 10 s runs each, wall_s 0.52–0.61 s for all), peak RSS was
+// 26.9–27.5 MB at 1 MB, 35.5–36.0 MB at 4 MB and 89.6–89.9 MB at 16 MB.
 const msgSlabBudget = 1 << 20
 
-// layoutWire computes the wire slab layout of one algorithm over the
-// plan's topology: per-slot word capacities (MsgWords of the sender's
-// degree), their prefix offsets, and the lane count of one message pass
-// under msgSlabBudget. Slices are reused across runs; recomputing is
-// O(slots) and allocation-free once grown.
-func (bt *Batch) layoutWire(wa WireAlgorithm) {
+// layoutWire refuses what the engine cannot step — an algorithm stepping
+// both ways or neither (checkStepping), or a VecAlgorithm whose MsgWords
+// is not 1 at some slot of the layout (vec.go) — and computes the wire
+// slab layout of one algorithm over the plan's topology: per-slot word
+// capacities (MsgWords of the sender's degree), their prefix offsets,
+// and the lane count of one message pass under msgSlabBudget. Slices are
+// reused across runs; recomputing is O(slots) and allocation-free once
+// grown.
+func (bt *Batch) layoutWire(wa WireAlgorithm) error {
+	if err := checkStepping(wa); err != nil {
+		return err
+	}
 	topo := bt.plan.topo
 	vlo, vhi := 0, topo.NumNodes()
 	slots := bt.localSlots()
@@ -507,6 +513,10 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) {
 	}
 	block = min(block, bt.width, maxBlock)
 	bt.block = block
+	if _, ok := wa.(VecAlgorithm); ok && slices.ContainsFunc(bt.capW, func(w int32) bool { return w != 1 }) {
+		return fmt.Errorf("local: %s is a VecAlgorithm whose MsgWords is not 1; range kernels send one-word messages", wa.Name())
+	}
+	return nil
 }
 
 // maxBlock caps the lanes of one message pass at one uint64 lane mask
@@ -521,7 +531,7 @@ const maxBlock = 64
 // a run would. The sharded compaction gate compares per-shard windows
 // against the full batch through it.
 func (bt *Batch) SlabBytesFor(algo WireAlgorithm) int {
-	bt.layoutWire(algo)
+	_ = bt.layoutWire(algo) // a refused kernel's layout is complete too
 	return bt.slabBytes()
 }
 
@@ -535,7 +545,7 @@ func (bt *Batch) slabBytes() int {
 // many lanes of a wide vector share one round loop before the slab
 // budget forces a new pass.
 func (bt *Batch) msgLanesFor(algo WireAlgorithm) int {
-	bt.layoutWire(algo)
+	_ = bt.layoutWire(algo) // as SlabBytesFor
 	return bt.block
 }
 

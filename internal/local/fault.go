@@ -255,6 +255,7 @@ func (bt *Batch) faultPass(w int, r *VecRange) {
 	}
 	crashNow := f.CrashP > 0 && round >= crashFrom &&
 		(f.CrashUntil == 0 || round < f.CrashUntil)
+	crashThr, dropThr, delayThr := localrand.Threshold(f.CrashP), localrand.Threshold(f.Drop), localrand.Threshold(f.Delay)
 	// roundPass has credited last pass's stage counts into msgRow and
 	// cleared finRow; fault accounting is receiver-side (suppression makes
 	// staged ≠ delivered), so the delivered row is recounted here, and the
@@ -271,10 +272,14 @@ func (bt *Batch) faultPass(w int, r *VecRange) {
 	for v := r.Lo; v < r.Hi; v++ {
 		lo, hi := topo.Slots(v) // global coordinates, every shape
 		rev := bt.revTab[lo-base : hi-base]
-		// Crash draws, once per lane. The round coordinate is pinned to 0
-		// so one (node, lane) pair crashes in every round of its window.
+		// Crash draws, once per lane off the node's row (round pinned to
+		// 0: a (node, lane) pair crashes in every round of its window).
+		var crow localrand.FaultRow
+		if crashNow {
+			crow = ftape.Row(faultCrash, 0, uint64(v))
+		}
 		for b := 0; b < k; b++ {
-			down[b] = crashNow && alive[b] && ftape.Bernoulli(f.CrashP, faultCrash, 0, uint64(v), fids[b])
+			down[b] = crashNow && alive[b] && crow.Hit(crashThr, fids[b])
 		}
 		clear(del)
 		// The suppression walk, slot-major: each receive slot's k lanes
@@ -286,6 +291,13 @@ func (bt *Batch) faultPass(w int, r *VecRange) {
 			// slot: lo+pi is v's port pi in every execution shape.
 			gs := uint64(lo + pi)
 			severed := sev != nil && round >= int(sev[lo+pi])
+			var drop, delay localrand.FaultRow // the slot's rows: one step per lane on
+			if f.Drop > 0 {
+				drop = ftape.Row(faultDrop, uint64(round), gs)
+			}
+			if heldLens != nil {
+				delay = ftape.Row(faultDelay, uint64(round), gs)
+			}
 			for b := 0; b < k; b++ {
 				if !alive[b] || down[b] {
 					continue
@@ -310,11 +322,11 @@ func (bt *Batch) faultPass(w int, r *VecRange) {
 					curLens[li] = 0
 					continue
 				}
-				if f.Drop > 0 && ftape.Bernoulli(f.Drop, faultDrop, uint64(round), gs, fids[b]) {
+				if f.Drop > 0 && drop.Hit(dropThr, fids[b]) {
 					curLens[li] = 0
 					continue
 				}
-				if heldLens != nil && ftape.Bernoulli(f.Delay, faultDelay, uint64(round), gs, fids[b]) {
+				if heldLens != nil && delay.Hit(delayThr, fids[b]) {
 					hl := curLens[li]
 					heldLens[li] = hl
 					if nw := int(hl) - 1; nw > 0 {

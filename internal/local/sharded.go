@@ -546,13 +546,14 @@ func (s *Sharded) buildLinks() {
 // tapes of its own node window, so the orchestrator never materializes
 // tapes.
 func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	if err := checkStepping(wa); err != nil {
+	block, err := s.layoutShards(wa)
+	if err != nil {
 		return nil, err
 	}
 	if !s.carries(wa) {
 		return nil, fmt.Errorf("local: %s cannot cross to the shard workers", wa.Name())
 	}
-	s.run = shardRun{block: s.layoutShards(wa), wa: wa}
+	s.run = shardRun{block: block, wa: wa}
 	s.abort = make(chan struct{})
 	s.reports = make(chan shardReport, len(s.shards))
 	if s.remote != nil {
@@ -570,16 +571,19 @@ func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localra
 
 // layoutShards computes every shard's wire layout for wa and returns the
 // minimum of their lane blocks, which every shard's begin imposes: lanes
-// are independent, so any agreed split is byte-identical.
-func (s *Sharded) layoutShards(wa WireAlgorithm) int {
+// are independent, so any agreed split is byte-identical. A kernel a
+// shard's layout refuses is refused here, before any job ships.
+func (s *Sharded) layoutShards(wa WireAlgorithm) (int, error) {
 	block := 0
 	for _, sh := range s.shards {
-		sh.bt.layoutWire(wa)
+		if err := sh.bt.layoutWire(wa); err != nil {
+			return 0, err
+		}
 		if block == 0 || sh.bt.block < block {
 			block = sh.bt.block
 		}
 	}
-	return block
+	return block, nil
 }
 
 // runVec runs one lane block of k lanes across the shards, one driver
@@ -805,7 +809,9 @@ func (sh *shardExec) begin(run *shardRun) {
 	if sh.err = bt.lanes(k); sh.err != nil {
 		return
 	}
-	bt.layoutWire(run.wa)
+	if sh.err = bt.layoutWire(run.wa); sh.err != nil {
+		return
+	}
 	if run.block > bt.block || run.block < k {
 		sh.err = fmt.Errorf("local: run block %d outside [%d, %d]", run.block, k, bt.block)
 		return

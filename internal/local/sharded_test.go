@@ -181,8 +181,8 @@ func TestShardedBlockSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lanes := sh.layoutShards(algo); lanes >= 8 {
-		t.Fatalf("fixture too small: shard block %d does not split 8 lanes", lanes)
+	if lanes, err := sh.layoutShards(algo); err != nil || lanes >= 8 {
+		t.Fatalf("fixture too small: shard block %d (%v) does not split 8 lanes", lanes, err)
 	}
 	space := localrand.NewTapeSpace(97)
 	draws := drawRange(space, 0, 8)

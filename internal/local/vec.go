@@ -13,8 +13,13 @@ import (
 // is a stateless kernel on the algorithm value: the engine hands each
 // worker's node range to StartVec/StepVec once per pass through a
 // VecRange, whose concrete, inlinable methods resolve the port→slot
-// indirection, the lens lookup and the base-offset arithmetic once per
-// (node, port) and hand the kernel whole lane rows.
+// indirection and the base-offset arithmetic once per (node, port) and
+// hand the kernel whole lane rows.
+//
+// Range kernels send one-word messages: a run refuses a VecAlgorithm
+// whose MsgWords is not 1 when it lays its slabs out (layoutWire), so
+// slot s's k-lane lens row and word row both start at s·B, and Recv and
+// BroadcastRow need no per-slot capacity or offset lookup.
 //
 // Every algorithm steps one way, whatever the lane count — a width-1
 // batch, a one-lane slab block and a ragged one-lane tail included:
@@ -41,7 +46,9 @@ import (
 // VecAlgorithm is a WireAlgorithm stepped by its own kernel: a
 // stateless kernel that steps one worker's node range of every lane per
 // call, on every pass of every execution shape. An algorithm is a
-// VecAlgorithm or a ProcessAlgorithm, never both.
+// VecAlgorithm or a ProcessAlgorithm, never both. Its messages are one
+// word: MsgWords must return 1 for every degree, and a run refuses a
+// kernel that reports anything else with an error.
 type VecAlgorithm interface {
 	WireAlgorithm
 	// VecWords is the number of state words the kernel keeps per (node,
@@ -78,7 +85,6 @@ type VecRange struct {
 	word        []uint64
 	slens       []int32 // send slabs (cur at start, next afterwards)
 	sword       []uint64
-	offW, capW  []int32
 	state       []uint64
 	done        []uint64 // per-node finished lanes
 	down        []uint64 // per-node crashed lanes (fault pass), else nil
@@ -113,14 +119,13 @@ func (r *VecRange) State(v, j int) []uint64 {
 }
 
 // Recv returns port p's arrivals at node v: the k-entry lens row in the
-// slab's raw encoding (0 = no message, n+1 = an n-word payload) and the
-// word block, where lane b's payload starts at words[b*stride] (stride
-// is the sender's MsgWords). Read-only.
-func (r *VecRange) Recv(v, p int) (lens []int32, words []uint64, stride int) {
-	s := int(r.rev[int(r.off[v])-r.base+p])
-	stride = int(r.capW[s])
-	lo, w := s*r.B, int(r.offW[s])*r.B
-	return r.lens[lo : lo+r.k : lo+r.k], r.word[w : w+stride*r.k], stride
+// slab's raw encoding (0 = no message, n+1 = an n-word payload; a
+// kernel's slots hold at most one word) and the k-entry word row, lane
+// b's word at words[b]. Read-only.
+func (r *VecRange) Recv(v, p int) (lens []int32, words []uint64) {
+	lo := int(r.rev[int(r.off[v])-r.base+p]) * r.B
+	hi := lo + r.k
+	return r.lens[lo:hi:hi], r.word[lo:hi:hi]
 }
 
 // Tape returns the private random tape of node v in lane b, or nil for a
@@ -145,65 +150,32 @@ func (r *VecRange) Finish(v int, mask uint64) {
 	}
 }
 
-// stageCount credits the lanes in mask that stage afresh on node v and
-// returns the node's local send-slot range. BroadcastRow stages every
-// port alike, so all of a node's ports share one staged lane set and
-// port 0's lens row alone decides which lanes are fresh: each counts
-// Degree(v) messages, the sender-side accounting of the Outbox.
-func (r *VecRange) stageCount(v int, mask uint64) (lo, hi int) {
-	lo, hi = int(r.off[v])-r.base, int(r.off[v+1])-r.base
-	if lo == hi {
-		return lo, hi
-	}
-	deg := int64(hi - lo)
-	for b, l := range r.slens[lo*r.B : lo*r.B+r.k] {
-		if mask>>b&1 != 0 && l == 0 {
-			r.stage[b] += deg
-		}
-	}
-	return lo, hi
-}
-
 // BroadcastRow stages the one-word message words[b] on every port of
 // node v for the lanes b in mask, replacing anything staged there this
-// round (the lane-vectorized Broadcast). It panics when the algorithm's
-// MsgWords bound cannot hold one word.
+// round (the lane-vectorized Broadcast). Every port is staged alike, so
+// the first port's rows are staged lane by lane and copied to the
+// others, and its lens row alone decides which lanes stage afresh: each
+// counts Degree(v) messages, the Outbox's sender-side accounting.
 func (r *VecRange) BroadcastRow(v int, words []uint64, mask uint64) {
-	lo, hi := r.stageCount(v, mask)
-	k, B := r.k, r.B
-	ws := words[:k]
-	for s := lo; s < hi; s++ {
-		stride := int(r.capW[s])
-		if stride < 1 {
-			panic("local: wire message exceeds the algorithm's MsgWords bound")
-		}
-		row := r.slens[s*B : s*B+k]
-		base := int(r.offW[s]) * B
-		if stride == 1 {
-			// One-word slots (MsgWords == 1 algorithms): the lane's word
-			// sits at base+b, a row copy with no stride multiply, guarded
-			// only when some lane sits out.
-			dst := r.sword[base : base+k]
-			if mask == r.lanes {
-				for b := range dst {
-					dst[b] = ws[b]
-					row[b] = 2
-				}
-				continue
+	lo, hi := int(r.off[v])-r.base, int(r.off[v+1])-r.base
+	if lo == hi {
+		return
+	}
+	row := r.slens[lo*r.B : lo*r.B+r.k]
+	dst, ws, stage := r.sword[lo*r.B:][:len(row)], words[:len(row)], r.stage[:len(row)]
+	deg := int64(hi - lo)
+	for b, l := range row {
+		if mask>>(b&63)&1 != 0 {
+			if l == 0 {
+				stage[b] += deg
 			}
-			for b := range dst {
-				if mask>>b&1 != 0 {
-					dst[b] = ws[b]
-					row[b] = 2
-				}
-			}
-			continue
+			dst[b], row[b] = ws[b], 2
 		}
+	}
+	for s := lo + 1; s < hi; s++ {
+		srow, sdst := r.slens[s*r.B:][:len(row)], r.sword[s*r.B:][:len(row)]
 		for b := range row {
-			if mask>>b&1 != 0 {
-				r.sword[base+stride*b] = ws[b]
-				row[b] = 2
-			}
+			srow[b], sdst[b] = row[b], dst[b]
 		}
 	}
 }
@@ -224,7 +196,6 @@ func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecR
 		lanes: ^uint64(0) >> (64 - bt.rk),
 		off:   bt.plan.topo.Offsets, base: bt.slotBase, rev: bt.revTab,
 		lens: bt.curLens, word: bt.curWords, slens: slens, sword: sword,
-		offW: bt.offW, capW: bt.capW,
 		state: bt.vstate, done: bt.vdone,
 		stage: bt.wkStage[w], fin: bt.wkFin[w],
 		src: &bt.rsrc,

@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -15,22 +16,21 @@ import (
 // process twin vecMixRef. Each round a node folds every port's payload
 // into its state (missing messages perturb it, so drop faults change the
 // bytes), draws one tape word (so tape cursors advance identically on
-// both), and broadcasts one word into two-word slots, so the kernel's
-// strided word blocks are exercised; lanes finish at the round bound or
-// early when the folded state hits a sentinel residue, so the lane
-// vector diverges mid-run and the done-mask skipping of the kernel is
-// exercised on every graph.
+// both), and broadcasts one word, the range kernels' message width;
+// lanes finish at the round bound or early when the folded state hits a
+// sentinel residue, so the lane vector diverges mid-run and the
+// done-mask skipping of the kernel is exercised on every graph.
 type vecMix struct{ rounds int }
 
 func (a vecMix) Name() string     { return fmt.Sprintf("vec-mix(%d)", a.rounds) }
-func (a vecMix) MsgWords(int) int { return 2 }
+func (a vecMix) MsgWords(int) int { return 1 }
 
 // vecMixRef is vecMix as a ProcessAlgorithm: the per-(node, lane)
 // reference the kernel is compared against.
 type vecMixRef struct{ rounds int }
 
 func (a vecMixRef) Name() string                { return fmt.Sprintf("vec-mix-ref(%d)", a.rounds) }
-func (a vecMixRef) MsgWords(int) int            { return 2 }
+func (a vecMixRef) MsgWords(int) int            { return 1 }
 func (a vecMixRef) NewWireProcess() WireProcess { return &vecMixProc{rounds: a.rounds} }
 
 // vecMixProc is the process of vecMixRef.
@@ -102,7 +102,7 @@ func (a vecMix) StepVec(r *VecRange, round int) {
 		}
 		st := r.State(v, 0)
 		for p := 0; p < r.Degree(v); p++ {
-			lens, words, stride := r.Recv(v, p)
+			lens, words := r.Recv(v, p)
 			for b, l := range lens {
 				if act>>b&1 == 0 {
 					continue
@@ -112,7 +112,7 @@ func (a vecMix) StepVec(r *VecRange, round int) {
 					continue
 				}
 				n := int(l) - 1
-				for _, w := range words[b*stride : b*stride+n] {
+				for _, w := range words[b : b+n] {
 					st[b] ^= w + uint64(n)
 				}
 			}
@@ -281,7 +281,7 @@ func init() {
 // TestVecDispatchPerPass pins the one stepping path per algorithm: a
 // kernel algorithm steps every pass through its kernel — a width-1
 // batch, a one-lane run on a wide batch, and the one-lane tail of the
-// C_6000 vector the slab budget splits 2 + 2 + 1, on the batch and on an
+// C_9000 vector the slab budget splits 2 + 2 + 1, on the batch and on an
 // uneven sharding whose common block is the big shard's — with every
 // lane equal to the process reference; a process algorithm steps only
 // through its processes; and an algorithm stepping both ways or neither
@@ -347,14 +347,14 @@ func TestVecDispatchPerPass(t *testing.T) {
 		}, k, k == 1, ref)
 	}
 
-	// C_6000 under 2-word messages: the 1 MB budget fits 2 lanes per
-	// pass, so 5 lanes run as 2 + 2 + 1.
-	big := mustInstance(t, graph.Cycle(6000))
+	// C_9000 under one-word messages: the 1 MB budget fits 2 lanes per
+	// pass (48 bytes per node and lane), so 5 lanes run as 2 + 2 + 1.
+	big := mustInstance(t, graph.Cycle(9000))
 	plan = MustPlan(big.G)
 	if lanes := plan.NewBatch(5).msgLanesFor(vecMix{rounds: 4}); lanes != 2 {
 		t.Fatalf("fixture: block %d, want 2", lanes)
 	}
-	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 5000, 6000}})
+	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 7500, 9000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +366,10 @@ func TestVecDispatchPerPass(t *testing.T) {
 		t.Fatalf("fixture: shard blocks %v, want the big shard at 2 and the small one above", blocks)
 	}
 	ref = refs(big)
-	check(t, "batch C_6000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+	check(t, "batch C_9000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 		return plan.NewBatch(5).Run(big, a, d, RunOptions{})
 	}, 5, true, ref)
-	check(t, "sharded C_6000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+	check(t, "sharded C_9000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 		return sh.Run(big, a, d, RunOptions{})
 	}, 5, true, ref)
 	if sh.run.block != 2 {
@@ -382,5 +382,78 @@ func TestVecDispatchPerPass(t *testing.T) {
 		if _, err := remoteAlgoFor(key, nil); err == nil {
 			t.Errorf("shard-worker registry built %s", key)
 		}
+	}
+}
+
+// wideMix is vecMix claiming two-word messages: a kernel the one-word
+// row contract does not cover.
+type wideMix struct{ vecMix }
+
+func (wideMix) MsgWords(int) int                { return 2 }
+func (a wideMix) RemoteSpec() (string, []int64) { return "test-wide-mix", []int64{int64(a.rounds)} }
+
+func init() {
+	RegisterRemoteAlgorithm("test-wide-mix", func(params []int64) (WireAlgorithm, error) {
+		return wideMix{vecMix{rounds: int(params[0])}}, nil
+	})
+}
+
+// TestVecOneWordRefused pins the one-word kernel contract: a
+// VecAlgorithm whose MsgWords is not 1 is refused with an error when a
+// run starts — by a batch at widths 1 and 3, by sharded executors over
+// channel, loopback-TCP and worker-pool links, and by the command
+// handler of a shard worker that built it from the registry.
+func TestVecOneWordRefused(t *testing.T) {
+	g := graph.Cycle(48)
+	in := mustInstance(t, g)
+	plan := MustPlan(g)
+	draws := drawRange(localrand.NewTapeSpace(73), 0, 3)
+	algo := wideMix{vecMix{rounds: 3}}
+	refused := func(label string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "one-word") {
+			t.Errorf("%s: error %v, want a one-word refusal", label, err)
+		}
+	}
+	bt := plan.NewBatch(3)
+	for _, k := range []int{1, 3} {
+		_, err := plan.NewBatch(k).Run(in, algo, draws[:k], RunOptions{})
+		refused(fmt.Sprintf("batch width %d", k), err)
+	}
+	sh, err := plan.NewSharded(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sh.Run(in, algo, draws, RunOptions{})
+	refused("chan shards", err)
+	tcp := sh.UseTCPLoopback()
+	defer tcp.Close()
+	_, err = sh.Run(in, algo, draws, RunOptions{})
+	refused("tcp-loopback shards", err)
+	rsh, err := plan.NewShardedRemote(3, startWorkerPool(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsh.Close()
+	_, err = rsh.Run(in, algo, draws, RunOptions{})
+	refused("worker-pool shards", err)
+
+	// A shard worker builds a job's algorithm from the registry; its
+	// command handler refuses the kernel when the run begins.
+	wa, err := remoteAlgoFor("test-wide-mix", []int64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := graph.Partition{Bounds: []int32{0, 24, 48}}
+	she := plan.newShardExec(3, part, plan.topo.CutSlots(part), 0)
+	she.begin(&shardRun{k: 3, block: 3, wa: wa})
+	refused("shard-worker handler", she.err)
+
+	// A refusal leaves the batch usable for a one-word kernel.
+	if _, err := bt.Run(in, algo, draws, RunOptions{}); err == nil {
+		t.Fatal("batch width 3 ran the two-word kernel")
+	}
+	if _, err := bt.Run(in, vecMix{rounds: 3}, draws, RunOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }

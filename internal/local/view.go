@@ -73,7 +73,8 @@
 // code for lane b sits at lens[s*B+b] (0 = no message, n+1 = n payload
 // words) and its payload words at words[offW[s]*B + capW[s]*b ...],
 // where capW[s] is the slot's fixed word capacity and offW is its
-// prefix sum. A slot belongs to its SENDER: a node's Outbox writes its
+// prefix sum (s itself for a range kernel's one-word slots, vec.go). A
+// slot belongs to its SENDER: a node's Outbox writes its
 // own contiguous slot window [lo, hi), and receivers read through the
 // plan's reverse-slot table. That ownership is what makes the round
 // kernel slot-major: a worker's node range owns one consecutive slot
@@ -110,8 +111,8 @@
 // refused at run start, by the batch, the sharded executor and the
 // shard-worker registry alike:
 //
-//   - a VecAlgorithm is its own stateless kernel on the algorithm value
-//     (retry coloring and Cole–Vishkin);
+//   - a VecAlgorithm is its own one-word-message stateless kernel on
+//     the algorithm value (retry coloring and Cole–Vishkin);
 //   - a ProcessAlgorithm's per-(node, lane) WireProcess table is stepped
 //     by procKernel (procs.go), the engine's kernel over the processes
 //     (Luby's MIS, matching, Moser–Tardos, greedy MIS, Linial).
@@ -120,7 +121,7 @@
 // one-lane slab block and a ragged one-lane tail step the same kernel
 // as a 64-lane block. The kernel sees the pass through a VecRange — a
 // concrete, inlinable view of the slabs: Active(v) is node v's lane mask
-// to step, Recv(v, p) hands port p's contiguous lens row and word block,
+// to step, Recv(v, p) hands port p's contiguous lens row and word row,
 // BroadcastRow stages a whole lane row, Finish(v, mask) fixes lanes'
 // outputs, and State(v, j) and Tape(v, b) reach the state slab and the
 // tape slab — so the port→slot lookup, base-offset arithmetic, stage and

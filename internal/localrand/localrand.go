@@ -69,13 +69,21 @@ func (s *Source) Intn(n int) int {
 	// Rejection sampling to avoid modulo bias; the loop terminates quickly
 	// because the acceptance probability is at least 1/2.
 	bound := uint64(n)
-	limit := math.MaxUint64 - math.MaxUint64%bound
 	for {
 		v := s.Uint64()
-		if v < limit {
+		if intnAccept(v, bound) {
 			return int(v % bound)
 		}
 	}
+}
+
+// intnAccept is Intn's rejection rule: accept v iff v < MaxUint64 −
+// MaxUint64 % bound, the largest multiple of bound the draw space holds.
+// MaxUint64 % bound < bound, so every v ≤ MaxUint64 − bound is accepted
+// without the division; only the top bound values of the draw space pay
+// for it.
+func intnAccept(v, bound uint64) bool {
+	return v <= math.MaxUint64-bound || v < math.MaxUint64-math.MaxUint64%bound
 }
 
 // Bool returns a fair pseudo-random bit.
@@ -175,23 +183,46 @@ func NewFaultTape(seed uint64) FaultTape {
 	return FaultTape{seed: mix64(seed ^ 0x7f4a_7c15_9e37_79b9)}
 }
 
-// Word returns the pseudo-random word at coordinates (channel, a, b, c):
-// a chained SplitMix64 walk, so permuting or offsetting coordinates
-// yields independent words (no xor-style commutative collisions).
-func (t FaultTape) Word(channel, a, b, c uint64) uint64 {
+// Row returns the prefix at (channel, a, b) of the tape's word at
+// coordinates (channel, a, b, c): a chained SplitMix64 walk, so
+// permuting or offsetting coordinates yields independent words (no
+// xor-style commutative collisions). The prefix is the three steps every
+// last coordinate c shares; a fault pass computes it once per (round,
+// slot) or per node and then pays one step per lane.
+func (t FaultTape) Row(channel, a, b uint64) FaultRow {
 	h := mix64(t.seed + splitmixGamma*(channel+1))
 	h = mix64(h + splitmixGamma*(a+1))
-	h = mix64(h + splitmixGamma*(b+1))
-	return mix64(h + splitmixGamma*(c+1))
+	return FaultRow(mix64(h + splitmixGamma*(b+1)))
 }
 
-// Bernoulli reports a probability-p event at the given coordinates,
-// using the same uniform mapping as Source.Float64.
-func (t FaultTape) Bernoulli(p float64, channel, a, b, c uint64) bool {
-	if p <= 0 {
-		return false
+// FaultRow is a fault-tape walk's prefix up to its last coordinate.
+type FaultRow uint64
+
+// Word returns the tape's word at the row's coordinates with last
+// coordinate c.
+func (r FaultRow) Word(c uint64) uint64 {
+	return mix64(uint64(r) + splitmixGamma*(c+1))
+}
+
+// Hit reports the event of probability p at last coordinate c, given
+// thr = Threshold(p): the word's top 53 bits, the uniform variate of
+// Source.Float64, compared as an integer.
+func (r FaultRow) Hit(thr, c uint64) bool {
+	return r.Word(c)>>11 < thr
+}
+
+// Threshold returns ⌈p·2⁵³⌉, clamped to [0, 2⁵³]: for every 53-bit x,
+// x < Threshold(p) exactly when x/2⁵³ < p, since x is an integer and
+// p·2⁵³ is exact in float64. A p that is not positive (NaN included)
+// gives 0, an event that never happens.
+func Threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
 	}
-	return float64(t.Word(channel, a, b, c)>>11)/(1<<53) < p
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Derive returns a sub-draw labeled by the given tag, for algorithms that

@@ -236,3 +236,91 @@ func TestDrawSeedRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestIntnAcceptMatchesLimit pins Intn's rejection rule: the division-free
+// fast accept plus its fallback decides exactly v < MaxUint64 −
+// MaxUint64%bound, on the bottom and top 4096 draws and on random ones,
+// for bounds 1…1000, 2⁶³±1 and MaxUint64.
+func TestIntnAcceptMatchesLimit(t *testing.T) {
+	bounds := []uint64{1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for b := uint64(1); b <= 1000; b++ {
+		bounds = append(bounds, b)
+	}
+	rnd := NewSource(99)
+	for _, bound := range bounds {
+		limit := uint64(math.MaxUint64) - math.MaxUint64%bound
+		check := func(v uint64) {
+			if got, want := intnAccept(v, bound), v < limit; got != want {
+				t.Fatalf("bound %d draw %d: accept %v, want %v", bound, v, got, want)
+			}
+		}
+		for i := uint64(0); i < 4096; i++ {
+			check(i)
+			check(math.MaxUint64 - i)
+		}
+		for i := 0; i < 256; i++ {
+			check(rnd.Uint64())
+		}
+	}
+}
+
+// TestFaultRowMatchesWord pins the hoisted prefix: a row's word at c is
+// the full four-step walk over (channel, a, b, c).
+func TestFaultRowMatchesWord(t *testing.T) {
+	ft := NewFaultTape(23)
+	for ch := uint64(0); ch < 3; ch++ {
+		for a := uint64(0); a < 4; a++ {
+			for b := uint64(0); b < 4; b++ {
+				row := ft.Row(ch, a, b)
+				for _, c := range []uint64{0, 1, 5, 1 << 40, math.MaxUint64} {
+					h := mix64(ft.seed + splitmixGamma*(ch+1))
+					h = mix64(h + splitmixGamma*(a+1))
+					h = mix64(h + splitmixGamma*(b+1))
+					want := mix64(h + splitmixGamma*(c+1))
+					if got := row.Word(c); got != want {
+						t.Fatalf("(%d,%d,%d,%d): row word %x, want %x", ch, a, b, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestThresholdMatchesFloatCompare pins the integer Bernoulli: for a
+// 53-bit x, x < Threshold(p) decides exactly as the float compare
+// x/2⁵³ < p (the p ≤ 0 guard included) — at the edges of x's range,
+// next to p·2⁵³ itself, and on random pairs, for p across every scale.
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	float := func(p float64, x uint64) bool { return p > 0 && float64(x)/(1<<53) < p }
+	ps := []float64{
+		math.NaN(), math.Inf(-1), -1, 0, math.SmallestNonzeroFloat64, 1e-300, 1e-17,
+		1.0 / (1 << 53), 3.0 / (1 << 54), 1e-9, 0.01, 0.05, 0.1, 0.15, 1.0 / 3, 0.5,
+		math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 2, math.Inf(1),
+	}
+	rnd := NewSource(7)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, rnd.Float64(), math.Ldexp(rnd.Float64(), -int(rnd.Intn(60))))
+	}
+	const top = 1<<53 - 1
+	for _, p := range ps {
+		thr := Threshold(p)
+		xs := []uint64{0, 1, 2, top - 1, top}
+		if p > 0 && p < 1 {
+			mid := uint64(p * (1 << 53))
+			for d := uint64(0); d < 3; d++ {
+				xs = append(xs, mid+d, mid-d)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			xs = append(xs, rnd.Uint64()>>11)
+		}
+		for _, x := range xs {
+			if x > top {
+				continue
+			}
+			if got, want := x < thr, float(p, x); got != want {
+				t.Fatalf("p %v x %d: integer compare %v, float compare %v", p, x, got, want)
+			}
+		}
+	}
+}
