@@ -169,9 +169,16 @@ func (cv ColeVishkin) StepVec(r *local.VecRange, round int) {
 	}
 }
 
-// OutputVec implements local.VecAlgorithm.
-func (cv ColeVishkin) OutputVec(r *local.VecRange, v, b int) []byte {
-	return lang.EncodeColor(int(r.State(v, 0)[b]))
+// OutputVec implements local.VecAlgorithm: each lane's color, one byte.
+func (cv ColeVishkin) OutputVec(r *local.VecRange) bool {
+	for v := r.Lo; v < r.Hi; v++ {
+		for b, c := range r.State(v, 0) {
+			if !r.Output(v, b, lang.EncodeColor(int(c))) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // smallestFree returns the smallest color in {0,1,2} differing from both

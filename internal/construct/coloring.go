@@ -147,7 +147,14 @@ func (a retryAlgo) StepVec(r *local.VecRange, round int) {
 	}
 }
 
-// OutputVec implements local.VecAlgorithm.
-func (a retryAlgo) OutputVec(r *local.VecRange, v, b int) []byte {
-	return lang.EncodeColor(int(r.State(v, 0)[b]))
+// OutputVec implements local.VecAlgorithm: each lane's color, one byte.
+func (a retryAlgo) OutputVec(r *local.VecRange) bool {
+	for v := r.Lo; v < r.Hi; v++ {
+		for b, c := range r.State(v, 0) {
+			if !r.Output(v, b, lang.EncodeColor(int(c))) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -11,6 +11,8 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"rlnc/internal/graph"
 	"rlnc/internal/ids"
@@ -56,10 +58,38 @@ var (
 	ErrPromise = errors.New("lang: configuration violates the promise")
 )
 
-// EmptyInputs returns an all-empty input assignment for n nodes.
+// EmptyInputs returns an all-empty input assignment for n nodes. It is a
+// cap-limited window of one shared slab of nil entries, so it allocates
+// nothing once the slab covers n: the assignment is read-only — a caller
+// must never write an entry — while appending to it copies, as its
+// capacity is n.
 func EmptyInputs(n int) [][]byte {
-	return make([][]byte, n)
+	if s := emptyInputs.Load(); s != nil && len(*s) >= n {
+		return (*s)[:n:n]
+	}
+	emptyMu.Lock()
+	defer emptyMu.Unlock()
+	s := emptyInputs.Load()
+	if s == nil || len(*s) < n {
+		// Grow at least twofold, so a sweep of rising sizes reallocates
+		// O(log n) times. The old slab stays valid for its windows.
+		size := n
+		if s != nil {
+			size = max(n, 2*len(*s))
+		}
+		grown := make([][]byte, size)
+		s = &grown
+		emptyInputs.Store(s)
+	}
+	return (*s)[:n:n]
 }
+
+// emptyInputs is EmptyInputs' shared slab, replaced under emptyMu when a
+// caller needs more entries than it holds.
+var (
+	emptyInputs atomic.Pointer[[][]byte]
+	emptyMu     sync.Mutex
+)
 
 // NewInstance validates and assembles a construction instance.
 func NewInstance(g *graph.Graph, x [][]byte, id ids.Assignment) (*Instance, error) {

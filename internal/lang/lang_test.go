@@ -307,3 +307,35 @@ func TestLabeledBallAroundIndexing(t *testing.T) {
 		t.Errorf("ball size = %d, want 3", b.Ball.Size())
 	}
 }
+
+// TestEmptyInputsShared pins EmptyInputs' shared slab: concurrent
+// callers of rising sizes each get n nil entries with capacity n, so an
+// append copies instead of writing into the slab other callers read.
+func TestEmptyInputsShared(t *testing.T) {
+	sizes := []int{0, 1, 7, 100, 5000, 3, 20000}
+	done := make(chan [][]byte, len(sizes))
+	for _, n := range sizes {
+		go func() { done <- EmptyInputs(n) }()
+	}
+	for range sizes {
+		x := <-done
+		if cap(x) != len(x) {
+			t.Fatalf("EmptyInputs(%d) has capacity %d", len(x), cap(x))
+		}
+		for v, e := range x {
+			if e != nil {
+				t.Fatalf("EmptyInputs(%d)[%d] = %q, want nil", len(x), v, e)
+			}
+		}
+	}
+	x := append(EmptyInputs(4), []byte{1})
+	if y := EmptyInputs(5); y[4] != nil {
+		t.Fatalf("append to EmptyInputs(4) wrote %q into the shared slab", y[4])
+	}
+	if len(x) != 5 || x[4][0] != 1 {
+		t.Fatalf("appended assignment %q", x)
+	}
+	if got := testing.AllocsPerRun(10, func() { _ = EmptyInputs(20000) }); got != 0 {
+		t.Errorf("EmptyInputs of a covered size allocates %.1f/op, want 0", got)
+	}
+}

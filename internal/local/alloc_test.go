@@ -207,8 +207,15 @@ func TestSteadyStateAllocFloors(t *testing.T) {
 type staticVecMix struct{ vecMix }
 
 func (a staticVecMix) Name() string { return fmt.Sprintf("static-vec-mix(%d)", a.rounds) }
-func (a staticVecMix) OutputVec(r *VecRange, v, b int) []byte {
-	return staticOutTable[r.State(v, 0)[b]&15]
+func (a staticVecMix) OutputVec(r *VecRange) bool {
+	for v := r.Lo; v < r.Hi; v++ {
+		for b, s := range r.State(v, 0) {
+			if !r.Output(v, b, staticOutTable[s&15]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestVecAllocFloors pins the absolute allocation contract of the

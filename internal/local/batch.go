@@ -44,16 +44,23 @@ type Batch struct {
 	// its wire slabs cover only the shard's own slot range plus the
 	// remote halo it reads (graph.ShardSlots), indexed by the window's
 	// local slot coordinates — global slot s of the own range lives at
-	// local s−slotBase, halo slots after the own range. slotBase and
-	// revTab are the coordinate shift the passes apply: for a full batch
-	// slotBase is 0 and revTab is the topology's global RevSlot table, so
-	// the unsharded round loop pays a constant subtract-zero and nothing
+	// local s−slotBase, halo slots after the own range. slotBase is the
+	// coordinate shift the passes apply: 0 for a full batch, so the
+	// unsharded round loop pays a constant subtract-zero and nothing
 	// else. Windowed batches must only ever be driven over the window's
 	// node range (the sharded orchestrator does); procs and the lane
 	// masks stay globally node-indexed so collection code is shared.
 	win      *graph.ShardSlots
 	slotBase int
-	revTab   []int32
+	// sendOff and revTab are the run's slot layout (layoutWire, vec.go):
+	// node v stages into local slots [sendOff[v], sendOff[v+1]) and its
+	// port p reads local slot revTab[Offsets[v]-slotBase+p]. Edge slots
+	// take the topology offsets and RevSlot (a window's Rev on a shard);
+	// node slots, the identity 0…n and Nbrs. slots is the local slot
+	// count the slabs are sized by.
+	sendOff []int32
+	revTab  []int32
+	slots   int
 
 	// Message-path scratch, recomputed per run (the layout depends on the
 	// algorithm's MsgWords) and reallocated only on growth. The wire slabs
@@ -111,10 +118,11 @@ type Batch struct {
 	// collectPass methods, built once so the per-round parallelChunks
 	// dispatch does not allocate a closure; rk/rround/rsrc/rcols carry
 	// the pass parameters to them, and rragged is where collecting
-	// workers flag an output of another width than the block's. The sharded orchestrator drives the
-	// same passes directly over a shard's node range (see sharded.go),
-	// which is why the parameters live on the batch rather than in
-	// closures.
+	// workers flag an output of another width than the block's. The
+	// sharded orchestrator drives the same passes directly over a shard's
+	// node range (see sharded.go), which is why the parameters live on
+	// the batch rather than in closures. orow is the one-node output scratch
+	// of a ragged collect and of outWidth (nodeOutputs).
 	roundFn   func(w, vlo, vhi int)
 	startFn   func(w, vlo, vhi int)
 	collectFn func(w, vlo, vhi int)
@@ -123,6 +131,7 @@ type Batch struct {
 	rsrc      laneSrc
 	rcols     *outCols
 	rragged   atomic.Bool
+	orow      [][]byte
 	// tapes holds the current block's tape rows, reused across runs.
 	tapes []localrand.Tape
 	// procAlgo is the algorithm whose process table survives in procs
@@ -252,7 +261,7 @@ func (p *Plan) NewBatch(width int) *Batch {
 	if width < 1 {
 		panic(fmt.Sprintf("local: batch width %d, need >= 1", width))
 	}
-	return &Batch{plan: p, width: width, revTab: p.topo.RevSlot, viewW: 1}
+	return &Batch{plan: p, width: width, viewW: 1}
 }
 
 // newWindowBatch returns a batch whose wire slabs are compacted to one
@@ -263,17 +272,7 @@ func (p *Plan) newWindowBatch(width int, win *graph.ShardSlots) *Batch {
 	bt := p.NewBatch(width)
 	bt.win = win
 	bt.slotBase = int(win.SlotLo)
-	bt.revTab = win.Rev
 	return bt
-}
-
-// localSlots returns the batch's slot-space size: the full topology for
-// an unwindowed batch, own range + halo for a shard window.
-func (bt *Batch) localSlots() int {
-	if bt.win != nil {
-		return bt.win.NumLocal()
-	}
-	return bt.plan.topo.NumSlots()
 }
 
 // Plan returns the plan the batch executes on.
@@ -379,13 +378,13 @@ func (bt *Batch) startOutput(in *lang.Instance, wa WireAlgorithm, tapeOf func(v 
 	if err := bt.checkInstance(in); err != nil {
 		return nil, err
 	}
-	if err := bt.layoutWire(wa); err != nil {
+	if err := bt.layoutWire(wa, nil); err != nil {
 		return nil, err
 	}
 	defer bt.endRun()
 	bt.beginPass(bt.tapeSrc(in, tapeOf), 1, wa, nil, nil, []bool{true}, 1)
 	bt.startPass(0, v, v+1)
-	return bt.kern.OutputVec(bt.bindRange(0, v, v+1, bt.curLens, bt.curWords), v, 0), nil
+	return bt.nodeOutput(v), nil
 }
 
 // tapeSrc is the one-lane source of in whose tapes are copies of
@@ -410,7 +409,7 @@ func (bt *Batch) tapeSrc(in *lang.Instance, tapeOf func(v int) *localrand.Tape) 
 // block loop (laneLedger.runBlocks) under the current slab layout, one
 // unsharded round loop per block.
 func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localrand.Draw, opts RunOptions) ([]*Result, error) {
-	if err := bt.layoutWire(wa); err != nil {
+	if err := bt.layoutWire(wa, effectiveFault(opts, bt.defFault)); err != nil {
 		return nil, err
 	}
 	n := bt.plan.g.N()
@@ -427,9 +426,15 @@ func (bt *Batch) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localran
 // for the batch to win; lane vectors wider than the budget's block run in
 // successive full passes (lanes are independent, so the results are
 // identical either way). A slot-lane costs 2×(8·words + 4) bytes — 24
-// bytes for the one-word retry coloring of E2, so a ring C_n fits
-// 2^20 / (48n) lanes per pass: 32 (the whole vector) at n = 600, 9 at
-// 2400, 4 at 4800, 2 at 9600, and 1 from n ≈ 11k up.
+// bytes for the one-word retry coloring of E2. On node slots (vec.go) a
+// ring C_n has n slots, so 24n bytes per lane and 2^20 / (24n) lanes per
+// pass: 32 (the whole vector) at n = 600, 18 at 2400, 9 at 4800, 4 at
+// 9600, and 1 from n ≈ 22k up. On edge slots (an armed fault plan, a
+// shard window) it has 2n slots, 48n bytes per lane, and half those
+// lanes: 9 at 2400, 4 at 4800, 2 at 9600. Node slots measured on
+// mc-slack-sweep (seed 1, ten alternating 30 s pairs against edge slots
+// with per-entry output collection, same 2-core Xeon): wall_s 0.360 →
+// 0.277 s median, peak_rss_mb 29.2 → 23.9 MB, better in 10/10 pairs.
 //
 // The budget was measured end to end on the mc-slack-sweep benchmark
 // (full-size E2, batch width 32, per-pass vec dispatch) on a shared
@@ -452,34 +457,42 @@ const msgSlabBudget = 1 << 20
 // layoutWire refuses what the engine cannot step — an algorithm stepping
 // both ways or neither (checkStepping), or a VecAlgorithm whose MsgWords
 // is not 1 at some slot of the layout (vec.go) — and computes the wire
-// slab layout of one algorithm over the plan's topology: per-slot word
-// capacities (MsgWords of the sender's degree), their prefix offsets,
-// and the lane count of one message pass under msgSlabBudget. Slices are
-// reused across runs; recomputing is O(slots) and allocation-free once
-// grown.
-func (bt *Batch) layoutWire(wa WireAlgorithm) error {
+// slab layout of one algorithm run under the given fault plan: the slot
+// tables (node slots for a VecAlgorithm on an unwindowed batch with no
+// armed plan, edge slots otherwise — vec.go), per-slot word capacities
+// (MsgWords of the sender's degree), their prefix offsets, and the lane
+// count of one message pass under msgSlabBudget. Slices are reused
+// across runs; recomputing is O(slots) and allocation-free once grown.
+func (bt *Batch) layoutWire(wa WireAlgorithm, fault *FaultPlan) error {
 	if err := checkStepping(wa); err != nil {
 		return err
 	}
 	topo := bt.plan.topo
+	_, vec := wa.(VecAlgorithm)
 	vlo, vhi := 0, topo.NumNodes()
-	slots := bt.localSlots()
-	if bt.win != nil {
+	switch {
+	case bt.win != nil:
 		vlo, vhi = bt.win.NodeLo, bt.win.NodeHi
+		bt.sendOff, bt.revTab, bt.slots = topo.Offsets, bt.win.Rev, bt.win.NumLocal()
+	case vec && !fault.Enabled():
+		bt.sendOff, bt.revTab, bt.slots = bt.plan.nodeSlots(), topo.Nbrs, vhi
+	default:
+		bt.sendOff, bt.revTab, bt.slots = topo.Offsets, topo.RevSlot, topo.NumSlots()
 	}
-	bt.capW = sliceFor(bt.capW, slots)
-	bt.offW = sliceFor(bt.offW, slots)
+	bt.capW = sliceFor(bt.capW, bt.slots)
+	bt.offW = sliceFor(bt.offW, bt.slots)
 	total := 0
 	for v := vlo; v < vhi; v++ {
-		lo, hi := topo.Slots(v)
-		if lo == hi {
-			continue
+		// An isolated node sends nothing: it has no edge slot, and its
+		// node slot holds one word that nothing writes or reads.
+		w := 1
+		if deg := topo.Degree(v); deg > 0 {
+			w = wa.MsgWords(deg)
+			if w < 0 {
+				panic(fmt.Sprintf("local: %s.MsgWords(%d) = %d, need >= 0", wa.Name(), deg, w))
+			}
 		}
-		w := wa.MsgWords(hi - lo)
-		if w < 0 {
-			panic(fmt.Sprintf("local: %s.MsgWords(%d) = %d, need >= 0", wa.Name(), hi-lo, w))
-		}
-		for s := lo; s < hi; s++ {
+		for s := int(bt.sendOff[v]); s < int(bt.sendOff[v+1]); s++ {
 			bt.offW[s-bt.slotBase] = int32(total)
 			bt.capW[s-bt.slotBase] = int32(w)
 			total += w
@@ -502,18 +515,12 @@ func (bt *Batch) layoutWire(wa WireAlgorithm) error {
 		}
 	}
 	bt.totalW = total
-	// Bytes one lane adds to a pass: both double-buffered slabs count.
-	bytesPerLane := 2 * (8*total + 4*slots)
 	block := bt.width
-	if bytesPerLane > 0 {
-		block = msgSlabBudget / bytesPerLane
+	if perLane := bt.slabBytesPerLane(); perLane > 0 {
+		block = msgSlabBudget / perLane
 	}
-	if block < 1 {
-		block = 1
-	}
-	block = min(block, bt.width, maxBlock)
-	bt.block = block
-	if _, ok := wa.(VecAlgorithm); ok && slices.ContainsFunc(bt.capW, func(w int32) bool { return w != 1 }) {
+	bt.block = min(max(block, 1), bt.width, maxBlock)
+	if vec && slices.ContainsFunc(bt.capW, func(w int32) bool { return w != 1 }) {
 		return fmt.Errorf("local: %s is a VecAlgorithm whose MsgWords is not 1; range kernels send one-word messages", wa.Name())
 	}
 	return nil
@@ -527,25 +534,26 @@ const maxBlock = 64
 // SlabBytesFor reports the byte footprint of the double-buffered wire
 // slabs one pass of algo streams on this batch — the memory a shard (or
 // an unsharded batch) actually pays per lane block under its current
-// slot space. It computes the algorithm's layout as a side effect, like
-// a run would. The sharded compaction gate compares per-shard windows
-// against the full batch through it.
+// slot space, with the batch's default fault plan armed. It computes the
+// algorithm's layout as a side effect, like a run would. The sharded
+// compaction gate compares per-shard windows against the full batch
+// through it.
 func (bt *Batch) SlabBytesFor(algo WireAlgorithm) int {
-	_ = bt.layoutWire(algo) // a refused kernel's layout is complete too
-	return bt.slabBytes()
+	_ = bt.layoutWire(algo, bt.defFault) // a refused kernel's layout is complete too
+	return bt.slabBytesPerLane() * bt.block
 }
 
-// slabBytes is SlabBytesFor under the already-computed layout.
-func (bt *Batch) slabBytes() int {
-	slots := bt.localSlots()
-	return 2 * (8*bt.totalW + 4*slots) * bt.block
+// slabBytesPerLane is the bytes one lane adds to a pass under the
+// current layout: both double-buffered slabs count.
+func (bt *Batch) slabBytesPerLane() int {
+	return 2 * (8*bt.totalW + 4*bt.slots)
 }
 
 // msgLanesFor returns the lane count of one message pass of algo — how
 // many lanes of a wide vector share one round loop before the slab
-// budget forces a new pass.
+// budget forces a new pass — with the batch's default fault plan armed.
 func (bt *Batch) msgLanesFor(algo WireAlgorithm) int {
-	_ = bt.layoutWire(algo) // as SlabBytesFor
+	_ = bt.layoutWire(algo, bt.defFault) // as SlabBytesFor
 	return bt.block
 }
 
@@ -687,36 +695,57 @@ func (bt *Batch) outWidth(vlo, vhi int) int {
 	if vlo == vhi {
 		return 0
 	}
-	return len(bt.kern.OutputVec(bt.bindRange(0, vlo, vhi, bt.curLens, bt.curWords), vlo, 0))
+	return len(bt.nodeOutput(vlo))
+}
+
+// nodeOutput returns lane 0's output at node v.
+func (bt *Batch) nodeOutput(v int) []byte {
+	y := bt.nodeOutputs(0, v)[0]
+	clear(bt.orow)
+	return y
+}
+
+// nodeOutputs returns the run's k lane outputs at node v, lane b's at
+// index b: the kernel's OutputVec on worker w over the one-node range
+// [v, v+1), into the batch's orow scratch, which the caller clears once
+// it is read.
+func (bt *Batch) nodeOutputs(w, v int) [][]byte {
+	bt.orow = sliceFor(bt.orow, bt.rk)
+	r := bt.bindRange(w, v, v+1, bt.curLens, bt.curWords)
+	r.orows, r.ow, r.ostride, r.ooff = bt.orow, -1, 1, v
+	bt.kern.OutputVec(r)
+	return bt.orow
 }
 
 // collectRange gathers the outputs of nodes [vlo, vhi) of the run's k
 // lanes into out's open block, entry (b, v) at block index
 // b*stride+v-off. It is the shared collection of the unsharded pass
 // (worker w), an in-process shard and a shard-worker process (worker 0
-// over the shard's window). In fixed form it writes bytes in place and
-// reports false, leaving the block unfinished, at the first output of
-// another width. In offsets form it appends lane by lane, so it must
-// then cover the block's whole node range in one call.
+// over the shard's window). In fixed form the kernel writes the bytes in
+// place (VecRange.Output), and collectRange reports false, leaving the
+// block unfinished, at the first output of another width. In offsets
+// form it collects node by node, in two sweeps — every entry's width,
+// then its bytes — so it must then cover the block's whole node range
+// in one call.
 func (bt *Batch) collectRange(w, vlo, vhi int, out *outCols, stride, off int) bool {
-	k, kern := bt.rk, bt.kern
-	r := bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
 	if out.w < 0 {
-		for b := 0; b < k; b++ {
-			for v := vlo; v < vhi; v++ {
-				out.add(kern.OutputVec(r, v, b))
+		for v := vlo; v < vhi; v++ {
+			for b, y := range bt.nodeOutputs(w, v) {
+				out.size(b*stride+v-off, len(y))
 			}
 		}
+		out.sized(bt.rk * stride)
+		for v := vlo; v < vhi; v++ {
+			for b, y := range bt.nodeOutputs(w, v) {
+				out.place(b*stride+v-off, y)
+			}
+		}
+		clear(bt.orow)
 		return true
 	}
-	for v := vlo; v < vhi; v++ {
-		for b := 0; b < k; b++ {
-			if !out.put(b*stride+v-off, kern.OutputVec(r, v, b)) {
-				return false
-			}
-		}
-	}
-	return true
+	r := bt.bindRange(w, vlo, vhi, bt.curLens, bt.curWords)
+	r.ofix, r.ow, r.ostride, r.ooff = out.fix, out.w, stride, off
+	return bt.kern.OutputVec(r)
 }
 
 // startPass is one worker's share of the init + round-1 staging: one
@@ -789,7 +818,7 @@ func (bt *Batch) roundPass(w, vlo, vhi int) {
 // layout, any lane count) allocates nothing.
 func (bt *Batch) ensureWireState() {
 	n := bt.plan.g.N()
-	slots := bt.localSlots()
+	slots := bt.slots
 	B := bt.block
 	bt.curLens = sliceFor(bt.curLens, slots*B)
 	bt.nextLens = sliceFor(bt.nextLens, slots*B)

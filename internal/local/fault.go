@@ -29,6 +29,15 @@ import (
 //
 // A nil (or all-zero) plan is provably free: beginPass disarms the fault
 // state and roundPass dispatches to the exact pre-fault loop.
+//
+// An armed plan keeps a range kernel on edge slots, one per directed
+// edge (layoutWire, vec.go), where a fault-free run takes one send slot
+// per node. The pass suppresses a delivery in place, zeroing the lens
+// entry at the receiver's own slot, which is sound only because that
+// slot has exactly one reader. A node slot is read by every neighbor, so
+// dropping a message there for one receiver would drop it for all — and
+// a delay would hold it for all — where the plan decides each
+// (round, receiver port, lane) delivery on its own.
 
 // FaultPlan describes the faults injected into an execution. The zero
 // value injects nothing and runs the engine's unperturbed fast path; a

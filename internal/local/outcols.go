@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"slices"
 
 	"rlnc/internal/lang"
 )
@@ -34,6 +35,7 @@ type outCols struct {
 	w       int
 	next    int
 	laneOff int
+	starts  []int // sized: each block lane's slab offset
 }
 
 // begin opens a run of k lanes of n entries, dropping the previous run's
@@ -81,6 +83,36 @@ func (o *outCols) ragged() {
 	o.ends = sliceFor(o.ends, o.lanes*o.n)
 	o.fix, o.w = nil, -1
 	o.next, o.laneOff = o.lo*o.n, o.off
+}
+
+// size records that entry i of an offsets-form block is w bytes wide:
+// the first sweep of a fill that cannot go lane by lane, which sized
+// then lays out and place completes, in any entry order.
+func (o *outCols) size(i, w int) { o.ends[o.lo*o.n+i] = int32(w) }
+
+// sized lays out the offsets-form block's first `entries` entries from
+// the widths size recorded: their ends become lane-relative, and the
+// slab grows to hold them.
+func (o *outCols) sized(entries int) {
+	o.starts = sliceFor(o.starts, entries/o.n)
+	at := len(o.data)
+	for l := range o.starts {
+		o.starts[l] = at
+		ends := o.ends[(o.lo+l)*o.n : (o.lo+l+1)*o.n]
+		end := int32(0)
+		for v, w := range ends {
+			end += w
+			ends[v] = end
+		}
+		at += int(end)
+	}
+	o.data = slices.Grow(o.data, at-len(o.data))[:at]
+}
+
+// place copies y into entry i of a sized block; size recorded its width.
+func (o *outCols) place(i int, y []byte) {
+	end := o.starts[i/o.n] + int(o.ends[o.lo*o.n+i])
+	copy(o.data[end-len(y):end], y)
 }
 
 // add appends the next entry of an offsets-form block.

@@ -29,6 +29,22 @@ type Plan struct {
 	mu    sync.Mutex
 	balls map[int][]*graph.Ball
 	dists map[int][]int
+	// nodeSlot is the identity table 0…n, the send offsets of a
+	// node-slot layout (layoutWire), built once on first use.
+	nodeSlotOnce sync.Once
+	nodeSlot     []int32
+}
+
+// nodeSlots returns the plan's identity table 0…n: node v's one send
+// slot is v.
+func (p *Plan) nodeSlots() []int32 {
+	p.nodeSlotOnce.Do(func() {
+		p.nodeSlot = make([]int32, p.topo.NumNodes()+1)
+		for v := range p.nodeSlot {
+			p.nodeSlot[v] = int32(v)
+		}
+	})
+	return p.nodeSlot
 }
 
 // NewPlan builds (or fetches, the topology is cached on the graph) the

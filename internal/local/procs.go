@@ -15,7 +15,7 @@ type rangeKernel interface {
 	VecWords() int
 	StartVec(r *VecRange)
 	StepVec(r *VecRange, round int)
-	OutputVec(r *VecRange, v, b int) []byte
+	OutputVec(r *VecRange) bool
 }
 
 // procKernel steps the processes of pa, one WireProcess per (node,
@@ -93,9 +93,18 @@ func (pk *procKernel) StepVec(r *VecRange, round int) {
 	}
 }
 
-// OutputVec returns the output of (node v, lane b)'s process.
-func (pk *procKernel) OutputVec(r *VecRange, v, b int) []byte {
-	return pk.bt.procs[v*r.B+b].Output()
+// OutputVec writes the output of every (node, lane) process of the
+// range.
+func (pk *procKernel) OutputVec(r *VecRange) bool {
+	procs, B := pk.bt.procs, r.B
+	for v := r.Lo; v < r.Hi; v++ {
+		for b, p := range procs[v*B : v*B+r.k] {
+			if !r.Output(v, b, p.Output()) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // armKernel arms the stepping path of a run of wa: its own kernel, or

@@ -576,7 +576,8 @@ func (s *Sharded) runLanes(all laneSrc, k int, wa WireAlgorithm, draws []localra
 func (s *Sharded) layoutShards(wa WireAlgorithm) (int, error) {
 	block := 0
 	for _, sh := range s.shards {
-		if err := sh.bt.layoutWire(wa); err != nil {
+		// A shard window takes edge slots whatever the fault plan.
+		if err := sh.bt.layoutWire(wa, nil); err != nil {
 			return 0, err
 		}
 		if block == 0 || sh.bt.block < block {
@@ -809,7 +810,7 @@ func (sh *shardExec) begin(run *shardRun) {
 	if sh.err = bt.lanes(k); sh.err != nil {
 		return
 	}
-	if sh.err = bt.layoutWire(run.wa); sh.err != nil {
+	if sh.err = bt.layoutWire(run.wa, run.fault); sh.err != nil {
 		return
 	}
 	if run.block > bt.block || run.block < k {

@@ -21,6 +21,26 @@ import (
 // slot s's k-lane lens row and word row both start at s·B, and Recv and
 // BroadcastRow need no per-slot capacity or offset lookup.
 //
+// A range kernel's only send is BroadcastRow, so a fault-free,
+// unwindowed run lays its slabs out with one send slot per node instead
+// of one per directed edge: node v's broadcast is staged once, in slot
+// v, and every neighbor reads it there. The layout is data, not a second
+// code path — layoutWire picks two tables, and VecRange reads through
+// them alike:
+//
+//	send offsets  — the topology offsets (edge slots), or the identity
+//	                0…n (node slots): node v stages into slots
+//	                [soff[v], soff[v+1]);
+//	receive table — RevSlot (edge slots), or Nbrs (node slots): node v's
+//	                port p reads slot rev[off[v]+p].
+//
+// A node slot holds half the slab bytes of a ring's two edge slots, so
+// the slab budget fits twice the lanes per pass (msgSlabBudget). An
+// armed fault plan keeps edge slots, because the fault pass suppresses a
+// delivery in place at the receiver's slot, which only that receiver
+// may read; so do shard windows, whose cut frames carry edge slots; and
+// a process kernel's Outbox stages per port.
+//
 // Every algorithm steps one way, whatever the lane count — a width-1
 // batch, a one-lane slab block and a ragged one-lane tail included:
 //
@@ -28,8 +48,9 @@ import (
 //	ProcessAlgorithm  — procKernel (procs.go), the engine's kernel over
 //	                    its per-(node, lane) WireProcess table
 //
-// so the start, round and fault passes each have one body. An algorithm
-// implementing both or neither is refused at run start (checkStepping).
+// so the start, round, fault and collect passes each have one body. An
+// algorithm implementing both or neither is refused at run start
+// (checkStepping).
 //
 // State is flat: VecWords uint64 words per (node, lane), laid out
 // [node][word][lane] in one batch-owned slab that no pointer-carrying
@@ -64,9 +85,11 @@ type VecAlgorithm interface {
 	// recovering later — must be skipped entirely: no reads, no sends,
 	// no state changes.
 	StepVec(r *VecRange, round int)
-	// OutputVec returns lane b's final output of node v, read from the
-	// state rows; the slice must stay valid after the batch runs again.
-	OutputVec(r *VecRange, v, b int) []byte
+	// OutputVec writes the final output of every (node, lane) of r's
+	// range through r.Output, read from the state rows, in any order. It
+	// returns false as soon as r.Output refuses an entry (an output of
+	// another width than the open block's), and true otherwise.
+	OutputVec(r *VecRange) bool
 }
 
 // VecRange is one worker's node range [Lo, Hi) of one pass, bound to the
@@ -78,9 +101,10 @@ type VecRange struct {
 
 	k, B, words int
 	lanes       uint64  // the pass's k lanes
-	off         []int32 // topology offsets: node v's global slots
+	off         []int32 // topology offsets: node v's global ports
+	soff        []int32 // send offsets: node v's send slots (layoutWire)
 	base        int     // slotBase: global slot s lives at local s-base
-	rev         []int32 // receive slots, local coordinates
+	rev         []int32 // receive table: port p of v reads rev[off[v]-base+p]
 	lens        []int32 // receive slabs (cur)
 	word        []uint64
 	slens       []int32 // send slabs (cur at start, next afterwards)
@@ -93,6 +117,13 @@ type VecRange struct {
 	src         *laneSrc
 	in          *Inbox  // the worker's, bound to cur (procKernel's)
 	out         *Outbox // the worker's, bound to the send slabs
+	// The collect pass's open output block (Output): entry (b, v) at
+	// index b*ostride+v-ooff, written as ow bytes into ofix, or, when ow
+	// is negative, kept as a slice in orows.
+	ofix          []byte
+	orows         [][]byte
+	ow            int
+	ostride, ooff int
 }
 
 // Lanes returns the pass's lane count k; state and lens rows have k
@@ -153,17 +184,18 @@ func (r *VecRange) Finish(v int, mask uint64) {
 // BroadcastRow stages the one-word message words[b] on every port of
 // node v for the lanes b in mask, replacing anything staged there this
 // round (the lane-vectorized Broadcast). Every port is staged alike, so
-// the first port's rows are staged lane by lane and copied to the
-// others, and its lens row alone decides which lanes stage afresh: each
-// counts Degree(v) messages, the Outbox's sender-side accounting.
+// the node's first send slot is staged lane by lane and copied to its
+// others — under node slots it has no others — and that slot's lens row
+// alone decides which lanes stage afresh: each counts Degree(v)
+// messages, the Outbox's sender-side accounting, whatever the layout.
 func (r *VecRange) BroadcastRow(v int, words []uint64, mask uint64) {
-	lo, hi := int(r.off[v])-r.base, int(r.off[v+1])-r.base
-	if lo == hi {
+	deg := int64(r.Degree(v))
+	if deg == 0 {
 		return
 	}
+	lo, hi := int(r.soff[v])-r.base, int(r.soff[v+1])-r.base
 	row := r.slens[lo*r.B : lo*r.B+r.k]
 	dst, ws, stage := r.sword[lo*r.B:][:len(row)], words[:len(row)], r.stage[:len(row)]
-	deg := int64(hi - lo)
 	for b, l := range row {
 		if mask>>(b&63)&1 != 0 {
 			if l == 0 {
@@ -180,6 +212,31 @@ func (r *VecRange) BroadcastRow(v int, words []uint64, mask uint64) {
 	}
 }
 
+// Output writes y as the output of node v in lane b into the collect
+// pass's open block, reporting false, and writing nothing, when y is not
+// the block's width. y is read at once in a fixed-width block but may be
+// kept in a ragged one: it must stay valid after the batch runs again.
+func (r *VecRange) Output(v, b int, y []byte) bool {
+	if r.ow == 1 && len(y) == 1 {
+		r.ofix[b*r.ostride+v-r.ooff] = y[0]
+		return true
+	}
+	return r.outputSlow(b*r.ostride+v-r.ooff, y)
+}
+
+// outputSlow is Output at any other width, and in a ragged block.
+func (r *VecRange) outputSlow(i int, y []byte) bool {
+	switch {
+	case r.ow < 0:
+		r.orows[i] = y
+	case len(y) != r.ow:
+		return false
+	default:
+		copy(r.ofix[i*r.ow:], y)
+	}
+	return true
+}
+
 // bindRange points worker w's VecRange at nodes [vlo, vhi) of the
 // current pass, staging into the given send slabs (cur for the start
 // pass, next for the round passes), and binds the worker's Inbox and
@@ -194,7 +251,7 @@ func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecR
 		Lo: vlo, Hi: vhi,
 		k: bt.rk, B: bt.block, words: bt.kern.VecWords(),
 		lanes: ^uint64(0) >> (64 - bt.rk),
-		off:   bt.plan.topo.Offsets, base: bt.slotBase, rev: bt.revTab,
+		off:   bt.plan.topo.Offsets, soff: bt.sendOff, base: bt.slotBase, rev: bt.revTab,
 		lens: bt.curLens, word: bt.curWords, slens: slens, sword: sword,
 		state: bt.vstate, done: bt.vdone,
 		stage: bt.wkStage[w], fin: bt.wkFin[w],
@@ -207,6 +264,5 @@ func (bt *Batch) bindRange(w, vlo, vhi int, slens []int32, sword []uint64) *VecR
 // rangeSlots returns the local send-slot window of nodes [vlo, vhi):
 // a range's slots are consecutive, so clearing it is one memclr.
 func (bt *Batch) rangeSlots(vlo, vhi int) (lo, hi int) {
-	off := bt.plan.topo.Offsets
-	return int(off[vlo]) - bt.slotBase, int(off[vhi]) - bt.slotBase
+	return int(bt.sendOff[vlo]) - bt.slotBase, int(bt.sendOff[vhi]) - bt.slotBase
 }

@@ -134,7 +134,16 @@ func (a vecMix) StepVec(r *VecRange, round int) {
 	}
 }
 
-func (a vecMix) OutputVec(r *VecRange, v, b int) []byte { return encode64(int64(r.State(v, 0)[b])) }
+func (a vecMix) OutputVec(r *VecRange) bool {
+	for v := r.Lo; v < r.Hi; v++ {
+		for b, s := range r.State(v, 0) {
+			if !r.Output(v, b, encode64(int64(s))) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // TestVecMatchesScalar pins the kernel contract in the package that
 // owns it: on every graph family, a batch stepping vecMix through its
@@ -347,14 +356,16 @@ func TestVecDispatchPerPass(t *testing.T) {
 		}, k, k == 1, ref)
 	}
 
-	// C_9000 under one-word messages: the 1 MB budget fits 2 lanes per
-	// pass (48 bytes per node and lane), so 5 lanes run as 2 + 2 + 1.
-	big := mustInstance(t, graph.Cycle(9000))
+	// C_16000 under one-word messages: the 1 MB budget fits 2 lanes per
+	// pass (node slots, 24 bytes per node and lane), so 5 lanes run as
+	// 2 + 2 + 1. The shard windows keep edge slots (48 bytes per node and
+	// lane): 2 lanes on the 10000-node shard, 3 on the other.
+	big := mustInstance(t, graph.Cycle(16000))
 	plan = MustPlan(big.G)
 	if lanes := plan.NewBatch(5).msgLanesFor(vecMix{rounds: 4}); lanes != 2 {
 		t.Fatalf("fixture: block %d, want 2", lanes)
 	}
-	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 7500, 9000}})
+	sh, err := plan.NewShardedPartition(5, graph.Partition{Bounds: []int32{0, 10000, 16000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +377,10 @@ func TestVecDispatchPerPass(t *testing.T) {
 		t.Fatalf("fixture: shard blocks %v, want the big shard at 2 and the small one above", blocks)
 	}
 	ref = refs(big)
-	check(t, "batch C_9000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+	check(t, "batch C_16000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 		return plan.NewBatch(5).Run(big, a, d, RunOptions{})
 	}, 5, true, ref)
-	check(t, "sharded C_9000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
+	check(t, "sharded C_16000", func(a WireAlgorithm, d []localrand.Draw) ([]*Result, error) {
 		return sh.Run(big, a, d, RunOptions{})
 	}, 5, true, ref)
 	if sh.run.block != 2 {

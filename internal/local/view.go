@@ -123,7 +123,8 @@
 // concrete, inlinable view of the slabs: Active(v) is node v's lane mask
 // to step, Recv(v, p) hands port p's contiguous lens row and word row,
 // BroadcastRow stages a whole lane row, Finish(v, mask) fixes lanes'
-// outputs, and State(v, j) and Tape(v, b) reach the state slab and the
+// outputs, Output(v, b, y) writes one into the collect pass's open
+// block, and State(v, j) and Tape(v, b) reach the state slab and the
 // tape slab — so the port→slot lookup, base-offset arithmetic, stage and
 // fin counting, and fault masking stay in the engine and the inner loop
 // walks the adjacent memory the slot-major layout already provides.

@@ -103,7 +103,10 @@ func TestShardEquivalenceMatrixTCP(t *testing.T) {
 // every shard used to hold — on every family of the harness fixture.
 // (Individual shards may come close to the full size — a star's hub
 // shard reads nearly every slot — but the per-machine average is what a
-// deployment provisions for.)
+// deployment provisions for.) The full-size slabs are a one-shard
+// executor's: its window is the whole global edge-slot space. An
+// unsharded batch is no baseline here, because a fault-free range kernel
+// runs it on node slots, which no shard window takes.
 func TestShardSlabCompaction(t *testing.T) {
 	algo := construct.RetryMessage(3, 4)
 	for name, g := range Families(t) {
@@ -113,7 +116,11 @@ func TestShardSlabCompaction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := plan.NewBatch(3).SlabBytesFor(algo)
+			one, err := plan.NewSharded(3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := one.ShardSlabBytes(algo)[0]
 			per := sh.ShardSlabBytes(algo)
 			total := 0
 			for i, b := range per {

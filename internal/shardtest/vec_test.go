@@ -205,15 +205,17 @@ func TestVecMatchesScalarSharded(t *testing.T) {
 func laneBlock(width1, widthK int) int { return widthK / width1 }
 
 // TestVecBlockSplitting pins the block split on the real kernels: on
-// C_4800 the 1 MB slab budget splits a 13-lane vector of one-word
-// messages into blocks of 4 + 4 + 4 + 1, every block — the one-lane tail
-// included — stepping the kernel. Every lane — outputs and Stats — must
-// match a per-lane width-1 oracle run, and the oracle batch. The sharded
-// half cuts the ring unevenly, so the shards' own budgets disagree and
-// the orchestrator imposes the big shard's smaller block (6 + 6 + 1) on
-// both.
+// C_4800 the 1 MB slab budget splits a 22-lane vector of one-word
+// messages into blocks of 9 + 9 + 4, every block — the ragged tail
+// included — stepping the kernel. A fault-free batch lays the kernel out
+// on node slots (24 bytes per node and lane); an armed plan keeps edge
+// slots (48 bytes), and 4 lanes per block. Every lane — outputs and
+// Stats — must match a per-lane width-1 oracle run, and the oracle
+// batch. The sharded half cuts the ring unevenly, so the shards' own
+// budgets disagree and the orchestrator imposes the big shard's smaller
+// block (6 + 6 + 6 + 4) on both; shard windows keep edge slots.
 func TestVecBlockSplitting(t *testing.T) {
-	const K = 13
+	const K = 22
 	in := Instance(t, graph.Cycle(4800))
 	plan := local.MustPlan(in.G)
 	part := graph.Partition{Bounds: []int32{0, 3600, 4800}}
@@ -240,8 +242,14 @@ func TestVecBlockSplitting(t *testing.T) {
 	} {
 		t.Run(c.algo.Name(), func(t *testing.T) {
 			vecBt, sclBt := plan.NewBatch(K), plan.NewBatch(K)
-			if b := laneBlock(plan.NewBatch(1).SlabBytesFor(c.algo), vecBt.SlabBytesFor(c.algo)); b != 4 {
-				t.Fatalf("fixture: batch block %d, want 4", b)
+			if b := laneBlock(plan.NewBatch(1).SlabBytesFor(c.algo), vecBt.SlabBytesFor(c.algo)); b != 9 {
+				t.Fatalf("fixture: batch block %d, want 9", b)
+			}
+			faulty1, faultyK := plan.NewBatch(1), plan.NewBatch(K)
+			faulty1.SetFault(&local.FaultPlan{Drop: 0.1})
+			faultyK.SetFault(&local.FaultPlan{Drop: 0.1})
+			if b := laneBlock(faulty1.SlabBytesFor(c.algo), faultyK.SlabBytesFor(c.algo)); b != 4 {
+				t.Fatalf("fixture: batch block %d under an armed plan, want 4", b)
 			}
 			one, all := sh1.ShardSlabBytes(c.algo), sh.ShardSlabBytes(c.algo)
 			if b0, b1 := laneBlock(one[0], all[0]), laneBlock(one[1], all[1]); b0 != 6 || b1 <= b0 {
@@ -357,7 +365,9 @@ func expectSameOutcome(t *testing.T, label string, want, got laneOutcome) {
 // 100} on rings small enough that the slab budget never binds, so the
 // 64-lane block cap splits 65 and 100 into a full mask plus a ragged
 // tail; the sharded half runs windows on the channel and loopback-TCP
-// transports.
+// transports. Fault-free retry coloring also runs at widths {1, 5, 64}
+// on a torus, a star and a graph with isolated nodes, the node-slot
+// layout's shapes beyond rings.
 func TestVecKernelMatchesScalar(t *testing.T) {
 	ring := Instance(t, graph.Cycle(48))
 	plan := local.MustPlan(ring.G)
@@ -435,6 +445,33 @@ func TestVecKernelMatchesScalar(t *testing.T) {
 					for _, pl := range kernelPlans {
 						check(fmt.Sprintf("%s shards 3 width %d plan %s", tp.name, width, pl.name), ref[pl.name], run(sh, c, c.algo, width, pl.fp))
 					}
+				}
+			}
+		})
+	}
+	// A fault-free batch steps the kernel on node slots: one send slot
+	// per node, read by every neighbor. Beyond rings, that layout meets
+	// degree 4, a hub every leaf reads, and isolated nodes (0 and 3
+	// here), which own a slot nothing stages into or reads.
+	isolated, err := graph.FromEdges(8, [][2]int{{1, 2}, {2, 4}, {4, 1}, {4, 5}, {5, 6}, {6, 7}, {7, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, ref := construct.RetryMessage(3, 4), retryRef{3, 4}
+	for name, g := range map[string]*graph.Graph{"torus": graph.Torus(6, 6), "star": graph.Star(9), "isolated": isolated} {
+		t.Run("node-slots/"+name, func(t *testing.T) {
+			in := Instance(t, g)
+			plan := local.MustPlan(g)
+			for _, width := range []int{1, 5, 64} {
+				got := runOutcomes(width, func() ([]*local.Result, error) {
+					return plan.NewBatch(width).Run(in, algo, draws[:width], local.RunOptions{})
+				})
+				for b := range got {
+					want := runOutcomes(1, func() ([]*local.Result, error) {
+						r, err := plan.Run(in, ref, &draws[b], local.RunOptions{})
+						return []*local.Result{r}, err
+					})[0]
+					expectSameOutcome(t, fmt.Sprintf("width %d lane %d", width, b), want, got[b])
 				}
 			}
 		})
